@@ -601,182 +601,6 @@ let run_parallel ~budget () =
      preserved at every jobs level"
 
 (* ------------------------------------------------------------------ *)
-(* Incremental solver sessions: fresh vs session, differential + perf *)
-
-let run_incremental ~budget () =
-  section
-    "Incremental sessions: fresh vs session solver path (differential check, \
-     writes BENCH_incremental.json)";
-  let instances = [ "case_s1"; "case_s2"; "case_m1"; "case_m2" ] in
-  let json_rows = ref [] in
-  let all_equal = ref true in
-  Printf.printf "%10s %8s | %9s %10s | %9s %10s %8s | %6s\n" "instance" "phase"
-    "fresh s" "conflicts" "sess s" "conflicts" "reuse" "equal";
-  let emit name phase (fw, fc, fr, fd) (sw, sc, sr, sd) =
-    let equal = fd = sd in
-    if not equal then all_equal := false;
-    Printf.printf "%10s %8s | %9.3f %10d | %9.3f %10d %8d | %6s\n%!" name phase
-      fw fc sw sc sr
-      (if equal then "yes" else "NO");
-    ignore fr;
-    json_rows :=
-      Printf.sprintf
-        "    { \"instance\": %S, \"phase\": %S,\n\
-        \      \"fresh\": { \"wall_s\": %.6f, \"conflicts\": %d },\n\
-        \      \"session\": { \"wall_s\": %.6f, \"conflicts\": %d, \
-         \"reuse_hits\": %d },\n\
-        \      \"equal\": %b }" name phase fw fc sw sc sr equal
-      :: !json_rows
-  in
-  List.iter
-    (fun name ->
-      match Workload.Suite.by_name name with
-      | None -> ()
-      | Some instance ->
-          let f = Lazy.force instance.Workload.Suite.formula in
-          (* ApproxMC count: one session per core iteration vs a fresh
-             solver per hash size *)
-          let run_count incremental =
-            let rng = Rng.create (Hashtbl.hash name) in
-            let t0 = Unix.gettimeofday () in
-            match
-              Counting.Approxmc.count ~incremental
-                ?iterations:budget.count_iterations ~rng ~epsilon:0.8
-                ~delta:0.2 f
-            with
-            | Ok r ->
-                ( Unix.gettimeofday () -. t0,
-                  r.Counting.Approxmc.solver_stats.Sat.Solver.conflicts,
-                  r.Counting.Approxmc.reuse_hits,
-                  Printf.sprintf "%.0f" r.Counting.Approxmc.estimate )
-            | Error _ -> (Unix.gettimeofday () -. t0, 0, 0, "<fail>")
-          in
-          emit name "count" (run_count false) (run_count true);
-          (* UniGen sampling: per-worker session with the XOR layer
-             swapped per draw vs a fresh solver per draw *)
-          let run_sample incremental =
-            let rng = Rng.create 7 in
-            match
-              Sampling.Unigen.prepare ~incremental
-                ?count_iterations:budget.count_iterations ~rng ~epsilon:6.0 f
-            with
-            | Error _ -> (0.0, 0, 0, "<prepare fail>")
-            | Ok p ->
-                let t0 = Unix.gettimeofday () in
-                let out =
-                  Sampling.Unigen.sample_batch ~max_attempts:20 ~seed:4242 p
-                    budget.unigen_samples
-                in
-                let dt = Unix.gettimeofday () -. t0 in
-                let digest =
-                  Array.to_list out
-                  |> List.map (function
-                       | Ok m -> Cnf.Model.key m
-                       | Error _ -> "<fail>")
-                  |> String.concat ";" |> Digest.string |> Digest.to_hex
-                in
-                let st = Sampling.Unigen.stats p in
-                ( dt,
-                  st.Sampling.Sampler.conflicts,
-                  st.Sampling.Sampler.reuse_hits,
-                  digest )
-          in
-          emit name "sample" (run_sample false) (run_sample true))
-    instances;
-  (* In-search Gaussian elimination vs the parity 2-watch reference:
-     same workload, both on the session path, differing only in the
-     XOR engine. Dense hash layers are where the matrix pays off:
-     fewer conflicts and fewer (but stronger) XOR propagations. *)
-  section "XOR engine: in-search Gauss vs static RREF + 2-watch";
-  Printf.printf "%10s %8s | %9s %10s %9s | %9s %10s %9s | %6s\n" "instance"
-    "phase" "2watch s" "conflicts" "xorprops" "gauss s" "conflicts" "xorprops"
-    "equal";
-  let emit_engine name phase (ww, wc, wx, wd) (gw, gc, gx, gd) =
-    let equal = wd = gd in
-    if not equal then all_equal := false;
-    Printf.printf "%10s %8s | %9.3f %10d %9d | %9.3f %10d %9d | %6s\n%!" name
-      phase ww wc wx gw gc gx
-      (if equal then "yes" else "NO");
-    json_rows :=
-      Printf.sprintf
-        "    { \"instance\": %S, \"phase\": %S,\n\
-        \      \"twowatch\": { \"wall_s\": %.6f, \"conflicts\": %d, \
-         \"xor_propagations\": %d },\n\
-        \      \"gauss\": { \"wall_s\": %.6f, \"conflicts\": %d, \
-         \"xor_propagations\": %d },\n\
-        \      \"equal\": %b }" name phase ww wc wx gw gc gx equal
-      :: !json_rows
-  in
-  List.iter
-    (fun name ->
-      match Workload.Suite.by_name name with
-      | None -> ()
-      | Some instance ->
-          let f = Lazy.force instance.Workload.Suite.formula in
-          let run_count gauss =
-            let rng = Rng.create (Hashtbl.hash name) in
-            let t0 = Unix.gettimeofday () in
-            match
-              Counting.Approxmc.count ~gauss ?iterations:budget.count_iterations
-                ~rng ~epsilon:0.8 ~delta:0.2 f
-            with
-            | Ok r ->
-                let st = r.Counting.Approxmc.solver_stats in
-                ( Unix.gettimeofday () -. t0,
-                  st.Sat.Solver.conflicts,
-                  st.Sat.Solver.xor_propagations,
-                  Printf.sprintf "%.0f" r.Counting.Approxmc.estimate )
-            | Error _ -> (Unix.gettimeofday () -. t0, 0, 0, "<fail>")
-          in
-          emit_engine name "count" (run_count false) (run_count true);
-          let run_sample gauss =
-            let rng = Rng.create 7 in
-            match
-              Sampling.Unigen.prepare ~gauss
-                ?count_iterations:budget.count_iterations ~rng ~epsilon:6.0 f
-            with
-            | Error _ -> (0.0, 0, 0, "<prepare fail>")
-            | Ok p ->
-                let t0 = Unix.gettimeofday () in
-                let out =
-                  Sampling.Unigen.sample_batch ~max_attempts:20 ~seed:4242 p
-                    budget.unigen_samples
-                in
-                let dt = Unix.gettimeofday () -. t0 in
-                let digest =
-                  Array.to_list out
-                  |> List.map (function
-                       | Ok m -> Cnf.Model.key m
-                       | Error _ -> "<fail>")
-                  |> String.concat ";" |> Digest.string |> Digest.to_hex
-                in
-                let st = Sampling.Unigen.stats p in
-                ( dt,
-                  st.Sampling.Sampler.conflicts,
-                  st.Sampling.Sampler.xor_propagations,
-                  digest )
-          in
-          emit_engine name "sample" (run_sample false) (run_sample true))
-    instances;
-  let oc = open_out "BENCH_incremental.json" in
-  Printf.fprintf oc
-    "{\n  \"host\": %s,\n  \"benchmarks\": [\n%s\n  ],\n  \"all_equal\": %b\n}\n"
-    (Obs.Report.json_of_fields (Obs.Report.host_fields ()))
-    (String.concat ",\n" (List.rev !json_rows))
-    !all_equal;
-  close_out oc;
-  Printf.printf
-    "\nwrote BENCH_incremental.json (equal = fresh/session paths and \
-     gauss/2-watch\nengines returned bit-identical estimates/witness \
-     streams)\n";
-  if not !all_equal then begin
-    prerr_endline
-      "FAILURE: a differential pair (fresh vs session, or gauss vs 2-watch) \
-       diverged";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Observability layer: instrumented ApproxMC+UniGen run. Asserts that
    the sampled witness stream is bit-identical with tracing/metrics on
    vs off (instrumentation must be behaviourally inert) and writes
@@ -1334,12 +1158,12 @@ let () =
   let targets = List.filter (fun a -> a <> "full") args in
   let all =
     [ "table1"; "table2"; "figure1"; "epsilon"; "baselines"; "parallel";
-      "incremental"; "ablation-support"; "ablation-sparse"; "ablation-blocking";
+      "ablation-support"; "ablation-sparse"; "ablation-blocking";
       "ablation-leapfrog"; "ablation-amortise"; "ablation-preprocess"; "obs";
       "service"; "micro" ]
   in
   let default = [ "table1"; "figure1"; "epsilon"; "baselines"; "parallel";
-                  "incremental"; "obs"; "service"; "ablation-support";
+                  "obs"; "service"; "ablation-support";
                   "ablation-sparse"; "ablation-blocking"; "ablation-leapfrog";
                   "ablation-amortise"; "ablation-preprocess"; "micro" ]
   in
@@ -1361,7 +1185,6 @@ let () =
       | "epsilon" -> run_epsilon ~budget ()
       | "baselines" -> run_baselines ~budget ()
       | "parallel" -> run_parallel ~budget ()
-      | "incremental" -> run_incremental ~budget ()
       | "obs" -> run_obs ~budget ()
       | "service" -> run_service ~budget ()
       | "ablation-support" -> run_ablation_support ~budget ()

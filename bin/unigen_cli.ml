@@ -77,27 +77,14 @@ let audit_arg =
            state dump. Equivalent to setting UNIGEN_AUDIT=1; tune the \
            sweep sampling period with UNIGEN_AUDIT_PERIOD (default 64).")
 
-let no_gauss_arg =
-  Cmdliner.Arg.(
-    value
-    & flag
-    & info [ "no-gauss" ]
-        ~doc:
-          "Disable in-search Gauss-Jordan elimination over the XOR hash \
-           rows and fall back to a static row reduction followed by \
-           parity 2-watch propagation (the differential reference \
-           engine). Witnesses and counts are bit-identical either way.")
-
-let xor_engine_name ~gauss = if gauss then "gauss" else "2watch"
-
 (* ------------------------------------------------------------------ *)
 (* unigen sample *)
 
 let sample_cmd =
-  let run file num epsilon seed timeout project_only jobs show_stats
-      no_incremental no_gauss audit trace metrics_json =
+  let run file num epsilon seed timeout project_only jobs show_stats audit trace
+      metrics_json =
     if audit then Audit.enable ();
-    if jobs < 0 then begin
+    if jobs < 1 then begin
       Printf.eprintf "error: --jobs must be >= 1\n";
       1
     end
@@ -109,17 +96,12 @@ let sample_cmd =
       | Ok f ->
           with_observability ~trace ~metrics_json ~show_stats @@ fun () ->
           let rng = Rng.create seed in
-          let incremental = not no_incremental in
-          let gauss = not no_gauss in
           let deadline = Unix.gettimeofday () +. timeout in
           let prep =
             if jobs > 1 then
               Parallel.Domain_pool.with_pool ~jobs (fun pool ->
-                  Sampling.Unigen.prepare ~deadline ~incremental ~gauss ~pool
-                    ~rng ~epsilon f)
-            else
-              Sampling.Unigen.prepare ~deadline ~incremental ~gauss ~rng
-                ~epsilon f
+                  Sampling.Unigen.prepare ~deadline ~pool ~rng ~epsilon f)
+            else Sampling.Unigen.prepare ~deadline ~rng ~epsilon f
           in
           (match prep with
           | Error Sampling.Unigen.Unsat_formula ->
@@ -133,48 +115,32 @@ let sample_cmd =
                 if project_only then Cnf.Formula.sampling_vars f
                 else Array.init f.Cnf.Formula.num_vars (fun i -> i + 1)
               in
-              Printf.printf "c UniGen: epsilon=%.2f kappa=%.3f pivot=%d |S|=%d%s%s\n"
+              Printf.printf "c UniGen: epsilon=%.2f kappa=%.3f pivot=%d |S|=%d%s jobs=%d\n"
                 epsilon
                 (Sampling.Unigen.kappa prepared)
                 (Sampling.Unigen.pivot prepared)
                 (Array.length (Cnf.Formula.sampling_vars f))
                 (if Sampling.Unigen.is_easy prepared then " (easy case)" else "")
-                (if jobs >= 1 then Printf.sprintf " jobs=%d" jobs else "");
+                jobs;
+              (* sample i consumes stream (seed, i), so the printed
+                 witness list is bit-identical for every --jobs value
+                 (and across reruns with the same seed) *)
+              let outcomes =
+                Sampling.Unigen.sample_batch ~deadline ~max_attempts:20 ~jobs
+                  ~seed prepared num
+              in
               let produced = ref 0 in
-              let attempts = ref 0 in
-              if jobs >= 1 then begin
-                (* batch mode: sample i consumes stream (seed, i), so the
-                   printed witness list is bit-identical for every --jobs
-                   value (and across reruns with the same seed) *)
-                let outcomes =
-                  Sampling.Unigen.sample_batch ~deadline ~max_attempts:20 ~jobs
-                    ~seed prepared num
-                in
-                Array.iter
-                  (function
-                    | Ok m ->
-                        incr produced;
-                        print_witness m sampling
-                    | Error _ -> ())
-                  outcomes;
-                attempts :=
-                  (Sampling.Unigen.stats prepared).Sampling.Sampler.samples_requested
-              end
-              else
-                (* legacy streaming mode: one shared stream, draw until
-                   the target count or the deadline *)
-                while !produced < num && Unix.gettimeofday () < deadline do
-                  incr attempts;
-                  match Sampling.Unigen.sample ~deadline ~rng prepared with
+              Array.iter
+                (function
                   | Ok m ->
                       incr produced;
                       print_witness m sampling
-                  | Error _ -> ()
-                done;
+                  | Error _ -> ())
+                outcomes;
               let st = Sampling.Unigen.stats prepared in
               Printf.printf
                 "c produced %d/%d witnesses in %d attempts (avg %.4f s, avg xor len %.1f)\n"
-                !produced num !attempts
+                !produced num st.Sampling.Sampler.samples_requested
                 (Sampling.Sampler.average_seconds_per_sample st)
                 (Sampling.Sampler.average_xor_length st);
               emit_report ~metrics_json ~show_stats
@@ -187,12 +153,6 @@ let sample_cmd =
                         ("epsilon", Float epsilon);
                         ("seed", Int seed);
                         ("jobs", Int jobs);
-                        ( "incremental",
-                          Bool (Sampling.Unigen.is_incremental prepared) );
-                        ( "xor_engine",
-                          String
-                            (xor_engine_name
-                               ~gauss:(Sampling.Unigen.is_gauss prepared)) );
                       ] );
                   ("run", Sampling.Sampler.report_fields st);
                 ];
@@ -213,12 +173,11 @@ let sample_cmd =
     Arg.(value & flag & info [ "project" ] ~doc:"Print only sampling-set variables.")
   in
   let jobs =
-    Arg.(value & opt int 0
+    Arg.(value & opt int 1
          & info [ "j"; "jobs" ]
-             ~doc:"Parallel sampling workers. Any value >= 1 selects the \
-                   deterministic batch engine (witness i drawn from stream \
-                   (seed, i)); output is bit-identical for every worker \
-                   count. Omit for the legacy single-stream loop.")
+             ~doc:"Parallel sampling workers (>= 1). Witness i is drawn from \
+                   stream (seed, i), so the output is bit-identical for \
+                   every worker count.")
   in
   let show_stats =
     Arg.(value & flag
@@ -227,25 +186,17 @@ let sample_cmd =
                    counters including decisions and restarts, per-phase \
                    wall time) as comment lines.")
   in
-  let no_incremental =
-    Arg.(value & flag
-         & info [ "no-incremental" ]
-             ~doc:"Rebuild a fresh CDCL solver for every BSAT call instead \
-                   of reusing warm solver sessions (the differential \
-                   reference path; witnesses are identical either way).")
-  in
   Cmd.v
     (Cmd.info "sample" ~doc:"Draw almost-uniform witnesses of a DIMACS CNF file")
     Term.(const run $ file $ num $ epsilon $ seed $ timeout $ project $ jobs
-          $ show_stats $ no_incremental $ no_gauss_arg $ audit_arg $ trace_arg
-          $ metrics_json_arg)
+          $ show_stats $ audit_arg $ trace_arg $ metrics_json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* unigen count *)
 
 let count_cmd =
-  let run file epsilon delta seed timeout jobs show_stats no_incremental
-      no_gauss audit trace metrics_json =
+  let run file epsilon delta seed timeout jobs show_stats audit trace
+      metrics_json =
     if audit then Audit.enable ();
     match read_formula file with
     | Error msg ->
@@ -254,16 +205,11 @@ let count_cmd =
     | Ok f ->
         with_observability ~trace ~metrics_json ~show_stats @@ fun () ->
         let rng = Rng.create seed in
-        let incremental = not no_incremental in
-        let gauss = not no_gauss in
         let deadline = Unix.gettimeofday () +. timeout in
         let result =
           if jobs >= 1 then
-            Counting.Approxmc.count ~deadline ~incremental ~gauss ~jobs ~rng
-              ~epsilon ~delta f
-          else
-            Counting.Approxmc.count ~deadline ~incremental ~gauss ~rng ~epsilon
-              ~delta f
+            Counting.Approxmc.count ~deadline ~jobs ~rng ~epsilon ~delta f
+          else Counting.Approxmc.count ~deadline ~rng ~epsilon ~delta f
         in
         (match result with
         | Error Counting.Approxmc.Unsat ->
@@ -290,8 +236,6 @@ let count_cmd =
                       ("delta", Float delta);
                       ("seed", Int seed);
                       ("jobs", Int jobs);
-                      ("incremental", Bool incremental);
-                      ("xor_engine", String (xor_engine_name ~gauss));
                     ] );
                 ( "count",
                   Obs.Report.
@@ -333,8 +277,9 @@ let count_cmd =
          & info [ "j"; "jobs" ]
              ~doc:"Parallel counting iterations. Any value >= 1 selects the \
                    deterministic stream-per-iteration engine (estimate \
-                   identical for every worker count). Omit for the legacy \
-                   serial loop.")
+                   identical for every worker count). Omit for the serial \
+                   loop on the single seed stream, the one daemon \
+                   preparations and $(b,sample -j 1) use.")
   in
   let show_stats =
     Arg.(value & flag
@@ -342,17 +287,10 @@ let count_cmd =
              ~doc:"Print the structured run report (estimator output, \
                    solver counters, per-phase wall time) as comment lines.")
   in
-  let no_incremental =
-    Arg.(value & flag
-         & info [ "no-incremental" ]
-             ~doc:"Fresh CDCL solver per BSAT call (differential reference \
-                   path; the estimate is identical either way).")
-  in
   Cmd.v
     (Cmd.info "count" ~doc:"Approximately count witnesses (ApproxMC)")
     Term.(const run $ file $ epsilon $ delta $ seed $ timeout $ jobs
-          $ show_stats $ no_incremental $ no_gauss_arg $ audit_arg $ trace_arg
-          $ metrics_json_arg)
+          $ show_stats $ audit_arg $ trace_arg $ metrics_json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* unigen support *)
@@ -545,9 +483,8 @@ let socket_arg =
               unlinked on shutdown).")
 
 let serve_cmd =
-  let run socket queue_capacity max_batch cache_capacity jobs no_incremental
-      no_gauss audit show_stats trace metrics_json log_file slow_ms spill_dir
-      spill_budget_mb fleet =
+  let run socket queue_capacity max_batch cache_capacity jobs audit show_stats
+      trace metrics_json log_file slow_ms spill_dir spill_budget_mb fleet =
     if audit then Audit.enable ();
     with_observability ~trace ~metrics_json ~show_stats @@ fun () ->
     (* one structured JSON line per request (see Obs.Log): to the given
@@ -565,8 +502,6 @@ let serve_cmd =
             max_batch;
             cache_capacity;
             jobs;
-            incremental = not no_incremental;
-            gauss = not no_gauss;
             slow_ms;
             spill_dir;
             spill_budget_bytes = spill_budget_mb * 1024 * 1024;
@@ -588,9 +523,6 @@ let serve_cmd =
                   ("max_batch", Int max_batch);
                   ("cache_capacity", Int cache_capacity);
                   ("jobs", Int jobs);
-                  ("incremental", Bool (not no_incremental));
-                  ( "xor_engine",
-                    String (xor_engine_name ~gauss:(not no_gauss)) );
                   ( "spill_dir",
                     String (Option.value spill_dir ~default:"-") );
                   ("fleet", Int fleet);
@@ -630,12 +562,6 @@ let serve_cmd =
                    by formula fingerprint — concurrent clients on distinct \
                    formulas never contend. Witnesses are bit-identical to \
                    --jobs 1 for every value.")
-  in
-  let no_incremental =
-    Arg.(value & flag
-         & info [ "no-incremental" ]
-             ~doc:"Fresh CDCL solver per BSAT call instead of warm sessions \
-                   (differential reference path).")
   in
   let show_stats =
     Arg.(value & flag
@@ -685,7 +611,7 @@ let serve_cmd =
              registry, prepared-state cache and deadline-aware scheduler \
              behind a Unix-socket JSON protocol")
     Term.(const run $ socket_arg $ queue_capacity $ max_batch $ cache_capacity
-          $ jobs $ no_incremental $ no_gauss_arg $ audit_arg $ show_stats
+          $ jobs $ audit_arg $ show_stats
           $ trace_arg $ metrics_json_arg $ log_file $ slow_ms $ spill_dir
           $ spill_budget_mb $ fleet)
 
@@ -946,9 +872,8 @@ let monitor_cmd =
       if den = 0 then "-" else Printf.sprintf "%d%%" (100 * num / den)
     in
     line "unigen daemon  %s" socket;
-    line "up %.0fs  jobs %d  engine %s  ocaml %s" w.Service.Wire.uptime_s
-      w.Service.Wire.jobs w.Service.Wire.xor_engine
-      w.Service.Wire.ocaml_version;
+    line "up %.0fs  jobs %d  ocaml %s" w.Service.Wire.uptime_s
+      w.Service.Wire.jobs w.Service.Wire.ocaml_version;
     line "";
     line "last %.0fs:  %d requests  (%.2f/s)   deadline misses %d"
       w.Service.Wire.window_s w.Service.Wire.w_requests

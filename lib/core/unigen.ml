@@ -4,7 +4,6 @@ type phase =
   | Hashed of { q : int; count_estimate : float }
 
 type prepared = {
-  formula : Cnf.Formula.t;
   sampling : int array;
   kappa : float;
   pivot : int;
@@ -13,8 +12,6 @@ type prepared = {
   hi_limit : int; (* BSAT enumeration limit: floor(hi) + 1 *)
   hash_density : float;
   phase : phase;
-  incremental : bool;
-  gauss : bool;
   session_key : Sat.Bsat.Session.t Domain.DLS.key;
       (* Each domain lazily materialises its own solver session, so
          the Domain_pool parallel path needs no locking and every
@@ -30,14 +27,12 @@ type prepare_error = Unsat_formula | Prepare_timeout | Count_failed
 
 let log2 x = Float.log x /. Float.log 2.0
 
-let prepare ?deadline ?count_iterations ?(hash_density = 0.5)
-    ?(incremental = true) ?(gauss = true) ?jobs ?pool ~rng ~epsilon formula =
+let prepare ?deadline ?count_iterations ?(hash_density = 0.5) ?jobs ?pool ~rng
+    ~epsilon formula =
   Obs.Trace.span ~cat:"sampling" "unigen.prepare"
     ~args:
       [
         ("epsilon", string_of_float epsilon);
-        ("incremental", string_of_bool incremental);
-        ("engine", if gauss then "gauss" else "2watch");
         ("vars", string_of_int formula.Cnf.Formula.num_vars);
       ]
   @@ fun () ->
@@ -48,7 +43,6 @@ let prepare ?deadline ?count_iterations ?(hash_density = 0.5)
   let sampling = Cnf.Formula.sampling_vars formula in
   let make phase =
     {
-      formula;
       sampling;
       kappa;
       pivot;
@@ -57,16 +51,14 @@ let prepare ?deadline ?count_iterations ?(hash_density = 0.5)
       hi_limit;
       hash_density;
       phase;
-      incremental;
-      gauss;
       session_key =
         Domain.DLS.new_key (fun () ->
-            Sat.Bsat.Session.create ~blocking_vars:sampling ~gauss formula);
+            Sat.Bsat.Session.create ~blocking_vars:sampling formula);
       stats = Sampler.fresh_stats ();
     }
   in
   (* lines 4-7: the easy case *)
-  let out = Sat.Bsat.enumerate ?deadline ~gauss ~limit:hi_limit formula in
+  let out = Sat.Bsat.enumerate ?deadline ~limit:hi_limit formula in
   if out.Sat.Bsat.timed_out then Error Prepare_timeout
   else begin
     let models = Array.of_list out.Sat.Bsat.models in
@@ -76,8 +68,8 @@ let prepare ?deadline ?count_iterations ?(hash_density = 0.5)
     else begin
       (* lines 9-10: approximate count, then q = ⌈log C + log 1.8 − log pivot⌉ *)
       match
-        Counting.Approxmc.count ?deadline ?iterations:count_iterations
-          ~incremental ~gauss ?jobs ?pool ~rng ~epsilon:0.8 ~delta:0.8 formula
+        Counting.Approxmc.count ?deadline ?iterations:count_iterations ?jobs
+          ?pool ~rng ~epsilon:0.8 ~delta:0.8 formula
       with
       | Error Counting.Approxmc.Unsat -> Error Unsat_formula
       | Error Counting.Approxmc.Timed_out -> Error Count_failed
@@ -109,19 +101,13 @@ let sample_once ?deadline ~rng ~stats t =
             Hashing.Hxor.sample ~density:t.hash_density rng ~vars:t.sampling ~m:i
           in
           Sampler.record_hash stats h;
+          (* warm per-domain session: the hash layer is pushed as a
+             retractable group and popped after the call, leaving
+             base-formula learnt clauses for the next draw *)
           let out =
-            if t.incremental then
-              (* warm per-domain session: the hash layer is pushed as a
-                 retractable group and popped after the call, leaving
-                 base-formula learnt clauses for the next draw *)
-              Sat.Bsat.Session.enumerate ?deadline
-                ~xors:(Hashing.Hxor.constraints h) ~limit:t.hi_limit
-                (Domain.DLS.get t.session_key)
-            else
-              let g =
-                Cnf.Formula.add_xors t.formula (Hashing.Hxor.constraints h)
-              in
-              Sat.Bsat.enumerate ?deadline ~gauss:t.gauss ~limit:t.hi_limit g
+            Sat.Bsat.Session.enumerate ?deadline
+              ~xors:(Hashing.Hxor.constraints h) ~limit:t.hi_limit
+              (Domain.DLS.get t.session_key)
           in
           Sampler.record_solve stats out;
           if out.Sat.Bsat.timed_out then begin
@@ -215,7 +201,7 @@ let sample_batch ?deadline ?max_attempts ?pool ?(jobs = 1) ~seed t n =
    import; kappa/pivot determine hi/lo/hi_limit, so the thresholds are
    re-derived rather than trusted from the serialized form. Draws
    depend only on (phase, hash_density, sampling set, thresholds,
-   engine flags, formula), all of which the round trip preserves
+   formula), all of which the round trip preserves
    exactly — witnesses from an imported state are bit-identical to the
    original's (the durable-store differential tests enforce this). *)
 
@@ -229,8 +215,6 @@ type portable = {
   p_kappa : float;
   p_pivot : int;
   p_hash_density : float;
-  p_incremental : bool;
-  p_gauss : bool;
   p_phase : portable_phase;
 }
 
@@ -239,8 +223,6 @@ let export t =
     p_kappa = t.kappa;
     p_pivot = t.pivot;
     p_hash_density = t.hash_density;
-    p_incremental = t.incremental;
-    p_gauss = t.gauss;
     p_phase =
       (match t.phase with
       | Easy models ->
@@ -279,7 +261,6 @@ let import ~formula p =
     | Portable_hashed { q; count_estimate } -> Hashed { q; count_estimate }
   in
   {
-    formula;
     sampling;
     kappa = p.p_kappa;
     pivot = p.p_pivot;
@@ -288,12 +269,9 @@ let import ~formula p =
     hi_limit;
     hash_density = p.p_hash_density;
     phase;
-    incremental = p.p_incremental;
-    gauss = p.p_gauss;
     session_key =
       Domain.DLS.new_key (fun () ->
-          Sat.Bsat.Session.create ~blocking_vars:sampling ~gauss:p.p_gauss
-            formula);
+          Sat.Bsat.Session.create ~blocking_vars:sampling formula);
     stats = Sampler.fresh_stats ();
   }
 
@@ -307,8 +285,6 @@ let q_range t =
   match t.phase with Easy _ -> None | Hashed { q; _ } -> Some (q - 3, q)
 
 let is_easy t = match t.phase with Easy _ -> true | Hashed _ -> false
-let is_incremental t = t.incremental
-let is_gauss t = t.gauss
 
 let count_estimate t =
   match t.phase with

@@ -26,8 +26,6 @@ val prepare :
   ?deadline:float ->
   ?count_iterations:int ->
   ?hash_density:float ->
-  ?incremental:bool ->
-  ?gauss:bool ->
   ?jobs:int ->
   ?pool:Parallel.Domain_pool.t ->
   rng:Rng.t ->
@@ -44,20 +42,11 @@ val prepare :
     probability of the XOR rows; values below 0.5 give the sparse-XOR
     variant of Gomes et al. that voids Theorem 1 — it exists only for
     the ablation bench.
-    [incremental] (default [true]) backs every BSAT call — here in the
-    ApproxMC count and later in each {!sample} — by a persistent
-    solver session instead of a fresh solver: one session per domain,
-    reused across draws, with the XOR hash layer swapped in and out as
-    a retractable constraint group. The sampled distribution and every
-    returned witness are identical to the fresh path
-    ([~incremental:false], kept as the differential reference); only
-    the work to re-learn base-formula clauses disappears.
-    [gauss] (default [true]) selects the solver's XOR engine for every
-    BSAT call of the preparation and of each later {!sample}: in-search
-    Gauss-Jordan elimination over the hash rows, or — with
-    [~gauss:false] — a static RREF followed by parity 2-watch
-    propagation (the differential reference engine). Witnesses are
-    bit-identical across the two engines.
+    Every hashed BSAT call — in the ApproxMC count and later in each
+    {!sample} — runs on a persistent solver session with the in-search
+    Gauss engine: one session per domain, reused across draws, with
+    the XOR hash layer swapped in and out as a retractable constraint
+    group. Only the easy-case check uses a one-shot {!Sat.Bsat.enumerate}.
     [jobs]/[pool] parallelise the ApproxMC counting iterations (each is
     an independent XOR-hashed count); see {!Counting.Approxmc.count}.
     @raise Invalid_argument when [epsilon <= 1.71]. *)
@@ -136,8 +125,6 @@ type portable = {
   p_kappa : float;
   p_pivot : int;
   p_hash_density : float;
-  p_incremental : bool;
-  p_gauss : bool;
   p_phase : portable_phase;
 }
 
@@ -167,11 +154,6 @@ val q_range : prepared -> (int * int) option
     (|R_F| ≤ hiThresh, where witnesses are enumerated outright). *)
 
 val is_easy : prepared -> bool
-val is_incremental : prepared -> bool
-
-val is_gauss : prepared -> bool
-(** [true] when BSAT calls run the in-search Gauss engine (see
-    {!prepare}'s [gauss]). *)
 
 val count_estimate : prepared -> float
 (** ApproxMC's estimate of |R_F| (exact in the easy case). *)

@@ -2,8 +2,7 @@ let default_pivot = 20
 
 let all_vars (f : Cnf.Formula.t) = Array.init f.num_vars (fun i -> i + 1)
 
-let sample ?deadline ?(pivot = default_pivot) ?(incremental = true) ?stats ~rng
-    (f : Cnf.Formula.t) =
+let sample ?deadline ?(pivot = default_pivot) ?stats ~rng (f : Cnf.Formula.t) =
   let stats = match stats with Some s -> s | None -> Sampler.fresh_stats () in
   stats.Sampler.samples_requested <- stats.Sampler.samples_requested + 1;
   let start = Unix.gettimeofday () in
@@ -23,17 +22,10 @@ let sample ?deadline ?(pivot = default_pivot) ?(incremental = true) ?stats ~rng
      One session serves the whole sequential search over hash sizes —
      UniWit re-solves the same base formula at every size, which is
      exactly the pattern sessions amortise. *)
-  let session =
-    if incremental then Some (Sat.Bsat.Session.create ~blocking_vars:vars f)
-    else None
-  in
+  let session = Sat.Bsat.Session.create ~blocking_vars:vars f in
   let enumerate xors =
     let out =
-      match session with
-      | Some s -> Sat.Bsat.Session.enumerate ?deadline ~xors ~limit:(pivot + 1) s
-      | None ->
-          let g = Cnf.Formula.add_xors f xors in
-          Sat.Bsat.enumerate ?deadline ~blocking_vars:vars ~limit:(pivot + 1) g
+      Sat.Bsat.Session.enumerate ?deadline ~xors ~limit:(pivot + 1) session
     in
     Sampler.record_solve stats out;
     out

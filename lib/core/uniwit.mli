@@ -21,7 +21,6 @@ val default_pivot : int
 val sample :
   ?deadline:float ->
   ?pivot:int ->
-  ?incremental:bool ->
   ?stats:Sampler.run_stats ->
   rng:Rng.t ->
   Cnf.Formula.t ->
@@ -29,8 +28,6 @@ val sample :
 (** Draw one witness. The sampling set of the formula is ignored — by
     design UniWit hashes and blocks over all variables.
 
-    [incremental] (default [true]) serves the sample's whole
-    sequential search over hash sizes from one solver session (the
-    XOR layer swapped per size); the outcome is identical to the
-    fresh-solver path. The guarantee is untouched: nothing is shared
+    The sample's whole sequential search over hash sizes is served by
+    one solver session (the XOR layer swapped per size). The guarantee is untouched: nothing is shared
     {e across} samples, only across the sizes within one sample. *)

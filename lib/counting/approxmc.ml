@@ -41,20 +41,17 @@ type core_out = {
 let c_hash_draws = Obs.Metrics.counter "approxmc.hash_draws"
 let h_cell_size = Obs.Metrics.histogram "approxmc.cell_size"
 
-(* One ApproxMCCore run. With [incremental] (the default) a single
-   solver session serves every hash size [i] of the try_size loop:
-   only the XOR layer is swapped between sizes, so clauses learnt
-   about the base formula at size i speed up size i+1. The fresh and
-   session paths agree on every (count, exhausted) decision — the
-   hash draws are identical and complete cells are history-independent
-   — so the returned estimate is the same. *)
-let core ?deadline ?(incremental = true) ?(gauss = true) ~rng ~pivot ~start f =
+(* One ApproxMCCore run. A single solver session serves every hash
+   size [i] of the try_size loop: only the XOR layer is swapped between
+   sizes, so clauses learnt about the base formula at size i speed up
+   size i+1. Complete cells are history-independent, so the session
+   makes the same (count, exhausted) decisions a fresh solver per size
+   would. *)
+let core ?deadline ~rng ~pivot ~start f =
   Obs.Trace.span ~cat:"counting" "approxmc.core" @@ fun () ->
   let sampling = Cnf.Formula.sampling_vars f in
   let n = Array.length sampling in
-  let session =
-    if incremental then Some (Sat.Bsat.Session.create ~gauss f) else None
-  in
+  let session = Sat.Bsat.Session.create f in
   let stats = ref Sat.Solver.stats_zero in
   let reuse = ref 0 in
   let run_bsat i =
@@ -64,13 +61,8 @@ let core ?deadline ?(incremental = true) ?(gauss = true) ~rng ~pivot ~start f =
     Obs.Metrics.incr c_hash_draws;
     let h = Hashing.Hxor.sample rng ~vars:sampling ~m:i in
     let out =
-      match session with
-      | Some s ->
-          Sat.Bsat.Session.enumerate ?deadline
-            ~xors:(Hashing.Hxor.constraints h) ~limit:(pivot + 1) s
-      | None ->
-          let g = Cnf.Formula.add_xors f (Hashing.Hxor.constraints h) in
-          Sat.Bsat.enumerate ?deadline ~gauss ~limit:(pivot + 1) g
+      Sat.Bsat.Session.enumerate ?deadline
+        ~xors:(Hashing.Hxor.constraints h) ~limit:(pivot + 1) session
     in
     stats := Sat.Solver.stats_add !stats out.Sat.Bsat.stats;
     if out.Sat.Bsat.reused then incr reuse;
@@ -98,11 +90,11 @@ let core ?deadline ?(incremental = true) ?(gauss = true) ~rng ~pivot ~start f =
    iteration [i] on the private stream (master, i) and take the median
    over the index-ordered successes. The estimate is then a pure
    function of the master seed — identical for every worker count. *)
-let iterate_parallel ?deadline ?jobs ?pool ~incremental ~gauss ~rng ~pivot ~t f =
+let iterate_parallel ?deadline ?jobs ?pool ~rng ~pivot ~t f =
   let master = Int64.to_int (Rng.bits64 rng) land max_int in
   let one index =
     let rng = Rng.of_stream ~seed:master index in
-    match core ?deadline ~incremental ~gauss ~rng ~pivot ~start:1 f with
+    match core ?deadline ~rng ~pivot ~start:1 f with
     | { co_res = Some e; co_stats; co_reuse } -> `Estimate (e, co_stats, co_reuse)
     | { co_res = None; co_stats; co_reuse } -> `Failed (co_stats, co_reuse)
     | exception Deadline -> `Deadline
@@ -115,8 +107,8 @@ let iterate_parallel ?deadline ?jobs ?pool ~incremental ~gauss ~rng ~pivot ~t f 
           Parallel.Domain_pool.map p one indices)
   | None, _ -> Array.map one indices
 
-let count ?deadline ?(leapfrog = false) ?(incremental = true) ?(gauss = true)
-    ?iterations ?jobs ?pool ~rng ~epsilon ~delta f =
+let count ?deadline ?(leapfrog = false) ?iterations ?jobs ?pool ~rng ~epsilon
+    ~delta f =
   Obs.Trace.span ~cat:"counting" "approxmc.count" @@ fun () ->
   (match jobs with
   | Some j when j < 1 -> invalid_arg "Approxmc.count: jobs must be >= 1"
@@ -125,7 +117,7 @@ let count ?deadline ?(leapfrog = false) ?(incremental = true) ?(gauss = true)
   let t = match iterations with Some t -> t | None -> iterations_of_delta delta in
   try
     (* Easy case: few enough witnesses to enumerate exactly. *)
-    let out = Sat.Bsat.enumerate ?deadline ~gauss ~limit:(pivot + 1) f in
+    let out = Sat.Bsat.enumerate ?deadline ~limit:(pivot + 1) f in
     if out.Sat.Bsat.timed_out then Error Timed_out
     else begin
       let n0 = List.length out.Sat.Bsat.models in
@@ -154,10 +146,7 @@ let count ?deadline ?(leapfrog = false) ?(incremental = true) ?(gauss = true)
           (* deterministic stream-per-iteration discipline; leapfrog is
              inherently sequential (each start depends on the previous
              iteration) and keeps the serial path below *)
-          let outcomes =
-            iterate_parallel ?deadline ?jobs ?pool ~incremental ~gauss ~rng ~pivot
-              ~t f
-          in
+          let outcomes = iterate_parallel ?deadline ?jobs ?pool ~rng ~pivot ~t f in
           Array.iter
             (function
               | `Estimate ((e, _), st, ru) ->
@@ -173,7 +162,7 @@ let count ?deadline ?(leapfrog = false) ?(incremental = true) ?(gauss = true)
           let prev_i = ref 1 in
           for _ = 1 to t do
             let start = if leapfrog then max 1 (!prev_i - 1) else 1 in
-            let co = core ?deadline ~incremental ~gauss ~rng ~pivot ~start f in
+            let co = core ?deadline ~rng ~pivot ~start f in
             fold co.co_stats co.co_reuse;
             match co.co_res with
             | Some (e, i) ->

@@ -21,8 +21,8 @@ type result = {
   solver_stats : Sat.Solver.stats;
       (** aggregate CDCL statistics over every BSAT call of the count *)
   reuse_hits : int;
-      (** BSAT calls served by a warm solver session (0 on the fresh
-          path and in the exact easy case) *)
+      (** BSAT calls served by a warm solver session (0 in the exact
+          easy case) *)
 }
 
 type error = Unsat | Timed_out
@@ -37,8 +37,6 @@ val iterations_of_delta : float -> int
 val count :
   ?deadline:float ->
   ?leapfrog:bool ->
-  ?incremental:bool ->
-  ?gauss:bool ->
   ?iterations:int ->
   ?jobs:int ->
   ?pool:Parallel.Domain_pool.t ->
@@ -47,19 +45,10 @@ val count :
   delta:float ->
   Cnf.Formula.t ->
   (result, error) Result.t
-(** [incremental] (default [true]) runs each ApproxMCCore iteration on
-    a persistent solver session: one solver per iteration, reused
-    across all hash sizes [i] with only the XOR layer swapped. The
-    estimate is identical to the fresh-solver path ([~incremental:
-    false], the differential reference) — hash draws and cell-size
-    decisions are unchanged — but base-formula clauses are learnt once
-    per iteration instead of once per hash size.
-
-    [gauss] (default [true]) selects the XOR engine of every BSAT call:
-    in-search Gauss-Jordan elimination, or — with [~gauss:false] — a
-    static RREF followed by parity 2-watch propagation (the
-    differential reference engine). The estimate is identical either
-    way.
+(** Each ApproxMCCore iteration runs on one persistent solver
+    session, reused across all hash sizes [i] with only the XOR layer
+    swapped, so base-formula clauses are learnt once per iteration
+    instead of once per hash size.
 
     [leapfrog] (default [false]) starts each core iteration's search
     for the hash size near the previous success instead of from 1 —
@@ -75,7 +64,8 @@ val count :
     caller-owned pool). Because each iteration is an independent
     XOR-hashed count and the median is taken over index-ordered
     results, the estimate is a pure function of [rng]'s state —
-    identical for [~jobs:1] and [~jobs:n]. Omitting both keeps the
-    legacy single-stream serial draw order. [leapfrog] forces the
+    identical for [~jobs:1] and [~jobs:n]. Omitting both runs the
+    iterations serially on [rng] itself (a different draw order from
+    the parallel discipline, used by unpooled preparations). [leapfrog] forces the
     serial path (each iteration's start depends on the previous one).
     @raise Invalid_argument when [jobs < 1]. *)

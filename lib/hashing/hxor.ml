@@ -1,5 +1,4 @@
 type t = {
-  vars : int array;
   rows : int array array; (* row i: variables with coefficient 1 *)
   offsets : bool array; (* a(i,0) *)
   alpha : bool array; (* target cell *)
@@ -17,7 +16,6 @@ let sample ?(density = 0.5) rng ~vars ~m =
     |> Array.of_list
   in
   {
-    vars;
     rows = Array.init m (fun _ -> row ());
     offsets = Array.init m (fun _ -> Rng.bool rng);
     alpha = Array.init m (fun _ -> Rng.bool rng);

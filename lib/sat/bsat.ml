@@ -18,25 +18,6 @@ type outcome = {
 let sort_models ms =
   List.sort (fun a b -> String.compare (Cnf.Model.key a) (Cnf.Model.key b)) ms
 
-let empty_outcome ~reused ~stats =
-  { models = []; exhausted = true; timed_out = false; conflicts = 0;
-    stats; reused }
-
-(* Row-reduce the XOR system before loading the solver: RREF preserves
-   the solution set exactly and typically shortens dense hash rows a
-   lot (a random m×n system in RREF has rows of expected length
-   1 + (n − m)/2), which is where most of the CDCL search effort on
-   hash-constrained formulas goes. This is the static counterpart of
-   CryptoMiniSAT's in-search Gaussian elimination. *)
-let reduce_xors (f : Cnf.Formula.t) =
-  if Array.length f.Cnf.Formula.xors < 2 then `Reduced f
-  else
-    match Cnf.Xor_gauss.eliminate (Array.to_list f.Cnf.Formula.xors) with
-    | Error `Unsat -> `Unsat
-    | Ok r ->
-        `Reduced
-          { f with Cnf.Formula.xors = Array.of_list r.Cnf.Xor_gauss.rows }
-
 let c_blocking_clauses = Obs.Metrics.counter "bsat.blocking_clauses"
 let c_enumerations = Obs.Metrics.counter "bsat.enumerations"
 
@@ -97,7 +78,7 @@ let outcome_of ~reused ~stats (models, status) =
     reused;
   }
 
-let enumerate ?deadline ?blocking_vars ?(gauss = true) ~limit (f : Cnf.Formula.t) =
+let enumerate ?deadline ?blocking_vars ~limit (f : Cnf.Formula.t) =
   Obs.Trace.span ~cat:"sat" "bsat.enumerate"
     ~args:[ ("limit", string_of_int limit) ]
   @@ fun () ->
@@ -106,48 +87,37 @@ let enumerate ?deadline ?blocking_vars ?(gauss = true) ~limit (f : Cnf.Formula.t
     | Some vs -> vs
     | None -> Cnf.Formula.sampling_vars f
   in
-  (* The in-search Gauss engine performs its own (incremental) Jordan
-     reduction as rows are added, so the static pre-pass would be
-     redundant work; it remains the 2-watch path's preparation. *)
-  match (if gauss then `Reduced f else reduce_xors f) with
-  | `Unsat -> empty_outcome ~reused:false ~stats:Solver.stats_zero
-  | `Reduced reduced ->
-      let solver = Solver.create ~gauss reduced in
-      let res =
-        enum_loop ?deadline ~limit ~blocking ~verify:f
-          ~add_block:(Solver.add_clause solver)
-          ~truncate:(fun m -> m)
-          solver
-      in
-      outcome_of ~reused:false ~stats:(Solver.stats solver) res
+  let solver = Solver.create f in
+  let res =
+    enum_loop ?deadline ~limit ~blocking ~verify:f
+      ~add_block:(Solver.add_clause solver)
+      ~truncate:(fun m -> m)
+      solver
+  in
+  outcome_of ~reused:false ~stats:(Solver.stats solver) res
 
-let count_upto ?deadline ?gauss ~limit f =
-  List.length (enumerate ?deadline ?gauss ~limit f).models
+let count_upto ?deadline ~limit f =
+  List.length (enumerate ?deadline ~limit f).models
 
 module Session = struct
   type t = {
-    formula : Cnf.Formula.t; (* original (pre-RREF), for verification *)
+    formula : Cnf.Formula.t;
     blocking : int array;
-    solver : Solver.t option; (* None: base XOR system inconsistent *)
+    solver : Solver.t;
     base_vars : int; (* formula width, before activation variables *)
-    gauss : bool; (* XOR engine: in-search matrix vs static RREF + 2-watch *)
     mutable calls : int;
     owner : Audit.Ownership.t; (* sessions are single-domain resources *)
   }
 
-  let create ?blocking_vars ?(gauss = true) (f : Cnf.Formula.t) =
+  let create ?blocking_vars (f : Cnf.Formula.t) =
     let blocking =
       match blocking_vars with
       | Some vs -> vs
       | None -> Cnf.Formula.sampling_vars f
     in
-    let solver =
-      match (if gauss then `Reduced f else reduce_xors f) with
-      | `Unsat -> None
-      | `Reduced reduced -> Some (Solver.create ~gauss reduced)
-    in
-    { formula = f; blocking; solver; base_vars = f.Cnf.Formula.num_vars;
-      gauss; calls = 0; owner = Audit.Ownership.create "Bsat.Session" }
+    { formula = f; blocking; solver = Solver.create f;
+      base_vars = f.Cnf.Formula.num_vars; calls = 0;
+      owner = Audit.Ownership.create "Bsat.Session" }
 
   let calls s = s.calls
   let formula s = s.formula
@@ -155,21 +125,7 @@ module Session = struct
 
   let stats s =
     Audit.Ownership.check s.owner;
-    match s.solver with
-    | None -> Solver.stats_zero
-    | Some solver -> Solver.stats solver
-
-  (* Reduce a hash layer on its own. The one-shot path row-reduces the
-     base and the layer as one system; reducing them separately spans
-     the same solution set, so the two paths agree on every outcome
-     even though their CDCL traces differ. *)
-  let reduce_layer xors =
-    match xors with
-    | [] | [ _ ] -> `Rows xors
-    | _ -> (
-        match Cnf.Xor_gauss.eliminate xors with
-        | Error `Unsat -> `Unsat
-        | Ok r -> `Rows r.Cnf.Xor_gauss.rows)
+    Solver.stats s.solver
 
   let enumerate ?deadline ?(xors = []) ?(persist_blocking = false) ~limit s =
     Obs.Trace.span ~cat:"sat" "bsat.session.enumerate"
@@ -180,45 +136,37 @@ module Session = struct
     Audit.Ownership.check s.owner;
     let reused = s.calls > 0 in
     s.calls <- s.calls + 1;
-    match s.solver with
-    | None -> empty_outcome ~reused ~stats:Solver.stats_zero
-    | Some solver -> (
-        let before = Solver.stats solver in
-        (* Gauss engine: hand the raw layer to the matrix (a layer swap
-           is a matrix push/pop, not a re-RREF — the matrix reduces
-           each row against its basis as it arrives). *)
-        match (if s.gauss then `Rows xors else reduce_layer xors) with
-        | `Unsat ->
-            empty_outcome ~reused
-              ~stats:(Solver.stats_diff (Solver.stats solver) before)
-        | `Rows rows ->
-            let verify = Cnf.Formula.add_xors s.formula xors in
-            let truncate m =
-              if Cnf.Model.num_vars m = s.base_vars then m
-              else Cnf.Model.make s.base_vars (fun v -> Cnf.Model.value m v)
-            in
-            (* Everything this call adds — the XOR layer and, unless
-               persisted, the blocking clauses — lives in one group
-               popped on the way out, leaving only learnt clauses
-               about the base formula behind. *)
-            Solver.push_group solver;
-            let add_block block =
-              if persist_blocking then Solver.add_clause solver block
-              else Solver.add_group_clause solver block
-            in
-            let res =
-              Fun.protect
-                ~finally:(fun () ->
-                  Obs.Trace.span ~cat:"sat" "xor_layer.pop" (fun () ->
-                      Solver.pop_group solver))
-                (fun () ->
-                  Obs.Trace.span ~cat:"sat" "xor_layer.push"
-                    ~args:[ ("rows", string_of_int (List.length rows)) ]
-                    (fun () -> List.iter (Solver.add_group_xor solver) rows);
-                  enum_loop ?deadline ~limit ~blocking:s.blocking ~verify
-                    ~add_block ~truncate solver)
-            in
-            outcome_of ~reused
-              ~stats:(Solver.stats_diff (Solver.stats solver) before)
-              res)
+    let solver = s.solver in
+    let before = Solver.stats solver in
+    let verify = Cnf.Formula.add_xors s.formula xors in
+    let truncate m =
+      if Cnf.Model.num_vars m = s.base_vars then m
+      else Cnf.Model.make s.base_vars (fun v -> Cnf.Model.value m v)
+    in
+    (* Everything this call adds — the XOR layer and, unless persisted,
+       the blocking clauses — lives in one group popped on the way out,
+       leaving only learnt clauses about the base formula behind. The
+       raw layer goes to the Gauss matrix as is: a layer swap is a
+       matrix push/pop, not a re-RREF, because the matrix reduces each
+       row against its basis as it arrives. *)
+    Solver.push_group solver;
+    let add_block block =
+      if persist_blocking then Solver.add_clause solver block
+      else Solver.add_group_clause solver block
+    in
+    let res =
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.Trace.span ~cat:"sat" "xor_layer.pop" (fun () ->
+              Solver.pop_group solver))
+        (fun () ->
+          Obs.Trace.span ~cat:"sat" "xor_layer.push"
+            ~args:[ ("rows", string_of_int (List.length xors)) ]
+            (fun () -> List.iter (Solver.add_group_xor solver) xors);
+          enum_loop ?deadline ~limit ~blocking:s.blocking ~verify ~add_block
+            ~truncate solver)
+    in
+    outcome_of ~reused
+      ~stats:(Solver.stats_diff (Solver.stats solver) before)
+      res
 end

@@ -34,15 +34,10 @@ type outcome = {
 val enumerate :
   ?deadline:float ->
   ?blocking_vars:int array ->
-  ?gauss:bool ->
   limit:int ->
   Cnf.Formula.t ->
   outcome
-(** [gauss] (default [true]) selects the XOR engine: in-search
-    Gauss-Jordan elimination, or — when [false] — a one-shot static
-    RREF followed by parity 2-watch propagation (the differential
-    reference path). Both return equal outcomes; canonical model
-    ordering makes them bit-identical.
+(** XOR constraints run on the solver's in-search Gauss-Jordan engine.
 
     Every returned model is verified against the formula; a violation
     (a solver soundness bug) raises [Audit.Violation] with invariant
@@ -51,7 +46,7 @@ val enumerate :
     [blocking-set]): a repeated projection is reported instead of
     silently skewing the enumeration. *)
 
-val count_upto : ?deadline:float -> ?gauss:bool -> limit:int -> Cnf.Formula.t -> int
+val count_upto : ?deadline:float -> limit:int -> Cnf.Formula.t -> int
 (** [count_upto ~limit f] is [min (number of distinct projected
     witnesses) limit]; convenience wrapper over {!enumerate}. *)
 
@@ -61,13 +56,10 @@ val count_upto : ?deadline:float -> ?gauss:bool -> limit:int -> Cnf.Formula.t ->
 module Session : sig
   type t
 
-  val create : ?blocking_vars:int array -> ?gauss:bool -> Cnf.Formula.t -> t
-  (** Load the base formula once (XORs row-reduced as in the one-shot
-      path). [blocking_vars] defaults to the formula's sampling set
-      and is fixed for the session's lifetime, as is the XOR engine
-      choice [gauss] (default [true], as in {!enumerate}: with the
-      Gauss engine an XOR-layer swap is a matrix push/pop; without it,
-      each layer is statically row-reduced before attachment). *)
+  val create : ?blocking_vars:int array -> Cnf.Formula.t -> t
+  (** Load the base formula once. [blocking_vars] defaults to the
+      formula's sampling set and is fixed for the session's lifetime.
+      An XOR-layer swap is a push/pop of the Gauss engine's matrix. *)
 
   val enumerate :
     ?deadline:float ->

@@ -13,7 +13,10 @@
    - Backtracking needs no bit-level undo: eliminations preserve the
      row space and any basis is valid. Only detachment is undone (via
      the mark stack), and [repair] re-derives watches / basics /
-     pending units from current assignments. *)
+     pending units from current assignments.
+   - A group pop replays every row from its source XOR, in insertion
+     order, so a round trip that leaves no assignment behind restores
+     the matrix exactly as it was built. *)
 
 let c_row_reductions = Obs.Metrics.counter "solver.gauss_row_reductions"
 let c_lazy_reasons = Obs.Metrics.counter "solver.gauss_lazy_reasons"
@@ -31,11 +34,13 @@ type row = {
   mutable w1 : int; (* watched columns, -1 = none *)
   mutable w2 : int;
   mutable queued : bool; (* on the reprocessing worklist *)
+  src_vars : int list; (* the XOR as inserted, replayed after a pop *)
+  src_rhs : bool;
 }
 
 let dummy_row =
   { bits = [||]; rhs = false; active = false; basic = -1; w1 = -1; w2 = -1;
-    queued = false }
+    queued = false; src_vars = []; src_rhs = false }
 
 type t = {
   xgroup : int;
@@ -231,10 +236,10 @@ let drain m ~assigns ~trail_size ~enqueue ~conflict =
 
 let result_of conflict = if !conflict >= 0 then Some !conflict else None
 
-let add_row m ~assigns ~trail_size ~enqueue ~vars ~rhs =
+let insert m ~assigns ~trail_size ~enqueue ~conflict ~vars ~rhs =
   let r =
     { bits = [||]; rhs; active = true; basic = -1; w1 = -1; w2 = -1;
-      queued = false }
+      queued = false; src_vars = vars; src_rhs = rhs }
   in
   List.iter (fun v -> toggle_bit r (col_for m v)) vars;
   (* reduce against the existing basis so the new row is expressed
@@ -245,9 +250,12 @@ let add_row m ~assigns ~trail_size ~enqueue ~vars ~rhs =
   done;
   let id = Vec.size m.rows in
   Vec.push m.rows r;
-  let conflict = ref (-1) in
   enqueue_row m id r;
-  drain m ~assigns ~trail_size ~enqueue ~conflict;
+  drain m ~assigns ~trail_size ~enqueue ~conflict
+
+let add_row m ~assigns ~trail_size ~enqueue ~vars ~rhs =
+  let conflict = ref (-1) in
+  insert m ~assigns ~trail_size ~enqueue ~conflict ~vars ~rhs;
   result_of conflict
 
 let on_assign m ~assigns ~trail_size ~enqueue ~var =
@@ -266,23 +274,29 @@ let on_assign m ~assigns ~trail_size ~enqueue ~var =
 let repair m ~assigns ~trail_size ~enqueue =
   if not m.dirty then None
   else begin
-    let run () =
-      m.dirty <- false;
-      let conflict = ref (-1) in
+    m.dirty <- false;
+    let conflict = ref (-1) in
+    if m.rebuilding then begin
+      m.rebuilding <- false;
+      Obs.Trace.span ~cat:"sat" "gauss.matrix_rebuild" (fun () ->
+          let rows = Array.init (Vec.size m.rows) (Vec.get m.rows) in
+          Vec.clear m.rows;
+          Array.iter
+            (fun r ->
+              insert m ~assigns ~trail_size ~enqueue ~conflict ~vars:r.src_vars
+                ~rhs:r.src_rhs)
+            rows)
+    end
+    else begin
       for i = 0 to Vec.size m.rows - 1 do
         let r = Vec.get m.rows i in
         if r.active then enqueue_row m i r
       done;
-      drain m ~assigns ~trail_size ~enqueue ~conflict;
-      (* a conflict re-flags the matrix: the backjump that consumes it
-         re-runs repair on a consistent footing *)
-      result_of conflict
-    in
-    if m.rebuilding then begin
-      m.rebuilding <- false;
-      Obs.Trace.span ~cat:"sat" "gauss.matrix_rebuild" run
-    end
-    else run ()
+      drain m ~assigns ~trail_size ~enqueue ~conflict
+    end;
+    (* a conflict re-flags the matrix: the backjump that consumes it
+       re-runs repair on a consistent footing *)
+    result_of conflict
   end
 
 let cancel_to m ~trail_size =
@@ -301,11 +315,6 @@ let reset m =
   Vec.clear m.undo_mark;
   Vec.clear m.undo_row;
   Vec.clear m.queue;
-  for i = 0 to Vec.size m.rows - 1 do
-    let r = Vec.get m.rows i in
-    r.active <- true;
-    r.queued <- false
-  done;
   m.dirty <- true;
   m.rebuilding <- true
 

@@ -24,7 +24,10 @@
     needed (eliminations preserve the row space, and any basis is
     valid). A group pop drops the popped group's matrix wholesale and
     [reset]s the surviving ones, composing with the solver's
-    re-propagation from a cleared queue head.
+    re-propagation from a cleared queue head. The rebuild that follows
+    a reset replays every row from the XOR it was inserted as, so row
+    contents change: the solver must not keep a row as the reason of
+    a surviving assignment across a pop.
 
     The engine is value-agnostic: callers pass the solver's [assigns]
     array (variable -> 1 / -1 / 0), a [trail_size] thunk for detach
@@ -79,7 +82,9 @@ val repair :
   enqueue:(int -> int -> unit) ->
   int option
 (** Re-establish the full matrix invariant after backtracking or
-    [reset] (no-op when not dirty): every active row is re-scanned and
+    [reset] (no-op when not dirty). After a [reset] the rows are
+    replayed through the [add_row] logic in insertion order, from the
+    XORs they were inserted as. Otherwise every active row is re-scanned and
     re-watched, still-satisfied rows re-detach, pending units
     propagate, and rows whose basic column was lost or assigned pick a
     new pivot and re-eliminate. Returns the first conflicting row's
@@ -90,10 +95,11 @@ val cancel_to : t -> trail_size:int -> unit
     detached at a larger mark and mark the matrix dirty if any was. *)
 
 val reset : t -> unit
-(** After a group pop invalidated trail marks wholesale: re-activate
-    every row, clear the undo stack and mark the matrix dirty; the
-    next [repair] runs as a full rebuild (traced as
-    [gauss.matrix_rebuild]). *)
+(** After a group pop invalidated trail marks wholesale: clear the
+    undo stack and mark the matrix dirty; the next [repair] replays
+    every row from its source XOR (traced as [gauss.matrix_rebuild]),
+    so a round trip that leaves no assignment behind restores the
+    exact matrix it started from. *)
 
 val drop : t -> unit
 (** The owning group was popped and the matrix is being discarded:

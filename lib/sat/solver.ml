@@ -1317,7 +1317,10 @@ let pop_group t =
               true
             end)
           t.matrices;
-      (* drop level-0 facts that depended on the group *)
+      (* drop level-0 facts that depended on the group. Surviving
+         facts implied by a Gauss row lose that reason: the reset
+         matrices replay their rows, and a level-0 fact is never
+         resolved on (conflict analysis reads its group instead) *)
       Vec.filter_in_place
         (fun l ->
           let v = lit_var l in
@@ -1328,7 +1331,12 @@ let pop_group t =
             Order_heap.insert t.order v;
             false
           end
-          else true)
+          else begin
+            (match t.reason.(v) with
+            | R_gauss _ -> t.reason.(v) <- No_reason
+            | _ -> ());
+            true
+          end)
         t.trail;
       t.qhead <- 0;
       t.free_act_vars <- a :: t.free_act_vars;

@@ -35,10 +35,10 @@ type result = Sat | Unsat | Unknown
 val create : ?gauss:bool -> Cnf.Formula.t -> t
 (** Load a formula (clauses and XORs). [gauss] (default [true])
     selects the XOR propagation engine: in-search Gauss-Jordan
-    elimination ({!Gauss}), or the parity 2-watch scheme when [false]
-    (the differential reference path, [--no-gauss] on the CLI). Both
-    engines produce identical verdicts and — through BSAT's canonical
-    model ordering — bit-identical witness streams. *)
+    elimination ({!Gauss}), or the parity 2-watch scheme when [false].
+    Every production caller uses the Gauss engine; the 2-watch engine
+    is the reference the tests compare it against. Both engines
+    produce identical verdicts. *)
 
 val create_empty : ?gauss:bool -> int -> t
 (** [create_empty n] is a solver over variables [1 .. n] with no

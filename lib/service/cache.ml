@@ -3,15 +3,11 @@ type key = {
   epsilon : float;
   prepare_seed : int;
   count_iterations : int option;
-  incremental : bool;
-  gauss : bool;
 }
 
 let key_to_string k =
-  Printf.sprintf "%s/e%g/p%d/i%s/%s/%s" k.fingerprint k.epsilon k.prepare_seed
+  Printf.sprintf "%s/e%g/p%d/i%s" k.fingerprint k.epsilon k.prepare_seed
     (match k.count_iterations with None -> "-" | Some n -> string_of_int n)
-    (if k.incremental then "inc" else "fresh")
-    (if k.gauss then "gauss" else "2watch")
 
 type entry = {
   prepared : Sampling.Unigen.prepared;

@@ -35,8 +35,6 @@ type key = {
           randomness) — part of the key so a cache hit reproduces the
           exact hash-size window a cold preparation would compute *)
   count_iterations : int option;
-  incremental : bool;
-  gauss : bool;  (** XOR engine of the prepared sessions *)
 }
 
 val key_to_string : key -> string

@@ -3,8 +3,6 @@ type config = {
   max_batch : int;
   cache_capacity : int;
   jobs : int;
-  incremental : bool;
-  gauss : bool;
   slow_ms : float;
   spill_dir : string option;
   spill_budget_bytes : int;
@@ -16,8 +14,6 @@ let default_config =
     max_batch = 10_000;
     cache_capacity = 16;
     jobs = 1;
-    incremental = true;
-    gauss = true;
     slow_ms = 1000.0;
     spill_dir = None;
     spill_budget_bytes = Store.default_budget_bytes;
@@ -320,14 +316,12 @@ let next_runnable t =
   in
   scan (Queue.length t.rotation)
 
-let key_of t p =
+let key_of p =
   {
     Cache.fingerprint = p.fingerprint;
     epsilon = p.req.epsilon;
     prepare_seed = p.req.prepare_seed;
     count_iterations = p.req.count_iterations;
-    incremental = t.cfg.incremental;
-    gauss = t.cfg.gauss;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -341,7 +335,7 @@ let key_of t p =
    consumes the splittable stream [(seed, index)] regardless of which
    domain executes it. *)
 
-let run_request ~incremental ~gauss ~queue_wait_s ~cached (p : pending_req) =
+let run_request ~queue_wait_s ~cached (p : pending_req) =
   let cache =
     match cached with
     | None -> Wire.Cache_miss
@@ -360,8 +354,8 @@ let run_request ~incremental ~gauss ~queue_wait_s ~cached (p : pending_req) =
             ~args:[ ("fingerprint", p.fingerprint) ]
             (fun () ->
               Sampling.Unigen.prepare ?deadline:p.deadline
-                ?count_iterations:p.req.count_iterations ~incremental ~gauss
-                ~rng ~epsilon:p.req.epsilon p.canonical)
+                ?count_iterations:p.req.count_iterations ~rng
+                ~epsilon:p.req.epsilon p.canonical)
         with
         | Ok prepared ->
             let entry =
@@ -534,9 +528,6 @@ let account t (p : pending_req) ~queue_wait_s ~started_at ~timing response =
               ("cache", Obs.Report.String (Wire.cache_source_to_string tm.cache));
             ]
         | None -> [])
-      @ [
-          ("xor_engine", Obs.Report.String (if t.cfg.gauss then "gauss" else "2watch"));
-        ]
       @ (if p.cancelled then [ ("cancelled", Obs.Report.Bool true) ] else []))
   end;
   (* the EWMA feeds the retry-after hint: floor sub-microsecond
@@ -582,12 +573,9 @@ let step t =
             if deadline_passed p now then
               Wire.Deadline_miss { rsp_tag = p.req.tag }
             else
-              let key = key_of t p in
+              let key = key_of p in
               let cached = Cache.find t.prep_cache key in
-              match
-                run_request ~incremental:t.cfg.incremental ~gauss:t.cfg.gauss
-                  ~queue_wait_s ~cached p
-              with
+              match run_request ~queue_wait_s ~cached p with
               | response, newly, tm ->
                   timing := Some tm;
                   finalize_cache t p key ~cached ~newly response;
@@ -618,15 +606,13 @@ let dispatch_one t ex p =
     Hashtbl.replace t.busy_fps p.fingerprint ();
     t.inflight_count <- t.inflight_count + 1;
     set_depth t;
-    let key = key_of t p in
+    let key = key_of p in
     let cached = Cache.find t.prep_cache key in
     (* pin for the whole flight: a concurrent completion's [put] may
        evict, and it must never evict state a worker is reading *)
     (match cached with
     | Some _ -> ignore (Cache.acquire t.prep_cache key : bool)
     | None -> ());
-    let incremental = t.cfg.incremental in
-    let gauss = t.cfg.gauss in
     Parallel.Executor.submit ex
       ~work:(fun () ->
         (* worker domain: install the request's trace id as the
@@ -635,7 +621,7 @@ let dispatch_one t ex p =
         Obs.Trace.with_trace_id (Some p.trace_id) @@ fun () ->
         Obs.Trace.span ~cat:"service" "service.request"
           ~args:[ ("fingerprint", p.fingerprint); ("id", string_of_int p.id) ]
-          (fun () -> run_request ~incremental ~gauss ~queue_wait_s ~cached p))
+          (fun () -> run_request ~queue_wait_s ~cached p))
       ~finish:(fun result ->
         Hashtbl.remove t.running p.id;
         Hashtbl.remove t.busy_fps p.fingerprint;
@@ -717,8 +703,6 @@ let shutdown t =
 
 let uptime_s t = Unix.gettimeofday () -. t.tele.started_at
 
-let engine_name t = if t.cfg.gauss then "gauss" else "2watch"
-
 let window_report t =
   Audit.Ownership.check t.owner;
   let now = Unix.gettimeofday () in
@@ -750,7 +734,6 @@ let window_report t =
     jobs = t.cfg.jobs;
     w_in_flight = t.inflight_count;
     w_queued = t.queued_count;
-    xor_engine = engine_name t;
     ocaml_version = Sys.ocaml_version;
     w_requests = latency.Obs.Metrics.Hist.count;
     rate_per_s = Obs.Window.rate_per_s t.tele.w_latency ~now;

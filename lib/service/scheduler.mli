@@ -61,12 +61,6 @@ type config = {
   max_batch : int;  (** per-request sample budget *)
   cache_capacity : int;  (** prepared-state LRU size *)
   jobs : int;  (** worker domains executing requests; 1 = inline *)
-  incremental : bool;  (** warm solver sessions (the default path) *)
-  gauss : bool;
-      (** XOR engine of every solver the daemon runs: in-search
-          Gauss-Jordan elimination ([true], the default) or static
-          RREF + parity 2-watch ([false]); witnesses are bit-identical
-          either way. Part of the prepared-state cache key. *)
   slow_ms : float;
       (** requests slower than this log their [service.request] event
           at [Warn] instead of [Info] *)
@@ -84,8 +78,7 @@ type config = {
 
 val default_config : config
 (** [queue_capacity = 64], [max_batch = 10_000], [cache_capacity = 16],
-    [jobs = 1], [incremental = true], [gauss = true],
-    [slow_ms = 1000.0], [spill_dir = None],
+    [jobs = 1], [slow_ms = 1000.0], [spill_dir = None],
     [spill_budget_bytes = Store.default_budget_bytes]. *)
 
 type request = {
@@ -192,7 +185,7 @@ val shutdown : t -> unit
     histograms (12 × 10 s), process-wide and per formula fingerprint,
     and emits one structured {!Obs.Log} [service.request] line
     (trace id, fingerprint, outcome, queue/prepare/draw milliseconds,
-    cache hit/miss, XOR engine) — at [Warn] past [slow_ms]. Spans
+    cache hit/miss) — at [Warn] past [slow_ms]. Spans
     produced on behalf of a request — [service.queue] (async, from
     admission to dispatch), [service.request], [service.prepare],
     [service.draw] and the [unigen.*] spans below them — all carry the
@@ -200,11 +193,8 @@ val shutdown : t -> unit
 
 val window_report : t -> Wire.window_report
 (** Rates, counts and factor-of-2 latency percentiles over the rolling
-    window, plus provenance (jobs, XOR engine, OCaml version, uptime).
+    window, plus provenance (jobs, OCaml version, uptime).
     Owner-domain only, like every other entry point. *)
 
 val uptime_s : t -> float
 (** Seconds since {!create}. *)
-
-val engine_name : t -> string
-(** ["gauss"] or ["2watch"], per [config.gauss]. *)

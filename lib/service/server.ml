@@ -94,12 +94,9 @@ let handle_request st c = function
               float_of_int (Scheduler.config st.sched).Scheduler.jobs );
           ]
       in
-      (* provenance: which build is answering, with what engine *)
+      (* provenance: which build is answering *)
       let info =
-        [
-          ("xor_engine", Scheduler.engine_name st.sched);
-          ("ocaml_version", Sys.ocaml_version);
-        ]
+        [ ("ocaml_version", Sys.ocaml_version) ]
         @ (match st.cfg.shard with
           | Some (i, n) -> [ ("shard", Printf.sprintf "%d/%d" i n) ]
           | None -> [])
@@ -223,7 +220,6 @@ let run cfg =
     ([
        ("socket", Obs.Report.String cfg.socket_path);
        ("jobs", Obs.Report.Int cfg.scheduler.Scheduler.jobs);
-       ("xor_engine", Obs.Report.String (Scheduler.engine_name sched));
        ("ocaml_version", Obs.Report.String Sys.ocaml_version);
      ]
     @ (match cfg.shard with

@@ -1,6 +1,4 @@
-let version = "unigen-prepared-v1"
-
-let engine_string gauss = if gauss then "gauss" else "2watch"
+let version = "unigen-prepared-v2"
 
 let encode (k : Cache.key) (e : Cache.entry) =
   let p = Sampling.Unigen.export e.Cache.prepared in
@@ -34,8 +32,6 @@ let encode (k : Cache.key) (e : Cache.entry) =
             match k.Cache.count_iterations with
             | None -> Json.Null
             | Some n -> Json.Int n );
-          ("incremental", Json.Bool k.Cache.incremental);
-          ("xor_engine", Json.Str (engine_string k.Cache.gauss));
           ("formula", Json.Str (Cnf.Dimacs.to_string e.Cache.formula));
           ("kappa", Json.Float p.Sampling.Unigen.p_kappa);
           ("pivot", Json.Int p.Sampling.Unigen.p_pivot);
@@ -61,13 +57,6 @@ let decode_verified (k : Cache.key) j =
   in
   let* () = check "count_iterations"
       (Json.opt_int "count_iterations" j = k.Cache.count_iterations)
-  in
-  let* () = check "incremental"
-      (Json.get_bool "incremental" j = k.Cache.incremental)
-  in
-  let* () = check "xor_engine"
-      (String.equal (Json.get_string "xor_engine" j)
-         (engine_string k.Cache.gauss))
   in
   let formula = Cnf.Dimacs.parse_string (Json.get_string "formula" j) in
   (* the decisive check: the embedded formula must re-fingerprint to
@@ -106,8 +95,6 @@ let decode_verified (k : Cache.key) j =
       Sampling.Unigen.p_kappa = Json.get_float "kappa" j;
       p_pivot = Json.get_int "pivot" j;
       p_hash_density = Json.get_float "hash_density" j;
-      p_incremental = k.Cache.incremental;
-      p_gauss = k.Cache.gauss;
       p_phase;
     }
   in

@@ -19,7 +19,7 @@
     turns into quarantine plus a clean re-preparation. *)
 
 val version : string
-(** ["unigen-prepared-v1"] — bumped whenever the payload schema or the
+(** ["unigen-prepared-v2"] — bumped whenever the payload schema or the
     semantics of any field change. *)
 
 val encode : Cache.key -> Cache.entry -> string

@@ -161,7 +161,6 @@ type window_report = {
   jobs : int;
   w_in_flight : int;
   w_queued : int;
-  xor_engine : string;
   ocaml_version : string;
   w_requests : int;
   rate_per_s : float;
@@ -331,7 +330,6 @@ let response_to_json = function
           ("jobs", Json.Int w.jobs);
           ("in_flight", Json.Int w.w_in_flight);
           ("queued", Json.Int w.w_queued);
-          ("xor_engine", Json.Str w.xor_engine);
           ("ocaml_version", Json.Str w.ocaml_version);
           ("requests", Json.Int w.w_requests);
           ("rate_per_s", Json.Float w.rate_per_s);
@@ -424,7 +422,6 @@ let response_of_json j =
           jobs = Json.get_int "jobs" j;
           w_in_flight = Json.get_int "in_flight" j;
           w_queued = Json.get_int "queued" j;
-          xor_engine = Json.get_string "xor_engine" j;
           ocaml_version = Json.get_string "ocaml_version" j;
           w_requests = Json.get_int "requests" j;
           rate_per_s = Json.get_float "rate_per_s" j;

@@ -149,7 +149,6 @@ type window_report = {
   jobs : int;
   w_in_flight : int;
   w_queued : int;
-  xor_engine : string;  (** ["gauss"] or ["2watch"] *)
   ocaml_version : string;
   w_requests : int;  (** requests finished inside the window *)
   rate_per_s : float;
@@ -179,7 +178,7 @@ type response =
   | Error_msg of string
   | Metrics of { values : (string * float) list; info : (string * string) list }
       (** lifetime counters/gauges/percentiles plus provenance strings
-          (xor_engine, ocaml_version) — the [status] op's answer *)
+          (ocaml_version, shard) — the [status] op's answer *)
   | Window_report of window_report
   | Bye
 

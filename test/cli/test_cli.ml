@@ -58,6 +58,19 @@ let test_sample_on_simple_formula () =
   Alcotest.(check bool) "witness lines" true (contains "\nv " ("\n" ^ text));
   Alcotest.(check bool) "reports production" true (contains "produced 5/5" text)
 
+(* --jobs counts workers: 0 and negative values are rejected up front
+   rather than selecting some other sampling mode *)
+let test_sample_rejects_bad_jobs () =
+  let path = temp_cnf "p cnf 4 1\nc ind 1 2 0\n1 2 3 0\n" in
+  List.iter
+    (fun jobs ->
+      let code, text = run (Printf.sprintf "sample %s -n 2 --jobs=%s" path jobs) in
+      Alcotest.(check int) ("exit 1 for --jobs=" ^ jobs) 1 code;
+      Alcotest.(check bool) "says >= 1" true (contains "must be >= 1" text);
+      Alcotest.(check bool) "draws nothing" false (contains "\nv " ("\n" ^ text)))
+    [ "0"; "-1" ];
+  Sys.remove path
+
 let test_sample_unsat_exit_code () =
   let path = temp_cnf "p cnf 1 2\n1 0\n-1 0\n" in
   let code, text = run (Printf.sprintf "sample %s -n 1" path) in
@@ -141,6 +154,8 @@ let () =
           Alcotest.test_case "bench-gen list" `Quick test_bench_gen_list;
           Alcotest.test_case "sample" `Quick test_sample_on_simple_formula;
           Alcotest.test_case "sample unsat" `Quick test_sample_unsat_exit_code;
+          Alcotest.test_case "sample rejects bad jobs" `Quick
+            test_sample_rejects_bad_jobs;
           Alcotest.test_case "count" `Quick test_count_matches_truth;
           Alcotest.test_case "support" `Quick test_support_verifies_and_minimizes;
           Alcotest.test_case "simplify" `Quick test_simplify_roundtrip;

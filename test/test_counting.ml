@@ -215,7 +215,8 @@ let prop_approx_envelope =
           e >= t /. 4.0 && e <= t *. 4.0)
 
 let qcheck_cases =
-  List.map QCheck_alcotest.to_alcotest [ prop_exact_matches_brute; prop_approx_envelope ]
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_exact_matches_brute; prop_projected_matches_brute; prop_approx_envelope ]
 
 let () =
   Alcotest.run "counting"

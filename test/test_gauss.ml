@@ -207,6 +207,41 @@ let prop_pushpop_restores_matrix =
    the Gauss engine and the static-RREF + 2-watch reference, and both
    match brute force. *)
 
+(* The 2-watch reference enumerator: row-reduce the XOR system once,
+   load it into a solver with the Gauss engine off, and block every
+   witness on the sampling set. Returns the models in canonical key
+   order (as [Bsat.enumerate] does) and whether the search ran out of
+   witnesses before [limit]. *)
+let enumerate_2watch ~limit (f : Cnf.Formula.t) =
+  match Cnf.Xor_gauss.eliminate (Array.to_list f.Cnf.Formula.xors) with
+  | Error `Unsat -> ([], true)
+  | Ok r ->
+      let s =
+        Sat.Solver.create ~gauss:false
+          { f with Cnf.Formula.xors = Array.of_list r.Cnf.Xor_gauss.rows }
+      in
+      let blocking = Array.to_list (Cnf.Formula.sampling_vars f) in
+      let rec loop acc found =
+        if found >= limit then (acc, false)
+        else
+          match Sat.Solver.solve s with
+          | Sat.Solver.Sat ->
+              let m = Sat.Solver.model s in
+              Sat.Solver.add_clause s
+                (List.map
+                   (fun v -> Cnf.Lit.make v (not (Cnf.Model.value m v)))
+                   blocking);
+              loop (m :: acc) (found + 1)
+          | Sat.Solver.Unsat -> (acc, true)
+          | Sat.Solver.Unknown ->
+              QCheck2.Test.fail_report "2-watch solve without a budget gave Unknown"
+      in
+      let models, exhausted = loop [] 0 in
+      ( List.sort
+          (fun a b -> String.compare (Cnf.Model.key a) (Cnf.Model.key b))
+          models,
+        exhausted )
+
 let prop_gauss_vs_2watch_enumeration =
   QCheck2.Test.make ~count:300
     ~name:"bsat enumerate: gauss engine = 2-watch engine = brute force"
@@ -216,18 +251,19 @@ let prop_gauss_vs_2watch_enumeration =
     (fun spec ->
       let f = Test_util.Gen.build_spec spec in
       let limit = 64 in
-      let keys out =
-        List.map Cnf.Model.key out.Sat.Bsat.models
-      in
-      let g = Sat.Bsat.enumerate ~gauss:true ~limit f in
-      let w = Sat.Bsat.enumerate ~gauss:false ~limit f in
-      if g.Sat.Bsat.exhausted <> w.Sat.Bsat.exhausted then
+      let g = Sat.Bsat.enumerate ~limit f in
+      let w_models, w_exhausted = enumerate_2watch ~limit f in
+      if g.Sat.Bsat.exhausted <> w_exhausted then
         QCheck2.Test.fail_report "engines disagree on exhaustion";
       (* a limit-cut enumeration may surface a different (equally
          valid) subset of the witness set per engine; the witness
          streams are only required to be bit-identical when the cell
          is fully enumerated — which is the only case UniGen accepts *)
-      if g.Sat.Bsat.exhausted && keys g <> keys w then
+      if
+        g.Sat.Bsat.exhausted
+        && List.map Cnf.Model.key g.Sat.Bsat.models
+           <> List.map Cnf.Model.key w_models
+      then
         QCheck2.Test.fail_report
           "gauss and 2-watch enumerations differ on an exhausted cell";
       let brute =
@@ -248,7 +284,7 @@ let test_gauss_counters_surface () =
     Test_util.Gen.random_formula_with_xors rng ~num_vars:12 ~num_clauses:10
       ~num_xors:6 ~width:3
   in
-  let out = Sat.Bsat.enumerate ~gauss:true ~limit:16 f in
+  let out = Sat.Bsat.enumerate ~limit:16 f in
   ignore (out.Sat.Bsat.models : Cnf.Model.t list);
   (* a session layer swap exercises push/pop accounting *)
   let session = Sat.Bsat.Session.create f in

@@ -310,7 +310,7 @@ let test_wire_json_roundtrip () =
       Wire.Metrics
         {
           values = [ ("service.requests", 3.0); ("service.queue_depth", 0.0) ];
-          info = [ ("xor_engine", "gauss"); ("ocaml_version", "5.1.0") ];
+          info = [ ("ocaml_version", "5.1.0"); ("shard", "0/2") ];
         };
       Wire.Window_report
         {
@@ -319,7 +319,6 @@ let test_wire_json_roundtrip () =
           jobs = 2;
           w_in_flight = 1;
           w_queued = 0;
-          xor_engine = "gauss";
           ocaml_version = "5.1.0";
           w_requests = 7;
           rate_per_s = 0.25;
@@ -859,15 +858,12 @@ let easy_text = "p cnf 3 2\nc ind 1 2 0\n1 2 0\n-1 -2 0\n"
 let hashed_text =
   "p cnf 12 3\nc ind 1 2 3 4 5 6 7 8 9 10 0\n1 2 3 0\n-4 5 6 0\n7 -8 0\n"
 
-let cache_key ?(epsilon = 6.0) ?(prepare_seed = 5) ?count_iterations
-    ?(incremental = true) ?(gauss = true) f =
+let cache_key ?(epsilon = 6.0) ?(prepare_seed = 5) ?count_iterations f =
   {
     Cache.fingerprint = Registry.fingerprint f;
     epsilon;
     prepare_seed;
     count_iterations;
-    incremental;
-    gauss;
   }
 
 let prepared_entry ?(epsilon = 6.0) ?(prepare_seed = 5) f =
@@ -937,14 +933,18 @@ let test_spill_decode_paranoia () =
   rejects "count-iterations drift"
     { key with Cache.count_iterations = Some 3 }
     payload;
-  rejects "engine drift" { key with Cache.gauss = false } payload;
-  rejects "incremental drift" { key with Cache.incremental = false } payload;
   rejects "fingerprint drift"
     { key with Cache.fingerprint = String.make 32 '0' }
     payload;
   rejects "garbage payload" key "not json at all";
   rejects "payload version drift" key
     (replace_once ~sub:Spill.version ~by:"unigen-prepared-v0" payload);
+  (* a spill written before the engine knobs were removed: old version
+     tag plus the old [incremental]/[xor_engine] fields *)
+  rejects "v1 payload" key
+    (replace_once ~sub:Spill.version ~by:"unigen-prepared-v1" payload
+    |> replace_once ~sub:"\"formula\":"
+         ~by:"\"incremental\":true,\"xor_engine\":\"gauss\",\"formula\":");
   (* the unmutated payload still decodes: the probes above failed for
      their own reasons, not because the fixture was broken *)
   match Spill.decode key payload with
@@ -1293,9 +1293,10 @@ let test_socket_end_to_end () =
             (match List.assoc_opt "service.cache_hits" values with
             | Some v -> v >= 1.0
             | None -> false);
-          (* provenance travels with the status answer *)
+          (* provenance travels with the status answer; there is one
+             XOR engine, so no engine name rides along *)
           Alcotest.(check (option string))
-            "xor engine reported" (Some "gauss")
+            "no xor engine field" None
             (List.assoc_opt "xor_engine" info);
           Alcotest.(check (option string))
             "ocaml version reported" (Some Sys.ocaml_version)
@@ -1314,7 +1315,8 @@ let test_socket_end_to_end () =
             (w.Wire.w_hits >= 1);
           Alcotest.(check bool) "percentiles monotone" true
             (w.Wire.p50_ms <= w.Wire.p90_ms && w.Wire.p90_ms <= w.Wire.p99_ms);
-          Alcotest.(check string) "engine name" "gauss" w.Wire.xor_engine;
+          Alcotest.(check string) "ocaml version" Sys.ocaml_version
+            w.Wire.ocaml_version;
           Alcotest.(check bool) "per-fingerprint row present" true
             (match w.Wire.per_fp with
             | f :: _ -> f.Wire.fp_requests >= 2

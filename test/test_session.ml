@@ -241,57 +241,6 @@ let prop_session_matches_fresh =
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end differential: ApproxMC and UniGen give bit-identical
-   results with and without incremental sessions *)
-
-let test_approxmc_incremental_equal () =
-  List.iter
-    (fun seed ->
-      let rng = Rng.create seed in
-      let f =
-        Test_util.Gen.random_formula_with_xors rng ~num_vars:10 ~num_clauses:20
-          ~num_xors:2 ~width:3
-      in
-      let run incremental =
-        match
-          Counting.Approxmc.count ~incremental ~iterations:5
-            ~rng:(Rng.create (seed + 1)) ~epsilon:0.8 ~delta:0.2 f
-        with
-        | Ok r -> Some r.Counting.Approxmc.estimate
-        | Error _ -> None
-      in
-      Alcotest.(check (option (float 0.0)))
-        (Printf.sprintf "seed %d" seed)
-        (run false) (run true))
-    [ 3; 17; 42; 101 ]
-
-let test_unigen_incremental_equal () =
-  List.iter
-    (fun seed ->
-      let rng = Rng.create seed in
-      let f =
-        Test_util.Gen.random_formula_with_xors rng ~num_vars:12 ~num_clauses:18
-          ~num_xors:0 ~width:3
-      in
-      let run incremental =
-        match
-          Sampling.Unigen.prepare ~incremental ~count_iterations:5
-            ~rng:(Rng.create (seed + 1)) ~epsilon:6.0 f
-        with
-        | Error _ -> [ "<prepare-fail>" ]
-        | Ok p ->
-            Sampling.Unigen.sample_batch ~max_attempts:10 ~seed:99 p 10
-            |> Array.to_list
-            |> List.map (function
-                 | Ok m -> Cnf.Model.key m
-                 | Error _ -> "<fail>")
-      in
-      Alcotest.(check (list string))
-        (Printf.sprintf "seed %d" seed)
-        (run false) (run true))
-    [ 5; 23; 77 ]
-
-(* ------------------------------------------------------------------ *)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -314,11 +263,4 @@ let () =
             test_base_unit_shadowed_by_group;
         ] );
       ("properties", qcheck_cases);
-      ( "differential",
-        [
-          Alcotest.test_case "approxmc incremental = fresh" `Quick
-            test_approxmc_incremental_equal;
-          Alcotest.test_case "unigen incremental = fresh" `Quick
-            test_unigen_incremental_equal;
-        ] );
     ]
