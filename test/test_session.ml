@@ -1,7 +1,8 @@
 (* Tests for the incremental solver-session layer: assumption solving,
-   retractable constraint groups, and the differential guarantee that
-   the session paths of BSAT, ApproxMC and UniGen are observationally
-   equal to the fresh-solver paths. *)
+   retractable constraint groups, the differential guarantee that
+   session enumeration is observationally equal to the fresh-solver
+   path, and end-to-end checks of ApproxMC and UniGen against brute
+   force. *)
 
 let random_lits rng ~num_vars =
   List.init
@@ -241,6 +242,80 @@ let prop_session_matches_fresh =
       !ok)
 
 (* ------------------------------------------------------------------ *)
+(* End-to-end differential: ApproxMC and UniGen, which run on warm
+   sessions, agree with brute force *)
+
+let test_approxmc_matches_brute () =
+  let epsilon = 0.8 in
+  let hashed_runs = ref 0 in
+  List.iter
+    (fun seed ->
+      let rng = Rng.create seed in
+      let f =
+        Test_util.Gen.random_formula_with_xors rng ~num_vars:12 ~num_clauses:8
+          ~num_xors:1 ~width:3
+      in
+      let brute = float_of_int (Sat.Brute.count f) in
+      let name = Printf.sprintf "seed %d" seed in
+      match
+        Counting.Approxmc.count ~iterations:5 ~rng:(Rng.create (seed + 1))
+          ~epsilon ~delta:0.2 f
+      with
+      | Error Counting.Approxmc.Unsat -> Alcotest.(check (float 0.0)) name 0.0 brute
+      | Error Counting.Approxmc.Timed_out -> Alcotest.fail (name ^ ": timed out")
+      | Ok r ->
+          let est = r.Counting.Approxmc.estimate in
+          if r.Counting.Approxmc.exact then
+            Alcotest.(check (float 0.0)) (name ^ " exact") brute est
+          else begin
+            incr hashed_runs;
+            (* the hashed path runs on one warm session per iteration;
+               these fixed seeds land inside the (1+eps) envelope *)
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %.1f within (1+eps) of %.0f" name est brute)
+              true
+              (est >= brute /. (1.0 +. epsilon) && est <= brute *. (1.0 +. epsilon))
+          end)
+    [ 3; 17; 42; 101 ];
+  Alcotest.(check bool) "some count took the hashed path" true (!hashed_runs > 0)
+
+let test_unigen_witnesses_are_models () =
+  let sampled = ref 0 in
+  List.iter
+    (fun seed ->
+      let rng = Rng.create seed in
+      let f =
+        Test_util.Gen.random_formula_with_xors rng ~num_vars:12 ~num_clauses:8
+          ~num_xors:0 ~width:3
+      in
+      let name = Printf.sprintf "seed %d" seed in
+      match
+        Sampling.Unigen.prepare ~count_iterations:5
+          ~rng:(Rng.create (seed + 1)) ~epsilon:6.0 f
+      with
+      | Error Sampling.Unigen.Unsat_formula ->
+          Alcotest.(check bool) name false (Sat.Brute.is_sat f)
+      | Error _ -> Alcotest.fail (name ^ ": prepare failed")
+      | Ok p ->
+          let draw jobs =
+            Sampling.Unigen.sample_batch ~max_attempts:10 ~jobs ~seed:99 p 10
+            |> Array.to_list
+            |> List.map (function
+                 | Ok m ->
+                     Alcotest.(check bool) (name ^ " witness satisfies") true
+                       (Cnf.Model.satisfies f m);
+                     Cnf.Model.key m
+                 | Error _ -> "<fail>")
+          in
+          incr sampled;
+          let keys = draw 1 in
+          Alcotest.(check bool) (name ^ " some witness") true
+            (List.exists (fun k -> k <> "<fail>") keys);
+          Alcotest.(check (list string)) (name ^ " jobs 2 = jobs 1") keys (draw 2))
+    [ 5; 23; 77 ];
+  Alcotest.(check bool) "some formula was sampled" true (!sampled > 0)
+
+(* ------------------------------------------------------------------ *)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -263,4 +338,11 @@ let () =
             test_base_unit_shadowed_by_group;
         ] );
       ("properties", qcheck_cases);
+      ( "differential",
+        [
+          Alcotest.test_case "approxmc = brute count within 1+eps" `Quick
+            test_approxmc_matches_brute;
+          Alcotest.test_case "unigen witnesses are models" `Quick
+            test_unigen_witnesses_are_models;
+        ] );
     ]
