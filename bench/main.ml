@@ -1176,6 +1176,11 @@ let () =
         exit 1
       end)
     targets;
+  (* OCaml 5 refuses Unix.fork once any domain has been spawned, and
+     "service" forks its daemons while most other targets spawn domain
+     pools: run it first. *)
+  let forks, rest = List.partition (String.equal "service") targets in
+  let targets = forks @ rest in
   let t0 = Unix.gettimeofday () in
   List.iter
     (function

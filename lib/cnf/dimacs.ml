@@ -7,7 +7,7 @@ let tokens_of_line line =
   |> List.concat_map (String.split_on_char '\t')
   |> List.filter (fun s -> s <> "")
 
-let parse_string text =
+let parse_text text =
   let lines = String.split_on_char '\n' text in
   let num_vars = ref (-1) in
   let declared_clauses = ref (-1) in
@@ -73,6 +73,12 @@ let parse_string text =
   let sampling_set = if !have_sampling then Some (List.rev !sampling) else None in
   Formula.create_with_xors ?sampling_set ~num_vars:!num_vars
     (List.rev !clauses) (List.rev !xors)
+
+(* The constructors reject malformed input (a variable above the header
+   count, a 0 inside a clause) with [Invalid_argument]; to a caller
+   parsing untrusted text that is a parse error like any other. *)
+let parse_string text =
+  try parse_text text with Invalid_argument msg -> raise (Parse_error msg)
 
 let parse_file path =
   let ic = open_in path in

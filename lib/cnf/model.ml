@@ -1,28 +1,31 @@
+(* Values are one byte per variable, '\000' or '\001', aligned with the
+   variable list. A contiguous model (variables 1..n) stores no
+   variable list at all: [vars = [||]] and variable [v] sits at byte
+   [v - 1]. Any other model keeps its sorted variable list, which is
+   never of the form [|1; ...; n|] (see [of_sorted_vars]). *)
 type t = {
-  vars : int array; (* sorted ascending *)
-  values : bool array; (* aligned with [vars] *)
-  contiguous : bool; (* vars = [|1; 2; ...; n|], enabling O(1) lookup *)
+  vars : int array; (* sorted ascending; [||] when contiguous *)
+  values : Bytes.t; (* aligned with the variables *)
 }
 
+let byte_of_bool b = if b then '\001' else '\000'
+let is_contiguous t = Array.length t.vars = 0
+
 let make n value =
-  {
-    vars = Array.init n (fun i -> i + 1);
-    values = Array.init n (fun i -> value (i + 1));
-    contiguous = true;
-  }
+  { vars = [||]; values = Bytes.init n (fun i -> byte_of_bool (value (i + 1))) }
 
 let of_bool_array a =
-  {
-    vars = Array.init (Array.length a) (fun i -> i + 1);
-    values = Array.copy a;
-    contiguous = true;
-  }
+  { vars = [||]; values = Bytes.init (Array.length a) (fun i -> byte_of_bool a.(i)) }
 
-let num_vars t = Array.length t.vars
+let num_vars t = Bytes.length t.values
+let var_at t i = if is_contiguous t then i + 1 else t.vars.(i)
+let bit t i = Bytes.unsafe_get t.values i = '\001'
+
+let absent v = invalid_arg (Printf.sprintf "Model.value: variable %d absent" v)
 
 let find_slot t v =
   let rec search lo hi =
-    if lo > hi then raise (Invalid_argument (Printf.sprintf "Model.value: variable %d absent" v))
+    if lo > hi then absent v
     else
       let mid = (lo + hi) / 2 in
       if t.vars.(mid) = v then mid
@@ -32,50 +35,95 @@ let find_slot t v =
   search 0 (Array.length t.vars - 1)
 
 let value t v =
-  if t.contiguous then begin
-    if v < 1 || v > Array.length t.values then
-      invalid_arg (Printf.sprintf "Model.value: variable %d absent" v);
-    t.values.(v - 1)
+  if is_contiguous t then begin
+    if v < 1 || v > Bytes.length t.values then absent v;
+    bit t (v - 1)
   end
-  else t.values.(find_slot t v)
+  else bit t (find_slot t v)
+
+(* [vars] sorted ascending; a list that is exactly 1..n is dropped *)
+let of_sorted_vars vars values =
+  let n = Array.length vars in
+  let rec ascending i = i >= n || (vars.(i) = i + 1 && ascending (i + 1)) in
+  { vars = (if ascending 0 then [||] else vars); values }
 
 let restrict t vars =
   let vars = Array.copy vars in
   Array.sort Int.compare vars;
-  let values = Array.map (fun v -> value t v) vars in
-  let n = Array.length vars in
-  let contiguous =
-    n > 0 && vars.(0) = 1 && vars.(n - 1) = n
-  in
-  { vars; values; contiguous }
+  let values = Bytes.init (Array.length vars) (fun i -> byte_of_bool (value t vars.(i))) in
+  of_sorted_vars vars values
+
+let prefix t n =
+  if is_contiguous t && n <= Bytes.length t.values then
+    if n = Bytes.length t.values then t
+    else { vars = [||]; values = Bytes.sub t.values 0 n }
+  else restrict t (Array.init n (fun i -> i + 1))
 
 let key t =
   (* One bit per variable, packed; prefixed by the variable list so
      models over different supports never collide. *)
-  let buf = Buffer.create (Array.length t.vars / 8 + 16) in
-  Array.iter (fun v -> Buffer.add_string buf (string_of_int v); Buffer.add_char buf ',') t.vars;
+  let n = num_vars t in
+  let buf = Buffer.create (n / 8 + 16) in
+  for i = 0 to n - 1 do
+    Buffer.add_string buf (string_of_int (var_at t i));
+    Buffer.add_char buf ','
+  done;
   Buffer.add_char buf '|';
   let byte = ref 0 and used = ref 0 in
-  Array.iter
-    (fun b ->
-      byte := (!byte lsl 1) lor (if b then 1 else 0);
-      incr used;
-      if !used = 8 then begin
-        Buffer.add_char buf (Char.chr !byte);
-        byte := 0;
-        used := 0
-      end)
-    t.values;
+  for i = 0 to n - 1 do
+    byte := (!byte lsl 1) lor Char.code (Bytes.unsafe_get t.values i);
+    incr used;
+    if !used = 8 then begin
+      Buffer.add_char buf (Char.chr !byte);
+      byte := 0;
+      used := 0
+    end
+  done;
   if !used > 0 then Buffer.add_char buf (Char.chr !byte);
   Buffer.contents buf
 
+(* Over one variable list the keys share their prefix and the packed
+   bits compare most-significant first, so [key] order is the
+   lexicographic order of the value bytes. *)
+let compare a b =
+  if Bytes.length a.values = Bytes.length b.values
+     && (a.vars == b.vars || a.vars = b.vars)
+  then Bytes.compare a.values b.values
+  else String.compare (key a) (key b)
+
 let to_dimacs t =
-  Array.to_list
-    (Array.mapi (fun i v -> if t.values.(i) then v else -v) t.vars)
+  List.init (num_vars t) (fun i -> if bit t i then var_at t i else -var_at t i)
 
-let satisfies f t = Formula.eval f (fun v -> value t v)
+(* Runs on every witness BSAT returns, so on the contiguous models
+   every solver returns it reads the value bytes in place and decodes
+   literals by their documented packing (variable [v] is [2v] when
+   positive, [2v + 1] when negative): no closure or call per literal. *)
+let satisfies (f : Formula.t) t =
+  if not (is_contiguous t) then Formula.eval f (value t)
+  else begin
+    let values = t.values in
+    let n = Bytes.length values in
+    let byte v =
+      if v < 1 || v > n then absent v;
+      Char.code (Bytes.unsafe_get values (v - 1))
+    in
+    let rec clause_ok (c : Clause.t) i =
+      i < Array.length c
+      &&
+      let l = (Array.unsafe_get c i :> int) in
+      byte (l lsr 1) lxor (l land 1) = 1 || clause_ok c (i + 1)
+    in
+    let rec parity (vars : int array) i acc =
+      if i = Array.length vars then acc
+      else parity vars (i + 1) (acc lxor byte (Array.unsafe_get vars i))
+    in
+    Array.for_all (fun c -> clause_ok c 0) f.clauses
+    && Array.for_all
+         (fun (x : Xor_clause.t) -> parity x.vars 0 0 = Bool.to_int x.rhs)
+         f.xors
+  end
 
-let equal a b = a.vars = b.vars && a.values = b.values
+let equal a b = a.vars = b.vars && Bytes.equal a.values b.values
 
 let pp fmt t =
   Format.fprintf fmt "[%a]"

@@ -1,4 +1,13 @@
-(** Total truth assignments (witnesses). *)
+(** Total truth assignments (witnesses).
+
+    Representation contract: a model holds one byte per variable
+    (['\000'] false, ['\001'] true) in ascending variable order. A
+    model over exactly the variables [1 .. n] — every model a solver
+    returns — is {e contiguous} and stores no variable list; any other
+    model (from {!restrict}) keeps its sorted variable list. The
+    representation is invisible through this interface: {!key},
+    {!to_dimacs} and {!equal} depend only on the variables and their
+    values. *)
 
 type t
 (** An assignment to variables [1 .. n]. *)
@@ -18,16 +27,35 @@ val restrict : t -> int array -> t
     projected model still answers {!value} for the selected variables
     and raises [Invalid_argument] for others. *)
 
+val prefix : t -> int -> t
+(** [prefix t n] is [restrict t [|1; ...; n|]]. On a contiguous model
+    it copies the first [n] value bytes (and returns [t] itself when
+    [n = num_vars t]). *)
+
 val key : t -> string
 (** A canonical byte string identifying the assignment (used to
-    deduplicate and histogram witnesses). Two models over the same
-    variable set have equal keys iff they agree on every variable. *)
+    deduplicate and histogram witnesses): each variable's decimal name
+    followed by [','], then ['|'], then the values packed eight to a
+    byte, first variable in the most significant bit, with a final
+    partial byte holding the remaining bits in its low end. Two models
+    over the same variable set have equal keys iff they agree on every
+    variable. *)
+
+val compare : t -> t -> int
+(** A total order with the same sign as
+    [String.compare (key a) (key b)], computed without building keys
+    when [a] and [b] range over the same variables: it is then the
+    lexicographic order of their values, in ascending variable order
+    ([false] before [true]). Models over different variable sets fall
+    back to comparing keys. *)
 
 val to_dimacs : t -> int list
 (** Signed-integer rendering over the model's variables, ascending. *)
 
 val satisfies : Formula.t -> t -> bool
-(** Checks the model against every clause and XOR of the formula. *)
+(** Checks the model against every clause and XOR of the formula.
+    Raises [Invalid_argument] when the formula needs a variable the
+    model does not assign. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

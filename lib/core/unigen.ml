@@ -12,16 +12,52 @@ type prepared = {
   hi_limit : int; (* BSAT enumeration limit: floor(hi) + 1 *)
   hash_density : float;
   phase : phase;
-  session_key : Sat.Bsat.Session.t Domain.DLS.key;
-      (* Each domain lazily materialises its own solver session, so
-         the Domain_pool parallel path needs no locking and every
-         worker warms its solver across the draws it executes. The
-         sampled witnesses are bit-identical either way: Bsat outcomes
-         are canonically ordered, hence independent of each session's
-         private history whenever a cell is accepted (accepted cells
-         are exhaustively enumerated, so they are equal as sets). *)
+  formula : Cnf.Formula.t;
+  sessions : (int, Sat.Bsat.Session.t) Hashtbl.t;
+      (* One solver session per domain that has drawn from this state,
+         keyed by [Domain.self ()] and created lazily, so every worker
+         warms its own solver across the draws it executes and no
+         session is ever shared between domains. The table lives and
+         dies with the prepared state: dropping the state frees its
+         sessions, whatever domains touched it. The sampled witnesses
+         are bit-identical either way: Bsat outcomes are canonically
+         ordered, hence independent of each session's private history
+         whenever a cell is accepted (accepted cells are exhaustively
+         enumerated, so they are equal as sets). *)
+  sessions_lock : Mutex.t; (* guards [sessions] only, never a draw *)
   stats : Sampler.run_stats;
 }
+
+let make_prepared ~sampling ~kappa ~pivot ~hash_density ~formula phase =
+  let hi = Kappa_pivot.hi_thresh ~kappa ~pivot in
+  {
+    sampling;
+    kappa;
+    pivot;
+    hi;
+    lo = Kappa_pivot.lo_thresh ~kappa ~pivot;
+    hi_limit = int_of_float (Float.floor hi) + 1;
+    hash_density;
+    phase;
+    formula;
+    sessions = Hashtbl.create 4;
+    sessions_lock = Mutex.create ();
+    stats = Sampler.fresh_stats ();
+  }
+
+(* The calling domain's session, created on its first draw. *)
+let session t =
+  let id = (Domain.self () :> int) in
+  Mutex.protect t.sessions_lock (fun () ->
+      match Hashtbl.find_opt t.sessions id with
+      | Some s -> s
+      | None ->
+          let s = Sat.Bsat.Session.create ~blocking_vars:t.sampling t.formula in
+          Hashtbl.replace t.sessions id s;
+          s)
+
+let drop_sessions t ids =
+  Mutex.protect t.sessions_lock (fun () -> List.iter (Hashtbl.remove t.sessions) ids)
 
 type prepare_error = Unsat_formula | Prepare_timeout | Count_failed
 
@@ -38,24 +74,10 @@ let prepare ?deadline ?count_iterations ?(hash_density = 0.5) ?jobs ?pool ~rng
   @@ fun () ->
   let kappa, pivot = Kappa_pivot.compute epsilon in
   let hi = Kappa_pivot.hi_thresh ~kappa ~pivot in
-  let lo = Kappa_pivot.lo_thresh ~kappa ~pivot in
   let hi_limit = int_of_float (Float.floor hi) + 1 in
-  let sampling = Cnf.Formula.sampling_vars formula in
-  let make phase =
-    {
-      sampling;
-      kappa;
-      pivot;
-      hi;
-      lo;
-      hi_limit;
-      hash_density;
-      phase;
-      session_key =
-        Domain.DLS.new_key (fun () ->
-            Sat.Bsat.Session.create ~blocking_vars:sampling formula);
-      stats = Sampler.fresh_stats ();
-    }
+  let make =
+    make_prepared ~sampling:(Cnf.Formula.sampling_vars formula) ~kappa ~pivot
+      ~hash_density ~formula
   in
   (* lines 4-7: the easy case *)
   let out = Sat.Bsat.enumerate ?deadline ~limit:hi_limit formula in
@@ -107,7 +129,7 @@ let sample_once ?deadline ~rng ~stats t =
           let out =
             Sat.Bsat.Session.enumerate ?deadline
               ~xors:(Hashing.Hxor.constraints h) ~limit:t.hi_limit
-              (Domain.DLS.get t.session_key)
+              (session t)
           in
           Sampler.record_solve stats out;
           if out.Sat.Bsat.timed_out then begin
@@ -186,9 +208,22 @@ let sample_batch ?deadline ?max_attempts ?pool ?(jobs = 1) ~seed t n =
     | Some p -> Parallel.Domain_pool.map p one indices
     | None ->
         if jobs = 1 then Array.map one indices
-        else
-          Parallel.Domain_pool.with_pool ~jobs (fun p ->
-              Parallel.Domain_pool.map p one indices)
+        else begin
+          let self = (Domain.self () :> int) in
+          let results =
+            Parallel.Domain_pool.with_pool ~jobs (fun p ->
+                Parallel.Domain_pool.map p
+                  (fun i -> (one i, (Domain.self () :> int)))
+                  indices)
+          in
+          (* the private pool's workers are joined and domain ids are
+             never reused, so their sessions can serve no later draw *)
+          drop_sessions t
+            (Array.fold_left
+               (fun acc (_, id) -> if id = self then acc else id :: acc)
+               [] results);
+          Array.map fst results
+        end
   in
   (* fold the private per-sample stats back in index order, so the
      shared accounting is identical whatever the worker count *)
@@ -236,10 +271,6 @@ let export t =
   }
 
 let import ~formula p =
-  let hi = Kappa_pivot.hi_thresh ~kappa:p.p_kappa ~pivot:p.p_pivot in
-  let lo = Kappa_pivot.lo_thresh ~kappa:p.p_kappa ~pivot:p.p_pivot in
-  let hi_limit = int_of_float (Float.floor hi) + 1 in
-  let sampling = Cnf.Formula.sampling_vars formula in
   let phase =
     match p.p_phase with
     | Portable_easy { num_vars; models } ->
@@ -260,20 +291,8 @@ let import ~formula p =
                 models))
     | Portable_hashed { q; count_estimate } -> Hashed { q; count_estimate }
   in
-  {
-    sampling;
-    kappa = p.p_kappa;
-    pivot = p.p_pivot;
-    hi;
-    lo;
-    hi_limit;
-    hash_density = p.p_hash_density;
-    phase;
-    session_key =
-      Domain.DLS.new_key (fun () ->
-          Sat.Bsat.Session.create ~blocking_vars:sampling formula);
-    stats = Sampler.fresh_stats ();
-  }
+  make_prepared ~sampling:(Cnf.Formula.sampling_vars formula) ~kappa:p.p_kappa
+    ~pivot:p.p_pivot ~hash_density:p.p_hash_density ~formula phase
 
 let stats t = t.stats
 let kappa t = t.kappa

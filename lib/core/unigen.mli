@@ -46,7 +46,8 @@ val prepare :
     {!sample} — runs on a persistent solver session with the in-search
     Gauss engine: one session per domain, reused across draws, with
     the XOR hash layer swapped in and out as a retractable constraint
-    group. Only the easy-case check uses a one-shot {!Sat.Bsat.enumerate}.
+    group. The sessions belong to the prepared state and are freed
+    with it. Only the easy-case check uses a one-shot {!Sat.Bsat.enumerate}.
     [jobs]/[pool] parallelise the ApproxMC counting iterations (each is
     an independent XOR-hashed count); see {!Counting.Approxmc.count}.
     @raise Invalid_argument when [epsilon <= 1.71]. *)

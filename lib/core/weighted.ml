@@ -80,8 +80,7 @@ let lift (f : Cnf.Formula.t) weights =
   let formula = Cnf.Formula.with_sampling_set base new_sampling in
   { formula; original_vars = n; coins }
 
-let project lifted m =
-  Cnf.Model.restrict m (Array.init lifted.original_vars (fun i -> i + 1))
+let project lifted m = Cnf.Model.prefix m lifted.original_vars
 
 let expected_probability _lifted weights m =
   List.fold_left

@@ -14,9 +14,11 @@ type outcome = {
    independent as SETS, so sorting makes the outcome — and everything
    downstream that indexes into it, like UniGen's uniform pick — a
    pure function of the formula, restoring bit-identity between the
-   fresh and session paths and across parallel schedules. *)
-let sort_models ms =
-  List.sort (fun a b -> String.compare (Cnf.Model.key a) (Cnf.Model.key b)) ms
+   fresh and session paths and across parallel schedules. The order is
+   over the full model, not its projection onto the blocking set: a
+   projected order would permute cells and change the witnesses drawn.
+   [Cnf.Model.compare] gives it from the value bytes, building no key. *)
+let sort_models ms = List.sort Cnf.Model.compare ms
 
 let c_blocking_clauses = Obs.Metrics.counter "bsat.blocking_clauses"
 let c_enumerations = Obs.Metrics.counter "bsat.enumerations"
@@ -58,10 +60,13 @@ let enum_loop ?deadline ~limit ~blocking ~verify ~add_block ~truncate solver =
             Hashtbl.add seen_keys k ()
           end;
           (* block this witness on the projection *)
-          let block =
-            Array.to_list blocking
-            |> List.map (fun v -> Cnf.Lit.make v (not (Cnf.Model.value m v)))
+          let rec block i acc =
+            if i < 0 then acc
+            else
+              let v = blocking.(i) in
+              block (i - 1) (Cnf.Lit.make v (not (Cnf.Model.value m v)) :: acc)
           in
+          let block = block (Array.length blocking - 1) [] in
           Obs.Metrics.incr c_blocking_clauses;
           add_block block;
           loop (m :: acc) (found + 1)
@@ -139,10 +144,7 @@ module Session = struct
     let solver = s.solver in
     let before = Solver.stats solver in
     let verify = Cnf.Formula.add_xors s.formula xors in
-    let truncate m =
-      if Cnf.Model.num_vars m = s.base_vars then m
-      else Cnf.Model.make s.base_vars (fun v -> Cnf.Model.value m v)
-    in
+    let truncate m = Cnf.Model.prefix m s.base_vars in
     (* Everything this call adds — the XOR layer and, unless persisted,
        the blocking clauses — lives in one group popped on the way out,
        leaving only learnt clauses about the base formula behind. The

@@ -327,13 +327,13 @@ let key_of p =
 (* ------------------------------------------------------------------ *)
 (* Request execution. [run_request] is the worker-domain half: it
    touches only the request itself, the (immutable) canonical formula
-   and — on a cache hit — the prepared state, whose solver sessions are
-   per-domain (Domain.DLS), so concurrent requests on different
-   fingerprints never share mutable state. All cache bookkeeping stays
-   on the owning domain. Witnesses are bit-identical to the offline
-   [Unigen.sample_batch] path at any [jobs] level because every draw
-   consumes the splittable stream [(seed, index)] regardless of which
-   domain executes it. *)
+   and — on a cache hit — the prepared state, which keeps one solver
+   session per domain (freed with the state), so concurrent requests on
+   different fingerprints never share mutable state. All cache
+   bookkeeping stays on the owning domain. Witnesses are bit-identical
+   to the offline [Unigen.sample_batch] path at any [jobs] level
+   because every draw consumes the splittable stream [(seed, index)]
+   regardless of which domain executes it. *)
 
 let run_request ~queue_wait_s ~cached (p : pending_req) =
   let cache =

@@ -38,7 +38,7 @@
     and at most one per formula fingerprint, sharding prepared-state
     ownership so concurrent clients on different formulas never
     contend while one formula's requests serialise on its prepared
-    state (whose solver sessions are per-domain via [Domain.DLS], and
+    state (which keeps one solver session per domain, and
     whose statistics merge assumes a single concurrent reader). The
     owning domain keeps every cache and queue touch: it resolves
     hit/miss and takes an execution pin before handing off, and

@@ -47,6 +47,11 @@ rm -rf "$lint_dir"
 echo "== dune runtest"
 dune runtest
 
+echo "== benchmark self-tests"
+# The arithmetic of perfbench (percentiles, host-speed scaling, ledger
+# sums) is otherwise only checked when run.py starts a benchmark.
+PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench -p 'test_*.py'
+
 echo "== dune runtest (audit mode)"
 # Second pass with the correctness-audit subsystem live: sampled
 # invariant sweeps, witness re-evaluation, blocking-set and ownership

@@ -218,6 +218,38 @@ let test_model_satisfies () =
   Alcotest.(check bool) "good" true (Cnf.Model.satisfies f good);
   Alcotest.(check bool) "bad" false (Cnf.Model.satisfies f bad)
 
+(* Witness histograms and dedup tables are keyed by these strings: a
+   change of representation must leave them byte-for-byte. *)
+let test_model_golden_keys () =
+  let check name expected m = Alcotest.(check string) name expected (Cnf.Model.key m) in
+  check "4 vars" "1,2,3,4,|\005" (Cnf.Model.make 4 (fun v -> v mod 2 = 0));
+  check "10 vars, partial byte" "1,2,3,4,5,6,7,8,9,10,| \001"
+    (Cnf.Model.make 10 (fun v -> v = 3 || v = 10));
+  check "16 vars" "1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,|\255\128"
+    (Cnf.Model.make 16 (fun v -> v <= 9));
+  check "restricted" "3,7,11,|\003"
+    (Cnf.Model.restrict (Cnf.Model.make 12 (fun v -> v >= 6)) [| 11; 3; 7 |]);
+  check "restricted onto 1..3" "1,2,3,|\005"
+    (Cnf.Model.restrict (Cnf.Model.make 9 (fun v -> v <> 2)) [| 3; 1; 2 |]);
+  check "empty" "|" (Cnf.Model.make 0 (fun _ -> true))
+
+let test_model_prefix () =
+  let m = Cnf.Model.make 9 (fun v -> v mod 3 = 0) in
+  let p = Cnf.Model.prefix m 5 in
+  Alcotest.(check (list int)) "first five" [ -1; -2; 3; -4; -5 ] (Cnf.Model.to_dimacs p);
+  Alcotest.(check bool) "= restrict 1..5" true
+    (Cnf.Model.equal p (Cnf.Model.restrict m [| 1; 2; 3; 4; 5 |]));
+  Alcotest.(check bool) "full width is the model" true (Cnf.Model.prefix m 9 == m);
+  Alcotest.check_raises "beyond the model"
+    (Invalid_argument "Model.value: variable 10 absent") (fun () ->
+      ignore (Cnf.Model.prefix m 10))
+
+let test_model_satisfies_absent_variable () =
+  let f = Cnf.Formula.create ~num_vars:3 [ Cnf.Clause.of_dimacs [ -3 ] ] in
+  Alcotest.check_raises "variable 3 absent"
+    (Invalid_argument "Model.value: variable 3 absent") (fun () ->
+      ignore (Cnf.Model.satisfies f (Cnf.Model.make 2 (fun _ -> true))))
+
 (* ------------------------------------------------------------------ *)
 (* DIMACS *)
 
@@ -275,6 +307,22 @@ let test_dimacs_errors () =
   expect_error "p cnf 2 1\n1 x 0\n";
   (* bad token *)
   expect_error "p qbf 2 1\n1 0\n"
+
+(* Constructor rejections surface as [Parse_error], never as the
+   [Invalid_argument] that would escape a caller handling parse errors
+   (the daemon's request handler does exactly that). *)
+let test_dimacs_out_of_range_is_parse_error () =
+  List.iter
+    (fun s ->
+      match Cnf.Dimacs.parse_string s with
+      | _ -> Alcotest.failf "expected parse error on %S" s
+      | exception Cnf.Dimacs.Parse_error _ -> ())
+    [
+      "p cnf 2 1\n1 5 0\n" (* clause variable above the header count *);
+      "p cnf 2 1\nx 1 3 0\n" (* xor variable above the header count *);
+      "p cnf 2 1\nc ind 4 0\n1 0\n" (* sampling variable out of range *);
+      "p cnf 2 1\n1 0 2 0\n" (* literal 0 inside a clause *);
+    ]
 
 let test_dimacs_file_io () =
   let f = Cnf.Formula.create ~num_vars:2 [ Cnf.Clause.of_dimacs [ 1; 2 ] ] in
@@ -365,6 +413,84 @@ let prop_model_key_injective =
         (String.equal (Cnf.Model.key m1) (Cnf.Model.key m2))
         (Cnf.Model.equal m1 m2))
 
+(* A random model: contiguous over 0..19 variables (most widths not a
+   multiple of 8), or the restriction of one onto a random subset —
+   sometimes exactly 1..k, which is contiguous again. *)
+let random_model rng =
+  let n = Rng.int rng 20 in
+  let m = Cnf.Model.make n (fun _ -> Rng.bool rng) in
+  match Rng.int rng 3 with
+  | 0 -> m
+  | 1 -> Cnf.Model.prefix m (Rng.int rng (n + 1))
+  | _ ->
+      Cnf.Model.restrict m
+        (Array.of_list (List.filter (fun _ -> Rng.bool rng) (List.init n succ)))
+
+let vars_of m = Array.of_list (List.map abs (Cnf.Model.to_dimacs m))
+
+(* A second model over the same variables as [m], or an unrelated one. *)
+let partner rng m =
+  if Rng.bool rng then random_model rng
+  else
+    let vars = vars_of m in
+    let n = Array.fold_left max 0 vars in
+    Cnf.Model.restrict (Cnf.Model.make (n + Rng.int rng 3) (fun _ -> Rng.bool rng)) vars
+
+let sign x = Int.compare x 0
+
+let prop_model_compare_is_key_order =
+  QCheck2.Test.make ~count:1000 ~name:"model compare = key order"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let a = random_model rng in
+      let b = partner rng a in
+      let ka = Cnf.Model.key a and kb = Cnf.Model.key b in
+      sign (Cnf.Model.compare a b) = sign (String.compare ka kb)
+      && sign (Cnf.Model.compare b a) = sign (String.compare kb ka)
+      && Cnf.Model.compare a a = 0
+      && Bool.equal (Cnf.Model.equal a b) (String.equal ka kb))
+
+let prop_model_roundtrips =
+  QCheck2.Test.make ~count:500 ~name:"model to_dimacs / restrict round trips"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let m = random_model rng in
+      let vars = vars_of m in
+      let lits = Cnf.Model.to_dimacs m in
+      let n = Array.fold_left max 0 vars in
+      (* rebuilding from the DIMACS rendering gives back the model *)
+      let rebuilt =
+        Cnf.Model.restrict (Cnf.Model.make n (fun v -> List.mem v lits)) vars
+      in
+      (* restricting onto its own variables (in any order) is the identity *)
+      let shuffled = Array.copy vars in
+      Rng.shuffle rng shuffled;
+      let self = Cnf.Model.restrict m shuffled in
+      (* restriction composes: a subset of a subset *)
+      let sub = Array.of_list (List.filter (fun _ -> Rng.bool rng) (Array.to_list vars)) in
+      Cnf.Model.equal rebuilt m
+      && Cnf.Model.equal self m
+      && String.equal (Cnf.Model.key self) (Cnf.Model.key m)
+      && Cnf.Model.num_vars m = Array.length vars
+      && Array.for_all (fun v -> Bool.equal (Cnf.Model.value m v) (List.mem v lits)) vars
+      && Cnf.Model.equal
+           (Cnf.Model.restrict self sub)
+           (Cnf.Model.restrict rebuilt sub))
+
+(* The in-place byte reads of [satisfies] agree with evaluating the
+   formula through [value]. *)
+let prop_model_satisfies_is_eval =
+  QCheck2.Test.make ~count:300 ~name:"model satisfies = formula eval"
+    QCheck2.Gen.(pair Test_util.Gen.formula_spec (int_bound 1_000_000))
+    (fun (spec, seed) ->
+      let f = Test_util.Gen.build_spec spec in
+      let rng = Rng.create seed in
+      let m = Cnf.Model.make f.Cnf.Formula.num_vars (fun _ -> Rng.bool rng) in
+      Bool.equal (Cnf.Model.satisfies f m)
+        (Cnf.Formula.eval f (Cnf.Model.value m)))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -372,6 +498,9 @@ let qcheck_cases =
       prop_xor_cnf_projection_equivalent;
       prop_dimacs_roundtrip;
       prop_model_key_injective;
+      prop_model_compare_is_key_order;
+      prop_model_roundtrips;
+      prop_model_satisfies_is_eval;
     ]
 
 let () =
@@ -416,6 +545,10 @@ let () =
           Alcotest.test_case "restricted keys" `Quick
             test_model_restricted_keys_distinguish_support;
           Alcotest.test_case "satisfies" `Quick test_model_satisfies;
+          Alcotest.test_case "golden keys" `Quick test_model_golden_keys;
+          Alcotest.test_case "prefix" `Quick test_model_prefix;
+          Alcotest.test_case "satisfies absent variable" `Quick
+            test_model_satisfies_absent_variable;
         ] );
       ( "dimacs",
         [
@@ -425,6 +558,8 @@ let () =
           Alcotest.test_case "parse xor" `Quick test_dimacs_parse_xor_line;
           Alcotest.test_case "errors" `Quick test_dimacs_errors;
           Alcotest.test_case "file io" `Quick test_dimacs_file_io;
+          Alcotest.test_case "out of range is a parse error" `Quick
+            test_dimacs_out_of_range_is_parse_error;
         ] );
       ("properties", qcheck_cases);
     ]

@@ -209,9 +209,9 @@ let prop_pushpop_restores_matrix =
 
 (* The 2-watch reference enumerator: row-reduce the XOR system once,
    load it into a solver with the Gauss engine off, and block every
-   witness on the sampling set. Returns the models in canonical key
-   order (as [Bsat.enumerate] does) and whether the search ran out of
-   witnesses before [limit]. *)
+   witness on the sampling set. Returns the models in canonical
+   [Model.compare] order (as [Bsat.enumerate] does) and whether the
+   search ran out of witnesses before [limit]. *)
 let enumerate_2watch ~limit (f : Cnf.Formula.t) =
   match Cnf.Xor_gauss.eliminate (Array.to_list f.Cnf.Formula.xors) with
   | Error `Unsat -> ([], true)
@@ -237,10 +237,7 @@ let enumerate_2watch ~limit (f : Cnf.Formula.t) =
               QCheck2.Test.fail_report "2-watch solve without a budget gave Unknown"
       in
       let models, exhausted = loop [] 0 in
-      ( List.sort
-          (fun a b -> String.compare (Cnf.Model.key a) (Cnf.Model.key b))
-          models,
-        exhausted )
+      (List.sort Cnf.Model.compare models, exhausted)
 
 let prop_gauss_vs_2watch_enumeration =
   QCheck2.Test.make ~count:300

@@ -1368,6 +1368,52 @@ let with_daemon ?(scheduler = Scheduler.default_config) f =
       Alcotest.(check bool) "daemon came up" true (Sys.file_exists socket_path);
       f ~socket_path ~pid
 
+(* A daemon served from a domain of this process: a formula naming a
+   variable above its header count must come back as [Error_msg] on the
+   request's own connection, and the daemon must keep answering. *)
+let test_out_of_range_variable_is_request_error () =
+  let dir = Filename.temp_file "unigen_service" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let socket_path = Filename.concat dir "daemon.sock" in
+  let daemon =
+    Domain.spawn (fun () ->
+        Service.Server.run (Service.Server.default_config ~socket_path))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (* a daemon that is still up is drained; one that died re-raises
+         its exception here *)
+      (try ignore (Client.call ~socket_path Wire.Shutdown : Wire.response)
+       with _ -> ());
+      Domain.join daemon;
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while (not (Sys.file_exists socket_path)) && Unix.gettimeofday () < deadline do
+    ignore (Unix.select [] [] [] 0.02)
+  done;
+  Alcotest.(check bool) "daemon came up" true (Sys.file_exists socket_path);
+  Client.with_connection ~socket_path @@ fun conn ->
+  let bad =
+    Wire.Sample
+      { Wire.default_sample_req with Wire.formula_text = "p cnf 2 1\n1 5 0\n"; n = 2 }
+  in
+  (match Client.request conn bad with
+  | Wire.Error_msg msg ->
+      Alcotest.(check bool) "names the formula" true
+        (String.length msg >= 8 && String.sub msg 0 8 = "formula:")
+  | _ -> Alcotest.fail "expected Error_msg for an out-of-range variable");
+  (match Client.request conn Wire.Status with
+  | Wire.Metrics _ -> ()
+  | _ -> Alcotest.fail "status should still answer");
+  match
+    Client.request conn
+      (Wire.Sample { Wire.default_sample_req with Wire.formula_text = formula_a; n = 2 })
+  with
+  | Wire.Ok_sample r -> Alcotest.(check int) "still samples" 2 r.Wire.produced
+  | _ -> Alcotest.fail "a well-formed request should still be served"
+
 let test_chaos_abrupt_disconnect_socket () =
   with_daemon ~scheduler:(parallel_config 2) @@ fun ~socket_path ~pid ->
   (* connection A: pipeline three requests on three formulas, then
@@ -1600,6 +1646,9 @@ let () =
           Alcotest.test_case "chaos: abrupt disconnect under parallelism" `Quick
             test_chaos_abrupt_disconnect_socket;
           Alcotest.test_case "fleet end to end" `Quick test_fleet_end_to_end;
+          (* spawns a domain: last of the forking tests *)
+          Alcotest.test_case "out-of-range variable is a request error" `Quick
+            test_out_of_range_variable_is_request_error;
         ] );
       ( "parallel",
         [

@@ -316,6 +316,33 @@ let test_unigen_witnesses_are_models () =
   Alcotest.(check bool) "some formula was sampled" true (!sampled > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Session lifetime: the warm sessions a prepared state leaves on the
+   domains that drew from it belong to that state. Once the caller
+   drops the state, no pool worker may keep its formula alive. *)
+
+let[@inline never] prepare_and_draw pool =
+  let f = Cnf.Formula.create ~num_vars:12 [ Cnf.Clause.of_dimacs [ 1; 2 ] ] in
+  let weak = Weak.create 1 in
+  Weak.set weak 0 (Some f);
+  (match
+     Sampling.Unigen.prepare ~count_iterations:3 ~pool ~rng:(Rng.create 7)
+       ~epsilon:6.0 f
+   with
+  | Ok p ->
+      Alcotest.(check bool) "hashed phase" false (Sampling.Unigen.is_easy p);
+      let outs = Sampling.Unigen.sample_batch ~pool ~max_attempts:10 ~seed:3 p 8 in
+      Alcotest.(check bool) "drew witnesses" true (Array.exists Result.is_ok outs)
+  | Error _ -> Alcotest.fail "prepare failed");
+  weak
+
+let test_sessions_freed_with_prepared_state () =
+  Parallel.Domain_pool.with_pool ~jobs:2 @@ fun pool ->
+  let weak = prepare_and_draw pool in
+  Gc.full_major ();
+  Alcotest.(check bool) "formula collected while the pool lives" false
+    (Weak.check weak 0)
+
+(* ------------------------------------------------------------------ *)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -344,5 +371,10 @@ let () =
             test_approxmc_matches_brute;
           Alcotest.test_case "unigen witnesses are models" `Quick
             test_unigen_witnesses_are_models;
+        ] );
+      ( "lifetime",
+        [
+          Alcotest.test_case "sessions freed with the prepared state" `Quick
+            test_sessions_freed_with_prepared_state;
         ] );
     ]
