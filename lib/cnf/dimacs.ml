@@ -7,7 +7,7 @@ let tokens_of_line line =
   |> List.concat_map (String.split_on_char '\t')
   |> List.filter (fun s -> s <> "")
 
-let parse_text text =
+let parse_string text =
   let lines = String.split_on_char '\n' text in
   let num_vars = ref (-1) in
   let declared_clauses = ref (-1) in
@@ -23,10 +23,17 @@ let parse_text text =
         | None -> fail "bad integer %S in %s line" s what)
       toks
   in
+  (* 0 only terminates a line, and min_int names no variable *)
+  let check_literals what lits =
+    List.iter
+      (fun i -> if i = 0 || i = min_int then fail "bad literal %d in %s line" i what)
+      lits
+  in
   let add_clause toks =
     let ints = parse_ints "clause" toks in
     match List.rev ints with
     | 0 :: rev_lits ->
+        check_literals "clause" rev_lits;
         let lits = List.rev_map Lit.of_dimacs rev_lits in
         clauses := Array.of_list lits :: !clauses
     | _ -> fail "clause line not terminated by 0"
@@ -35,6 +42,7 @@ let parse_text text =
     let ints = parse_ints "xor" toks in
     match List.rev ints with
     | 0 :: rev_lits ->
+        check_literals "xor" rev_lits;
         (* Each negative literal flips the right-hand side once:
            ¬a ⊕ b = c  ⇔  a ⊕ b = ¬c. *)
         let vars = List.rev_map abs rev_lits in
@@ -71,14 +79,15 @@ let parse_text text =
   if !num_vars < 0 then fail "missing p cnf header";
   ignore !declared_clauses;
   let sampling_set = if !have_sampling then Some (List.rev !sampling) else None in
-  Formula.create_with_xors ?sampling_set ~num_vars:!num_vars
-    (List.rev !clauses) (List.rev !xors)
-
-(* The constructors reject malformed input (a variable above the header
-   count, a 0 inside a clause) with [Invalid_argument]; to a caller
-   parsing untrusted text that is a parse error like any other. *)
-let parse_string text =
-  try parse_text text with Invalid_argument msg -> raise (Parse_error msg)
+  (* The constructor rejects a variable outside 1..num_vars with
+     [Invalid_argument]; to a caller parsing untrusted text that is a
+     parse error like any other. *)
+  match
+    Formula.create_with_xors ?sampling_set ~num_vars:!num_vars
+      (List.rev !clauses) (List.rev !xors)
+  with
+  | f -> f
+  | exception Invalid_argument msg -> fail "%s" msg
 
 let parse_file path =
   let ic = open_in path in

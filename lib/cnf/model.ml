@@ -94,34 +94,7 @@ let compare a b =
 let to_dimacs t =
   List.init (num_vars t) (fun i -> if bit t i then var_at t i else -var_at t i)
 
-(* Runs on every witness BSAT returns, so on the contiguous models
-   every solver returns it reads the value bytes in place and decodes
-   literals by their documented packing (variable [v] is [2v] when
-   positive, [2v + 1] when negative): no closure or call per literal. *)
-let satisfies (f : Formula.t) t =
-  if not (is_contiguous t) then Formula.eval f (value t)
-  else begin
-    let values = t.values in
-    let n = Bytes.length values in
-    let byte v =
-      if v < 1 || v > n then absent v;
-      Char.code (Bytes.unsafe_get values (v - 1))
-    in
-    let rec clause_ok (c : Clause.t) i =
-      i < Array.length c
-      &&
-      let l = (Array.unsafe_get c i :> int) in
-      byte (l lsr 1) lxor (l land 1) = 1 || clause_ok c (i + 1)
-    in
-    let rec parity (vars : int array) i acc =
-      if i = Array.length vars then acc
-      else parity vars (i + 1) (acc lxor byte (Array.unsafe_get vars i))
-    in
-    Array.for_all (fun c -> clause_ok c 0) f.clauses
-    && Array.for_all
-         (fun (x : Xor_clause.t) -> parity x.vars 0 0 = Bool.to_int x.rhs)
-         f.xors
-  end
+let satisfies f t = Formula.eval f (value t)
 
 let equal a b = a.vars = b.vars && Bytes.equal a.values b.values
 

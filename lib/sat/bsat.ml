@@ -60,13 +60,10 @@ let enum_loop ?deadline ~limit ~blocking ~verify ~add_block ~truncate solver =
             Hashtbl.add seen_keys k ()
           end;
           (* block this witness on the projection *)
-          let rec block i acc =
-            if i < 0 then acc
-            else
-              let v = blocking.(i) in
-              block (i - 1) (Cnf.Lit.make v (not (Cnf.Model.value m v)) :: acc)
+          let block =
+            Array.to_list blocking
+            |> List.map (fun v -> Cnf.Lit.make v (not (Cnf.Model.value m v)))
           in
-          let block = block (Array.length blocking - 1) [] in
           Obs.Metrics.incr c_blocking_clauses;
           add_block block;
           loop (m :: acc) (found + 1)

@@ -112,4 +112,5 @@ let decode (k : Cache.key) payload =
       | _ -> (
           try decode_verified k j with
           | Json.Decode_error msg -> Error msg
+          | Cnf.Dimacs.Parse_error msg -> Error ("formula: " ^ msg)
           | Invalid_argument msg | Failure msg -> Error msg))

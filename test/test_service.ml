@@ -937,6 +937,10 @@ let test_spill_decode_paranoia () =
     { key with Cache.fingerprint = String.make 32 '0' }
     payload;
   rejects "garbage payload" key "not json at all";
+  (* well-formed JSON whose formula names a variable above its header
+     count: a parse error, not an exception escaping the cache *)
+  rejects "out-of-range formula" key
+    (replace_once ~sub:"p cnf 12 " ~by:"p cnf 2 " payload);
   rejects "payload version drift" key
     (replace_once ~sub:Spill.version ~by:"unigen-prepared-v0" payload);
   (* a spill written before the engine knobs were removed: old version
