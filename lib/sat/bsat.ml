@@ -24,9 +24,13 @@ let c_blocking_clauses = Obs.Metrics.counter "bsat.blocking_clauses"
 let c_enumerations = Obs.Metrics.counter "bsat.enumerations"
 
 (* The blocking-clause enumeration loop, shared by the one-shot and
-   session paths. [add_block] persists a blocking clause; [verify] is
-   the formula the witnesses must satisfy. *)
-let enum_loop ?deadline ~limit ~blocking ~verify ~add_block ~truncate solver =
+   session paths; [verify] is the formula the witnesses must satisfy.
+   Each blocking clause goes in through [Solver.block], in the pushed
+   group if there is one, and the next solve resumes from the model's
+   trail. The witness set of a cell that runs out is the same whatever
+   order the search finds it in, and a cut cell only reports its
+   count, so outcomes do not depend on where each search starts. *)
+let enum_loop ?deadline ~limit ~blocking ~verify ~truncate solver =
   Obs.Metrics.incr c_enumerations;
   let audit = Audit.is_enabled () in
   (* projected keys of the witnesses found so far: with audit mode on,
@@ -65,7 +69,7 @@ let enum_loop ?deadline ~limit ~blocking ~verify ~add_block ~truncate solver =
             |> List.map (fun v -> Cnf.Lit.make v (not (Cnf.Model.value m v)))
           in
           Obs.Metrics.incr c_blocking_clauses;
-          add_block block;
+          Solver.block solver block;
           loop (m :: acc) (found + 1)
   in
   loop [] 0
@@ -90,12 +94,7 @@ let enumerate ?deadline ?blocking_vars ~limit (f : Cnf.Formula.t) =
     | None -> Cnf.Formula.sampling_vars f
   in
   let solver = Solver.create f in
-  let res =
-    enum_loop ?deadline ~limit ~blocking ~verify:f
-      ~add_block:(Solver.add_clause solver)
-      ~truncate:(fun m -> m)
-      solver
-  in
+  let res = enum_loop ?deadline ~limit ~blocking ~verify:f ~truncate:Fun.id solver in
   outcome_of ~reused:false ~stats:(Solver.stats solver) res
 
 let count_upto ?deadline ~limit f =
@@ -129,7 +128,7 @@ module Session = struct
     Audit.Ownership.check s.owner;
     Solver.stats s.solver
 
-  let enumerate ?deadline ?(xors = []) ?(persist_blocking = false) ~limit s =
+  let enumerate ?deadline ?(xors = []) ~limit s =
     Obs.Trace.span ~cat:"sat" "bsat.session.enumerate"
       ~args:
         [ ("limit", string_of_int limit);
@@ -142,17 +141,13 @@ module Session = struct
     let before = Solver.stats solver in
     let verify = Cnf.Formula.add_xors s.formula xors in
     let truncate m = Cnf.Model.prefix m s.base_vars in
-    (* Everything this call adds — the XOR layer and, unless persisted,
-       the blocking clauses — lives in one group popped on the way out,
-       leaving only learnt clauses about the base formula behind. The
-       raw layer goes to the Gauss matrix as is: a layer swap is a
-       matrix push/pop, not a re-RREF, because the matrix reduces each
-       row against its basis as it arrives. *)
+    (* Everything this call adds — the XOR layer and the blocking
+       clauses — lives in one group popped on the way out, leaving only
+       learnt clauses about the base formula behind. The raw layer goes
+       to the Gauss matrix as is: a layer swap is a matrix push/pop,
+       not a re-RREF, because the matrix reduces each row against its
+       basis as it arrives. *)
     Solver.push_group solver;
-    let add_block block =
-      if persist_blocking then Solver.add_clause solver block
-      else Solver.add_group_clause solver block
-    in
     let res =
       Fun.protect
         ~finally:(fun () ->
@@ -162,8 +157,7 @@ module Session = struct
           Obs.Trace.span ~cat:"sat" "xor_layer.push"
             ~args:[ ("rows", string_of_int (List.length xors)) ]
             (fun () -> List.iter (Solver.add_group_xor solver) xors);
-          enum_loop ?deadline ~limit ~blocking:s.blocking ~verify ~add_block
-            ~truncate solver)
+          enum_loop ?deadline ~limit ~blocking:s.blocking ~verify ~truncate solver)
     in
     outcome_of ~reused
       ~stats:(Solver.stats_diff (Solver.stats solver) before)

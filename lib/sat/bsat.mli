@@ -7,6 +7,9 @@
     is exactly the paper's optimization of "blocking clauses restricted
     to variables in S": the enumerated witnesses are still pairwise
     distinct as full assignments, but the blocking clauses are short.
+    Each blocking clause goes in through {!Solver.block}, so the search
+    for the next witness resumes from the last model's trail instead
+    of starting again from the root.
 
     Two entry points share the semantics: the one-shot {!enumerate}
     builds a fresh solver per call, while a {!Session.t} keeps one
@@ -64,7 +67,6 @@ module Session : sig
   val enumerate :
     ?deadline:float ->
     ?xors:Cnf.Xor_clause.t list ->
-    ?persist_blocking:bool ->
     limit:int ->
     t ->
     outcome
@@ -72,10 +74,7 @@ module Session : sig
       layer and the blocking clauses are pushed as one retractable
       group and popped before returning, so successive calls see the
       unmodified base formula plus whatever the solver learnt about
-      it. With [persist_blocking] (default [false]) the blocking
-      clauses are added to the base formula instead and keep excluding
-      the returned witnesses from every later call — the incremental
-      form of UniGen's loop-free sampling within one leaf. *)
+      it. *)
 
   val calls : t -> int
   (** Number of [enumerate] calls served so far. *)

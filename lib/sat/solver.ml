@@ -116,6 +116,13 @@ type t = {
       (* (group, lit) unit facts currently shadowed by a conflicting
          higher-group assignment; re-asserted when that group pops *)
   mutable failed : int list; (* failed assumptions of the last solve *)
+  mutable sat_trail : bool;
+      (* the trail is still the full assignment of the last [Sat]:
+         [block] is legal *)
+  mutable assump_levels : int;
+      (* decision levels 1 .. assump_levels of a kept trail hold the
+         assumptions of the solve that built it: one per group, then
+         the user's *)
   mutable var_inc : float;
   mutable cla_inc : float;
   mutable model_valid : bool;
@@ -210,6 +217,8 @@ let create_empty ?(gauss = true) nvars =
       free_act_vars = [];
       lost_units = [];
       failed = [];
+      sat_trail = false;
+      assump_levels = 0;
       var_inc = 1.0;
       cla_inc = 1.0;
       model_valid = false;
@@ -527,7 +536,7 @@ let grow t newcap =
     t.order <- order
   end
 
-let new_var t =
+let alloc_var t =
   let v = t.nvars + 1 in
   grow t v;
   t.nvars <- v;
@@ -613,6 +622,17 @@ let cancel_until t lvl =
        matrices repair themselves at the next propagation *)
     List.iter (fun m -> Gauss.cancel_to m ~trail_size:bound) t.matrices
   end
+
+(* A [Sat] leaves its trail in place for [block] to resume from; every
+   other entry point first returns to the root, so it sees the solver
+   exactly as a [solve] that backtracked on return would leave it. *)
+let to_root t =
+  cancel_until t 0;
+  t.sat_trail <- false
+
+let new_var t =
+  to_root t;
+  alloc_var t
 
 (* ------------------------------------------------------------------ *)
 (* Gauss engine glue                                                   *)
@@ -1162,26 +1182,40 @@ let normalize_for_group t group raw =
   in
   scan [] sorted
 
-let add_clause t lits =
-  require_root t "Solver.add_clause";
-  Audit.Ownership.check t.owner;
-  if t.ok then begin
-    let raw = List.map (fun l -> (Cnf.Lit.to_index l : int)) lits in
-    match normalize_for_group t 0 raw with
-    | None -> ()
-    | Some [] -> mark_broken t 0
-    | Some [ l ] -> assert_unit_core t ~group:0 l
-    | Some (_ :: _ :: _ as ls) ->
+let raw_lits lits = List.map (fun l -> (Cnf.Lit.to_index l : int)) lits
+
+(* Insert the clause [raw] into [group] at the root. A [guard]
+   (the group's activation variable) is appended after normalization;
+   without one the group is 0. *)
+let insert_clause t ~group ~guard raw =
+  if t.ok then
+    match (normalize_for_group t group raw, guard) with
+    | None, _ -> ()
+    | Some [], None -> mark_broken t 0
+    | Some [], Some a ->
+        (* the clause body is false given groups <= group: with the
+           guard appended, this is the unit fact (a) at that group —
+           solving under the activation assumption ¬a will report
+           Unsat through the failed-assumption path *)
+        assert_unit_core t ~group (lit_of_var a true)
+    | Some [ l ], None -> assert_unit_core t ~group l
+    | Some ls, _ ->
+        let ls = match guard with None -> ls | Some a -> ls @ [ lit_of_var a true ] in
         install_clause t
           {
             cid = fresh_cid t;
             lits = Array.of_list ls;
             learnt = false;
-            group = 0;
+            group;
             activity = 0.;
             deleted = false;
           }
-  end
+
+let add_clause t lits =
+  to_root t;
+  require_root t "Solver.add_clause";
+  Audit.Ownership.check t.owner;
+  insert_clause t ~group:0 ~guard:None (raw_lits lits)
 
 let add_xor_general t ~group (x : Cnf.Xor_clause.t) =
   if t.ok then begin
@@ -1222,6 +1256,7 @@ let add_xor_general t ~group (x : Cnf.Xor_clause.t) =
   end
 
 let add_xor t (x : Cnf.Xor_clause.t) =
+  to_root t;
   require_root t "Solver.add_xor";
   Audit.Ownership.check t.owner;
   if t.proof <> None then
@@ -1238,6 +1273,7 @@ let create ?gauss (f : Cnf.Formula.t) =
 (* Groups                                                              *)
 
 let push_group t =
+  to_root t;
   require_root t "Solver.push_group";
   Audit.Ownership.check t.owner;
   if t.proof <> None then
@@ -1247,45 +1283,27 @@ let push_group t =
     | v :: rest ->
         t.free_act_vars <- rest;
         v
-    | [] -> new_var t
+    | [] -> alloc_var t
   in
   t.groups <- a :: t.groups
 
 let add_group_clause t lits =
+  to_root t;
   require_root t "Solver.add_group_clause";
   match t.groups with
   | [] -> invalid_arg "Solver.add_group_clause: no group pushed"
   | a :: _ ->
-      if t.ok then begin
-        let g = List.length t.groups in
-        let raw = List.map (fun l -> (Cnf.Lit.to_index l : int)) lits in
-        match normalize_for_group t g raw with
-        | None -> ()
-        | Some [] ->
-            (* the clause body is false given groups <= g: with the
-               guard appended, this is the unit fact (a) at group g —
-               solving under the activation assumption ¬a will report
-               Unsat through the failed-assumption path *)
-            assert_unit_core t ~group:g (lit_of_var a true)
-        | Some ls ->
-            install_clause t
-              {
-                cid = fresh_cid t;
-                lits = Array.of_list (ls @ [ lit_of_var a true ]);
-                learnt = false;
-                group = g;
-                activity = 0.;
-                deleted = false;
-              }
-      end
+      insert_clause t ~group:(List.length t.groups) ~guard:(Some a) (raw_lits lits)
 
 let add_group_xor t (x : Cnf.Xor_clause.t) =
+  to_root t;
   require_root t "Solver.add_group_xor";
   match t.groups with
   | [] -> invalid_arg "Solver.add_group_xor: no group pushed"
   | _ :: _ -> add_xor_general t ~group:(List.length t.groups) x
 
 let pop_group t =
+  to_root t;
   require_root t "Solver.pop_group";
   Audit.Ownership.check t.owner;
   match t.groups with
@@ -1481,9 +1499,15 @@ let search t ~assumps ~budget ~deadline =
           ("trail", itos (Vec.size t.trail));
           ("conflicts", itos t.n_conflicts) ]
 
+(* Without user assumptions on either side, [solve] resumes from the
+   trail a [Sat] or a [block] left: the levels below it are a
+   propagated prefix of the last model under the same activation
+   assumptions, so the search continues from there. A conflict at a
+   resumed level is an ordinary search conflict. *)
 let solve ?(conflict_limit = max_int) ?deadline ?(assumptions = []) t =
   Obs.Trace.span ~cat:"sat" "solver.solve" @@ fun () ->
-  require_root t "Solver.solve";
+  if assumptions <> [] || t.assump_levels > List.length t.groups then to_root t;
+  t.sat_trail <- false;
   Audit.Ownership.check t.owner;
   maybe_audit t;
   t.model_valid <- false;
@@ -1495,10 +1519,10 @@ let solve ?(conflict_limit = max_int) ?deadline ?(assumptions = []) t =
   else begin
     let assumps =
       let acts = List.rev_map (fun a -> lit_of_var a false) t.groups in
-      let user = List.map (fun l -> (Cnf.Lit.to_index l : int)) assumptions in
-      Array.of_list (acts @ user)
+      Array.of_list (acts @ raw_lits assumptions)
     in
-    match propagate t with
+    t.assump_levels <- Array.length assumps;
+    match if decision_level t = 0 then propagate t else None with
     | Some confl ->
         mark_broken t (conflict_group_of t confl);
         Unsat
@@ -1524,7 +1548,7 @@ let solve ?(conflict_limit = max_int) ?deadline ?(assumptions = []) t =
                   if Audit.tick () then check_invariants t;
                   audit_model t
                 end;
-                cancel_until t 0;
+                t.sat_trail <- true;
                 t.max_learnts <- t.max_learnts *. 1.1;
                 Sat
             | S_unsat -> Unsat (* ok / broken_by already recorded *)
@@ -1545,7 +1569,68 @@ let model t =
   | true, Some m -> m
   | _ -> invalid_arg "Solver.model: last solve was not Sat"
 
+(* The blocking clause of an enumeration step, installed the way a
+   learnt clause is: backjump to the second-deepest level among its
+   literals and let the deepest one become the clause's implication,
+   so the next [solve] resumes there instead of re-descending from the
+   root. *)
+let block t lits =
+  Audit.Ownership.check t.owner;
+  if not t.sat_trail then
+    Audit.fail ~invariant:"block-after-sat"
+      ~detail:"Solver.block is only legal right after solve returned Sat"
+      [ ("decision_level", itos (decision_level t));
+        ("model_valid", string_of_bool t.model_valid) ];
+  let raw = raw_lits lits in
+  List.iter
+    (fun l ->
+      if value_lit t l <> -1 then
+        Audit.fail ~invariant:"block-literal-false"
+          ~detail:"Solver.block: a literal is not false under the model"
+          [ ("lit", itos l); ("var", itos (lit_var l)) ])
+    raw;
+  t.sat_trail <- false;
+  let group = List.length t.groups in
+  let guard = match t.groups with [] -> None | a :: _ -> Some a in
+  let root_insert () =
+    to_root t;
+    insert_clause t ~group ~guard raw
+  in
+  (* the clause [insert_clause] would build: distinct literals, the
+     level-0 facts (all of groups <= [group]) dropped, the guard last *)
+  let body = List.filter (fun l -> t.level.(lit_var l) > 0) (List.sort_uniq Int.compare raw) in
+  let lits =
+    Array.of_list (match guard with None -> body | Some a -> body @ [ lit_of_var a true ])
+  in
+  let n = Array.length lits in
+  if n < 2 || t.proof <> None then root_insert ()
+  else begin
+    let level_at k = t.level.(lit_var lits.(k)) in
+    let deepest_to k =
+      let best = ref k in
+      for i = k + 1 to n - 1 do
+        if level_at i > level_at !best then best := i
+      done;
+      let tmp = lits.(k) in
+      lits.(k) <- lits.(!best);
+      lits.(!best) <- tmp
+    in
+    deepest_to 0;
+    deepest_to 1;
+    let top = level_at 0 and second = level_at 1 in
+    if second <= t.assump_levels then root_insert ()
+    else begin
+      let c = { cid = fresh_cid t; lits; learnt = false; group; activity = 0.; deleted = false } in
+      (* a tie leaves both watches unassigned one level below them *)
+      cancel_until t (if top > second then second else top - 1);
+      attach_clause t c;
+      Vec.push t.clauses c;
+      if top > second then ignore (enqueue t lits.(0) (R_clause c))
+    end
+  end
+
 let enable_proof_logging t =
+  to_root t;
   if Vec.size t.xors > 0 then
     invalid_arg "Solver.enable_proof_logging: XOR constraints present";
   if List.exists (fun m -> Gauss.num_rows m > 0) t.matrices then
@@ -1558,6 +1643,7 @@ let proof t = match t.proof with None -> [] | Some steps -> List.rev steps
 
 (* Test hook: plain-data snapshot of every matrix, keyed by group. *)
 let gauss_dump t =
+  to_root t;
   List.rev_map (fun m -> (Gauss.group m, Gauss.dump m)) t.matrices
 
 (* ------------------------------------------------------------------ *)

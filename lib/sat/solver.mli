@@ -10,10 +10,17 @@
     two-watched-variable scheme, generating reason clauses on demand
     so that XOR-derived implications take part in clause learning.
 
-    Clauses and XORs may only be added at decision level 0 (the solver
-    backtracks to the root on every [solve] return, so interleaving
-    [solve] / [add_clause] — the blocking-clause loop of BSAT — is
-    always legal).
+    {b The kept trail.} A [solve] that returns [Sat] leaves its trail
+    (the full assignment of the model) in place; every other outcome
+    returns at the root. Clauses and XORs are only added at decision
+    level 0, so every other entry point — [add_clause], [add_xor],
+    [new_var], [push_group], [pop_group], [add_group_clause],
+    [add_group_xor], [solve] with user assumptions,
+    [enable_proof_logging] and [gauss_dump] — first backtracks a kept
+    trail to the root and then behaves exactly as if [solve] had
+    backtracked on return. Interleaving [solve] / [add_clause] stays
+    legal. The blocking-clause loop of BSAT instead calls {!block},
+    which resumes the search from the model's trail.
 
     {b Incremental solving.} [push_group] opens a retractable
     constraint group: clauses added with [add_group_clause] are
@@ -57,7 +64,7 @@ val num_vars : t -> int
 
 val new_var : t -> int
 (** Allocate a fresh variable (above every existing one) and return
-    it. Only legal at decision level 0. *)
+    it. Backtracks a kept trail first. *)
 
 val add_clause : t -> Cnf.Lit.t list -> unit
 (** Add a clause to the base formula (group 0). May set
@@ -73,7 +80,29 @@ val solve :
     [assumptions] are temporarily enqueued as first decisions; when
     they make the formula unsatisfiable, [solve] returns [Unsat]
     without marking the solver broken and {!failed_assumptions}
-    reports a responsible subset. *)
+    reports a responsible subset.
+
+    A [Sat] keeps its trail (see the kept trail above). When neither
+    this call nor the one that left the trail has user assumptions,
+    [solve] resumes from the trail a [Sat] or {!block} left; otherwise
+    it starts from the root. *)
+
+val block : t -> Cnf.Lit.t list -> unit
+(** [block t lits] adds the blocking clause [lits] after a [Sat]: it
+    is legal only when the last call on [t] was a [solve] that
+    returned [Sat], and every literal must be false under that model.
+    The clause is the one {!add_group_clause} (with a group pushed) or
+    {!add_clause} (without) would add. Instead of returning to the
+    root, [block] backjumps to the second-deepest decision level among
+    the clause's literals, watches its two deepest literals and
+    enqueues the deepest with the clause as reason; when the two
+    deepest levels tie it backjumps one level below them and enqueues
+    nothing. When the second level is at or below the assumption
+    levels, or proof logging is on, it goes in at the root, as those
+    two functions would add it. The next [solve] resumes from there.
+    @raise Audit.Violation with invariant [block-after-sat] when the
+    last call was not a [Sat] solve, and [block-literal-false] when a
+    literal is not false under the model. *)
 
 val failed_assumptions : t -> Cnf.Lit.t list
 (** After [solve ~assumptions] returned [Unsat] by assumption
@@ -121,7 +150,7 @@ val enable_proof_logging : t -> unit
     one-shot solving of a pure-CNF formula: XOR constraints and
     constraint groups are refused, and clauses added {e after} a
     [solve] (blocking-clause loops) are new axioms the proof does not
-    account for.
+    account for. While logging, {!block} inserts at the root.
     @raise Invalid_argument if the solver holds XOR constraints or
     pushed groups. *)
 

@@ -1,8 +1,9 @@
 (* Tests for the incremental solver-session layer: assumption solving,
    retractable constraint groups, the differential guarantee that
    session enumeration is observationally equal to the fresh-solver
-   path, and end-to-end checks of ApproxMC and UniGen against brute
-   force. *)
+   path, blocking clauses that resume the search from the model's
+   trail ([Solver.block]), end-to-end checks of ApproxMC and UniGen
+   against brute force, and golden witness streams. *)
 
 let random_lits rng ~num_vars =
   List.init
@@ -153,62 +154,6 @@ let prop_pop_restores =
       && layer_round gseed2 && base_matches ())
 
 (* ------------------------------------------------------------------ *)
-(* Property (c): blocking clauses persisted into the base survive
-   XOR-layer swaps — no witness is ever returned twice, and the
-   persisted chunks reconstruct the exact witness set *)
-
-let small_spec =
-  QCheck2.Gen.(
-    map
-      (fun (seed, nv, nc, nx) -> (seed, 1 + nv, nc, nx))
-      (tup4 (int_bound 1_000_000) (int_bound 6) (int_bound 18) (int_bound 3)))
-
-let prop_blocking_survives_swaps =
-  QCheck2.Test.make ~count:120
-    ~name:"persisted blocking clauses survive xor-layer swaps"
-    QCheck2.Gen.(pair small_spec (int_bound 100_000))
-    (fun (spec, xseed) ->
-      let f = Test_util.Gen.build_spec spec in
-      let proj = Cnf.Formula.sampling_vars f in
-      let total = Sat.Brute.count_projected f proj in
-      let full = Sat.Bsat.enumerate ~limit:(total + 1) f in
-      let sess = Sat.Bsat.Session.create f in
-      let rng = Rng.create xseed in
-      let seen = Hashtbl.create 64 in
-      let ok = ref true in
-      let finished = ref false in
-      let rounds = ref 0 in
-      while (not !finished) && !rounds <= (total / 3) + 2 do
-        incr rounds;
-        let out = Sat.Bsat.Session.enumerate ~persist_blocking:true ~limit:3 sess in
-        List.iter
-          (fun m ->
-            let k = Cnf.Model.key m in
-            if Hashtbl.mem seen k then ok := false;
-            Hashtbl.replace seen k ())
-          out.Sat.Bsat.models;
-        if out.Sat.Bsat.models = [] then finished := true
-        else begin
-          (* swap in a random XOR layer between persisting chunks: its
-             witnesses must respect the blocking clauses added so far
-             and the layer must vanish again afterwards *)
-          let xors = [ Test_util.Gen.random_xor rng ~num_vars:f.Cnf.Formula.num_vars ] in
-          let layer = Sat.Bsat.Session.enumerate ~xors ~limit:(total + 1) sess in
-          let g = Cnf.Formula.add_xors f xors in
-          List.iter
-            (fun m ->
-              if Hashtbl.mem seen (Cnf.Model.key m) then ok := false;
-              if not (Cnf.Model.satisfies g m) then ok := false)
-            layer.Sat.Bsat.models
-        end
-      done;
-      !ok && !finished
-      && Hashtbl.length seen = total
-      && List.for_all
-           (fun m -> Hashtbl.mem seen (Cnf.Model.key m))
-           full.Sat.Bsat.models)
-
-(* ------------------------------------------------------------------ *)
 (* Differential guard: session enumeration equals the fresh path,
    layer after layer from one warm session *)
 
@@ -343,14 +288,296 @@ let test_sessions_freed_with_prepared_state () =
     (Weak.check weak 0)
 
 (* ------------------------------------------------------------------ *)
+(* Solver.block: the blocking clause is installed like a learnt clause
+   and the next solve resumes from the model's trail *)
+
+let violation_of f =
+  match f () with
+  | _ -> None
+  | exception Audit.Violation r -> Some r.Audit.invariant
+
+let expect_sat name s =
+  match Sat.Solver.solve s with
+  | Sat.Solver.Sat -> Sat.Solver.model s
+  | _ -> Alcotest.failf "%s: expected Sat" name
+
+(* the literal of [v] that the last model falsifies, and its negation *)
+let false_lit s v = Cnf.Lit.make v (not (Cnf.Model.value (Sat.Solver.model s) v))
+let true_lit s v = Cnf.Lit.make v (Cnf.Model.value (Sat.Solver.model s) v)
+
+let levels s =
+  let view = Sat.Solver.audit_view s in
+  (view, fun v -> view.Audit.State.level.(v))
+
+(* [n] unconstrained variables: every one is a decision at its own level *)
+let test_block_deepest_unique () =
+  let s = Sat.Solver.create (Cnf.Formula.create ~num_vars:6 []) in
+  let m = expect_sat "first" s in
+  let _, level = levels s in
+  let at l = List.find (fun v -> level v = l) [ 1; 2; 3; 4; 5; 6 ] in
+  let a = at 2 and b = at 5 in
+  Sat.Solver.block s [ false_lit s a; false_lit s b ];
+  let view, level = levels s in
+  Alcotest.(check int) "backjump to the second-deepest level" 2
+    view.Audit.State.decision_level;
+  Alcotest.(check int) "deepest literal implied there" 2 (level b);
+  Alcotest.(check bool) "deepest literal now true" true
+    (view.Audit.State.assigns.(b) = if Cnf.Model.value m b then -1 else 1);
+  Alcotest.(check bool) "implication pending propagation" true
+    (view.Audit.State.qhead < Array.length view.Audit.State.trail);
+  Sat.Solver.check_invariants s;
+  let m' = expect_sat "resumed" s in
+  Alcotest.(check bool) "blocked assignment excluded" false
+    (Cnf.Model.value m' a = Cnf.Model.value m a
+    && Cnf.Model.value m' b = Cnf.Model.value m b)
+
+(* x1 <-> x2 and x3 <-> x4: each pair shares one decision level *)
+let test_block_tied_levels () =
+  let f =
+    Cnf.Formula.create ~num_vars:4
+      (List.map Cnf.Clause.of_dimacs [ [ -1; 2 ]; [ 1; -2 ]; [ -3; 4 ]; [ 3; -4 ] ])
+  in
+  let s = Sat.Solver.create f in
+  let m = expect_sat "first" s in
+  let _, level = levels s in
+  Alcotest.(check int) "pair shares a level" (level 1) (level 2);
+  let top = level 1 in
+  Sat.Solver.block s [ false_lit s 1; false_lit s 2 ];
+  let view, _ = levels s in
+  Alcotest.(check int) "one level below the tie" (top - 1) view.Audit.State.decision_level;
+  Alcotest.(check bool) "both watches unassigned" true
+    (view.Audit.State.assigns.(1) = 0 && view.Audit.State.assigns.(2) = 0);
+  Alcotest.(check bool) "nothing enqueued" true
+    (view.Audit.State.qhead = Array.length view.Audit.State.trail);
+  Sat.Solver.check_invariants s;
+  let m' = expect_sat "resumed" s in
+  Alcotest.(check bool) "pair flipped" true
+    (Cnf.Model.value m' 1 <> Cnf.Model.value m 1 && Cnf.Model.satisfies f m')
+
+let at_root name s =
+  Alcotest.(check int) (name ^ ": inserted at the root") 0
+    (Sat.Solver.audit_view s).Audit.State.decision_level
+
+let test_block_fallbacks () =
+  (* a single literal above level 0 is a root unit *)
+  let s = Sat.Solver.create (Cnf.Formula.create ~num_vars:3 []) in
+  let m = expect_sat "unit" s in
+  Sat.Solver.block s [ false_lit s 2 ];
+  at_root "unit" s;
+  let m' = expect_sat "unit resumed" s in
+  Alcotest.(check bool) "unit flipped" true (Cnf.Model.value m' 2 <> Cnf.Model.value m 2);
+  (* with a group pushed, the activation literal sits at assumption
+     level 1: a clause whose second level is that one goes to the root *)
+  let s = Sat.Solver.create (Cnf.Formula.create ~num_vars:3 []) in
+  Sat.Solver.push_group s;
+  ignore (expect_sat "group" s);
+  Sat.Solver.block s [ false_lit s 3 ];
+  at_root "group" s;
+  ignore (expect_sat "group resumed" s);
+  (* proof logging always inserts at the root *)
+  let s = Sat.Solver.create_empty 4 in
+  Sat.Solver.enable_proof_logging s;
+  ignore (expect_sat "proof" s);
+  let _, level = levels s in
+  let a = List.find (fun v -> level v = 1) [ 1; 2; 3; 4 ]
+  and b = List.find (fun v -> level v = 3) [ 1; 2; 3; 4 ] in
+  Sat.Solver.block s [ false_lit s a; false_lit s b ];
+  at_root "proof" s
+
+let test_block_empties_cell () =
+  (* x1 is fixed, x2 free: two witnesses, then the cell is empty *)
+  let f = Cnf.Formula.create ~num_vars:2 [ Cnf.Clause.of_dimacs [ 1 ] ] in
+  let s = Sat.Solver.create f in
+  ignore (expect_sat "first" s);
+  Sat.Solver.block s [ false_lit s 1; false_lit s 2 ];
+  ignore (expect_sat "second" s);
+  Sat.Solver.block s [ false_lit s 1; false_lit s 2 ];
+  Alcotest.(check bool) "one-shot cell empty" true (Sat.Solver.solve s = Sat.Solver.Unsat);
+  (* in a group the cell empties through the failed activation
+     assumption, and popping the group restores the witnesses *)
+  let s = Sat.Solver.create f in
+  Sat.Solver.push_group s;
+  for i = 1 to 2 do
+    ignore (expect_sat (Printf.sprintf "group %d" i) s);
+    Sat.Solver.block s [ false_lit s 2 ]
+  done;
+  Alcotest.(check bool) "group cell empty" true (Sat.Solver.solve s = Sat.Solver.Unsat);
+  Alcotest.(check bool) "solver not broken" true (Sat.Solver.okay s);
+  Sat.Solver.pop_group s;
+  ignore (expect_sat "after pop" s)
+
+let test_block_misuse () =
+  let f = Cnf.Formula.create ~num_vars:3 [ Cnf.Clause.of_dimacs [ 1; 2 ] ] in
+  let expect name inv thunk =
+    match violation_of thunk with
+    | Some i when i = inv -> ()
+    | Some i -> Alcotest.failf "%s: caught as %S, expected %S" name i inv
+    | None -> Alcotest.failf "%s: not caught" name
+  in
+  let s = Sat.Solver.create f in
+  expect "before any solve" "block-after-sat" (fun () ->
+      Sat.Solver.block s [ Cnf.Lit.pos 3 ]);
+  ignore (expect_sat "sat" s);
+  expect "true literal" "block-literal-false" (fun () ->
+      Sat.Solver.block s [ false_lit s 2; true_lit s 3 ]);
+  ignore (expect_sat "sat again" s);
+  Sat.Solver.block s [ false_lit s 3 ];
+  expect "second block" "block-after-sat" (fun () ->
+      Sat.Solver.block s [ false_lit s 3 ]);
+  ignore (expect_sat "sat after block" s);
+  Sat.Solver.add_clause s [ Cnf.Lit.pos 1; Cnf.Lit.pos 3 ];
+  expect "after add_clause" "block-after-sat" (fun () ->
+      Sat.Solver.block s [ false_lit s 3 ]);
+  let u =
+    Sat.Solver.create
+      (Cnf.Formula.create ~num_vars:1 (List.map Cnf.Clause.of_dimacs [ [ 1 ]; [ -1 ] ]))
+  in
+  Alcotest.(check bool) "unsat" true (Sat.Solver.solve u = Sat.Solver.Unsat);
+  expect "after unsat" "block-after-sat" (fun () -> Sat.Solver.block u [ Cnf.Lit.pos 1 ])
+
+(* Blocking-clause enumeration through [block] against brute force:
+   random CNF + XOR base, a random sampling set, a random XOR layer
+   and a random limit, on the one-shot path and on a warm session *)
+let prop_block_enumeration =
+  QCheck2.Test.make ~count:300 ~name:"block enumeration = brute projection"
+    QCheck2.Gen.(
+      tup3 Test_util.Gen.formula_spec (int_bound 100_000) (int_range 1 10))
+    (fun (spec, xseed, limit) ->
+      let f = Test_util.Gen.build_spec spec in
+      let nv = f.Cnf.Formula.num_vars in
+      let rng = Rng.create xseed in
+      let proj =
+        match List.filter (fun _ -> Rng.bool rng) (List.init nv (fun i -> i + 1)) with
+        | [] -> [ 1 + Rng.int rng nv ]
+        | vs -> vs
+      in
+      let f = Cnf.Formula.with_sampling_set f proj in
+      let proj = Array.of_list proj in
+      let sess = Sat.Bsat.Session.create f in
+      let projection m = Cnf.Model.key (Cnf.Model.restrict m proj) in
+      let check g (out : Sat.Bsat.outcome) =
+        let expected =
+          List.sort_uniq String.compare (List.map projection (Sat.Brute.solutions g))
+        in
+        let got = List.map projection out.Sat.Bsat.models in
+        let distinct = List.sort_uniq String.compare got in
+        (not out.Sat.Bsat.timed_out)
+        && List.length distinct = List.length got
+        && List.for_all (Cnf.Model.satisfies g) out.Sat.Bsat.models
+        &&
+        if out.Sat.Bsat.exhausted then distinct = expected
+        else List.length got = limit && List.length expected >= limit
+      in
+      List.for_all
+        (fun _ ->
+          let xors =
+            List.init (Rng.int rng 3) (fun _ -> Test_util.Gen.random_xor rng ~num_vars:nv)
+          in
+          let g = Cnf.Formula.add_xors f xors in
+          check g (Sat.Bsat.enumerate ~limit g)
+          && check g (Sat.Bsat.Session.enumerate ~xors ~limit sess))
+        [ 1; 2; 3 ])
+
+(* After a Sat the trail stays in place; every other entry point must
+   behave as on a solver that went back to the root *)
+let prop_kept_trail_entry_points =
+  QCheck2.Test.make ~count:300 ~name:"calls after a kept Sat trail = fresh"
+    QCheck2.Gen.(pair Test_util.Gen.formula_spec (int_bound 100_000))
+    (fun (spec, seed) ->
+      let f = Test_util.Gen.build_spec spec in
+      let nv = f.Cnf.Formula.num_vars in
+      let rng = Rng.create seed in
+      let s = Sat.Solver.create f in
+      (* [current] is the formula [s] should now be equivalent to *)
+      let agrees ?(assumptions = []) current =
+        let fresh = Sat.Solver.create current in
+        let r = Sat.Solver.solve ~assumptions s in
+        Sat.Solver.check_invariants s;
+        r = Sat.Solver.solve ~assumptions fresh
+        &&
+        match r with
+        | Sat.Solver.Sat ->
+            let m = Sat.Solver.model s in
+            Cnf.Model.satisfies current (Cnf.Model.prefix m nv)
+            && List.for_all
+                 (fun l -> Cnf.Model.value m (Cnf.Lit.var l) = Cnf.Lit.sign l)
+                 assumptions
+        | _ -> true
+      in
+      let clause () = random_lits rng ~num_vars:nv in
+      let c1 = clause () and c2 = clause () in
+      let lit = Cnf.Lit.make (1 + Rng.int rng nv) (Rng.bool rng) in
+      let with_clause g c = Cnf.Formula.add_clauses g [ Cnf.Clause.of_list c ] in
+      let f1 = with_clause f c1 in
+      agrees f
+      && (Sat.Solver.add_clause s c1;
+          agrees f1)
+      && (Sat.Solver.push_group s;
+          Sat.Solver.add_group_clause s c2;
+          agrees (with_clause f1 c2))
+      && (Sat.Solver.pop_group s;
+          agrees f1)
+      && agrees ~assumptions:[ lit ] f1
+      && agrees f1)
+
+(* ------------------------------------------------------------------ *)
+(* Golden streams: witness keys of a UniGen batch and ApproxMC's
+   log2 estimate, pinned for generated formulas at fixed seeds. A
+   change to the solver's search may reorder how witnesses are found,
+   but not which ones a seed draws *)
+
+let golden_formulas =
+  [ ("case(14,50)", (fun rng -> Circuits.Generators.case_formula ~rng ~num_inputs:14 ~num_gates:50),
+     "0x1p+3", "053109a85cce22ab7fec1c455c629e5b");
+    ("case(16,70)", (fun rng -> Circuits.Generators.case_formula ~rng ~num_inputs:16 ~num_gates:70),
+     "0x1.92b803473f7aep+3", "4f15ba5049edde861be77696153aee46");
+    ( "dag(18,150,8,3)",
+      (fun rng ->
+        let nl =
+          Circuits.Generators.random_dag ~rng ~name:"dag" ~num_inputs:18 ~num_gates:150
+            ~num_outputs:8
+        in
+        (Circuits.Tseitin.with_output_parity ~rng ~num_conditions:3 nl).Circuits.Tseitin.formula),
+      "0x1.cp+3", "c56fc290a726b79cfd783f7b89dc7764" ) ]
+
+let test_golden i () =
+  let name, build, log2, md5 = List.nth golden_formulas i in
+  let f = build (Rng.create (101 + i)) in
+  (match
+     Counting.Approxmc.count ~iterations:9 ~rng:(Rng.create (201 + i)) ~epsilon:0.8
+       ~delta:0.2 f
+   with
+  | Ok r ->
+      Alcotest.(check string) (name ^ " log2 estimate") log2
+        (Printf.sprintf "%h" r.Counting.Approxmc.log2_estimate)
+  | Error _ -> Alcotest.fail (name ^ ": count failed"));
+  (* the last formula prepares on the pooled (stream-per-iteration)
+     ApproxMC loop, the others on the serial one *)
+  match
+    Sampling.Unigen.prepare ~jobs:(if i = 2 then 2 else 1) ~rng:(Rng.create (301 + i))
+      ~epsilon:6.0 f
+  with
+  | Error _ -> Alcotest.fail (name ^ ": prepare failed")
+  | Ok p ->
+      Alcotest.(check bool) (name ^ " hashed phase") false (Sampling.Unigen.is_easy p);
+      let keys =
+        Sampling.Unigen.sample_batch ~max_attempts:20 ~seed:(401 + i) p 12
+        |> Array.to_list
+        |> List.map (function Ok m -> Cnf.Model.key m | Error _ -> "-")
+      in
+      Alcotest.(check string) (name ^ " witness stream") md5
+        (Digest.to_hex (Digest.string (String.concat "\n" keys)))
+
+(* ------------------------------------------------------------------ *)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_assumptions_agree;
       prop_pop_restores;
-      prop_blocking_survives_swaps;
       prop_session_matches_fresh;
+      prop_block_enumeration;
+      prop_kept_trail_entry_points;
     ]
 
 let () =
@@ -365,6 +592,14 @@ let () =
             test_base_unit_shadowed_by_group;
         ] );
       ("properties", qcheck_cases);
+      ( "block",
+        [
+          Alcotest.test_case "unique deepest level" `Quick test_block_deepest_unique;
+          Alcotest.test_case "tied deepest levels" `Quick test_block_tied_levels;
+          Alcotest.test_case "root fallbacks" `Quick test_block_fallbacks;
+          Alcotest.test_case "cell that empties" `Quick test_block_empties_cell;
+          Alcotest.test_case "misuse is an audit violation" `Quick test_block_misuse;
+        ] );
       ( "differential",
         [
           Alcotest.test_case "approxmc = brute count within 1+eps" `Quick
@@ -372,6 +607,11 @@ let () =
           Alcotest.test_case "unigen witnesses are models" `Quick
             test_unigen_witnesses_are_models;
         ] );
+      ( "golden",
+        List.mapi
+          (fun i (name, _, _, _) ->
+            Alcotest.test_case (name ^ " stream") `Quick (test_golden i))
+          golden_formulas );
       ( "lifetime",
         [
           Alcotest.test_case "sessions freed with the prepared state" `Quick
