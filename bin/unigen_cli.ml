@@ -580,7 +580,7 @@ let serve_cmd =
     Arg.(value & opt float 1000.0
          & info [ "slow-ms" ]
              ~doc:"Requests slower than this many milliseconds log at \
-                   warn level, so `grep '\"level\":\"warn\"'` finds them.")
+                   warn level, so `grep '\"level\": \"warn\"'` finds them.")
   in
   let spill_dir =
     Arg.(value & opt (some string) None

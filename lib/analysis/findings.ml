@@ -31,27 +31,14 @@ let compare a b =
 let blocking f =
   (not f.allowlisted) && (match f.severity with Error | Warn -> true | Info -> false)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json f =
+  let str s = Json_codec.(to_string (Str s)) in
   Printf.sprintf
-    "{\"rule\": \"%s\", \"severity\": \"%s\", \"file\": \"%s\", \"line\": %d, \
-     \"allowlisted\": %b, \"message\": \"%s\"}"
-    (json_escape f.rule)
+    "{\"rule\": %s, \"severity\": \"%s\", \"file\": %s, \"line\": %d, \
+     \"allowlisted\": %b, \"message\": %s}"
+    (str f.rule)
     (severity_to_string f.severity)
-    (json_escape f.file) f.line f.allowlisted (json_escape f.message)
+    (str f.file) f.line f.allowlisted (str f.message)
 
 let list_to_json fs =
   let b = Buffer.create 1024 in

@@ -27,8 +27,6 @@ val blocking : t -> bool
 (** A finding fails the lint when it is not allowlisted and its
     severity is [Error] or [Warn]; [Info] findings are advisory. *)
 
-val json_escape : string -> string
-
 val to_json : t -> string
 (** One finding as a single-line JSON object. *)
 

@@ -3,13 +3,14 @@ let level_of_severity = function
   | Findings.Warn -> "warning"
   | Findings.Info -> "note"
 
-let esc = Findings.json_escape
+(* a JSON string literal, quotes included *)
+let str s = Json_codec.(to_string (Str s))
 
 let rule_json (r : Rule.t) =
   Printf.sprintf
-    "{\"id\": \"%s\", \"shortDescription\": {\"text\": \"%s\"}, \
+    "{\"id\": %s, \"shortDescription\": {\"text\": %s}, \
      \"defaultConfiguration\": {\"level\": \"%s\"}}"
-    (esc r.name) (esc r.doc)
+    (str r.name) (str r.doc)
     (level_of_severity r.severity)
 
 let result_json (f : Findings.t) =
@@ -20,12 +21,12 @@ let result_json (f : Findings.t) =
     else ""
   in
   Printf.sprintf
-    "{\"ruleId\": \"%s\", \"level\": \"%s\", \"message\": {\"text\": \
-     \"%s\"}, \"locations\": [{\"physicalLocation\": {\"artifactLocation\": \
-     {\"uri\": \"%s\"}, \"region\": {\"startLine\": %d}}}]%s}"
-    (esc f.rule)
+    "{\"ruleId\": %s, \"level\": \"%s\", \"message\": {\"text\": \
+     %s}, \"locations\": [{\"physicalLocation\": {\"artifactLocation\": \
+     {\"uri\": %s}, \"region\": {\"startLine\": %d}}}]%s}"
+    (str f.rule)
     (level_of_severity f.severity)
-    (esc f.message) (esc f.file) f.line suppressions
+    (str f.message) (str f.file) f.line suppressions
 
 let to_string ~rules findings =
   let b = Buffer.create 4096 in

@@ -91,18 +91,6 @@ let pp fmt t =
         sec.fields)
     (sections t)
 
-let escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let add_json_value b = function
   | Int n -> Buffer.add_string b (string_of_int n)
   | Float f ->
@@ -111,7 +99,7 @@ let add_json_value b = function
   | Bool v -> Buffer.add_string b (string_of_bool v)
   | String s ->
       Buffer.add_char b '"';
-      escape b s;
+      Json_codec.escape_into b s;
       Buffer.add_char b '"'
 
 let add_json_fields b fields =
@@ -120,7 +108,7 @@ let add_json_fields b fields =
     (fun i (k, v) ->
       if i > 0 then Buffer.add_string b ", ";
       Buffer.add_char b '"';
-      escape b k;
+      Json_codec.escape_into b k;
       Buffer.add_string b "\": ";
       add_json_value b v)
     fields;
@@ -138,7 +126,7 @@ let to_json t =
     (fun i sec ->
       if i > 0 then Buffer.add_string b ",\n";
       Buffer.add_string b "  \"";
-      escape b sec.title;
+      Json_codec.escape_into b sec.title;
       Buffer.add_string b "\": ";
       add_json_fields b sec.fields)
     (sections t);

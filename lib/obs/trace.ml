@@ -64,20 +64,6 @@ let with_trace_id id f =
   cell := id;
   Fun.protect ~finally:(fun () -> cell := saved) f
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let emit ?id ~ph ~cat ~name ~args () =
   match !current with
   | None -> ()
@@ -92,9 +78,9 @@ let emit ?id ~ph ~cat ~name ~args () =
       in
       let b = Buffer.create 128 in
       Buffer.add_string b "\n{\"name\":\"";
-      json_escape b name;
+      Json_codec.escape_into b name;
       Buffer.add_string b "\",\"cat\":\"";
-      json_escape b cat;
+      Json_codec.escape_into b cat;
       Buffer.add_string b "\",\"ph\":\"";
       Buffer.add_char b ph;
       Buffer.add_string b "\"";
@@ -102,7 +88,7 @@ let emit ?id ~ph ~cat ~name ~args () =
       | None -> ()
       | Some id ->
           Buffer.add_string b ",\"id\":\"";
-          json_escape b id;
+          Json_codec.escape_into b id;
           Buffer.add_string b "\"");
       Buffer.add_string b ",\"pid\":0,\"tid\":";
       Buffer.add_string b (string_of_int (Domain.self () :> int));
@@ -116,9 +102,9 @@ let emit ?id ~ph ~cat ~name ~args () =
             (fun i (k, v) ->
               if i > 0 then Buffer.add_char b ',';
               Buffer.add_char b '"';
-              json_escape b k;
+              Json_codec.escape_into b k;
               Buffer.add_string b "\":\"";
-              json_escape b v;
+              Json_codec.escape_into b v;
               Buffer.add_char b '"')
             args;
           Buffer.add_char b '}');

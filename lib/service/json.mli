@@ -1,50 +1,3 @@
-(** Minimal JSON values for the service wire protocol.
+(** The wire protocol's JSON codec, re-exported from {!Json_codec}. *)
 
-    The daemon speaks length-prefixed JSON (see {!Wire}); this module
-    is the self-contained value type, printer and parser behind it —
-    deliberately dependency-free, like the rest of the repository.
-    Numbers distinguish integers from floats so witness literals
-    survive a round trip exactly; parsing accepts any JSON number and
-    yields [Int] whenever the text is an exact integer. *)
-
-type t =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | Str of string
-  | List of t list
-  | Obj of (string * t) list
-
-exception Decode_error of string
-
-val to_string : t -> string
-(** Compact rendering (no insignificant whitespace), ASCII-escaped
-    strings, stable member order (insertion order of the [Obj] list). *)
-
-val of_string : string -> t
-(** Strict parser: rejects trailing garbage, unterminated strings and
-    malformed escapes. @raise Decode_error on any syntax error. *)
-
-(** {2 Decoding helpers}
-
-    All raise {!Decode_error} with the offending key in the message,
-    so protocol errors surface as structured [error] responses rather
-    than [Match_failure]s. *)
-
-val member : string -> t -> t option
-(** [member k (Obj _)] — [None] when absent or when the value is not
-    an object. *)
-
-val get_string : string -> t -> string
-val get_int : string -> t -> int
-val get_float : string -> t -> float
-(** [get_float] accepts both [Int] and [Float] members. *)
-
-val get_bool : ?default:bool -> string -> t -> bool
-val opt_int : string -> t -> int option
-val opt_float : string -> t -> float option
-val opt_string : string -> t -> string option
-val get_list : string -> t -> t list
-val to_int : t -> int
-(** @raise Decode_error when the value is not an [Int]. *)
+include module type of struct include Json_codec end

@@ -15,6 +15,29 @@ if [ -n "$tracked_build" ]; then
     exit 1
 fi
 
+# Independent JSON check: our own parser cannot vouch for our own
+# printers, so every JSON artifact the smokes produce must also load
+# with Python's json module (NaN/Infinity rejected, as in strict JSON).
+# json_ok checks whole files, json_lines_ok one document per line.
+json_check() {
+    python3 - "$@" <<'PYEOF'
+import json, sys
+def reject(name):
+    raise ValueError("non-standard constant " + name)
+mode, paths = sys.argv[1], sys.argv[2:]
+for path in paths:
+    with open(path, encoding="utf-8") as f:
+        docs = [f.read()] if mode == "whole" else f.read().splitlines()
+    for n, doc in enumerate(docs, 1):
+        try:
+            json.loads(doc, parse_constant=reject)
+        except ValueError as e:
+            sys.exit("error: %s (document %d) is not valid JSON: %s" % (path, n, e))
+PYEOF
+}
+json_ok() { json_check whole "$@"; }
+json_lines_ok() { json_check lines "$@"; }
+
 echo "== dune build @check"
 dune build @check
 
@@ -25,7 +48,8 @@ echo "== lint"
 # build. SARIF goes to a scratch file and is structurally validated so
 # CI annotation never ingests a malformed document.
 lint_dir=$(mktemp -d)
-dune exec bin/lint.exe -- --root . --sarif "$lint_dir/lint.sarif" > /dev/null
+dune exec bin/lint.exe -- --root . --sarif "$lint_dir/lint.sarif" > "$lint_dir/findings.json"
+json_ok "$lint_dir/lint.sarif" "$lint_dir/findings.json"
 for key in '"version": "2.1.0"' '"runs"' '"tool"' '"unigen-lint"' \
            '"rules"' '"results"' '"physicalLocation"'; do
     grep -q "$key" "$lint_dir/lint.sarif" || {
@@ -109,6 +133,7 @@ grep -q '"service.cache_misses": 1' "$metrics" || {
     echo "error: metrics JSON should record exactly one cache miss" >&2
     exit 1
 }
+json_ok "$metrics"
 
 echo "== service smoke (--jobs 2, audit mode)"
 # Same end-to-end flow against a daemon that executes requests on
@@ -217,6 +242,7 @@ grep -q '"trace_id": "smoke-req-1"' "$log3" || {
 }
 grep -q '"event": "service.start"' "$log3" || { echo "error: missing service.start event" >&2; exit 1; }
 grep -q '"event": "service.stop"' "$log3" || { echo "error: missing service.stop event" >&2; exit 1; }
+json_lines_ok "$log3"
 
 echo "== durable store smoke (restart persistence)"
 # Daemon with a spill directory: a cold miss spills the preparation to

@@ -4,6 +4,14 @@
    and a golden check that a traced run emits well-formed Chrome
    trace_event JSON. *)
 
+module J = Json_codec
+
+(* [mem key v]: does [key] occur as an object member anywhere in [v]? *)
+let rec mem key = function
+  | J.Obj fields -> List.exists (fun (k, v) -> k = key || mem key v) fields
+  | J.List vs -> List.exists (mem key) vs
+  | J.Null | J.Bool _ | J.Int _ | J.Float _ | J.Str _ -> false
+
 (* ------------------------------------------------------------------ *)
 (* Hist merge laws (qcheck) *)
 
@@ -228,7 +236,7 @@ let test_report_sections () =
   (* the report must embed host metadata and survive a JSON parse *)
   Alcotest.(check bool) "report mentions ocaml_version" true
     (String.length json > 0
-    && Test_util.Json.mem "ocaml_version" (Test_util.Json.parse json))
+    && mem "ocaml_version" (J.of_string json))
 
 (* ------------------------------------------------------------------ *)
 (* Golden: traced run emits well-formed Chrome trace JSON *)
@@ -251,34 +259,34 @@ let test_trace_file_well_formed () =
   let raw = really_input_string ic len in
   close_in ic;
   let events =
-    match Test_util.Json.parse raw with
-    | Test_util.Json.List evs -> evs
+    match J.of_string raw with
+    | J.List evs -> evs
     | _ -> Alcotest.fail "trace file is not a JSON array"
   in
   Alcotest.(check int) "3 B + 3 E + 1 instant" 7 (List.length events);
   let field ev k =
     match ev with
-    | Test_util.Json.Obj fs -> List.assoc_opt k fs
+    | J.Obj fs -> List.assoc_opt k fs
     | _ -> Alcotest.fail "event is not an object"
   in
   let stack = ref [] in
   List.iter
     (fun ev ->
       (match (field ev "name", field ev "ts", field ev "pid", field ev "tid") with
-      | Some (Test_util.Json.Str _), Some (Test_util.Json.Num _),
-        Some (Test_util.Json.Num _), Some (Test_util.Json.Num _) -> ()
+      | Some (J.Str _), Some (J.Int _ | J.Float _),
+        Some (J.Int _ | J.Float _), Some (J.Int _ | J.Float _) -> ()
       | _ -> Alcotest.fail "event missing name/ts/pid/tid");
       match field ev "ph" with
-      | Some (Test_util.Json.Str "B") ->
+      | Some (J.Str "B") ->
           stack := field ev "name" :: !stack
-      | Some (Test_util.Json.Str "E") -> (
+      | Some (J.Str "E") -> (
           match !stack with
           | top :: rest ->
               Alcotest.(check bool) "E matches innermost B" true
                 (top = field ev "name");
               stack := rest
           | [] -> Alcotest.fail "E without matching B")
-      | Some (Test_util.Json.Str "i") -> ()
+      | Some (J.Str "i") -> ()
       | _ -> Alcotest.fail "unexpected ph")
     events;
   Alcotest.(check int) "all B events closed" 0 (List.length !stack)
@@ -312,18 +320,18 @@ let test_trace_id_across_lanes () =
   let raw = really_input_string ic (in_channel_length ic) in
   close_in ic;
   let events =
-    match Test_util.Json.parse raw with
-    | Test_util.Json.List evs -> evs
+    match J.of_string raw with
+    | J.List evs -> evs
     | _ -> Alcotest.fail "trace file is not a JSON array"
   in
   let field ev k =
     match ev with
-    | Test_util.Json.Obj fs -> List.assoc_opt k fs
+    | J.Obj fs -> List.assoc_opt k fs
     | _ -> Alcotest.fail "event is not an object"
   in
   let arg ev k =
     match field ev "args" with
-    | Some (Test_util.Json.Obj fs) -> List.assoc_opt k fs
+    | Some (J.Obj fs) -> List.assoc_opt k fs
     | _ -> None
   in
   Alcotest.(check int) "b + 2B + 2E + e" 6 (List.length events);
@@ -332,15 +340,15 @@ let test_trace_id_across_lanes () =
   List.iter
     (fun ev ->
       Alcotest.(check bool) "event tagged with the trace id" true
-        (arg ev "trace_id" = Some (Test_util.Json.Str "abc")))
+        (arg ev "trace_id" = Some (J.Str "abc")))
     events;
   (* the async pair is keyed by the id field *)
   List.iter
     (fun ev ->
       match field ev "ph" with
-      | Some (Test_util.Json.Str ("b" | "e")) ->
+      | Some (J.Str ("b" | "e")) ->
           Alcotest.(check bool) "async events keyed by id" true
-            (field ev "id" = Some (Test_util.Json.Str "abc"))
+            (field ev "id" = Some (J.Str "abc"))
       | _ -> ())
     events;
   (* owner and worker spans really sit in different lanes *)
@@ -348,8 +356,8 @@ let test_trace_id_across_lanes () =
     List.find_map
       (fun ev ->
         if
-          field ev "name" = Some (Test_util.Json.Str name)
-          && field ev "ph" = Some (Test_util.Json.Str "B")
+          field ev "name" = Some (J.Str name)
+          && field ev "ph" = Some (J.Str "B")
         then field ev "tid"
         else None)
       events
@@ -391,22 +399,22 @@ let test_log_json_lines () =
   close_in ic;
   let lines = List.rev !lines in
   Alcotest.(check int) "debug line dropped" 2 (List.length lines);
-  let objs = List.map Test_util.Json.parse lines in
+  let objs = List.map J.of_string lines in
   List.iter
     (fun o ->
       List.iter
         (fun k ->
-          Alcotest.(check bool) (k ^ " present") true (Test_util.Json.mem k o))
+          Alcotest.(check bool) (k ^ " present") true (mem k o))
         [ "ts"; "level"; "event"; "trace_id" ])
     objs;
   match objs with
-  | [ Test_util.Json.Obj first; Test_util.Json.Obj second ] ->
+  | [ J.Obj first; J.Obj second ] ->
       Alcotest.(check bool) "info level" true
-        (List.assoc_opt "level" first = Some (Test_util.Json.Str "info"));
+        (List.assoc_opt "level" first = Some (J.Str "info"));
       Alcotest.(check bool) "warn level" true
-        (List.assoc_opt "level" second = Some (Test_util.Json.Str "warn"));
+        (List.assoc_opt "level" second = Some (J.Str "warn"));
       Alcotest.(check bool) "typed field survives" true
-        (List.assoc_opt "cache" first = Some (Test_util.Json.Str "miss"))
+        (List.assoc_opt "cache" first = Some (J.Str "miss"))
   | _ -> Alcotest.fail "expected two JSON object lines"
 
 (* ------------------------------------------------------------------ *)
