@@ -40,7 +40,6 @@ let base_context view =
     ("trail", itos (Array.length view.trail));
     ("qhead", itos view.qhead);
     ("clauses", itos (Array.length view.clauses));
-    ("xors", itos (Array.length view.xors));
     ("num_groups", itos view.num_groups);
     ("ok", string_of_bool view.ok);
     ("broken_by", itos view.broken_by) ]
@@ -112,12 +111,7 @@ let clause_table view =
   Array.iter (fun c -> Hashtbl.replace tbl c.c_id c) view.clauses;
   tbl
 
-let xor_table view =
-  let tbl = Hashtbl.create (max 16 (Array.length view.xors)) in
-  Array.iter (fun x -> Hashtbl.replace tbl x.x_id x) view.xors;
-  tbl
-
-let check_reasons view ctbl xtbl =
+let check_reasons view ctbl =
   let trail_pos = Array.make (view.nvars + 1) (-1) in
   Array.iteri (fun i l -> trail_pos.(var_of_lit l) <- i) view.trail;
   for v = 1 to view.nvars do
@@ -149,26 +143,6 @@ let check_reasons view ctbl xtbl =
                           "reason clause has a non-false or later-level literal beside the implied one"
                         (("offending", lit_to_string view l) :: ctx ()))
                 c.c_lits)
-      | R_xor id -> (
-          match Hashtbl.find_opt xtbl id with
-          | None ->
-              fail view ~invariant:"reason-consistency" ~detail:"reason XOR is not live"
-                [ ("var", itos v); ("xor", itos id) ]
-          | Some x ->
-              let ctx =
-                [ ("var", itos v); ("xor", itos id); ("vars", xvars_to_string view x.x_vars) ]
-              in
-              let parity = ref false in
-              Array.iter
-                (fun u ->
-                  if view.assigns.(u) = 0 || view.level.(u) > lvl then
-                    fail view ~invariant:"reason-consistency"
-                      ~detail:"reason XOR has an unassigned or later-level variable" ctx;
-                  if view.assigns.(u) > 0 then parity := not !parity)
-                x.x_vars;
-              if !parity <> x.x_rhs then
-                fail view ~invariant:"reason-consistency"
-                  ~detail:"reason XOR is not satisfied by the current assignment" ctx)
       | R_gauss (g, row) -> (
           match List.find_opt (fun m -> m.g_group = g) view.matrices with
           | None ->
@@ -294,92 +268,11 @@ let check_two_watch view =
       end)
     view.clauses
 
-let check_xor_watches view xtbl =
-  let occurrences = Hashtbl.create (max 16 (Array.length view.xors)) in
-  Array.iteri
-    (fun v entries ->
-      List.iter
-        (fun e ->
-          if e.w_deleted then ()
-          else if e.w_id < 0 then
-            fail view ~invariant:"lazy-deletion"
-              ~detail:"XOR watch list holds an orphaned record not marked deleted"
-              [ ("watch_var", itos v) ]
-          else
-            match Hashtbl.find_opt xtbl e.w_id with
-            | None ->
-                fail view ~invariant:"lazy-deletion"
-                  ~detail:"XOR watch list holds a detached constraint not marked deleted"
-                  [ ("watch_var", itos v); ("xor", itos e.w_id) ]
-            | Some x ->
-                let len = Array.length x.x_vars in
-                if x.x_wa < 0 || x.x_wa >= len || x.x_wb < 0 || x.x_wb >= len then
-                  fail view ~invariant:"xor-watch"
-                    ~detail:"XOR watch positions outside the variable array"
-                    [ ("xor", itos e.w_id); ("wa", itos x.x_wa); ("wb", itos x.x_wb) ];
-                if x.x_vars.(x.x_wa) <> v && x.x_vars.(x.x_wb) <> v then
-                  fail view ~invariant:"xor-watch"
-                    ~detail:"XOR is in the watch list of a variable it does not watch"
-                    [ ("watch_var", itos v);
-                      ("xor", itos e.w_id);
-                      ("vars", xvars_to_string view x.x_vars) ];
-                Hashtbl.replace occurrences e.w_id
-                  (1 + Option.value ~default:0 (Hashtbl.find_opt occurrences e.w_id)))
-        entries)
-    view.xwatches;
-  Array.iter
-    (fun x ->
-      if Array.length x.x_vars < 2 then
-        fail view ~invariant:"xor-width"
-          ~detail:"attached XOR has fewer than two variables"
-          [ ("xor", itos x.x_id); ("vars", xvars_to_string view x.x_vars) ];
-      if x.x_wa = x.x_wb then
-        fail view ~invariant:"xor-watch" ~detail:"XOR watches the same position twice"
-          [ ("xor", itos x.x_id); ("wa", itos x.x_wa) ];
-      let n = Option.value ~default:0 (Hashtbl.find_opt occurrences x.x_id) in
-      if n <> 2 then
-        fail view ~invariant:"xor-watch"
-          ~detail:"live XOR is not watched exactly once from each watched variable"
-          [ ("xor", itos x.x_id);
-            ("occurrences", itos n);
-            ("vars", xvars_to_string view x.x_vars) ])
-    view.xors
-
-let check_xor_fixpoint view =
-  Array.iter
-    (fun x ->
-      let unassigned = ref 0 and parity = ref false in
-      Array.iter
-        (fun v ->
-          if view.assigns.(v) = 0 then incr unassigned
-          else if view.assigns.(v) > 0 then parity := not !parity)
-        x.x_vars;
-      let ctx =
-        [ ("xor", itos x.x_id);
-          ("rhs", string_of_bool x.x_rhs);
-          ("vars", xvars_to_string view x.x_vars) ]
-      in
-      if !unassigned = 0 then begin
-        if !parity <> x.x_rhs then
-          fail view ~invariant:"xor-satisfied"
-            ~detail:"fully assigned XOR violates its parity at a propagation fixpoint" ctx
-      end
-      else begin
-        let wa = x.x_vars.(x.x_wa) and wb = x.x_vars.(x.x_wb) in
-        if view.assigns.(wa) <> 0 || view.assigns.(wb) <> 0 then
-          fail view ~invariant:"xor-watch"
-            ~detail:
-              "partially assigned XOR has an assigned watch variable at a propagation fixpoint"
-            (("watch_a", itos wa) :: ("watch_b", itos wb) :: ctx)
-      end)
-    view.xors
-
 (* In-search Gauss matrices. Checked per matrix and only when it is
    clean (no repair pending): a dirty matrix deliberately carries stale
    watches, basics and detach marks until the next [repair]. The
    Jordan-form invariants below are exactly what makes row-local
-   propagation complete, so together with [gauss-fixpoint] they play
-   the role [check_xor_fixpoint] plays for the 2-watch engine. *)
+   propagation complete, which [gauss-fixpoint] then checks. *)
 let check_gauss view =
   List.iter
     (fun g ->
@@ -512,13 +405,6 @@ let check_groups view =
             ("group", itos c.c_group);
             ("learnt", string_of_bool c.c_learnt) ])
     view.clauses;
-  Array.iter
-    (fun x ->
-      if bad_group x.x_group then
-        fail view ~invariant:"group-hygiene"
-          ~detail:"live XOR is tagged with a retracted or unknown group"
-          [ ("xor", itos x.x_id); ("group", itos x.x_group) ])
-    view.xors;
   List.iter
     (fun g ->
       if bad_group g.g_group then
@@ -539,39 +425,27 @@ let check_groups view =
           ~detail:"lost-unit ledger references a retracted or unknown group"
           [ ("group", itos g) ])
     view.lost_unit_groups;
-  let check_entries watches kind =
-    Array.iter
-      (fun entries ->
-        List.iter
-          (fun e ->
-            if e.w_group > view.num_groups && not e.w_deleted then
-              fail view ~invariant:"group-hygiene"
-                ~detail:(kind ^ " watch entry carries a retracted group but is not deleted")
-                [ ("id", itos e.w_id); ("group", itos e.w_group) ])
-          entries)
-      watches
-  in
-  check_entries view.watches "clause";
-  check_entries view.xwatches "XOR"
+  Array.iter
+    (List.iter (fun e ->
+         if e.w_group > view.num_groups && not e.w_deleted then
+           fail view ~invariant:"group-hygiene"
+             ~detail:"clause watch entry carries a retracted group but is not deleted"
+             [ ("id", itos e.w_id); ("group", itos e.w_group) ]))
+    view.watches
 
 (* ------------------------------------------------------------------ *)
 
 let check view =
   check_vecs view;
   let ctbl = clause_table view in
-  let xtbl = xor_table view in
   check_clause_watches view ctbl;
-  check_xor_watches view xtbl;
   check_heap view;
   check_gauss view;
   if view.ok then begin
     check_trail view;
-    check_reasons view ctbl xtbl;
+    check_reasons view ctbl;
     check_groups view;
-    if view.at_fixpoint then begin
-      check_two_watch view;
-      check_xor_fixpoint view
-    end
+    if view.at_fixpoint then check_two_watch view
   end
 
 let check_model view ~value =
@@ -584,14 +458,6 @@ let check_model view ~value =
             ("learnt", string_of_bool c.c_learnt);
             ("lits", lits_to_string view c.c_lits) ])
     view.clauses;
-  Array.iter
-    (fun x ->
-      let parity = Array.fold_left (fun p v -> if value v then not p else p) false x.x_vars in
-      if parity <> x.x_rhs then
-        fail view ~invariant:"model-audit"
-          ~detail:"returned model violates an attached XOR's parity"
-          [ ("xor", itos x.x_id); ("vars", xvars_to_string view x.x_vars) ])
-    view.xors;
   List.iter
     (fun g ->
       Array.iteri

@@ -1,4 +1,4 @@
-(** The CDCL/XOR invariant sanitizer.
+(** The CDCL/Gauss invariant sanitizer.
 
     [check] sweeps a {!State.solver_view} and raises
     {!Violation.Violation} on the first broken invariant. The
@@ -23,10 +23,6 @@
       clause never has a false watch; a false watch in a satisfied
       clause is backed by a true co-watch from an earlier-or-equal
       level.
-    - [xor-width] / [xor-watch] / [xor-satisfied]: XOR watch positions
-      are distinct and registered; at a fixpoint a partially assigned
-      XOR watches two unassigned variables, and a fully assigned one
-      satisfies its parity.
     - [gauss-basic] / [gauss-watch] / [gauss-detached] /
       [gauss-fixpoint] (clean matrices only — a dirty matrix carries
       stale state until its next repair): every active Gauss row owns
@@ -41,11 +37,11 @@
     - [heap-index] / [heap-property] / [heap-membership]: the order
       heap and its index map agree, parents dominate children by
       activity, and every unassigned variable is present.
-    - [group-hygiene]: no live clause, learnt, XOR, Gauss matrix,
+    - [group-hygiene]: no live clause, learnt, Gauss matrix,
       level-0 implication, lost-unit ledger entry, or undeleted watch
       record carries a group beyond the current group count.
     - [model-audit] ([check_model]): the returned witness satisfies
-      every attached clause, XOR, and Gauss matrix row. *)
+      every attached clause and Gauss matrix row. *)
 
 val check : State.solver_view -> unit
 (** Full sweep; raises {!Violation.Violation} on the first failure.
@@ -54,4 +50,5 @@ val check : State.solver_view -> unit
 
 val check_model : State.solver_view -> value:(int -> bool) -> unit
 (** [check_model view ~value] audits a model ([value v] is variable
-    [v]'s assignment) against all attached clauses and XORs. *)
+    [v]'s assignment) against all attached clauses and Gauss matrix
+    rows. *)

@@ -5,15 +5,6 @@ type clause_view = {
   c_group : int;
 }
 
-type xor_view = {
-  x_id : int;
-  x_vars : int array;
-  x_rhs : bool;
-  x_group : int;
-  x_wa : int;
-  x_wb : int;
-}
-
 type watch_entry = {
   w_id : int;
   w_deleted : bool;
@@ -23,7 +14,6 @@ type watch_entry = {
 type reason_view =
   | R_none
   | R_clause of int
-  | R_xor of int
   | R_gauss of int * int
   | R_dangling
 
@@ -59,10 +49,8 @@ type solver_view = {
   trail : int array;
   trail_lim : int array;
   clauses : clause_view array;
-  xors : xor_view array;
   matrices : gauss_view list;
   watches : watch_entry list array;
-  xwatches : watch_entry list array;
   heap : int array;
   heap_index : int array;
   activity : float array;

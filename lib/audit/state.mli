@@ -19,17 +19,8 @@ type clause_view = {
   c_group : int;
 }
 
-type xor_view = {
-  x_id : int;
-  x_vars : int array;
-  x_rhs : bool;
-  x_group : int;
-  x_wa : int;  (** watched positions into [x_vars] *)
-  x_wb : int;
-}
-
 type watch_entry = {
-  w_id : int;  (** clause/xor id, or [-1] for an orphaned record *)
+  w_id : int;  (** clause id, or [-1] for an orphaned record *)
   w_deleted : bool;  (** the record's lazy-deletion flag *)
   w_group : int;
 }
@@ -37,7 +28,6 @@ type watch_entry = {
 type reason_view =
   | R_none
   | R_clause of int
-  | R_xor of int
   | R_gauss of int * int  (** (matrix group, row id) of a lazy reason *)
   | R_dangling  (** reason points at a record no longer attached *)
 
@@ -71,7 +61,7 @@ type solver_view = {
   qhead : int;
   at_fixpoint : bool;
       (** propagation queue drained when the view was taken; gates the
-          two-watch / XOR-watch checks, which only hold at fixpoints *)
+          two-watch and Gauss fixpoint checks, which only hold there *)
   assigns : int array;
   level : int array;
   assign_group : int array;  (** only meaningful for level-0 facts *)
@@ -79,10 +69,8 @@ type solver_view = {
   trail : int array;
   trail_lim : int array;
   clauses : clause_view array;  (** live problem + learnt clauses *)
-  xors : xor_view array;  (** live XOR constraints *)
   matrices : gauss_view list;  (** in-search Gauss matrices, one per group *)
   watches : watch_entry list array;  (** indexed by literal *)
-  xwatches : watch_entry list array;  (** indexed by variable *)
   heap : int array;  (** order-heap contents, root first *)
   heap_index : int array;  (** variable -> heap slot, [-1] if absent *)
   activity : float array;

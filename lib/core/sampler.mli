@@ -23,7 +23,7 @@ type run_stats = {
   mutable decisions : int;
   mutable propagations : int;
   mutable xor_propagations : int;
-      (** implications produced by the XOR parity engine *)
+      (** implications produced by the Gauss XOR engine *)
   mutable restarts : int;
   mutable learnts : int;  (** learnt clauses recorded *)
   mutable reuse_hits : int;

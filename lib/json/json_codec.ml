@@ -159,22 +159,37 @@ let parse_str st =
   go ();
   Buffer.contents b
 
+(* The RFC 8259 number grammar, [-? (0 | [1-9] [0-9]* ) (. [0-9]+)?
+   ([eE] [+-]? [0-9]+)?]; the error names the offset of the first
+   character that breaks it. Integers beyond [max_int] become floats. *)
 let parse_number st =
   let start = st.pos in
-  let numchar = function
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+  let accept c =
+    match peek st with
+    | Some c' when c' = c ->
+        st.pos <- st.pos + 1;
+        true
     | _ -> false
   in
-  while match peek st with Some c when numchar c -> true | _ -> false do
-    st.pos <- st.pos + 1
-  done;
+  let is_digit () = match peek st with Some '0' .. '9' -> true | _ -> false in
+  let digits () =
+    if not (is_digit ()) then fail "bad number at offset %d" st.pos;
+    while is_digit () do
+      st.pos <- st.pos + 1
+    done
+  in
+  ignore (accept '-' : bool);
+  if accept '0' then (if is_digit () then fail "bad number at offset %d" st.pos)
+  else digits ();
+  if accept '.' then digits ();
+  if accept 'e' || accept 'E' then begin
+    ignore (accept '+' || accept '-' : bool);
+    digits ()
+  end;
   let s = String.sub st.src start (st.pos - start) in
   match int_of_string_opt s with
   | Some i -> Int i
-  | None -> (
-      match float_of_string_opt s with
-      | Some f -> Float f
-      | None -> fail "bad number %S at offset %d" s start)
+  | None -> Float (float_of_string s)
 
 let max_depth = 64
 

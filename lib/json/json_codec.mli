@@ -39,9 +39,11 @@ val max_depth : int
 
 val of_string : string -> t
 (** Strict parser: rejects trailing garbage, unterminated strings,
-    malformed escapes, lone UTF-16 surrogates and nesting deeper than
-    {!max_depth}. [\uXXXX] escapes (and surrogate pairs) decode to
-    UTF-8. @raise Decode_error on any syntax error. *)
+    malformed escapes, lone UTF-16 surrogates, numbers outside the RFC
+    8259 grammar (such as [+1], [.5], [01] or [1.]) and nesting deeper
+    than {!max_depth}. [\uXXXX] escapes (and surrogate pairs) decode
+    to UTF-8. Integers beyond [max_int] parse as [Float].
+    @raise Decode_error on any syntax error. *)
 
 (** {2 Decoding helpers}
 

@@ -4,9 +4,9 @@
 
    Incremental interface: constraints are tagged with a *group*.
    Group 0 is the base formula; [push_group] opens a new group (a fresh
-   activation variable guards its clauses, XORs are attached
-   physically) and [pop_group] detaches everything the group
-   contributed — its clauses and XORs, every learnt clause whose
+   activation variable guards its clauses, its XORs go to the group's
+   own Gauss matrix) and [pop_group] detaches everything the group
+   contributed — its clauses and matrix, every learnt clause whose
    derivation used them, and every level-0 fact that depends on them.
    The dependency tracking is the [assign_group] array: a level-0
    assignment carries the maximum group over its reason constraint and
@@ -22,27 +22,15 @@ type clause = {
   mutable deleted : bool;
 }
 
-type xor_constraint = {
-  xid : int;
-  xvars : int array;
-  mutable xrhs : bool; (* mutable only for Corrupt.flip_xor_parity *)
-  xgroup : int;
-  mutable xdeleted : bool;
-  mutable wa : int; (* watched position in xvars *)
-  mutable wb : int;
-}
-
 type reason =
   | No_reason
   | R_clause of clause
-  | R_xor of xor_constraint
   | R_gauss of Gauss.t * int
       (* lazy parity reason: the clause is materialized from the row's
          current contents only when the conflict analyzer asks *)
 
 type conflict =
   | C_clause of clause
-  | C_xor of xor_constraint
   | C_gauss of Gauss.t * int
 
 type result = Sat | Unsat | Unknown
@@ -83,9 +71,6 @@ let stats_diff a b =
 let dummy_clause =
   { cid = -1; lits = [||]; learnt = false; group = 0; activity = 0.; deleted = true }
 
-let dummy_xor =
-  { xid = -1; xvars = [||]; xrhs = false; xgroup = 0; xdeleted = true; wa = 0; wb = 0 }
-
 type t = {
   mutable nvars : int;
   mutable assigns : int array; (* var -> 1 / -1 / 0 *)
@@ -96,12 +81,9 @@ type t = {
   mutable activity : float array; (* var -> VSIDS score *)
   mutable seen : bool array; (* scratch for conflict analysis *)
   mutable watches : clause Vec.t array; (* lit -> clauses watching it *)
-  mutable xwatches : xor_constraint Vec.t array; (* var -> xors watching it *)
   clauses : clause Vec.t;
   learnts : clause Vec.t;
-  xors : xor_constraint Vec.t;
-  use_gauss : bool; (* XOR engine: in-search Gauss-Jordan vs 2-watch *)
-  mutable matrices : Gauss.t list; (* one matrix per group, when gauss *)
+  mutable matrices : Gauss.t list; (* one Gauss matrix per group with XORs *)
   trail : int Vec.t; (* assigned literals, chronological *)
   trail_lim : int Vec.t; (* trail position at each decision *)
   mutable order : Order_heap.t;
@@ -135,7 +117,7 @@ type t = {
   mutable n_learnt_total : int;
   mutable max_learnts : float;
   mutable proof : Drat.step list option; (* reversed; None = disabled *)
-  mutable next_cid : int; (* next clause/xor id for audit accounting *)
+  mutable next_cid : int; (* next clause id for audit accounting *)
   owner : Audit.Ownership.t; (* creating domain; checked in audit mode *)
 }
 
@@ -188,7 +170,7 @@ let value_lit_upto t g l =
 
 let decision_level t = Vec.size t.trail_lim
 
-let create_empty ?(gauss = true) nvars =
+let create_empty nvars =
   let activity = Array.make (nvars + 1) 0. in
   let t =
     {
@@ -201,11 +183,8 @@ let create_empty ?(gauss = true) nvars =
       activity;
       seen = Array.make (nvars + 1) false;
       watches = Array.init ((2 * nvars) + 2) (fun _ -> Vec.create ~dummy:dummy_clause ());
-      xwatches = Array.init (nvars + 1) (fun _ -> Vec.create ~dummy:dummy_xor ());
       clauses = Vec.create ~dummy:dummy_clause ();
       learnts = Vec.create ~dummy:dummy_clause ();
-      xors = Vec.create ~dummy:dummy_xor ();
-      use_gauss = gauss;
       matrices = [];
       trail = Vec.create ~dummy:0 ();
       trail_lim = Vec.create ~dummy:0 ();
@@ -242,7 +221,6 @@ let create_empty ?(gauss = true) nvars =
 
 let okay t = t.ok
 let num_vars t = t.nvars
-let uses_gauss t = t.use_gauss
 let conflicts t = t.n_conflicts
 let decisions t = t.n_decisions
 let propagations t = t.n_propagations
@@ -294,12 +272,6 @@ let audit_view t : Audit.State.solver_view =
       (Array.init (Vec.size t.clauses) (fun i -> clause_view (Vec.get t.clauses i)))
       (Array.init (Vec.size t.learnts) (fun i -> clause_view (Vec.get t.learnts i)))
   in
-  let xors =
-    Array.init (Vec.size t.xors) (fun i ->
-        let x = Vec.get t.xors i in
-        { S.x_id = x.xid; x_vars = Array.copy x.xvars; x_rhs = x.xrhs;
-          x_group = x.xgroup; x_wa = x.wa; x_wb = x.wb })
-  in
   let watches =
     Array.init ((2 * n) + 2) (fun l ->
         List.rev
@@ -308,14 +280,6 @@ let audit_view t : Audit.State.solver_view =
                { S.w_id = c.cid; w_deleted = c.deleted; w_group = c.group } :: acc)
              [] t.watches.(l)))
   in
-  let xwatches =
-    Array.init (n + 1) (fun v ->
-        List.rev
-          (Vec.fold
-             (fun acc (x : xor_constraint) ->
-               { S.w_id = x.xid; w_deleted = x.xdeleted; w_group = x.xgroup } :: acc)
-             [] t.xwatches.(v)))
-  in
   let reason =
     Array.init (n + 1) (fun v ->
         if v = 0 || t.assigns.(v) = 0 then S.R_none
@@ -323,7 +287,6 @@ let audit_view t : Audit.State.solver_view =
           match t.reason.(v) with
           | No_reason -> S.R_none
           | R_clause c -> if c.deleted then S.R_dangling else S.R_clause c.cid
-          | R_xor x -> if x.xdeleted then S.R_dangling else S.R_xor x.xid
           | R_gauss (m, row) ->
               if List.memq m t.matrices && row < Gauss.num_rows m then
                 S.R_gauss (Gauss.group m, row)
@@ -349,15 +312,11 @@ let audit_view t : Audit.State.solver_view =
       ref
         [ vec_view "clauses" t.clauses;
           vec_view "learnts" t.learnts;
-          vec_view "xors" t.xors;
           vec_view "trail" t.trail;
           vec_view "trail_lim" t.trail_lim ]
     in
     for l = 0 to (2 * n) + 1 do
       acc := vec_view "watches" t.watches.(l) :: !acc
-    done;
-    for v = 1 to n do
-      acc := vec_view "xwatches" t.xwatches.(v) :: !acc
     done;
     !acc
   in
@@ -375,10 +334,8 @@ let audit_view t : Audit.State.solver_view =
     trail = Array.init (Vec.size t.trail) (Vec.get t.trail);
     trail_lim = Array.init (Vec.size t.trail_lim) (Vec.get t.trail_lim);
     clauses;
-    xors;
     matrices;
     watches;
-    xwatches;
     heap;
     heap_index = Array.sub heap_index 0 (n + 1);
     activity = Array.sub t.activity 0 (n + 1);
@@ -424,18 +381,6 @@ let audit_model t =
       in
       Vec.iter check_clause t.clauses;
       Vec.iter check_clause t.learnts;
-      Vec.iter
-        (fun (x : xor_constraint) ->
-          let parity =
-            Array.fold_left (fun p v -> if value v then not p else p) false x.xvars
-          in
-          if parity <> x.xrhs then
-            Audit.fail ~invariant:"model-audit"
-              ~detail:"returned model violates an attached XOR's parity"
-              [ ("xor", itos x.xid);
-                ("group", itos x.xgroup);
-                ("vars", String.concat " " (Array.to_list (Array.map itos x.xvars))) ])
-        t.xors;
       List.iter
         (fun m ->
           Array.iteri
@@ -469,13 +414,6 @@ let check_group_hygiene_light t =
   in
   Vec.iter check_clause t.clauses;
   Vec.iter check_clause t.learnts;
-  Vec.iter
-    (fun (x : xor_constraint) ->
-      if bad x.xgroup then
-        Audit.fail ~invariant:"group-hygiene"
-          ~detail:"live XOR is tagged with a retracted or unknown group"
-          [ ("xor", itos x.xid); ("group", itos x.xgroup); ("num_groups", itos ng) ])
-    t.xors;
   List.iter
     (fun m ->
       if bad (Gauss.group m) then
@@ -524,10 +462,6 @@ let grow t newcap =
       Array.init ((2 * cap) + 2) (fun i ->
           if i < Array.length t.watches then t.watches.(i)
           else Vec.create ~dummy:dummy_clause ());
-    t.xwatches <-
-      Array.init (cap + 1) (fun i ->
-          if i < Array.length t.xwatches then t.xwatches.(i)
-          else Vec.create ~dummy:dummy_xor ());
     (* the heap holds a reference to the activity array: rebuild it *)
     let order = Order_heap.create cap t.activity in
     for v = 1 to t.nvars do
@@ -589,10 +523,6 @@ let enqueue ?(agroup = 0) t l reason =
                   let u = lit_var q in
                   if u = v then acc else max acc t.assign_group.(u))
                 c.group c.lits
-          | R_xor x ->
-              Array.fold_left
-                (fun acc u -> if u = v then acc else max acc t.assign_group.(u))
-                x.xgroup x.xvars
           | R_gauss (m, row) ->
               Array.fold_left
                 (fun acc u -> if u = v then acc else max acc t.assign_group.(u))
@@ -656,24 +586,10 @@ let attach_clause t c =
   Vec.push t.watches.(c.lits.(0)) c;
   Vec.push t.watches.(c.lits.(1)) c
 
-let attach_xor t x =
-  Vec.push t.xwatches.(x.xvars.(x.wa)) x;
-  Vec.push t.xwatches.(x.xvars.(x.wb)) x
-
 (* ------------------------------------------------------------------ *)
 (* Propagation                                                         *)
 
 exception Found_conflict of conflict
-
-let xor_parity_assigned t x ~except =
-  (* Parity of the assigned variables of [x], skipping position [except]
-     (pass -1 to include everything). Unassigned variables contribute 0. *)
-  let p = ref false in
-  Array.iteri
-    (fun i v ->
-      if i <> except && t.assigns.(v) = 1 then p := not !p)
-    x.xvars;
-  !p
 
 let propagate_clauses t p =
   (* [p] just became true: visit clauses watching ¬p. *)
@@ -731,61 +647,6 @@ let propagate_clauses t p =
      Vec.shrink ws !j
    with Found_conflict _ as e -> raise e)
 
-let propagate_xors t p =
-  let v0 = lit_var p in
-  let ws = t.xwatches.(v0) in
-  let i = ref 0 and j = ref 0 in
-  let n = Vec.size ws in
-  (try
-     while !i < n do
-       let x = Vec.get ws !i in
-       incr i;
-       if x.xdeleted then () (* drop lazily, like deleted clauses *)
-       else begin
-         let pos = if x.xvars.(x.wa) = v0 then x.wa else x.wb in
-         let other_pos = if pos = x.wa then x.wb else x.wa in
-         (* search for an unassigned replacement variable *)
-         let len = Array.length x.xvars in
-         let repl = ref (-1) in
-         let k = ref 0 in
-         while !repl < 0 && !k < len do
-           if !k <> x.wa && !k <> x.wb && t.assigns.(x.xvars.(!k)) = 0 then repl := !k;
-           incr k
-         done;
-         if !repl >= 0 then begin
-           (* move this watch to the replacement *)
-           if pos = x.wa then x.wa <- !repl else x.wb <- !repl;
-           Vec.push t.xwatches.(x.xvars.(!repl)) x
-         end
-         else begin
-           (* every variable except possibly [other] is assigned *)
-           Vec.set ws !j x;
-           incr j;
-           let other = x.xvars.(other_pos) in
-           if t.assigns.(other) = 0 then begin
-             let parity_rest = xor_parity_assigned t x ~except:other_pos in
-             let implied = if x.xrhs then not parity_rest else parity_rest in
-             t.n_xor_propagations <- t.n_xor_propagations + 1;
-             ignore (enqueue t (lit_of_var other implied) (R_xor x))
-           end
-           else begin
-             let parity = xor_parity_assigned t x ~except:(-1) in
-             if parity <> x.xrhs then begin
-               while !i < n do
-                 Vec.set ws !j (Vec.get ws !i);
-                 incr i;
-                 incr j
-               done;
-               Vec.shrink ws !j;
-               raise (Found_conflict (C_xor x))
-             end
-           end
-         end
-       end
-     done;
-     Vec.shrink ws !j
-   with Found_conflict _ as e -> raise e)
-
 let propagate_gauss t p =
   let v = lit_var p in
   List.iter
@@ -822,7 +683,6 @@ let propagate t =
       t.qhead <- t.qhead + 1;
       t.n_propagations <- t.n_propagations + 1;
       propagate_clauses t p;
-      propagate_xors t p;
       if t.matrices <> [] then propagate_gauss t p
     done;
     None
@@ -842,8 +702,6 @@ let conflict_group_of t = function
       Array.fold_left
         (fun acc l -> max acc t.assign_group.(lit_var l))
         c.group c.lits
-  | C_xor x ->
-      Array.fold_left (fun acc v -> max acc t.assign_group.(v)) x.xgroup x.xvars
   | C_gauss (m, row) ->
       Array.fold_left
         (fun acc v -> max acc t.assign_group.(v))
@@ -866,36 +724,14 @@ let propagate_or_break t =
 (* ------------------------------------------------------------------ *)
 (* Reasons as literal arrays (for conflict analysis)                   *)
 
-(* For an XOR-implied literal, the reason clause is
-     p ∨ ¬(u1 = b1) ∨ ... — every other variable of the XOR negated as
-   currently assigned. The same construction with no implied literal
-   yields the conflict clause of a violated XOR. *)
-let xor_reason_lits t x ~implied =
-  let acc = ref [] in
-  Array.iter
-    (fun v ->
-      if implied < 0 || v <> lit_var implied then begin
-        let a = t.assigns.(v) in
-        (* the literal that is FALSE under the current assignment *)
-        acc := lit_of_var v (a <> 1) :: !acc
-      end)
-    x.xvars;
-  let others = Array.of_list !acc in
-  if implied >= 0 then Array.append [| implied |] others else others
-
 let conflict_lits t = function
   | C_clause c -> c.lits
-  | C_xor x -> xor_reason_lits t x ~implied:(-1)
   | C_gauss (m, row) -> Gauss.conflict_lits m ~assigns:t.assigns ~row
 
 let reason_lits t v =
   match t.reason.(v) with
   | No_reason -> invalid_arg "Solver.reason_lits: decision variable"
   | R_clause c -> c.lits (* invariant: c.lits.(0) is the implied literal *)
-  | R_xor x ->
-      let a = t.assigns.(v) in
-      let implied = lit_of_var v (a = 1) in
-      xor_reason_lits t x ~implied
   | R_gauss (m, row) ->
       let implied = lit_of_var v (t.assigns.(v) = 1) in
       Gauss.reason_lits m ~assigns:t.assigns ~row ~implied
@@ -917,13 +753,11 @@ let analyze t confl =
     ref
       (match confl with
       | C_clause c -> c.group
-      | C_xor x -> x.xgroup
       | C_gauss (m, _) -> Gauss.group m)
   in
   let fold_reason_group = function
     | No_reason -> ()
     | R_clause c -> dgroup := max !dgroup c.group
-    | R_xor x -> dgroup := max !dgroup x.xgroup
     | R_gauss (m, _) -> dgroup := max !dgroup (Gauss.group m)
   in
   let bump_reason_clause = function
@@ -1129,41 +963,6 @@ let install_clause t c =
     if t.ok then propagate_or_break t
   end
 
-let install_xor t x =
-  let len = Array.length x.xvars in
-  let u1 = ref (-1) and u2 = ref (-1) in
-  for k = 0 to len - 1 do
-    if t.assigns.(x.xvars.(k)) = 0 then
-      if !u1 < 0 then u1 := k else if !u2 < 0 then u2 := k
-  done;
-  if !u2 >= 0 then begin
-    x.wa <- !u1;
-    x.wb <- !u2;
-    attach_xor t x;
-    Vec.push t.xors x
-  end
-  else if !u1 >= 0 then begin
-    (* unit under the full state (the assigned vars belong to higher
-       groups — same-group ones were substituted by the caller) *)
-    x.wa <- !u1;
-    x.wb <- (if !u1 = 0 then 1 else 0);
-    attach_xor t x;
-    Vec.push t.xors x;
-    let parity_rest = xor_parity_assigned t x ~except:!u1 in
-    let implied = if x.xrhs then not parity_rest else parity_rest in
-    t.n_xor_propagations <- t.n_xor_propagations + 1;
-    ignore (enqueue t (lit_of_var x.xvars.(!u1) implied) (R_xor x));
-    if t.ok then propagate_or_break t
-  end
-  else begin
-    x.wa <- 0;
-    x.wb <- (if len > 1 then 1 else 0);
-    attach_xor t x;
-    Vec.push t.xors x;
-    let parity = xor_parity_assigned t x ~except:(-1) in
-    if parity <> x.xrhs then mark_broken t (conflict_group_of t (C_xor x))
-  end
-
 (* Normalize raw int literals for insertion into [group]: sort, dedup,
    detect tautologies, substitute level-0 facts of groups <= [group].
    [None] = the clause is already satisfied (or tautological). *)
@@ -1233,7 +1032,7 @@ let add_xor_general t ~group (x : Cnf.Xor_clause.t) =
     match vars with
     | [] -> if !rhs then mark_broken t group
     | [ v ] -> assert_unit_core t ~group (lit_of_var v !rhs)
-    | _ :: _ :: _ when t.use_gauss ->
+    | _ ->
         let m = matrix_for t group in
         (match
            Gauss.add_row m ~assigns:t.assigns
@@ -1242,17 +1041,6 @@ let add_xor_general t ~group (x : Cnf.Xor_clause.t) =
          with
         | Some row -> mark_broken t (conflict_group_of t (C_gauss (m, row)))
         | None -> if t.ok then propagate_or_break t)
-    | _ :: _ :: _ ->
-        install_xor t
-          {
-            xid = fresh_cid t;
-            xvars = Array.of_list vars;
-            xrhs = !rhs;
-            xgroup = group;
-            xdeleted = false;
-            wa = 0;
-            wb = 1;
-          }
   end
 
 let add_xor t (x : Cnf.Xor_clause.t) =
@@ -1263,8 +1051,8 @@ let add_xor t (x : Cnf.Xor_clause.t) =
     invalid_arg "Solver.add_xor: proof logging excludes XOR constraints";
   add_xor_general t ~group:0 x
 
-let create ?gauss (f : Cnf.Formula.t) =
-  let t = create_empty ?gauss f.num_vars in
+let create (f : Cnf.Formula.t) =
+  let t = create_empty f.num_vars in
   Array.iter (fun c -> add_clause t (Array.to_list c)) f.clauses;
   Array.iter (fun x -> add_xor t x) f.xors;
   t
@@ -1318,8 +1106,6 @@ let pop_group t =
       Vec.filter_in_place (fun (c : clause) -> not c.deleted) t.clauses;
       Vec.iter (fun (c : clause) -> if c.group >= g then c.deleted <- true) t.learnts;
       Vec.filter_in_place (fun (c : clause) -> not c.deleted) t.learnts;
-      Vec.iter (fun (x : xor_constraint) -> if x.xgroup >= g then x.xdeleted <- true) t.xors;
-      Vec.filter_in_place (fun (x : xor_constraint) -> not x.xdeleted) t.xors;
       (* the popped group's matrix goes wholesale; survivors lose their
          trail-based detach marks (the trail is about to be filtered and
          re-propagated from qhead = 0), so they rebuild at next repair *)
@@ -1631,8 +1417,6 @@ let block t lits =
 
 let enable_proof_logging t =
   to_root t;
-  if Vec.size t.xors > 0 then
-    invalid_arg "Solver.enable_proof_logging: XOR constraints present";
   if List.exists (fun m -> Gauss.num_rows m > 0) t.matrices then
     invalid_arg "Solver.enable_proof_logging: XOR constraints present";
   if t.groups <> [] then
@@ -1668,17 +1452,6 @@ module Corrupt = struct
     | Some c ->
         c.group <- List.length t.groups + 1;
         true
-
-  let flip_xor_parity t =
-    let found = ref false in
-    Vec.iter
-      (fun (x : xor_constraint) ->
-        if (not !found) && Array.for_all (fun v -> t.assigns.(v) <> 0) x.xvars then begin
-          x.xrhs <- not x.xrhs;
-          found := true
-        end)
-      t.xors;
-    !found
 
   let bump_trail_level t =
     if Vec.size t.trail = 0 then false

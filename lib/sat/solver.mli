@@ -5,10 +5,10 @@
     section calls for: a conflict-driven clause-learning solver
     (two-watched-literal propagation, first-UIP clause learning with
     minimization, VSIDS decision heuristic, phase saving, Luby
-    restarts, activity-based learnt-clause deletion) extended with a
-    parity engine that propagates XOR constraints through a
-    two-watched-variable scheme, generating reason clauses on demand
-    so that XOR-derived implications take part in clause learning.
+    restarts, activity-based learnt-clause deletion) extended with
+    in-search Gauss-Jordan elimination over its XOR constraints
+    ({!Gauss}), generating reason clauses on demand so that
+    XOR-derived implications take part in clause learning.
 
     {b The kept trail.} A [solve] that returns [Sat] leaves its trail
     (the full assignment of the model) in place; every other outcome
@@ -26,7 +26,8 @@
     constraint group: clauses added with [add_group_clause] are
     guarded by a fresh activation literal (assumed false during
     [solve], so the clauses are active), XOR constraints added with
-    [add_group_xor] are attached physically and tagged. [pop_group]
+    [add_group_xor] become rows of the group's own Gauss matrix.
+    [pop_group]
     detaches the group's constraints, every learnt clause whose
     derivation consumed them, and every root-level implication that
     depended on them — the solver afterwards answers exactly as if the
@@ -39,20 +40,14 @@ type t
 type result = Sat | Unsat | Unknown
 (** [Unknown] is returned when a conflict budget or deadline expires. *)
 
-val create : ?gauss:bool -> Cnf.Formula.t -> t
-(** Load a formula (clauses and XORs). [gauss] (default [true])
-    selects the XOR propagation engine: in-search Gauss-Jordan
-    elimination ({!Gauss}), or the parity 2-watch scheme when [false].
-    Every production caller uses the Gauss engine; the 2-watch engine
-    is the reference the tests compare it against. Both engines
-    produce identical verdicts. *)
+val create : Cnf.Formula.t -> t
+(** Load a formula (clauses and XORs). XORs of two or more variables
+    become rows of the in-search Gauss-Jordan matrix ({!Gauss});
+    shorter ones are units or constants at the root. *)
 
-val create_empty : ?gauss:bool -> int -> t
+val create_empty : int -> t
 (** [create_empty n] is a solver over variables [1 .. n] with no
-    constraints yet. [gauss] as in {!create}. *)
-
-val uses_gauss : t -> bool
-(** Which XOR engine multi-variable XORs route to. *)
+    constraints yet. *)
 
 val okay : t -> bool
 (** [false] once the clause set is known unsatisfiable at level 0 —
@@ -137,8 +132,8 @@ val add_group_clause : t -> Cnf.Lit.t list -> unit
     literal). @raise Invalid_argument if no group is pushed. *)
 
 val add_group_xor : t -> Cnf.Xor_clause.t -> unit
-(** Add an XOR constraint to the innermost group (attached physically,
-    detached on pop — XOR parity semantics admit no guard literal).
+(** Add an XOR constraint to the innermost group's Gauss matrix
+    (dropped on pop — XOR parity semantics admit no guard literal).
     @raise Invalid_argument if no group is pushed. *)
 
 (** {2 Proof logging} *)
@@ -178,7 +173,8 @@ val audit_view : t -> Audit.State.solver_view
 (** The plain-data snapshot the sweep checks (exposed for tests). *)
 
 val audit_model : t -> unit
-(** Re-evaluate the last model against every attached clause and XOR;
+(** Re-evaluate the last model against every attached clause, level-0
+    fact and Gauss matrix row;
     raises [Audit.Violation] on a falsified constraint and
     [Invalid_argument] if the last solve did not return [Sat]. *)
 
@@ -192,9 +188,6 @@ module Corrupt : sig
 
   val stale_group : t -> bool
   (** Tag a live clause with a group beyond the current group count. *)
-
-  val flip_xor_parity : t -> bool
-  (** Negate the right-hand side of a fully assigned attached XOR. *)
 
   val bump_trail_level : t -> bool
   (** Record a wrong decision level for the first trail entry. *)
@@ -231,8 +224,7 @@ type stats = {
   decisions : int;
   propagations : int;
   xor_propagations : int;
-      (** implications enqueued by the XOR engine — Gauss matrix or
-          parity 2-watch, whichever is active (a subset of
+      (** implications enqueued by the Gauss matrices (a subset of
           [propagations]'s trail pops) *)
   restarts : int;
   learnts : int;  (** learnt clauses recorded, cumulative *)

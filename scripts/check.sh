@@ -82,11 +82,11 @@ echo "== dune runtest (audit mode)"
 # checks. A longer sweep period keeps the pass ~2x baseline cost.
 UNIGEN_AUDIT=1 UNIGEN_AUDIT_PERIOD=256 dune runtest --force
 
-echo "== xor engine differential (gauss vs 2-watch reference, audit mode)"
-# The in-search Gauss engine and the static-RREF + 2-watch reference
-# enumerator in test/test_gauss.ml must agree with each other and with
-# brute force, with the invariant sanitizer live on both engines (the
-# gauss-* invariants sweep the matrix state in-search).
+echo "== xor engine (Gauss engine vs brute force, audit mode)"
+# The in-search Gauss engine's enumerations in test/test_gauss.ml must
+# match brute force and a from-scratch static RREF, with the invariant
+# sanitizer sweeping the matrix state in-search at a short period (the
+# gauss-* invariants).
 UNIGEN_AUDIT=1 UNIGEN_AUDIT_PERIOD=16 dune exec test/test_gauss.exe
 
 echo "== service smoke"

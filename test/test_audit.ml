@@ -39,25 +39,9 @@ let test_detects_stale_group () =
   expect_violation "stale_group" [ "group-hygiene" ] (fun () ->
       Sat.Solver.check_invariants s)
 
-let test_detects_flipped_xor_parity () =
-  (* attach the xor while its variables are free (units added at build
-     time would be substituted away), then force them at level 0: the
-     attached xor ends up fully assigned and satisfied; ~gauss:false
-     targets the 2-watch engine — the matrix has its own injectors *)
-  let s = Sat.Solver.create_empty ~gauss:false 3 in
-  Sat.Solver.add_xor s (xor_c [ 1; 2; 3 ] false);
-  Sat.Solver.add_clause s [ Cnf.Lit.pos 1 ];
-  Sat.Solver.add_clause s [ Cnf.Lit.pos 2 ];
-  Alcotest.(check bool) "sat" true (Sat.Solver.solve s = Sat.Solver.Sat);
-  expect_applied "flip_xor_parity" (Sat.Solver.Corrupt.flip_xor_parity s);
-  (* the flipped parity surfaces either as the xor no longer being
-     satisfied, or as the xor-propagated variable's reason breaking *)
-  expect_violation "flip_xor_parity" [ "xor-satisfied"; "reason-consistency" ]
-    (fun () -> Sat.Solver.check_invariants s)
-
-(* Gauss-engine corruptions. Default solvers route multi-variable XORs
-   into the in-search matrix; at a root fixpoint the matrix is clean,
-   so the gauss-* checks are armed. *)
+(* Gauss-engine corruptions. Multi-variable XORs go into the in-search
+   matrix; at a root fixpoint the matrix is clean, so the gauss-*
+   checks are armed. *)
 
 let test_detects_gauss_flipped_rhs () =
   (* force the row to unit-propagate: it ends up detached (satisfied),
@@ -136,7 +120,6 @@ let injectors =
   [
     ("drop_watch", Sat.Solver.Corrupt.drop_watch, `Invariants);
     ("stale_group", Sat.Solver.Corrupt.stale_group, `Invariants);
-    ("flip_xor_parity", Sat.Solver.Corrupt.flip_xor_parity, `Invariants);
     ("bump_trail_level", Sat.Solver.Corrupt.bump_trail_level, `Invariants);
     ("scramble_heap", Sat.Solver.Corrupt.scramble_heap, `Invariants);
     ("flip_model_bit", Sat.Solver.Corrupt.flip_model_bit, `Model);
@@ -148,7 +131,7 @@ let injectors =
 
 let prop_corruptions_detected =
   QCheck2.Test.make ~count:300 ~name:"every applicable corruption is caught"
-    QCheck2.Gen.(pair Test_util.Gen.formula_spec (int_bound 9))
+    QCheck2.Gen.(pair Test_util.Gen.formula_spec (int_bound (List.length injectors - 1)))
     (fun (spec, which) ->
       let f = Test_util.Gen.build_spec spec in
       let s = Sat.Solver.create f in
@@ -250,7 +233,6 @@ let () =
         [
           Alcotest.test_case "dropped watch" `Quick test_detects_dropped_watch;
           Alcotest.test_case "stale group tag" `Quick test_detects_stale_group;
-          Alcotest.test_case "flipped xor parity" `Quick test_detects_flipped_xor_parity;
           Alcotest.test_case "gauss flipped rhs" `Quick test_detects_gauss_flipped_rhs;
           Alcotest.test_case "gauss stolen basic" `Quick test_detects_gauss_stolen_basic;
           Alcotest.test_case "gauss false detach" `Quick test_detects_gauss_false_detach;

@@ -1,7 +1,7 @@
 (* Tests for the in-search Gauss-Jordan XOR engine: fixpoint
    equivalence against a from-scratch static RREF, matrix-state
-   restoration across session push/pop, engine-differential
-   enumeration, and the observability surface. *)
+   restoration across session push/pop, enumeration against brute
+   force, and the observability surface. *)
 
 (* ------------------------------------------------------------------ *)
 (* Static reference: the propagation closure of an XOR system plus a
@@ -203,71 +203,48 @@ let prop_pushpop_restores_matrix =
       Sat.Solver.solve s = Sat.Solver.solve fresh)
 
 (* ------------------------------------------------------------------ *)
-(* Engine differential: enumeration outcomes are bit-identical between
-   the Gauss engine and the static-RREF + 2-watch reference, and both
-   match brute force. *)
+(* Enumeration against brute force: on every exhausted cell the
+   witnesses [Bsat.enumerate] returns are exactly the distinct
+   projections onto the sampling set of the formula's brute-force
+   solutions, once each. Odd seeds declare a random sampling subset so
+   that blocking on a projection is exercised too. *)
 
-(* The 2-watch reference enumerator: row-reduce the XOR system once,
-   load it into a solver with the Gauss engine off, and block every
-   witness on the sampling set. Returns the models in canonical
-   [Model.compare] order (as [Bsat.enumerate] does) and whether the
-   search ran out of witnesses before [limit]. *)
-let enumerate_2watch ~limit (f : Cnf.Formula.t) =
-  match Cnf.Xor_gauss.eliminate (Array.to_list f.Cnf.Formula.xors) with
-  | Error `Unsat -> ([], true)
-  | Ok r ->
-      let s =
-        Sat.Solver.create ~gauss:false
-          { f with Cnf.Formula.xors = Array.of_list r.Cnf.Xor_gauss.rows }
-      in
-      let blocking = Array.to_list (Cnf.Formula.sampling_vars f) in
-      let rec loop acc found =
-        if found >= limit then (acc, false)
-        else
-          match Sat.Solver.solve s with
-          | Sat.Solver.Sat ->
-              let m = Sat.Solver.model s in
-              Sat.Solver.add_clause s
-                (List.map
-                   (fun v -> Cnf.Lit.make v (not (Cnf.Model.value m v)))
-                   blocking);
-              loop (m :: acc) (found + 1)
-          | Sat.Solver.Unsat -> (acc, true)
-          | Sat.Solver.Unknown ->
-              QCheck2.Test.fail_report "2-watch solve without a budget gave Unknown"
-      in
-      let models, exhausted = loop [] 0 in
-      (List.sort Cnf.Model.compare models, exhausted)
+let with_random_sampling_set seed (f : Cnf.Formula.t) =
+  if seed land 1 = 0 then f
+  else
+    let rng = Rng.create (seed lsr 1) in
+    let n = f.Cnf.Formula.num_vars in
+    let subset = List.filter (fun _ -> Rng.bool rng) (List.init n (fun i -> i + 1)) in
+    Cnf.Formula.with_sampling_set f (if subset = [] then [ 1 + Rng.int rng n ] else subset)
 
-let prop_gauss_vs_2watch_enumeration =
+let projected_keys s models =
+  List.map (fun m -> Cnf.Model.key (Cnf.Model.restrict m s)) models
+
+let prop_enumeration_matches_brute =
   QCheck2.Test.make ~count:300
-    ~name:"bsat enumerate: gauss engine = 2-watch engine = brute force"
+    ~name:"bsat enumerate: gauss engine = brute-force projections"
     ~print:(fun (s, nv, nc, nx) ->
       Printf.sprintf "spec=(%d,%d,%d,%d)" s nv nc nx)
     Test_util.Gen.formula_spec
-    (fun spec ->
-      let f = Test_util.Gen.build_spec spec in
+    (fun ((seed, _, _, _) as spec) ->
+      let f = with_random_sampling_set seed (Test_util.Gen.build_spec spec) in
+      let s = Cnf.Formula.sampling_vars f in
       let limit = 64 in
       let g = Sat.Bsat.enumerate ~limit f in
-      let w_models, w_exhausted = enumerate_2watch ~limit f in
-      if g.Sat.Bsat.exhausted <> w_exhausted then
-        QCheck2.Test.fail_report "engines disagree on exhaustion";
-      (* a limit-cut enumeration may surface a different (equally
-         valid) subset of the witness set per engine; the witness
-         streams are only required to be bit-identical when the cell
-         is fully enumerated — which is the only case UniGen accepts *)
-      if
-        g.Sat.Bsat.exhausted
-        && List.map Cnf.Model.key g.Sat.Bsat.models
-           <> List.map Cnf.Model.key w_models
-      then
-        QCheck2.Test.fail_report
-          "gauss and 2-watch enumerations differ on an exhausted cell";
       let brute =
-        Sat.Brute.count_projected f (Cnf.Formula.sampling_vars f)
+        List.sort_uniq String.compare (projected_keys s (Sat.Brute.solutions f))
       in
-      if g.Sat.Bsat.exhausted then List.length g.Sat.Bsat.models = brute
-      else List.length g.Sat.Bsat.models = limit && brute >= limit)
+      if g.Sat.Bsat.exhausted then begin
+        (* not deduplicated: a repeated witness must show as a mismatch *)
+        let got = List.sort String.compare (projected_keys s g.Sat.Bsat.models) in
+        if got <> brute then
+          QCheck2.Test.fail_reportf
+            "exhausted cell: %d witnesses enumerated, %d distinct brute-force projections%s"
+            (List.length got) (List.length brute)
+            (if List.length got = List.length brute then " (different sets)" else "");
+        true
+      end
+      else List.length g.Sat.Bsat.models = limit && List.length brute >= limit)
 
 (* ------------------------------------------------------------------ *)
 (* Observability: the gauss counters surface through Obs.Metrics when
@@ -305,19 +282,12 @@ let test_gauss_counters_surface () =
   Obs.Metrics.reset ();
   Obs.Metrics.disable ()
 
-let test_uses_gauss_flag () =
-  let f = Test_util.Gen.build_spec (3, 5, 6, 2) in
-  Alcotest.(check bool) "default engine is gauss" true
-    (Sat.Solver.uses_gauss (Sat.Solver.create f));
-  Alcotest.(check bool) "no-gauss engine is 2-watch" false
-    (Sat.Solver.uses_gauss (Sat.Solver.create ~gauss:false f))
-
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_fixpoint_matches_static_rref;
       prop_pushpop_restores_matrix;
-      prop_gauss_vs_2watch_enumeration;
+      prop_enumeration_matches_brute;
     ]
 
 let () =
@@ -328,6 +298,5 @@ let () =
         [
           Alcotest.test_case "gauss counters surface" `Quick
             test_gauss_counters_surface;
-          Alcotest.test_case "uses_gauss flag" `Quick test_uses_gauss_flag;
         ] );
     ]

@@ -71,37 +71,6 @@ let test_dimacs_support_count_pipeline () =
       Alcotest.(check (float 0.01))
         "approx = exact" (float_of_int exact) r.Counting.Approxmc.estimate
 
-(* weighted lift -> UniGen -> projected distribution matches analytic *)
-let test_weighted_pipeline () =
-  let f = Cnf.Formula.create ~num_vars:3 [ clause [ 1; 2; 3 ] ] in
-  let w = Sampling.Weighted.weight_of_float ~log_denom:2 0.75 in
-  let lifted = Sampling.Weighted.lift f [ (3, w) ] in
-  let rng = Rng.create 23 in
-  match
-    Sampling.Unigen.prepare ~count_iterations:5 ~rng ~epsilon:6.0
-      lifted.Sampling.Weighted.formula
-  with
-  | Error _ -> Alcotest.fail "prepare failed"
-  | Ok p ->
-      let v3 = ref 0 and n = ref 0 in
-      while !n < 3000 do
-        match Sampling.Unigen.sample ~rng p with
-        | Ok m ->
-            incr n;
-            let projected = Sampling.Weighted.project lifted m in
-            Alcotest.(check bool) "projects to witness" true
-              (Cnf.Formula.eval f (fun v -> Cnf.Model.value projected v));
-            if Cnf.Model.value projected 3 then incr v3
-        | Error _ -> ()
-      done;
-      (* witnesses: the 7 assignments with some true var; mass of
-         v3=1: 4 * 0.75 = 3; v3=0: 3 * 0.25 = 0.75; P = 3/3.75 = 0.8 *)
-      let observed = float_of_int !v3 /. float_of_int !n in
-      Alcotest.(check bool)
-        (Printf.sprintf "P(v3) = %.3f near 0.8" observed)
-        true
-        (Float.abs (observed -. 0.8) < 0.04)
-
 (* solver UNSAT verdict inside a workflow carries a checkable proof *)
 let test_unsat_pipeline_with_proof () =
   (* squaring circuit asserted to an impossible residue: x² ≡ 2 mod 4
@@ -187,7 +156,6 @@ let () =
             test_circuit_to_sample_pipeline;
           Alcotest.test_case "dimacs->support->count" `Slow
             test_dimacs_support_count_pipeline;
-          Alcotest.test_case "weighted sampling" `Slow test_weighted_pipeline;
           Alcotest.test_case "unsat with proof" `Quick test_unsat_pipeline_with_proof;
           Alcotest.test_case "dimacs file equivalence" `Slow
             test_dimacs_file_sampling_equivalence;

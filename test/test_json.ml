@@ -1,7 +1,7 @@
 (* Tests for the one JSON codec (lib/json): printer/parser round trip,
    the escaping rule every writer shares, the parser's nesting bound on
-   hostile frames, non-finite floats, and [\u] escapes decoding to
-   UTF-8. *)
+   hostile frames, non-finite floats, the number grammar, and [\u]
+   escapes decoding to UTF-8. *)
 
 module J = Json_codec
 module Wire = Service.Wire
@@ -80,6 +80,23 @@ let test_integral_floats_stay_floats () =
         true
         (J.of_string (J.to_string (J.Float f)) = J.Float f))
     [ 0.0; -3.0; 1e15; 1e16; -12345678901234568.0; 1e17; 1e300 ]
+
+(* The RFC 8259 number grammar: each rejection names the offset of the
+   first character that breaks it. *)
+let test_number_grammar () =
+  List.iter
+    (fun (s, offset) ->
+      Alcotest.(check (option string))
+        (s ^ " rejected")
+        (Some (Printf.sprintf "bad number at offset %d" offset))
+        (decode_error s))
+    [ ("+1", 0); (".5", 0); ("01", 1); ("-01", 2); ("1.", 2); ("1.e5", 2);
+      ("-", 1); ("1e", 2); ("--1", 1); ("1e+", 3) ];
+  List.iter
+    (fun (s, v) -> Alcotest.(check bool) (s ^ " accepted") true (J.of_string s = v))
+    [ ("0", J.Int 0); ("-0", J.Int 0); ("0.5", J.Float 0.5);
+      ("-1.25e-3", J.Float (-1.25e-3)); ("1E+2", J.Float 100.0);
+      ("4611686018427387904", J.Float 4611686018427387904.0) ]
 
 (* ------------------------------------------------------------------ *)
 (* \u escapes *)
@@ -241,6 +258,7 @@ let () =
           Alcotest.test_case "integral floats stay floats" `Quick
             test_integral_floats_stay_floats;
         ] );
+      ("numbers", [ Alcotest.test_case "RFC 8259 grammar" `Quick test_number_grammar ]);
       ( "unicode",
         [
           Alcotest.test_case "escapes decode to UTF-8" `Quick test_unicode_escapes;

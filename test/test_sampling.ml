@@ -392,113 +392,6 @@ let test_us_sample_index_range () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Weighted sampling *)
-
-let test_weight_of_float () =
-  let w = Sampling.Weighted.weight_of_float ~log_denom:3 0.25 in
-  Alcotest.(check int) "num" 2 w.Sampling.Weighted.num;
-  Alcotest.(check (float 1e-9)) "prob" 0.25 (Sampling.Weighted.probability w);
-  Alcotest.(check bool) "degenerate rejected" true
-    (try
-       ignore (Sampling.Weighted.weight_of_float ~log_denom:3 0.999);
-       false
-     with Invalid_argument _ -> true)
-
-let test_lift_structure () =
-  let f = Cnf.Formula.create ~num_vars:2 [ clause [ 1; 2 ] ] in
-  let w = Sampling.Weighted.weight_of_float ~log_denom:2 0.25 in
-  let lifted = Sampling.Weighted.lift f [ (1, w) ] in
-  (* 2 original + 2 coins *)
-  Alcotest.(check int) "vars" 4 lifted.Sampling.Weighted.formula.Cnf.Formula.num_vars;
-  (* sampling set: v2 and the two coins; v1 became dependent *)
-  let s = Cnf.Formula.sampling_vars lifted.Sampling.Weighted.formula in
-  Alcotest.(check (array int)) "sampling set" [| 2; 3; 4 |] s
-
-let test_lift_validation () =
-  let f = Cnf.Formula.create ~sampling_set:[ 1 ] ~num_vars:2 [ clause [ 1; 2 ] ] in
-  let w = Sampling.Weighted.weight_of_float ~log_denom:2 0.5 in
-  Alcotest.(check bool) "non-sampling var rejected" true
-    (try
-       ignore (Sampling.Weighted.lift f [ (2, w) ]);
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "duplicate rejected" true
-    (try
-       ignore (Sampling.Weighted.lift f [ (1, w); (1, w) ]);
-       false
-     with Invalid_argument _ -> true)
-
-let test_lift_projected_witnesses_unchanged () =
-  (* lifting must not change which original assignments are witnesses *)
-  let f = Cnf.Formula.create ~num_vars:3 [ clause [ 1; 2 ]; clause [ -2; 3 ] ] in
-  let w = Sampling.Weighted.weight_of_float ~log_denom:3 0.375 in
-  let lifted = Sampling.Weighted.lift f [ (2, w) ] in
-  let g = lifted.Sampling.Weighted.formula in
-  (* every witness of g projects to a witness of f, and the number of
-     lifted witnesses per original witness is num or denom-num *)
-  let counts = Hashtbl.create 16 in
-  let n = g.Cnf.Formula.num_vars in
-  for mask = 0 to (1 lsl n) - 1 do
-    let value v = mask land (1 lsl (v - 1)) <> 0 in
-    if Cnf.Formula.eval g value then begin
-      let m = Cnf.Model.make n value in
-      Alcotest.(check bool) "projects to witness" true
-        (Cnf.Formula.eval f (fun v -> Cnf.Model.value m v));
-      let key = Cnf.Model.key (Sampling.Weighted.project lifted m) in
-      Hashtbl.replace counts key
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
-    end
-  done;
-  Alcotest.(check int) "all originals covered" (Sat.Brute.count f)
-    (Hashtbl.length counts);
-  Hashtbl.iter
-    (fun _ c ->
-      Alcotest.(check bool) "multiplicity is num or denom-num" true
-        (c = 3 || c = 5))
-    counts
-
-let test_weighted_sampling_distribution () =
-  (* single free weighted variable: empirical frequency must match *)
-  let f = Cnf.Formula.create ~num_vars:2 [ clause [ 1; 2 ] ] in
-  let w = Sampling.Weighted.weight_of_float ~log_denom:3 0.125 in
-  let lifted = Sampling.Weighted.lift f [ (1, w) ] in
-  let rng = Rng.create 91 in
-  match
-    Sampling.Unigen.prepare ~count_iterations:5 ~rng ~epsilon:6.0
-      lifted.Sampling.Weighted.formula
-  with
-  | Error _ -> Alcotest.fail "prepare failed"
-  | Ok p ->
-      let trials = 4000 in
-      let v1_true = ref 0 and drawn = ref 0 in
-      while !drawn < trials do
-        match Sampling.Unigen.sample ~rng p with
-        | Ok m ->
-            incr drawn;
-            if Cnf.Model.value m 1 then incr v1_true
-        | Error _ -> ()
-      done;
-      (* analytic: P(v1) = w·1 / (w·1 + (1−w)·P(v2|¬v1))
-         witnesses: (1,0),(1,1) weight w each... enumerate directly *)
-      let weights = [ (1, w) ] in
-      let total = ref 0.0 and v1_mass = ref 0.0 in
-      for mask = 0 to 3 do
-        let value v = mask land (1 lsl (v - 1)) <> 0 in
-        if Cnf.Formula.eval f value then begin
-          let m = Cnf.Model.make 2 value in
-          let pr = Sampling.Weighted.expected_probability lifted weights m in
-          total := !total +. pr;
-          if value 1 then v1_mass := !v1_mass +. pr
-        end
-      done;
-      let expected = !v1_mass /. !total in
-      let observed = float_of_int !v1_true /. float_of_int trials in
-      Alcotest.(check bool)
-        (Printf.sprintf "observed %.3f vs expected %.3f" observed expected)
-        true
-        (Float.abs (observed -. expected) < 0.05)
-
-(* ------------------------------------------------------------------ *)
 (* Stats *)
 
 let test_histogram () =
@@ -631,15 +524,6 @@ let () =
           Alcotest.test_case "limit" `Quick test_us_limit;
           Alcotest.test_case "uniform" `Quick test_us_uniform;
           Alcotest.test_case "index range" `Quick test_us_sample_index_range;
-        ] );
-      ( "weighted",
-        [
-          Alcotest.test_case "weight of float" `Quick test_weight_of_float;
-          Alcotest.test_case "lift structure" `Quick test_lift_structure;
-          Alcotest.test_case "lift validation" `Quick test_lift_validation;
-          Alcotest.test_case "projection unchanged" `Quick
-            test_lift_projected_witnesses_unchanged;
-          Alcotest.test_case "distribution" `Slow test_weighted_sampling_distribution;
         ] );
       ( "stats",
         [
