@@ -1118,6 +1118,22 @@ let run_micro () =
     | Error _ -> failwith "micro prepare failed"
   in
   let sample_rng = Rng.create 5 in
+  (* the per-witness audit of BSAT on a solver model of case(18,110)
+     (128 variables): the closure oracle and the byte dispatch *)
+  let rec case_model seed =
+    let f =
+      Circuits.Generators.case_formula ~rng:(Rng.create seed) ~num_inputs:18
+        ~num_gates:110
+    in
+    let s = Sat.Solver.create f in
+    match Sat.Solver.solve s with
+    | Sat.Solver.Sat -> (f, Sat.Solver.model s)
+    | _ -> case_model (seed + 1)
+  in
+  let case_f, case_m = case_model 6 in
+  Printf.printf "  audit rows: case(18,110), %d vars, %d clauses, %d xors\n"
+    case_f.Cnf.Formula.num_vars (Cnf.Formula.num_clauses case_f)
+    (Array.length case_f.Cnf.Formula.xors);
   let tests =
     [
       Test.make ~name:"rng/bits64" (Staged.stage (fun () -> Rng.bits64 hash_rng));
@@ -1126,6 +1142,10 @@ let run_micro () =
       Test.make ~name:"solver/solve 24v30c" (Staged.stage solve_once);
       Test.make ~name:"unigen/sample 2^12"
         (Staged.stage (fun () -> Sampling.Unigen.sample ~rng:sample_rng prepared));
+      Test.make ~name:"cnf/audit Formula.eval"
+        (Staged.stage (fun () -> Cnf.Formula.eval case_f (Cnf.Model.value case_m)));
+      Test.make ~name:"cnf/audit bytes"
+        (Staged.stage (fun () -> Cnf.Model.satisfies case_f case_m));
     ]
   in
   let ols =
@@ -1142,12 +1162,12 @@ let run_micro () =
   Hashtbl.iter
     (fun label tbl ->
       if label = Measure.label Toolkit.Instance.monotonic_clock then
-        Hashtbl.iter
-          (fun name ols_result ->
-            match Analyze.OLS.estimates ols_result with
-            | Some [ est ] -> Printf.printf "  %-32s %12.1f ns/run\n" name est
-            | _ -> Printf.printf "  %-32s (no estimate)\n" name)
-          tbl)
+        Hashtbl.to_seq tbl |> List.of_seq
+        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+        |> List.iter (fun (name, ols_result) ->
+               match Analyze.OLS.estimates ols_result with
+               | Some [ est ] -> Printf.printf "  %-32s %12.1f ns/run\n" name est
+               | _ -> Printf.printf "  %-32s (no estimate)\n" name))
     results
 
 (* ------------------------------------------------------------------ *)

@@ -24,6 +24,18 @@ let is_tautology c = normalize c = None
 let eval value c =
   Array.exists (fun l -> Bool.equal (value (Lit.var l)) (Lit.sign l)) c
 
+(* Byte [v - 1] holds variable [v] as 0 or 1. The positive literal of
+   [v] is [2v] and the negative one [2v + 1] (see {!Lit}), so a literal
+   holds exactly when its byte xor its low bit is 1. [Bytes.get] is
+   bounds-checked: a variable past the buffer raises. *)
+let rec exists_true b (c : t) i =
+  i < Array.length c
+  && (let l = (c.(i) :> int) in
+      Char.code (Bytes.get b ((l lsr 1) - 1)) lxor (l land 1) = 1
+      || exists_true b c (i + 1))
+
+let eval_bytes b c = exists_true b c 0
+
 let vars c =
   Array.to_list c
   |> List.map Lit.var

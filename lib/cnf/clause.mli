@@ -18,6 +18,13 @@ val eval : (int -> bool) -> t -> bool
 (** [eval value c] evaluates [c] under the total assignment [value]
     (mapping variable to truth value). *)
 
+val eval_bytes : Bytes.t -> t -> bool
+(** [eval_bytes b c] is [eval value c] where [value v] is byte [v - 1]
+    of [b], ['\000'] false and ['\001'] true; other bytes give an
+    unspecified result. Literals are read left to right up to the first
+    true one, as {!eval} does. Raises [Invalid_argument] when a literal
+    read names a variable past the end of [b]. *)
+
 val vars : t -> int list
 (** Variables occurring in the clause, deduplicated, ascending. *)
 

@@ -7,6 +7,19 @@ let tokens_of_line line =
   |> List.concat_map (String.split_on_char '\t')
   |> List.filter (fun s -> s <> "")
 
+(* A DIMACS integer is [-?[0-9]+]. [int_of_string] alone would also
+   take OCaml literal syntax: 0x3, 0b1, 0o7, 0u5, +5, 1_000. *)
+let int_token s =
+  let n = String.length s in
+  let rec digits i = i = n || (s.[i] >= '0' && s.[i] <= '9' && digits (i + 1)) in
+  let start = if n > 0 && s.[0] = '-' then 1 else 0 in
+  if start < n && digits start then int_of_string_opt s else None
+
+let count what s =
+  match int_token s with
+  | Some n when n >= 0 -> n
+  | _ -> fail "bad %s count %S" what s
+
 let parse_string text =
   let lines = String.split_on_char '\n' text in
   let num_vars = ref (-1) in
@@ -18,7 +31,7 @@ let parse_string text =
   let parse_ints what toks =
     List.map
       (fun s ->
-        match int_of_string_opt s with
+        match int_token s with
         | Some i -> i
         | None -> fail "bad integer %S in %s line" s what)
       toks
@@ -70,8 +83,8 @@ let parse_string text =
         | "c" :: "ind" :: rest -> add_sampling rest
         | "c" :: _ -> ()
         | "p" :: "cnf" :: nv :: nc :: _ ->
-            num_vars := (try int_of_string nv with _ -> fail "bad var count %S" nv);
-            declared_clauses := (try int_of_string nc with _ -> fail "bad clause count %S" nc)
+            num_vars := count "var" nv;
+            declared_clauses := count "clause" nc
         | "p" :: _ -> fail "unsupported problem line %S" line
         | "x" :: rest -> add_xor rest
         | toks -> add_clause toks)

@@ -6,7 +6,11 @@
     - lines starting with [x] declare native XOR clauses ([x 1 -2 3 0]
       means [v1 ⊕ ¬v2 ⊕ v3 = true], i.e. [v1 ⊕ v2 ⊕ v3 = rhs] with the
       rhs flipped once per negative literal — the CryptoMiniSAT
-      convention). *)
+      convention).
+
+    Every integer, in the [p cnf] header and in clause, XOR and
+    [c ind] lines, is [-?[0-9]+]; OCaml literal forms such as [0x3],
+    [+5] or [1_000] are parse errors, as are negative header counts. *)
 
 exception Parse_error of string
 

@@ -56,6 +56,14 @@ let eval t value =
   Array.for_all (Clause.eval value) t.clauses
   && Array.for_all (Xor_clause.eval value) t.xors
 
+let rec clauses_hold b cs i =
+  i = Array.length cs || (Clause.eval_bytes b cs.(i) && clauses_hold b cs (i + 1))
+
+let rec xors_hold b xs i =
+  i = Array.length xs || (Xor_clause.eval_bytes b xs.(i) && xors_hold b xs (i + 1))
+
+let eval_bytes t b = clauses_hold b t.clauses 0 && xors_hold b t.xors 0
+
 let blast_xors t =
   if Array.length t.xors = 0 then t
   else begin

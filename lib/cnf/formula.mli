@@ -32,7 +32,18 @@ val sampling_vars : t -> int array
 val num_clauses : t -> int
 
 val eval : t -> (int -> bool) -> bool
-(** Evaluate under a total assignment. *)
+(** Evaluate under a total assignment: clauses in order, then XORs,
+    stopping at the first false one. The reference oracle for
+    {!eval_bytes}. *)
+
+val eval_bytes : t -> Bytes.t -> bool
+(** [eval_bytes t b] is [eval t value] where [value v] is byte [v - 1]
+    of [b] (['\000'] false, ['\001'] true; other bytes give an
+    unspecified result), read in the same order and without a closure
+    per variable ({!Clause.eval_bytes}, {!Xor_clause.eval_bytes}). The
+    reads are bounds-checked: the record is public, so a variable above
+    [num_vars] is possible, and one past the end of [b] raises
+    [Invalid_argument] instead of reading outside the buffer. *)
 
 val blast_xors : t -> t
 (** Replace every native XOR by its CNF expansion over fresh variables

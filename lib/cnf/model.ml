@@ -17,6 +17,16 @@ let make n value =
 let of_bool_array a =
   { vars = [||]; values = Bytes.init (Array.length a) (fun i -> byte_of_bool a.(i)) }
 
+let of_owned_bytes values =
+  for i = 0 to Bytes.length values - 1 do
+    match Bytes.get values i with
+    | '\000' | '\001' -> ()
+    | c ->
+        invalid_arg
+          (Printf.sprintf "Model.of_owned_bytes: byte %d is %C, not 0 or 1" i c)
+  done;
+  { vars = [||]; values }
+
 let num_vars t = Bytes.length t.values
 let var_at t i = if is_contiguous t then i + 1 else t.vars.(i)
 let bit t i = Bytes.unsafe_get t.values i = '\001'
@@ -94,7 +104,13 @@ let compare a b =
 let to_dimacs t =
   List.init (num_vars t) (fun i -> if bit t i then var_at t i else -var_at t i)
 
-let satisfies f t = Formula.eval f (value t)
+(* A contiguous model wide enough for the formula is the byte buffer
+   [Formula.eval_bytes] reads; any other goes through [value], which
+   names the first variable it lacks. *)
+let satisfies (f : Formula.t) t =
+  if is_contiguous t && Bytes.length t.values >= f.num_vars then
+    Formula.eval_bytes f t.values
+  else Formula.eval f (value t)
 
 let equal a b = a.vars = b.vars && Bytes.equal a.values b.values
 

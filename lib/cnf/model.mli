@@ -18,6 +18,13 @@ val make : int -> (int -> bool) -> t
 val of_bool_array : bool array -> t
 (** The array is indexed from 0 with slot [v] holding variable [v+1]. *)
 
+val of_owned_bytes : Bytes.t -> t
+(** [of_owned_bytes b] is the contiguous model whose variable [v] is
+    byte [v - 1] of [b] (['\000'] false, ['\001'] true), built
+    without a copy: the model takes ownership of [b], and the caller
+    must not write to it afterwards. Raises [Invalid_argument] on any
+    other byte. *)
+
 val num_vars : t -> int
 val value : t -> int -> bool
 
@@ -55,7 +62,14 @@ val to_dimacs : t -> int list
 val satisfies : Formula.t -> t -> bool
 (** Checks the model against every clause and XOR of the formula.
     Raises [Invalid_argument] when the formula needs a variable the
-    model does not assign. *)
+    model does not assign.
+
+    Dispatch: a contiguous model (every model a solver returns) with at
+    least [num_vars f] variables is read as a byte buffer by
+    {!Formula.eval_bytes}; any other model (projected, or short of the
+    formula's width) goes to {!Formula.eval} over {!value}, whose
+    error names the first variable missing ([Model.value: variable 3
+    absent]). Both give the same answer on the same model. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

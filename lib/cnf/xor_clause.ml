@@ -16,6 +16,13 @@ let eval value x =
   let parity = Array.fold_left (fun p v -> if value v then not p else p) false x.vars in
   Bool.equal parity x.rhs
 
+(* byte [v - 1] holds variable [v] as 0 or 1; bounds-checked *)
+let rec parity_bytes b vars i acc =
+  if i = Array.length vars then acc
+  else parity_bytes b vars (i + 1) (acc lxor Char.code (Bytes.get b (vars.(i) - 1)))
+
+let eval_bytes b x = parity_bytes b x.vars 0 0 = Bool.to_int x.rhs
+
 let arity x = Array.length x.vars
 let max_var x = Array.fold_left max 0 x.vars
 let equal a b = a.rhs = b.rhs && a.vars = b.vars

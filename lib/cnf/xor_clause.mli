@@ -15,6 +15,13 @@ val make : int list -> bool -> t
     pairs (x ⊕ x = 0). *)
 
 val eval : (int -> bool) -> t -> bool
+
+val eval_bytes : Bytes.t -> t -> bool
+(** [eval_bytes b x] is [eval value x] where [value v] is byte [v - 1]
+    of [b], ['\000'] false and ['\001'] true; other bytes give an
+    unspecified result. Every variable is read, repeated ones included,
+    so a variable past the end of [b] raises [Invalid_argument]. *)
+
 val arity : t -> int
 val max_var : t -> int
 val equal : t -> t -> bool

@@ -75,6 +75,9 @@ echo "== benchmark self-tests"
 # The arithmetic of perfbench (percentiles, host-speed scaling, ledger
 # sums) is otherwise only checked when run.py starts a benchmark.
 PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench -p 'test_*.py'
+# and the pairing arithmetic of scripts/perf_pairs.py (medians,
+# quartiles, change wins, run order, digest parsing)
+PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s scripts -p 'test_*.py'
 
 echo "== dune runtest (audit mode)"
 # Second pass with the correctness-audit subsystem live: sampled

@@ -250,6 +250,40 @@ let test_model_satisfies_absent_variable () =
     (Invalid_argument "Model.value: variable 3 absent") (fun () ->
       ignore (Cnf.Model.satisfies f (Cnf.Model.make 2 (fun _ -> true))))
 
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+(* The byte path of [Model.satisfies] reads only inside the model: a
+   hand-built record may name a variable above [num_vars]. *)
+let test_eval_bytes_out_of_range () =
+  let formula clauses xors =
+    { Cnf.Formula.num_vars = 2; clauses; xors; sampling_set = None }
+  in
+  let model = Cnf.Model.make 2 (fun _ -> false) in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check bool) (name ^ ": satisfies") true
+        (raises_invalid (fun () -> Cnf.Model.satisfies f model));
+      Alcotest.(check bool) (name ^ ": eval_bytes") true
+        (raises_invalid (fun () -> Cnf.Formula.eval_bytes f (Bytes.make 2 '\000'))))
+    [
+      ("clause", formula [| Cnf.Clause.of_dimacs [ 5 ] |] [||]);
+      ("clause after false literals", formula [| Cnf.Clause.of_dimacs [ 1; -3 ] |] [||]);
+      ("xor", formula [||] [| { Cnf.Xor_clause.vars = [| 1; 7 |]; rhs = true } |]);
+      ("xor variable 0", formula [||] [| { Cnf.Xor_clause.vars = [| 0 |]; rhs = true } |]);
+    ]
+
+let test_model_of_owned_bytes () =
+  let m = Cnf.Model.of_owned_bytes (Bytes.of_string "\001\000\001") in
+  Alcotest.(check (list int)) "values" [ 1; -2; 3 ] (Cnf.Model.to_dimacs m);
+  Alcotest.(check bool) "= make" true
+    (Cnf.Model.equal m (Cnf.Model.make 3 (fun v -> v <> 2)));
+  List.iter
+    (fun b ->
+      Alcotest.(check bool) (Printf.sprintf "rejects %S" b) true
+        (raises_invalid (fun () -> Cnf.Model.of_owned_bytes (Bytes.of_string b))))
+    [ "\002"; "\001\000a"; "\255\001" ]
+
 (* ------------------------------------------------------------------ *)
 (* DIMACS *)
 
@@ -306,7 +340,9 @@ let test_dimacs_errors () =
   (* missing terminator *)
   expect_error "p cnf 2 1\n1 x 0\n";
   (* bad token *)
-  expect_error "p qbf 2 1\n1 0\n"
+  expect_error "p qbf 2 1\n1 0\n";
+  (* OCaml literal syntax, once read as the clause 1 -2 *)
+  expect_error "p cnf 0x3 1\n0b1 -0x2 0\n"
 
 (* Constructor rejections surface as [Parse_error], never as the
    [Invalid_argument] that would escape a caller handling parse errors
@@ -325,6 +361,38 @@ let test_dimacs_out_of_range_is_parse_error () =
       "p cnf 2 1\nx 1 0 2 0\n" (* literal 0 inside an xor *);
       Printf.sprintf "p cnf 2 1\n%d 0\n" min_int (* no variable to negate *);
       Printf.sprintf "p cnf 2 1\nx %d 0\n" min_int;
+    ]
+
+(* DIMACS integers are [-?[0-9]+]; each OCaml literal form is refused
+   in every kind of line, where [int_of_string] would take it as a
+   valid count, literal or variable. *)
+let test_dimacs_integer_form form () =
+  List.iter
+    (fun text ->
+      match Cnf.Dimacs.parse_string text with
+      | _ -> Alcotest.failf "expected parse error on %S" text
+      | exception Cnf.Dimacs.Parse_error _ -> ())
+    [
+      Printf.sprintf "p cnf %s 1\n1 0\n" form;
+      Printf.sprintf "p cnf 2000 %s\n1 0\n" form;
+      Printf.sprintf "p cnf 2000 1\n1 %s 0\n" form;
+      Printf.sprintf "p cnf 2000 1\n1 -%s 0\n" form;
+      Printf.sprintf "p cnf 2000 1\nx 1 %s 0\n" form;
+      Printf.sprintf "p cnf 2000 1\nc ind %s 0\n1 0\n" form;
+    ]
+
+let integer_forms = [ "0x3"; "0b1"; "0o7"; "0u5"; "+5"; "1_000" ]
+
+let test_dimacs_negative_counts () =
+  List.iter
+    (fun (text, expected) ->
+      match Cnf.Dimacs.parse_string text with
+      | _ -> Alcotest.failf "expected parse error on %S" text
+      | exception Cnf.Dimacs.Parse_error msg ->
+          Alcotest.(check string) text expected msg)
+    [
+      ("p cnf -5 0\n", "bad var count \"-5\"");
+      ("p cnf 3 -1\n1 0\n", "bad clause count \"-1\"");
     ]
 
 let test_dimacs_file_io () =
@@ -482,6 +550,66 @@ let prop_model_roundtrips =
            (Cnf.Model.restrict self sub)
            (Cnf.Model.restrict rebuilt sub))
 
+(* A random formula over [num_vars] 0..7 whose clauses (width 0..5)
+   and XORs (0..5 variables, repeats kept: the records are built by
+   hand, not by [Xor_clause.make]) use only variables [1 .. used], so
+   the top ones are often unused; and a random 0/1 buffer at least
+   [num_vars] long. *)
+let random_eval_case rng =
+  let num_vars = Rng.int rng 8 in
+  let used = if num_vars = 0 then 0 else 1 + Rng.int rng num_vars in
+  let var () = 1 + Rng.int rng used in
+  let width () = if used = 0 then 0 else Rng.int rng 6 in
+  let clauses =
+    List.init (Rng.int rng 9) (fun _ ->
+        Array.init (width ()) (fun _ -> Cnf.Lit.make (var ()) (Rng.bool rng)))
+  in
+  let xors =
+    List.init (Rng.int rng 4) (fun _ ->
+        { Cnf.Xor_clause.vars = Array.init (width ()) (fun _ -> var ()); rhs = Rng.bool rng })
+  in
+  let f = Cnf.Formula.create_with_xors ~num_vars clauses xors in
+  let b =
+    Bytes.init (num_vars + Rng.int rng 3) (fun _ -> if Rng.bool rng then '\001' else '\000')
+  in
+  (f, b)
+
+let prop_eval_bytes_is_eval =
+  QCheck2.Test.make ~count:2000 ~name:"eval_bytes = eval"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let f, b = random_eval_case rng in
+      let expected = Cnf.Formula.eval f (fun v -> Bytes.get b (v - 1) = '\001') in
+      let n = Bytes.length b in
+      let m = Cnf.Model.of_owned_bytes (Bytes.copy b) in
+      (* the same values as a projected model (variables 1..n and n+2
+         of a wider one) take the [Model.value] path *)
+      let projected =
+        Cnf.Model.restrict
+          (Cnf.Model.make (n + 2) (fun v -> v <= n && Bytes.get b (v - 1) = '\001'))
+          (Array.init (n + 1) (fun i -> if i = n then n + 2 else i + 1))
+      in
+      (* a model short of the formula's width answers or names a
+         missing variable *)
+      let short = Cnf.Model.prefix m (Rng.int rng (n + 1)) in
+      Bool.equal (Cnf.Formula.eval_bytes f b) expected
+      && Bool.equal (Cnf.Model.satisfies f m) expected
+      && Bool.equal (Cnf.Model.satisfies f projected) expected
+      && (match Cnf.Model.satisfies f short with
+         | r -> Bool.equal r expected
+         | exception Invalid_argument _ -> true)
+      && Array.for_all
+           (fun c ->
+             Bool.equal (Cnf.Clause.eval_bytes b c)
+               (Cnf.Clause.eval (fun v -> Bytes.get b (v - 1) = '\001') c))
+           f.Cnf.Formula.clauses
+      && Array.for_all
+           (fun x ->
+             Bool.equal (Cnf.Xor_clause.eval_bytes b x)
+               (Cnf.Xor_clause.eval (fun v -> Bytes.get b (v - 1) = '\001') x))
+           f.Cnf.Formula.xors)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -491,6 +619,7 @@ let qcheck_cases =
       prop_model_key_injective;
       prop_model_compare_is_key_order;
       prop_model_roundtrips;
+      prop_eval_bytes_is_eval;
     ]
 
 let () =
@@ -539,6 +668,9 @@ let () =
           Alcotest.test_case "prefix" `Quick test_model_prefix;
           Alcotest.test_case "satisfies absent variable" `Quick
             test_model_satisfies_absent_variable;
+          Alcotest.test_case "eval_bytes out of range" `Quick
+            test_eval_bytes_out_of_range;
+          Alcotest.test_case "of_owned_bytes" `Quick test_model_of_owned_bytes;
         ] );
       ( "dimacs",
         [
@@ -550,6 +682,12 @@ let () =
           Alcotest.test_case "file io" `Quick test_dimacs_file_io;
           Alcotest.test_case "out of range is a parse error" `Quick
             test_dimacs_out_of_range_is_parse_error;
-        ] );
+          Alcotest.test_case "negative counts" `Quick test_dimacs_negative_counts;
+        ]
+        @ List.map
+            (fun form ->
+              Alcotest.test_case ("integer form " ^ form) `Quick
+                (test_dimacs_integer_form form))
+            integer_forms );
       ("properties", qcheck_cases);
     ]
