@@ -17,16 +17,6 @@ let make n value =
 let of_bool_array a =
   { vars = [||]; values = Bytes.init (Array.length a) (fun i -> byte_of_bool a.(i)) }
 
-let of_owned_bytes values =
-  for i = 0 to Bytes.length values - 1 do
-    match Bytes.get values i with
-    | '\000' | '\001' -> ()
-    | c ->
-        invalid_arg
-          (Printf.sprintf "Model.of_owned_bytes: byte %d is %C, not 0 or 1" i c)
-  done;
-  { vars = [||]; values }
-
 let num_vars t = Bytes.length t.values
 let var_at t i = if is_contiguous t then i + 1 else t.vars.(i)
 let bit t i = Bytes.unsafe_get t.values i = '\001'

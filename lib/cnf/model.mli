@@ -18,13 +18,6 @@ val make : int -> (int -> bool) -> t
 val of_bool_array : bool array -> t
 (** The array is indexed from 0 with slot [v] holding variable [v+1]. *)
 
-val of_owned_bytes : Bytes.t -> t
-(** [of_owned_bytes b] is the contiguous model whose variable [v] is
-    byte [v - 1] of [b] (['\000'] false, ['\001'] true), built
-    without a copy: the model takes ownership of [b], and the caller
-    must not write to it afterwards. Raises [Invalid_argument] on any
-    other byte. *)
-
 val num_vars : t -> int
 val value : t -> int -> bool
 

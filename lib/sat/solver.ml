@@ -350,15 +350,6 @@ let check_invariants t =
    fixpoints): free when audit mode is off. *)
 let maybe_audit t = if Audit.tick () then check_invariants t
 
-(* The model of the current full assignment: one pass over [assigns]
-   into a buffer the model takes over, no closure per variable. *)
-let capture_model t =
-  let values = Bytes.create t.nvars in
-  for v = 1 to t.nvars do
-    Bytes.set values (v - 1) (if t.assigns.(v) = 1 then '\001' else '\000')
-  done;
-  Cnf.Model.of_owned_bytes values
-
 (* Model auditing runs on every Sat (not sampled), so it avoids the
    full view construction: direct evaluation over the attached store. *)
 let audit_model t =
@@ -1334,7 +1325,10 @@ let solve ?(conflict_limit = max_int) ?deadline ?(assumptions = []) t =
             let budget = Luby.budget ~base:restart_base i in
             match search t ~assumps ~budget ~deadline with
             | S_sat ->
-                t.saved_model <- Some (capture_model t);
+                let m =
+                  Cnf.Model.make t.nvars (fun v -> t.assigns.(v) = 1)
+                in
+                t.saved_model <- Some m;
                 t.model_valid <- true;
                 if Audit.is_enabled () then begin
                   if Audit.tick () then check_invariants t;

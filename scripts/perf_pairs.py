@@ -3,16 +3,17 @@
 
     python3 scripts/perf_pairs.py --parent DIR --change DIR \\
         [--workload NAME ...] [--pairs 10] [--first-seed 1] \\
-        [--seconds 12] [--trace 0|1] [--ratio NUM/DEN ...] [--json OUT]
+        [--trace 0|1] [--ratio NUM/DEN ...]
 
-Pair i runs perfbench/run.py with seed first_seed + i in both checkouts,
-the parent first on odd seeds and the change first on even ones, so a
-drift of the host's speed falls on both sides alike. For every workload
-and metric it prints the median and quartiles of each side, the change
-of the median, and in how many pairs the change was better (the
-direction comes from BENCHMARK.json of the change checkout). `--ratio`
-adds a metric computed per run, e.g.
-`bsat.enumerate_self_s/solver.solve_calls` on traced runs.
+Pair i runs perfbench/run.py with seed first_seed + i in both checkouts
+at run.py's fixed run length, the parent first on odd seeds and the
+change first on even ones, so a drift of the host's speed falls on both
+sides alike. For every workload and metric it prints the median and
+quartiles of each side (perfbench/ledger.py's quantile), the change of
+the median, and in how many pairs the change was better (the direction
+comes from BENCHMARK.json of the change checkout). `--ratio` adds a
+metric computed per run, e.g. `bsat.enumerate_self_s/solver.solve_calls`
+on traced runs.
 
 Exit status: 1 if any seed's witness digest differs between the two
 sides, 2 if a run failed or printed no result, else 0.
@@ -21,26 +22,18 @@ Standard library only.
 
 import argparse
 import json
-import math
 import os
 import re
 import subprocess
 import sys
 
+sys.dont_write_bytecode = True
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", "perfbench"))
+from ledger import quantile  # noqa: E402
+
 WORKLOADS = ["offline_sample", "warm_draws", "daemon_mix"]
 DIGEST = re.compile(r"witness digest ([^\s,]+)")
-
-
-def quantile(values, q):
-    """Linear interpolation between order statistics (q in [0, 1]), as
-    perfbench/ledger.py computes it."""
-    xs = sorted(values)
-    if not xs:
-        return float("nan")
-    pos = q * (len(xs) - 1)
-    lo = math.floor(pos)
-    hi = min(lo + 1, len(xs) - 1)
-    return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
 
 
 def order(seed):
@@ -100,9 +93,9 @@ def directions(checkout, ratios):
     return d
 
 
-def run_side(checkout, workload, seed, seconds, trace):
+def run_side(checkout, workload, seed, trace):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--trace", str(trace)]
     p = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                        stderr=subprocess.PIPE, text=True)
     try:
@@ -138,21 +131,18 @@ def main():
     ap.add_argument("--workload", action="append", choices=WORKLOADS)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=int, default=12)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--ratio", action="append", default=[])
-    ap.add_argument("--json", help="write every run's metrics and digest here")
     args = ap.parse_args()
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     dirs = directions(checkouts["change"], args.ratio)
     digest_mismatch = failed_run = False
-    everything = {}
     for workload in args.workload or WORKLOADS:
         runs = []
         for seed in range(args.first_seed, args.first_seed + args.pairs):
             pair = {"seed": seed}
             for side in order(seed):
-                r = run_side(checkouts[side], workload, seed, args.seconds, args.trace)
+                r = run_side(checkouts[side], workload, seed, args.trace)
                 if r is None or r["code"] != 0:
                     failed_run = True
                     print("perf_pairs: %s seed %d: %s run failed" % (workload, seed, side),
@@ -173,12 +163,8 @@ def main():
                 workload, seed, "equal" if same else "DIFFER",
                 pair["parent"]["failed"], pair["change"]["failed"]), flush=True)
             runs.append(pair)
-        everything[workload] = runs
         if runs:
             report(workload, runs, dirs)
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump(everything, f, indent=1)
     sys.exit(1 if digest_mismatch else 2 if failed_run else 0)
 
 

@@ -14,19 +14,6 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import perf_pairs  # noqa: E402
 
 
-class Quantile(unittest.TestCase):
-    def test_interpolates_between_order_statistics(self):
-        xs = [4.0, 1.0, 3.0, 2.0]
-        self.assertEqual(perf_pairs.quantile(xs, 0.0), 1.0)
-        self.assertEqual(perf_pairs.quantile(xs, 1.0), 4.0)
-        self.assertAlmostEqual(perf_pairs.quantile(xs, 0.5), 2.5)
-        self.assertAlmostEqual(perf_pairs.quantile(xs, 0.25), 1.75)
-
-    def test_single_and_empty(self):
-        self.assertEqual(perf_pairs.quantile([7.0], 0.75), 7.0)
-        self.assertTrue(perf_pairs.quantile([], 0.5) != perf_pairs.quantile([], 0.5))
-
-
 class Pairs(unittest.TestCase):
     def test_order_alternates(self):
         self.assertEqual(perf_pairs.order(1), ("parent", "change"))

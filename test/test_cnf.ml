@@ -273,17 +273,6 @@ let test_eval_bytes_out_of_range () =
       ("xor variable 0", formula [||] [| { Cnf.Xor_clause.vars = [| 0 |]; rhs = true } |]);
     ]
 
-let test_model_of_owned_bytes () =
-  let m = Cnf.Model.of_owned_bytes (Bytes.of_string "\001\000\001") in
-  Alcotest.(check (list int)) "values" [ 1; -2; 3 ] (Cnf.Model.to_dimacs m);
-  Alcotest.(check bool) "= make" true
-    (Cnf.Model.equal m (Cnf.Model.make 3 (fun v -> v <> 2)));
-  List.iter
-    (fun b ->
-      Alcotest.(check bool) (Printf.sprintf "rejects %S" b) true
-        (raises_invalid (fun () -> Cnf.Model.of_owned_bytes (Bytes.of_string b))))
-    [ "\002"; "\001\000a"; "\255\001" ]
-
 (* ------------------------------------------------------------------ *)
 (* DIMACS *)
 
@@ -582,7 +571,7 @@ let prop_eval_bytes_is_eval =
       let f, b = random_eval_case rng in
       let expected = Cnf.Formula.eval f (fun v -> Bytes.get b (v - 1) = '\001') in
       let n = Bytes.length b in
-      let m = Cnf.Model.of_owned_bytes (Bytes.copy b) in
+      let m = Cnf.Model.make n (fun v -> Bytes.get b (v - 1) = '\001') in
       (* the same values as a projected model (variables 1..n and n+2
          of a wider one) take the [Model.value] path *)
       let projected =
@@ -670,7 +659,6 @@ let () =
             test_model_satisfies_absent_variable;
           Alcotest.test_case "eval_bytes out of range" `Quick
             test_eval_bytes_out_of_range;
-          Alcotest.test_case "of_owned_bytes" `Quick test_model_of_owned_bytes;
         ] );
       ( "dimacs",
         [
