@@ -910,7 +910,8 @@ let run_service ~budget () =
   let report = Obs.Report.create () in
   (* cold, then repeated warm draws with fresh draw seeds (all share
      the one cached preparation) on a single connection, plus the
-     historical one-formula burst — all against the serial daemon *)
+     historical one-formula burst — all against the default (jobs 1)
+     daemon *)
   let cold_s, warm_median_s, base_burst_s, base_waits =
     with_service_daemon ~scheduler:Service.Scheduler.default_config
     @@ fun socket_path ->

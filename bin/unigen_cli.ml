@@ -558,10 +558,12 @@ let serve_cmd =
   let jobs =
     Arg.(value & opt int 1
          & info [ "j"; "jobs" ]
-             ~doc:"Worker domains executing requests in parallel, sharded \
-                   by formula fingerprint — concurrent clients on distinct \
-                   formulas never contend. Witnesses are bit-identical to \
-                   --jobs 1 for every value.")
+             ~doc:"Worker domains executing requests, sharded by formula \
+                   fingerprint — concurrent clients on distinct formulas \
+                   never contend. 1 means one worker domain: the daemon's \
+                   own loop never runs a request, so it keeps answering \
+                   clients while a preparation runs. Witnesses are \
+                   bit-identical for every value.")
   in
   let show_stats =
     Arg.(value & flag
@@ -780,7 +782,7 @@ let client_cmd =
   let seed =
     Arg.(value & opt int 1
          & info [ "s"; "seed" ]
-             ~doc:"Draw seed: witness $(i)i$(i) comes from stream (seed, i), \
+             ~doc:"Draw seed: witness $(i,i) comes from stream (seed, i), \
                    bit-identical to an offline run with the same seed.")
   in
   let prepare_seed =

@@ -89,7 +89,7 @@ type t = {
   cfg : config;
   registry : Registry.t;
   prep_cache : Cache.t;
-  exec : Parallel.Executor.t option;  (* jobs > 1: request-level parallelism *)
+  exec : Parallel.Executor.t;  (* [jobs] worker domains run every request *)
   queues : (string, pending_req Queue.t) Hashtbl.t;
   rotation : string Queue.t;  (* fingerprints with pending work, RR order *)
   by_id : (int, pending_req) Hashtbl.t;  (* admitted, not yet dispatched *)
@@ -148,9 +148,7 @@ let create ?(config = default_config) () =
     cfg = config;
     registry = Registry.create ();
     prep_cache = Cache.create ?spill ~capacity:config.cache_capacity ();
-    exec =
-      (if config.jobs > 1 then Some (Parallel.Executor.create ~workers:config.jobs)
-       else None);
+    exec = Parallel.Executor.create ~workers:config.jobs;
     queues = Hashtbl.create 16;
     rotation = Queue.create ();
     by_id = Hashtbl.create 64;
@@ -187,8 +185,7 @@ let pending t =
 
 let queued t = t.queued_count
 let in_flight t = t.inflight_count
-let notify_fd t = Option.map Parallel.Executor.notify_fd t.exec
-let is_parallel t = Option.is_some t.exec
+let notify_fd t = Parallel.Executor.notify_fd t.exec
 
 let is_draining t = t.draining
 
@@ -264,10 +261,13 @@ let cancel t id =
   Audit.Ownership.check t.owner;
   match Hashtbl.find_opt t.by_id id with
   | Some p ->
-      (* still queued: drop it before it reaches a worker *)
+      (* still queued: drop it before it reaches a worker. It never
+         passes through [dequeue], so its queue span closes here *)
       p.cancelled <- true;
       Hashtbl.remove t.by_id id;
       t.queued_count <- t.queued_count - 1;
+      Obs.Trace.span_end ~cat:"service" ~id:p.trace_id "service.queue"
+        ~args:[ ("fingerprint", p.fingerprint); ("cancelled", "true") ];
       Obs.Metrics.incr c_cancelled;
       set_depth t;
       true
@@ -471,14 +471,14 @@ let fp_tele_of t fp =
       ft
 
 (* The single funnel every finished request passes through, worker-side
-   or inline — deadline misses are counted here and nowhere else, so a
-   miss detected on a worker domain (a [Prepare_timeout] surfacing as
-   [Deadline_miss]) is counted exactly once. The same funnel feeds the
-   rolling windows and emits the request's structured log line; it
-   always runs on the owner domain (inline in serial mode, in the
-   executor finish thunk in parallel mode), so the windows need no
-   locking. [timing] is [None] when the request never reached a worker
-   (an already-expired deadline or an executor-level exception). *)
+   or missed at dispatch — deadline misses are counted here and nowhere
+   else, so a miss detected on a worker domain (a [Prepare_timeout]
+   surfacing as [Deadline_miss]) is counted exactly once. The same
+   funnel feeds the rolling windows and emits the request's structured
+   log line; it always runs on the owner domain (in [dispatch] or in
+   the executor finish thunk), so the windows need no locking. [timing]
+   is [None] when the request never reached a worker (an
+   already-expired deadline or an executor-level exception). *)
 let account t (p : pending_req) ~queue_wait_s ~started_at ~timing response =
   (match response with
   | Wire.Deadline_miss _ -> Obs.Metrics.incr c_deadline_misses
@@ -555,44 +555,14 @@ let dequeue t p =
 let deadline_passed p now =
   match p.deadline with Some d -> now > d | None -> false
 
-let step t =
-  Audit.Ownership.check t.owner;
-  match next_runnable t with
-  | None -> None
-  | Some p ->
-      let now, queue_wait_s = dequeue t p in
-      set_depth t;
-      let timing = ref None in
-      let response =
-        (* the ambient trace id tags every span the request produces,
-           including the unigen.prepare/draw spans deeper down *)
-        Obs.Trace.with_trace_id (Some p.trace_id) @@ fun () ->
-        Obs.Trace.span ~cat:"service" "service.request"
-          ~args:[ ("fingerprint", p.fingerprint); ("id", string_of_int p.id) ]
-          (fun () ->
-            if deadline_passed p now then
-              Wire.Deadline_miss { rsp_tag = p.req.tag }
-            else
-              let key = key_of p in
-              let cached = Cache.find t.prep_cache key in
-              match run_request ~queue_wait_s ~cached p with
-              | response, newly, tm ->
-                  timing := Some tm;
-                  finalize_cache t p key ~cached ~newly response;
-                  response
-              | exception e -> response_of_exn e)
-      in
-      account t p ~queue_wait_s ~started_at:now ~timing:!timing response;
-      Some (p.id, response)
-
 (* ------------------------------------------------------------------ *)
-(* Parallel dispatch: hand whole requests to worker domains through the
+(* Dispatch: hand whole requests to worker domains through the
    executor, at most [jobs] in flight and at most one per fingerprint.
    The owner keeps every cache touch: it resolves hit/miss and takes an
    execution pin before the worker starts, and installs / releases at
    completion — the worker only computes. *)
 
-let dispatch_one t ex p =
+let dispatch_one t p =
   let now, queue_wait_s = dequeue t p in
   if deadline_passed p now then begin
     (* no worker needed; completes immediately *)
@@ -613,7 +583,7 @@ let dispatch_one t ex p =
     (match cached with
     | Some _ -> ignore (Cache.acquire t.prep_cache key : bool)
     | None -> ());
-    Parallel.Executor.submit ex
+    Parallel.Executor.submit t.exec
       ~work:(fun () ->
         (* worker domain: install the request's trace id as the
            ambient id for every span produced on this domain until the
@@ -643,25 +613,20 @@ let dispatch_one t ex p =
 
 let dispatch t =
   Audit.Ownership.check t.owner;
-  match t.exec with
-  | None -> 0
-  | Some ex ->
-      let started = ref 0 in
-      let continue = ref true in
-      while !continue && t.inflight_count < t.cfg.jobs do
-        match next_runnable t with
-        | None -> continue := false
-        | Some p ->
-            dispatch_one t ex p;
-            incr started
-      done;
-      !started
+  let started = ref 0 in
+  let continue = ref true in
+  while !continue && t.inflight_count < t.cfg.jobs do
+    match next_runnable t with
+    | None -> continue := false
+    | Some p ->
+        dispatch_one t p;
+        incr started
+  done;
+  !started
 
 let completions t =
   Audit.Ownership.check t.owner;
-  (match t.exec with
-  | Some ex when not t.exec_down -> ignore (Parallel.Executor.poll ex : int)
-  | _ -> ());
+  if not t.exec_down then ignore (Parallel.Executor.poll t.exec : int);
   let rec go acc =
     if Queue.is_empty t.completed then List.rev acc
     else go (Queue.pop t.completed :: acc)
@@ -670,31 +635,22 @@ let completions t =
 
 let drain t =
   Audit.Ownership.check t.owner;
-  match t.exec with
-  | None ->
-      let rec go acc =
-        match step t with None -> List.rev acc | Some c -> go (c :: acc)
-      in
-      go []
-  | Some ex ->
-      let acc = ref [] in
-      let continue = ref true in
-      while !continue do
-        List.iter (fun c -> acc := c :: !acc) (completions t);
-        ignore (dispatch t : int);
-        if t.inflight_count > 0 then Parallel.Executor.wait ~timeout_s:0.1 ex
-        else if t.queued_count = 0 && Queue.is_empty t.completed then
-          continue := false
-      done;
-      List.rev !acc
+  let acc = ref [] in
+  let continue = ref true in
+  while !continue do
+    List.iter (fun c -> acc := c :: !acc) (completions t);
+    ignore (dispatch t : int);
+    if t.inflight_count > 0 then Parallel.Executor.wait ~timeout_s:0.1 t.exec
+    else if t.queued_count = 0 && Queue.is_empty t.completed then
+      continue := false
+  done;
+  List.rev !acc
 
 let shutdown t =
   Audit.Ownership.check t.owner;
   if not t.exec_down then begin
     t.exec_down <- true;
-    match t.exec with
-    | Some ex -> Parallel.Executor.shutdown ex
-    | None -> ()
+    Parallel.Executor.shutdown t.exec
   end
 
 (* ------------------------------------------------------------------ *)

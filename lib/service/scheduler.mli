@@ -17,9 +17,9 @@
       dispatched, the request completes as [Deadline_miss] without
       touching a solver, and an in-flight preparation respects the
       same deadline through [Unigen.prepare ~deadline]. Every finished
-      request — inline, worker-side, or immediately missed — passes
-      through one accounting funnel, so a miss is counted exactly once
-      no matter where it is detected.
+      request — worker-side or immediately missed — passes through
+      one accounting funnel, so a miss is counted exactly once no
+      matter where it is detected.
     - {b cancellation}: {!cancel} removes a queued request by id; a
       request already running on a worker domain is marked cancelled
       and its response suppressed at completion (its cache pins are
@@ -33,8 +33,9 @@
       executes them (the differential tests in [test_service.ml]
       enforce this on miss, hit and post-eviction paths).
 
-    {b Parallel execution} ([jobs > 1]): whole requests are dispatched
-    to a private {!Parallel.Executor}; at most [jobs] run concurrently
+    {b Execution}: whole requests are dispatched to a private
+    {!Parallel.Executor} with [jobs] worker domains ([jobs = 1] is one
+    worker, never the caller's domain); at most [jobs] run concurrently
     and at most one per formula fingerprint, sharding prepared-state
     ownership so concurrent clients on different formulas never
     contend while one formula's requests serialise on its prepared
@@ -60,7 +61,9 @@ type config = {
   queue_capacity : int;  (** max pending requests before rejection *)
   max_batch : int;  (** per-request sample budget *)
   cache_capacity : int;  (** prepared-state LRU size *)
-  jobs : int;  (** worker domains executing requests; 1 = inline *)
+  jobs : int;
+      (** worker domains executing requests; [1] is one worker domain,
+          so the owner domain never runs a request itself *)
   slow_ms : float;
       (** requests slower than this log their [service.request] event
           at [Warn] instead of [Info] *)
@@ -105,8 +108,8 @@ type reject = { reason : Wire.reject_reason; retry_after_s : float }
 type t
 
 val create : ?config:config -> unit -> t
-(** Builds the registry, the cache and (when [jobs > 1]) a private
-    {!Parallel.Executor} with [jobs] worker domains.
+(** Builds the registry, the cache and a private {!Parallel.Executor}
+    with [jobs] worker domains.
     @raise Invalid_argument on non-positive capacities where required
     ([queue_capacity >= 1], [jobs >= 1], [cache_capacity >= 0],
     [max_batch >= 0]). *)
@@ -133,16 +136,12 @@ val queued : t -> int
 (** Admitted, not yet dispatched. *)
 
 val in_flight : t -> int
-(** Dispatched to a worker domain, not yet completed. Always 0 in
-    serial mode. *)
+(** Dispatched to a worker domain, not yet completed. *)
 
-val is_parallel : t -> bool
-(** [jobs > 1]. *)
-
-val notify_fd : t -> Unix.file_descr option
+val notify_fd : t -> Unix.file_descr
 (** The executor's completion-notification pipe (readable when a
-    worker finished since the last {!completions}); [None] in serial
-    mode. Select on it; never read it directly. *)
+    worker finished since the last {!completions}). Select on it;
+    never read it directly. *)
 
 val set_draining : t -> unit
 (** Further {!submit}s reject with [Draining]; pending requests still
@@ -150,18 +149,12 @@ val set_draining : t -> unit
 
 val is_draining : t -> bool
 
-val step : t -> (int * Wire.response) option
-(** Dispatch and fully execute the next request in fairness order on
-    the calling domain; [None] when nothing is runnable. Works in
-    either mode (in parallel mode it respects fingerprints currently
-    in flight). *)
-
 val dispatch : t -> int
-(** Parallel mode: start as many runnable requests as free worker
+(** Start as many runnable requests, in fairness order, as free worker
     slots allow (at most [jobs] in flight, at most one per
     fingerprint); returns how many were started. Requests whose
     deadline already passed complete immediately as [Deadline_miss]
-    without occupying a worker. Always 0 in serial mode. *)
+    without occupying a worker. Never blocks. *)
 
 val completions : t -> (int * Wire.response) list
 (** Poll the executor and return every finished request since the last
@@ -169,9 +162,8 @@ val completions : t -> (int * Wire.response) list
     drains {!notify_fd}. *)
 
 val drain : t -> (int * Wire.response) list
-(** Run to exhaustion — serial: {!step} in a loop; parallel:
-    dispatch/await/collect until no request is queued or in flight —
-    and return completions in order. *)
+(** Run to exhaustion — dispatch/await/collect until no request is
+    queued or in flight — and return completions in order. *)
 
 val shutdown : t -> unit
 (** Stop the executor (workers finish their queued jobs, completion
@@ -187,9 +179,10 @@ val shutdown : t -> unit
     (trace id, fingerprint, outcome, queue/prepare/draw milliseconds,
     cache hit/miss) — at [Warn] past [slow_ms]. Spans
     produced on behalf of a request — [service.queue] (async, from
-    admission to dispatch), [service.request], [service.prepare],
-    [service.draw] and the [unigen.*] spans below them — all carry the
-    request's trace id, across owner and worker domains. *)
+    admission to dispatch or cancellation), [service.request],
+    [service.prepare], [service.draw] and the [unigen.*] spans below
+    them — all carry the request's trace id, across owner and worker
+    domains. *)
 
 val window_report : t -> Wire.window_report
 (** Rates, counts and factor-of-2 latency percentiles over the rolling

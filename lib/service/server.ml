@@ -195,8 +195,13 @@ let run cfg =
     | exception Unix.Unix_error _ -> ()
   in
   cleanup_socket ();
-  Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
-  Unix.listen listen_fd 64;
+  (try
+     Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
+     Unix.listen listen_fd 64
+   with e ->
+     (* the scheduler's worker domains are already up: join them *)
+     Scheduler.shutdown sched;
+     raise e);
   let st =
     {
       cfg;
@@ -246,22 +251,14 @@ let run cfg =
     end;
     let fds =
       (if !listening then [ listen_fd ] else [])
-      @ (match Scheduler.notify_fd sched with
-        | Some fd -> [ fd ]  (* worker-completion self-pipe *)
-        | None -> [])
-      @ List.map (fun c -> c.fd) st.conns
+      @ (Scheduler.notify_fd sched  (* worker-completion self-pipe *)
+        :: List.map (fun c -> c.fd) st.conns)
     in
-    (* serial mode spins through the backlog; parallel mode sleeps —
-       the notify pipe wakes the select the moment a worker finishes,
+    (* the notify pipe wakes the select the moment a worker finishes,
        and queued work only becomes dispatchable on a completion (a
        free slot or a freed fingerprint) or a new request, both of
        which make an fd readable *)
-    let timeout =
-      if Scheduler.is_parallel sched then 0.25
-      else if Scheduler.pending sched > 0 then 0.0
-      else 0.25
-    in
-    (match Unix.select fds [] [] timeout with
+    (match Unix.select fds [] [] 0.25 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | readable, _, _ ->
         List.iter
@@ -284,21 +281,15 @@ let run cfg =
               | Some c -> handle_readable st c
               | None -> ())
           readable);
-    if Scheduler.is_parallel sched then begin
-      let flush () =
-        List.iter
-          (fun (id, response) -> deliver st id response)
-          (Scheduler.completions sched)
-      in
-      flush ();
-      ignore (Scheduler.dispatch sched : int);
-      (* dispatch completes already-missed deadlines inline *)
-      flush ()
-    end
-    else
-      match Scheduler.step sched with
-      | None -> ()
-      | Some (id, response) -> deliver st id response
+    let flush () =
+      List.iter
+        (fun (id, response) -> deliver st id response)
+        (Scheduler.completions sched)
+    in
+    flush ();
+    ignore (Scheduler.dispatch sched : int);
+    (* dispatch completes already-missed deadlines inline *)
+    flush ()
   done;
   Obs.Log.event "service.stop"
     [ ("uptime_s", Obs.Report.Float (Scheduler.uptime_s sched)) ];
@@ -318,7 +309,7 @@ let run_fleet ~replicas cfg =
   else begin
     (* Every replica is forked before this process spawns any domain
        (OCaml 5 forbids fork once a Domain.spawn has happened, and
-       [run] spawns workers when jobs > 1) — so the forks all happen
+       [run] spawns its worker domains) — so the forks all happen
        here, then each child builds its own scheduler. *)
     let spawn i =
       match Unix.fork () with

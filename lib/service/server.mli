@@ -7,15 +7,15 @@
     locks). Connection reads are buffered through {!Wire.Decoder}, so
     a slow writer never blocks the loop.
 
-    With [scheduler.jobs = 1] the loop executes one scheduled request
-    inline between I/O rounds. With [jobs > 1] it dispatches runnable
-    requests to the scheduler's worker domains and keeps serving I/O;
-    the executor's completion self-pipe joins the [select] set, so the
-    loop sleeps until a client writes {e or} a worker finishes, then
-    delivers completed responses. Requests on distinct formulas run
-    concurrently (prepared-state ownership is sharded by fingerprint);
-    witnesses stay bit-identical to serial execution at any [jobs]
-    level.
+    The loop never runs a request itself: it dispatches runnable
+    requests to the scheduler's [jobs] worker domains ([jobs = 1] is
+    one worker) and always keeps serving I/O, so a [status] is answered
+    while a cold preparation runs. The executor's completion self-pipe
+    joins the [select] set, so the loop sleeps until a client writes
+    {e or} a worker finishes, then delivers completed responses.
+    Requests on distinct formulas run concurrently (prepared-state
+    ownership is sharded by fingerprint); witnesses are bit-identical
+    at any [jobs] level.
 
     Graceful shutdown (a [shutdown] request, SIGINT or SIGTERM):
     admission switches to [Draining] rejections, the listening socket
@@ -61,6 +61,6 @@ val run_fleet : replicas:int -> config -> unit
     [scheduler.spill_dir] to make them behave as a single durable
     cache. [replicas = 1] degenerates to {!run} on [cfg] unchanged.
     All forks happen before any worker domain exists (an OCaml 5
-    requirement), so fleet mode composes with [jobs > 1].
+    requirement), since every replica's scheduler spawns workers.
     @raise Invalid_argument when [replicas < 1].
     @raise Failure when any replica exits abnormally. *)

@@ -92,12 +92,13 @@ echo "== xor engine (Gauss engine vs brute force, audit mode)"
 # gauss-* invariants).
 UNIGEN_AUDIT=1 UNIGEN_AUDIT_PERIOD=16 dune exec test/test_gauss.exe
 
-echo "== service smoke"
+echo "== service smoke (default --jobs 1)"
 # End-to-end daemon check over a real socket: start `unigen serve` on a
 # temp socket, issue the same request twice on the same formula, verify
 # the second is served from the prepared-state cache (the daemon's
-# metrics JSON must report exactly one hit and one miss), then shut
-# down gracefully and confirm the metrics file was flushed on exit.
+# metrics JSON must report exactly one hit and one miss, and no
+# execution pin left held by its one worker domain), then shut down
+# gracefully and confirm the metrics file was flushed on exit.
 smoke_dir=$(mktemp -d)
 serve_pid=
 trap 'kill "$serve_pid" 2>/dev/null || true; rm -rf "$smoke_dir"' EXIT
@@ -122,8 +123,8 @@ client() {
     dune exec bin/unigen_cli.exe -- client "$smoke_dir/smoke.cnf" \
         --socket "$sock" -n 3 -s 7 "$@"
 }
-client > "$smoke_dir/serial1.out"
-grep -q 'cache=miss' "$smoke_dir/serial1.out" || { echo "error: first request should miss" >&2; exit 1; }
+client > "$smoke_dir/jobs1.out"
+grep -q 'cache=miss' "$smoke_dir/jobs1.out" || { echo "error: first request should miss" >&2; exit 1; }
 client | grep -q 'cache=hit'  || { echo "error: second request should hit the cache" >&2; exit 1; }
 client --shutdown > /dev/null
 wait "$serve_pid"
@@ -136,13 +137,18 @@ grep -q '"service.cache_misses": 1' "$metrics" || {
     echo "error: metrics JSON should record exactly one cache miss" >&2
     exit 1
 }
+grep -q '"service.cache_pins": 0' "$metrics" || {
+    echo "error: metrics JSON should record no execution pin left held" >&2
+    cat "$metrics" >&2
+    exit 1
+}
 json_ok "$metrics"
 
 echo "== service smoke (--jobs 2, audit mode)"
 # Same end-to-end flow against a daemon that executes requests on
 # worker domains, with the correctness audit live so Audit.Ownership
-# single-owner tags are checked on the parallel path. Witnesses must
-# stay bit-identical to the serial daemon's for the same seeds.
+# single-owner tags are checked with two workers. Witnesses must stay
+# bit-identical to the default (jobs 1) daemon's for the same seeds.
 sock2="$smoke_dir/unigen2.sock"
 UNIGEN_AUDIT=1 UNIGEN_AUDIT_PERIOD=16 dune exec bin/unigen_cli.exe -- serve \
     --socket "$sock2" --jobs 2 > "$smoke_dir/serve2.log" 2>&1 &
@@ -163,12 +169,12 @@ client2 > "$smoke_dir/par2.out"
 grep -q 'cache=hit' "$smoke_dir/par2.out" || { echo "error: second parallel request should hit" >&2; exit 1; }
 # determinism across daemons and cache states: the parallel daemon's
 # witnesses (miss and hit path alike) must be bit-identical to the
-# serial daemon's for the same formula and seeds
-grep '^v ' "$smoke_dir/serial1.out" > "$smoke_dir/serial.witness"
+# default (jobs 1) daemon's for the same formula and seeds
+grep '^v ' "$smoke_dir/jobs1.out" > "$smoke_dir/jobs1.witness"
 grep '^v ' "$smoke_dir/par1.out" > "$smoke_dir/par1.witness"
 grep '^v ' "$smoke_dir/par2.out" > "$smoke_dir/par2.witness"
-cmp -s "$smoke_dir/serial.witness" "$smoke_dir/par1.witness" || {
-    echo "error: parallel daemon's witnesses differ from the serial daemon's" >&2
+cmp -s "$smoke_dir/jobs1.witness" "$smoke_dir/par1.witness" || {
+    echo "error: --jobs 2 daemon's witnesses differ from the --jobs 1 daemon's" >&2
     exit 1
 }
 cmp -s "$smoke_dir/par1.witness" "$smoke_dir/par2.witness" || {
@@ -361,7 +367,7 @@ grep -q 'cache=hit' "$smoke_dir/fleet2.out" || {
     exit 1
 }
 grep '^v ' "$smoke_dir/fleet1.out" > "$smoke_dir/fleet1.witness"
-cmp -s "$smoke_dir/serial.witness" "$smoke_dir/fleet1.witness" || {
+cmp -s "$smoke_dir/jobs1.witness" "$smoke_dir/fleet1.witness" || {
     echo "error: fleet witnesses differ from the single daemon's" >&2
     exit 1
 }

@@ -42,7 +42,18 @@ let test_help () =
   Alcotest.(check int) "exit 0" 0 code;
   List.iter
     (fun cmd -> Alcotest.(check bool) cmd true (contains cmd text))
-    [ "sample"; "count"; "support"; "bench-gen"; "simplify"; "convert" ]
+    [ "sample"; "count"; "support"; "bench-gen"; "simplify"; "convert" ];
+  (* every subcommand's help renders without a cmdliner markup error *)
+  List.iter
+    (fun cmd ->
+      let code, text = run (cmd ^ " --help=plain") in
+      Alcotest.(check int) (cmd ^ " --help exit 0") 0 code;
+      Alcotest.(check bool) (cmd ^ " --help has no cmdliner error") false
+        (contains "cmdliner error" text))
+    [
+      "bench-gen"; "client"; "convert"; "count"; "monitor"; "sample"; "serve";
+      "simplify"; "support";
+    ]
 
 let test_bench_gen_list () =
   let code, text = run "bench-gen --list" in

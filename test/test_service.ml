@@ -14,6 +14,8 @@ module Json = Service.Json
 module Spill = Service.Spill
 module Client = Service.Client
 
+open Service_fixtures
+
 (* ------------------------------------------------------------------ *)
 (* LRU *)
 
@@ -117,8 +119,6 @@ let test_lru_pin_cycle_and_reput () =
 
 (* ------------------------------------------------------------------ *)
 (* Registry *)
-
-let formula_of_string = Cnf.Dimacs.parse_string
 
 let test_registry_fingerprint_invariance () =
   (* same formula modulo clause order, literal order, duplicate
@@ -379,18 +379,30 @@ let submit_ok sched req =
   | Ok id -> id
   | Error _ -> Alcotest.fail "submission unexpectedly rejected"
 
+(* One request at a time through the executor: dispatch, then wait on
+   the notify pipe until it completes. [None] when nothing was
+   runnable. *)
+let step sched =
+  ignore (Scheduler.dispatch sched : int);
+  let rec await () =
+    match Scheduler.completions sched with
+    | [ c ] -> Some c
+    | [] when Scheduler.in_flight sched = 0 -> None
+    | [] ->
+        ignore (Unix.select [ Scheduler.notify_fd sched ] [] [] 1.0);
+        await ()
+    | _ -> Alcotest.fail "step: more than one request completed"
+  in
+  await ()
+
 let step_ok sched =
-  match Scheduler.step sched with
+  match step sched with
   | Some c -> c
   | None -> Alcotest.fail "expected a pending request"
 
 let with_sched ?(config = Scheduler.default_config) f =
   let sched = Scheduler.create ~config () in
   Fun.protect ~finally:(fun () -> Scheduler.shutdown sched) (fun () -> f sched)
-
-let formula_a = "p cnf 4 2\nc ind 1 2 3 0\n1 2 3 0\n-1 4 0\n"
-let formula_b = "p cnf 4 2\nc ind 1 2 3 0\n-1 -2 0\n2 3 4 0\n"
-let formula_c = "p cnf 4 2\nc ind 1 2 3 0\n1 -2 0\n-3 4 0\n"
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler policy *)
@@ -464,7 +476,7 @@ let test_scheduler_cancellation () =
   Alcotest.(check int) "one left" 1 (Scheduler.pending sched);
   let id', _ = step_ok sched in
   Alcotest.(check int) "cancelled request skipped" id2 id';
-  Alcotest.(check bool) "drained" true (Scheduler.step sched = None);
+  Alcotest.(check bool) "drained" true (step sched = None);
   Alcotest.(check bool) "cancel after completion" false (Scheduler.cancel sched id2)
 
 let test_scheduler_draining () =
@@ -493,27 +505,68 @@ let test_scheduler_unsat_and_bad_epsilon () =
   | _, Wire.Error_msg _ -> ()
   | _ -> Alcotest.fail "epsilon <= 1.71 must surface as a structured error"
 
+let test_scheduler_cancel_in_flight_one_job () =
+  (* at jobs = 1 a dispatched request runs on the executor's one worker
+     domain: it is in flight, cancelling it suppresses its response, and
+     its execution pin is still released *)
+  Obs.Metrics.enable ();
+  with_sched @@ fun sched ->
+  let f = formula_of_string formula_a in
+  (* warm the cache so the cancelled flight takes an execution pin *)
+  ignore (submit_ok sched (sample_request f) : int);
+  ignore (Scheduler.drain sched : (int * Wire.response) list);
+  let id = submit_ok sched (sample_request ~seed:2 f) in
+  Alcotest.(check int) "dispatched" 1 (Scheduler.dispatch sched);
+  Alcotest.(check int) "in flight" 1 (Scheduler.in_flight sched);
+  Alcotest.(check bool) "cancel in-flight" true (Scheduler.cancel sched id);
+  Alcotest.(check (list int)) "cancelled response suppressed" []
+    (List.map fst (Scheduler.drain sched));
+  Alcotest.(check int) "pins released" 0
+    (Cache.total_pin_count (Scheduler.cache sched));
+  Alcotest.(check (option (float 0.0))) "service.cache_pins gauge" (Some 0.0)
+    (List.assoc_opt "service.cache_pins" (Obs.Metrics.snapshot ()).Obs.Metrics.gauges)
+
+let test_scheduler_cancel_closes_queue_span () =
+  (* every async service.queue span opened at admission is closed, also
+     for a request cancelled while still queued *)
+  let path = Filename.temp_file "service_trace" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Obs.Trace.enable_file path;
+  (with_sched @@ fun sched ->
+   let f = formula_of_string formula_a in
+   ignore (submit_ok sched (sample_request f) : int);
+   let second = submit_ok sched (sample_request ~seed:2 f) in
+   Alcotest.(check bool) "cancel queued" true (Scheduler.cancel sched second);
+   Alcotest.(check int) "one response" 1 (List.length (Scheduler.drain sched)));
+  Obs.Trace.close ();
+  let ic = open_in path in
+  let raw = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let queue_ids ph =
+    match Json.of_string raw with
+    | Json.List evs ->
+        List.filter_map
+          (function
+            | Json.Obj fs
+              when List.assoc_opt "name" fs = Some (Json.Str "service.queue")
+                   && List.assoc_opt "ph" fs = Some (Json.Str ph) ->
+                List.assoc_opt "id" fs
+            | _ -> None)
+          evs
+        |> List.sort compare
+    | _ -> Alcotest.fail "trace file is not a JSON array"
+  in
+  Alcotest.(check int) "both requests opened a queue span" 2
+    (List.length (queue_ids "b"));
+  Alcotest.(check bool) "every queue span closed" true
+    (queue_ids "b" = queue_ids "e")
+
 (* ------------------------------------------------------------------ *)
 (* Determinism contract: the differential test. Service-path witnesses
    must be bit-identical to an offline [Unigen.sample_batch] with the
    same seeds on the canonical formula — on the cache miss (first
    request), on the cache hit (second request), and after an explicit
    eviction (cold again). *)
-
-let offline_witnesses ~prepare_seed ~seed ~epsilon ~n formula =
-  let f = Registry.canonical formula in
-  let rng = Rng.create prepare_seed in
-  match Sampling.Unigen.prepare ~rng ~epsilon f with
-  | Error _ -> None
-  | Ok prepared ->
-      let outcomes =
-        Sampling.Unigen.sample_batch ~max_attempts:20 ~seed prepared n
-      in
-      Some
-        (Array.to_list outcomes
-        |> List.filter_map (function
-             | Ok m -> Some (Cnf.Model.to_dimacs m)
-             | Error _ -> None))
 
 let service_witnesses sched req =
   ignore (submit_ok sched req : int);
@@ -575,9 +628,9 @@ let prop_cache_hit_equals_cold_miss =
       Fun.protect ~finally:(fun () -> Scheduler.shutdown sched) @@ fun () ->
       let req = sample_request ~n:4 ~seed ~count_iterations:5 f in
       ignore (Scheduler.submit sched req |> Result.get_ok : int);
-      let r1 = Scheduler.step sched in
+      let r1 = step sched in
       ignore (Scheduler.submit sched req |> Result.get_ok : int);
-      let r2 = Scheduler.step sched in
+      let r2 = step sched in
       match (r1, r2) with
       | Some (_, Wire.Ok_sample a), Some (_, Wire.Ok_sample b) ->
           a.Wire.cache = Wire.Cache_miss
@@ -592,9 +645,6 @@ let prop_cache_hit_equals_cold_miss =
    sharded by fingerprint. Everything observable — witnesses, response
    multiplicity, pins, counters — must be indistinguishable from the
    serial path. *)
-
-let parallel_config jobs =
-  { Scheduler.default_config with Scheduler.jobs }
 
 (* Submit one request and run the scheduler to exhaustion; works in
    serial and parallel mode. *)
@@ -678,11 +728,7 @@ let test_parallel_dispatch_shards_and_interleaves () =
   (* [completions] never dispatches, so polling it until nothing is in
      flight collects exactly the first wave, whatever order its two
      requests finish in *)
-  let fd =
-    match Scheduler.notify_fd sched with
-    | Some fd -> fd
-    | None -> Alcotest.fail "parallel scheduler without a notify fd"
-  in
+  let fd = Scheduler.notify_fd sched in
   let rec first_wave acc =
     let acc = List.rev_append (List.map fst (Scheduler.completions sched)) acc in
     if Scheduler.in_flight sched = 0 then acc
@@ -821,7 +867,7 @@ let prop_retry_hint_sane =
         (match Scheduler.submit sched (sample_request ~timeout_s:(-1.0) f) with
         | Ok _ -> ()
         | Error _ -> Alcotest.fail "admission unexpectedly closed");
-        match Scheduler.step sched with
+        match step sched with
         | Some (_, Wire.Deadline_miss _) -> ()
         | _ -> Alcotest.fail "expected an instant deadline miss"
       done;
@@ -1246,346 +1292,6 @@ let prop_decoder_garbage_payload =
       | exception _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end over a real Unix socket: daemon in a forked child, two
-   requests on one connection, a tagged cancel race, clean shutdown. *)
-
-let test_socket_end_to_end () =
-  let dir = Filename.temp_file "unigen_service" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let socket_path = Filename.concat dir "daemon.sock" in
-  match Unix.fork () with
-  | 0 ->
-      (* child: the daemon. [_exit] skips at_exit so the test runner's
-         buffers are not flushed twice. *)
-      (try
-         Service.Server.run (Service.Server.default_config ~socket_path)
-       with _ -> ());
-      Unix._exit 0
-  | pid ->
-      Fun.protect
-        ~finally:(fun () ->
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          (* the happy path has already reaped the child *)
-          (try ignore (Unix.waitpid [] pid : int * Unix.process_status)
-           with Unix.Unix_error (Unix.ECHILD, _, _) -> ());
-          (try Sys.remove socket_path with Sys_error _ -> ());
-          try Unix.rmdir dir with Unix.Unix_error _ -> ())
-      @@ fun () ->
-      let deadline = Unix.gettimeofday () +. 10.0 in
-      while
-        (not (Sys.file_exists socket_path)) && Unix.gettimeofday () < deadline
-      do
-        ignore (Unix.select [] [] [] 0.02)
-      done;
-      Alcotest.(check bool) "daemon came up" true (Sys.file_exists socket_path);
-      let req =
-        Wire.Sample
-          { Wire.default_sample_req with Wire.formula_text = formula_a; n = 4; seed = 9 }
-      in
-      Service.Client.with_connection ~socket_path @@ fun conn ->
-      let r1 = Service.Client.request conn req in
-      let r2 = Service.Client.request conn req in
-      (match (r1, r2) with
-      | Wire.Ok_sample a, Wire.Ok_sample b ->
-          Alcotest.(check bool) "first cold" true
-            (a.Wire.cache = Wire.Cache_miss);
-          Alcotest.(check bool) "second warm" true
-            (b.Wire.cache = Wire.Cache_ram);
-          Alcotest.(check bool) "same witnesses over the wire" true
-            (a.Wire.witnesses = b.Wire.witnesses);
-          Alcotest.(check int) "produced" 4 a.Wire.produced
-      | _ -> Alcotest.fail "expected two witness responses");
-      (match Service.Client.request conn Wire.Status with
-      | Wire.Metrics { values; info } ->
-          Alcotest.(check bool) "cache hit visible in metrics" true
-            (match List.assoc_opt "service.cache_hits" values with
-            | Some v -> v >= 1.0
-            | None -> false);
-          (* provenance travels with the status answer; there is one
-             XOR engine, so no engine name rides along *)
-          Alcotest.(check (option string))
-            "no xor engine field" None
-            (List.assoc_opt "xor_engine" info);
-          Alcotest.(check (option string))
-            "ocaml version reported" (Some Sys.ocaml_version)
-            (List.assoc_opt "ocaml_version" info);
-          Alcotest.(check bool) "uptime reported" true
-            (match List.assoc_opt "server.uptime_seconds" values with
-            | Some v -> v >= 0.0
-            | None -> false)
-      | _ -> Alcotest.fail "expected a metrics response");
-      (match Service.Client.request conn Wire.Window with
-      | Wire.Window_report w ->
-          (* both requests above finished inside the rolling window *)
-          Alcotest.(check bool) "window saw the requests" true
-            (w.Wire.w_requests >= 2);
-          Alcotest.(check bool) "window saw the cache hit" true
-            (w.Wire.w_hits >= 1);
-          Alcotest.(check bool) "percentiles monotone" true
-            (w.Wire.p50_ms <= w.Wire.p90_ms && w.Wire.p90_ms <= w.Wire.p99_ms);
-          Alcotest.(check string) "ocaml version" Sys.ocaml_version
-            w.Wire.ocaml_version;
-          Alcotest.(check bool) "per-fingerprint row present" true
-            (match w.Wire.per_fp with
-            | f :: _ -> f.Wire.fp_requests >= 2
-            | [] -> false)
-      | _ -> Alcotest.fail "expected a window report");
-      (match Service.Client.request conn Wire.Shutdown with
-      | Wire.Bye -> ()
-      | _ -> Alcotest.fail "expected bye");
-      let _, status = Unix.waitpid [] pid in
-      Alcotest.(check bool) "daemon exited cleanly" true
-        (match status with Unix.WEXITED 0 -> true | _ -> false)
-
-(* ------------------------------------------------------------------ *)
-(* Socket-level chaos against a parallel daemon: one client pipelines
-   requests and disconnects without reading a byte; its work must be
-   cancelled, its pins released, and a concurrent client's framing
-   left untouched. *)
-
-let with_daemon ?(scheduler = Scheduler.default_config) f =
-  let dir = Filename.temp_file "unigen_service" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let socket_path = Filename.concat dir "daemon.sock" in
-  match Unix.fork () with
-  | 0 ->
-      (try
-         Service.Server.run
-           {
-             (Service.Server.default_config ~socket_path) with
-             Service.Server.scheduler;
-           }
-       with _ -> ());
-      Unix._exit 0
-  | pid ->
-      Fun.protect
-        ~finally:(fun () ->
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          (try ignore (Unix.waitpid [] pid : int * Unix.process_status)
-           with Unix.Unix_error (Unix.ECHILD, _, _) -> ());
-          (try Sys.remove socket_path with Sys_error _ -> ());
-          try Unix.rmdir dir with Unix.Unix_error _ -> ())
-      @@ fun () ->
-      let deadline = Unix.gettimeofday () +. 10.0 in
-      while
-        (not (Sys.file_exists socket_path)) && Unix.gettimeofday () < deadline
-      do
-        ignore (Unix.select [] [] [] 0.02)
-      done;
-      Alcotest.(check bool) "daemon came up" true (Sys.file_exists socket_path);
-      f ~socket_path ~pid
-
-(* A daemon served from a domain of this process: a formula naming a
-   variable above its header count must come back as [Error_msg] on the
-   request's own connection, and the daemon must keep answering. *)
-let test_out_of_range_variable_is_request_error () =
-  let dir = Filename.temp_file "unigen_service" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let socket_path = Filename.concat dir "daemon.sock" in
-  let daemon =
-    Domain.spawn (fun () ->
-        Service.Server.run (Service.Server.default_config ~socket_path))
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (* a daemon that is still up is drained; one that died re-raises
-         its exception here *)
-      (try ignore (Client.call ~socket_path Wire.Shutdown : Wire.response)
-       with _ -> ());
-      Domain.join daemon;
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  while (not (Sys.file_exists socket_path)) && Unix.gettimeofday () < deadline do
-    ignore (Unix.select [] [] [] 0.02)
-  done;
-  Alcotest.(check bool) "daemon came up" true (Sys.file_exists socket_path);
-  Client.with_connection ~socket_path @@ fun conn ->
-  let bad =
-    Wire.Sample
-      { Wire.default_sample_req with Wire.formula_text = "p cnf 2 1\n1 5 0\n"; n = 2 }
-  in
-  (match Client.request conn bad with
-  | Wire.Error_msg msg ->
-      Alcotest.(check bool) "names the formula" true
-        (String.length msg >= 8 && String.sub msg 0 8 = "formula:")
-  | _ -> Alcotest.fail "expected Error_msg for an out-of-range variable");
-  (match Client.request conn Wire.Status with
-  | Wire.Metrics _ -> ()
-  | _ -> Alcotest.fail "status should still answer");
-  match
-    Client.request conn
-      (Wire.Sample { Wire.default_sample_req with Wire.formula_text = formula_a; n = 2 })
-  with
-  | Wire.Ok_sample r -> Alcotest.(check int) "still samples" 2 r.Wire.produced
-  | _ -> Alcotest.fail "a well-formed request should still be served"
-
-let test_chaos_abrupt_disconnect_socket () =
-  with_daemon ~scheduler:(parallel_config 2) @@ fun ~socket_path ~pid ->
-  (* connection A: pipeline three requests on three formulas, then
-     vanish mid-flight without reading a single response *)
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX socket_path);
-  List.iteri
-    (fun i text ->
-      Wire.write_frame fd
-        (Json.to_string
-           (Wire.request_to_json
-              (Wire.Sample
-                 {
-                   Wire.default_sample_req with
-                   Wire.formula_text = text;
-                   n = 4;
-                   seed = 10 + i;
-                   tag = Some (Printf.sprintf "doomed-%d" i);
-                 }))))
-    [ formula_a; formula_b; formula_c ];
-  Unix.close fd;
-  (* connection B keeps working: two requests on one formula (the
-     second exercises the cache-hit execution-pin path), each response
-     correctly framed and correctly tagged *)
-  Service.Client.with_connection ~socket_path @@ fun conn ->
-  let ask tag =
-    match
-      Service.Client.request conn
-        (Wire.Sample
-           {
-             Wire.default_sample_req with
-             Wire.formula_text = formula_a;
-             n = 4;
-             seed = 77;
-             tag = Some tag;
-           })
-    with
-    | Wire.Ok_sample r ->
-        Alcotest.(check (option string)) "own tag echoed" (Some tag)
-          r.Wire.rsp_tag;
-        Alcotest.(check int) "witnesses delivered" 4 r.Wire.produced;
-        r.Wire.witnesses
-    | _ -> Alcotest.fail "survivor connection must get clean responses"
-  in
-  let w1 = ask "b-cold" in
-  let w2 = ask "b-warm" in
-  Alcotest.(check bool) "deterministic across A's chaos" true (w1 = w2);
-  (* give the daemon a beat to finish any in-flight doomed work, then
-     check nothing stayed pinned *)
-  let rec pins_settle tries =
-    match Service.Client.request conn Wire.Status with
-    | Wire.Metrics { values; _ } -> (
-        match List.assoc_opt "service.cache_pins" values with
-        | Some 0.0 -> ()
-        | Some _ when tries > 0 ->
-            ignore (Unix.select [] [] [] 0.05);
-            pins_settle (tries - 1)
-        | Some v -> Alcotest.failf "leaked execution pins: %g" v
-        | None -> Alcotest.fail "service.cache_pins gauge missing")
-    | _ -> Alcotest.fail "expected a metrics response"
-  in
-  pins_settle 40;
-  (match Service.Client.request conn Wire.Shutdown with
-  | Wire.Bye -> ()
-  | _ -> Alcotest.fail "expected bye");
-  let _, status = Unix.waitpid [] pid in
-  Alcotest.(check bool) "daemon exited cleanly" true
-    (match status with Unix.WEXITED 0 -> true | _ -> false)
-
-(* ------------------------------------------------------------------ *)
-(* Fleet mode end to end: a supervisor forks two replica daemons on
-   derived sockets; the client routes each formula to its shard by
-   consistent hashing. The acceptance criterion: witnesses from the
-   fleet are bit-identical to what a lone daemon (or the offline
-   sampler) would serve. *)
-
-let test_fleet_end_to_end () =
-  let dir = Filename.temp_file "unigen_service" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let socket_path = Filename.concat dir "fleet.sock" in
-  let shards = [ socket_path ^ ".0"; socket_path ^ ".1" ] in
-  match Unix.fork () with
-  | 0 ->
-      (try
-         Service.Server.run_fleet ~replicas:2
-           (Service.Server.default_config ~socket_path)
-       with _ -> ());
-      Unix._exit 0
-  | pid ->
-      Fun.protect
-        ~finally:(fun () ->
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          (try ignore (Unix.waitpid [] pid : int * Unix.process_status)
-           with Unix.Unix_error (Unix.ECHILD, _, _) -> ());
-          List.iter
-            (fun p -> try Sys.remove p with Sys_error _ -> ())
-            shards;
-          try Unix.rmdir dir with Unix.Unix_error _ -> ())
-      @@ fun () ->
-      let deadline = Unix.gettimeofday () +. 10.0 in
-      while
-        (not (List.for_all Sys.file_exists shards))
-        && Unix.gettimeofday () < deadline
-      do
-        ignore (Unix.select [] [] [] 0.02)
-      done;
-      Alcotest.(check bool) "both replicas came up" true
-        (List.for_all Sys.file_exists shards);
-      let fleet = Client.Fleet.create shards in
-      let ask sock text =
-        match
-          Client.call ~socket_path:sock
-            (Wire.Sample
-               {
-                 Wire.default_sample_req with
-                 Wire.formula_text = text;
-                 n = 3;
-                 seed = 9;
-               })
-        with
-        | Wire.Ok_sample r -> r
-        | _ -> Alcotest.fail "expected witnesses from the fleet"
-      in
-      List.iter
-        (fun text ->
-          let f = formula_of_string text in
-          let shard = Client.Fleet.route fleet (Registry.fingerprint f) in
-          let r1 = ask shard text in
-          let r2 = ask shard text in
-          Alcotest.(check bool) "routed repeat lands warm" true
-            (r1.Wire.cache = Wire.Cache_miss && r2.Wire.cache = Wire.Cache_ram);
-          Alcotest.(check bool) "warm witnesses identical" true
-            (r1.Wire.witnesses = r2.Wire.witnesses);
-          match offline_witnesses ~prepare_seed:1 ~seed:9 ~epsilon:6.0 ~n:3 f with
-          | Some reference ->
-              Alcotest.(check (list (list int)))
-                "fleet bit-identical to a lone daemon" reference
-                r1.Wire.witnesses
-          | None -> Alcotest.fail "offline preparation failed")
-        [ formula_a; formula_b; formula_c ];
-      (* each replica knows its shard *)
-      List.iteri
-        (fun i sock ->
-          match Client.call ~socket_path:sock Wire.Status with
-          | Wire.Metrics { info; _ } ->
-              Alcotest.(check (option string)) "shard id reported"
-                (Some (Printf.sprintf "%d/2" i))
-                (List.assoc_opt "shard" info)
-          | _ -> Alcotest.fail "expected a metrics response")
-        shards;
-      (* shutting down every replica ends the supervisor cleanly *)
-      List.iter
-        (fun sock ->
-          match Client.call ~socket_path:sock Wire.Shutdown with
-          | Wire.Bye -> ()
-          | _ -> Alcotest.fail "expected bye")
-        shards;
-      let _, status = Unix.waitpid [] pid in
-      Alcotest.(check bool) "fleet supervisor exited cleanly" true
-        (match status with Unix.WEXITED 0 -> true | _ -> false)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "service"
@@ -1628,6 +1334,10 @@ let () =
           Alcotest.test_case "draining" `Quick test_scheduler_draining;
           Alcotest.test_case "unsat and bad epsilon" `Quick
             test_scheduler_unsat_and_bad_epsilon;
+          Alcotest.test_case "cancel in flight at jobs 1" `Quick
+            test_scheduler_cancel_in_flight_one_job;
+          Alcotest.test_case "cancel closes the queue span" `Quick
+            test_scheduler_cancel_closes_queue_span;
           QCheck_alcotest.to_alcotest prop_retry_hint_sane;
         ] );
       ( "spill",
@@ -1644,20 +1354,6 @@ let () =
         [
           Alcotest.test_case "retry with backoff" `Quick test_with_retry;
           Alcotest.test_case "fleet shard map" `Quick test_fleet_shard_map;
-        ] );
-      (* the daemon tests fork, and OCaml 5 forbids Unix.fork once any
-         domain has ever been spawned in the process — so they must run
-         before every jobs>1 test below (alcotest runs suites in
-         order) *)
-      ( "daemon",
-        [
-          Alcotest.test_case "socket end to end" `Quick test_socket_end_to_end;
-          Alcotest.test_case "chaos: abrupt disconnect under parallelism" `Quick
-            test_chaos_abrupt_disconnect_socket;
-          Alcotest.test_case "fleet end to end" `Quick test_fleet_end_to_end;
-          (* spawns a domain: last of the forking tests *)
-          Alcotest.test_case "out-of-range variable is a request error" `Quick
-            test_out_of_range_variable_is_request_error;
         ] );
       ( "parallel",
         [
