@@ -1292,6 +1292,137 @@ let prop_decoder_garbage_payload =
       | exception _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* Daemon served from a domain of this process, over a real Unix
+   socket. A domain rather than a forked child: OCaml 5 refuses
+   [Unix.fork] once a process has spawned a domain, and the scheduler
+   tests above already have. [f] runs once the socket is up; the
+   daemon is then asked to shut down, and joining its domain re-raises
+   anything it died of. *)
+
+let with_daemon ?(scheduler = Scheduler.default_config) f =
+  let dir = Filename.temp_file "unigen_service" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let socket_path = Filename.concat dir "daemon.sock" in
+  let daemon =
+    Domain.spawn (fun () ->
+        Service.Server.run
+          { (Service.Server.default_config ~socket_path) with Service.Server.scheduler })
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (* a daemon that is still up is drained; one that died re-raises
+         its exception here *)
+      (try ignore (Client.call ~socket_path Wire.Shutdown : Wire.response)
+       with _ -> ());
+      Domain.join daemon;
+      (try Sys.remove socket_path with Sys_error _ -> ());
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while (not (Sys.file_exists socket_path)) && Unix.gettimeofday () < deadline do
+    ignore (Unix.select [] [] [] 0.02)
+  done;
+  Alcotest.(check bool) "daemon came up" true (Sys.file_exists socket_path);
+  f ~socket_path
+
+(* A formula naming a variable above its header count must come back as
+   [Error_msg] on the request's own connection, and the daemon must
+   keep answering. *)
+let test_out_of_range_variable_is_request_error () =
+  with_daemon @@ fun ~socket_path ->
+  Client.with_connection ~socket_path @@ fun conn ->
+  let bad =
+    Wire.Sample
+      { Wire.default_sample_req with Wire.formula_text = "p cnf 2 1\n1 5 0\n"; n = 2 }
+  in
+  (match Client.request conn bad with
+  | Wire.Error_msg msg ->
+      Alcotest.(check bool) "names the formula" true
+        (String.length msg >= 8 && String.sub msg 0 8 = "formula:")
+  | _ -> Alcotest.fail "expected Error_msg for an out-of-range variable");
+  (match Client.request conn Wire.Status with
+  | Wire.Metrics _ -> ()
+  | _ -> Alcotest.fail "status should still answer");
+  match
+    Client.request conn
+      (Wire.Sample { Wire.default_sample_req with Wire.formula_text = formula_a; n = 2 })
+  with
+  | Wire.Ok_sample r -> Alcotest.(check int) "still samples" 2 r.Wire.produced
+  | _ -> Alcotest.fail "a well-formed request should still be served"
+
+(* Socket-level chaos against a parallel daemon: one client pipelines
+   requests and disconnects without reading a byte; its work must be
+   cancelled, its pins released, and a concurrent client's framing
+   left untouched. *)
+let test_chaos_abrupt_disconnect_socket () =
+  with_daemon ~scheduler:(parallel_config 2) @@ fun ~socket_path ->
+  (* connection A: pipeline three requests on three formulas, then
+     vanish mid-flight without reading a single response *)
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket_path);
+  List.iteri
+    (fun i text ->
+      Wire.write_frame fd
+        (Json.to_string
+           (Wire.request_to_json
+              (Wire.Sample
+                 {
+                   Wire.default_sample_req with
+                   Wire.formula_text = text;
+                   n = 4;
+                   seed = 10 + i;
+                   tag = Some (Printf.sprintf "doomed-%d" i);
+                 }))))
+    [ formula_a; formula_b; formula_c ];
+  Unix.close fd;
+  (* connection B keeps working: two requests on one formula (the
+     second exercises the cache-hit execution-pin path), each response
+     correctly framed and correctly tagged *)
+  Service.Client.with_connection ~socket_path @@ fun conn ->
+  let ask tag =
+    match
+      Service.Client.request conn
+        (Wire.Sample
+           {
+             Wire.default_sample_req with
+             Wire.formula_text = formula_a;
+             n = 4;
+             seed = 77;
+             tag = Some tag;
+           })
+    with
+    | Wire.Ok_sample r ->
+        Alcotest.(check (option string)) "own tag echoed" (Some tag)
+          r.Wire.rsp_tag;
+        Alcotest.(check int) "witnesses delivered" 4 r.Wire.produced;
+        r.Wire.witnesses
+    | _ -> Alcotest.fail "survivor connection must get clean responses"
+  in
+  let w1 = ask "b-cold" in
+  let w2 = ask "b-warm" in
+  Alcotest.(check bool) "deterministic across A's chaos" true (w1 = w2);
+  (* give the daemon a beat to finish any in-flight doomed work, then
+     check nothing stayed pinned *)
+  let rec pins_settle tries =
+    match Service.Client.request conn Wire.Status with
+    | Wire.Metrics { values; _ } -> (
+        match List.assoc_opt "service.cache_pins" values with
+        | Some 0.0 -> ()
+        | Some _ when tries > 0 ->
+            ignore (Unix.select [] [] [] 0.05);
+            pins_settle (tries - 1)
+        | Some v -> Alcotest.failf "leaked execution pins: %g" v
+        | None -> Alcotest.fail "service.cache_pins gauge missing")
+    | _ -> Alcotest.fail "expected a metrics response"
+  in
+  pins_settle 40;
+  (* the daemon's domain is joined on the way out of [with_daemon] *)
+  match Service.Client.request conn Wire.Shutdown with
+  | Wire.Bye -> ()
+  | _ -> Alcotest.fail "expected bye"
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "service"
@@ -1354,6 +1485,13 @@ let () =
         [
           Alcotest.test_case "retry with backoff" `Quick test_with_retry;
           Alcotest.test_case "fleet shard map" `Quick test_fleet_shard_map;
+        ] );
+      ( "daemon",
+        [
+          Alcotest.test_case "chaos: abrupt disconnect under parallelism" `Quick
+            test_chaos_abrupt_disconnect_socket;
+          Alcotest.test_case "out-of-range variable is a request error" `Quick
+            test_out_of_range_variable_is_request_error;
         ] );
       ( "parallel",
         [
