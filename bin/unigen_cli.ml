@@ -97,13 +97,14 @@ let sample_cmd =
           with_observability ~trace ~metrics_json ~show_stats @@ fun () ->
           let rng = Rng.create seed in
           let deadline = Unix.gettimeofday () +. timeout in
-          let prep =
-            if jobs > 1 then
-              Parallel.Domain_pool.with_pool ~jobs (fun pool ->
-                  Sampling.Unigen.prepare ~deadline ~pool ~rng ~epsilon f)
-            else Sampling.Unigen.prepare ~deadline ~rng ~epsilon f
-          in
-          (match prep with
+          (* one pool for preparation and draws: the count runs on the
+             stream-per-iteration loop at every worker count, and a
+             [jobs = 1] pool spawns no domain *)
+          Parallel.Domain_pool.with_pool ~jobs @@ fun pool ->
+          match Sampling.Unigen.prepare ~deadline ~pool ~rng ~epsilon f with
+          | exception Invalid_argument msg ->
+              Printf.eprintf "error: %s\n" msg;
+              1
           | Error Sampling.Unigen.Unsat_formula ->
               print_endline "s UNSATISFIABLE";
               2
@@ -126,7 +127,7 @@ let sample_cmd =
                  witness list is bit-identical for every --jobs value
                  (and across reruns with the same seed) *)
               let outcomes =
-                Sampling.Unigen.sample_batch ~deadline ~max_attempts:20 ~jobs
+                Sampling.Unigen.sample_batch ~deadline ~max_attempts:20 ~pool
                   ~seed prepared num
               in
               let produced = ref 0 in
@@ -156,7 +157,7 @@ let sample_cmd =
                       ] );
                   ("run", Sampling.Sampler.report_fields st);
                 ];
-              if !produced = num then 0 else 1)
+              if !produced = num then 0 else 1
   in
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let num =
@@ -206,12 +207,11 @@ let count_cmd =
         with_observability ~trace ~metrics_json ~show_stats @@ fun () ->
         let rng = Rng.create seed in
         let deadline = Unix.gettimeofday () +. timeout in
-        let result =
-          if jobs >= 1 then
-            Counting.Approxmc.count ~deadline ~jobs ~rng ~epsilon ~delta f
-          else Counting.Approxmc.count ~deadline ~rng ~epsilon ~delta f
-        in
-        (match result with
+        (* the library owns the ranges of ε, δ and --jobs *)
+        match Counting.Approxmc.count ~deadline ~jobs ~rng ~epsilon ~delta f with
+        | exception Invalid_argument msg ->
+            Printf.eprintf "error: %s\n" msg;
+            1
         | Error Counting.Approxmc.Unsat ->
             print_endline "s UNSATISFIABLE";
             2
@@ -259,7 +259,7 @@ let count_cmd =
                       ("reuse_hits", Int r.Counting.Approxmc.reuse_hits);
                     ] );
               ];
-            0)
+            0
   in
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let epsilon =
@@ -273,13 +273,13 @@ let count_cmd =
     Arg.(value & opt float 600.0 & info [ "t"; "timeout" ] ~doc:"Timeout (s).")
   in
   let jobs =
-    Arg.(value & opt int 0
+    Arg.(value & opt int 1
          & info [ "j"; "jobs" ]
-             ~doc:"Parallel counting iterations. Any value >= 1 selects the \
-                   deterministic stream-per-iteration engine (estimate \
-                   identical for every worker count). Omit for the serial \
-                   loop on the single seed stream, the one daemon \
-                   preparations and $(b,sample -j 1) use.")
+             ~doc:"Parallel counting workers (>= 1). Iteration i runs on \
+                   stream (master, i), so the estimate is identical for \
+                   every worker count, and equal to the one $(b,sample) \
+                   prepares with for the same seed at tolerance 0.8 and \
+                   confidence 0.8.")
   in
   let show_stats =
     Arg.(value & flag
@@ -484,7 +484,7 @@ let socket_arg =
 
 let serve_cmd =
   let run socket queue_capacity max_batch cache_capacity jobs audit show_stats
-      trace metrics_json log_file slow_ms spill_dir spill_budget_mb fleet =
+      trace metrics_json log_file slow_ms spill_dir spill_budget_mb =
     if audit then Audit.enable ();
     with_observability ~trace ~metrics_json ~show_stats @@ fun () ->
     (* one structured JSON line per request (see Obs.Log): to the given
@@ -507,10 +507,9 @@ let serve_cmd =
             spill_budget_bytes = spill_budget_mb * 1024 * 1024;
           };
         log = (fun msg -> Printf.printf "c %s\n%!" msg);
-        shard = None;
       }
     in
-    match Service.Server.run_fleet ~replicas:fleet config with
+    match Service.Server.run config with
     | () ->
         emit_report ~metrics_json ~show_stats
           [
@@ -525,14 +524,10 @@ let serve_cmd =
                   ("jobs", Int jobs);
                   ( "spill_dir",
                     String (Option.value spill_dir ~default:"-") );
-                  ("fleet", Int fleet);
                 ] );
           ];
         0
     | exception Invalid_argument msg ->
-        Printf.eprintf "error: %s\n" msg;
-        1
-    | exception Failure msg ->
         Printf.eprintf "error: %s\n" msg;
         1
     | exception Unix.Unix_error (e, fn, arg) ->
@@ -590,22 +585,15 @@ let serve_cmd =
              ~doc:"Durable prepared-state store: every preparation is \
                    spilled to $(docv) (crash-safe, checksummed) and RAM \
                    cache misses are served from it, so a restarted daemon \
-                   — or a fleet sharing the directory — answers known \
-                   formulas without re-running the approximate count.")
+                   — or another daemon process sharing the directory — \
+                   answers known formulas without re-running the \
+                   approximate count.")
   in
   let spill_budget_mb =
     Arg.(value & opt int 256
          & info [ "spill-budget-mb" ]
              ~doc:"Disk budget of --spill-dir in MiB; least-recently-used \
                    entries are evicted past it.")
-  in
-  let fleet =
-    Arg.(value & opt int 1
-         & info [ "fleet" ] ~docv:"N"
-             ~doc:"Fork $(docv) daemon replicas listening on \
-                   PATH.0 .. PATH.N-1 (PATH from --socket); clients shard \
-                   formulas over them by consistent hashing. Combine with \
-                   --spill-dir to make the replicas one durable cache.")
   in
   Cmd.v
     (Cmd.info "serve"
@@ -615,18 +603,18 @@ let serve_cmd =
     Term.(const run $ socket_arg $ queue_capacity $ max_batch $ cache_capacity
           $ jobs $ audit_arg $ show_stats
           $ trace_arg $ metrics_json_arg $ log_file $ slow_ms $ spill_dir
-          $ spill_budget_mb $ fleet)
+          $ spill_budget_mb)
 
 (* ------------------------------------------------------------------ *)
 (* unigen client: talk to a running daemon *)
 
 let client_cmd =
-  let run sockets file num seed prepare_seed epsilon timeout_s max_attempts pin
+  let run socket file num seed prepare_seed epsilon timeout_s max_attempts pin
       tag trace_id status shutdown cancel retries =
     (* jitter for with_retry's backoff: seeded, so retry schedules are
        reproducible like everything else in the pipeline *)
     let rng = Rng.create seed in
-    let call_on socket req =
+    let call req =
       try
         Ok
           (Service.Client.with_retry ~max_attempts:(max 1 retries) ~rng
@@ -642,57 +630,33 @@ let client_cmd =
       Printf.eprintf "error: %s\n" msg;
       1
     in
-    let many = match sockets with [] | [ _ ] -> false | _ -> true in
-    if status then
-      List.fold_left
-        (fun acc socket ->
-          match call_on socket Service.Wire.Status with
-          | Error m ->
-              ignore (fail m : int);
-              1
-          | Ok (Service.Wire.Metrics { values; info }) ->
-              if many then Printf.printf "c socket = %s\n" socket;
-              List.iter (fun (k, v) -> Printf.printf "c %s = %s\n" k v) info;
-              List.iter (fun (k, v) -> Printf.printf "c %s = %g\n" k v) values;
-              acc
-          | Ok _ ->
-              ignore (fail "unexpected response to status" : int);
-              1)
-        0 sockets
-    else if shutdown then
-      List.fold_left
-        (fun acc socket ->
-          match call_on socket Service.Wire.Shutdown with
-          | Error m ->
-              ignore (fail m : int);
-              1
-          | Ok Service.Wire.Bye ->
-              print_endline
-                (if many then "c daemon shutting down: " ^ socket
-                 else "c daemon shutting down");
-              acc
-          | Ok _ ->
-              ignore (fail "unexpected response to shutdown" : int);
-              1)
-        0 sockets
+    if status then (
+      match call Service.Wire.Status with
+      | Error m -> fail m
+      | Ok (Service.Wire.Metrics { values; info }) ->
+          List.iter (fun (k, v) -> Printf.printf "c %s = %s\n" k v) info;
+          List.iter (fun (k, v) -> Printf.printf "c %s = %g\n" k v) values;
+          0
+      | Ok _ -> fail "unexpected response to status")
+    else if shutdown then (
+      match call Service.Wire.Shutdown with
+      | Error m -> fail m
+      | Ok Service.Wire.Bye ->
+          print_endline "c daemon shutting down";
+          0
+      | Ok _ -> fail "unexpected response to shutdown")
     else
       match cancel with
-      | Some t ->
-          (* the request lives on exactly one replica; ask each in turn *)
-          let rec try_cancel = function
-            | [] ->
-                Printf.printf "c cancel %s: not found\n" t;
-                1
-            | socket :: rest -> (
-                match call_on socket (Service.Wire.Cancel t) with
-                | Error m -> fail m
-                | Ok (Service.Wire.Cancel_result true) ->
-                    Printf.printf "c cancel %s: cancelled\n" t;
-                    0
-                | Ok (Service.Wire.Cancel_result false) -> try_cancel rest
-                | Ok _ -> fail "unexpected response to cancel")
-          in
-          try_cancel sockets
+      | Some t -> (
+          match call (Service.Wire.Cancel t) with
+          | Error m -> fail m
+          | Ok (Service.Wire.Cancel_result true) ->
+              Printf.printf "c cancel %s: cancelled\n" t;
+              0
+          | Ok (Service.Wire.Cancel_result false) ->
+              Printf.printf "c cancel %s: not found\n" t;
+              1
+          | Ok _ -> fail "unexpected response to cancel")
       | None -> (
           match file with
           | None -> fail "provide a CNF FILE, or --status/--shutdown/--cancel"
@@ -703,24 +667,6 @@ let client_cmd =
               with
               | Error m -> fail m
               | Ok formula_text -> (
-                  (* fleet routing: shard by the registry fingerprint —
-                     the same content address the daemon interns — so
-                     every parameter variation of one formula lands on
-                     the one replica holding its prepared state *)
-                  let socket =
-                    match sockets with
-                    | [ s ] -> s
-                    | _ ->
-                        let key =
-                          match Cnf.Dimacs.parse_string formula_text with
-                          | f -> Service.Registry.fingerprint f
-                          | exception Cnf.Dimacs.Parse_error _ ->
-                              formula_text  (* daemon will report the error *)
-                        in
-                        Service.Client.Fleet.route
-                          (Service.Client.Fleet.create sockets)
-                          key
-                  in
                   let req =
                     {
                       Service.Wire.default_sample_req with
@@ -736,16 +682,16 @@ let client_cmd =
                       trace_id;
                     }
                   in
-                  match call_on socket (Service.Wire.Sample req) with
+                  match call (Service.Wire.Sample req) with
                   | Error m -> fail m
                   | Ok (Service.Wire.Ok_sample r) ->
                       Printf.printf
                         "c service: fingerprint=%s cache=%s queue_wait=%.1fms \
-                         trace_id=%s socket=%s\n"
+                         trace_id=%s\n"
                         r.Service.Wire.fingerprint
                         (Service.Wire.cache_source_to_string r.Service.Wire.cache)
                         (r.Service.Wire.queue_wait_s *. 1000.0)
-                        r.Service.Wire.rsp_trace_id socket;
+                        r.Service.Wire.rsp_trace_id;
                       List.iter
                         (fun w ->
                           print_endline
@@ -837,16 +783,11 @@ let client_cmd =
          & info [ "cancel" ] ~docv:"TAG"
              ~doc:"Cancel the pending request submitted with --tag TAG.")
   in
-  let sockets =
+  let socket =
     Arg.(
-      non_empty
-      & opt_all string []
-      & info [ "socket" ] ~docv:"PATH"
-          ~doc:"Daemon socket. Repeat once per fleet replica (e.g. \
-                --socket d.sock.0 --socket d.sock.1): sampling requests \
-                then route to one replica by consistent hashing of the \
-                formula's fingerprint, while --status and --shutdown \
-                address every replica.")
+      required
+      & opt (some string) None
+      & info [ "socket" ] ~docv:"PATH" ~doc:"Socket of the daemon to talk to.")
   in
   let retries =
     Arg.(value & opt int 1
@@ -859,7 +800,7 @@ let client_cmd =
   Cmd.v
     (Cmd.info "client"
        ~doc:"Submit sampling requests to a running unigen daemon")
-    Term.(const run $ sockets $ file $ num $ seed $ prepare_seed $ epsilon
+    Term.(const run $ socket $ file $ num $ seed $ prepare_seed $ epsilon
           $ timeout_s $ max_attempts $ pin $ tag $ trace_id $ status $ shutdown
           $ cancel $ retries)
 

@@ -5,8 +5,8 @@ let starts_with prefix s =
 (* The layers that touch spill directories: the store itself and the
    service stack that injects/consumes it. Everything else (CLI report
    writers, bench output, the DIMACS writer) is out of scope — only
-   files a restarted daemon or a fleet peer will re-read must be
-   crash-safe. *)
+   files a restarted daemon or another daemon process sharing the
+   directory will re-read must be crash-safe. *)
 let in_scope f = starts_with "lib/store/" f || starts_with "lib/service/" f
 
 (* Buffered channel writers. [Unix.write]/[write_substring] are not
@@ -38,7 +38,8 @@ let durable_write_discipline : Rule.t =
       "Files under a spill directory must be written through \
        Store.atomic_write (temp file + fsync + atomic rename): a buffered \
        open_out/output_* in the store or service layer can leave a torn \
-       entry that a restarted daemon or a fleet peer then reads. The one \
+       entry that a restarted daemon or another daemon process sharing \
+       the directory then reads. The one \
        exemption is the top-level atomic_write binding itself.";
     phase =
       Rule.File

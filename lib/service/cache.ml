@@ -104,7 +104,7 @@ let put t k e =
          it keeps the no-lock ownership model intact, and a spill
          happens once per fresh preparation (seconds of ApproxMC work),
          so the fsync is noise by comparison; see DESIGN.md "Durable
-         store & fleet" for the tradeoff. [Store.put] never raises on
+         store" for the tradeoff. [Store.put] never raises on
          I/O failure, so a sick disk degrades this tier to RAM-only
          rather than crashing the daemon mid-response. *)
       Store.put sp.sp_store ~key:(key_to_string k) (sp.sp_encode k e)

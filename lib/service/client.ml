@@ -71,46 +71,3 @@ let with_retry ?(max_attempts = 5) ?(base_delay_s = 0.05) ?(max_delay_s = 2.0)
         go (attempt + 1)
   in
   go 1
-
-(* ------------------------------------------------------------------ *)
-(* Consistent-hash routing over a fleet's sockets *)
-
-module Fleet = struct
-  type t = { sockets : string array; ring : (int * int) array }
-
-  (* a point on the ring: the first 62 bits of the MD5, as a
-     non-negative int — stable across processes and OCaml versions,
-     unlike Hashtbl.hash *)
-  let point s =
-    let d = Digest.string s in
-    let acc = ref 0 in
-    for i = 0 to 7 do
-      acc := (!acc lsl 8) lor Char.code d.[i]
-    done;
-    !acc land max_int
-
-  let create ?(vnodes = 64) sockets =
-    if sockets = [] then invalid_arg "Client.Fleet.create: no sockets";
-    if vnodes < 1 then invalid_arg "Client.Fleet.create: vnodes must be >= 1";
-    let sockets = Array.of_list sockets in
-    let ring =
-      Array.init (Array.length sockets * vnodes) (fun i ->
-          let s = i / vnodes and v = i mod vnodes in
-          (point (sockets.(s) ^ "#" ^ string_of_int v), s))
-    in
-    Array.sort compare ring;
-    { sockets; ring }
-
-  let sockets t = Array.to_list t.sockets
-
-  let route t key =
-    let h = point key in
-    (* first ring point clockwise from [h], wrapping to the start *)
-    let n = Array.length t.ring in
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if fst t.ring.(mid) < h then lo := mid + 1 else hi := mid
-    done;
-    t.sockets.(snd t.ring.(if !lo = n then 0 else !lo))
-end

@@ -44,27 +44,3 @@ val with_retry :
     deterministically. The final attempt's response (or exception)
     surfaces unchanged.
     @raise Invalid_argument when [max_attempts < 1]. *)
-
-(** Consistent-hash routing across a fleet's sockets (see
-    [Server.run_fleet]). Each socket contributes [vnodes] points on a
-    hash ring; a key routes to the socket owning the first point
-    clockwise from the key's hash. The hash is the leading bits of the
-    key's MD5, so the map is a pure function of the socket list and
-    the key — every client that lists the fleet's sockets in any
-    process computes the same shard map, which is what keeps one
-    formula's requests (and its prepared state) on one replica.
-    Routing keys are registry fingerprints, so all parameter
-    variations of one formula land together. *)
-module Fleet : sig
-  type t
-
-  val create : ?vnodes:int -> string list -> t
-  (** Build the ring over the given socket paths ([vnodes] points per
-      socket, default 64 — enough that two replicas split real
-      workloads roughly evenly). Order of the list does not matter.
-      @raise Invalid_argument on an empty list or [vnodes < 1]. *)
-
-  val sockets : t -> string list
-  val route : t -> string -> string
-  (** [route t key] is the socket that owns [key]. *)
-end

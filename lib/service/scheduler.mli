@@ -70,8 +70,8 @@ type config = {
   spill_dir : string option;
       (** when set, the prepared-state cache gains a durable tier: a
           {!Store} rooted here spills every preparation on insert and
-          is consulted on every RAM miss, so a restarted daemon — or a
-          fleet replica sharing the directory — serves its first
+          is consulted on every RAM miss, so a restarted daemon — or
+          another daemon process sharing the directory — serves its first
           request for a known formula disk-warm, without re-running
           ApproxMC, with witnesses bit-identical to the RAM-warm path *)
   spill_budget_bytes : int;

@@ -2,13 +2,10 @@ type config = {
   socket_path : string;
   scheduler : Scheduler.config;
   log : string -> unit;
-  shard : (int * int) option;
 }
 
 let default_config ~socket_path =
-  { socket_path; scheduler = Scheduler.default_config; log = ignore; shard = None }
-
-let shard_socket base i = Printf.sprintf "%s.%d" base i
+  { socket_path; scheduler = Scheduler.default_config; log = ignore }
 
 type conn = {
   fd : Unix.file_descr;
@@ -96,11 +93,8 @@ let handle_request st c = function
       in
       (* provenance: which build is answering *)
       let info =
-        [ ("ocaml_version", Sys.ocaml_version) ]
-        @ (match st.cfg.shard with
-          | Some (i, n) -> [ ("shard", Printf.sprintf "%d/%d" i n) ]
-          | None -> [])
-        @
+        ("ocaml_version", Sys.ocaml_version)
+        ::
         match (Scheduler.config st.sched).Scheduler.spill_dir with
         | Some dir -> [ ("spill_dir", dir) ]
         | None -> []
@@ -227,10 +221,6 @@ let run cfg =
        ("jobs", Obs.Report.Int cfg.scheduler.Scheduler.jobs);
        ("ocaml_version", Obs.Report.String Sys.ocaml_version);
      ]
-    @ (match cfg.shard with
-      | Some (i, n) ->
-          [ ("shard", Obs.Report.String (Printf.sprintf "%d/%d" i n)) ]
-      | None -> [])
     @
     match cfg.scheduler.Scheduler.spill_dir with
     | Some dir -> [ ("spill_dir", Obs.Report.String dir) ]
@@ -294,69 +284,3 @@ let run cfg =
   Obs.Log.event "service.stop"
     [ ("uptime_s", Obs.Report.Float (Scheduler.uptime_s sched)) ];
   cfg.log "drained; exiting"
-
-(* ------------------------------------------------------------------ *)
-(* Fleet mode: N independent replica processes, one socket each. The
-   client shards the fingerprint space over the sockets by consistent
-   hashing (see [Client.Fleet]); replicas share nothing in memory —
-   pointing them at one spill directory is what makes them behave as
-   one cache, and the store's atomic-rename discipline is what makes
-   that sharing safe. *)
-
-let run_fleet ~replicas cfg =
-  if replicas < 1 then invalid_arg "Server.run_fleet: replicas must be >= 1";
-  if replicas = 1 then run cfg
-  else begin
-    (* Every replica is forked before this process spawns any domain
-       (OCaml 5 forbids fork once a Domain.spawn has happened, and
-       [run] spawns its worker domains) — so the forks all happen
-       here, then each child builds its own scheduler. *)
-    let spawn i =
-      match Unix.fork () with
-      | 0 ->
-          let code =
-            try
-              run
-                {
-                  cfg with
-                  socket_path = shard_socket cfg.socket_path i;
-                  shard = Some (i, replicas);
-                };
-              0
-            with e ->
-              Printf.eprintf "replica %d: %s\n%!" i (Printexc.to_string e);
-              1
-          in
-          Stdlib.exit code
-      | pid -> (i, pid)
-    in
-    let pids = List.init replicas spawn in
-    cfg.log
-      (Printf.sprintf "fleet: %d replicas on %s" replicas
-         (String.concat " "
-            (List.map (fun (i, _) -> shard_socket cfg.socket_path i) pids)));
-    (* the parent is only a supervisor: forward termination signals so
-       `kill <parent>` drains the whole fleet, then reap every child *)
-    let forward signal =
-      List.iter
-        (fun (_, pid) ->
-          try Unix.kill pid signal with Unix.Unix_error _ -> ())
-        pids
-    in
-    with_signals (fun () -> forward Sys.sigterm) @@ fun () ->
-    let failures = ref 0 in
-    List.iter
-      (fun (i, pid) ->
-        let rec reap () =
-          match Unix.waitpid [] pid with
-          | _, Unix.WEXITED 0 -> ()
-          | _, _ ->
-              cfg.log (Printf.sprintf "replica %d exited abnormally" i);
-              incr failures
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap ()
-        in
-        reap ())
-      pids;
-    if !failures > 0 then
-      failwith (Printf.sprintf "fleet: %d replica(s) failed" !failures)
-  end

@@ -29,19 +29,10 @@ type config = {
   socket_path : string;
   scheduler : Scheduler.config;
   log : string -> unit;  (** daemon progress lines; [ignore] to silence *)
-  shard : (int * int) option;
-      (** fleet identity [(index, count)], set by {!run_fleet} on each
-          replica — surfaced in the [status] info and the
-          [service.start] event so an operator can tell replicas
-          apart; [None] for a standalone daemon *)
 }
 
 val default_config : socket_path:string -> config
-(** {!Scheduler.default_config}, a silent [log], no shard. *)
-
-val shard_socket : string -> int -> string
-(** [shard_socket base i] is replica [i]'s socket path, ["<base>.<i>"]
-    — the naming contract shared with [Client.Fleet] users. *)
+(** {!Scheduler.default_config} and a silent [log]. *)
 
 val run : config -> unit
 (** Bind, listen and serve until a graceful shutdown. Calls
@@ -50,17 +41,3 @@ val run : config -> unit
     handlers for the duration, restoring them on exit.
     @raise Unix.Unix_error when the socket cannot be bound (e.g. a
     live daemon already owns [socket_path]). *)
-
-val run_fleet : replicas:int -> config -> unit
-(** [run_fleet ~replicas cfg] forks [replicas] daemon processes, each
-    running {!run} on [shard_socket cfg.socket_path i] with [shard =
-    Some (i, replicas)], and supervises them: SIGINT/SIGTERM to the
-    parent is forwarded as SIGTERM to every replica (draining the
-    whole fleet), and the call returns once all replicas have exited.
-    Replicas share nothing in memory; give them one
-    [scheduler.spill_dir] to make them behave as a single durable
-    cache. [replicas = 1] degenerates to {!run} on [cfg] unchanged.
-    All forks happen before any worker domain exists (an OCaml 5
-    requirement), since every replica's scheduler spawns workers.
-    @raise Invalid_argument when [replicas < 1].
-    @raise Failure when any replica exits abnormally. *)

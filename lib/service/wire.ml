@@ -122,7 +122,7 @@ type reject_reason = Queue_full | Batch_too_large | Draining
 type cache_source = Cache_miss | Cache_ram | Cache_disk
 
 (* "hit" (not "ram") for the in-memory tier keeps the wire value that
-   pre-fleet clients and smoke greps already match on *)
+   clients older than the disk tier and smoke greps already match on *)
 let cache_source_to_string = function
   | Cache_miss -> "miss"
   | Cache_ram -> "hit"

@@ -110,7 +110,8 @@ type cache_source = Cache_miss | Cache_ram | Cache_disk
 
 val cache_source_to_string : cache_source -> string
 (** ["miss"] / ["hit"] / ["disk"] — the wire encoding ([Cache_ram]
-    keeps the historical ["hit"] so pre-fleet clients still parse). *)
+    keeps the historical ["hit"] so clients older than the disk tier
+    still parse). *)
 
 val cache_source_of_string : string -> cache_source
 (** @raise Json.Decode_error on an unknown value. *)
@@ -178,7 +179,7 @@ type response =
   | Error_msg of string
   | Metrics of { values : (string * float) list; info : (string * string) list }
       (** lifetime counters/gauges/percentiles plus provenance strings
-          (ocaml_version, shard) — the [status] op's answer *)
+          (ocaml_version, spill_dir) — the [status] op's answer *)
   | Window_report of window_report
   | Bye
 

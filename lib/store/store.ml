@@ -31,7 +31,8 @@ let rec mkdir_p dir =
 (* A writer killed mid-spill leaves its private .tmp file behind; sweep
    ones old enough that no live writer can still own them (writes take
    milliseconds, the threshold is an hour). Recent temps may belong to
-   an in-flight fleet peer sharing the directory, so they are kept. *)
+   an in-flight write of another daemon process sharing the directory,
+   so they are kept. *)
 let sweep_stale_tmps dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> ()
@@ -76,8 +77,8 @@ let write_all fd data =
   done
 
 let atomic_write ~dir ~path data =
-  (* the temp name carries the writer's pid: fleet replicas share one
-     spill directory, and a fixed [path ^ ".tmp"] would let two
+  (* the temp name carries the writer's pid: daemon processes may share
+     one spill directory, and a fixed [path ^ ".tmp"] would let two
      processes spilling the same key O_TRUNC each other's in-flight
      staging file — the rename could then publish a torn entry and the
      losing rename would raise ENOENT. A per-pid temp is private until
@@ -207,7 +208,7 @@ let decode_entry ~key raw =
 
 (* Quarantined files are debugging evidence, not data: keep only the
    [quarantine_keep] most recent so systematic corruption — say a codec
-   version skew across a fleet upgrade quarantining every old spill —
+   version skew across an upgrade quarantining every old spill —
    cannot grow the directory without bound (the disk budget never
    scans quarantine/). *)
 let prune_quarantine qdir =

@@ -4,14 +4,14 @@
     The expensive artifact of the sampling pipeline — a prepared state
     (ApproxMC count, κ/pivot window, enumerated easy-case witnesses) —
     is a deterministic function of its cache key, so it can be spilled
-    once and reloaded by any later daemon generation or fleet replica
-    sharing the spill directory. This module only moves opaque payload
+    once and reloaded by any later daemon generation or another daemon
+    process sharing the spill directory. This module only moves opaque payload
     bytes; serializing a prepared state into a payload is the caller's
     business (see [Service.Spill]), which keeps the store free of any
     dependency on the solver stack.
 
-    {b On-disk format} (versioned; see DESIGN.md "Durable store &
-    fleet"): one file per key, named [md5(key).prep] inside the spill
+    {b On-disk format} (versioned; see DESIGN.md "Durable store"):
+    one file per key, named [md5(key).prep] inside the spill
     directory, containing
 
     {v unigen-store-v1 \n md5(body) \n body v}
@@ -22,7 +22,7 @@
 
     {b Crash safety}: every write goes through {!atomic_write} — the
     bytes land in a per-writer [.<pid>.tmp] sibling (private even when
-    fleet replicas spill the same key into a shared directory), are
+    two daemon processes spill the same key into a shared directory), are
     fsynced, and are renamed over the final name, so a reader (or a
     crash) never observes a partial entry. The
     [durable-write-discipline] lint rule flags spill-file writes that
@@ -35,7 +35,7 @@
     a plain miss, so the caller falls back to a clean re-preparation.
     Evidence is bounded: only the {!quarantine_keep} most recently
     quarantined files are kept, so systematic corruption (e.g. codec
-    version skew across a fleet upgrade) cannot grow the directory
+    version skew across an upgrade) cannot grow the directory
     without bound.
 
     {b Disk budget}: after each {!put} the store evicts
@@ -47,9 +47,9 @@
     {b Ownership}: not thread-safe by design. Like the cache above it,
     a store instance is owned by the scheduler's domain; every entry
     point checks an {!Audit.Ownership} tag so audit mode turns a
-    cross-domain touch into a structured violation. (Fleet replicas are
-    separate {e processes}; the atomic-rename discipline makes their
-    sharing of one directory safe.)
+    cross-domain touch into a structured violation. (Daemon processes
+    sharing one directory are separate {e processes}; the atomic-rename
+    discipline makes that sharing safe.)
 
     Metrics: [store.hit] / [store.miss] / [store.spill] /
     [store.corrupt] / [store.eviction] counters and the [store.bytes]
@@ -114,8 +114,8 @@ val total_bytes : t -> int
 
 val atomic_write : dir:string -> path:string -> string -> unit
 (** The one sanctioned write path for spill files: write to a
-    per-writer temp sibling ([path.<pid>.tmp], so concurrent fleet
-    replicas never truncate each other's staging file), fsync, rename
+    per-writer temp sibling ([path.<pid>.tmp], so concurrent daemon
+    processes never truncate each other's staging file), fsync, rename
     over [path], then fsync [dir] so the rename itself survives a
     crash. On failure the temp file is unlinked and the original
     exception re-raised. Exposed so future writers of sidecar files

@@ -335,54 +335,4 @@ cmp -s "$smoke_dir/dur1.witness" "$smoke_dir/dur3.witness" || {
 client4 --shutdown > /dev/null
 wait "$serve4_pid"
 
-echo "== fleet smoke (--fleet 2)"
-# Two replica daemons under one supervisor; the client lists both
-# sockets and routes by consistent hashing on the formula fingerprint.
-# The fleet's witnesses must be bit-identical to the single daemon's
-# from the first smoke (same formula, same seeds).
-sockf="$smoke_dir/fleet.sock"
-dune exec bin/unigen_cli.exe -- serve --socket "$sockf" --fleet 2 \
-    > "$smoke_dir/serve_fleet.log" 2>&1 &
-fleet_pid=$!
-trap 'kill "$serve_pid" "$serve2_pid" "$serve3_pid" "$serve4_pid" "$fleet_pid" 2>/dev/null || true; rm -rf "$smoke_dir"' EXIT
-for _ in $(seq 1 100); do
-    [ -S "$sockf.0" ] && [ -S "$sockf.1" ] && break
-    sleep 0.1
-done
-{ [ -S "$sockf.0" ] && [ -S "$sockf.1" ]; } || {
-    echo "error: fleet replicas did not come up" >&2
-    cat "$smoke_dir/serve_fleet.log" >&2
-    exit 1
-}
-clientf() {
-    dune exec bin/unigen_cli.exe -- client "$smoke_dir/smoke.cnf" \
-        --socket "$sockf.0" --socket "$sockf.1" -n 3 -s 7 "$@"
-}
-clientf > "$smoke_dir/fleet1.out"
-grep -q 'cache=miss' "$smoke_dir/fleet1.out" || { echo "error: first fleet request should miss" >&2; exit 1; }
-clientf > "$smoke_dir/fleet2.out"
-grep -q 'cache=hit' "$smoke_dir/fleet2.out" || {
-    echo "error: repeat fleet request should land warm on the same shard" >&2
-    cat "$smoke_dir/fleet2.out" >&2
-    exit 1
-}
-grep '^v ' "$smoke_dir/fleet1.out" > "$smoke_dir/fleet1.witness"
-cmp -s "$smoke_dir/jobs1.witness" "$smoke_dir/fleet1.witness" || {
-    echo "error: fleet witnesses differ from the single daemon's" >&2
-    exit 1
-}
-# per-shard status: each replica identifies itself
-clientf --status > "$smoke_dir/fleet_status.out"
-grep -q 'shard = 0/2' "$smoke_dir/fleet_status.out" || {
-    echo "error: shard 0 missing from fleet status" >&2
-    cat "$smoke_dir/fleet_status.out" >&2
-    exit 1
-}
-grep -q 'shard = 1/2' "$smoke_dir/fleet_status.out" || {
-    echo "error: shard 1 missing from fleet status" >&2
-    exit 1
-}
-clientf --shutdown > /dev/null
-wait "$fleet_pid"
-
 echo "ok"

@@ -69,17 +69,77 @@ let test_sample_on_simple_formula () =
   Alcotest.(check bool) "witness lines" true (contains "\nv " ("\n" ^ text));
   Alcotest.(check bool) "reports production" true (contains "produced 5/5" text)
 
+(* Out-of-range arguments are usage errors: each [(command, options,
+   message)] exits 1 with [message] and draws nothing, instead of
+   escaping as an uncaught exception *)
+let rejects cases =
+  let path = temp_cnf "p cnf 4 1\nc ind 1 2 0\n1 2 3 0\n" in
+  List.iter
+    (fun (cmd, opts, says) ->
+      let code, text = run (Printf.sprintf "%s %s %s" cmd path opts) in
+      let args = cmd ^ " " ^ opts in
+      Alcotest.(check int) ("exit 1 for " ^ args) 1 code;
+      Alcotest.(check bool) (args ^ " says " ^ says) true (contains says text);
+      Alcotest.(check bool) (args ^ " draws nothing") false
+        (contains "\nv " ("\n" ^ text));
+      Alcotest.(check bool) (args ^ " is not a crash") false
+        (contains "uncaught exception" text))
+    cases;
+  Sys.remove path
+
 (* --jobs counts workers: 0 and negative values are rejected up front
    rather than selecting some other sampling mode *)
 let test_sample_rejects_bad_jobs () =
-  let path = temp_cnf "p cnf 4 1\nc ind 1 2 0\n1 2 3 0\n" in
-  List.iter
-    (fun jobs ->
-      let code, text = run (Printf.sprintf "sample %s -n 2 --jobs=%s" path jobs) in
-      Alcotest.(check int) ("exit 1 for --jobs=" ^ jobs) 1 code;
-      Alcotest.(check bool) "says >= 1" true (contains "must be >= 1" text);
-      Alcotest.(check bool) "draws nothing" false (contains "\nv " ("\n" ^ text)))
-    [ "0"; "-1" ];
+  rejects
+    [
+      ("sample", "-n 2 --jobs=0", "must be >= 1");
+      ("sample", "-n 2 --jobs=-1", "must be >= 1");
+    ]
+
+let test_rejects_bad_arguments () =
+  rejects
+    [
+      ("count", "--jobs=0", "must be >= 1");
+      ("count", "--jobs=-1", "must be >= 1");
+      ("sample", "-n 2 -e 1.5", "error:");
+      ("count", "-e 0", "error:");
+      ("count", "-d 1.5", "error:");
+    ]
+
+(* 5696 witnesses, close enough to a q boundary that the serial and
+   the stream-per-iteration ApproxMC loops prepare differently *)
+let near_q_boundary =
+  "p cnf 13 7\n\
+   c ind 1 2 3 4 5 6 7 8 9 10 11 12 13 0\n\
+   13 -7 -1 -5 9 0\n\
+   -9 -3 5 -12 0\n\
+   5 2 12 -6 0\n\
+   9 -8 -12 13 0\n\
+   -12 11 -13 -1 8 0\n\
+   4 -3 -9 -8 0\n\
+   -2 -5 -9 -12 -13 0\n"
+
+let lines_with prefix text =
+  List.filter (String.starts_with ~prefix) (String.split_on_char '\n' text)
+
+(* The worker count never changes the output: one pool serves both
+   the preparation and the draws of [sample], and [count] runs the
+   same stream-per-iteration loop at every --jobs *)
+let test_jobs_bit_identical () =
+  let path = temp_cnf near_q_boundary in
+  let at jobs fmt prefix =
+    let code, text = run (Printf.sprintf fmt path jobs) in
+    Alcotest.(check int) (Printf.sprintf "exit 0 at -j %d" jobs) 0 code;
+    lines_with prefix text
+  in
+  let sample jobs = at jobs "sample %s -n 8 -s 9 -j %d" "v " in
+  let w1 = sample 1 in
+  Alcotest.(check int) "8 witnesses" 8 (List.length w1);
+  Alcotest.(check (list string)) "sample -j 1 = -j 2" w1 (sample 2);
+  let count jobs = at jobs "count %s -e 0.8 -d 0.8 -s 9 -j %d" "s mc" in
+  let c1 = count 1 in
+  Alcotest.(check int) "one estimate" 1 (List.length c1);
+  Alcotest.(check (list string)) "count -j 1 = -j 2" c1 (count 2);
   Sys.remove path
 
 let test_sample_unsat_exit_code () =
@@ -165,6 +225,9 @@ let () =
           Alcotest.test_case "bench-gen list" `Quick test_bench_gen_list;
           Alcotest.test_case "sample" `Quick test_sample_on_simple_formula;
           Alcotest.test_case "sample unsat" `Quick test_sample_unsat_exit_code;
+          Alcotest.test_case "bad arguments exit 1" `Quick
+            test_rejects_bad_arguments;
+          Alcotest.test_case "jobs bit-identical" `Quick test_jobs_bit_identical;
           Alcotest.test_case "sample rejects bad jobs" `Quick
             test_sample_rejects_bad_jobs;
           Alcotest.test_case "count" `Quick test_count_matches_truth;

@@ -1107,8 +1107,8 @@ let test_scheduler_restart_corrupt_spill () =
   Alcotest.(check bool) "evidence still present" true (quarantined dir >= 1)
 
 (* ------------------------------------------------------------------ *)
-(* Client-side fleet machinery: retry with backpressure-aware backoff,
-   and the consistent-hash shard map. Both are pure of any socket. *)
+(* Client-side retry with backpressure-aware backoff, pure of any
+   socket. *)
 
 let test_with_retry () =
   let rng = Rng.create 11 in
@@ -1164,44 +1164,6 @@ let test_with_retry () =
   match retry ~max_attempts:0 (fun () -> Wire.Bye) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "max_attempts = 0 accepted"
-
-let test_fleet_shard_map () =
-  let sockets = [ "/run/u/a.sock"; "/run/u/b.sock"; "/run/u/c.sock" ] in
-  let fleet = Client.Fleet.create sockets in
-  let keys = List.init 300 (fun i -> Printf.sprintf "fingerprint-%03d" i) in
-  (* the map is a pure function of the socket set: list order must not
-     matter, or two clients would disagree on shard ownership *)
-  let fleet_rev = Client.Fleet.create (List.rev sockets) in
-  List.iter
-    (fun k ->
-      Alcotest.(check string) "order-independent routing"
-        (Client.Fleet.route fleet k)
-        (Client.Fleet.route fleet_rev k))
-    keys;
-  (* with 64 vnodes per socket, every replica owns a share *)
-  List.iter
-    (fun s ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s owns keys" s)
-        true
-        (List.exists (fun k -> Client.Fleet.route fleet k = s) keys))
-    sockets;
-  (* consistent hashing: dropping a replica remaps only its own keys *)
-  let fleet_ab = Client.Fleet.create [ "/run/u/a.sock"; "/run/u/b.sock" ] in
-  List.iter
-    (fun k ->
-      let owner = Client.Fleet.route fleet k in
-      if owner <> "/run/u/c.sock" then
-        Alcotest.(check string) "stable under replica removal" owner
-          (Client.Fleet.route fleet_ab k))
-    keys;
-  (* degenerate inputs *)
-  (match Client.Fleet.create [] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "empty socket list accepted");
-  match Client.Fleet.create ~vnodes:0 sockets with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "vnodes = 0 accepted"
 
 (* ------------------------------------------------------------------ *)
 (* Wire.Decoder fuzz: arbitrary payloads, arbitrary chunking, hostile
@@ -1484,7 +1446,6 @@ let () =
       ( "client",
         [
           Alcotest.test_case "retry with backoff" `Quick test_with_retry;
-          Alcotest.test_case "fleet shard map" `Quick test_fleet_shard_map;
         ] );
       ( "daemon",
         [

@@ -246,7 +246,7 @@ let test_stale_tmp_sweep () =
   with_tmpdir @@ fun dir ->
   (* a writer killed mid-spill leaves its private staging file behind;
      reopening the store sweeps old ones but keeps recent ones, which
-     may belong to an in-flight fleet peer *)
+     may belong to an in-flight write of another daemon process *)
   let stale = Filename.concat dir "dead.prep.12345.tmp" in
   let fresh = Filename.concat dir "live.prep.67890.tmp" in
   let plant path =
