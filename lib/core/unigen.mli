@@ -50,7 +50,8 @@ val prepare :
     with it. Only the easy-case check uses a one-shot {!Sat.Bsat.enumerate}.
     [jobs]/[pool] parallelise the ApproxMC counting iterations (each is
     an independent XOR-hashed count); see {!Counting.Approxmc.count}.
-    @raise Invalid_argument when [epsilon <= 1.71]. *)
+    @raise Invalid_argument when [epsilon <= 1.71], or when the count
+    runs and [count_iterations < 1]. *)
 
 val sample : ?deadline:float -> rng:Rng.t -> prepared -> Sampler.outcome
 (** Runs lines 12–22 once: picks a hash size in q−3..q, a random hash

@@ -39,48 +39,170 @@ type core_out = {
 }
 
 let c_hash_draws = Obs.Metrics.counter "approxmc.hash_draws"
+let c_cells_from_known = Obs.Metrics.counter "approxmc.cells_from_known"
 let h_cell_size = Obs.Metrics.histogram "approxmc.cell_size"
+
+(* The projections onto the sampling set S that one count has found so
+   far, stored bit-sliced: [cols.(j)] is a bitset over the members, bit
+   [r mod bits] of word [r / bits] holding member [r]'s value of
+   [sampling.(j)]. An XOR row over S then evaluates on [bits] members
+   at once, one word XOR per variable of the row. Every member is the
+   projection of a witness of F and no two members are equal. A cache
+   belongs to one domain. *)
+module Known = struct
+  let bits = Sys.int_size
+
+  type t = {
+    sampling : int array;
+    index : int array; (* variable -> position in [sampling], or -1 *)
+    mutable cols : int array array;
+    mutable size : int;
+  }
+
+  let create f =
+    let sampling = Cnf.Formula.sampling_vars f in
+    let index = Array.make (f.Cnf.Formula.num_vars + 1) (-1) in
+    Array.iteri (fun j v -> index.(v) <- j) sampling;
+    { sampling; index; cols = Array.map (fun _ -> Array.make 4 0) sampling; size = 0 }
+
+  let add t m =
+    let r = t.size in
+    let w = r / bits in
+    if Array.length t.sampling > 0 && w >= Array.length t.cols.(0) then
+      t.cols <-
+        Array.map
+          (fun col ->
+            let c = Array.make (2 * Array.length col) 0 in
+            Array.blit col 0 c 0 (Array.length col);
+            c)
+          t.cols;
+    Array.iteri
+      (fun j v ->
+        if Cnf.Model.value m v then
+          t.cols.(j).(w) <- t.cols.(j).(w) lor (1 lsl (r mod bits)))
+      t.sampling;
+    t.size <- r + 1
+
+  (* Member [r] as values of [sampling], in order. *)
+  let values t r =
+    Array.map (fun col -> (col.(r / bits) lsr (r mod bits)) land 1 = 1) t.cols
+
+  (* The members in the cell [xors] (XOR rows over S), up to [limit] of
+     them, [bits] members per step: a member is in the cell when, for
+     every row, the parity of its values on the row's variables equals
+     the row's right-hand side. *)
+  let in_cell t ~limit (xors : Cnf.Xor_clause.t list) =
+    let rows =
+      Array.of_list
+        (List.map
+           (fun (x : Cnf.Xor_clause.t) ->
+             (Array.map (fun v -> t.cols.(t.index.(v))) x.vars, x.rhs))
+           xors)
+    in
+    let m = Array.length rows in
+    let words = (t.size + bits - 1) / bits in
+    let rec scan w acc k =
+      if k >= limit || w >= words then (acc, k)
+      else begin
+        let tail = t.size - (w * bits) in
+        let cell = ref (if tail >= bits then -1 else (1 lsl tail) - 1) in
+        let i = ref 0 in
+        while !cell <> 0 && !i < m do
+          let cols, rhs = rows.(!i) in
+          (* bit set where the member's parity differs from [rhs] *)
+          let miss = ref (if rhs then -1 else 0) in
+          for c = 0 to Array.length cols - 1 do
+            miss := !miss lxor cols.(c).(w)
+          done;
+          cell := !cell land lnot !miss;
+          incr i
+        done;
+        let rec collect b acc k =
+          if k >= limit || !cell lsr b = 0 then (acc, k)
+          else if (!cell lsr b) land 1 = 1 then collect (b + 1) (((w * bits) + b) :: acc) (k + 1)
+          else collect (b + 1) acc k
+        in
+        let acc, k = collect 0 acc k in
+        scan (w + 1) acc k
+      end
+    in
+    scan 0 [] 0
+end
+
+(* The audit of a cell decided with cached projections: a fresh
+   enumeration of F ∧ h must reach the same (count, exhausted). *)
+let audit_known_cell ?deadline ~pivot ~known f xors (count, exhausted) =
+  let fresh =
+    Sat.Bsat.enumerate ?deadline ~limit:(pivot + 1) (Cnf.Formula.add_xors f xors)
+  in
+  let fresh_count = List.length fresh.Sat.Bsat.models in
+  if (not fresh.Sat.Bsat.timed_out)
+     && (fresh_count <> count || fresh.Sat.Bsat.exhausted <> exhausted)
+  then
+    Audit.fail ~invariant:"known-cell"
+      ~detail:"Approxmc: a cell decided from cached projections differs from a fresh enumeration"
+      [ ("hash_size", string_of_int (List.length xors));
+        ("known", string_of_int known);
+        ("count", string_of_int count);
+        ("exhausted", string_of_bool exhausted);
+        ("fresh_count", string_of_int fresh_count);
+        ("fresh_exhausted", string_of_bool fresh.Sat.Bsat.exhausted) ]
 
 (* One ApproxMCCore run. A single solver session serves every hash
    size [i] of the try_size loop: only the XOR layer is swapped between
    sizes, so clauses learnt about the base formula at size i speed up
-   size i+1. Complete cells are history-independent, so the session
-   makes the same (count, exhausted) decisions a fresh solver per size
-   would. *)
-let core ?deadline ~rng ~pivot ~start f =
+   size i+1. Each cell is first measured against [known]: k >= pivot+1
+   cached members decide it as cut with no solver call; otherwise the
+   session enumerates the rest of the cell (the k members blocked, up
+   to pivot+1-k more) and its new models join [known]. The outcome
+   (min(|cell|, pivot+1), exhausted) is the one a plain enumeration
+   with limit pivot+1 gives, so the estimate does not depend on what
+   the cache held. *)
+let core ?deadline ~rng ~pivot ~start ~known f =
   Obs.Trace.span ~cat:"counting" "approxmc.core" @@ fun () ->
   let sampling = Cnf.Formula.sampling_vars f in
   let n = Array.length sampling in
   let session = Sat.Bsat.Session.create f in
   let stats = ref Sat.Solver.stats_zero in
   let reuse = ref 0 in
-  let run_bsat i =
+  let cell i =
     Obs.Trace.span ~cat:"counting" "approxmc.hash_size"
       ~args:[ ("m", string_of_int i) ]
     @@ fun () ->
     Obs.Metrics.incr c_hash_draws;
-    let h = Hashing.Hxor.sample rng ~vars:sampling ~m:i in
-    let out =
-      Sat.Bsat.Session.enumerate ?deadline
-        ~xors:(Hashing.Hxor.constraints h) ~limit:(pivot + 1) session
+    let xors = Hashing.Hxor.constraints (Hashing.Hxor.sample rng ~vars:sampling ~m:i) in
+    let members, k = Known.in_cell known ~limit:(pivot + 1) xors in
+    let decided =
+      if k > pivot then begin
+        Obs.Metrics.incr c_cells_from_known;
+        (k, false)
+      end
+      else begin
+        let out =
+          Sat.Bsat.Session.enumerate ?deadline ~xors
+            ~known:(List.map (Known.values known) members)
+            ~limit:(pivot + 1 - k) session
+        in
+        stats := Sat.Solver.stats_add !stats out.Sat.Bsat.stats;
+        if out.Sat.Bsat.reused then incr reuse;
+        if out.Sat.Bsat.timed_out then raise Deadline;
+        List.iter (Known.add known) out.Sat.Bsat.models;
+        (k + List.length out.Sat.Bsat.models, out.Sat.Bsat.exhausted)
+      end
     in
-    stats := Sat.Solver.stats_add !stats out.Sat.Bsat.stats;
-    if out.Sat.Bsat.reused then incr reuse;
-    Obs.Metrics.observe h_cell_size
-      (float_of_int (List.length out.Sat.Bsat.models));
-    out
+    if k > 0 && Audit.is_enabled () then
+      audit_known_cell ?deadline ~pivot ~known:k f xors decided;
+    Obs.Metrics.observe h_cell_size (float_of_int (fst decided));
+    decided
   in
   let rec try_size i =
     check_deadline deadline;
     if i > n then None
-    else begin
-      let out = run_bsat i in
-      if out.Sat.Bsat.timed_out then raise Deadline;
-      let count = List.length out.Sat.Bsat.models in
-      if count >= 1 && count <= pivot && out.Sat.Bsat.exhausted then
+    else
+      let count, exhausted = cell i in
+      if count >= 1 && count <= pivot && exhausted then
         Some (float_of_int count *. (2.0 ** float_of_int i), i)
       else try_size (i + 1)
-    end
   in
   let res = try_size start in
   { co_res = res; co_stats = !stats; co_reuse = !reuse }
@@ -89,12 +211,27 @@ let core ?deadline ~rng ~pivot ~start f =
    counts, so they parallelise without changing the estimator: run
    iteration [i] on the private stream (master, i) and take the median
    over the index-ordered successes. The estimate is then a pure
-   function of the master seed — identical for every worker count. *)
-let iterate_parallel ?deadline ?jobs ?pool ~rng ~pivot ~t f =
+   function of the master seed — identical for every worker count.
+   Each domain keeps its own cache of found projections, taken from a
+   mutex-guarded table keyed by [Domain.self ()]; the lock covers the
+   lookup only. *)
+let iterate_parallel ?deadline ?jobs ?pool ~rng ~pivot ~t ~fresh_known f =
   let master = Int64.to_int (Rng.bits64 rng) land max_int in
+  let caches = Hashtbl.create 4 in
+  let caches_lock = Mutex.create () in
+  let known () =
+    let id = (Domain.self () :> int) in
+    Mutex.protect caches_lock (fun () ->
+        match Hashtbl.find_opt caches id with
+        | Some k -> k
+        | None ->
+            let k = fresh_known () in
+            Hashtbl.replace caches id k;
+            k)
+  in
   let one index =
     let rng = Rng.of_stream ~seed:master index in
-    match core ?deadline ~rng ~pivot ~start:1 f with
+    match core ?deadline ~rng ~pivot ~start:1 ~known:(known ()) f with
     | { co_res = Some e; co_stats; co_reuse } -> `Estimate (e, co_stats, co_reuse)
     | { co_res = None; co_stats; co_reuse } -> `Failed (co_stats, co_reuse)
     | exception Deadline -> `Deadline
@@ -112,6 +249,9 @@ let count ?deadline ?(leapfrog = false) ?iterations ?jobs ?pool ~rng ~epsilon
   Obs.Trace.span ~cat:"counting" "approxmc.count" @@ fun () ->
   (match jobs with
   | Some j when j < 1 -> invalid_arg "Approxmc.count: jobs must be >= 1"
+  | _ -> ());
+  (match iterations with
+  | Some t when t < 1 -> invalid_arg "Approxmc.count: iterations must be >= 1"
   | _ -> ());
   let pivot = pivot_of_epsilon epsilon in
   let t = match iterations with Some t -> t | None -> iterations_of_delta delta in
@@ -142,11 +282,19 @@ let count ?deadline ?(leapfrog = false) ?iterations ?jobs ?pool ~rng ~epsilon
           agg_stats := Sat.Solver.stats_add !agg_stats st;
           reuse_hits := !reuse_hits + ru
         in
+        (* every cache starts from the easy check's pivot+1 witnesses *)
+        let fresh_known () =
+          let k = Known.create f in
+          List.iter (Known.add k) out.Sat.Bsat.models;
+          k
+        in
         if (jobs <> None || pool <> None) && not leapfrog then begin
           (* deterministic stream-per-iteration discipline; leapfrog is
              inherently sequential (each start depends on the previous
              iteration) and keeps the serial path below *)
-          let outcomes = iterate_parallel ?deadline ?jobs ?pool ~rng ~pivot ~t f in
+          let outcomes =
+            iterate_parallel ?deadline ?jobs ?pool ~rng ~pivot ~t ~fresh_known f
+          in
           Array.iter
             (function
               | `Estimate ((e, _), st, ru) ->
@@ -159,10 +307,11 @@ let count ?deadline ?(leapfrog = false) ?iterations ?jobs ?pool ~rng ~epsilon
             outcomes
         end
         else begin
+          let known = fresh_known () in
           let prev_i = ref 1 in
           for _ = 1 to t do
             let start = if leapfrog then max 1 (!prev_i - 1) else 1 in
-            let co = core ?deadline ~rng ~pivot ~start f in
+            let co = core ?deadline ~rng ~pivot ~start ~known f in
             fold co.co_stats co.co_reuse;
             match co.co_res with
             | Some (e, i) ->

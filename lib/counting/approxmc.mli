@@ -22,7 +22,8 @@ type result = {
       (** aggregate CDCL statistics over every BSAT call of the count *)
   reuse_hits : int;
       (** BSAT calls served by a warm solver session (0 in the exact
-          easy case) *)
+          easy case); cells decided from cached projections make no
+          call and are not counted *)
 }
 
 type error = Unsat | Timed_out
@@ -50,6 +51,21 @@ val count :
     swapped, so base-formula clauses are learnt once per iteration
     instead of once per hash size.
 
+    The count keeps a cache of the solutions it has found, as packed
+    bitsets of their projections onto the sampling set, for the
+    length of the call: one cache for the serial loop, one per domain
+    for the pooled loop, each seeded with the easy check's pivot + 1
+    witnesses. A drawn cell is first measured against the cache: with
+    k >= pivot + 1 cached members it is decided as cut without a
+    solver call; otherwise the session enumerates it with those k
+    projections blocked and a limit of pivot + 1 - k, and the new
+    witnesses join the cache. Either way the cell's outcome
+    (min(|cell|, pivot + 1), exhausted) is the one a plain enumeration
+    gives, and the hash draws are unchanged, so every estimate is the
+    same with or without the cache. Under audit mode every cell that
+    used cached projections is re-enumerated by a fresh solver and compared
+    (invariant [known-cell]).
+
     [leapfrog] (default [false]) starts each core iteration's search
     for the hash size near the previous success instead of from 1 —
     the CP 2013 heuristic that the UniGen paper explicitly disables
@@ -68,4 +84,4 @@ val count :
     iterations serially on [rng] itself (a different draw order from
     the parallel discipline, used by unpooled preparations). [leapfrog] forces the
     serial path (each iteration's start depends on the previous one).
-    @raise Invalid_argument when [jobs < 1]. *)
+    @raise Invalid_argument when [jobs < 1] or [iterations < 1]. *)

@@ -128,11 +128,12 @@ module Session = struct
     Audit.Ownership.check s.owner;
     Solver.stats s.solver
 
-  let enumerate ?deadline ?(xors = []) ~limit s =
+  let enumerate ?deadline ?(xors = []) ?(known = []) ~limit s =
     Obs.Trace.span ~cat:"sat" "bsat.session.enumerate"
       ~args:
         [ ("limit", string_of_int limit);
-          ("xor_rows", string_of_int (List.length xors)) ]
+          ("xor_rows", string_of_int (List.length xors));
+          ("known", string_of_int (List.length known)) ]
     @@ fun () ->
     Audit.Ownership.check s.owner;
     let reused = s.calls > 0 in
@@ -141,8 +142,9 @@ module Session = struct
     let before = Solver.stats solver in
     let verify = Cnf.Formula.add_xors s.formula xors in
     let truncate m = Cnf.Model.prefix m s.base_vars in
-    (* Everything this call adds — the XOR layer and the blocking
-       clauses — lives in one group popped on the way out, leaving only
+    (* Everything this call adds — the XOR layer, the clauses blocking
+       the [known] projections and the blocking clauses of the witnesses
+       found — lives in one group popped on the way out, leaving only
        learnt clauses about the base formula behind. The raw layer goes
        to the Gauss matrix as is: a layer swap is a matrix push/pop,
        not a re-RREF, because the matrix reduces each row against its
@@ -157,6 +159,14 @@ module Session = struct
           Obs.Trace.span ~cat:"sat" "xor_layer.push"
             ~args:[ ("rows", string_of_int (List.length xors)) ]
             (fun () -> List.iter (Solver.add_group_xor solver) xors);
+          List.iter
+            (fun values ->
+              if Array.length values <> Array.length s.blocking then
+                invalid_arg "Bsat.Session.enumerate: known projection width";
+              Solver.add_group_clause solver
+                (Array.to_list
+                   (Array.mapi (fun j v -> Cnf.Lit.make v (not values.(j))) s.blocking)))
+            known;
           enum_loop ?deadline ~limit ~blocking:s.blocking ~verify ~truncate solver)
     in
     outcome_of ~reused

@@ -67,14 +67,22 @@ module Session : sig
   val enumerate :
     ?deadline:float ->
     ?xors:Cnf.Xor_clause.t list ->
+    ?known:bool array list ->
     limit:int ->
     t ->
     outcome
-  (** Enumerate up to [limit] witnesses of [base ∧ xors]. The XOR
-      layer and the blocking clauses are pushed as one retractable
-      group and popped before returning, so successive calls see the
-      unmodified base formula plus whatever the solver learnt about
-      it. *)
+  (** Enumerate up to [limit] witnesses of [base ∧ xors] whose
+      projections are not among [known]. Each element of [known]
+      assigns the session's {!blocking_vars}, in that order, and is
+      excluded by a blocking clause, so the outcome is what a call
+      without [known] would return with those projections removed
+      (exhausted iff the rest of the cell has fewer than [limit]
+      witnesses). The XOR layer, the [known] clauses and the blocking
+      clauses are pushed as one retractable group and popped before
+      returning, so successive calls see the unmodified base formula
+      plus whatever the solver learnt about it.
+      @raise Invalid_argument when a [known] array's length differs
+      from the number of blocking variables. *)
 
   val calls : t -> int
   (** Number of [enumerate] calls served so far. *)

@@ -244,7 +244,11 @@ let request_of_json j =
             (match Json.opt_float "epsilon" j with
             | Some e -> e
             | None -> default_sample_req.epsilon);
-          count_iterations = Json.opt_int "count_iterations" j;
+          count_iterations =
+            (match Json.opt_int "count_iterations" j with
+            | Some c when c < 1 ->
+                raise (Json.Decode_error "count_iterations must be >= 1")
+            | c -> c);
           timeout_s =
             Option.map (fun ms -> ms /. 1000.0) (Json.opt_float "timeout_ms" j);
           max_attempts =

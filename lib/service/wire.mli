@@ -185,7 +185,8 @@ type response =
 
 val request_to_json : request -> Json.t
 val request_of_json : Json.t -> request
-(** @raise Json.Decode_error on an unknown op or missing field. *)
+(** @raise Json.Decode_error on an unknown op, a missing field or a
+    [count_iterations] below 1. *)
 
 val response_to_json : response -> Json.t
 val response_of_json : Json.t -> response

@@ -92,6 +92,36 @@ echo "== xor engine (Gauss engine vs brute force, audit mode)"
 # gauss-* invariants).
 UNIGEN_AUDIT=1 UNIGEN_AUDIT_PERIOD=16 dune exec test/test_gauss.exe
 
+echo "== counting smoke (known-projection cache, audit mode)"
+# ApproxMC decides most hashed cells from its cache of found
+# projections. With the audit live, every such cell is re-enumerated
+# by a fresh solver (invariant known-cell); the estimate must not depend on
+# the worker count, and the cache must have decided some cells.
+count_dir=$(mktemp -d)
+dune exec bin/unigen_cli.exe -- bench-gen case_m1 -o "$count_dir/m1.cnf" > /dev/null
+for j in 1 2; do
+    dune exec bin/unigen_cli.exe -- count "$count_dir/m1.cnf" -s 5 -d 0.8 -j "$j" \
+        --audit --metrics-json "$count_dir/metrics$j.json" > "$count_dir/count$j.out"
+    grep '^s mc' "$count_dir/count$j.out" > "$count_dir/mc$j" || {
+        echo "error: count -j $j printed no 's mc' line" >&2
+        cat "$count_dir/count$j.out" >&2
+        exit 1
+    }
+    python3 - "$count_dir/metrics$j.json" <<'PYEOF'
+import json, sys
+m = json.load(open(sys.argv[1]))["metrics"]
+if m.get("approxmc.cells_from_known", 0) <= 0:
+    sys.exit("error: %s: approxmc.cells_from_known should be > 0" % sys.argv[1])
+PYEOF
+done
+cmp -s "$count_dir/mc1" "$count_dir/mc2" || {
+    echo "error: count -j 1 and -j 2 print different estimates" >&2
+    cat "$count_dir/mc1" "$count_dir/mc2" >&2
+    exit 1
+}
+json_ok "$count_dir/metrics1.json" "$count_dir/metrics2.json"
+rm -rf "$count_dir"
+
 echo "== service smoke (default --jobs 1)"
 # End-to-end daemon check over a real socket: start `unigen serve` on a
 # temp socket, issue the same request twice on the same formula, verify

@@ -124,7 +124,24 @@ let test_params_invalid () =
     (try
        ignore (Counting.Approxmc.iterations_of_delta 1.5);
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* a non-positive iteration count is a caller error, not a timeout,
+     on the serial and the pooled loop alike *)
+  let f = Cnf.Formula.create ~num_vars:10 [] in
+  List.iter
+    (fun (iterations, jobs) ->
+      let name =
+        Printf.sprintf "iterations %d%s" iterations
+          (match jobs with Some j -> Printf.sprintf " jobs %d" j | None -> "")
+      in
+      Alcotest.(check bool) name true
+        (try
+           ignore
+             (Counting.Approxmc.count ~iterations ?jobs ~rng:(Rng.create 1)
+                ~epsilon:0.8 ~delta:0.8 f);
+           false
+         with Invalid_argument _ -> true))
+    [ (0, None); (-2, None); (0, Some 2); (-2, Some 2) ]
 
 (* ------------------------------------------------------------------ *)
 (* ApproxMC behaviour *)
@@ -212,9 +229,95 @@ let prop_approx_envelope =
              9-iteration median at these sizes *)
           e >= t /. 4.0 && e <= t *. 4.0)
 
+(* ApproxMC replayed by brute force: the same hash draws from the same
+   streams, each cell counted over the formula's projected solutions.
+   The count decides most cells of these formulas (over pivot + 1 = 47
+   projected solutions) from its cache of found projections, so the
+   property pins that the cache changes no estimate. *)
+let replay_count ~pooled ~iterations ~rng f =
+  let pivot = Counting.Approxmc.pivot_of_epsilon 0.8 in
+  let sampling = Cnf.Formula.sampling_vars f in
+  let projections =
+    List.sort_uniq Cnf.Model.compare
+      (List.map (fun m -> Cnf.Model.restrict m sampling) (Sat.Brute.solutions f))
+  in
+  let core rng =
+    let rec try_size i =
+      if i > Array.length sampling then None
+      else begin
+        let h = Hashing.Hxor.sample rng ~vars:sampling ~m:i in
+        let c =
+          List.length
+            (List.filter (fun p -> Hashing.Hxor.in_cell h (Cnf.Model.value p)) projections)
+        in
+        if c >= 1 && c <= pivot then Some (float_of_int c *. (2.0 ** float_of_int i))
+        else try_size (i + 1)
+      end
+    in
+    try_size 1
+  in
+  let stream =
+    if pooled then begin
+      let master = Int64.to_int (Rng.bits64 rng) land max_int in
+      fun i -> Rng.of_stream ~seed:master i
+    end
+    else fun _ -> rng
+  in
+  let estimates = ref [] and failures = ref 0 in
+  for i = 0 to iterations - 1 do
+    match core (stream i) with
+    | Some e -> estimates := e :: !estimates
+    | None -> incr failures
+  done;
+  (List.length projections, !estimates, !failures)
+
+let median l =
+  let sorted = List.sort Float.compare l in
+  List.nth sorted (List.length sorted / 2)
+
+let prop_approx_replays_hash_draws =
+  QCheck2.Test.make ~count:30 ~name:"approxmc = brute replay of hash draws"
+    QCheck2.Gen.(tup3 (int_bound 100_000) (int_range 9 12) bool)
+    (fun (seed, nv, project) ->
+      let rng = Rng.create seed in
+      let f = Test_util.Gen.random_cnf rng ~num_vars:nv ~num_clauses:(nv / 3) ~width:3 in
+      let f =
+        if project then
+          Cnf.Formula.with_sampling_set f
+            (List.filter (fun v -> v <= 7 || Rng.bool rng) (List.init nv (fun i -> i + 1)))
+        else f
+      in
+      let iterations = 9 in
+      let agrees ~pooled =
+        let run_seed = seed + 1 in
+        let total, estimates, failures =
+          replay_count ~pooled ~iterations ~rng:(Rng.create run_seed) f
+        in
+        QCheck2.assume (total > 47);
+        let jobs = if pooled then Some 2 else None in
+        match
+          Counting.Approxmc.count ~iterations ?jobs ~rng:(Rng.create run_seed)
+            ~epsilon:0.8 ~delta:0.8 f
+        with
+        | Ok r ->
+            (not r.Counting.Approxmc.exact)
+            && estimates <> []
+            && r.Counting.Approxmc.estimate = median estimates
+            && r.Counting.Approxmc.core_iterations = List.length estimates
+            && r.Counting.Approxmc.failed_iterations = failures
+        | Error Counting.Approxmc.Timed_out -> estimates = []
+        | Error Counting.Approxmc.Unsat -> false
+      in
+      agrees ~pooled:false && agrees ~pooled:true)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_exact_matches_brute; prop_projected_matches_brute; prop_approx_envelope ]
+    [
+      prop_exact_matches_brute;
+      prop_projected_matches_brute;
+      prop_approx_envelope;
+      prop_approx_replays_hash_draws;
+    ]
 
 let () =
   Alcotest.run "counting"

@@ -255,6 +255,25 @@ let test_wire_framing_incremental () =
   Alcotest.check_raises "oversized frame" (Wire.Frame_error "frame exceeds max_frame")
     (fun () -> ignore (Wire.Decoder.next d2 : string option))
 
+let test_wire_rejects_bad_count_iterations () =
+  (* the iteration count reaches ApproxMC unchecked otherwise, where a
+     value below 1 is a caller error *)
+  let payload c =
+    Printf.sprintf {|{"op": "sample", "formula": "p cnf 1 0\n", "n": 1, "count_iterations": %d}|} c
+  in
+  List.iter
+    (fun c ->
+      Alcotest.(check bool)
+        (Printf.sprintf "count_iterations %d" c)
+        true
+        (match Wire.request_of_json (Json.of_string (payload c)) with
+        | _ -> false
+        | exception Json.Decode_error _ -> true))
+    [ 0; -2 ];
+  match Wire.request_of_json (Json.of_string (payload 1)) with
+  | Wire.Sample { Wire.count_iterations = Some 1; _ } -> ()
+  | _ -> Alcotest.fail "count_iterations 1 should decode"
+
 let test_wire_json_roundtrip () =
   let reqs =
     [
@@ -1413,6 +1432,8 @@ let () =
         [
           Alcotest.test_case "framing incremental" `Quick test_wire_framing_incremental;
           Alcotest.test_case "json roundtrip" `Quick test_wire_json_roundtrip;
+          Alcotest.test_case "bad count_iterations" `Quick
+            test_wire_rejects_bad_count_iterations;
           Alcotest.test_case "frame size cap" `Quick test_decoder_frame_cap;
           QCheck_alcotest.to_alcotest prop_decoder_chunked_reassembly;
           QCheck_alcotest.to_alcotest prop_decoder_truncated_frame;

@@ -478,6 +478,66 @@ let prop_block_enumeration =
           && check g (Sat.Bsat.Session.enumerate ~xors ~limit sess))
         [ 1; 2; 3 ])
 
+(* Known projections: a call that blocks a subset K of the cell's
+   projections enumerates exactly the rest of the cell, within its
+   limit, and the blocks leave with the call's group *)
+let prop_known_projections =
+  QCheck2.Test.make ~count:300 ~name:"enumerate ~known = cell minus known"
+    QCheck2.Gen.(
+      tup3 Test_util.Gen.formula_spec (int_bound 100_000) (int_range 1 10))
+    (fun (spec, xseed, limit) ->
+      let f = Test_util.Gen.build_spec spec in
+      let nv = f.Cnf.Formula.num_vars in
+      let rng = Rng.create xseed in
+      let proj =
+        match List.filter (fun _ -> Rng.bool rng) (List.init nv (fun i -> i + 1)) with
+        | [] -> [ 1 + Rng.int rng nv ]
+        | vs -> vs
+      in
+      let f = Cnf.Formula.with_sampling_set f proj in
+      let proj = Array.of_list proj in
+      let sess = Sat.Bsat.Session.create f in
+      let projection m = Cnf.Model.key (Cnf.Model.restrict m proj) in
+      let xors =
+        List.init (Rng.int rng 3) (fun _ -> Test_util.Gen.random_xor rng ~num_vars:nv)
+      in
+      let g = Cnf.Formula.add_xors f xors in
+      (* one witness per projection of the cell *)
+      let cell =
+        List.sort_uniq Cnf.Model.compare
+          (List.map (fun m -> Cnf.Model.restrict m proj) (Sat.Brute.solutions g))
+      in
+      let known = List.filter (fun _ -> Rng.bool rng) cell in
+      let rest =
+        List.sort String.compare
+          (List.map Cnf.Model.key
+             (List.filter (fun p -> not (List.exists (Cnf.Model.equal p) known)) cell))
+      in
+      let out =
+        Sat.Bsat.Session.enumerate ~xors
+          ~known:
+            (List.map
+               (fun p -> Array.map (Cnf.Model.value p) (Sat.Bsat.Session.blocking_vars sess))
+               known)
+          ~limit sess
+      in
+      let got = List.sort String.compare (List.map projection out.Sat.Bsat.models) in
+      let first =
+        (not out.Sat.Bsat.timed_out)
+        && List.for_all (Cnf.Model.satisfies g) out.Sat.Bsat.models
+        && List.length (List.sort_uniq String.compare got) = List.length got
+        && List.for_all (fun k -> List.mem k rest) got
+        &&
+        if out.Sat.Bsat.exhausted then got = rest
+        else List.length got = limit && List.length rest >= limit
+      in
+      (* the same session without [known] sees the whole cell again *)
+      let again = Sat.Bsat.Session.enumerate ~xors ~limit:(List.length cell + 1) sess in
+      first
+      && again.Sat.Bsat.exhausted
+      && List.sort String.compare (List.map projection again.Sat.Bsat.models)
+         = List.sort String.compare (List.map Cnf.Model.key cell))
+
 (* After a Sat the trail stays in place; every other entry point must
    behave as on a solver that went back to the root *)
 let prop_kept_trail_entry_points =
@@ -577,6 +637,7 @@ let qcheck_cases =
       prop_pop_restores;
       prop_session_matches_fresh;
       prop_block_enumeration;
+      prop_known_projections;
       prop_kept_trail_entry_points;
     ]
 
