@@ -16,6 +16,10 @@ type run_stats = {
   mutable restarts : int;
   mutable learnts : int;
   mutable reuse_hits : int;
+  mutable cells_oversized : int;
+  mutable cells_undersized : int;
+  mutable cells_accepted : int;
+  mutable cells_from_known : int;
   mutable wall_seconds : float;
 }
 
@@ -34,6 +38,10 @@ let fresh_stats () =
     restarts = 0;
     learnts = 0;
     reuse_hits = 0;
+    cells_oversized = 0;
+    cells_undersized = 0;
+    cells_accepted = 0;
+    cells_from_known = 0;
     wall_seconds = 0.0;
   }
 
@@ -63,6 +71,10 @@ let merge_into ~into s =
   into.restarts <- into.restarts + s.restarts;
   into.learnts <- into.learnts + s.learnts;
   into.reuse_hits <- into.reuse_hits + s.reuse_hits;
+  into.cells_oversized <- into.cells_oversized + s.cells_oversized;
+  into.cells_undersized <- into.cells_undersized + s.cells_undersized;
+  into.cells_accepted <- into.cells_accepted + s.cells_accepted;
+  into.cells_from_known <- into.cells_from_known + s.cells_from_known;
   into.wall_seconds <- into.wall_seconds +. s.wall_seconds
 
 let record_hash s h =
@@ -83,10 +95,12 @@ let pp fmt s =
   Format.fprintf fmt
     "requested=%d produced=%d cell_failures=%d timeouts=%d avg_xor_len=%.1f \
      conflicts=%d decisions=%d propagations=%d xor_propagations=%d \
-     restarts=%d learnts=%d reuse_hits=%d avg_s=%.3f"
+     restarts=%d learnts=%d reuse_hits=%d cells_oversized=%d \
+     cells_undersized=%d cells_accepted=%d cells_from_known=%d avg_s=%.3f"
     s.samples_requested s.samples_produced s.cell_failures s.timeouts
     (average_xor_length s) s.conflicts s.decisions s.propagations
-    s.xor_propagations s.restarts s.learnts s.reuse_hits
+    s.xor_propagations s.restarts s.learnts s.reuse_hits s.cells_oversized
+    s.cells_undersized s.cells_accepted s.cells_from_known
     (average_seconds_per_sample s)
 
 let finite f = if Float.is_finite f then f else 0.0
@@ -108,5 +122,9 @@ let report_fields s =
     ("restarts", Int s.restarts);
     ("learnts", Int s.learnts);
     ("reuse_hits", Int s.reuse_hits);
+    ("cells_oversized", Int s.cells_oversized);
+    ("cells_undersized", Int s.cells_undersized);
+    ("cells_accepted", Int s.cells_accepted);
+    ("cells_from_known", Int s.cells_from_known);
     ("wall_seconds", Float s.wall_seconds);
   ]

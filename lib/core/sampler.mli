@@ -28,6 +28,15 @@ type run_stats = {
   mutable learnts : int;  (** learnt clauses recorded *)
   mutable reuse_hits : int;
       (** BSAT calls answered by a warm solver session *)
+  mutable cells_oversized : int;
+      (** hashed cells holding more than hiThresh witnesses, thrown away *)
+  mutable cells_undersized : int;
+      (** hashed cells enumerated in full below loThresh, thrown away *)
+  mutable cells_accepted : int;
+      (** hashed cells within the thresholds, a witness drawn from each *)
+  mutable cells_from_known : int;
+      (** the oversized cells decided from the cache of found
+          projections, with no solver call *)
   mutable wall_seconds : float;
 }
 

@@ -3,6 +3,11 @@ type phase =
       (** |R_F| ≤ hiThresh: all witnesses enumerated up front *)
   | Hashed of { q : int; count_estimate : float }
 
+type domain_state = {
+  session : Sat.Bsat.Session.t;
+  known : Counting.Known.t; (* projections onto S this domain's draws found *)
+}
+
 type prepared = {
   sampling : int array;
   kappa : float;
@@ -13,17 +18,19 @@ type prepared = {
   hash_density : float;
   phase : phase;
   formula : Cnf.Formula.t;
-  sessions : (int, Sat.Bsat.Session.t) Hashtbl.t;
-      (* One solver session per domain that has drawn from this state,
-         keyed by [Domain.self ()] and created lazily, so every worker
-         warms its own solver across the draws it executes and no
-         session is ever shared between domains. The table lives and
-         dies with the prepared state: dropping the state frees its
-         sessions, whatever domains touched it. The sampled witnesses
-         are bit-identical either way: Bsat outcomes are canonically
+  sessions : (int, domain_state) Hashtbl.t;
+      (* One solver session and one cache of found projections per
+         domain that has drawn from this state, keyed by
+         [Domain.self ()] and created lazily, so every worker warms its
+         own solver and cache across the draws it executes and neither
+         is ever shared between domains. The table lives and dies with
+         the prepared state: dropping the state frees its sessions and
+         caches, whatever domains touched it. The sampled witnesses are
+         bit-identical either way: Bsat outcomes are canonically
          ordered, hence independent of each session's private history
          whenever a cell is accepted (accepted cells are exhaustively
-         enumerated, so they are equal as sets). *)
+         enumerated, so they are equal as sets), and the cache only
+         decides cells that are oversized. *)
   sessions_lock : Mutex.t; (* guards [sessions] only, never a draw *)
   stats : Sampler.run_stats;
 }
@@ -45,16 +52,21 @@ let make_prepared ~sampling ~kappa ~pivot ~hash_density ~formula phase =
     stats = Sampler.fresh_stats ();
   }
 
-(* The calling domain's session, created on its first draw. *)
-let session t =
+(* The calling domain's session and cache, created on its first draw. *)
+let domain_state t =
   let id = (Domain.self () :> int) in
   Mutex.protect t.sessions_lock (fun () ->
       match Hashtbl.find_opt t.sessions id with
-      | Some s -> s
+      | Some d -> d
       | None ->
-          let s = Sat.Bsat.Session.create ~blocking_vars:t.sampling t.formula in
-          Hashtbl.replace t.sessions id s;
-          s)
+          let d =
+            {
+              session = Sat.Bsat.Session.create ~blocking_vars:t.sampling t.formula;
+              known = Counting.Known.create t.formula;
+            }
+          in
+          Hashtbl.replace t.sessions id d;
+          d)
 
 let drop_sessions t ids =
   Mutex.protect t.sessions_lock (fun () -> List.iter (Hashtbl.remove t.sessions) ids)
@@ -106,13 +118,23 @@ let prepare ?deadline ?count_iterations ?(hash_density = 0.5) ?jobs ?pool ~rng
 
 let timeout_retries = 3
 
+let c_cells_from_known = Obs.Metrics.counter "unigen.cells_from_known"
+
 (* lines 12-22. [stats] is passed explicitly so that parallel workers
-   can record into private accounting instead of racing on [t.stats]. *)
+   can record into private accounting instead of racing on [t.stats].
+   Each drawn cell is first measured against the domain's cache of
+   found projections: hi_limit cached members prove it oversized, and
+   no solver runs. Otherwise the cell is enumerated exactly as without
+   the cache, and the projections it yields that the cache lacks join
+   it. A cell is oversized iff it holds at least hi_limit projections,
+   and the cache draws nothing from [rng], so the outcome is the one
+   the plain enumeration gives. *)
 let sample_once ?deadline ~rng ~stats t =
   Obs.Trace.span ~cat:"sampling" "unigen.draw" @@ fun () ->
   match t.phase with
   | Easy models -> Ok (Rng.choose rng models)
   | Hashed { q; _ } ->
+      let { session; known } = domain_state t in
       let rec try_size i retries =
         if i > q then Error Sampler.Cell_failure
         else if i < 1 then try_size (i + 1) timeout_retries
@@ -123,32 +145,52 @@ let sample_once ?deadline ~rng ~stats t =
             Hashing.Hxor.sample ~density:t.hash_density rng ~vars:t.sampling ~m:i
           in
           Sampler.record_hash stats h;
-          (* warm per-domain session: the hash layer is pushed as a
-             retractable group and popped after the call, leaving
-             base-formula learnt clauses for the next draw *)
-          let out =
-            Sat.Bsat.Session.enumerate ?deadline
-              ~xors:(Hashing.Hxor.constraints h) ~limit:t.hi_limit
-              (session t)
-          in
-          Sampler.record_solve stats out;
-          if out.Sat.Bsat.timed_out then begin
-            (* the paper repeats lines 14-16 on a BSAT timeout without
-               incrementing i *)
-            let expired =
-              match deadline with
-              | Some d -> Unix.gettimeofday () > d
-              | None -> false
-            in
-            if retries > 0 && not expired then try_size i (retries - 1)
-            else Error Sampler.Timed_out
+          let xors = Hashing.Hxor.constraints h in
+          let members, k = Counting.Known.in_cell known ~limit:t.hi_limit xors in
+          if k >= t.hi_limit then begin
+            Obs.Metrics.incr c_cells_from_known;
+            stats.Sampler.cells_from_known <- stats.Sampler.cells_from_known + 1;
+            stats.Sampler.cells_oversized <- stats.Sampler.cells_oversized + 1;
+            if Audit.is_enabled () then
+              Counting.Known.audit_cell ?deadline ~who:"Unigen" ~limit:t.hi_limit
+                ~known:k t.formula xors (k, false);
+            try_size (i + 1) timeout_retries
           end
           else begin
-            let models = Array.of_list out.Sat.Bsat.models in
-            let n = float_of_int (Array.length models) in
-            if out.Sat.Bsat.exhausted && n >= t.lo && n <= t.hi && n > 0.0 then
-              Ok (Rng.choose rng models)
-            else try_size (i + 1) timeout_retries
+            (* warm per-domain session: the hash layer is pushed as a
+               retractable group and popped after the call, leaving
+               base-formula learnt clauses for the next draw *)
+            let out =
+              Sat.Bsat.Session.enumerate ?deadline ~xors ~limit:t.hi_limit session
+            in
+            Sampler.record_solve stats out;
+            (* [members] lists every cached member of the cell *)
+            Counting.Known.add_new known ~among:members out.Sat.Bsat.models;
+            if out.Sat.Bsat.timed_out then begin
+              (* the paper repeats lines 14-16 on a BSAT timeout without
+                 incrementing i *)
+              let expired =
+                match deadline with
+                | Some d -> Unix.gettimeofday () > d
+                | None -> false
+              in
+              if retries > 0 && not expired then try_size i (retries - 1)
+              else Error Sampler.Timed_out
+            end
+            else begin
+              let models = Array.of_list out.Sat.Bsat.models in
+              let n = float_of_int (Array.length models) in
+              if out.Sat.Bsat.exhausted && n >= t.lo && n <= t.hi && n > 0.0 then begin
+                stats.Sampler.cells_accepted <- stats.Sampler.cells_accepted + 1;
+                Ok (Rng.choose rng models)
+              end
+              else begin
+                if n > t.hi then
+                  stats.Sampler.cells_oversized <- stats.Sampler.cells_oversized + 1
+                else stats.Sampler.cells_undersized <- stats.Sampler.cells_undersized + 1;
+                try_size (i + 1) timeout_retries
+              end
+            end
           end
         end
       in
@@ -232,8 +274,8 @@ let sample_batch ?deadline ?max_attempts ?pool ?(jobs = 1) ~seed t n =
 
 (* ------------------------------------------------------------------ *)
 (* Portable view: everything a prepared state carries that cannot be
-   recomputed for free. The solver sessions and stats are rebuilt on
-   import; kappa/pivot determine hi/lo/hi_limit, so the thresholds are
+   recomputed for free. The solver sessions, draw-cell caches and stats
+   are rebuilt empty on import; kappa/pivot determine hi/lo/hi_limit, so the thresholds are
    re-derived rather than trusted from the serialized form. Draws
    depend only on (phase, hash_density, sampling set, thresholds,
    formula), all of which the round trip preserves

@@ -57,7 +57,16 @@ val sample : ?deadline:float -> rng:Rng.t -> prepared -> Sampler.outcome
 (** Runs lines 12–22 once: picks a hash size in q−3..q, a random hash
     and cell, enumerates the cell, and returns a uniformly chosen
     witness if the cell size lies within [loThresh, hiThresh]. A
-    [Cell_failure] is the algorithm's ⊥; callers typically retry. *)
+    [Cell_failure] is the algorithm's ⊥; callers typically retry.
+
+    Each domain that draws keeps a cache of the projections its draws
+    have found ({!Counting.Known}), beside its solver session. A cell
+    holding at least ⌊hiThresh⌋ + 1 cached members is oversized and is
+    skipped without a solver call; any other cell is enumerated as
+    without the cache. The hash and witness draws are unchanged, so
+    the outcome does not depend on what the cache held. Under audit
+    mode every skipped cell is re-enumerated by a fresh solver
+    (invariant [known-cell]). *)
 
 val sample_retrying :
   ?deadline:float -> ?max_attempts:int -> rng:Rng.t -> prepared -> Sampler.outcome
@@ -137,7 +146,8 @@ val import : formula:Cnf.Formula.t -> portable -> prepared
 (** Rebuild a live prepared state around [formula] — which must be the
     same canonical formula the exported state was prepared from (the
     caller verifies this via the registry fingerprint in its store
-    key). Fresh per-domain solver sessions and zeroed stats.
+    key). Fresh per-domain solver sessions, empty draw-cell caches
+    and zeroed stats.
     @raise Invalid_argument when an easy-phase model list is malformed
     (negative [num_vars] or a literal out of range). *)
 

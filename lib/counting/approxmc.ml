@@ -42,112 +42,6 @@ let c_hash_draws = Obs.Metrics.counter "approxmc.hash_draws"
 let c_cells_from_known = Obs.Metrics.counter "approxmc.cells_from_known"
 let h_cell_size = Obs.Metrics.histogram "approxmc.cell_size"
 
-(* The projections onto the sampling set S that one count has found so
-   far, stored bit-sliced: [cols.(j)] is a bitset over the members, bit
-   [r mod bits] of word [r / bits] holding member [r]'s value of
-   [sampling.(j)]. An XOR row over S then evaluates on [bits] members
-   at once, one word XOR per variable of the row. Every member is the
-   projection of a witness of F and no two members are equal. A cache
-   belongs to one domain. *)
-module Known = struct
-  let bits = Sys.int_size
-
-  type t = {
-    sampling : int array;
-    index : int array; (* variable -> position in [sampling], or -1 *)
-    mutable cols : int array array;
-    mutable size : int;
-  }
-
-  let create f =
-    let sampling = Cnf.Formula.sampling_vars f in
-    let index = Array.make (f.Cnf.Formula.num_vars + 1) (-1) in
-    Array.iteri (fun j v -> index.(v) <- j) sampling;
-    { sampling; index; cols = Array.map (fun _ -> Array.make 4 0) sampling; size = 0 }
-
-  let add t m =
-    let r = t.size in
-    let w = r / bits in
-    if Array.length t.sampling > 0 && w >= Array.length t.cols.(0) then
-      t.cols <-
-        Array.map
-          (fun col ->
-            let c = Array.make (2 * Array.length col) 0 in
-            Array.blit col 0 c 0 (Array.length col);
-            c)
-          t.cols;
-    Array.iteri
-      (fun j v ->
-        if Cnf.Model.value m v then
-          t.cols.(j).(w) <- t.cols.(j).(w) lor (1 lsl (r mod bits)))
-      t.sampling;
-    t.size <- r + 1
-
-  (* Member [r] as values of [sampling], in order. *)
-  let values t r =
-    Array.map (fun col -> (col.(r / bits) lsr (r mod bits)) land 1 = 1) t.cols
-
-  (* The members in the cell [xors] (XOR rows over S), up to [limit] of
-     them, [bits] members per step: a member is in the cell when, for
-     every row, the parity of its values on the row's variables equals
-     the row's right-hand side. *)
-  let in_cell t ~limit (xors : Cnf.Xor_clause.t list) =
-    let rows =
-      Array.of_list
-        (List.map
-           (fun (x : Cnf.Xor_clause.t) ->
-             (Array.map (fun v -> t.cols.(t.index.(v))) x.vars, x.rhs))
-           xors)
-    in
-    let m = Array.length rows in
-    let words = (t.size + bits - 1) / bits in
-    let rec scan w acc k =
-      if k >= limit || w >= words then (acc, k)
-      else begin
-        let tail = t.size - (w * bits) in
-        let cell = ref (if tail >= bits then -1 else (1 lsl tail) - 1) in
-        let i = ref 0 in
-        while !cell <> 0 && !i < m do
-          let cols, rhs = rows.(!i) in
-          (* bit set where the member's parity differs from [rhs] *)
-          let miss = ref (if rhs then -1 else 0) in
-          for c = 0 to Array.length cols - 1 do
-            miss := !miss lxor cols.(c).(w)
-          done;
-          cell := !cell land lnot !miss;
-          incr i
-        done;
-        let rec collect b acc k =
-          if k >= limit || !cell lsr b = 0 then (acc, k)
-          else if (!cell lsr b) land 1 = 1 then collect (b + 1) (((w * bits) + b) :: acc) (k + 1)
-          else collect (b + 1) acc k
-        in
-        let acc, k = collect 0 acc k in
-        scan (w + 1) acc k
-      end
-    in
-    scan 0 [] 0
-end
-
-(* The audit of a cell decided with cached projections: a fresh
-   enumeration of F ∧ h must reach the same (count, exhausted). *)
-let audit_known_cell ?deadline ~pivot ~known f xors (count, exhausted) =
-  let fresh =
-    Sat.Bsat.enumerate ?deadline ~limit:(pivot + 1) (Cnf.Formula.add_xors f xors)
-  in
-  let fresh_count = List.length fresh.Sat.Bsat.models in
-  if (not fresh.Sat.Bsat.timed_out)
-     && (fresh_count <> count || fresh.Sat.Bsat.exhausted <> exhausted)
-  then
-    Audit.fail ~invariant:"known-cell"
-      ~detail:"Approxmc: a cell decided from cached projections differs from a fresh enumeration"
-      [ ("hash_size", string_of_int (List.length xors));
-        ("known", string_of_int known);
-        ("count", string_of_int count);
-        ("exhausted", string_of_bool exhausted);
-        ("fresh_count", string_of_int fresh_count);
-        ("fresh_exhausted", string_of_bool fresh.Sat.Bsat.exhausted) ]
-
 (* One ApproxMCCore run. A single solver session serves every hash
    size [i] of the try_size loop: only the XOR layer is swapped between
    sizes, so clauses learnt about the base formula at size i speed up
@@ -191,7 +85,8 @@ let core ?deadline ~rng ~pivot ~start ~known f =
       end
     in
     if k > 0 && Audit.is_enabled () then
-      audit_known_cell ?deadline ~pivot ~known:k f xors decided;
+      Known.audit_cell ?deadline ~who:"Approxmc" ~limit:(pivot + 1) ~known:k f xors
+        decided;
     Obs.Metrics.observe h_cell_size (float_of_int (fst decided));
     decided
   in

@@ -52,10 +52,10 @@ val count :
     instead of once per hash size.
 
     The count keeps a cache of the solutions it has found, as packed
-    bitsets of their projections onto the sampling set, for the
-    length of the call: one cache for the serial loop, one per domain
-    for the pooled loop, each seeded with the easy check's pivot + 1
-    witnesses. A drawn cell is first measured against the cache: with
+    bitsets of their projections onto the sampling set (a bounded
+    {!Known} cache), for the length of the call: one cache for the
+    serial loop, one per domain for the pooled loop, each seeded with
+    the easy check's pivot + 1 witnesses. A drawn cell is first measured against the cache: with
     k >= pivot + 1 cached members it is decided as cut without a
     solver call; otherwise the session enumerates it with those k
     projections blocked and a limit of pivot + 1 - k, and the new

@@ -122,6 +122,35 @@ cmp -s "$count_dir/mc1" "$count_dir/mc2" || {
 json_ok "$count_dir/metrics1.json" "$count_dir/metrics2.json"
 rm -rf "$count_dir"
 
+echo "== draw smoke (known-projection cache, audit mode)"
+# UniGen draws decide oversized cells from each domain's cache of found
+# projections. With the audit live, every such cell is re-enumerated by
+# a fresh solver (invariant known-cell); the witnesses must not depend
+# on the worker count, and the cache must have decided some cells.
+draw_dir=$(mktemp -d)
+dune exec bin/unigen_cli.exe -- bench-gen case_m1 -o "$draw_dir/m1.cnf" > /dev/null
+for j in 1 2; do
+    dune exec bin/unigen_cli.exe -- sample "$draw_dir/m1.cnf" -n 300 -s 9 -j "$j" \
+        --audit --metrics-json "$draw_dir/metrics$j.json" > "$draw_dir/sample$j.out"
+    grep '^v ' "$draw_dir/sample$j.out" > "$draw_dir/v$j" || {
+        echo "error: sample -j $j printed no witness" >&2
+        cat "$draw_dir/sample$j.out" >&2
+        exit 1
+    }
+    python3 - "$draw_dir/metrics$j.json" <<'PYEOF'
+import json, sys
+m = json.load(open(sys.argv[1]))["metrics"]
+if m.get("unigen.cells_from_known", 0) <= 0:
+    sys.exit("error: %s: unigen.cells_from_known should be > 0" % sys.argv[1])
+PYEOF
+done
+cmp -s "$draw_dir/v1" "$draw_dir/v2" || {
+    echo "error: sample -j 1 and -j 2 print different witnesses" >&2
+    exit 1
+}
+json_ok "$draw_dir/metrics1.json" "$draw_dir/metrics2.json"
+rm -rf "$draw_dir"
+
 echo "== service smoke (default --jobs 1)"
 # End-to-end daemon check over a real socket: start `unigen serve` on a
 # temp socket, issue the same request twice on the same formula, verify

@@ -310,6 +310,145 @@ let prop_approx_replays_hash_draws =
       in
       agrees ~pooled:false && agrees ~pooled:true)
 
+(* ------------------------------------------------------------------ *)
+(* Known: the bit-sliced cache of found projections, against brute
+   force over its members *)
+
+(* A formula over [extra + width] variables whose sampling set is
+   [width] of them, scattered, so cache positions differ from variable
+   names. *)
+let sampling_formula rng ~width ~extra =
+  let n = width + extra in
+  let vars = Array.init n (fun i -> i + 1) in
+  Rng.shuffle rng vars;
+  let s = List.sort compare (Array.to_list (Array.sub vars 0 width)) in
+  Cnf.Formula.create ~sampling_set:s ~num_vars:n []
+
+(* A projection onto S as a model: [bits.(j)] is the value of S's
+   [j]-th variable, other variables are random. *)
+let model_of rng f bits =
+  let sampling = Cnf.Formula.sampling_vars f in
+  let tab = Array.make (f.Cnf.Formula.num_vars + 1) false in
+  Array.iteri (fun v _ -> tab.(v) <- Rng.bool rng) tab;
+  Array.iteri (fun j v -> tab.(v) <- bits.(j)) sampling;
+  Cnf.Model.make f.Cnf.Formula.num_vars (fun v -> tab.(v))
+
+let random_rows rng f m =
+  let sampling = Cnf.Formula.sampling_vars f in
+  List.init m (fun _ ->
+      Cnf.Xor_clause.make
+        (List.filter (fun _ -> Rng.bool rng) (Array.to_list sampling))
+        (Rng.bool rng))
+
+let in_rows f xors bits =
+  let sampling = Cnf.Formula.sampling_vars f in
+  let value v =
+    let rec find j = if sampling.(j) = v then bits.(j) else find (j + 1) in
+    find 0
+  in
+  List.for_all (Cnf.Xor_clause.eval value) xors
+
+(* [n] distinct random projections onto [width] variables, or all
+   2^width of them when there are fewer, in random order. *)
+let distinct_projections rng ~width n =
+  let n = if width < 20 then min n (1 lsl width) else n in
+  let seen = Hashtbl.create n in
+  let rec go acc k =
+    if k = n then Array.of_list (List.rev acc)
+    else begin
+      let b = Array.init width (fun _ -> Rng.bool rng) in
+      if Hashtbl.mem seen b then go acc k
+      else begin
+        Hashtbl.add seen b ();
+        go (b :: acc) (k + 1)
+      end
+    end
+  in
+  go [] 0
+
+(* member counts around the word boundaries, and |S| = 1 *)
+let known_gen =
+  QCheck2.Gen.(
+    tup4 (int_bound 100_000)
+      (oneof [ pure 1; int_range 2 8; int_range 10 70; int_range 120 130 ])
+      (oneof [ oneofl [ 0; 1; 62; 63; 64; 126; 127; 128 ]; int_range 0 300 ])
+      (int_range 0 6))
+
+let prop_known_in_cell =
+  QCheck2.Test.make ~count:300 ~name:"known in_cell = brute filter of its members"
+    known_gen (fun (seed, width, n, m) ->
+      let rng = Rng.create seed in
+      let f = sampling_formula rng ~width ~extra:(Rng.int rng 4) in
+      let members = distinct_projections rng ~width n in
+      let n = Array.length members in
+      let k = Counting.Known.create f in
+      Array.iter (fun b -> Counting.Known.add k (model_of rng f b)) members;
+      let xors = random_rows rng f m in
+      let inside =
+        List.filter (fun r -> in_rows f xors members.(r)) (List.init n Fun.id)
+      in
+      let limit = 1 + Rng.int rng (n + 2) in
+      let found, count = Counting.Known.in_cell k ~limit xors in
+      let all, all_count = Counting.Known.in_cell k ~limit:max_int xors in
+      Counting.Known.size k = n
+      && count = min limit (List.length inside)
+      && List.length found = count
+      && List.sort compare found = List.filteri (fun i _ -> i < count) inside
+      && all_count = List.length inside
+      && List.sort compare all = inside
+      && List.for_all (fun r -> Counting.Known.values k r = members.(r)) inside)
+
+(* Known members plus a solver's enumeration of one cell, which may
+   re-find members: [add_new] against the cell's member list keeps the
+   members distinct and adds exactly the new projections. *)
+let prop_known_add_new_distinct =
+  QCheck2.Test.make ~count:200 ~name:"known add_new keeps members distinct"
+    QCheck2.Gen.(tup3 (int_bound 100_000) (int_range 1 70) (int_range 0 4))
+    (fun (seed, width, m) ->
+      let rng = Rng.create seed in
+      let f = sampling_formula rng ~width ~extra:2 in
+      let k = Counting.Known.create f in
+      let pool = Array.to_list (distinct_projections rng ~width 250) in
+      let start = List.filter (fun _ -> Rng.bool rng) pool in
+      List.iter (fun b -> Counting.Known.add k (model_of rng f b)) start;
+      let xors = random_rows rng f m in
+      let among, _ = Counting.Known.in_cell k ~limit:max_int xors in
+      let found = List.filter (fun b -> in_rows f xors b && Rng.bool rng) pool in
+      Counting.Known.add_new k ~among (List.map (model_of rng f) found);
+      let held = List.init (Counting.Known.size k) (Counting.Known.values k) in
+      List.length (List.sort_uniq compare held) = List.length held
+      && List.sort compare held
+         = List.sort_uniq compare (start @ found))
+
+(* A sampling set wide enough that the bound is a few thousand
+   members. *)
+let test_known_bound () =
+  let rng = Rng.create 5 in
+  let width = 4096 in
+  let f = sampling_formula rng ~width ~extra:0 in
+  let k = Counting.Known.create f in
+  let cap = Counting.Known.capacity k in
+  Alcotest.(check bool) "width x capacity within 2^24 bits" true
+    (cap > 0 && width * cap <= 1 lsl 24);
+  let fill n =
+    for _ = 1 to n do
+      Counting.Known.add k (model_of rng f (Array.init width (fun _ -> Rng.bool rng)))
+    done
+  in
+  fill cap;
+  Alcotest.(check int) "holds the capacity" cap (Counting.Known.size k);
+  let cells = List.init 20 (fun i -> random_rows rng f (i mod 8)) in
+  let decide () = List.map (Counting.Known.in_cell k ~limit:63) cells in
+  let before = decide () in
+  let values = List.init 5 (Counting.Known.values k) in
+  fill 100;
+  Counting.Known.add_new k ~among:[]
+    [ model_of rng f (Array.init width (fun _ -> Rng.bool rng)) ];
+  Alcotest.(check int) "stops growing at the bound" cap (Counting.Known.size k);
+  Alcotest.(check bool) "no decision changes" true (decide () = before);
+  Alcotest.(check bool) "members unchanged" true
+    (List.init 5 (Counting.Known.values k) = values)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -317,6 +456,8 @@ let qcheck_cases =
       prop_projected_matches_brute;
       prop_approx_envelope;
       prop_approx_replays_hash_draws;
+      prop_known_in_cell;
+      prop_known_add_new_distinct;
     ]
 
 let () =
@@ -350,5 +491,6 @@ let () =
           Alcotest.test_case "sampling set" `Quick test_approx_respects_sampling_set;
           Alcotest.test_case "leapfrog" `Quick test_approx_leapfrog_matches;
         ] );
+      ("known", [ Alcotest.test_case "bound" `Quick test_known_bound ]);
       ("properties", qcheck_cases);
     ]

@@ -260,6 +260,39 @@ let test_unigen_witnesses_are_models () =
     [ 5; 23; 77 ];
   Alcotest.(check bool) "some formula was sampled" true (!sampled > 0)
 
+(* Warm = cold: a prepared state whose per-domain caches of found
+   projections have served 300 draws decides many cells from them, and
+   still draws what a copy imported from its portable view draws, with
+   every cache empty. *)
+let test_warm_cache_matches_cold () =
+  let f =
+    Lazy.force (Option.get (Workload.Suite.by_name "case_m1")).Workload.Suite.formula
+  in
+  Parallel.Domain_pool.with_pool ~jobs:2 @@ fun pool ->
+  match Sampling.Unigen.prepare ~pool ~rng:(Rng.create 7) ~epsilon:6.0 f with
+  | Error _ -> Alcotest.fail "prepare failed"
+  | Ok warm ->
+      Alcotest.(check bool) "hashed phase" false (Sampling.Unigen.is_easy warm);
+      ignore (Sampling.Unigen.sample_batch ~pool ~max_attempts:20 ~seed:11 warm 300);
+      Alcotest.(check bool) "the 300 draws decided cells from the cache" true
+        ((Sampling.Unigen.stats warm).Sampling.Sampler.cells_from_known > 0);
+      let cold () = Sampling.Unigen.import ~formula:f (Sampling.Unigen.export warm) in
+      let key = function Ok m -> Cnf.Model.key m | Error _ -> "-" in
+      let serial p =
+        List.init 50 (fun i -> Sampling.Unigen.sample_index ~max_attempts:20 ~seed:13 p i)
+      in
+      let warm_serial = serial warm in
+      Alcotest.(check bool) "the compared draws decide cells from the cache" true
+        (List.exists (fun (_, st) -> st.Sampling.Sampler.cells_from_known > 0) warm_serial);
+      Alcotest.(check (list string)) "sample_index 0..49: warm = cold"
+        (List.map (fun (o, _) -> key o) (serial (cold ())))
+        (List.map (fun (o, _) -> key o) warm_serial);
+      let batch p =
+        Array.to_list
+          (Array.map key (Sampling.Unigen.sample_batch ~pool ~max_attempts:20 ~seed:17 p 50))
+      in
+      Alcotest.(check (list string)) "jobs 2 batch: warm = cold" (batch (cold ())) (batch warm)
+
 (* ------------------------------------------------------------------ *)
 (* Session lifetime: the warm sessions a prepared state leaves on the
    domains that drew from it belong to that state. Once the caller
@@ -667,6 +700,8 @@ let () =
             test_approxmc_matches_brute;
           Alcotest.test_case "unigen witnesses are models" `Quick
             test_unigen_witnesses_are_models;
+          Alcotest.test_case "warm draw cache = cold import" `Quick
+            test_warm_cache_matches_cold;
         ] );
       ( "golden",
         List.mapi
