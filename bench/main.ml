@@ -17,6 +17,15 @@
 let section title =
   Printf.printf "\n%s\n%s\n%!" title (String.make (String.length title) '=')
 
+(* One UniGen attempt (lines 12-22 once) on stream (seed, i), counted in
+   [Unigen.stats p] the way the paper's tables count attempts *)
+let draw_once ?deadline ~seed p i =
+  let outcome, st =
+    Sampling.Unigen.sample_index ?deadline ~max_attempts:1 ~seed p i
+  in
+  Sampling.Sampler.merge_into ~into:(Sampling.Unigen.stats p) st;
+  outcome
+
 type budget = {
   unigen_samples : int;
   uniwit_samples : int;
@@ -42,7 +51,7 @@ let full_budget =
     uniwit_samples = 10;
     per_call_timeout = 120.0;
     overall_timeout = 900.0;
-    count_iterations = None (* faithful 137 iterations *);
+    count_iterations = None (* faithful: 67 iterations at delta 0.8 *);
     figure_samples = 400_000;
   }
 
@@ -171,9 +180,10 @@ let run_epsilon ~budget () =
       | Ok p ->
           let samples = 4000 in
           let keys = ref [] in
-          let drawn = ref 0 in
+          let drawn = ref 0 and attempts = ref 0 in
           while !drawn < samples do
-            match Sampling.Unigen.sample ~rng p with
+            incr attempts;
+            match draw_once ~seed:55 p !attempts with
             | Ok m ->
                 incr drawn;
                 keys := Cnf.Model.key (Cnf.Model.restrict m sampling) :: !keys
@@ -230,9 +240,9 @@ let run_ablation_support ~budget () =
       with
       | Error _ -> Printf.printf "%14s preparation failed\n" label
       | Ok p ->
-          for _ = 1 to 30 do
+          for i = 1 to 30 do
             let deadline = Unix.gettimeofday () +. budget.per_call_timeout in
-            ignore (Sampling.Unigen.sample ~deadline ~rng p)
+            ignore (draw_once ~deadline ~seed:77 p i)
           done;
           let st = Sampling.Unigen.stats p in
           Printf.printf "%14s %8d %12.5f %12.1f %10.2f\n%!" label
@@ -266,7 +276,7 @@ let run_ablation_sparse ~budget () =
           let keys = ref [] and drawn = ref 0 and attempts = ref 0 in
           while !drawn < samples && !attempts < samples * 20 do
             incr attempts;
-            match Sampling.Unigen.sample ~rng p with
+            match draw_once ~seed:33 p !attempts with
             | Ok m ->
                 incr drawn;
                 keys := Cnf.Model.key (Cnf.Model.restrict m sampling) :: !keys
@@ -313,33 +323,6 @@ let run_ablation_blocking () =
      in dependent variables, and each blocking clause is |X| long)"
 
 (* ------------------------------------------------------------------ *)
-(* Ablation: leapfrogging inside ApproxMC *)
-
-let run_ablation_leapfrog () =
-  section "Ablation: ApproxMC leapfrogging (disabled in the paper's experiments)";
-  let instance =
-    match Workload.Suite.by_name "case_m1" with
-    | Some i -> i
-    | None -> failwith "instance missing"
-  in
-  let f = Lazy.force instance.Workload.Suite.formula in
-  List.iter
-    (fun (label, leapfrog) ->
-      let rng = Rng.create 13 in
-      let t0 = Unix.gettimeofday () in
-      match
-        Counting.Approxmc.count ~leapfrog ~iterations:17 ~rng ~epsilon:0.8
-          ~delta:0.8 f
-      with
-      | Ok r ->
-          Printf.printf "%18s: estimate %.0f in %.2fs (%d ok, %d failed)\n%!" label
-            r.Counting.Approxmc.estimate
-            (Unix.gettimeofday () -. t0)
-            r.Counting.Approxmc.core_iterations r.Counting.Approxmc.failed_iterations
-      | Error _ -> Printf.printf "%18s: failed\n" label)
-    [ ("no leapfrog", false); ("leapfrog", true) ]
-
-(* ------------------------------------------------------------------ *)
 (* Ablation: amortised multi-sample mode vs one-shot *)
 
 let run_ablation_amortise ~budget () =
@@ -360,8 +343,8 @@ let run_ablation_amortise ~budget () =
    with
   | Error _ -> print_endline "prepare failed"
   | Ok p ->
-      for _ = 1 to n do
-        ignore (Sampling.Unigen.sample ~rng p)
+      for i = 1 to n do
+        ignore (draw_once ~seed:21 p i)
       done;
       Printf.printf "%18s: %d samples in %.2fs total\n%!" "amortised" n
         (Unix.gettimeofday () -. t0));
@@ -369,12 +352,12 @@ let run_ablation_amortise ~budget () =
   let rng = Rng.create 22 in
   let t0 = Unix.gettimeofday () in
   let produced = ref 0 in
-  for _ = 1 to n do
+  for i = 1 to n do
     match
       Sampling.Unigen.prepare ?count_iterations:budget.count_iterations ~rng
         ~epsilon:6.0 f
     with
-    | Ok p -> ( match Sampling.Unigen.sample ~rng p with Ok _ -> incr produced | _ -> ())
+    | Ok p -> ( match draw_once ~seed:22 p i with Ok _ -> incr produced | _ -> ())
     | Error _ -> ()
   done;
   Printf.printf "%18s: %d samples in %.2fs total\n%!" "one-shot" !produced
@@ -406,11 +389,11 @@ let run_ablation_preprocess ~budget () =
                 with
                 | Error _ -> Float.nan
                 | Ok p ->
-                    for _ = 1 to 20 do
+                    for i = 1 to 20 do
                       let deadline =
                         Unix.gettimeofday () +. budget.per_call_timeout
                       in
-                      ignore (Sampling.Unigen.sample ~deadline ~rng p)
+                      ignore (draw_once ~deadline ~seed p i)
                     done;
                     Sampling.Sampler.average_seconds_per_sample
                       (Sampling.Unigen.stats p)
@@ -489,7 +472,7 @@ let run_baselines ~budget () =
       let keys = ref [] and drawn = ref 0 and attempts = ref 0 in
       while !drawn < samples && !attempts < samples * 10 do
         incr attempts;
-        match Sampling.Unigen.sample ~rng p with
+        match draw_once ~seed:62 p !attempts with
         | Ok m ->
             incr drawn;
             keys := key_of m :: !keys
@@ -1118,7 +1101,7 @@ let run_micro () =
     | Ok p -> p
     | Error _ -> failwith "micro prepare failed"
   in
-  let sample_rng = Rng.create 5 in
+  let sample_index = ref 0 in
   (* the per-witness audit of BSAT on a solver model of case(18,110)
      (128 variables): the closure oracle and the byte dispatch *)
   let rec case_model seed =
@@ -1142,7 +1125,10 @@ let run_micro () =
         (Staged.stage (fun () -> Hashing.Hxor.sample hash_rng ~vars:vars40 ~m:20));
       Test.make ~name:"solver/solve 24v30c" (Staged.stage solve_once);
       Test.make ~name:"unigen/sample 2^12"
-        (Staged.stage (fun () -> Sampling.Unigen.sample ~rng:sample_rng prepared));
+        (Staged.stage (fun () ->
+             incr sample_index;
+             Sampling.Unigen.sample_index ~max_attempts:1 ~seed:5 prepared
+               !sample_index));
       Test.make ~name:"cnf/audit Formula.eval"
         (Staged.stage (fun () -> Cnf.Formula.eval case_f (Cnf.Model.value case_m)));
       Test.make ~name:"cnf/audit bytes"
@@ -1180,12 +1166,12 @@ let () =
   let all =
     [ "table1"; "table2"; "figure1"; "epsilon"; "baselines"; "parallel";
       "ablation-support"; "ablation-sparse"; "ablation-blocking";
-      "ablation-leapfrog"; "ablation-amortise"; "ablation-preprocess"; "obs";
+      "ablation-amortise"; "ablation-preprocess"; "obs";
       "service"; "micro" ]
   in
   let default = [ "table1"; "figure1"; "epsilon"; "baselines"; "parallel";
                   "obs"; "service"; "ablation-support";
-                  "ablation-sparse"; "ablation-blocking"; "ablation-leapfrog";
+                  "ablation-sparse"; "ablation-blocking";
                   "ablation-amortise"; "ablation-preprocess"; "micro" ]
   in
   let targets = if targets = [] then default else targets in
@@ -1216,7 +1202,6 @@ let () =
       | "ablation-support" -> run_ablation_support ~budget ()
       | "ablation-sparse" -> run_ablation_sparse ~budget ()
       | "ablation-blocking" -> run_ablation_blocking ()
-      | "ablation-leapfrog" -> run_ablation_leapfrog ()
       | "ablation-amortise" -> run_ablation_amortise ~budget ()
       | "ablation-preprocess" -> run_ablation_preprocess ~budget ()
       | "micro" -> run_micro ()

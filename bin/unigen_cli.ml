@@ -199,67 +199,74 @@ let count_cmd =
   let run file epsilon delta seed timeout jobs show_stats audit trace
       metrics_json =
     if audit then Audit.enable ();
-    match read_formula file with
-    | Error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        1
-    | Ok f ->
-        with_observability ~trace ~metrics_json ~show_stats @@ fun () ->
-        let rng = Rng.create seed in
-        let deadline = Unix.gettimeofday () +. timeout in
-        (* the library owns the ranges of ε, δ and --jobs *)
-        match Counting.Approxmc.count ~deadline ~jobs ~rng ~epsilon ~delta f with
-        | exception Invalid_argument msg ->
-            Printf.eprintf "error: %s\n" msg;
-            1
-        | Error Counting.Approxmc.Unsat ->
-            print_endline "s UNSATISFIABLE";
-            2
-        | Error Counting.Approxmc.Timed_out ->
-            Printf.eprintf "error: timed out\n";
-            1
-        | Ok r ->
-            Printf.printf "s mc %.0f\n" r.Counting.Approxmc.estimate;
-            Printf.printf "c log2(count) = %.2f%s (%d core iterations, %d failed)\n"
-              r.Counting.Approxmc.log2_estimate
-              (if r.Counting.Approxmc.exact then ", exact" else "")
-              r.Counting.Approxmc.core_iterations r.Counting.Approxmc.failed_iterations;
-            let st = r.Counting.Approxmc.solver_stats in
-            emit_report ~metrics_json ~show_stats
-              [
-                ( "config",
-                  Obs.Report.
-                    [
-                      ("command", String "count");
-                      ("file", String file);
-                      ("epsilon", Float epsilon);
-                      ("delta", Float delta);
-                      ("seed", Int seed);
-                      ("jobs", Int jobs);
-                    ] );
-                ( "count",
-                  Obs.Report.
-                    [
-                      ("estimate", Float r.Counting.Approxmc.estimate);
-                      ("log2_estimate", Float r.Counting.Approxmc.log2_estimate);
-                      ("exact", Bool r.Counting.Approxmc.exact);
-                      ("core_iterations", Int r.Counting.Approxmc.core_iterations);
-                      ( "failed_iterations",
-                        Int r.Counting.Approxmc.failed_iterations );
-                    ] );
-                ( "solver",
-                  Obs.Report.
-                    [
-                      ("conflicts", Int st.Sat.Solver.conflicts);
-                      ("decisions", Int st.Sat.Solver.decisions);
-                      ("propagations", Int st.Sat.Solver.propagations);
-                      ("xor_propagations", Int st.Sat.Solver.xor_propagations);
-                      ("restarts", Int st.Sat.Solver.restarts);
-                      ("learnts", Int st.Sat.Solver.learnts);
-                      ("reuse_hits", Int r.Counting.Approxmc.reuse_hits);
-                    ] );
-              ];
-            0
+    if jobs < 1 then begin
+      Printf.eprintf "error: --jobs must be >= 1\n";
+      1
+    end
+    else
+      match read_formula file with
+      | Error msg ->
+          Printf.eprintf "error: %s\n" msg;
+          1
+      | Ok f ->
+          with_observability ~trace ~metrics_json ~show_stats @@ fun () ->
+          let rng = Rng.create seed in
+          let deadline = Unix.gettimeofday () +. timeout in
+          (* a [jobs = 1] pool spawns no domain; the library owns the
+             ranges of ε and δ *)
+          Parallel.Domain_pool.with_pool ~jobs @@ fun pool ->
+          match Counting.Approxmc.count ~deadline ~pool ~rng ~epsilon ~delta f with
+          | exception Invalid_argument msg ->
+              Printf.eprintf "error: %s\n" msg;
+              1
+          | Error Counting.Approxmc.Unsat ->
+              print_endline "s UNSATISFIABLE";
+              2
+          | Error Counting.Approxmc.Timed_out ->
+              Printf.eprintf "error: timed out\n";
+              1
+          | Ok r ->
+              Printf.printf "s mc %.0f\n" r.Counting.Approxmc.estimate;
+              Printf.printf "c log2(count) = %.2f%s (%d core iterations, %d failed)\n"
+                r.Counting.Approxmc.log2_estimate
+                (if r.Counting.Approxmc.exact then ", exact" else "")
+                r.Counting.Approxmc.core_iterations r.Counting.Approxmc.failed_iterations;
+              let st = r.Counting.Approxmc.solver_stats in
+              emit_report ~metrics_json ~show_stats
+                [
+                  ( "config",
+                    Obs.Report.
+                      [
+                        ("command", String "count");
+                        ("file", String file);
+                        ("epsilon", Float epsilon);
+                        ("delta", Float delta);
+                        ("seed", Int seed);
+                        ("jobs", Int jobs);
+                      ] );
+                  ( "count",
+                    Obs.Report.
+                      [
+                        ("estimate", Float r.Counting.Approxmc.estimate);
+                        ("log2_estimate", Float r.Counting.Approxmc.log2_estimate);
+                        ("exact", Bool r.Counting.Approxmc.exact);
+                        ("core_iterations", Int r.Counting.Approxmc.core_iterations);
+                        ( "failed_iterations",
+                          Int r.Counting.Approxmc.failed_iterations );
+                      ] );
+                  ( "solver",
+                    Obs.Report.
+                      [
+                        ("conflicts", Int st.Sat.Solver.conflicts);
+                        ("decisions", Int st.Sat.Solver.decisions);
+                        ("propagations", Int st.Sat.Solver.propagations);
+                        ("xor_propagations", Int st.Sat.Solver.xor_propagations);
+                        ("restarts", Int st.Sat.Solver.restarts);
+                        ("learnts", Int st.Sat.Solver.learnts);
+                        ("reuse_hits", Int r.Counting.Approxmc.reuse_hits);
+                      ] );
+                ];
+              0
   in
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let epsilon =

@@ -68,8 +68,10 @@ let () =
   (match Sampling.Unigen.prepare ~rng ~epsilon:6.0 f with
   | Error _ -> failwith "unsat"
   | Ok prepared ->
+      let drawn = ref 0 in
       run_until_covered "UniGen" (fun () ->
-          match Sampling.Unigen.sample_retrying ~rng prepared with
+          incr drawn;
+          match fst (Sampling.Unigen.sample_index ~seed:99 prepared !drawn) with
           | Ok m -> Some (high_nibble m inputs)
           | Error _ -> None));
 

@@ -58,24 +58,24 @@ let () =
       let opcode_hist = Array.make 16 0 in
       let num = 500 in
       let shown = ref 0 in
-      for i = 1 to num do
-        match Sampling.Unigen.sample_retrying ~rng prepared with
-        | Ok m ->
-            let opcode = field m inputs 0
-            and src = field m inputs 4
-            and dst = field m inputs 8
-            and len = field m inputs 12 in
-            (* re-check the constraints the verification engineer wrote *)
-            assert (opcode < 10);
-            assert (src <> dst);
-            assert (opcode < 8 || len >= 4);
-            opcode_hist.(opcode) <- opcode_hist.(opcode) + 1;
-            if !shown < 12 then begin
-              incr shown;
-              Printf.printf "  %6d %3d %3d %3d\n" opcode src dst len
-            end
-        | Error _ -> Printf.eprintf "sample %d failed\n" i
-      done;
+      Array.iteri
+        (fun i -> function
+          | Ok m ->
+              let opcode = field m inputs 0
+              and src = field m inputs 4
+              and dst = field m inputs 8
+              and len = field m inputs 12 in
+              (* re-check the constraints the verification engineer wrote *)
+              assert (opcode < 10);
+              assert (src <> dst);
+              assert (opcode < 8 || len >= 4);
+              opcode_hist.(opcode) <- opcode_hist.(opcode) + 1;
+              if !shown < 12 then begin
+                incr shown;
+                Printf.printf "  %6d %3d %3d %3d\n" opcode src dst len
+              end
+          | Error _ -> Printf.eprintf "sample %d failed\n" i)
+        (Sampling.Unigen.sample_batch ~seed:7 prepared num);
 
       (* Uniformity in action: every legal opcode appears with a
          frequency proportional to its share of the legal space. *)

@@ -77,25 +77,25 @@ let () =
           Printf.printf "   legal input space: ~%.0f assignments\n"
             (Sampling.Unigen.count_estimate prepared);
           let inputs = enc.Circuits.Tseitin.input_vars in
-          for _ = 1 to 8 do
-            match Sampling.Unigen.sample_retrying ~rng prepared with
-            | Ok m ->
-                (* lift back to the original formula and re-verify by
-                   simulating the circuit on the sampled inputs *)
-                let m = Preprocess.Simplify.extend r m in
-                assert (Cnf.Model.satisfies f m);
-                let stimulus =
-                  Array.map (fun v -> Cnf.Model.value m v) inputs
-                in
-                let outs = Circuits.Netlist.simulate nl stimulus in
-                Printf.printf "   stimulus %s -> outputs %s\n"
-                  (String.concat ""
-                     (List.map (fun b -> if b then "1" else "0")
-                        (Array.to_list stimulus)))
-                  (String.concat ""
-                     (List.map (fun b -> if b then "1" else "0")
-                        (Array.to_list outs)))
-            | Error _ -> print_endline "   (sample failed)"
-          done));
+          Array.iter
+            (function
+              | Ok m ->
+                  (* lift back to the original formula and re-verify by
+                     simulating the circuit on the sampled inputs *)
+                  let m = Preprocess.Simplify.extend r m in
+                  assert (Cnf.Model.satisfies f m);
+                  let stimulus =
+                    Array.map (fun v -> Cnf.Model.value m v) inputs
+                  in
+                  let outs = Circuits.Netlist.simulate nl stimulus in
+                  Printf.printf "   stimulus %s -> outputs %s\n"
+                    (String.concat ""
+                       (List.map (fun b -> if b then "1" else "0")
+                          (Array.to_list stimulus)))
+                    (String.concat ""
+                       (List.map (fun b -> if b then "1" else "0")
+                          (Array.to_list outs)))
+              | Error _ -> print_endline "   (sample failed)")
+            (Sampling.Unigen.sample_batch ~seed:2014 prepared 8)));
 
   print_endline "6. done: same flow as bin/unigen_cli.exe convert + simplify + sample"

@@ -21,18 +21,18 @@ let () =
            " (small enough to enumerate: the easy case)"
          else "");
 
-      (* Step 2: draw witnesses. Each draw re-randomizes the hash, so
-         samples are independent. *)
+      (* Step 2: draw witnesses. Witness i re-randomizes the hash from
+         its own stream (seed, i), so samples are independent. *)
       print_endline "ten almost-uniform witnesses:";
-      for _ = 1 to 10 do
-        match Sampling.Unigen.sample_retrying ~rng prepared with
-        | Ok m ->
-            let bits =
-              List.map (fun v -> if v > 0 then '1' else '0') (Cnf.Model.to_dimacs m)
-            in
-            Printf.printf "  %s\n" (String.init 6 (List.nth bits))
-        | Error _ -> print_endline "  (failed; retry exhausted)"
-      done;
+      Array.iter
+        (function
+          | Ok m ->
+              let bits =
+                List.map (fun v -> if v > 0 then '1' else '0') (Cnf.Model.to_dimacs m)
+              in
+              Printf.printf "  %s\n" (String.init 6 (List.nth bits))
+          | Error _ -> print_endline "  (failed; retry exhausted)")
+        (Sampling.Unigen.sample_batch ~seed:2014 prepared 10);
 
       (* Step 3: the statistics UniGen reports in the paper's tables. *)
       let st = Sampling.Unigen.stats prepared in

@@ -75,8 +75,8 @@ type prepare_error = Unsat_formula | Prepare_timeout | Count_failed
 
 let log2 x = Float.log x /. Float.log 2.0
 
-let prepare ?deadline ?count_iterations ?(hash_density = 0.5) ?jobs ?pool ~rng
-    ~epsilon formula =
+let prepare ?deadline ?count_iterations ?(hash_density = 0.5) ?pool ~rng ~epsilon
+    formula =
   Obs.Trace.span ~cat:"sampling" "unigen.prepare"
     ~args:
       [
@@ -102,8 +102,8 @@ let prepare ?deadline ?count_iterations ?(hash_density = 0.5) ?jobs ?pool ~rng
     else begin
       (* lines 9-10: approximate count, then q = ⌈log C + log 1.8 − log pivot⌉ *)
       match
-        Counting.Approxmc.count ?deadline ?iterations:count_iterations ?jobs
-          ?pool ~rng ~epsilon:0.8 ~delta:0.8 formula
+        Counting.Approxmc.count ?deadline ?iterations:count_iterations ?pool
+          ~rng ~epsilon:0.8 ~delta:0.8 formula
       with
       | Error Counting.Approxmc.Unsat -> Error Unsat_formula
       | Error Counting.Approxmc.Timed_out -> Error Count_failed
@@ -209,16 +209,6 @@ let sample_with_stats ?deadline ~rng ~stats t =
   | Error Sampler.Timed_out -> stats.Sampler.timeouts <- stats.Sampler.timeouts + 1
   | Error Sampler.Unsat -> ());
   result
-
-let sample ?deadline ~rng t = sample_with_stats ?deadline ~rng ~stats:t.stats t
-
-let sample_retrying ?deadline ?(max_attempts = 10) ~rng t =
-  let rec go n =
-    match sample ?deadline ~rng t with
-    | Error Sampler.Cell_failure when n < max_attempts -> go (n + 1)
-    | outcome -> outcome
-  in
-  go 1
 
 (* ------------------------------------------------------------------ *)
 (* Parallel leaf sampling. Sample [i] of a batch consumes the private

@@ -11,9 +11,10 @@
     The expensive preparation (lines 1–11: κ/pivot computation, the
     easy-case enumeration, the ApproxMC call and the derivation of the
     candidate hash-size range q−3..q) runs once per formula in
-    {!prepare}; each {!sample} then only executes lines 12–22. Unlike
-    UniWit's "leapfrogging", this amortisation is part of the
-    algorithm and sacrifices no guarantee. *)
+    {!prepare}; each draw ({!sample_index}, {!sample_batch}) then only
+    executes lines 12–22. Unlike UniWit's "leapfrogging", this
+    amortisation is part of the algorithm and sacrifices no
+    guarantee. *)
 
 type prepared
 
@@ -26,7 +27,6 @@ val prepare :
   ?deadline:float ->
   ?count_iterations:int ->
   ?hash_density:float ->
-  ?jobs:int ->
   ?pool:Parallel.Domain_pool.t ->
   rng:Rng.t ->
   epsilon:float ->
@@ -43,21 +43,27 @@ val prepare :
     variant of Gomes et al. that voids Theorem 1 — it exists only for
     the ablation bench.
     Every hashed BSAT call — in the ApproxMC count and later in each
-    {!sample} — runs on a persistent solver session with the in-search
+    draw — runs on a persistent solver session with the in-search
     Gauss engine: one session per domain, reused across draws, with
     the XOR hash layer swapped in and out as a retractable constraint
     group. The sessions belong to the prepared state and are freed
     with it. Only the easy-case check uses a one-shot {!Sat.Bsat.enumerate}.
-    [jobs]/[pool] parallelise the ApproxMC counting iterations (each is
-    an independent XOR-hashed count); see {!Counting.Approxmc.count}.
+    [pool] parallelises the ApproxMC counting iterations (each is an
+    independent XOR-hashed count on its own stream); the preparation is
+    the same with or without it. See {!Counting.Approxmc.count}.
     @raise Invalid_argument when [epsilon <= 1.71], or when the count
     runs and [count_iterations < 1]. *)
 
-val sample : ?deadline:float -> rng:Rng.t -> prepared -> Sampler.outcome
-(** Runs lines 12–22 once: picks a hash size in q−3..q, a random hash
-    and cell, enumerates the cell, and returns a uniformly chosen
-    witness if the cell size lies within [loThresh, hiThresh]. A
-    [Cell_failure] is the algorithm's ⊥; callers typically retry.
+(** {2 Drawing witnesses}
+
+    One attempt runs lines 12–22 once: it picks a hash size in q−3..q,
+    a random hash and cell, enumerates the cell, and returns a
+    uniformly chosen witness if the cell size lies within
+    [loThresh, hiThresh]. A [Cell_failure] is the algorithm's ⊥, and a
+    draw retries it up to [max_attempts] times. Every attempt is
+    counted in the draw's {!Sampler.run_stats}, so the success
+    probability of Table 1 is [samples_produced / samples_requested]
+    whatever [max_attempts] is.
 
     Each domain that draws keeps a cache of the projections its draws
     have found ({!Counting.Known}), beside its solver session. A cell
@@ -66,20 +72,12 @@ val sample : ?deadline:float -> rng:Rng.t -> prepared -> Sampler.outcome
     without the cache. The hash and witness draws are unchanged, so
     the outcome does not depend on what the cache held. Under audit
     mode every skipped cell is re-enumerated by a fresh solver
-    (invariant [known-cell]). *)
-
-val sample_retrying :
-  ?deadline:float -> ?max_attempts:int -> rng:Rng.t -> prepared -> Sampler.outcome
-(** Repeats {!sample} on [Cell_failure] (fresh randomness each time,
-    up to [max_attempts], default 10). This is how a CRV testbench
-    uses the generator. *)
-
-(** {2 Parallel batch sampling}
+    (invariant [known-cell]).
 
     Leaf-level sampling is embarrassingly parallel: after {!prepare},
     each sample only re-runs lines 12–22 against an independently drawn
     hash, so drawing a batch across N domains weakens nothing in
-    Theorem 1. The seeding discipline makes batches reproducible:
+    Theorem 1. The seeding discipline makes draws reproducible:
     sample [i] consumes the private stream [Rng.of_stream ~seed i],
     a pure function of [(seed, i)], so the outcome array is
     {e bit-identical} for every [jobs] value (only elapsed wall clock
@@ -96,7 +94,8 @@ val sample_index :
     by [seed]: retries on [Cell_failure] up to [max_attempts] (default
     10) within stream [(seed, i)], and returns the outcome together
     with the private stats of this one sample (not yet merged into
-    [stats t]). Deterministic given [(seed, i)] and the preparation. *)
+    [stats t]; merge it with {!Sampler.merge_into} to keep a running
+    account). Deterministic given [(seed, i)] and the preparation. *)
 
 val sample_batch :
   ?deadline:float ->

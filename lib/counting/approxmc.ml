@@ -33,7 +33,7 @@ let check_deadline deadline =
   | _ -> ()
 
 type core_out = {
-  co_res : (float * int) option; (* (estimate, hash size) or failure *)
+  co_res : float option; (* the iteration's estimate, or failure *)
   co_stats : Sat.Solver.stats;
   co_reuse : int;
 }
@@ -52,7 +52,7 @@ let h_cell_size = Obs.Metrics.histogram "approxmc.cell_size"
    (min(|cell|, pivot+1), exhausted) is the one a plain enumeration
    with limit pivot+1 gives, so the estimate does not depend on what
    the cache held. *)
-let core ?deadline ~rng ~pivot ~start ~known f =
+let core ?deadline ~rng ~pivot ~known f =
   Obs.Trace.span ~cat:"counting" "approxmc.core" @@ fun () ->
   let sampling = Cnf.Formula.sampling_vars f in
   let n = Array.length sampling in
@@ -96,21 +96,22 @@ let core ?deadline ~rng ~pivot ~start ~known f =
     else
       let count, exhausted = cell i in
       if count >= 1 && count <= pivot && exhausted then
-        Some (float_of_int count *. (2.0 ** float_of_int i), i)
+        Some (float_of_int count *. (2.0 ** float_of_int i))
       else try_size (i + 1)
   in
-  let res = try_size start in
+  let res = try_size 1 in
   { co_res = res; co_stats = !stats; co_reuse = !reuse }
 
 (* The t ApproxMCCore iterations are mutually independent XOR-hashed
-   counts, so they parallelise without changing the estimator: run
-   iteration [i] on the private stream (master, i) and take the median
-   over the index-ordered successes. The estimate is then a pure
-   function of the master seed — identical for every worker count.
-   Each domain keeps its own cache of found projections, taken from a
-   mutex-guarded table keyed by [Domain.self ()]; the lock covers the
-   lookup only. *)
-let iterate_parallel ?deadline ?jobs ?pool ~rng ~pivot ~t ~fresh_known f =
+   counts: iteration [i] runs on the private stream (master, i) and the
+   median is taken over the index-ordered successes, so the estimate is
+   a pure function of the master seed — the same on the calling domain
+   as on a pool of any size. Each domain keeps its own cache of found
+   projections, taken from a mutex-guarded table keyed by
+   [Domain.self ()]; the lock covers the lookup only. An iteration
+   that hits the deadline comes back as [None] rather than raising
+   across domains. *)
+let iterate ?deadline ?pool ~rng ~pivot ~t ~fresh_known f =
   let master = Int64.to_int (Rng.bits64 rng) land max_int in
   let caches = Hashtbl.create 4 in
   let caches_lock = Mutex.create () in
@@ -126,25 +127,16 @@ let iterate_parallel ?deadline ?jobs ?pool ~rng ~pivot ~t ~fresh_known f =
   in
   let one index =
     let rng = Rng.of_stream ~seed:master index in
-    match core ?deadline ~rng ~pivot ~start:1 ~known:(known ()) f with
-    | { co_res = Some e; co_stats; co_reuse } -> `Estimate (e, co_stats, co_reuse)
-    | { co_res = None; co_stats; co_reuse } -> `Failed (co_stats, co_reuse)
-    | exception Deadline -> `Deadline
+    try Some (core ?deadline ~rng ~pivot ~known:(known ()) f)
+    with Deadline -> None
   in
   let indices = Array.init t Fun.id in
-  match (pool, jobs) with
-  | Some p, _ -> Parallel.Domain_pool.map p one indices
-  | None, Some jobs when jobs > 1 ->
-      Parallel.Domain_pool.with_pool ~jobs (fun p ->
-          Parallel.Domain_pool.map p one indices)
-  | None, _ -> Array.map one indices
+  match pool with
+  | Some p -> Parallel.Domain_pool.map p one indices
+  | None -> Array.map one indices
 
-let count ?deadline ?(leapfrog = false) ?iterations ?jobs ?pool ~rng ~epsilon
-    ~delta f =
+let count ?deadline ?iterations ?pool ~rng ~epsilon ~delta f =
   Obs.Trace.span ~cat:"counting" "approxmc.count" @@ fun () ->
-  (match jobs with
-  | Some j when j < 1 -> invalid_arg "Approxmc.count: jobs must be >= 1"
-  | _ -> ());
   (match iterations with
   | Some t when t < 1 -> invalid_arg "Approxmc.count: iterations must be >= 1"
   | _ -> ());
@@ -173,48 +165,22 @@ let count ?deadline ?(leapfrog = false) ?iterations ?jobs ?pool ~rng ~epsilon
         let failures = ref 0 in
         let agg_stats = ref out.Sat.Bsat.stats in
         let reuse_hits = ref 0 in
-        let fold st ru =
-          agg_stats := Sat.Solver.stats_add !agg_stats st;
-          reuse_hits := !reuse_hits + ru
-        in
         (* every cache starts from the easy check's pivot+1 witnesses *)
         let fresh_known () =
           let k = Known.create f in
           List.iter (Known.add k) out.Sat.Bsat.models;
           k
         in
-        if (jobs <> None || pool <> None) && not leapfrog then begin
-          (* deterministic stream-per-iteration discipline; leapfrog is
-             inherently sequential (each start depends on the previous
-             iteration) and keeps the serial path below *)
-          let outcomes =
-            iterate_parallel ?deadline ?jobs ?pool ~rng ~pivot ~t ~fresh_known f
-          in
-          Array.iter
-            (function
-              | `Estimate ((e, _), st, ru) ->
-                  fold st ru;
-                  estimates := e :: !estimates
-              | `Failed (st, ru) ->
-                  fold st ru;
-                  incr failures
-              | `Deadline -> raise Deadline)
-            outcomes
-        end
-        else begin
-          let known = fresh_known () in
-          let prev_i = ref 1 in
-          for _ = 1 to t do
-            let start = if leapfrog then max 1 (!prev_i - 1) else 1 in
-            let co = core ?deadline ~rng ~pivot ~start ~known f in
-            fold co.co_stats co.co_reuse;
-            match co.co_res with
-            | Some (e, i) ->
-                prev_i := i;
-                estimates := e :: !estimates
-            | None -> incr failures
-          done
-        end;
+        Array.iter
+          (function
+            | None -> raise Deadline
+            | Some co ->
+                agg_stats := Sat.Solver.stats_add !agg_stats co.co_stats;
+                reuse_hits := !reuse_hits + co.co_reuse;
+                (match co.co_res with
+                | Some e -> estimates := e :: !estimates
+                | None -> incr failures))
+          (iterate ?deadline ?pool ~rng ~pivot ~t ~fresh_known f);
         match !estimates with
         | [] -> Error Timed_out (* all iterations failed: no usable estimate *)
         | es ->

@@ -37,9 +37,7 @@ val iterations_of_delta : float -> int
 
 val count :
   ?deadline:float ->
-  ?leapfrog:bool ->
   ?iterations:int ->
-  ?jobs:int ->
   ?pool:Parallel.Domain_pool.t ->
   rng:Rng.t ->
   epsilon:float ->
@@ -53,9 +51,9 @@ val count :
 
     The count keeps a cache of the solutions it has found, as packed
     bitsets of their projections onto the sampling set (a bounded
-    {!Known} cache), for the length of the call: one cache for the
-    serial loop, one per domain for the pooled loop, each seeded with
-    the easy check's pivot + 1 witnesses. A drawn cell is first measured against the cache: with
+    {!Known} cache), for the length of the call: one per domain that
+    runs iterations, each seeded with the easy check's pivot + 1
+    witnesses. A drawn cell is first measured against the cache: with
     k >= pivot + 1 cached members it is decided as cut without a
     solver call; otherwise the session enumerates it with those k
     projections blocked and a limit of pivot + 1 - k, and the new
@@ -66,22 +64,19 @@ val count :
     used cached projections is re-enumerated by a fresh solver and compared
     (invariant [known-cell]).
 
-    [leapfrog] (default [false]) starts each core iteration's search
-    for the hash size near the previous success instead of from 1 —
-    the CP 2013 heuristic that the UniGen paper explicitly disables
-    because it voids the guarantees. It exists for the ablation bench.
+    Each core iteration searches the hash size upwards from 1; the
+    CP 2013 "leapfrogging" heuristic, which starts near the previous
+    success, is not offered because it voids the guarantee (the UniGen
+    paper disables it too).
     [iterations] overrides {!iterations_of_delta} (used by benches to
     trade confidence for time; the default is the faithful value).
 
-    [jobs]/[pool] switch the median loop to the parallel discipline:
-    one master seed is drawn from [rng], iteration [i] runs on the
-    private stream [(master, i)] (see {!Rng.of_stream}), and the
-    iterations execute across the pool ([jobs] fresh workers, or a
-    caller-owned pool). Because each iteration is an independent
-    XOR-hashed count and the median is taken over index-ordered
-    results, the estimate is a pure function of [rng]'s state —
-    identical for [~jobs:1] and [~jobs:n]. Omitting both runs the
-    iterations serially on [rng] itself (a different draw order from
-    the parallel discipline, used by unpooled preparations). [leapfrog] forces the
-    serial path (each iteration's start depends on the previous one).
-    @raise Invalid_argument when [jobs < 1] or [iterations < 1]. *)
+    The median loop has one discipline: one master seed is drawn from
+    [rng], iteration [i] runs on the private stream [(master, i)] (see
+    {!Rng.of_stream}), and the median is taken over the index-ordered
+    results. Without [pool] the iterations run on the calling domain;
+    with [pool] they run across its workers. Because each iteration is
+    an independent XOR-hashed count, the estimate is a pure function
+    of [rng]'s state — identical with no pool and on a pool of any
+    size.
+    @raise Invalid_argument when [iterations < 1]. *)

@@ -31,7 +31,9 @@
       [jobs] level} — each draw consumes the splittable stream
       [(seed, index)], so results are independent of which domain
       executes them (the differential tests in [test_service.ml]
-      enforce this on miss, hit and post-eviction paths).
+      enforce this on miss, hit and post-eviction paths). ApproxMC
+      has one median loop, pooled or not, so with [prepare_seed =
+      seed] the answer is also what [unigen sample -s seed] prints.
 
     {b Execution}: whole requests are dispatched to a private
     {!Parallel.Executor} with [jobs] worker domains ([jobs = 1] is one

@@ -1,4 +1,4 @@
-let version = "unigen-prepared-v2"
+let version = "unigen-prepared-v3"
 
 let encode (k : Cache.key) (e : Cache.entry) =
   let p = Sampling.Unigen.export e.Cache.prepared in

@@ -19,8 +19,10 @@
     turns into quarantine plus a clean re-preparation. *)
 
 val version : string
-(** ["unigen-prepared-v2"] — bumped whenever the payload schema or the
-    semantics of any field change. *)
+(** ["unigen-prepared-v3"] — bumped whenever the payload schema or the
+    semantics of any field change. v3: preparations run the one
+    stream-per-iteration ApproxMC loop, so a v2 payload made by the
+    former serial loop may hold a different [q] for the same key. *)
 
 val encode : Cache.key -> Cache.entry -> string
 (** Serialize an entry for {!Store.put}. [draws_served] is

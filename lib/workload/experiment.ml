@@ -30,16 +30,23 @@ let run_row ?(epsilon = 6.0) ?(unigen_samples = 50) ?(uniwit_samples = 5)
     with
     | Error _ -> (Sampling.Sampler.fresh_stats (), true)
     | Ok prepared ->
+        let seed = Int64.to_int (Rng.bits64 unigen_rng) land max_int in
+        let st = Sampling.Unigen.stats prepared in
+        (* one attempt per draw, each counted: Table 1's success
+           probability is per attempt *)
         let rec draw i =
-          if i > unigen_samples || now () > ug_deadline then ()
+          if i >= unigen_samples || now () > ug_deadline then ()
           else begin
             let deadline = min ug_deadline (now () +. per_call_timeout) in
-            ignore (Sampling.Unigen.sample ~deadline ~rng:unigen_rng prepared);
+            let _, s =
+              Sampling.Unigen.sample_index ~deadline ~max_attempts:1 ~seed
+                prepared i
+            in
+            Sampling.Sampler.merge_into ~into:st s;
             draw (i + 1)
           end
         in
-        draw 1;
-        let st = Sampling.Unigen.stats prepared in
+        draw 0;
         (st, st.Sampling.Sampler.samples_produced = 0)
   in
   (* --- UniWit: every sample from scratch --- *)
@@ -123,14 +130,14 @@ let run_uniformity ?(epsilon = 6.0) ?(samples = 100_000) ?count_iterations ~rng 
     | Ok p -> p
     | Error _ -> failwith "run_uniformity: UniGen preparation failed"
   in
-  let rec draw acc n =
-    if n = 0 then acc
-    else
-      match Sampling.Unigen.sample_retrying ~max_attempts:50 ~rng:ug_rng prepared with
-      | Ok m -> draw (key_of m :: acc) (n - 1)
-      | Error _ -> failwith "run_uniformity: UniGen failed to produce a witness"
+  let seed = Int64.to_int (Rng.bits64 ug_rng) land max_int in
+  let ug_keys =
+    Sampling.Unigen.sample_batch ~max_attempts:50 ~seed prepared samples
+    |> Array.to_list
+    |> List.map (function
+         | Ok m -> key_of m
+         | Error _ -> failwith "run_uniformity: UniGen failed to produce a witness")
   in
-  let ug_keys = draw [] samples in
   let summarize keys =
     let h = Sampling.Stats.histogram_of_keys keys in
     ( Sampling.Stats.occurrence_distribution ~support_size:rf h,

@@ -243,6 +243,50 @@ cmp -s "$smoke_dir/par1.witness" "$smoke_dir/par2.witness" || {
 client2 --shutdown > /dev/null
 wait "$serve2_pid"
 
+echo "== daemon = sample (default --jobs 1)"
+# The daemon prepares on the same stream-per-iteration ApproxMC loop as
+# `unigen sample` and draws witness i from stream (seed, i), so for the
+# same formula, epsilon, seeds and max_attempts it must answer exactly
+# what `sample` prints. The formula (13 variables, sampling set = all
+# of them, 5696 witnesses) sits near a q boundary, where a differently
+# ordered count loop derives another q at this seed.
+sock_eq="$smoke_dir/unigen_eq.sock"
+cat > "$smoke_dir/near_q.cnf" <<'EOF'
+p cnf 13 7
+c ind 1 2 3 4 5 6 7 8 9 10 11 12 13 0
+13 -7 -1 -5 9 0
+-9 -3 5 -12 0
+5 2 12 -6 0
+9 -8 -12 13 0
+-12 11 -13 -1 8 0
+4 -3 -9 -8 0
+-2 -5 -9 -12 -13 0
+EOF
+dune exec bin/unigen_cli.exe -- serve --socket "$sock_eq" \
+    > "$smoke_dir/serve_eq.log" 2>&1 &
+serve_eq_pid=$!
+trap 'kill "$serve_pid" "$serve2_pid" "$serve_eq_pid" 2>/dev/null || true; rm -rf "$smoke_dir"' EXIT
+for _ in $(seq 1 100); do
+    [ -S "$sock_eq" ] && break
+    sleep 0.1
+done
+[ -S "$sock_eq" ] || { echo "error: daemon did not create $sock_eq" >&2; cat "$smoke_dir/serve_eq.log" >&2; exit 1; }
+dune exec bin/unigen_cli.exe -- client "$smoke_dir/near_q.cnf" \
+    --socket "$sock_eq" --prepare-seed 9 --seed 9 -n 8 --max-attempts 20 \
+    | grep '^v ' > "$smoke_dir/daemon_eq.witness"
+dune exec bin/unigen_cli.exe -- sample "$smoke_dir/near_q.cnf" -n 8 -s 9 \
+    | grep '^v ' > "$smoke_dir/sample_eq.witness"
+[ "$(wc -l < "$smoke_dir/sample_eq.witness")" -eq 8 ] || {
+    echo "error: sample should print 8 witnesses" >&2
+    exit 1
+}
+cmp -s "$smoke_dir/daemon_eq.witness" "$smoke_dir/sample_eq.witness" || {
+    echo "error: the daemon's witnesses differ from unigen sample's" >&2
+    exit 1
+}
+dune exec bin/unigen_cli.exe -- client --socket "$sock_eq" --shutdown > /dev/null
+wait "$serve_eq_pid"
+
 echo "== telemetry smoke (structured log, trace ids, monitor)"
 # Daemon with the structured event log enabled: drive a miss and a hit,
 # assert one service.request JSON line per request carrying the full
@@ -255,7 +299,7 @@ log3="$smoke_dir/events.jsonl"
 dune exec bin/unigen_cli.exe -- serve --socket "$sock3" \
     --log-file "$log3" > "$smoke_dir/serve3.log" 2>&1 &
 serve3_pid=$!
-trap 'kill "$serve_pid" "$serve2_pid" "$serve3_pid" 2>/dev/null || true; rm -rf "$smoke_dir"' EXIT
+trap 'kill "$serve_pid" "$serve2_pid" "$serve_eq_pid" "$serve3_pid" 2>/dev/null || true; rm -rf "$smoke_dir"' EXIT
 for _ in $(seq 1 100); do
     [ -S "$sock3" ] && break
     sleep 0.1
@@ -325,7 +369,7 @@ serve4() {
     dune exec bin/unigen_cli.exe -- serve --socket "$sock4" \
         --spill-dir "$spill" >> "$smoke_dir/serve4.log" 2>&1 &
     serve4_pid=$!
-    trap 'kill "$serve_pid" "$serve2_pid" "$serve3_pid" "$serve4_pid" 2>/dev/null || true; rm -rf "$smoke_dir"' EXIT
+    trap 'kill "$serve_pid" "$serve2_pid" "$serve_eq_pid" "$serve3_pid" "$serve4_pid" 2>/dev/null || true; rm -rf "$smoke_dir"' EXIT
     for _ in $(seq 1 100); do
         [ -S "$sock4" ] && break
         sleep 0.1

@@ -106,8 +106,10 @@ let test_rejects_bad_arguments () =
       ("count", "-d 1.5", "error:");
     ]
 
-(* 5696 witnesses, close enough to a q boundary that the serial and
-   the stream-per-iteration ApproxMC loops prepare differently *)
+(* 5696 witnesses, close enough to a q boundary that the draw order
+   of the ApproxMC median loop decides q: at seed 9, a loop that read
+   one stream across all iterations derives q = 8 where the
+   stream-per-iteration loop derives q = 9 *)
 let near_q_boundary =
   "p cnf 13 7\n\
    c ind 1 2 3 4 5 6 7 8 9 10 11 12 13 0\n\
@@ -141,6 +143,50 @@ let test_jobs_bit_identical () =
   Alcotest.(check int) "one estimate" 1 (List.length c1);
   Alcotest.(check (list string)) "count -j 1 = -j 2" c1 (count 2);
   Sys.remove path
+
+(* The daemon and [sample] prepare on the same ApproxMC loop and draw
+   witness i from stream (seed, i), so a daemon answer is what [sample]
+   prints for the same formula, ε, seeds and max_attempts *)
+let test_daemon_equals_sample () =
+  let path = temp_cnf near_q_boundary in
+  let dir = Filename.temp_file "unigen_cli" ".d" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let socket = Filename.concat dir "daemon.sock" in
+  let pid_file = Filename.concat dir "daemon.pid" in
+  ignore
+    (Sys.command
+       (Printf.sprintf "%s serve --socket %s > %s 2>&1 & echo $! > %s"
+          (Filename.quote binary) (Filename.quote socket)
+          (Filename.quote (Filename.concat dir "daemon.log"))
+          (Filename.quote pid_file)));
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (run ("client --shutdown --socket " ^ Filename.quote socket));
+      (* a daemon that never answered is killed, not left behind *)
+      ignore
+        (Sys.command
+           (Printf.sprintf "kill $(cat %s) 2>/dev/null; rm -rf %s"
+              (Filename.quote pid_file) (Filename.quote dir)));
+      Sys.remove path)
+  @@ fun () ->
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while (not (Sys.file_exists socket)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.02
+  done;
+  Alcotest.(check bool) "daemon came up" true (Sys.file_exists socket);
+  let code, text =
+    run
+      (Printf.sprintf
+         "client %s --socket %s -e 6 --prepare-seed 9 -s 9 -n 8 --max-attempts 20"
+         path (Filename.quote socket))
+  in
+  Alcotest.(check int) "client exit 0" 0 code;
+  let daemon = lines_with "v " text in
+  Alcotest.(check int) "8 witnesses from the daemon" 8 (List.length daemon);
+  let code, text = run (Printf.sprintf "sample %s -e 6 -n 8 -s 9" path) in
+  Alcotest.(check int) "sample exit 0" 0 code;
+  Alcotest.(check (list string)) "daemon = sample" (lines_with "v " text) daemon
 
 let test_sample_unsat_exit_code () =
   let path = temp_cnf "p cnf 1 2\n1 0\n-1 0\n" in
@@ -228,6 +274,7 @@ let () =
           Alcotest.test_case "bad arguments exit 1" `Quick
             test_rejects_bad_arguments;
           Alcotest.test_case "jobs bit-identical" `Quick test_jobs_bit_identical;
+          Alcotest.test_case "daemon = sample" `Quick test_daemon_equals_sample;
           Alcotest.test_case "sample rejects bad jobs" `Quick
             test_sample_rejects_bad_jobs;
           Alcotest.test_case "count" `Quick test_count_matches_truth;

@@ -126,22 +126,23 @@ let test_params_invalid () =
        false
      with Invalid_argument _ -> true);
   (* a non-positive iteration count is a caller error, not a timeout,
-     on the serial and the pooled loop alike *)
+     on the calling domain and on a pool alike *)
   let f = Cnf.Formula.create ~num_vars:10 [] in
+  Parallel.Domain_pool.with_pool ~jobs:2 @@ fun p ->
   List.iter
-    (fun (iterations, jobs) ->
+    (fun (iterations, pool) ->
       let name =
         Printf.sprintf "iterations %d%s" iterations
-          (match jobs with Some j -> Printf.sprintf " jobs %d" j | None -> "")
+          (if pool = None then "" else " pooled")
       in
       Alcotest.(check bool) name true
         (try
            ignore
-             (Counting.Approxmc.count ~iterations ?jobs ~rng:(Rng.create 1)
+             (Counting.Approxmc.count ~iterations ?pool ~rng:(Rng.create 1)
                 ~epsilon:0.8 ~delta:0.8 f);
            false
          with Invalid_argument _ -> true))
-    [ (0, None); (-2, None); (0, Some 2); (-2, Some 2) ]
+    [ (0, None); (-2, None); (0, Some p); (-2, Some p) ]
 
 (* ------------------------------------------------------------------ *)
 (* ApproxMC behaviour *)
@@ -190,20 +191,6 @@ let test_approx_respects_sampling_set () =
   | Ok r -> Alcotest.(check (float 0.01)) "2 cells" 2.0 r.Counting.Approxmc.estimate
   | Error _ -> Alcotest.fail "unexpected error"
 
-let test_approx_leapfrog_matches () =
-  let f = Cnf.Formula.create ~num_vars:9 [ clause [ 1; 2; 3 ] ] in
-  let rng = Rng.create 77 in
-  match
-    Counting.Approxmc.count ~leapfrog:true ~iterations:9 ~rng ~epsilon:0.8
-      ~delta:0.8 f
-  with
-  | Ok r ->
-      let truth = float_of_int (Sat.Brute.count f) in
-      let e = r.Counting.Approxmc.estimate in
-      Alcotest.(check bool) "leapfrog estimate sane" true
-        (e >= truth /. 1.8 && e <= truth *. 1.8)
-  | Error _ -> Alcotest.fail "unexpected error"
-
 let prop_approx_envelope =
   (* Statistical envelope check: the estimate should usually fall
      within the tolerance; we allow a conservative error margin since
@@ -234,7 +221,7 @@ let prop_approx_envelope =
    The count decides most cells of these formulas (over pivot + 1 = 47
    projected solutions) from its cache of found projections, so the
    property pins that the cache changes no estimate. *)
-let replay_count ~pooled ~iterations ~rng f =
+let replay_count ~iterations ~rng f =
   let pivot = Counting.Approxmc.pivot_of_epsilon 0.8 in
   let sampling = Cnf.Formula.sampling_vars f in
   let projections =
@@ -256,16 +243,10 @@ let replay_count ~pooled ~iterations ~rng f =
     in
     try_size 1
   in
-  let stream =
-    if pooled then begin
-      let master = Int64.to_int (Rng.bits64 rng) land max_int in
-      fun i -> Rng.of_stream ~seed:master i
-    end
-    else fun _ -> rng
-  in
+  let master = Int64.to_int (Rng.bits64 rng) land max_int in
   let estimates = ref [] and failures = ref 0 in
   for i = 0 to iterations - 1 do
-    match core (stream i) with
+    match core (Rng.of_stream ~seed:master i) with
     | Some e -> estimates := e :: !estimates
     | None -> incr failures
   done;
@@ -288,15 +269,15 @@ let prop_approx_replays_hash_draws =
         else f
       in
       let iterations = 9 in
-      let agrees ~pooled =
-        let run_seed = seed + 1 in
-        let total, estimates, failures =
-          replay_count ~pooled ~iterations ~rng:(Rng.create run_seed) f
-        in
-        QCheck2.assume (total > 47);
-        let jobs = if pooled then Some 2 else None in
+      let run_seed = seed + 1 in
+      let total, estimates, failures =
+        replay_count ~iterations ~rng:(Rng.create run_seed) f
+      in
+      QCheck2.assume (total > 47);
+      (* on the calling domain and across a 2-worker pool *)
+      let agrees pool =
         match
-          Counting.Approxmc.count ~iterations ?jobs ~rng:(Rng.create run_seed)
+          Counting.Approxmc.count ~iterations ?pool ~rng:(Rng.create run_seed)
             ~epsilon:0.8 ~delta:0.8 f
         with
         | Ok r ->
@@ -308,7 +289,8 @@ let prop_approx_replays_hash_draws =
         | Error Counting.Approxmc.Timed_out -> estimates = []
         | Error Counting.Approxmc.Unsat -> false
       in
-      agrees ~pooled:false && agrees ~pooled:true)
+      agrees None
+      && Parallel.Domain_pool.with_pool ~jobs:2 (fun p -> agrees (Some p)))
 
 (* ------------------------------------------------------------------ *)
 (* Known: the bit-sliced cache of found projections, against brute
@@ -489,7 +471,6 @@ let () =
           Alcotest.test_case "exact below pivot" `Quick test_approx_exact_below_pivot;
           Alcotest.test_case "within tolerance" `Quick test_approx_within_tolerance;
           Alcotest.test_case "sampling set" `Quick test_approx_respects_sampling_set;
-          Alcotest.test_case "leapfrog" `Quick test_approx_leapfrog_matches;
         ] );
       ("known", [ Alcotest.test_case "bound" `Quick test_known_bound ]);
       ("properties", qcheck_cases);

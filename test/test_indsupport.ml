@@ -86,7 +86,7 @@ let test_minimized_support_usable_by_unigen () =
   let g = Cnf.Formula.with_sampling_set f s in
   match Sampling.Unigen.prepare ~count_iterations:5 ~rng:(Rng.create 3) ~epsilon:6.0 g with
   | Ok p ->
-      (match Sampling.Unigen.sample ~rng:(Rng.create 4) p with
+      (match fst (Sampling.Unigen.sample_index ~max_attempts:1 ~seed:4 p 0) with
       | Ok m -> Alcotest.(check bool) "valid" true (Cnf.Model.satisfies f m)
       | Error _ -> Alcotest.fail "sampling failed")
   | Error _ -> Alcotest.fail "prepare failed"

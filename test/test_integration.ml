@@ -24,8 +24,8 @@ let test_circuit_to_sample_pipeline () =
       match Sampling.Unigen.prepare ~count_iterations:5 ~rng ~epsilon:6.0 g with
       | Error _ -> Alcotest.fail "prepare failed"
       | Ok p ->
-          for _ = 1 to 25 do
-            match Sampling.Unigen.sample_retrying ~rng p with
+          for i = 1 to 25 do
+            match fst (Sampling.Unigen.sample_index ~seed:17 p i) with
             | Error _ -> Alcotest.fail "sampling failed"
             | Ok m ->
                 let m = Preprocess.Simplify.extend r m in
@@ -126,8 +126,9 @@ let test_all_samplers_agree_on_support () =
   let rng = Rng.create 37 in
   (match Sampling.Unigen.prepare ~count_iterations:5 ~rng ~epsilon:6.0 f with
   | Ok p ->
-      for _ = 1 to 10 do
-        check_sampler "unigen" (Sampling.Unigen.sample ~rng p)
+      for i = 1 to 10 do
+        check_sampler "unigen"
+          (fst (Sampling.Unigen.sample_index ~max_attempts:1 ~seed:37 p i))
       done
   | Error _ -> Alcotest.fail "prepare failed");
   for _ = 1 to 10 do

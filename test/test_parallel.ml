@@ -243,13 +243,18 @@ let test_batch_stream_independence_of_batch_size () =
 
 let test_approxmc_jobs_invariance () =
   let f = Cnf.Formula.create ~num_vars:12 [ clause [ 1; 2; 3 ] ] in
+  (* [jobs = 1] runs on the calling domain, with no pool *)
   let count jobs =
-    match
-      Counting.Approxmc.count ~iterations:9 ~jobs ~rng:(Rng.create 5)
-        ~epsilon:0.8 ~delta:0.8 f
-    with
-    | Ok r -> r
-    | Error _ -> Alcotest.fail "count failed"
+    let run pool =
+      match
+        Counting.Approxmc.count ~iterations:9 ?pool ~rng:(Rng.create 5)
+          ~epsilon:0.8 ~delta:0.8 f
+      with
+      | Ok r -> r
+      | Error _ -> Alcotest.fail "count failed"
+    in
+    if jobs = 1 then run None
+    else Parallel.Domain_pool.with_pool ~jobs (fun p -> run (Some p))
   in
   let r1 = count 1 in
   let r2 = count 2 in
@@ -262,18 +267,19 @@ let test_approxmc_jobs_invariance () =
     r2.Counting.Approxmc.core_iterations
 
 let test_prepare_with_parallel_counting () =
-  (* prepare ~jobs parallelises the ApproxMC call; the derived hash
-     window must be jobs-invariant *)
+  (* prepare ~pool parallelises the ApproxMC call; the derived hash
+     window must be the one an unpooled preparation derives *)
   let f = Cnf.Formula.create ~num_vars:10 [ clause [ 1; 2 ] ] in
-  let prep jobs =
+  let prep pool =
     match
-      Sampling.Unigen.prepare ~count_iterations:7 ~jobs ~rng:(Rng.create 11)
+      Sampling.Unigen.prepare ~count_iterations:7 ?pool ~rng:(Rng.create 11)
         ~epsilon:6.0 f
     with
     | Ok p -> p
     | Error _ -> Alcotest.fail "prepare failed"
   in
-  let p1 = prep 1 and p2 = prep 2 in
+  let p1 = prep None in
+  let p2 = Parallel.Domain_pool.with_pool ~jobs:2 (fun p -> prep (Some p)) in
   Alcotest.(check (option (pair int int))) "q range jobs 2 = jobs 1"
     (Sampling.Unigen.q_range p1) (Sampling.Unigen.q_range p2);
   Alcotest.(check (float 0.0)) "count estimate equal"

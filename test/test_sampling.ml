@@ -56,6 +56,13 @@ let prepare ?(epsilon = 6.0) ?(seed = 42) f =
   | Ok p -> p
   | Error _ -> Alcotest.fail "prepare failed"
 
+(* one attempt (lines 12-22 once) as draw [i] of stream [seed], counted
+   in [stats p] *)
+let attempt ~seed p i =
+  let outcome, st = Sampling.Unigen.sample_index ~max_attempts:1 ~seed p i in
+  Sampling.Sampler.merge_into ~into:(Sampling.Unigen.stats p) st;
+  outcome
+
 let test_unigen_unsat () =
   let f = Cnf.Formula.create ~num_vars:2 [ clause [ 1 ]; clause [ -1 ] ] in
   match Sampling.Unigen.prepare ~rng:(Rng.create 1) ~epsilon:6.0 f with
@@ -68,9 +75,8 @@ let test_unigen_easy_case () =
   let p = prepare f in
   Alcotest.(check bool) "easy" true (Sampling.Unigen.is_easy p);
   Alcotest.(check bool) "q absent" true (Sampling.Unigen.q_range p = None);
-  let rng = Rng.create 5 in
-  for _ = 1 to 20 do
-    match Sampling.Unigen.sample ~rng p with
+  for i = 1 to 20 do
+    match attempt ~seed:5 p i with
     | Ok m -> Alcotest.(check bool) "model valid" true (Cnf.Model.satisfies f m)
     | Error _ -> Alcotest.fail "easy case cannot fail"
   done
@@ -94,10 +100,9 @@ let test_unigen_hashed_case_produces_models () =
       Alcotest.(check int) "window of 4" 3 (hi - lo);
       Alcotest.(check bool) (Printf.sprintf "q=%d sensible" hi) true
         (hi >= 3 && hi <= 6));
-  let rng = Rng.create 6 in
   let produced = ref 0 in
-  for _ = 1 to 50 do
-    match Sampling.Unigen.sample ~rng p with
+  for i = 1 to 50 do
+    match attempt ~seed:6 p i with
     | Ok m ->
         incr produced;
         Alcotest.(check bool) "model valid" true (Cnf.Model.satisfies f m)
@@ -114,25 +119,25 @@ let test_unigen_success_probability_bound () =
      theoretical 0.62 bound with slack (paper observes ≈ 1) *)
   let f = Cnf.Formula.create ~num_vars:10 [ clause [ 1; 2 ] ] in
   let p = prepare f in
-  let rng = Rng.create 7 in
-  let n = 200 in
-  for _ = 1 to n do
-    ignore (Sampling.Unigen.sample ~rng p)
-  done;
+  ignore (Sampling.Unigen.sample_batch ~max_attempts:1 ~seed:7 p 200);
   let st = Sampling.Unigen.stats p in
   let succ = Sampling.Sampler.success_probability st in
   Alcotest.(check bool) (Printf.sprintf "success %.2f >= 0.62" succ) true
     (succ >= 0.62)
 
-let test_unigen_sample_retrying () =
+let test_unigen_retrying () =
   let f = Cnf.Formula.create ~num_vars:9 [] in
   let p = prepare f in
-  let rng = Rng.create 8 in
-  for _ = 1 to 30 do
-    match Sampling.Unigen.sample_retrying ~max_attempts:20 ~rng p with
-    | Ok _ -> ()
-    | Error _ -> Alcotest.fail "retrying should succeed on this formula"
-  done
+  Array.iter
+    (function
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "retrying should succeed on this formula")
+    (Sampling.Unigen.sample_batch ~max_attempts:20 ~seed:8 p 30);
+  (* every attempt is counted: 30 successes plus one per cell failure *)
+  let st = Sampling.Unigen.stats p in
+  Alcotest.(check int) "attempts = 30 + cell failures"
+    (30 + st.Sampling.Sampler.cell_failures)
+    st.Sampling.Sampler.samples_requested
 
 let test_unigen_respects_independent_support () =
   (* v3 = v1 xor v2 is dependent; sampling set {1,2} *)
@@ -141,9 +146,8 @@ let test_unigen_respects_independent_support () =
       [ Cnf.Xor_clause.make [ 1; 2; 3 ] false ]
   in
   let p = prepare f in
-  let rng = Rng.create 9 in
-  for _ = 1 to 20 do
-    match Sampling.Unigen.sample ~rng p with
+  for i = 1 to 20 do
+    match attempt ~seed:9 p i with
     | Ok m ->
         Alcotest.(check bool) "consistent dependent var"
           (Cnf.Model.value m 3)
@@ -160,12 +164,12 @@ let test_unigen_almost_uniformity () =
   in
   let rf = Sat.Brute.count f in
   let p = prepare f in
-  let rng = Rng.create 10 in
   let samples = 20_000 in
   let keys = ref [] in
-  let drawn = ref 0 in
+  let drawn = ref 0 and attempts = ref 0 in
   while !drawn < samples do
-    match Sampling.Unigen.sample ~rng p with
+    incr attempts;
+    match attempt ~seed:10 p !attempts with
     | Ok m ->
         incr drawn;
         keys := Cnf.Model.key m :: !keys
@@ -491,7 +495,7 @@ let () =
           Alcotest.test_case "rejects small eps" `Quick test_unigen_rejects_small_epsilon;
           Alcotest.test_case "hashed case" `Quick test_unigen_hashed_case_produces_models;
           Alcotest.test_case "success bound" `Quick test_unigen_success_probability_bound;
-          Alcotest.test_case "retrying" `Quick test_unigen_sample_retrying;
+          Alcotest.test_case "retrying" `Quick test_unigen_retrying;
           Alcotest.test_case "independent support" `Quick
             test_unigen_respects_independent_support;
           Alcotest.test_case "almost uniformity" `Slow test_unigen_almost_uniformity;

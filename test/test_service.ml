@@ -1019,6 +1019,10 @@ let test_spill_decode_paranoia () =
     (replace_once ~sub:Spill.version ~by:"unigen-prepared-v1" payload
     |> replace_once ~sub:"\"formula\":"
          ~by:"\"incremental\":true,\"xor_engine\":\"gauss\",\"formula\":");
+  (* a spill prepared by the former serial ApproxMC loop, whose [q] can
+     differ from the one a fresh miss now derives for the same key *)
+  rejects "v2 payload" key
+    (replace_once ~sub:Spill.version ~by:"unigen-prepared-v2" payload);
   (* the unmutated payload still decodes: the probes above failed for
      their own reasons, not because the fixture was broken *)
   match Spill.decode key payload with
@@ -1119,9 +1123,17 @@ let test_scheduler_restart_corrupt_spill () =
   Alcotest.(check bool) "undecodable payload is a miss" true
     (src3 = Wire.Cache_miss);
   Alcotest.(check (list (list int))) "witnesses still identical" w1 w3;
-  (* both corruptions counted; the quarantine file itself is reused
-     because both entries share the key's basename *)
-  Alcotest.(check int) "both corruptions counted" 2
+  (* a payload of the previous format version (v2) under the same key:
+     quarantined and re-prepared, never served *)
+  Store.put st ~key:(Cache.key_to_string (cache_key f))
+    (replace_once ~sub:Spill.version ~by:"unigen-prepared-v2"
+       (Spill.encode (cache_key f) (prepared_entry f)));
+  let src4, w4 = generation dir req in
+  Alcotest.(check bool) "v2 payload is a miss" true (src4 = Wire.Cache_miss);
+  Alcotest.(check (list (list int))) "re-prepared past v2" w1 w4;
+  (* every corruption counted; the quarantine file itself is reused
+     because the entries share the key's basename *)
+  Alcotest.(check int) "all corruptions counted" 3
     (metric_counter "store.corrupt" - corrupt_before);
   Alcotest.(check bool) "evidence still present" true (quarantined dir >= 1)
 

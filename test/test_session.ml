@@ -644,11 +644,15 @@ let test_golden i () =
       Alcotest.(check string) (name ^ " log2 estimate") log2
         (Printf.sprintf "%h" r.Counting.Approxmc.log2_estimate)
   | Error _ -> Alcotest.fail (name ^ ": count failed"));
-  (* the last formula prepares on the pooled (stream-per-iteration)
-     ApproxMC loop, the others on the serial one *)
+  (* every case runs the one stream-per-iteration ApproxMC loop: the
+     last prepares across a 2-worker pool, the others on the calling
+     domain *)
+  let prepare pool =
+    Sampling.Unigen.prepare ?pool ~rng:(Rng.create (301 + i)) ~epsilon:6.0 f
+  in
   match
-    Sampling.Unigen.prepare ~jobs:(if i = 2 then 2 else 1) ~rng:(Rng.create (301 + i))
-      ~epsilon:6.0 f
+    if i = 2 then Parallel.Domain_pool.with_pool ~jobs:2 (fun p -> prepare (Some p))
+    else prepare None
   with
   | Error _ -> Alcotest.fail (name ^ ": prepare failed")
   | Ok p ->
