@@ -91,6 +91,38 @@ let compare a b =
   then Bytes.compare a.values b.values
   else String.compare (key a) (key b)
 
+let packed_bytes t = (num_vars t + 7) / 8
+
+(* Eight value bytes, each 0 or 1, read as one little-endian int64
+   [x]: the product [x * 0x0102040810204080] collects value byte [j]
+   at bit [56 + j] (every other partial product lands below bit 56 or
+   past bit 63, and those below sum to less than 2^56). *)
+let pack t set =
+  let n = num_vars t in
+  for i = 0 to (n / 8) - 1 do
+    let x = Bytes.get_int64_le t.values (8 * i) in
+    set i (Int64.to_int (Int64.shift_right_logical (Int64.mul x 0x0102040810204080L) 56))
+  done;
+  if n mod 8 > 0 then begin
+    let base = n - (n mod 8) in
+    let byte = ref 0 in
+    for b = (n mod 8) - 1 downto 0 do
+      byte := (!byte lsl 1) lor Char.code (Bytes.unsafe_get t.values (base + b))
+    done;
+    set (n / 8) !byte
+  end
+
+let unpack n byte =
+  let values = Bytes.create n in
+  for i = 0 to ((n + 7) / 8) - 1 do
+    let base = 8 * i in
+    let x = byte i in
+    for b = 0 to min 8 (n - base) - 1 do
+      Bytes.unsafe_set values (base + b) (Char.unsafe_chr ((x lsr b) land 1))
+    done
+  done;
+  { vars = [||]; values }
+
 let to_dimacs t =
   List.init (num_vars t) (fun i -> if bit t i then var_at t i else -var_at t i)
 

@@ -49,6 +49,20 @@ val compare : t -> t -> int
     ([false] before [true]). Models over different variable sets fall
     back to comparing keys. *)
 
+val packed_bytes : t -> int
+(** [⌈num_vars t / 8⌉]: the bytes {!pack} writes. *)
+
+val pack : t -> (int -> int -> unit) -> unit
+(** [pack t set] calls [set i byte] for each [i < packed_bytes t], in
+    order, where bit [b] of [byte] is the value of the model's
+    [(8 * i + b)]-th variable in ascending order. It reads the value
+    bytes in one pass. *)
+
+val unpack : int -> (int -> int) -> t
+(** [unpack n byte] is the model over [1 .. n] whose variable [v] is
+    bit [(v - 1) mod 8] of [byte ((v - 1) / 8)]: the inverse of
+    {!pack} on a model over [1 .. n]. *)
+
 val to_dimacs : t -> int list
 (** Signed-integer rendering over the model's variables, ascending. *)
 

@@ -20,6 +20,7 @@ type run_stats = {
   mutable cells_undersized : int;
   mutable cells_accepted : int;
   mutable cells_from_known : int;
+  mutable models_from_known : int;
   mutable wall_seconds : float;
 }
 
@@ -42,6 +43,7 @@ let fresh_stats () =
     cells_undersized = 0;
     cells_accepted = 0;
     cells_from_known = 0;
+    models_from_known = 0;
     wall_seconds = 0.0;
   }
 
@@ -75,6 +77,7 @@ let merge_into ~into s =
   into.cells_undersized <- into.cells_undersized + s.cells_undersized;
   into.cells_accepted <- into.cells_accepted + s.cells_accepted;
   into.cells_from_known <- into.cells_from_known + s.cells_from_known;
+  into.models_from_known <- into.models_from_known + s.models_from_known;
   into.wall_seconds <- into.wall_seconds +. s.wall_seconds
 
 let record_hash s h =
@@ -96,11 +99,12 @@ let pp fmt s =
     "requested=%d produced=%d cell_failures=%d timeouts=%d avg_xor_len=%.1f \
      conflicts=%d decisions=%d propagations=%d xor_propagations=%d \
      restarts=%d learnts=%d reuse_hits=%d cells_oversized=%d \
-     cells_undersized=%d cells_accepted=%d cells_from_known=%d avg_s=%.3f"
+     cells_undersized=%d cells_accepted=%d cells_from_known=%d \
+     models_from_known=%d avg_s=%.3f"
     s.samples_requested s.samples_produced s.cell_failures s.timeouts
     (average_xor_length s) s.conflicts s.decisions s.propagations
     s.xor_propagations s.restarts s.learnts s.reuse_hits s.cells_oversized
-    s.cells_undersized s.cells_accepted s.cells_from_known
+    s.cells_undersized s.cells_accepted s.cells_from_known s.models_from_known
     (average_seconds_per_sample s)
 
 let finite f = if Float.is_finite f then f else 0.0
@@ -126,5 +130,6 @@ let report_fields s =
     ("cells_undersized", Int s.cells_undersized);
     ("cells_accepted", Int s.cells_accepted);
     ("cells_from_known", Int s.cells_from_known);
+    ("models_from_known", Int s.models_from_known);
     ("wall_seconds", Float s.wall_seconds);
   ]

@@ -37,6 +37,9 @@ type run_stats = {
   mutable cells_from_known : int;
       (** the oversized cells decided from the cache of found
           projections, with no solver call *)
+  mutable models_from_known : int;
+      (** the witnesses of accepted cells taken from the cache of found
+          witnesses instead of being enumerated again *)
   mutable wall_seconds : float;
 }
 

@@ -5,7 +5,7 @@ type phase =
 
 type domain_state = {
   session : Sat.Bsat.Session.t;
-  known : Counting.Known.t; (* projections onto S this domain's draws found *)
+  known : Counting.Known.t; (* witnesses this domain has found, or copied *)
 }
 
 type prepared = {
@@ -18,24 +18,28 @@ type prepared = {
   hash_density : float;
   phase : phase;
   formula : Cnf.Formula.t;
+  seed : Counting.Known.t option;
+      (* ApproxMC's cache of found witnesses, which every
+         domain's cache starts as a copy of. Nothing adds to it. [None]
+         in the easy phase and after [import]: it lives in RAM only. *)
   sessions : (int, domain_state) Hashtbl.t;
-      (* One solver session and one cache of found projections per
+      (* One solver session and one cache of found witnesses per
          domain that has drawn from this state, keyed by
          [Domain.self ()] and created lazily, so every worker warms its
          own solver and cache across the draws it executes and neither
          is ever shared between domains. The table lives and dies with
          the prepared state: dropping the state frees its sessions and
          caches, whatever domains touched it. The sampled witnesses are
-         bit-identical either way: Bsat outcomes are canonically
-         ordered, hence independent of each session's private history
-         whenever a cell is accepted (accepted cells are exhaustively
-         enumerated, so they are equal as sets), and the cache only
-         decides cells that are oversized. *)
+         bit-identical either way: an accepted cell is exhausted, so
+         with S an independent support its witnesses (cached ones and
+         enumerated ones alike) are the cell as a set, taken in
+         canonical order, whatever the session's history or the
+         cache's content. *)
   sessions_lock : Mutex.t; (* guards [sessions] only, never a draw *)
   stats : Sampler.run_stats;
 }
 
-let make_prepared ~sampling ~kappa ~pivot ~hash_density ~formula phase =
+let make_prepared ?seed ~sampling ~kappa ~pivot ~hash_density ~formula phase =
   let hi = Kappa_pivot.hi_thresh ~kappa ~pivot in
   {
     sampling;
@@ -47,6 +51,7 @@ let make_prepared ~sampling ~kappa ~pivot ~hash_density ~formula phase =
     hash_density;
     phase;
     formula;
+    seed;
     sessions = Hashtbl.create 4;
     sessions_lock = Mutex.create ();
     stats = Sampler.fresh_stats ();
@@ -62,7 +67,10 @@ let domain_state t =
           let d =
             {
               session = Sat.Bsat.Session.create ~blocking_vars:t.sampling t.formula;
-              known = Counting.Known.create t.formula;
+              known =
+                (match t.seed with
+                | Some k -> Counting.Known.copy k
+                | None -> Counting.Known.create t.formula);
             }
           in
           Hashtbl.replace t.sessions id d;
@@ -87,8 +95,8 @@ let prepare ?deadline ?count_iterations ?(hash_density = 0.5) ?pool ~rng ~epsilo
   let kappa, pivot = Kappa_pivot.compute epsilon in
   let hi = Kappa_pivot.hi_thresh ~kappa ~pivot in
   let hi_limit = int_of_float (Float.floor hi) + 1 in
-  let make =
-    make_prepared ~sampling:(Cnf.Formula.sampling_vars formula) ~kappa ~pivot
+  let make ?seed =
+    make_prepared ?seed ~sampling:(Cnf.Formula.sampling_vars formula) ~kappa ~pivot
       ~hash_density ~formula
   in
   (* lines 4-7: the easy case *)
@@ -112,29 +120,43 @@ let prepare ?deadline ?count_iterations ?(hash_density = 0.5) ?pool ~rng ~epsilo
             int_of_float
               (Float.ceil (c.Counting.Approxmc.log2_estimate +. log2 1.8 -. log2 (float_of_int pivot)))
           in
-          Ok (make (Hashed { q; count_estimate = c.Counting.Approxmc.estimate }))
+          Ok
+            (make ~seed:c.Counting.Approxmc.known
+               (Hashed { q; count_estimate = c.Counting.Approxmc.estimate }))
     end
   end
 
 let timeout_retries = 3
 
 let c_cells_from_known = Obs.Metrics.counter "unigen.cells_from_known"
+let c_models_from_known = Obs.Metrics.counter "unigen.models_from_known"
 
 (* lines 12-22. [stats] is passed explicitly so that parallel workers
    can record into private accounting instead of racing on [t.stats].
    Each drawn cell is first measured against the domain's cache of
-   found projections: hi_limit cached members prove it oversized, and
-   no solver runs. Otherwise the cell is enumerated exactly as without
-   the cache, and the projections it yields that the cache lacks join
-   it. A cell is oversized iff it holds at least hi_limit projections,
-   and the cache draws nothing from [rng], so the outcome is the one
-   the plain enumeration gives. *)
+   found witnesses: hi_limit cached members prove it oversized, and no
+   solver runs. Otherwise the session enumerates only the rest of the
+   cell, with the k cached members blocked and limit hi_limit - k, and
+   the new witnesses join the cache. (k + found, exhausted) is what a
+   plain enumeration with limit hi_limit gives, and an accepted cell
+   is exhausted, so its cached and new witnesses are the whole cell:
+   sorted canonically, they are the array a plain enumeration returns.
+   The cache draws nothing from [rng], so the outcome does not depend
+   on what it held. *)
 let sample_once ?deadline ~rng ~stats t =
   Obs.Trace.span ~cat:"sampling" "unigen.draw" @@ fun () ->
   match t.phase with
   | Easy models -> Ok (Rng.choose rng models)
   | Hashed { q; _ } ->
       let { session; known } = domain_state t in
+      (* under audit, every cell decided with cached members is
+         checked against a fresh enumeration *)
+      let audit ?models xors k decided =
+        if k > 0 && Audit.is_enabled () then
+          Counting.Known.audit_cell ?deadline
+            ?models:(Option.map Array.to_list models)
+            ~who:"Unigen" ~limit:t.hi_limit ~known:k t.formula xors decided
+      in
       let rec try_size i retries =
         if i > q then Error Sampler.Cell_failure
         else if i < 1 then try_size (i + 1) timeout_retries
@@ -151,21 +173,23 @@ let sample_once ?deadline ~rng ~stats t =
             Obs.Metrics.incr c_cells_from_known;
             stats.Sampler.cells_from_known <- stats.Sampler.cells_from_known + 1;
             stats.Sampler.cells_oversized <- stats.Sampler.cells_oversized + 1;
-            if Audit.is_enabled () then
-              Counting.Known.audit_cell ?deadline ~who:"Unigen" ~limit:t.hi_limit
-                ~known:k t.formula xors (k, false);
+            audit xors k (k, false);
             try_size (i + 1) timeout_retries
           end
           else begin
-            (* warm per-domain session: the hash layer is pushed as a
-               retractable group and popped after the call, leaving
-               base-formula learnt clauses for the next draw *)
+            (* warm per-domain session: the hash layer and the k
+               members' blocking clauses are pushed as one retractable
+               group and popped after the call, leaving base-formula
+               learnt clauses for the next draw *)
             let out =
-              Sat.Bsat.Session.enumerate ?deadline ~xors ~limit:t.hi_limit session
+              Sat.Bsat.Session.enumerate ?deadline ~xors
+                ~known:(List.map (Counting.Known.values known) members)
+                ~limit:(t.hi_limit - k) session
             in
             Sampler.record_solve stats out;
-            (* [members] lists every cached member of the cell *)
-            Counting.Known.add_new known ~among:members out.Sat.Bsat.models;
+            (* [members] lists every cached member of the cell, and
+               they were blocked, so the models found are new *)
+            List.iter (Counting.Known.add known) out.Sat.Bsat.models;
             if out.Sat.Bsat.timed_out then begin
               (* the paper repeats lines 14-16 on a BSAT timeout without
                  incrementing i *)
@@ -178,13 +202,31 @@ let sample_once ?deadline ~rng ~stats t =
               else Error Sampler.Timed_out
             end
             else begin
-              let models = Array.of_list out.Sat.Bsat.models in
-              let n = float_of_int (Array.length models) in
-              if out.Sat.Bsat.exhausted && n >= t.lo && n <= t.hi && n > 0.0 then begin
+              let count = k + List.length out.Sat.Bsat.models in
+              let n = float_of_int count in
+              if out.Sat.Bsat.exhausted && n >= t.lo && n <= t.hi && count > 0 then begin
                 stats.Sampler.cells_accepted <- stats.Sampler.cells_accepted + 1;
+                let models =
+                  if k = 0 then Array.of_list out.Sat.Bsat.models
+                  else begin
+                    Obs.Metrics.incr ~by:k c_models_from_known;
+                    stats.Sampler.models_from_known <-
+                      stats.Sampler.models_from_known + k;
+                    let a =
+                      Array.of_list
+                        (List.rev_append
+                           (List.rev_map (Counting.Known.model known) members)
+                           out.Sat.Bsat.models)
+                    in
+                    Array.sort Cnf.Model.compare a;
+                    a
+                  end
+                in
+                audit ~models xors k (count, true);
                 Ok (Rng.choose rng models)
               end
               else begin
+                audit xors k (count, out.Sat.Bsat.exhausted);
                 if n > t.hi then
                   stats.Sampler.cells_oversized <- stats.Sampler.cells_oversized + 1
                 else stats.Sampler.cells_undersized <- stats.Sampler.cells_undersized + 1;
@@ -264,8 +306,9 @@ let sample_batch ?deadline ?max_attempts ?pool ?(jobs = 1) ~seed t n =
 
 (* ------------------------------------------------------------------ *)
 (* Portable view: everything a prepared state carries that cannot be
-   recomputed for free. The solver sessions, draw-cell caches and stats
-   are rebuilt empty on import; kappa/pivot determine hi/lo/hi_limit, so the thresholds are
+   recomputed for free. The solver sessions, draw-cell caches (and
+   the ApproxMC cache they start from) and stats are rebuilt empty on
+   import; kappa/pivot determine hi/lo/hi_limit, so the thresholds are
    re-derived rather than trusted from the serialized form. Draws
    depend only on (phase, hash_density, sampling set, thresholds,
    formula), all of which the round trip preserves

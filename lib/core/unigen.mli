@@ -65,14 +65,22 @@ val prepare :
     probability of Table 1 is [samples_produced / samples_requested]
     whatever [max_attempts] is.
 
-    Each domain that draws keeps a cache of the projections its draws
-    have found ({!Counting.Known}), beside its solver session. A cell
-    holding at least ⌊hiThresh⌋ + 1 cached members is oversized and is
-    skipped without a solver call; any other cell is enumerated as
-    without the cache. The hash and witness draws are unchanged, so
-    the outcome does not depend on what the cache held. Under audit
-    mode every skipped cell is re-enumerated by a fresh solver
-    (invariant [known-cell]).
+    Each domain that draws keeps a cache of found witnesses
+    ({!Counting.Known}) beside its solver session. It starts as a copy
+    of the witnesses ApproxMC found while preparing the state (RAM
+    only: an {!import}ed state starts empty) and grows with every
+    witness the domain's draws enumerate. A cell holding at least
+    ⌊hiThresh⌋ + 1 cached members is oversized and is skipped without
+    a solver call. Any other cell, with k cached members, is
+    enumerated with those k blocked and limit ⌊hiThresh⌋ + 1 − k, so
+    the session finds only what the cache lacks; an accepted cell's
+    witnesses are the cached and the new ones, in canonical order.
+    Cell sizes, exhaustion and (whenever S is an independent support)
+    the witness set are those of a plain enumeration, and the hash and
+    witness draws are unchanged, so the outcome does not depend on
+    what the cache held. Under audit mode every cell decided with
+    cached members is re-enumerated by a fresh solver (invariant
+    [known-cell]).
 
     Leaf-level sampling is embarrassingly parallel: after {!prepare},
     each sample only re-runs lines 12–22 against an independently drawn
@@ -146,7 +154,9 @@ val import : formula:Cnf.Formula.t -> portable -> prepared
     same canonical formula the exported state was prepared from (the
     caller verifies this via the registry fingerprint in its store
     key). Fresh per-domain solver sessions, empty draw-cell caches
-    and zeroed stats.
+    and zeroed stats: ApproxMC's cache of found witnesses, which a
+    freshly prepared state's draw caches start from, is not part of
+    the portable view.
     @raise Invalid_argument when an easy-phase model list is malformed
     (negative [num_vars] or a literal out of range). *)
 

@@ -6,6 +6,7 @@ type result = {
   failed_iterations : int;
   solver_stats : Sat.Solver.stats;
   reuse_hits : int;
+  known : Known.t;
 }
 
 type error = Unsat | Timed_out
@@ -108,9 +109,9 @@ let core ?deadline ~rng ~pivot ~known f =
    a pure function of the master seed — the same on the calling domain
    as on a pool of any size. Each domain keeps its own cache of found
    projections, taken from a mutex-guarded table keyed by
-   [Domain.self ()]; the lock covers the lookup only. An iteration
-   that hits the deadline comes back as [None] rather than raising
-   across domains. *)
+   [Domain.self ()]; the lock covers the lookup only. The largest is
+   handed out with the result. An iteration that hits the deadline
+   comes back as [None] rather than raising across domains. *)
 let iterate ?deadline ?pool ~rng ~pivot ~t ~fresh_known f =
   let master = Int64.to_int (Rng.bits64 rng) land max_int in
   let caches = Hashtbl.create 4 in
@@ -131,9 +132,22 @@ let iterate ?deadline ?pool ~rng ~pivot ~t ~fresh_known f =
     with Deadline -> None
   in
   let indices = Array.init t Fun.id in
-  match pool with
-  | Some p -> Parallel.Domain_pool.map p one indices
-  | None -> Array.map one indices
+  let outs =
+    match pool with
+    | Some p -> Parallel.Domain_pool.map p one indices
+    | None -> Array.map one indices
+  in
+  (* every iteration has returned, so no domain adds to a cache now *)
+  let largest =
+    Hashtbl.fold
+      (fun _ k best ->
+        match best with
+        | Some b when Known.size b >= Known.size k -> best
+        | _ -> Some k)
+      caches None
+  in
+  (* t >= 1, so some domain took a cache *)
+  (outs, Option.get largest)
 
 let count ?deadline ?iterations ?pool ~rng ~epsilon ~delta f =
   Obs.Trace.span ~cat:"counting" "approxmc.count" @@ fun () ->
@@ -148,6 +162,12 @@ let count ?deadline ?iterations ?pool ~rng ~epsilon ~delta f =
     if out.Sat.Bsat.timed_out then Error Timed_out
     else begin
       let n0 = List.length out.Sat.Bsat.models in
+      (* every cache starts from the easy check's witnesses *)
+      let fresh_known () =
+        let k = Known.create f in
+        List.iter (Known.add k) out.Sat.Bsat.models;
+        k
+      in
       if n0 = 0 then Error Unsat
       else if out.Sat.Bsat.exhausted then
         Ok
@@ -159,18 +179,14 @@ let count ?deadline ?iterations ?pool ~rng ~epsilon ~delta f =
             failed_iterations = 0;
             solver_stats = out.Sat.Bsat.stats;
             reuse_hits = 0;
+            known = fresh_known ();
           }
       else begin
         let estimates = ref [] in
         let failures = ref 0 in
         let agg_stats = ref out.Sat.Bsat.stats in
         let reuse_hits = ref 0 in
-        (* every cache starts from the easy check's pivot+1 witnesses *)
-        let fresh_known () =
-          let k = Known.create f in
-          List.iter (Known.add k) out.Sat.Bsat.models;
-          k
-        in
+        let outs, known = iterate ?deadline ?pool ~rng ~pivot ~t ~fresh_known f in
         Array.iter
           (function
             | None -> raise Deadline
@@ -180,7 +196,7 @@ let count ?deadline ?iterations ?pool ~rng ~epsilon ~delta f =
                 (match co.co_res with
                 | Some e -> estimates := e :: !estimates
                 | None -> incr failures))
-          (iterate ?deadline ?pool ~rng ~pivot ~t ~fresh_known f);
+          outs;
         match !estimates with
         | [] -> Error Timed_out (* all iterations failed: no usable estimate *)
         | es ->
@@ -194,6 +210,7 @@ let count ?deadline ?iterations ?pool ~rng ~epsilon ~delta f =
                 failed_iterations = !failures;
                 solver_stats = !agg_stats;
                 reuse_hits = !reuse_hits;
+                known;
               }
       end
     end

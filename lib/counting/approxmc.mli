@@ -24,6 +24,13 @@ type result = {
       (** BSAT calls served by a warm solver session (0 in the exact
           easy case); cells decided from cached projections make no
           call and are not counted *)
+  known : Known.t;
+      (** the largest of the count's per-domain caches of found
+          witnesses (the easy check's
+          witnesses in the exact case). No domain adds to it once
+          [count] has returned, so callers may {!Known.copy} it from
+          any domain; UniGen starts each draw domain's cache from a
+          copy. *)
 }
 
 type error = Unsat | Timed_out
@@ -49,11 +56,12 @@ val count :
     swapped, so base-formula clauses are learnt once per iteration
     instead of once per hash size.
 
-    The count keeps a cache of the solutions it has found, as packed
-    bitsets of their projections onto the sampling set (a bounded
-    {!Known} cache), for the length of the call: one per domain that
-    runs iterations, each seeded with the easy check's pivot + 1
-    witnesses. A drawn cell is first measured against the cache: with
+    The count keeps a cache of the solutions it has found (a bounded
+    {!Known} cache: their projections onto the sampling set as packed
+    bitsets, and the full witnesses): one per domain that runs
+    iterations, each seeded with the easy check's pivot + 1
+    witnesses. The largest is handed out as [known] in the result;
+    the others die with the call. A drawn cell is first measured against the cache: with
     k >= pivot + 1 cached members it is decided as cut without a
     solver call; otherwise the session enumerates it with those k
     projections blocked and a limit of pivot + 1 - k, and the new

@@ -1,33 +1,57 @@
-(* The projections onto the sampling set S found so far, stored
-   bit-sliced: [cols.(j)] is a bitset over the members, bit [r mod bits]
-   of word [r / bits] holding member [r]'s value of [sampling.(j)]. An
-   XOR row over S then evaluates on [bits] members at once, one word
-   XOR per variable of the row. A cache belongs to one domain. *)
+(* The witnesses found so far, in two layouts:
+   - their projections onto the sampling set S, bit-sliced: [cols.(j)]
+     is a bitset over the members, bit [r mod bits] of word [r / bits]
+     holding member [r]'s value of [sampling.(j)]. An XOR row over S
+     then evaluates on [bits] members at once, one word XOR per
+     variable of the row.
+   - the full witnesses, [model_bytes] bytes each (see
+     [Cnf.Model.pack]), in chunks of [chunk_members] members. A chunk
+     is a Bigarray: it never moves, the GC does not scan it, and once
+     full it is never written again, so a [copy] shares it.
+   A cache belongs to one domain. *)
+
+open Bigarray
 
 let bits = Sys.int_size
 
-(* The columns never exceed this many words in total: 2 MiB on a
-   64-bit host. *)
+(* Columns and witnesses together never exceed this many words' worth
+   of bits: 2 MiB on a 64-bit host. *)
 let max_words = 1 lsl 18
+
+let chunk_members = 512
+
+type chunk = (int, int8_unsigned_elt, c_layout) Array1.t
 
 type t = {
   sampling : int array;
   index : int array; (* variable -> position in [sampling], or -1 *)
+  num_vars : int;
+  model_bytes : int; (* bytes per packed witness *)
   max_col_words : int; (* the bound, in words per column *)
   mutable cols : int array array;
+  mutable chunks : chunk array; (* chunk [c] holds members [c * chunk_members ..] *)
   mutable size : int;
 }
 
 let create f =
   let sampling = Cnf.Formula.sampling_vars f in
-  let index = Array.make (f.Cnf.Formula.num_vars + 1) (-1) in
+  let num_vars = f.Cnf.Formula.num_vars in
+  let index = Array.make (num_vars + 1) (-1) in
   Array.iteri (fun j v -> index.(v) <- j) sampling;
-  let max_col_words = max_words / max 1 (Array.length sampling) in
+  let model_bytes = (num_vars + 7) / 8 in
+  (* a column word covers [bits] members, each also costing
+     [model_bytes] bytes of witness *)
+  let max_col_words =
+    max_words / max 1 (Array.length sampling + (8 * model_bytes))
+  in
   {
     sampling;
     index;
+    num_vars;
+    model_bytes;
     max_col_words;
     cols = Array.map (fun _ -> Array.make (min 4 max_col_words) 0) sampling;
+    chunks = [||];
     size = 0;
   }
 
@@ -35,6 +59,8 @@ let size t = t.size
 let capacity t = t.max_col_words * bits
 
 let add t m =
+  if Cnf.Model.num_vars m <> t.num_vars then
+    invalid_arg "Known.add: model width differs from the formula's";
   let r = t.size in
   let w = r / bits in
   if w < t.max_col_words then begin
@@ -51,35 +77,43 @@ let add t m =
         if Cnf.Model.value m v then
           t.cols.(j).(w) <- t.cols.(j).(w) lor (1 lsl (r mod bits)))
       t.sampling;
+    let c = r / chunk_members in
+    if c >= Array.length t.chunks then
+      t.chunks <-
+        Array.append t.chunks
+          [| Array1.create int8_unsigned c_layout (chunk_members * t.model_bytes) |];
+    let chunk = t.chunks.(c) in
+    let base = r mod chunk_members * t.model_bytes in
+    Cnf.Model.pack m (fun i byte -> Array1.unsafe_set chunk (base + i) byte);
     t.size <- r + 1
   end
+
+let copy t =
+  (* full chunks are never written again; the last one may be *)
+  let full = t.size / chunk_members in
+  {
+    t with
+    cols = Array.map Array.copy t.cols;
+    chunks =
+      Array.mapi
+        (fun c chunk ->
+          if c < full then chunk
+          else begin
+            let fresh = Array1.create int8_unsigned c_layout (Array1.dim chunk) in
+            Array1.blit chunk fresh;
+            fresh
+          end)
+        t.chunks;
+  }
 
 let bit words r = (words.(r / bits) lsr (r mod bits)) land 1 = 1
 let values t r = Array.map (fun col -> bit col r) t.cols
 
-(* A projection packed [bits] values to a word, in S's order. *)
-let pack t value =
-  let key = Array.make ((Array.length t.sampling + bits - 1) / bits) 0 in
-  for j = 0 to Array.length t.sampling - 1 do
-    if value j then key.(j / bits) <- key.(j / bits) lor (1 lsl (j mod bits))
-  done;
-  key
-
-let same a b =
-  let i = ref 0 in
-  while !i < Array.length a && a.(!i) = b.(!i) do incr i done;
-  !i = Array.length a
-
-let add_new t ~among models =
-  match among with
-  | [] -> List.iter (add t) models
-  | _ ->
-      let known = List.map (fun r -> pack t (fun j -> bit t.cols.(j) r)) among in
-      List.iter
-        (fun m ->
-          let key = pack t (fun j -> Cnf.Model.value m t.sampling.(j)) in
-          if not (List.exists (same key) known) then add t m)
-        models
+let model t r =
+  if r < 0 || r >= t.size then invalid_arg "Known.model: no such member";
+  let chunk = t.chunks.(r / chunk_members) in
+  let base = r mod chunk_members * t.model_bytes in
+  Cnf.Model.unpack t.num_vars (fun i -> Array1.unsafe_get chunk (base + i))
 
 let in_cell t ~limit (xors : Cnf.Xor_clause.t list) =
   let rows =
@@ -118,17 +152,38 @@ let in_cell t ~limit (xors : Cnf.Xor_clause.t list) =
   in
   scan 0 [] 0
 
-let audit_cell ?deadline ~who ~limit ~known f xors (count, exhausted) =
-  let fresh = Sat.Bsat.enumerate ?deadline ~limit (Cnf.Formula.add_xors f xors) in
+let audit_cell ?deadline ?models ~who ~limit ~known f xors (count, exhausted) =
+  let cell = Cnf.Formula.add_xors f xors in
+  let fresh = Sat.Bsat.enumerate ?deadline ~limit cell in
   let fresh_count = List.length fresh.Sat.Bsat.models in
-  if (not fresh.Sat.Bsat.timed_out)
-     && (fresh_count <> count || fresh.Sat.Bsat.exhausted <> exhausted)
-  then
-    Audit.fail ~invariant:"known-cell"
-      ~detail:(who ^ ": a cell decided from cached projections differs from a fresh enumeration")
-      [ ("hash_size", string_of_int (List.length xors));
-        ("known", string_of_int known);
-        ("count", string_of_int count);
-        ("exhausted", string_of_bool exhausted);
-        ("fresh_count", string_of_int fresh_count);
-        ("fresh_exhausted", string_of_bool fresh.Sat.Bsat.exhausted) ]
+  let sampling = Cnf.Formula.sampling_vars f in
+  let projections ms =
+    List.sort String.compare
+      (List.map (fun m -> Cnf.Model.key (Cnf.Model.restrict m sampling)) ms)
+  in
+  let fail detail extra =
+    Audit.fail ~invariant:"known-cell" ~detail:(who ^ ": " ^ detail)
+      ([ ("hash_size", string_of_int (List.length xors));
+         ("known", string_of_int known);
+         ("count", string_of_int count);
+         ("exhausted", string_of_bool exhausted);
+         ("fresh_count", string_of_int fresh_count);
+         ("fresh_exhausted", string_of_bool fresh.Sat.Bsat.exhausted) ]
+      @ extra)
+  in
+  if not fresh.Sat.Bsat.timed_out then begin
+    if fresh_count <> count || fresh.Sat.Bsat.exhausted <> exhausted then
+      fail "a cell decided from cached projections differs from a fresh enumeration" [];
+    match models with
+    | None -> ()
+    | Some ms ->
+        (match List.find_opt (fun m -> not (Cnf.Model.satisfies cell m)) ms with
+        | Some m ->
+            fail "a witness of a cell assembled from the cache falsifies the cell"
+              [ ("witness",
+                 String.concat " " (List.map string_of_int (Cnf.Model.to_dimacs m))) ]
+        | None -> ());
+        if projections ms <> projections fresh.Sat.Bsat.models then
+          fail "a cell assembled from the cache holds other projections than a fresh enumeration"
+            []
+  end

@@ -1,18 +1,22 @@
-(** A cache of projections onto a formula's sampling set S, each the
-    projection of a witness the caller has found, used to decide hashed
-    cells without a solver call. ApproxMC keeps one per count and
-    domain, UniGen one per prepared state and domain.
+(** A cache of the witnesses a caller has found, used to decide hashed
+    cells without a solver call and to supply a cell's witnesses
+    without finding them again. ApproxMC keeps one per count and
+    domain and hands its largest out with its result; UniGen gives each domain
+    that draws from a prepared state a {!copy} of it.
 
-    Members are stored bit-sliced (one bitset over the members per
-    variable of S), so an XOR row over S is evaluated on
-    [Sys.int_size] members per word operation. A cache belongs to one
-    domain.
+    Each member is held twice. Its projection onto the sampling set S
+    is stored bit-sliced (one bitset over the members per variable of
+    S), so an XOR row over S is evaluated on [Sys.int_size] members per
+    word operation. Its full witness is stored bit-packed
+    (⌈|X| / 8⌉ bytes, see {!Cnf.Model.pack}) in fixed chunks of 512
+    members, Bigarrays that never move, that the GC does not scan and
+    that {!copy} shares once full. A cache belongs to one domain.
 
-    The cache is bounded with no knob: its columns never exceed
-    2{^ 18} words, so |S| x members ≤ 2{^ 24} bits (2 MiB on a 64-bit
-    host; about 917 k members at |S| = 18). Once full it ignores
-    {!add}; every decision made from it stays exact, it only holds
-    fewer members than it could. *)
+    The cache is bounded with no knob: columns and witnesses together
+    never exceed 2{^ 18} words, so (|S| + |X|) x members ≤ 2{^ 24} bits
+    (2 MiB on a 64-bit host; about 113 k members at |S| = 18 and
+    |X| = 128). Once full it ignores {!add}; every decision made from
+    it stays exact, it only holds fewer members than it could. *)
 
 type t
 
@@ -26,21 +30,26 @@ val capacity : t -> int
 (** The most members the bound admits for this sampling set. *)
 
 val add : t -> Cnf.Model.t -> unit
-(** Append the model's projection onto S as a new member; a no-op once
-    the cache holds {!capacity} members. The caller guarantees that the
-    projection is not a member yet (for instance because the members it
-    could equal were blocked in the enumeration that found the model). *)
+(** Append the model as a new member; a no-op once the cache holds
+    {!capacity} members. The caller guarantees that its projection is
+    not a member yet (for instance because the members it could equal
+    were blocked in the enumeration that found the model).
+    @raise Invalid_argument when the model is not over the formula's
+    [num_vars] variables. *)
 
-val add_new : t -> among:int list -> Cnf.Model.t list -> unit
-(** {!add} each model whose projection equals none of the members
-    [among]. The models must have distinct projections. With [among]
-    the full list {!in_cell} returned for a cell (its count stayed
-    below the limit) and models inside that cell, the members stay
-    distinct. *)
+val copy : t -> t
+(** An independent cache with the same members. It shares the full
+    witness chunks, which are never written again, so a copy costs
+    the columns and at most one chunk. Copying is a read: many
+    domains may copy one cache that no domain adds to. *)
 
 val values : t -> int -> bool array
 (** Member [r] as the values of S's variables, in S's order (the form
     [Sat.Bsat.Session.enumerate ~known] takes). *)
+
+val model : t -> int -> Cnf.Model.t
+(** Member [r]'s full witness, as it was added.
+    @raise Invalid_argument when [r] is not a member. *)
 
 val in_cell : t -> limit:int -> Cnf.Xor_clause.t list -> int list * int
 (** [in_cell t ~limit xors] is [(members, k)]: the members whose
@@ -50,6 +59,7 @@ val in_cell : t -> limit:int -> Cnf.Xor_clause.t list -> int list * int
 
 val audit_cell :
   ?deadline:float ->
+  ?models:Cnf.Model.t list ->
   who:string ->
   limit:int ->
   known:int ->
@@ -60,6 +70,9 @@ val audit_cell :
 (** [audit_cell ~who ~limit ~known f xors (count, exhausted)] checks a
     cell decided with [known] cached members: a fresh one-shot
     enumeration of [f] with [xors] and limit [limit] must return
-    [count] witnesses and the same [exhausted] flag, else it raises
-    [Audit.Violation] with invariant [known-cell], naming [who]. A
-    fresh enumeration that times out checks nothing. *)
+    [count] witnesses and the same [exhausted] flag. With [models] (a
+    cell whose witnesses were assembled from the cache and the
+    session), every model must also satisfy [f] with [xors], and their
+    sorted projections onto S must equal the fresh enumeration's. A
+    failed check raises [Audit.Violation] with invariant [known-cell],
+    naming [who]. A fresh enumeration that times out checks nothing. *)

@@ -9,17 +9,25 @@ let sample ?(density = 0.5) rng ~vars ~m =
   if density <= 0.0 || density > 1.0 then invalid_arg "Hxor.sample: bad density";
   if m > 0 && Array.length vars = 0 then
     invalid_arg "Hxor.sample: empty variable set";
+  (* one draw per variable, in order; the chosen ones go to [picked] *)
+  let picked = Array.make (Array.length vars) 0 in
   let row () =
-    Array.to_list vars
-    |> List.filter (fun _ ->
-           if density = 0.5 then Rng.bool rng else Rng.bernoulli rng density)
-    |> Array.of_list
+    let k = ref 0 in
+    Array.iter
+      (fun v ->
+        if if density = 0.5 then Rng.bool rng else Rng.bernoulli rng density then begin
+          picked.(!k) <- v;
+          incr k
+        end)
+      vars;
+    Array.sub picked 0 !k
   in
-  {
-    rows = Array.init m (fun _ -> row ());
-    offsets = Array.init m (fun _ -> Rng.bool rng);
-    alpha = Array.init m (fun _ -> Rng.bool rng);
-  }
+  (* the draw order fixes every hash stream, and with it every
+     witness: the target cell, then the offsets, then the rows *)
+  let alpha = Array.init m (fun _ -> Rng.bool rng) in
+  let offsets = Array.init m (fun _ -> Rng.bool rng) in
+  let rows = Array.init m (fun _ -> row ()) in
+  { rows; offsets; alpha }
 
 let m t = Array.length t.rows
 let alpha t = Array.copy t.alpha

@@ -122,11 +122,13 @@ cmp -s "$count_dir/mc1" "$count_dir/mc2" || {
 json_ok "$count_dir/metrics1.json" "$count_dir/metrics2.json"
 rm -rf "$count_dir"
 
-echo "== draw smoke (known-projection cache, audit mode)"
+echo "== draw smoke (known-witness cache, audit mode)"
 # UniGen draws decide oversized cells from each domain's cache of found
-# projections. With the audit live, every such cell is re-enumerated by
-# a fresh solver (invariant known-cell); the witnesses must not depend
-# on the worker count, and the cache must have decided some cells.
+# witnesses, which starts from ApproxMC's, and take accepted cells'
+# cached witnesses from it. With the audit live, every cell that used
+# the cache is re-enumerated by a fresh solver (invariant known-cell);
+# the witnesses must not depend on the worker count, and the cache must
+# have decided some cells and supplied some witnesses.
 draw_dir=$(mktemp -d)
 dune exec bin/unigen_cli.exe -- bench-gen case_m1 -o "$draw_dir/m1.cnf" > /dev/null
 for j in 1 2; do
@@ -142,6 +144,8 @@ import json, sys
 m = json.load(open(sys.argv[1]))["metrics"]
 if m.get("unigen.cells_from_known", 0) <= 0:
     sys.exit("error: %s: unigen.cells_from_known should be > 0" % sys.argv[1])
+if m.get("unigen.models_from_known", 0) <= 0:
+    sys.exit("error: %s: unigen.models_from_known should be > 0" % sys.argv[1])
 PYEOF
 done
 cmp -s "$draw_dir/v1" "$draw_dir/v2" || {

@@ -599,6 +599,22 @@ let prop_eval_bytes_is_eval =
                (Cnf.Xor_clause.eval (fun v -> Bytes.get b (v - 1) = '\001') x))
            f.Cnf.Formula.xors)
 
+(* [pack] against a bit-by-bit reading of the model, and [unpack] as
+   its inverse, on widths around the 8-byte steps of the fast path. *)
+let prop_model_pack_unpack =
+  QCheck2.Test.make ~count:500 ~name:"model pack = bitwise, unpack inverts"
+    QCheck2.Gen.(pair (int_bound 1_000_000) (int_bound 200))
+    (fun (seed, n) ->
+      let rng = Rng.create seed in
+      let m = Cnf.Model.make n (fun _ -> Rng.bool rng) in
+      let bytes = Array.make (Cnf.Model.packed_bytes m) (-1) in
+      Cnf.Model.pack m (fun i b -> bytes.(i) <- b);
+      let bit v = (bytes.((v - 1) / 8) lsr ((v - 1) mod 8)) land 1 = 1 in
+      Array.length bytes = (n + 7) / 8
+      && Array.for_all (fun b -> b >= 0 && b < 256) bytes
+      && List.for_all (fun v -> Bool.equal (bit v) (Cnf.Model.value m v)) (List.init n succ)
+      && Cnf.Model.equal (Cnf.Model.unpack n (Array.get bytes)) m)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -608,6 +624,7 @@ let qcheck_cases =
       prop_model_key_injective;
       prop_model_compare_is_key_order;
       prop_model_roundtrips;
+      prop_model_pack_unpack;
       prop_eval_bytes_is_eval;
     ]
 

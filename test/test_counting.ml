@@ -380,27 +380,106 @@ let prop_known_in_cell =
       && List.sort compare all = inside
       && List.for_all (fun r -> Counting.Known.values k r = members.(r)) inside)
 
-(* Known members plus a solver's enumeration of one cell, which may
-   re-find members: [add_new] against the cell's member list keeps the
-   members distinct and adds exactly the new projections. *)
-let prop_known_add_new_distinct =
-  QCheck2.Test.make ~count:200 ~name:"known add_new keeps members distinct"
-    QCheck2.Gen.(tup3 (int_bound 100_000) (int_range 1 70) (int_range 0 4))
-    (fun (seed, width, m) ->
+(* A random formula whose sampling set S = 1..width is an independent
+   support: its clauses range over S, and each extra variable is
+   defined from earlier ones (and, or, xor), so every projection onto
+   S extends to exactly one witness. *)
+let independent_formula rng ~width ~extra =
+  let on_s =
+    List.init (Rng.int rng (width + 1)) (fun _ ->
+        Cnf.Clause.to_dimacs
+          (Test_util.Gen.random_clause rng ~num_vars:width ~width:3))
+  in
+  let defs =
+    List.concat
+      (List.init extra (fun e ->
+           let x = width + e + 1 in
+           let lit () = (1 + Rng.int rng (x - 1)) * if Rng.bool rng then 1 else -1 in
+           let a = lit () and b = lit () in
+           match Rng.int rng 3 with
+           | 0 -> [ [ -x; a ]; [ -x; b ]; [ x; -a; -b ] ] (* x = a and b *)
+           | 1 -> [ [ x; -a ]; [ x; -b ]; [ -x; a; b ] ] (* x = a or b *)
+           | _ -> [ [ -x; a; b ]; [ -x; -a; -b ]; [ x; -a; b ]; [ x; a; -b ] ]))
+  in
+  Cnf.Formula.create
+    ~sampling_set:(List.init width (fun i -> i + 1))
+    ~num_vars:(width + extra)
+    (List.map Cnf.Clause.of_dimacs (on_s @ defs))
+
+(* What a draw does with a cell: the cached members in it, plus the
+   rest enumerated with those members blocked, are the cell a fresh
+   enumeration returns (same count and exhausted flag, and the same
+   full models in canonical order when the cell is exhausted). *)
+let prop_known_completes_fresh_cell =
+  QCheck2.Test.make ~count:150 ~name:"known members + enumerate ~known = fresh cell"
+    QCheck2.Gen.(
+      tup4 (int_bound 100_000) (int_range 1 9)
+        (oneof [ int_range 0 4; int_range 55 70; int_range 118 135 ])
+        (int_range 0 4))
+    (fun (seed, width, extra, m) ->
       let rng = Rng.create seed in
-      let f = sampling_formula rng ~width ~extra:2 in
+      let f = independent_formula rng ~width ~extra in
       let k = Counting.Known.create f in
-      let pool = Array.to_list (distinct_projections rng ~width 250) in
-      let start = List.filter (fun _ -> Rng.bool rng) pool in
-      List.iter (fun b -> Counting.Known.add k (model_of rng f b)) start;
+      List.iter
+        (fun w -> if Rng.bool rng then Counting.Known.add k w)
+        (Sat.Bsat.enumerate ~limit:max_int f).Sat.Bsat.models;
       let xors = random_rows rng f m in
-      let among, _ = Counting.Known.in_cell k ~limit:max_int xors in
-      let found = List.filter (fun b -> in_rows f xors b && Rng.bool rng) pool in
-      Counting.Known.add_new k ~among (List.map (model_of rng f) found);
-      let held = List.init (Counting.Known.size k) (Counting.Known.values k) in
-      List.length (List.sort_uniq compare held) = List.length held
-      && List.sort compare held
-         = List.sort_uniq compare (start @ found))
+      let limit = 1 + Rng.int rng 24 in
+      let members, n = Counting.Known.in_cell k ~limit xors in
+      let fresh = Sat.Bsat.enumerate ~limit (Cnf.Formula.add_xors f xors) in
+      if n >= limit then
+        (not fresh.Sat.Bsat.exhausted) && List.length fresh.Sat.Bsat.models = limit
+      else begin
+        let out =
+          Sat.Bsat.Session.enumerate ~xors
+            ~known:(List.map (Counting.Known.values k) members)
+            ~limit:(limit - n) (Sat.Bsat.Session.create f)
+        in
+        let cell =
+          List.sort Cnf.Model.compare
+            (List.map (Counting.Known.model k) members @ out.Sat.Bsat.models)
+        in
+        out.Sat.Bsat.exhausted = fresh.Sat.Bsat.exhausted
+        && List.length cell = List.length fresh.Sat.Bsat.models
+        && ((not fresh.Sat.Bsat.exhausted)
+           || List.equal Cnf.Model.equal cell fresh.Sat.Bsat.models)
+      end)
+
+(* [model] returns each member's witness as added, across the
+   512-member chunk boundaries and the byte boundaries of |X|; a copy
+   and its original then grow apart without touching each other. *)
+let prop_known_model_roundtrip =
+  QCheck2.Test.make ~count:60 ~name:"known model round-trips, copies independent"
+    QCheck2.Gen.(
+      tup4 (int_bound 100_000)
+        (oneof [ pure 1; int_range 11 70; int_range 120 130 ])
+        (oneof [ pure 0; int_range 1 70; int_range 115 135 ])
+        (oneof [ int_range 0 20; int_range 500 530; int_range 1000 1100 ]))
+    (fun (seed, width, extra, n) ->
+      let rng = Rng.create seed in
+      let f = sampling_formula rng ~width ~extra in
+      let members = distinct_projections rng ~width n in
+      let n = Array.length members in
+      let mine = Array.map (model_of rng f) members in
+      let theirs = Array.map (model_of rng f) members in
+      let k = Counting.Known.create f in
+      let cut = Rng.int rng (n + 1) in
+      for r = 0 to cut - 1 do Counting.Known.add k mine.(r) done;
+      let c = Counting.Known.copy k in
+      for r = cut to n - 1 do
+        Counting.Known.add k mine.(r);
+        Counting.Known.add c theirs.(r)
+      done;
+      let holds t expect =
+        Counting.Known.size t = n
+        && List.for_all
+             (fun r ->
+               Cnf.Model.equal (Counting.Known.model t r) (expect r)
+               && Counting.Known.values t r = members.(r))
+             (List.init n Fun.id)
+      in
+      holds k (fun r -> mine.(r))
+      && holds c (fun r -> if r < cut then mine.(r) else theirs.(r)))
 
 (* A sampling set wide enough that the bound is a few thousand
    members. *)
@@ -410,8 +489,8 @@ let test_known_bound () =
   let f = sampling_formula rng ~width ~extra:0 in
   let k = Counting.Known.create f in
   let cap = Counting.Known.capacity k in
-  Alcotest.(check bool) "width x capacity within 2^24 bits" true
-    (cap > 0 && width * cap <= 1 lsl 24);
+  Alcotest.(check bool) "(|S| + |X|) x capacity within 2^24 bits" true
+    (cap > 0 && (width + f.Cnf.Formula.num_vars) * cap <= 1 lsl 24);
   let fill n =
     for _ = 1 to n do
       Counting.Known.add k (model_of rng f (Array.init width (fun _ -> Rng.bool rng)))
@@ -423,13 +502,14 @@ let test_known_bound () =
   let decide () = List.map (Counting.Known.in_cell k ~limit:63) cells in
   let before = decide () in
   let values = List.init 5 (Counting.Known.values k) in
+  let models = List.init 5 (Counting.Known.model k) @ [ Counting.Known.model k (cap - 1) ] in
   fill 100;
-  Counting.Known.add_new k ~among:[]
-    [ model_of rng f (Array.init width (fun _ -> Rng.bool rng)) ];
   Alcotest.(check int) "stops growing at the bound" cap (Counting.Known.size k);
   Alcotest.(check bool) "no decision changes" true (decide () = before);
   Alcotest.(check bool) "members unchanged" true
-    (List.init 5 (Counting.Known.values k) = values)
+    (List.init 5 (Counting.Known.values k) = values
+    && List.equal Cnf.Model.equal models
+         (List.init 5 (Counting.Known.model k) @ [ Counting.Known.model k (cap - 1) ]))
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -439,7 +519,8 @@ let qcheck_cases =
       prop_approx_envelope;
       prop_approx_replays_hash_draws;
       prop_known_in_cell;
-      prop_known_add_new_distinct;
+      prop_known_completes_fresh_cell;
+      prop_known_model_roundtrip;
     ]
 
 let () =

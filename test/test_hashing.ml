@@ -175,6 +175,43 @@ let test_partitioning_shrinks_solution_set () =
     true
     (avg > 27.0 && avg < 37.0)
 
+(* [Hxor.sample] as it was written, building each row through a list,
+   kept as the oracle for the one-pass builder: the same generator
+   state must give the same rows, offsets and target cell, and leave
+   the generator in the same state. *)
+type drawn = { rows : int array array; offsets : bool array; alpha : bool array }
+
+let sample_by_lists ~density rng ~vars ~m =
+  let row () =
+    Array.to_list vars
+    |> List.filter (fun _ ->
+           if density = 0.5 then Rng.bool rng else Rng.bernoulli rng density)
+    |> Array.of_list
+  in
+  (* a record literal, as the builder was written: the streams depend
+     on the order ocamlopt evaluates its fields in *)
+  {
+    rows = Array.init m (fun _ -> row ());
+    offsets = Array.init m (fun _ -> Rng.bool rng);
+    alpha = Array.init m (fun _ -> Rng.bool rng);
+  }
+
+let prop_sample_matches_list_builder =
+  QCheck2.Test.make ~count:300 ~name:"sample = list-based builder"
+    QCheck2.Gen.(
+      tup4 (int_bound 1_000_000) (int_range 1 140) (int_range 0 12)
+        (oneofl [ 0.5; 0.5; 0.1; 0.3; 1.0 ]))
+    (fun (seed, n, m, density) ->
+      let vars = Array.init n (fun i -> 2 * i + 1) in
+      let a = Rng.create seed and b = Rng.create seed in
+      let h = Hashing.Hxor.sample ~density a ~vars ~m in
+      let { rows; offsets; alpha } = sample_by_lists ~density b ~vars ~m in
+      Hashing.Hxor.constraints h
+      = List.init m (fun i ->
+            Cnf.Xor_clause.make (Array.to_list rows.(i)) (alpha.(i) <> offsets.(i)))
+      && Hashing.Hxor.alpha h = alpha
+      && Rng.bits64 a = Rng.bits64 b)
+
 let () =
   Alcotest.run "hashing"
     [
@@ -192,4 +229,5 @@ let () =
           Alcotest.test_case "total length" `Quick test_total_length_consistent;
           Alcotest.test_case "partitioning" `Quick test_partitioning_shrinks_solution_set;
         ] );
+      ("properties", [ QCheck_alcotest.to_alcotest prop_sample_matches_list_builder ]);
     ]

@@ -238,6 +238,56 @@ let test_bernoulli_rate () =
   let rate = float_of_int !hits /. float_of_int trials in
   Alcotest.(check bool) "rate near 0.3" true (rate > 0.28 && rate < 0.32)
 
+(* The generator as it was written with a record of four boxed int64
+   fields, kept as the oracle for the unboxed state: seeded the same
+   way, it must produce the same stream. *)
+module Boxed = struct
+  type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+
+  let splitmix64 state =
+    let open Int64 in
+    state := add !state 0x9E3779B97F4A7C15L;
+    let z = !state in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+    logxor z (shift_right_logical z 31)
+
+  let expand state =
+    let s0 = splitmix64 state in
+    let s1 = splitmix64 state in
+    let s2 = splitmix64 state in
+    let s3 = splitmix64 state in
+    { s0; s1; s2; s3 }
+
+  let create seed = expand (ref (Int64.of_int seed))
+
+  let of_stream ~seed index =
+    let whitened = splitmix64 (ref (Int64.of_int seed)) in
+    expand (ref (Int64.add whitened (Int64.mul (Int64.of_int index) 0xD1B54A32D192ED03L)))
+
+  let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+  let bits64 t =
+    let open Int64 in
+    let result = mul (rotl (mul t.s1 5L) 7) 9L in
+    let tmp = shift_left t.s1 17 in
+    t.s2 <- logxor t.s2 t.s0;
+    t.s3 <- logxor t.s3 t.s1;
+    t.s1 <- logxor t.s1 t.s2;
+    t.s0 <- logxor t.s0 t.s3;
+    t.s2 <- logxor t.s2 tmp;
+    t.s3 <- rotl t.s3 45;
+    result
+end
+
+let prop_unboxed_matches_boxed =
+  QCheck2.Test.make ~count:200 ~name:"unboxed state = boxed oracle"
+    QCheck2.Gen.(tup3 int (int_bound 1_000_000) (int_range 1 300))
+    (fun (seed, index, n) ->
+      let same a b = List.init n (fun _ -> Rng.bits64 a) = List.init n (fun _ -> Boxed.bits64 b) in
+      same (Rng.create seed) (Boxed.create seed)
+      && same (Rng.of_stream ~seed:(abs seed) index) (Boxed.of_stream ~seed:(abs seed) index))
+
 let () =
   Alcotest.run "prng"
     [
@@ -274,4 +324,5 @@ let () =
           Alcotest.test_case "bernoulli extremes" `Quick test_bernoulli_extremes;
           Alcotest.test_case "bernoulli rate" `Quick test_bernoulli_rate;
         ] );
+      ("properties", [ QCheck_alcotest.to_alcotest prop_unboxed_matches_boxed ]);
     ]

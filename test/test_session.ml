@@ -260,10 +260,11 @@ let test_unigen_witnesses_are_models () =
     [ 5; 23; 77 ];
   Alcotest.(check bool) "some formula was sampled" true (!sampled > 0)
 
-(* Warm = cold: a prepared state whose per-domain caches of found
-   projections have served 300 draws decides many cells from them, and
-   still draws what a copy imported from its portable view draws, with
-   every cache empty. *)
+(* Warm = cold: a freshly prepared state, whose draw caches start from
+   ApproxMC's found witnesses, takes accepted cells' witnesses from them
+   within its first 10 draws; after 300 draws its per-domain caches
+   decide many cells. Both times it draws what a copy imported from its
+   portable view draws, with every cache empty. *)
 let test_warm_cache_matches_cold () =
   let f =
     Lazy.force (Option.get (Workload.Suite.by_name "case_m1")).Workload.Suite.formula
@@ -273,14 +274,21 @@ let test_warm_cache_matches_cold () =
   | Error _ -> Alcotest.fail "prepare failed"
   | Ok warm ->
       Alcotest.(check bool) "hashed phase" false (Sampling.Unigen.is_easy warm);
+      let cold () = Sampling.Unigen.import ~formula:f (Sampling.Unigen.export warm) in
+      let key = function Ok m -> Cnf.Model.key m | Error _ -> "-" in
+      let serial ?(n = 50) ~seed p =
+        List.init n (fun i -> Sampling.Unigen.sample_index ~max_attempts:20 ~seed p i)
+      in
+      let keys = List.map (fun (o, _) -> key o) in
+      let seeded = serial ~n:10 ~seed:3 warm in
+      Alcotest.(check bool) "the first 10 draws reuse ApproxMC's witnesses" true
+        (List.exists (fun (_, st) -> st.Sampling.Sampler.models_from_known > 0) seeded);
+      Alcotest.(check (list string)) "sample_index 0..9: seeded = cold"
+        (keys (serial ~n:10 ~seed:3 (cold ()))) (keys seeded);
       ignore (Sampling.Unigen.sample_batch ~pool ~max_attempts:20 ~seed:11 warm 300);
       Alcotest.(check bool) "the 300 draws decided cells from the cache" true
         ((Sampling.Unigen.stats warm).Sampling.Sampler.cells_from_known > 0);
-      let cold () = Sampling.Unigen.import ~formula:f (Sampling.Unigen.export warm) in
-      let key = function Ok m -> Cnf.Model.key m | Error _ -> "-" in
-      let serial p =
-        List.init 50 (fun i -> Sampling.Unigen.sample_index ~max_attempts:20 ~seed:13 p i)
-      in
+      let serial = serial ~seed:13 in
       let warm_serial = serial warm in
       Alcotest.(check bool) "the compared draws decide cells from the cache" true
         (List.exists (fun (_, st) -> st.Sampling.Sampler.cells_from_known > 0) warm_serial);
