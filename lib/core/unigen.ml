@@ -136,10 +136,11 @@ let c_models_from_known = Obs.Metrics.counter "unigen.models_from_known"
    Each drawn cell is first measured against the domain's cache of
    found witnesses: hi_limit cached members prove it oversized, and no
    solver runs. Otherwise the session enumerates only the rest of the
-   cell, with the k cached members blocked and limit hi_limit - k, and
-   the new witnesses join the cache. (k + found, exhausted) is what a
-   plain enumeration with limit hi_limit gives, and an accepted cell
-   is exhausted, so its cached and new witnesses are the whole cell:
+   cell, with the j cached members whose witness the cache kept
+   blocked and limit hi_limit - j, and the new witnesses join the
+   cache. (j + found, exhausted) is what a plain enumeration with
+   limit hi_limit gives, and an accepted cell is exhausted, so its
+   reused and found witnesses are the whole cell:
    sorted canonically, they are the array a plain enumeration returns.
    The cache draws nothing from [rng], so the outcome does not depend
    on what it held. *)
@@ -177,19 +178,28 @@ let sample_once ?deadline ~rng ~stats t =
             try_size (i + 1) timeout_retries
           end
           else begin
-            (* warm per-domain session: the hash layer and the k
+            (* the members whose witness the cache kept are blocked;
+               the rest of the cell, members without one included, is
+               enumerated *)
+            let reused, rest = List.partition (Counting.Known.has_model known) members in
+            let j = List.length reused in
+            (* warm per-domain session: the hash layer and the j
                members' blocking clauses are pushed as one retractable
                group and popped after the call, leaving base-formula
                learnt clauses for the next draw *)
             let out =
               Sat.Bsat.Session.enumerate ?deadline ~xors
-                ~known:(List.map (Counting.Known.values known) members)
-                ~limit:(t.hi_limit - k) session
+                ~known:(List.map (Counting.Known.values known) reused)
+                ~limit:(t.hi_limit - j) session
             in
             Sampler.record_solve stats out;
-            (* [members] lists every cached member of the cell, and
-               they were blocked, so the models found are new *)
-            List.iter (Counting.Known.add known) out.Sat.Bsat.models;
+            (* [members] lists every cached member of the cell, so a
+               model found is new unless it is one of [rest] *)
+            List.iter
+              (fun m ->
+                if not (List.exists (fun r -> Counting.Known.holds known r m) rest) then
+                  Counting.Known.add known m)
+              out.Sat.Bsat.models;
             if out.Sat.Bsat.timed_out then begin
               (* the paper repeats lines 14-16 on a BSAT timeout without
                  incrementing i *)
@@ -202,26 +212,19 @@ let sample_once ?deadline ~rng ~stats t =
               else Error Sampler.Timed_out
             end
             else begin
-              let count = k + List.length out.Sat.Bsat.models in
+              let count = j + List.length out.Sat.Bsat.models in
               let n = float_of_int count in
               if out.Sat.Bsat.exhausted && n >= t.lo && n <= t.hi && count > 0 then begin
                 stats.Sampler.cells_accepted <- stats.Sampler.cells_accepted + 1;
+                Obs.Metrics.incr ~by:j c_models_from_known;
+                stats.Sampler.models_from_known <- stats.Sampler.models_from_known + j;
                 let models =
-                  if k = 0 then Array.of_list out.Sat.Bsat.models
-                  else begin
-                    Obs.Metrics.incr ~by:k c_models_from_known;
-                    stats.Sampler.models_from_known <-
-                      stats.Sampler.models_from_known + k;
-                    let a =
-                      Array.of_list
-                        (List.rev_append
-                           (List.rev_map (Counting.Known.model known) members)
-                           out.Sat.Bsat.models)
-                    in
-                    Array.sort Cnf.Model.compare a;
-                    a
-                  end
+                  Array.of_list
+                    (List.rev_append
+                       (List.rev_map (Counting.Known.model known) reused)
+                       out.Sat.Bsat.models)
                 in
+                Array.sort Cnf.Model.compare models;
                 audit ~models xors k (count, true);
                 Ok (Rng.choose rng models)
               end

@@ -71,10 +71,11 @@ val prepare :
     only: an {!import}ed state starts empty) and grows with every
     witness the domain's draws enumerate. A cell holding at least
     ⌊hiThresh⌋ + 1 cached members is oversized and is skipped without
-    a solver call. Any other cell, with k cached members, is
-    enumerated with those k blocked and limit ⌊hiThresh⌋ + 1 − k, so
-    the session finds only what the cache lacks; an accepted cell's
-    witnesses are the cached and the new ones, in canonical order.
+    a solver call. Any other cell, with j of its cached members
+    holding a kept witness, is enumerated with those j blocked and
+    limit ⌊hiThresh⌋ + 1 − j, so the session finds only what the cache
+    cannot supply; an accepted cell's witnesses are the j reused and
+    the found ones, in canonical order.
     Cell sizes, exhaustion and (whenever S is an independent support)
     the witness set are those of a plain enumeration, and the hash and
     witness draws are unchanged, so the outcome does not depend on

@@ -58,7 +58,7 @@ val count :
 
     The count keeps a cache of the solutions it has found (a bounded
     {!Known} cache: their projections onto the sampling set as packed
-    bitsets, and the full witnesses): one per domain that runs
+    bitsets, and the full witnesses of the first ones): one per domain that runs
     iterations, each seeded with the easy check's pivot + 1
     witnesses. The largest is handed out as [known] in the result;
     the others die with the call. A drawn cell is first measured against the cache: with

@@ -4,18 +4,22 @@
      holding member [r]'s value of [sampling.(j)]. An XOR row over S
      then evaluates on [bits] members at once, one word XOR per
      variable of the row.
-   - the full witnesses, [model_bytes] bytes each (see
-     [Cnf.Model.pack]), in chunks of [chunk_members] members. A chunk
-     is a Bigarray: it never moves, the GC does not scan it, and once
-     full it is never written again, so a [copy] shares it.
+   - the full witnesses of the first [max_models] members,
+     [model_bytes] bytes each (see [Cnf.Model.pack]), in chunks of
+     [chunk_members] members. A chunk is a Bigarray: it never moves,
+     the GC does not scan it, and once full it is never written again,
+     so a [copy] shares it.
    A cache belongs to one domain. *)
 
 open Bigarray
 
 let bits = Sys.int_size
 
-(* Columns and witnesses together never exceed this many words' worth
-   of bits: 2 MiB on a 64-bit host. *)
+(* The columns never exceed this many words in total, and neither do
+   the stored witnesses: 2 MiB each on a 64-bit host. The columns'
+   bound fixes how many members the cache holds, the witnesses' bound
+   how many of them keep their witness, so a wide formula keeps fewer
+   witnesses but as many projections as a narrow one with the same S. *)
 let max_words = 1 lsl 18
 
 let chunk_members = 512
@@ -27,7 +31,8 @@ type t = {
   index : int array; (* variable -> position in [sampling], or -1 *)
   num_vars : int;
   model_bytes : int; (* bytes per packed witness *)
-  max_col_words : int; (* the bound, in words per column *)
+  max_col_words : int; (* the columns' bound, in words per column *)
+  max_models : int; (* the witnesses' bound, in members *)
   mutable cols : int array array;
   mutable chunks : chunk array; (* chunk [c] holds members [c * chunk_members ..] *)
   mutable size : int;
@@ -39,17 +44,15 @@ let create f =
   let index = Array.make (num_vars + 1) (-1) in
   Array.iteri (fun j v -> index.(v) <- j) sampling;
   let model_bytes = (num_vars + 7) / 8 in
-  (* a column word covers [bits] members, each also costing
-     [model_bytes] bytes of witness *)
-  let max_col_words =
-    max_words / max 1 (Array.length sampling + (8 * model_bytes))
-  in
+  let max_col_words = max_words / max 1 (Array.length sampling) in
   {
     sampling;
     index;
     num_vars;
     model_bytes;
     max_col_words;
+    max_models =
+      min (max_col_words * bits) (max_words * (Sys.word_size / 8) / max 1 model_bytes);
     cols = Array.map (fun _ -> Array.make (min 4 max_col_words) 0) sampling;
     chunks = [||];
     size = 0;
@@ -57,6 +60,7 @@ let create f =
 
 let size t = t.size
 let capacity t = t.max_col_words * bits
+let has_model t r = r >= 0 && r < t.size && r < t.max_models
 
 let add t m =
   if Cnf.Model.num_vars m <> t.num_vars then
@@ -77,20 +81,28 @@ let add t m =
         if Cnf.Model.value m v then
           t.cols.(j).(w) <- t.cols.(j).(w) lor (1 lsl (r mod bits)))
       t.sampling;
-    let c = r / chunk_members in
-    if c >= Array.length t.chunks then
-      t.chunks <-
-        Array.append t.chunks
-          [| Array1.create int8_unsigned c_layout (chunk_members * t.model_bytes) |];
-    let chunk = t.chunks.(c) in
-    let base = r mod chunk_members * t.model_bytes in
-    Cnf.Model.pack m (fun i byte -> Array1.unsafe_set chunk (base + i) byte);
+    if r < t.max_models then begin
+      let c = r / chunk_members in
+      if c >= Array.length t.chunks then begin
+        (* the last chunk ends at the bound *)
+        let members = min chunk_members (t.max_models - (c * chunk_members)) in
+        t.chunks <-
+          Array.append t.chunks
+            [| Array1.create int8_unsigned c_layout (members * t.model_bytes) |]
+      end;
+      let chunk = t.chunks.(c) in
+      let base = r mod chunk_members * t.model_bytes in
+      Cnf.Model.pack m (fun i byte -> Array1.unsafe_set chunk (base + i) byte)
+    end;
     t.size <- r + 1
   end
 
 let copy t =
-  (* full chunks are never written again; the last one may be *)
-  let full = t.size / chunk_members in
+  (* full chunks are never written again; the last one may be, until
+     the witnesses reach their bound *)
+  let full =
+    if t.size >= t.max_models then Array.length t.chunks else t.size / chunk_members
+  in
   {
     t with
     cols = Array.map Array.copy t.cols;
@@ -109,8 +121,15 @@ let copy t =
 let bit words r = (words.(r / bits) lsr (r mod bits)) land 1 = 1
 let values t r = Array.map (fun col -> bit col r) t.cols
 
+let holds t r m =
+  let rec go j =
+    j >= Array.length t.sampling
+    || (bit t.cols.(j) r = Cnf.Model.value m t.sampling.(j) && go (j + 1))
+  in
+  go 0
+
 let model t r =
-  if r < 0 || r >= t.size then invalid_arg "Known.model: no such member";
+  if not (has_model t r) then invalid_arg "Known.model: no witness kept for this member";
   let chunk = t.chunks.(r / chunk_members) in
   let base = r mod chunk_members * t.model_bytes in
   Cnf.Model.unpack t.num_vars (fun i -> Array1.unsafe_get chunk (base + i))

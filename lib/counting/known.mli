@@ -4,19 +4,25 @@
     domain and hands its largest out with its result; UniGen gives each domain
     that draws from a prepared state a {!copy} of it.
 
-    Each member is held twice. Its projection onto the sampling set S
-    is stored bit-sliced (one bitset over the members per variable of
-    S), so an XOR row over S is evaluated on [Sys.int_size] members per
-    word operation. Its full witness is stored bit-packed
-    (⌈|X| / 8⌉ bytes, see {!Cnf.Model.pack}) in fixed chunks of 512
-    members, Bigarrays that never move, that the GC does not scan and
-    that {!copy} shares once full. A cache belongs to one domain.
+    Each member's projection onto the sampling set S is stored
+    bit-sliced (one bitset over the members per variable of S), so an
+    XOR row over S is evaluated on [Sys.int_size] members per word
+    operation. The full witnesses of the first members are stored
+    too, bit-packed (⌈|X| / 8⌉ bytes each, see {!Cnf.Model.pack}) in
+    fixed chunks of 512 members, Bigarrays that never move, that the
+    GC does not scan and that {!copy} shares once full. A cache
+    belongs to one domain.
 
-    The cache is bounded with no knob: columns and witnesses together
-    never exceed 2{^ 18} words, so (|S| + |X|) x members ≤ 2{^ 24} bits
-    (2 MiB on a 64-bit host; about 113 k members at |S| = 18 and
-    |X| = 128). Once full it ignores {!add}; every decision made from
-    it stays exact, it only holds fewer members than it could. *)
+    The cache is bounded with no knob, by two budgets of 2{^ 18} words
+    (2 MiB each on a 64-bit host). The columns' budget fixes
+    {!capacity}: |S| x members ≤ 2{^ 24} bits, about 917 k members at
+    |S| = 18 and 838 k at |S| = 20. The witnesses' budget fixes how
+    many of them keep their witness: members x ⌈|X| / 8⌉ ≤ 2 MiB, so
+    every member up to about 131 k at |X| = 128, but only the first
+    5.5 k at |X| = 3020. Once full the cache ignores {!add}, and past
+    the witnesses' budget it keeps projections only; every decision
+    made from it stays exact, it only holds fewer members (or
+    witnesses) than it could. *)
 
 type t
 
@@ -29,9 +35,14 @@ val size : t -> int
 val capacity : t -> int
 (** The most members the bound admits for this sampling set. *)
 
+val has_model : t -> int -> bool
+(** Whether [r] is a member whose full witness is kept: the members
+    below the witnesses' budget, the first ones added. *)
+
 val add : t -> Cnf.Model.t -> unit
-(** Append the model as a new member; a no-op once the cache holds
-    {!capacity} members. The caller guarantees that its projection is
+(** Append the model as a new member, with its witness while the
+    witnesses' budget lasts; a no-op once the cache holds {!capacity}
+    members. The caller guarantees that its projection is
     not a member yet (for instance because the members it could equal
     were blocked in the enumeration that found the model).
     @raise Invalid_argument when the model is not over the formula's
@@ -47,9 +58,12 @@ val values : t -> int -> bool array
 (** Member [r] as the values of S's variables, in S's order (the form
     [Sat.Bsat.Session.enumerate ~known] takes). *)
 
+val holds : t -> int -> Cnf.Model.t -> bool
+(** [holds t r m]: member [r] is the projection of [m] onto S. *)
+
 val model : t -> int -> Cnf.Model.t
 (** Member [r]'s full witness, as it was added.
-    @raise Invalid_argument when [r] is not a member. *)
+    @raise Invalid_argument unless [has_model t r]. *)
 
 val in_cell : t -> limit:int -> Cnf.Xor_clause.t list -> int list * int
 (** [in_cell t ~limit xors] is [(members, k)]: the members whose

@@ -406,10 +406,52 @@ let independent_formula rng ~width ~extra =
     ~num_vars:(width + extra)
     (List.map Cnf.Clause.of_dimacs (on_s @ defs))
 
-(* What a draw does with a cell: the cached members in it, plus the
-   rest enumerated with those members blocked, are the cell a fresh
-   enumeration returns (same count and exhausted flag, and the same
-   full models in canonical order when the cell is exhausted). *)
+(* What a draw does with a cell whose k < limit cached members do not
+   decide it: the members whose witness the cache kept are blocked,
+   the rest of the cell is enumerated with the limit less those, and a
+   model found that is a member already is not added again. Returns
+   the cell's count, its exhausted flag and, when exhausted, its full
+   models in canonical order, and the cache afterwards grows by the
+   new models only. *)
+let draw_cell k f xors limit =
+  let members, _ = Counting.Known.in_cell k ~limit xors in
+  let reused, rest = List.partition (Counting.Known.has_model k) members in
+  let j = List.length reused in
+  let out =
+    Sat.Bsat.Session.enumerate ~xors
+      ~known:(List.map (Counting.Known.values k) reused)
+      ~limit:(limit - j) (Sat.Bsat.Session.create f)
+  in
+  List.iter
+    (fun m ->
+      if not (List.exists (fun r -> Counting.Known.holds k r m) rest) then
+        Counting.Known.add k m)
+    out.Sat.Bsat.models;
+  let cell =
+    List.sort Cnf.Model.compare
+      (List.map (Counting.Known.model k) reused @ out.Sat.Bsat.models)
+  in
+  (j + List.length out.Sat.Bsat.models, out.Sat.Bsat.exhausted, cell)
+
+(* The draw's cell equals a fresh enumeration's: same count and
+   exhausted flag, and the same full models in canonical order when
+   the cell is exhausted. *)
+let draw_matches_fresh k f xors limit =
+  let _, n = Counting.Known.in_cell k ~limit xors in
+  let fresh = Sat.Bsat.enumerate ~limit (Cnf.Formula.add_xors f xors) in
+  if n >= limit then
+    (not fresh.Sat.Bsat.exhausted) && List.length fresh.Sat.Bsat.models = limit
+  else begin
+    let size = Counting.Known.size k in
+    let count, exhausted, cell = draw_cell k f xors limit in
+    exhausted = fresh.Sat.Bsat.exhausted
+    && count = List.length fresh.Sat.Bsat.models
+    && ((not exhausted) || List.equal Cnf.Model.equal cell fresh.Sat.Bsat.models)
+    (* an exhausted cell adds exactly the members it lacked *)
+    && ((not exhausted) || Counting.Known.size k - size = count - n
+       || Counting.Known.size k = Counting.Known.capacity k)
+  end
+
 let prop_known_completes_fresh_cell =
   QCheck2.Test.make ~count:150 ~name:"known members + enumerate ~known = fresh cell"
     QCheck2.Gen.(
@@ -423,27 +465,42 @@ let prop_known_completes_fresh_cell =
       List.iter
         (fun w -> if Rng.bool rng then Counting.Known.add k w)
         (Sat.Bsat.enumerate ~limit:max_int f).Sat.Bsat.models;
-      let xors = random_rows rng f m in
-      let limit = 1 + Rng.int rng 24 in
-      let members, n = Counting.Known.in_cell k ~limit xors in
-      let fresh = Sat.Bsat.enumerate ~limit (Cnf.Formula.add_xors f xors) in
-      if n >= limit then
-        (not fresh.Sat.Bsat.exhausted) && List.length fresh.Sat.Bsat.models = limit
-      else begin
-        let out =
-          Sat.Bsat.Session.enumerate ~xors
-            ~known:(List.map (Counting.Known.values k) members)
-            ~limit:(limit - n) (Sat.Bsat.Session.create f)
-        in
-        let cell =
-          List.sort Cnf.Model.compare
-            (List.map (Counting.Known.model k) members @ out.Sat.Bsat.models)
-        in
-        out.Sat.Bsat.exhausted = fresh.Sat.Bsat.exhausted
-        && List.length cell = List.length fresh.Sat.Bsat.models
-        && ((not fresh.Sat.Bsat.exhausted)
-           || List.equal Cnf.Model.equal cell fresh.Sat.Bsat.models)
-      end)
+      draw_matches_fresh k f (random_rows rng f m) (1 + Rng.int rng 24))
+
+(* A formula so wide that the cache keeps the witnesses of only its
+   first members: S = 1..11 is free and every other variable copies
+   one of S, so each of the 2^11 projections has one witness, and
+   2^11 witnesses of 17 000 variables overrun the witnesses' bound.
+   Draws block the members with a witness, re-find the others, and
+   still return the cell a fresh enumeration does. *)
+let test_known_past_witness_budget () =
+  let rng = Rng.create 11 in
+  let width = 11 and num_vars = 17_000 in
+  let source v = if v <= width then v else 1 + ((v - width - 1) mod width) in
+  let f =
+    Cnf.Formula.create
+      ~sampling_set:(List.init width (fun i -> i + 1))
+      ~num_vars
+      (List.concat
+         (List.init (num_vars - width) (fun e ->
+              let x = width + e + 1 in
+              [ Cnf.Clause.of_dimacs [ -x; source x ]; Cnf.Clause.of_dimacs [ x; -source x ] ])))
+  in
+  let k = Counting.Known.create f in
+  let n = 1 lsl width in
+  for p = 0 to n - 1 do
+    Counting.Known.add k (Cnf.Model.make num_vars (fun v -> (p lsr (source v - 1)) land 1 = 1))
+  done;
+  let kept = List.length (List.filter (Counting.Known.has_model k) (List.init n Fun.id)) in
+  Alcotest.(check bool) "some members keep no witness" true
+    (kept > 0 && kept < n && Counting.Known.size k = n);
+  for c = 0 to 3 do
+    Alcotest.(check bool)
+      (Printf.sprintf "cell %d = fresh enumeration" c)
+      true
+      (draw_matches_fresh k f (random_rows rng f 6) 48)
+  done;
+  Alcotest.(check int) "every member was known already" n (Counting.Known.size k)
 
 (* [model] returns each member's witness as added, across the
    512-member chunk boundaries and the byte boundaries of |X|; a copy
@@ -481,16 +538,17 @@ let prop_known_model_roundtrip =
       holds k (fun r -> mine.(r))
       && holds c (fun r -> if r < cut then mine.(r) else theirs.(r)))
 
-(* A sampling set wide enough that the bound is a few thousand
-   members. *)
+(* A sampling set wide enough that the columns' bound is a few
+   thousand members, over a formula wide enough that the witnesses'
+   bound keeps fewer. *)
 let test_known_bound () =
   let rng = Rng.create 5 in
   let width = 4096 in
-  let f = sampling_formula rng ~width ~extra:0 in
+  let f = sampling_formula rng ~width ~extra:12_288 in
   let k = Counting.Known.create f in
   let cap = Counting.Known.capacity k in
-  Alcotest.(check bool) "(|S| + |X|) x capacity within 2^24 bits" true
-    (cap > 0 && (width + f.Cnf.Formula.num_vars) * cap <= 1 lsl 24);
+  Alcotest.(check bool) "|S| x capacity within 2^24 bits" true
+    (cap > 0 && width * cap <= 1 lsl 24);
   let fill n =
     for _ = 1 to n do
       Counting.Known.add k (model_of rng f (Array.init width (fun _ -> Rng.bool rng)))
@@ -498,18 +556,27 @@ let test_known_bound () =
   in
   fill cap;
   Alcotest.(check int) "holds the capacity" cap (Counting.Known.size k);
+  let kept = List.length (List.filter (Counting.Known.has_model k) (List.init cap Fun.id)) in
+  Alcotest.(check bool) "the kept witnesses fit 2^24 bits" true
+    (kept > 0 && kept < cap
+    && kept * 8 * ((f.Cnf.Formula.num_vars + 7) / 8) <= 1 lsl 24);
+  Alcotest.(check bool) "the first members keep theirs" true
+    (List.for_all (fun r -> Counting.Known.has_model k r = (r < kept)) (List.init cap Fun.id));
+  Alcotest.check_raises "no witness past the bound"
+    (Invalid_argument "Known.model: no witness kept for this member") (fun () ->
+      ignore (Counting.Known.model k kept));
   let cells = List.init 20 (fun i -> random_rows rng f (i mod 8)) in
   let decide () = List.map (Counting.Known.in_cell k ~limit:63) cells in
   let before = decide () in
-  let values = List.init 5 (Counting.Known.values k) in
-  let models = List.init 5 (Counting.Known.model k) @ [ Counting.Known.model k (cap - 1) ] in
+  let values = List.init 5 (Counting.Known.values k) @ [ Counting.Known.values k (cap - 1) ] in
+  let models = List.init 5 (Counting.Known.model k) @ [ Counting.Known.model k (kept - 1) ] in
   fill 100;
   Alcotest.(check int) "stops growing at the bound" cap (Counting.Known.size k);
   Alcotest.(check bool) "no decision changes" true (decide () = before);
   Alcotest.(check bool) "members unchanged" true
-    (List.init 5 (Counting.Known.values k) = values
+    (List.init 5 (Counting.Known.values k) @ [ Counting.Known.values k (cap - 1) ] = values
     && List.equal Cnf.Model.equal models
-         (List.init 5 (Counting.Known.model k) @ [ Counting.Known.model k (cap - 1) ]))
+         (List.init 5 (Counting.Known.model k) @ [ Counting.Known.model k (kept - 1) ]))
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -553,6 +620,11 @@ let () =
           Alcotest.test_case "within tolerance" `Quick test_approx_within_tolerance;
           Alcotest.test_case "sampling set" `Quick test_approx_respects_sampling_set;
         ] );
-      ("known", [ Alcotest.test_case "bound" `Quick test_known_bound ]);
+      ( "known",
+        [
+          Alcotest.test_case "bound" `Quick test_known_bound;
+          Alcotest.test_case "past the witnesses' bound" `Quick
+            test_known_past_witness_budget;
+        ] );
       ("properties", qcheck_cases);
     ]
