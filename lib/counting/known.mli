@@ -16,7 +16,7 @@
     The cache is bounded with no knob, by two budgets of 2{^ 18} words
     (2 MiB each on a 64-bit host). The columns' budget fixes
     {!capacity}: |S| x members ≤ 2{^ 24} bits, about 917 k members at
-    |S| = 18 and 838 k at |S| = 20. The witnesses' budget fixes how
+    |S| = 18 and 826 k at |S| = 20. The witnesses' budget fixes how
     many of them keep their witness: members x ⌈|X| / 8⌉ ≤ 2 MiB, so
     every member up to about 131 k at |X| = 128, but only the first
     5.5 k at |X| = 3020. Once full the cache ignores {!add}, and past
