@@ -314,7 +314,7 @@ let run_ablation_blocking () =
     Printf.printf "%22s: %4d witnesses in %.3fs (%d conflicts)\n%!" label
       (List.length out.Sat.Bsat.models)
       (Unix.gettimeofday () -. t0)
-      out.Sat.Bsat.conflicts
+      out.Sat.Bsat.stats.Sat.Solver.conflicts
   in
   time_enumeration "blocking over S" s_vars;
   time_enumeration "blocking over X" x_vars;
@@ -548,10 +548,13 @@ let run_parallel ~budget () =
               let serial_time = ref Float.nan in
               List.iter
                 (fun jobs ->
+                  (* the pool's start-up and shutdown are part of the
+                     timed batch *)
                   let t0 = Unix.gettimeofday () in
                   let out =
-                    Sampling.Unigen.sample_batch ~max_attempts:20 ~jobs
-                      ~seed:4242 p n
+                    Parallel.Domain_pool.with_pool ~jobs (fun pool ->
+                        Sampling.Unigen.sample_batch ~pool ~max_attempts:20
+                          ~seed:4242 p n)
                   in
                   let dt = Unix.gettimeofday () -. t0 in
                   let keys =
@@ -623,8 +626,9 @@ let run_obs ~budget () =
       with
       | Error _ -> "<prepare fail>"
       | Ok p ->
-          Sampling.Unigen.sample_batch ~max_attempts:20 ~jobs:2 ~seed:4242 p
-            samples
+          Parallel.Domain_pool.with_pool ~jobs:2 (fun pool ->
+              Sampling.Unigen.sample_batch ~pool ~max_attempts:20 ~seed:4242 p
+                samples)
           |> Array.to_list
           |> List.map (function
                | Ok m -> Cnf.Model.key m

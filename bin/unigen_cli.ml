@@ -43,6 +43,22 @@ let emit_report ~metrics_json ~show_stats sections =
     | None -> ()
   end
 
+(* The ["solver"] report section of [sample] and [count]: one field
+   list, so the two commands report the same counters under the same
+   keys. *)
+let solver_section (st : Sat.Solver.stats) ~reuse_hits =
+  ( "solver",
+    Obs.Report.
+      [
+        ("conflicts", Int st.conflicts);
+        ("decisions", Int st.decisions);
+        ("propagations", Int st.propagations);
+        ("xor_propagations", Int st.xor_propagations);
+        ("restarts", Int st.restarts);
+        ("learnts", Int st.learnts);
+        ("reuse_hits", Int reuse_hits);
+      ] )
+
 let trace_arg =
   Cmdliner.Arg.(
     value
@@ -156,6 +172,9 @@ let sample_cmd =
                         ("jobs", Int jobs);
                       ] );
                   ("run", Sampling.Sampler.report_fields st);
+                  solver_section
+                    (Sampling.Sampler.solver_stats st)
+                    ~reuse_hits:st.Sampling.Sampler.reuse_hits;
                 ];
               if !produced = num then 0 else 1
   in
@@ -231,7 +250,6 @@ let count_cmd =
                 r.Counting.Approxmc.log2_estimate
                 (if r.Counting.Approxmc.exact then ", exact" else "")
                 r.Counting.Approxmc.core_iterations r.Counting.Approxmc.failed_iterations;
-              let st = r.Counting.Approxmc.solver_stats in
               emit_report ~metrics_json ~show_stats
                 [
                   ( "config",
@@ -254,17 +272,8 @@ let count_cmd =
                         ( "failed_iterations",
                           Int r.Counting.Approxmc.failed_iterations );
                       ] );
-                  ( "solver",
-                    Obs.Report.
-                      [
-                        ("conflicts", Int st.Sat.Solver.conflicts);
-                        ("decisions", Int st.Sat.Solver.decisions);
-                        ("propagations", Int st.Sat.Solver.propagations);
-                        ("xor_propagations", Int st.Sat.Solver.xor_propagations);
-                        ("restarts", Int st.Sat.Solver.restarts);
-                        ("learnts", Int st.Sat.Solver.learnts);
-                        ("reuse_hits", Int r.Counting.Approxmc.reuse_hits);
-                      ] );
+                  solver_section r.Counting.Approxmc.solver_stats
+                    ~reuse_hits:r.Counting.Approxmc.reuse_hits;
                 ];
               0
   in

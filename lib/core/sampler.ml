@@ -94,18 +94,15 @@ let record_solve s (out : Sat.Bsat.outcome) =
   s.learnts <- s.learnts + d.Sat.Solver.learnts;
   if out.Sat.Bsat.reused then s.reuse_hits <- s.reuse_hits + 1
 
-let pp fmt s =
-  Format.fprintf fmt
-    "requested=%d produced=%d cell_failures=%d timeouts=%d avg_xor_len=%.1f \
-     conflicts=%d decisions=%d propagations=%d xor_propagations=%d \
-     restarts=%d learnts=%d reuse_hits=%d cells_oversized=%d \
-     cells_undersized=%d cells_accepted=%d cells_from_known=%d \
-     models_from_known=%d avg_s=%.3f"
-    s.samples_requested s.samples_produced s.cell_failures s.timeouts
-    (average_xor_length s) s.conflicts s.decisions s.propagations
-    s.xor_propagations s.restarts s.learnts s.reuse_hits s.cells_oversized
-    s.cells_undersized s.cells_accepted s.cells_from_known s.models_from_known
-    (average_seconds_per_sample s)
+let solver_stats s =
+  {
+    Sat.Solver.conflicts = s.conflicts;
+    decisions = s.decisions;
+    propagations = s.propagations;
+    xor_propagations = s.xor_propagations;
+    restarts = s.restarts;
+    learnts = s.learnts;
+  }
 
 let finite f = if Float.is_finite f then f else 0.0
 
@@ -119,13 +116,6 @@ let report_fields s =
     ("success_probability", Float (finite (success_probability s)));
     ("avg_xor_len", Float (average_xor_length s));
     ("avg_seconds_per_sample", Float (finite (average_seconds_per_sample s)));
-    ("conflicts", Int s.conflicts);
-    ("decisions", Int s.decisions);
-    ("propagations", Int s.propagations);
-    ("xor_propagations", Int s.xor_propagations);
-    ("restarts", Int s.restarts);
-    ("learnts", Int s.learnts);
-    ("reuse_hits", Int s.reuse_hits);
     ("cells_oversized", Int s.cells_oversized);
     ("cells_undersized", Int s.cells_undersized);
     ("cells_accepted", Int s.cells_accepted);

@@ -19,13 +19,15 @@ type run_stats = {
   mutable timeouts : int;
   mutable xor_rows : int;  (** total XOR rows across all hash draws *)
   mutable xor_vars : int;  (** total variables across those rows *)
-  mutable conflicts : int;  (** CDCL conflicts across all BSAT calls *)
+  mutable conflicts : int;
+      (** this field and the five below sum the {!Sat.Solver.stats}
+          deltas of every BSAT call; {!solver_stats} reads them back as
+          that record *)
   mutable decisions : int;
   mutable propagations : int;
   mutable xor_propagations : int;
-      (** implications produced by the Gauss XOR engine *)
   mutable restarts : int;
-  mutable learnts : int;  (** learnt clauses recorded *)
+  mutable learnts : int;
   mutable reuse_hits : int;
       (** BSAT calls answered by a warm solver session *)
   mutable cells_oversized : int;
@@ -67,9 +69,11 @@ val record_solve : run_stats -> Sat.Bsat.outcome -> unit
 (** Fold one BSAT outcome's solver-statistics delta (conflicts,
     propagations, learnt clauses, session-reuse hit) into the run. *)
 
-val pp : Format.formatter -> run_stats -> unit
+val solver_stats : run_stats -> Sat.Solver.stats
+(** The run's solver counters as the solver's own record. *)
 
 val report_fields : run_stats -> (string * Obs.Report.value) list
-(** The run's accounting as a typed field list for an {!Obs.Report}
-    section (the structured replacement for the [--stats] one-liner).
-    NaN ratios (nothing requested/produced yet) are reported as 0. *)
+(** The run's sampling accounting as a typed field list for an
+    {!Obs.Report} section; the solver counters are not in it (see
+    {!solver_stats}). NaN ratios (nothing requested/produced yet) are
+    reported as 0. *)

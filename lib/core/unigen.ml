@@ -76,9 +76,6 @@ let domain_state t =
           Hashtbl.replace t.sessions id d;
           d)
 
-let drop_sessions t ids =
-  Mutex.protect t.sessions_lock (fun () -> List.iter (Hashtbl.remove t.sessions) ids)
-
 type prepare_error = Unsat_formula | Prepare_timeout | Count_failed
 
 let log2 x = Float.log x /. Float.log 2.0
@@ -275,32 +272,14 @@ let sample_index ?deadline ?(max_attempts = 10) ~seed t index =
   let outcome = go 1 in
   (outcome, stats)
 
-let sample_batch ?deadline ?max_attempts ?pool ?(jobs = 1) ~seed t n =
+let sample_batch ?deadline ?max_attempts ?pool ~seed t n =
   if n < 0 then invalid_arg "Unigen.sample_batch: negative batch size";
-  if jobs < 1 then invalid_arg "Unigen.sample_batch: jobs must be >= 1";
   let one index = sample_index ?deadline ?max_attempts ~seed t index in
   let indices = Array.init n Fun.id in
   let results =
     match pool with
     | Some p -> Parallel.Domain_pool.map p one indices
-    | None ->
-        if jobs = 1 then Array.map one indices
-        else begin
-          let self = (Domain.self () :> int) in
-          let results =
-            Parallel.Domain_pool.with_pool ~jobs (fun p ->
-                Parallel.Domain_pool.map p
-                  (fun i -> (one i, (Domain.self () :> int)))
-                  indices)
-          in
-          (* the private pool's workers are joined and domain ids are
-             never reused, so their sessions can serve no later draw *)
-          drop_sessions t
-            (Array.fold_left
-               (fun acc (_, id) -> if id = self then acc else id :: acc)
-               [] results);
-          Array.map fst results
-        end
+    | None -> Array.map one indices
   in
   (* fold the private per-sample stats back in index order, so the
      shared accounting is identical whatever the worker count *)

@@ -89,8 +89,8 @@ val prepare :
     Theorem 1. The seeding discipline makes draws reproducible:
     sample [i] consumes the private stream [Rng.of_stream ~seed i],
     a pure function of [(seed, i)], so the outcome array is
-    {e bit-identical} for every [jobs] value (only elapsed wall clock
-    changes). *)
+    {e bit-identical} on every pool and with none (only elapsed wall
+    clock changes). *)
 
 val sample_index :
   ?deadline:float ->
@@ -110,17 +110,18 @@ val sample_batch :
   ?deadline:float ->
   ?max_attempts:int ->
   ?pool:Parallel.Domain_pool.t ->
-  ?jobs:int ->
   seed:int ->
   prepared ->
   int ->
   Sampler.outcome array
-(** [sample_batch ~jobs ~seed t n] draws samples [0 .. n-1] via
-    {!sample_index}, distributing them over [jobs] workers (default 1;
-    pass [pool] instead to reuse a long-lived {!Parallel.Domain_pool}).
-    Result [i] is sample [i]'s outcome; per-sample stats are merged
-    into [stats t] in index order after the batch completes.
-    @raise Invalid_argument when [n < 0] or [jobs < 1]. *)
+(** [sample_batch ?pool ~seed t n] draws samples [0 .. n-1] via
+    {!sample_index}, on [pool]'s workers or, without one, on the
+    calling domain. Result [i] is sample [i]'s outcome; per-sample
+    stats are merged into [stats t] in index order after the batch
+    completes. The sessions and caches a draw leaves on a worker
+    domain belong to [t] and die with it; a pool that has been shut
+    down leaves them unused, since domain ids are never reused.
+    @raise Invalid_argument when [n < 0]. *)
 
 (** {2 Portable view}
 

@@ -2,7 +2,6 @@ type outcome = {
   models : Cnf.Model.t list;
   exhausted : bool;
   timed_out : bool;
-  conflicts : int;
   stats : Solver.stats;
   reused : bool;
 }
@@ -79,7 +78,6 @@ let outcome_of ~reused ~stats (models, status) =
     models = sort_models models;
     exhausted = status = `Exhausted;
     timed_out = status = `Timeout;
-    conflicts = stats.Solver.conflicts;
     stats;
     reused;
   }

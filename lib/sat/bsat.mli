@@ -27,8 +27,7 @@ type outcome = {
           parallel schedule) whenever the witness set itself is *)
   exhausted : bool;  (** [true] iff no further witness exists *)
   timed_out : bool;  (** [true] iff the deadline interrupted the search *)
-  conflicts : int;  (** solver conflicts spent on this enumeration *)
-  stats : Solver.stats;  (** full solver-statistics delta for the call *)
+  stats : Solver.stats;  (** solver-statistics delta for the call *)
   reused : bool;
       (** [true] when served by a session that had already run at
           least one enumeration (a warm-start hit) *)

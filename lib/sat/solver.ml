@@ -97,14 +97,13 @@ type t = {
   mutable lost_units : (int * int) list;
       (* (group, lit) unit facts currently shadowed by a conflicting
          higher-group assignment; re-asserted when that group pops *)
-  mutable failed : int list; (* failed assumptions of the last solve *)
   mutable sat_trail : bool;
       (* the trail is still the full assignment of the last [Sat]:
          [block] is legal *)
   mutable assump_levels : int;
       (* decision levels 1 .. assump_levels of a kept trail hold the
-         assumptions of the solve that built it: one per group, then
-         the user's *)
+         activation assumptions of the solve that built it, one per
+         group *)
   mutable var_inc : float;
   mutable cla_inc : float;
   mutable model_valid : bool;
@@ -195,7 +194,6 @@ let create_empty nvars =
       groups = [];
       free_act_vars = [];
       lost_units = [];
-      failed = [];
       sat_trail = false;
       assump_levels = 0;
       var_inc = 1.0;
@@ -221,14 +219,6 @@ let create_empty nvars =
 
 let okay t = t.ok
 let num_vars t = t.nvars
-let conflicts t = t.n_conflicts
-let decisions t = t.n_decisions
-let propagations t = t.n_propagations
-let xor_propagations t = t.n_xor_propagations
-let restarts t = t.n_restarts
-let num_clauses t = Vec.size t.clauses
-let num_learnts t = Vec.size t.learnts
-let num_groups t = List.length t.groups
 
 let stats t =
   {
@@ -239,8 +229,6 @@ let stats t =
     restarts = t.n_restarts;
     learnts = t.n_learnt_total;
   }
-
-let failed_assumptions t = List.rev_map Cnf.Lit.of_index t.failed
 
 (* ------------------------------------------------------------------ *)
 (* Correctness audit                                                   *)
@@ -559,10 +547,6 @@ let cancel_until t lvl =
 let to_root t =
   cancel_until t 0;
   t.sat_trail <- false
-
-let new_var t =
-  to_root t;
-  alloc_var t
 
 (* ------------------------------------------------------------------ *)
 (* Gauss engine glue                                                   *)
@@ -995,7 +979,7 @@ let insert_clause t ~group ~guard raw =
         (* the clause body is false given groups <= group: with the
            guard appended, this is the unit fact (a) at that group —
            solving under the activation assumption ¬a will report
-           Unsat through the failed-assumption path *)
+           Unsat through the assumption-conflict path *)
         assert_unit_core t ~group (lit_of_var a true)
     | Some [ l ], None -> assert_unit_core t ~group l
     | Some ls, _ ->
@@ -1178,39 +1162,6 @@ let pick_branch_var t =
   in
   go ()
 
-(* Collect the subset of assumptions responsible for forcing ¬p, by
-   walking the implication graph down from p's falsification. Called
-   before backtracking, with [p] an assumption whose value is false. *)
-let analyze_final t p =
-  t.failed <- [ p ];
-  let v0 = lit_var p in
-  if t.level.(v0) > 0 then begin
-    t.seen.(v0) <- true;
-    let bottom = Vec.get t.trail_lim 0 in
-    for i = Vec.size t.trail - 1 downto bottom do
-      let l = Vec.get t.trail i in
-      let v = lit_var l in
-      if t.seen.(v) then begin
-        t.seen.(v) <- false;
-        match t.reason.(v) with
-        | No_reason ->
-            (* a decision below the assumption levels is itself an
-               assumption: record it as assumed *)
-            t.failed <- l :: t.failed
-        | _ ->
-            let lits = reason_lits t v in
-            Array.iteri
-              (fun k q ->
-                if k > 0 then begin
-                  let u = lit_var q in
-                  if t.level.(u) > 0 then t.seen.(u) <- true
-                end)
-              lits
-      end
-    done;
-    t.seen.(v0) <- false
-  end
-
 type search_outcome = S_sat | S_unsat | S_assump_failed | S_restart | S_timeout
 
 let search t ~assumps ~budget ~deadline =
@@ -1259,9 +1210,7 @@ let search t ~assumps ~budget ~deadline =
                 (* already true: open a dummy level so the indexing
                    assumption-level <-> decision-level stays aligned *)
                 Vec.push t.trail_lim (Vec.size t.trail)
-            | -1 ->
-                analyze_final t p;
-                outcome := Some S_assump_failed
+            | -1 -> outcome := Some S_assump_failed
             | _ ->
                 t.n_decisions <- t.n_decisions + 1;
                 Vec.push t.trail_lim (Vec.size t.trail);
@@ -1285,27 +1234,24 @@ let search t ~assumps ~budget ~deadline =
           ("trail", itos (Vec.size t.trail));
           ("conflicts", itos t.n_conflicts) ]
 
-(* Without user assumptions on either side, [solve] resumes from the
-   trail a [Sat] or a [block] left: the levels below it are a
-   propagated prefix of the last model under the same activation
-   assumptions, so the search continues from there. A conflict at a
-   resumed level is an ordinary search conflict. *)
-let solve ?(conflict_limit = max_int) ?deadline ?(assumptions = []) t =
+(* [solve] resumes from the trail a [Sat] or a [block] left: the
+   levels below it are a propagated prefix of the last model under the
+   same activation assumptions (every group change returns to the root
+   first), so the search continues from there. A conflict at a resumed
+   level is an ordinary search conflict. *)
+let solve ?(conflict_limit = max_int) ?deadline t =
   Obs.Trace.span ~cat:"sat" "solver.solve" @@ fun () ->
-  if assumptions <> [] || t.assump_levels > List.length t.groups then to_root t;
   t.sat_trail <- false;
   Audit.Ownership.check t.owner;
   maybe_audit t;
   t.model_valid <- false;
-  t.failed <- [];
   if not t.ok then begin
     if t.broken_by = 0 then log_proof_empty_once t;
     Unsat
   end
   else begin
     let assumps =
-      let acts = List.rev_map (fun a -> lit_of_var a false) t.groups in
-      Array.of_list (acts @ raw_lits assumptions)
+      Array.of_list (List.rev_map (fun a -> lit_of_var a false) t.groups)
     in
     t.assump_levels <- Array.length assumps;
     match if decision_level t = 0 then propagate t else None with

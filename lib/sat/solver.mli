@@ -1,5 +1,5 @@
 (** CDCL SAT solver with native XOR-constraint propagation and an
-    incremental (assumption + constraint-group) interface.
+    incremental (constraint-group) interface.
 
     This is the CryptoMiniSAT stand-in the paper's implementation
     section calls for: a conflict-driven clause-learning solver
@@ -14,8 +14,7 @@
     (the full assignment of the model) in place; every other outcome
     returns at the root. Clauses and XORs are only added at decision
     level 0, so every other entry point — [add_clause], [add_xor],
-    [new_var], [push_group], [pop_group], [add_group_clause],
-    [add_group_xor], [solve] with user assumptions,
+    [push_group], [pop_group], [add_group_clause], [add_group_xor],
     [enable_proof_logging] and [gauss_dump] — first backtracks a kept
     trail to the root and then behaves exactly as if [solve] had
     backtracked on return. Interleaving [solve] / [add_clause] stays
@@ -26,8 +25,10 @@
     constraint group: clauses added with [add_group_clause] are
     guarded by a fresh activation literal (assumed false during
     [solve], so the clauses are active), XOR constraints added with
-    [add_group_xor] become rows of the group's own Gauss matrix.
-    [pop_group]
+    [add_group_xor] become rows of the group's own Gauss matrix. The
+    activation literals are the solver's only assumptions: when they
+    make the formula unsatisfiable, [solve] returns [Unsat] without
+    marking the solver broken. [pop_group]
     detaches the group's constraints, every learnt clause whose
     derivation consumed them, and every root-level implication that
     depended on them — the solver afterwards answers exactly as if the
@@ -57,10 +58,6 @@ val okay : t -> bool
 val num_vars : t -> int
 (** Grows when activation variables are allocated by {!push_group}. *)
 
-val new_var : t -> int
-(** Allocate a fresh variable (above every existing one) and return
-    it. Backtracks a kept trail first. *)
-
 val add_clause : t -> Cnf.Lit.t list -> unit
 (** Add a clause to the base formula (group 0). May set
     [okay t = false]. Tautologies are ignored. Legal while groups are
@@ -68,19 +65,10 @@ val add_clause : t -> Cnf.Lit.t list -> unit
 
 val add_xor : t -> Cnf.Xor_clause.t -> unit
 
-val solve :
-  ?conflict_limit:int -> ?deadline:float -> ?assumptions:Cnf.Lit.t list ->
-  t -> result
-(** [deadline] is an absolute [Unix.gettimeofday] instant.
-    [assumptions] are temporarily enqueued as first decisions; when
-    they make the formula unsatisfiable, [solve] returns [Unsat]
-    without marking the solver broken and {!failed_assumptions}
-    reports a responsible subset.
-
-    A [Sat] keeps its trail (see the kept trail above). When neither
-    this call nor the one that left the trail has user assumptions,
-    [solve] resumes from the trail a [Sat] or {!block} left; otherwise
-    it starts from the root. *)
+val solve : ?conflict_limit:int -> ?deadline:float -> t -> result
+(** [deadline] is an absolute [Unix.gettimeofday] instant. A [Sat]
+    keeps its trail (see the kept trail above), and [solve] resumes
+    from the trail a [Sat] or {!block} left. *)
 
 val block : t -> Cnf.Lit.t list -> unit
 (** [block t lits] adds the blocking clause [lits] after a [Sat]: it
@@ -92,19 +80,12 @@ val block : t -> Cnf.Lit.t list -> unit
     the clause's literals, watches its two deepest literals and
     enqueues the deepest with the clause as reason; when the two
     deepest levels tie it backjumps one level below them and enqueues
-    nothing. When the second level is at or below the assumption
-    levels, or proof logging is on, it goes in at the root, as those
-    two functions would add it. The next [solve] resumes from there.
+    nothing. When the second level is at or below the activation
+    assumptions' levels, or proof logging is on, it goes in at the
+    root, as those two functions would add it. The next [solve] resumes from there.
     @raise Audit.Violation with invariant [block-after-sat] when the
     last call was not a [Sat] solve, and [block-literal-false] when a
     literal is not false under the model. *)
-
-val failed_assumptions : t -> Cnf.Lit.t list
-(** After [solve ~assumptions] returned [Unsat] by assumption
-    conflict: a subset of the assumptions that is jointly
-    unsatisfiable with the formula (including the failing assumption
-    itself). Empty when the formula is unsatisfiable outright. May
-    include internal activation literals when groups are pushed. *)
 
 val model : t -> Cnf.Model.t
 (** The satisfying assignment found by the last [solve]; raises
@@ -124,8 +105,6 @@ val pop_group : t -> unit
     verdict caused by them is rescinded. The solver then behaves
     exactly as if the group had never been pushed.
     @raise Invalid_argument if no group is pushed. *)
-
-val num_groups : t -> int
 
 val add_group_clause : t -> Cnf.Lit.t list -> unit
 (** Add a clause to the innermost group (guarded by its activation
@@ -238,13 +217,3 @@ val stats_zero : stats
 val stats_add : stats -> stats -> stats
 val stats_diff : stats -> stats -> stats
 (** [stats_diff after before] — component-wise subtraction. *)
-
-(** Cumulative counters, individually (kept for existing callers). *)
-
-val conflicts : t -> int
-val decisions : t -> int
-val propagations : t -> int
-val xor_propagations : t -> int
-val restarts : t -> int
-val num_clauses : t -> int
-val num_learnts : t -> int

@@ -54,24 +54,11 @@ let canonical (f : Cnf.Formula.t) =
    representations but changes if the canonicalization spec does. *)
 let version = "unigen-registry-v1"
 
-let serialize f = version ^ "\n" ^ Cnf.Dimacs.to_string (canonical f)
+let serialize_canonical g = version ^ "\n" ^ Cnf.Dimacs.to_string g
+let serialize f = serialize_canonical (canonical f)
 
-let fingerprint f = Digest.to_hex (Digest.string (serialize f))
-
-type t = { formulas : (string, Cnf.Formula.t) Hashtbl.t }
-
-let create () =
-  (* per-registry table, owned by the scheduler's domain *)
-  { formulas = Hashtbl.create 64 }
-
-let intern t f =
+let identify f =
   let g = canonical f in
-  let fp = Digest.to_hex (Digest.string (version ^ "\n" ^ Cnf.Dimacs.to_string g)) in
-  match Hashtbl.find_opt t.formulas fp with
-  | Some shared -> (fp, shared)
-  | None ->
-      Hashtbl.replace t.formulas fp g;
-      (fp, g)
+  (Digest.to_hex (Digest.string (serialize_canonical g)), g)
 
-let find t fp = Hashtbl.find_opt t.formulas fp
-let length t = Hashtbl.length t.formulas
+let fingerprint f = fst (identify f)

@@ -1,12 +1,14 @@
-(** Content-addressed formula registry.
+(** Content-addressed formula identity.
 
     Two clients submitting the same formula — up to clause order,
     literal order, duplicate literals/clauses, tautologies and
-    sampling-set order — should share one prepared sampler state. The
-    registry makes that identity explicit: {!canonical} maps a formula
+    sampling-set order — should share one prepared sampler state. This
+    module makes that identity explicit: {!canonical} maps a formula
     to a normal form, {!fingerprint} hashes the normal form's
-    serialization into a stable content address, and {!intern} stores
-    one shared canonical copy per fingerprint.
+    serialization into a stable content address, and {!identify}
+    returns both from one canonicalization. It keeps no state: the
+    prepared-state cache holds a canonical formula for as long as it
+    holds its state, and nothing else does.
 
     Canonical form (this is also the specification the DIMACS
     round-trip property in the test suite checks against):
@@ -47,16 +49,6 @@ val fingerprint : Cnf.Formula.t -> string
 (** Hex content address of [serialize f] — equal for any two formulas
     with the same canonical form. *)
 
-type t
-(** Registry instance: fingerprint → shared canonical formula. *)
-
-val create : unit -> t
-
-val intern : t -> Cnf.Formula.t -> string * Cnf.Formula.t
-(** [intern t f] returns [(fingerprint, canonical)]; a second intern
-    of an equivalent formula returns the {e same} canonical value
-    (physical sharing), so per-formula state keyed by fingerprint
-    never duplicates. *)
-
-val find : t -> string -> Cnf.Formula.t option
-val length : t -> int
+val identify : Cnf.Formula.t -> string * Cnf.Formula.t
+(** [identify f] is [(fingerprint f, canonical f)], canonicalizing
+    [f] once. *)

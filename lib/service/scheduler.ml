@@ -87,7 +87,6 @@ type telemetry = {
 
 type t = {
   cfg : config;
-  registry : Registry.t;
   prep_cache : Cache.t;
   exec : Parallel.Executor.t;  (* [jobs] worker domains run every request *)
   queues : (string, pending_req Queue.t) Hashtbl.t;
@@ -146,7 +145,6 @@ let create ?(config = default_config) () =
   in
   {
     cfg = config;
-    registry = Registry.create ();
     prep_cache = Cache.create ?spill ~capacity:config.cache_capacity ();
     exec = Parallel.Executor.create ~workers:config.jobs;
     queues = Hashtbl.create 16;
@@ -177,7 +175,6 @@ let create ?(config = default_config) () =
 
 let config t = t.cfg
 let cache t = t.prep_cache
-let registry t = t.registry
 
 let pending t =
   Audit.Ownership.check t.owner;
@@ -214,7 +211,7 @@ let submit t req =
     Error { reason = Wire.Queue_full; retry_after_s = retry_hint t }
   end
   else begin
-    let fingerprint, canonical = Registry.intern t.registry req.formula in
+    let fingerprint, canonical = Registry.identify req.formula in
     let now = Unix.gettimeofday () in
     let id = t.next_id in
     t.next_id <- id + 1;

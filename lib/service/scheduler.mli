@@ -110,7 +110,7 @@ type reject = { reason : Wire.reject_reason; retry_after_s : float }
 type t
 
 val create : ?config:config -> unit -> t
-(** Builds the registry, the cache and a private {!Parallel.Executor}
+(** Builds the cache and a private {!Parallel.Executor}
     with [jobs] worker domains.
     @raise Invalid_argument on non-positive capacities where required
     ([queue_capacity >= 1], [jobs >= 1], [cache_capacity >= 0],
@@ -118,7 +118,6 @@ val create : ?config:config -> unit -> t
 
 val config : t -> config
 val cache : t -> Cache.t
-val registry : t -> Registry.t
 
 val submit : t -> request -> (int, reject) result
 (** Admission control only — never solves. [Ok id] hands back the

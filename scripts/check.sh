@@ -155,6 +155,32 @@ cmp -s "$draw_dir/v1" "$draw_dir/v2" || {
 json_ok "$draw_dir/metrics1.json" "$draw_dir/metrics2.json"
 rm -rf "$draw_dir"
 
+echo "== solver report (sample = count)"
+# sample and count print their solver counters from one field list:
+# both metrics files must carry a "solver" section with the same keys,
+# every value an integer, and the counters must have moved.
+solver_dir=$(mktemp -d)
+dune exec bin/unigen_cli.exe -- bench-gen case_m1 -o "$solver_dir/m1.cnf" > /dev/null
+dune exec bin/unigen_cli.exe -- sample "$solver_dir/m1.cnf" -n 5 -s 9 \
+    --metrics-json "$solver_dir/sample.json" > /dev/null
+dune exec bin/unigen_cli.exe -- count "$solver_dir/m1.cnf" -s 5 -d 0.8 \
+    --metrics-json "$solver_dir/count.json" > /dev/null
+python3 - "$solver_dir/sample.json" "$solver_dir/count.json" <<'PYEOF'
+import json, sys
+sections = [json.load(open(p)).get("solver") for p in sys.argv[1:]]
+for path, sec in zip(sys.argv[1:], sections):
+    if not sec:
+        sys.exit("error: %s has no solver section" % path)
+    if not all(type(v) is int for v in sec.values()):
+        sys.exit("error: %s: solver counters must be integers: %r" % (path, sec))
+    if sec.get("conflicts", 0) <= 0 or sec.get("propagations", 0) <= 0:
+        sys.exit("error: %s: solver counters did not move: %r" % (path, sec))
+if list(sections[0]) != list(sections[1]):
+    sys.exit("error: sample and count report different solver keys: %r vs %r"
+             % (list(sections[0]), list(sections[1])))
+PYEOF
+rm -rf "$solver_dir"
+
 echo "== service smoke (default --jobs 1)"
 # End-to-end daemon check over a real socket: start `unigen serve` on a
 # temp socket, issue the same request twice on the same formula, verify

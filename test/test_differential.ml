@@ -59,11 +59,11 @@ let prop_count_upto_caps_at_limit =
       let f = build spec in
       Sat.Bsat.count_upto ~limit f = min (Sat.Brute.count f) limit)
 
-(* The parallel batch engine is execution-order independent: jobs:1
-   and jobs:2 produce the same outcome sequence on arbitrary (easy and
-   hashed case) satisfiable formulas. *)
-let prop_batch_jobs_differential =
-  QCheck2.Test.make ~count:20 ~name:"sample_batch jobs:1 = jobs:2"
+(* The parallel batch engine is execution-order independent: a batch
+   with no pool and one on a pool of 2 produce the same outcome
+   sequence on arbitrary (easy and hashed case) satisfiable formulas. *)
+let prop_batch_pool_differential =
+  QCheck2.Test.make ~count:20 ~name:"sample_batch no pool = pool of 2"
     QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 3 7))
     (fun (seed, num_vars) ->
       (* free formula over num_vars variables: always satisfiable;
@@ -75,12 +75,12 @@ let prop_batch_jobs_differential =
       with
       | Error _ -> false
       | Ok p ->
-          let run jobs =
+          let run pool =
             Array.map
               (function Ok m -> Cnf.Model.key m | Error _ -> "<fail>")
-              (Sampling.Unigen.sample_batch ~max_attempts:10 ~jobs ~seed p 6)
+              (Sampling.Unigen.sample_batch ~max_attempts:10 ?pool ~seed p 6)
           in
-          run 1 = run 2)
+          run None = Parallel.Domain_pool.with_pool ~jobs:2 (fun p -> run (Some p)))
 
 let () =
   Alcotest.run "differential"
@@ -91,6 +91,6 @@ let () =
             prop_solver_verdict_and_model;
             prop_count_restricted_matches_brute;
             prop_count_upto_caps_at_limit;
-            prop_batch_jobs_differential;
+            prop_batch_pool_differential;
           ] );
     ]

@@ -185,19 +185,26 @@ let outcome_key = function
   | Error Sampling.Sampler.Timed_out -> "<timeout>"
   | Error Sampling.Sampler.Unsat -> "<unsat>"
 
+(* A batch's outcome keys, drawn on the calling domain or, with [jobs],
+   on a fresh pool of [jobs] workers. *)
+let batch ?jobs ?max_attempts ~seed p n =
+  let draw pool =
+    Array.map outcome_key (Sampling.Unigen.sample_batch ?pool ?max_attempts ~seed p n)
+  in
+  match jobs with
+  | None -> draw None
+  | Some jobs -> Parallel.Domain_pool.with_pool ~jobs (fun pool -> draw (Some pool))
+
 let test_batch_determinism_across_jobs () =
   (* 2^9 = 512 witnesses: the hashed path, where each sample draws its
      own hashes — the regime the determinism discipline must survive *)
   let f = Cnf.Formula.create ~num_vars:9 [] in
   let p = prepare f in
   let n = 40 in
-  let run jobs =
-    Array.map outcome_key
-      (Sampling.Unigen.sample_batch ~max_attempts:20 ~jobs ~seed:99 p n)
-  in
-  let serial = run 1 in
-  Alcotest.(check (array string)) "jobs 2 = jobs 1" serial (run 2);
-  Alcotest.(check (array string)) "jobs 4 = jobs 1" serial (run 4);
+  let run ?jobs () = batch ?jobs ~max_attempts:20 ~seed:99 p n in
+  let serial = run () in
+  Alcotest.(check (array string)) "pool of 2 = no pool" serial (run ~jobs:2 ());
+  Alcotest.(check (array string)) "pool of 4 = no pool" serial (run ~jobs:4 ());
   (* every sample came from somewhere real *)
   let produced = Array.fold_left (fun n k -> if k.[0] <> '<' then n + 1 else n) 0 serial in
   Alcotest.(check bool) (Printf.sprintf "produced %d/%d" produced n) true
@@ -210,35 +217,39 @@ let test_batch_determinism_across_jobs () =
 let test_batch_determinism_easy_case () =
   let f = Cnf.Formula.create ~num_vars:4 [ clause [ 1; 2 ] ] in
   let p = prepare f in
-  let run jobs =
-    Array.map outcome_key
-      (Sampling.Unigen.sample_batch ~jobs ~seed:123 p 32)
-  in
-  Alcotest.(check (array string)) "easy case jobs 2 = jobs 1" (run 1) (run 2)
+  Alcotest.(check (array string)) "easy case: pool of 2 = no pool"
+    (batch ~seed:123 p 32) (batch ~jobs:2 ~seed:123 p 32)
 
 let test_batch_reuses_caller_pool () =
   let f = Cnf.Formula.create ~num_vars:9 [] in
   let p = prepare f in
-  let serial =
-    Array.map outcome_key (Sampling.Unigen.sample_batch ~jobs:1 ~seed:7 p 20)
-  in
+  let serial = batch ~seed:7 p 20 in
   Parallel.Domain_pool.with_pool ~jobs:2 (fun pool ->
       let pooled =
         Array.map outcome_key (Sampling.Unigen.sample_batch ~pool ~seed:7 p 20)
       in
-      Alcotest.(check (array string)) "caller pool = jobs 1" serial pooled)
+      Alcotest.(check (array string)) "caller pool = no pool" serial pooled)
+
+(* The sessions and caches a pool's workers leave in a prepared state
+   outlive the pool; a later draw with no pool, or on a new pool, runs
+   on other domains and draws the same witnesses. *)
+let test_batch_after_pool_shutdown () =
+  let f = Cnf.Formula.create ~num_vars:9 [] in
+  let p = prepare f in
+  Alcotest.(check bool) "hashed phase" false (Sampling.Unigen.is_easy p);
+  let first = batch ~jobs:2 ~max_attempts:20 ~seed:31 p 30 in
+  Alcotest.(check (array string)) "no pool after shutdown = first pool" first
+    (batch ~max_attempts:20 ~seed:31 p 30);
+  Alcotest.(check (array string)) "new pool after shutdown = first pool" first
+    (batch ~jobs:2 ~max_attempts:20 ~seed:31 p 30)
 
 let test_batch_stream_independence_of_batch_size () =
   (* sample i depends on (seed, i) only: a prefix of a longer batch
      equals the shorter batch *)
   let f = Cnf.Formula.create ~num_vars:9 [] in
   let p = prepare f in
-  let short =
-    Array.map outcome_key (Sampling.Unigen.sample_batch ~jobs:2 ~seed:5 p 10)
-  in
-  let long =
-    Array.map outcome_key (Sampling.Unigen.sample_batch ~jobs:2 ~seed:5 p 25)
-  in
+  let short = batch ~jobs:2 ~seed:5 p 10 in
+  let long = batch ~jobs:2 ~seed:5 p 25 in
   Alcotest.(check (array string)) "prefix stable" short (Array.sub long 0 10)
 
 let test_approxmc_jobs_invariance () =
@@ -363,6 +374,8 @@ let () =
             test_batch_determinism_across_jobs;
           Alcotest.test_case "easy case" `Quick test_batch_determinism_easy_case;
           Alcotest.test_case "caller pool" `Quick test_batch_reuses_caller_pool;
+          Alcotest.test_case "draws after the pool's shutdown" `Quick
+            test_batch_after_pool_shutdown;
           Alcotest.test_case "prefix stability" `Quick
             test_batch_stream_independence_of_batch_size;
           Alcotest.test_case "approxmc jobs invariance" `Quick

@@ -186,9 +186,10 @@ let test_solver_stats_move () =
   let f = pigeonhole ~pigeons:5 ~holes:4 in
   let s = Sat.Solver.create f in
   ignore (Sat.Solver.solve s);
-  Alcotest.(check bool) "conflicts counted" true (Sat.Solver.conflicts s > 0);
-  Alcotest.(check bool) "decisions counted" true (Sat.Solver.decisions s > 0);
-  Alcotest.(check bool) "propagations counted" true (Sat.Solver.propagations s > 0)
+  let st = Sat.Solver.stats s in
+  Alcotest.(check bool) "conflicts counted" true (st.Sat.Solver.conflicts > 0);
+  Alcotest.(check bool) "decisions counted" true (st.Sat.Solver.decisions > 0);
+  Alcotest.(check bool) "propagations counted" true (st.Sat.Solver.propagations > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Bsat *)

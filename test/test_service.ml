@@ -156,17 +156,17 @@ let test_registry_canonical_idempotent () =
   Alcotest.(check string) "serialize matches canonical"
     (Registry.serialize f) (Registry.serialize once)
 
-let test_registry_interning () =
-  let r = Registry.create () in
+let test_registry_identify () =
   let a = formula_of_string "p cnf 3 2\n1 2 0\n-1 3 0\n" in
   let b = formula_of_string "p cnf 3 2\n-1 3 0\n2 1 0\n" in
-  let fp_a, can_a = Registry.intern r a in
-  let fp_b, can_b = Registry.intern r b in
+  let fp_a, can_a = Registry.identify a in
+  let fp_b, can_b = Registry.identify b in
   Alcotest.(check string) "same address" fp_a fp_b;
-  Alcotest.(check bool) "physically shared canonical" true (can_a == can_b);
-  Alcotest.(check int) "one entry" 1 (Registry.length r);
-  Alcotest.(check bool) "find" true
-    (match Registry.find r fp_a with Some f -> f == can_a | None -> false)
+  Alcotest.(check string) "equal canonical forms" (Cnf.Dimacs.to_string can_a)
+    (Cnf.Dimacs.to_string can_b);
+  Alcotest.(check string) "address is the fingerprint" (Registry.fingerprint a) fp_a;
+  Alcotest.(check string) "form is the canonical form"
+    (Cnf.Dimacs.to_string (Registry.canonical a)) (Cnf.Dimacs.to_string can_a)
 
 (* Golden vectors: the serialized form and MD5 content address of
    fixed formulas, locked against checked-in constants. Durable spill
@@ -1434,7 +1434,7 @@ let () =
             test_registry_fingerprint_invariance;
           Alcotest.test_case "canonical idempotent" `Quick
             test_registry_canonical_idempotent;
-          Alcotest.test_case "interning" `Quick test_registry_interning;
+          Alcotest.test_case "identify" `Quick test_registry_identify;
           Alcotest.test_case "golden vectors" `Quick
             test_registry_golden_vectors;
           QCheck_alcotest.to_alcotest prop_dimacs_roundtrip_canonical;

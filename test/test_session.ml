@@ -1,5 +1,5 @@
-(* Tests for the incremental solver-session layer: assumption solving,
-   retractable constraint groups, the differential guarantee that
+(* Tests for the incremental solver-session layer: retractable
+   constraint groups, the differential guarantee that
    session enumeration is observationally equal to the fresh-solver
    path, blocking clauses that resume the search from the model's
    trail ([Solver.block]), end-to-end checks of ApproxMC and UniGen
@@ -11,28 +11,7 @@ let random_lits rng ~num_vars =
     (fun _ -> Cnf.Lit.make (1 + Rng.int rng num_vars) (Rng.bool rng))
 
 (* ------------------------------------------------------------------ *)
-(* Handcrafted group / assumption behaviours *)
-
-let test_failed_assumptions () =
-  (* 1 ∧ (¬1 ∨ 2), assume ¬2: unsatisfiable by assumption only *)
-  let f =
-    Cnf.Formula.create ~num_vars:2
-      [ Cnf.Clause.of_dimacs [ 1 ]; Cnf.Clause.of_dimacs [ -1; 2 ] ]
-  in
-  (* checked_solve certifies the assumption-UNSAT against
-     f + assumption units with a RUP refutation *)
-  let r, s = Test_util.Check.checked_solve ~assumptions:[ Cnf.Lit.neg 2 ] f in
-  (match r with
-  | Sat.Solver.Unsat -> ()
-  | _ -> Alcotest.fail "expected Unsat under ~assumptions:[-2]");
-  let failed = Sat.Solver.failed_assumptions s in
-  Alcotest.(check bool) "failed set nonempty" true (failed <> []);
-  let units = List.map (fun l -> Cnf.Clause.of_list [ l ]) failed in
-  Alcotest.(check bool) "formula + failed core unsat" false
-    (Sat.Brute.is_sat (Cnf.Formula.add_clauses f units));
-  (* the solver is not broken: a plain solve still succeeds *)
-  Alcotest.(check bool) "solver survives" true
-    (Sat.Solver.solve s = Sat.Solver.Sat)
+(* Handcrafted group behaviours *)
 
 let test_pop_rescinds_group_unsat () =
   let f = Cnf.Formula.create ~num_vars:3 [ Cnf.Clause.of_dimacs [ 1; 2 ] ] in
@@ -66,47 +45,7 @@ let test_base_unit_shadowed_by_group () =
   | _ -> Alcotest.fail "expected Sat after pop")
 
 (* ------------------------------------------------------------------ *)
-(* Property (a): solve ~assumptions = solving formula + unit clauses *)
-
-let prop_assumptions_agree =
-  QCheck2.Test.make ~count:300
-    ~name:"solve ~assumptions = formula + unit clauses"
-    QCheck2.Gen.(pair Test_util.Gen.formula_spec (int_bound 100_000))
-    (fun (spec, aseed) ->
-      let f = Test_util.Gen.build_spec spec in
-      let rng = Rng.create aseed in
-      let assumptions =
-        List.init (Rng.int rng 5) (fun _ ->
-            Cnf.Lit.make (1 + Rng.int rng f.Cnf.Formula.num_vars) (Rng.bool rng))
-      in
-      let units = List.map (fun l -> Cnf.Clause.of_list [ l ]) assumptions in
-      let expected = Sat.Brute.is_sat (Cnf.Formula.add_clauses f units) in
-      match Test_util.Check.checked_solve ~assumptions f with
-      | Sat.Solver.Sat, s ->
-          expected
-          && Cnf.Model.satisfies f (Sat.Solver.model s)
-          && List.for_all
-               (fun l ->
-                 Cnf.Model.value (Sat.Solver.model s) (Cnf.Lit.var l)
-                 = Cnf.Lit.sign l)
-               assumptions
-      | Sat.Solver.Unsat, s ->
-          (not expected)
-          &&
-          (* when the formula alone is satisfiable the failed-assumption
-             core must be a genuine reason for the refusal *)
-          if Sat.Brute.is_sat f then
-            let failed = Sat.Solver.failed_assumptions s in
-            failed <> []
-            && not
-                 (Sat.Brute.is_sat
-                    (Cnf.Formula.add_clauses f
-                       (List.map (fun l -> Cnf.Clause.of_list [ l ]) failed)))
-          else true
-      | Sat.Solver.Unknown, _ -> false)
-
-(* ------------------------------------------------------------------ *)
-(* Property (b): after pop_group the solver answers as if the group
+(* Property: after pop_group the solver answers as if the group
    had never been pushed — across repeated push/solve/pop rounds *)
 
 let prop_pop_restores =
@@ -242,8 +181,8 @@ let test_unigen_witnesses_are_models () =
           Alcotest.(check bool) name false (Sat.Brute.is_sat f)
       | Error _ -> Alcotest.fail (name ^ ": prepare failed")
       | Ok p ->
-          let draw jobs =
-            Sampling.Unigen.sample_batch ~max_attempts:10 ~jobs ~seed:99 p 10
+          let draw pool =
+            Sampling.Unigen.sample_batch ~max_attempts:10 ?pool ~seed:99 p 10
             |> Array.to_list
             |> List.map (function
                  | Ok m ->
@@ -253,10 +192,11 @@ let test_unigen_witnesses_are_models () =
                  | Error _ -> "<fail>")
           in
           incr sampled;
-          let keys = draw 1 in
+          let keys = draw None in
           Alcotest.(check bool) (name ^ " some witness") true
             (List.exists (fun k -> k <> "<fail>") keys);
-          Alcotest.(check (list string)) (name ^ " jobs 2 = jobs 1") keys (draw 2))
+          Alcotest.(check (list string)) (name ^ " pool of 2 = no pool") keys
+            (Parallel.Domain_pool.with_pool ~jobs:2 (fun pool -> draw (Some pool))))
     [ 5; 23; 77 ];
   Alcotest.(check bool) "some formula was sampled" true (!sampled > 0)
 
@@ -590,24 +530,19 @@ let prop_kept_trail_entry_points =
       let rng = Rng.create seed in
       let s = Sat.Solver.create f in
       (* [current] is the formula [s] should now be equivalent to *)
-      let agrees ?(assumptions = []) current =
+      let agrees current =
         let fresh = Sat.Solver.create current in
-        let r = Sat.Solver.solve ~assumptions s in
+        let r = Sat.Solver.solve s in
         Sat.Solver.check_invariants s;
-        r = Sat.Solver.solve ~assumptions fresh
+        r = Sat.Solver.solve fresh
         &&
         match r with
         | Sat.Solver.Sat ->
-            let m = Sat.Solver.model s in
-            Cnf.Model.satisfies current (Cnf.Model.prefix m nv)
-            && List.for_all
-                 (fun l -> Cnf.Model.value m (Cnf.Lit.var l) = Cnf.Lit.sign l)
-                 assumptions
+            Cnf.Model.satisfies current (Cnf.Model.prefix (Sat.Solver.model s) nv)
         | _ -> true
       in
       let clause () = random_lits rng ~num_vars:nv in
       let c1 = clause () and c2 = clause () in
-      let lit = Cnf.Lit.make (1 + Rng.int rng nv) (Rng.bool rng) in
       let with_clause g c = Cnf.Formula.add_clauses g [ Cnf.Clause.of_list c ] in
       let f1 = with_clause f c1 in
       agrees f
@@ -618,7 +553,6 @@ let prop_kept_trail_entry_points =
           agrees (with_clause f1 c2))
       && (Sat.Solver.pop_group s;
           agrees f1)
-      && agrees ~assumptions:[ lit ] f1
       && agrees f1)
 
 (* ------------------------------------------------------------------ *)
@@ -678,7 +612,6 @@ let test_golden i () =
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_assumptions_agree;
       prop_pop_restores;
       prop_session_matches_fresh;
       prop_block_enumeration;
@@ -691,7 +624,6 @@ let () =
     [
       ( "groups",
         [
-          Alcotest.test_case "failed assumptions" `Quick test_failed_assumptions;
           Alcotest.test_case "pop rescinds group unsat" `Quick
             test_pop_rescinds_group_unsat;
           Alcotest.test_case "base unit shadowed by group" `Quick

@@ -29,13 +29,10 @@ let assert_refutable (f : Cnf.Formula.t) =
     refutation_failure "proof log fails RUP checking"
 
 (* Drop-in replacement for [Solver.create] + [Solver.solve]. On a
-   pure-CNF formula, an [Unsat] answer is certified before being
-   returned: directly when solving without assumptions, and via a
-   fresh certifying solve of formula + assumption units otherwise (an
-   assumption-conditional UNSAT proves nothing about [f] alone, and
-   its log need not end in the empty clause). *)
-let checked_solve ?(assumptions = []) (f : Cnf.Formula.t) =
-  if pure_cnf f && assumptions = [] then begin
+   pure-CNF formula, an [Unsat] answer is certified by the solve's own
+   proof log before being returned. *)
+let checked_solve (f : Cnf.Formula.t) =
+  if pure_cnf f then begin
     let s = logged_solver f in
     let r = Sat.Solver.solve s in
     (match r with
@@ -47,12 +44,5 @@ let checked_solve ?(assumptions = []) (f : Cnf.Formula.t) =
   end
   else begin
     let s = Sat.Solver.create f in
-    let r = Sat.Solver.solve ~assumptions s in
-    (match r with
-    | Sat.Solver.Unsat when pure_cnf f ->
-        assert_refutable
-          (Cnf.Formula.add_clauses f
-             (List.map (fun l -> Cnf.Clause.of_list [ l ]) assumptions))
-    | _ -> ());
-    (r, s)
+    (Sat.Solver.solve s, s)
   end
