@@ -43,11 +43,11 @@ let emit_report ~metrics_json ~show_stats sections =
     | None -> ()
   end
 
-(* The ["solver"] report section of [sample] and [count]: one field
-   list, so the two commands report the same counters under the same
-   keys. *)
-let solver_section (st : Sat.Solver.stats) ~reuse_hits =
-  ( "solver",
+(* The ["solver"] report section of [sample] and [count], and
+   [sample]'s ["prepare_solver"]: one field list, so every section
+   reports the same counters under the same keys. *)
+let solver_section ?(name = "solver") (st : Sat.Solver.stats) ~reuse_hits =
+  ( name,
     Obs.Report.
       [
         ("conflicts", Int st.conflicts);
@@ -175,6 +175,8 @@ let sample_cmd =
                   solver_section
                     (Sampling.Sampler.solver_stats st)
                     ~reuse_hits:st.Sampling.Sampler.reuse_hits;
+                  (let st, reuse_hits = Sampling.Unigen.prepare_solver prepared in
+                   solver_section ~name:"prepare_solver" st ~reuse_hits);
                 ];
               if !produced = num then 0 else 1
   in
@@ -625,7 +627,7 @@ let serve_cmd =
 (* unigen client: talk to a running daemon *)
 
 let client_cmd =
-  let run socket file num seed prepare_seed epsilon timeout_s max_attempts pin
+  let run socket file num seed prepare_seed epsilon timeout_s max_attempts
       tag trace_id status shutdown cancel retries =
     (* jitter for with_retry's backoff: seeded, so retry schedules are
        reproducible like everything else in the pipeline *)
@@ -693,7 +695,6 @@ let client_cmd =
                       epsilon;
                       timeout_s;
                       max_attempts;
-                      pin;
                       tag;
                       trace_id;
                     }
@@ -766,11 +767,6 @@ let client_cmd =
     Arg.(value & opt int 20
          & info [ "max-attempts" ] ~doc:"Cell-failure retries per witness.")
   in
-  let pin =
-    Arg.(value & flag
-         & info [ "pin" ]
-             ~doc:"Pin this formula's prepared state against cache eviction.")
-  in
   let tag =
     Arg.(value & opt (some string) None
          & info [ "tag" ] ~docv:"TAG"
@@ -817,7 +813,7 @@ let client_cmd =
     (Cmd.info "client"
        ~doc:"Submit sampling requests to a running unigen daemon")
     Term.(const run $ socket $ file $ num $ seed $ prepare_seed $ epsilon
-          $ timeout_s $ max_attempts $ pin $ tag $ trace_id $ status $ shutdown
+          $ timeout_s $ max_attempts $ tag $ trace_id $ status $ shutdown
           $ cancel $ retries)
 
 (* ------------------------------------------------------------------ *)

@@ -3,11 +3,6 @@ type phase =
       (** |R_F| ≤ hiThresh: all witnesses enumerated up front *)
   | Hashed of { q : int; count_estimate : float }
 
-type domain_state = {
-  session : Sat.Bsat.Session.t;
-  known : Counting.Known.t; (* witnesses this domain has found, or copied *)
-}
-
 type prepared = {
   sampling : int array;
   kappa : float;
@@ -17,32 +12,23 @@ type prepared = {
   hi_limit : int; (* BSAT enumeration limit: floor(hi) + 1 *)
   hash_density : float;
   phase : phase;
-  formula : Cnf.Formula.t;
-  seed : Counting.Known.t option;
-      (* ApproxMC's cache of found witnesses, which every
-         domain's cache starts as a copy of. Nothing adds to it. [None]
-         in the easy phase and after [import]: it lives in RAM only. *)
-  sessions : (int, domain_state) Hashtbl.t;
-      (* One solver session and one cache of found witnesses per
-         domain that has drawn from this state, keyed by
-         [Domain.self ()] and created lazily, so every worker warms its
-         own solver and cache across the draws it executes and neither
-         is ever shared between domains. The table lives and dies with
-         the prepared state: dropping the state frees its sessions and
-         caches, whatever domains touched it. The sampled witnesses are
-         bit-identical either way: an accepted cell is exhausted, so
-         with S an independent support its witnesses (cached ones and
-         enumerated ones alike) are the cell as a set, taken in
-         canonical order, whatever the session's history or the
-         cache's content. *)
-  sessions_lock : Mutex.t; (* guards [sessions] only, never a draw *)
+  warm : Counting.Warm.table;
+      (* the draws' warm workers, one per domain that has drawn, each
+         cache starting as a copy of ApproxMC's (empty in the easy phase
+         and after [import]: it lives in RAM only); dropping the state
+         frees them, whatever domains touched it *)
+  prepare_solver : Sat.Solver.stats * int;
+      (* the preparation's solver counters and session reuse hits: the
+         easy enumeration's plus the count's (RAM only: zeros after
+         [import]) *)
   stats : Sampler.run_stats;
 }
 
-let make_prepared ?seed ~sampling ~kappa ~pivot ~hash_density ~formula phase =
+let make_prepared ?seed ?(prepare_solver = (Sat.Solver.stats_zero, 0)) ~kappa ~pivot
+    ~hash_density ~formula phase =
   let hi = Kappa_pivot.hi_thresh ~kappa ~pivot in
   {
-    sampling;
+    sampling = Cnf.Formula.sampling_vars formula;
     kappa;
     pivot;
     hi;
@@ -50,31 +36,10 @@ let make_prepared ?seed ~sampling ~kappa ~pivot ~hash_density ~formula phase =
     hi_limit = int_of_float (Float.floor hi) + 1;
     hash_density;
     phase;
-    formula;
-    seed;
-    sessions = Hashtbl.create 4;
-    sessions_lock = Mutex.create ();
+    warm = Counting.Warm.table ?seed formula;
+    prepare_solver;
     stats = Sampler.fresh_stats ();
   }
-
-(* The calling domain's session and cache, created on its first draw. *)
-let domain_state t =
-  let id = (Domain.self () :> int) in
-  Mutex.protect t.sessions_lock (fun () ->
-      match Hashtbl.find_opt t.sessions id with
-      | Some d -> d
-      | None ->
-          let d =
-            {
-              session = Sat.Bsat.Session.create ~blocking_vars:t.sampling t.formula;
-              known =
-                (match t.seed with
-                | Some k -> Counting.Known.copy k
-                | None -> Counting.Known.create t.formula);
-            }
-          in
-          Hashtbl.replace t.sessions id d;
-          d)
 
 type prepare_error = Unsat_formula | Prepare_timeout | Count_failed
 
@@ -92,9 +57,8 @@ let prepare ?deadline ?count_iterations ?(hash_density = 0.5) ?pool ~rng ~epsilo
   let kappa, pivot = Kappa_pivot.compute epsilon in
   let hi = Kappa_pivot.hi_thresh ~kappa ~pivot in
   let hi_limit = int_of_float (Float.floor hi) + 1 in
-  let make ?seed =
-    make_prepared ?seed ~sampling:(Cnf.Formula.sampling_vars formula) ~kappa ~pivot
-      ~hash_density ~formula
+  let make ?seed prepare_solver =
+    make_prepared ?seed ~prepare_solver ~kappa ~pivot ~hash_density ~formula
   in
   (* lines 4-7: the easy case *)
   let out = Sat.Bsat.enumerate ?deadline ~limit:hi_limit formula in
@@ -103,7 +67,7 @@ let prepare ?deadline ?count_iterations ?(hash_density = 0.5) ?pool ~rng ~epsilo
     let models = Array.of_list out.Sat.Bsat.models in
     if Array.length models = 0 then Error Unsat_formula
     else if out.Sat.Bsat.exhausted && float_of_int (Array.length models) <= hi
-    then Ok (make (Easy models))
+    then Ok (make (out.Sat.Bsat.stats, 0) (Easy models))
     else begin
       (* lines 9-10: approximate count, then q = ⌈log C + log 1.8 − log pivot⌉ *)
       match
@@ -119,6 +83,8 @@ let prepare ?deadline ?count_iterations ?(hash_density = 0.5) ?pool ~rng ~epsilo
           in
           Ok
             (make ~seed:c.Counting.Approxmc.known
+               ( Sat.Solver.stats_add out.Sat.Bsat.stats c.Counting.Approxmc.solver_stats,
+                 c.Counting.Approxmc.reuse_hits )
                (Hashed { q; count_estimate = c.Counting.Approxmc.estimate }))
     end
   end
@@ -130,30 +96,22 @@ let c_models_from_known = Obs.Metrics.counter "unigen.models_from_known"
 
 (* lines 12-22. [stats] is passed explicitly so that parallel workers
    can record into private accounting instead of racing on [t.stats].
-   Each drawn cell is first measured against the domain's cache of
-   found witnesses: hi_limit cached members prove it oversized, and no
-   solver runs. Otherwise the session enumerates only the rest of the
-   cell, with the j cached members whose witness the cache kept
-   blocked and limit hi_limit - j, and the new witnesses join the
-   cache. (j + found, exhausted) is what a plain enumeration with
-   limit hi_limit gives, and an accepted cell is exhausted, so its
-   reused and found witnesses are the whole cell:
-   sorted canonically, they are the array a plain enumeration returns.
-   The cache draws nothing from [rng], so the outcome does not depend
-   on what it held. *)
+   Each drawn cell goes through the domain's warm worker
+   ({!Counting.Warm.draw_cell}): hi_limit cached members prove it
+   oversized with no solver call, otherwise the session enumerates
+   only what the cache cannot supply. (count, exhausted) and an
+   accepted cell's witnesses are what a plain enumeration with limit
+   hi_limit gives, and the cache draws nothing from [rng], so the
+   outcome does not depend on what it held. *)
 let sample_once ?deadline ~rng ~stats t =
   Obs.Trace.span ~cat:"sampling" "unigen.draw" @@ fun () ->
   match t.phase with
   | Easy models -> Ok (Rng.choose rng models)
   | Hashed { q; _ } ->
-      let { session; known } = domain_state t in
-      (* under audit, every cell decided with cached members is
-         checked against a fresh enumeration *)
-      let audit ?models xors k decided =
-        if k > 0 && Audit.is_enabled () then
-          Counting.Known.audit_cell ?deadline
-            ?models:(Option.map Array.to_list models)
-            ~who:"Unigen" ~limit:t.hi_limit ~known:k t.formula xors decided
+      let worker = Counting.Warm.mine t.warm in
+      let accept count =
+        let n = float_of_int count in
+        n >= t.lo && n <= t.hi && count > 0
       in
       let rec try_size i retries =
         if i > q then Error Sampler.Cell_failure
@@ -165,39 +123,18 @@ let sample_once ?deadline ~rng ~stats t =
             Hashing.Hxor.sample ~density:t.hash_density rng ~vars:t.sampling ~m:i
           in
           Sampler.record_hash stats h;
-          let xors = Hashing.Hxor.constraints h in
-          let members, k = Counting.Known.in_cell known ~limit:t.hi_limit xors in
-          if k >= t.hi_limit then begin
-            Obs.Metrics.incr c_cells_from_known;
-            stats.Sampler.cells_from_known <- stats.Sampler.cells_from_known + 1;
-            stats.Sampler.cells_oversized <- stats.Sampler.cells_oversized + 1;
-            audit xors k (k, false);
-            try_size (i + 1) timeout_retries
-          end
-          else begin
-            (* the members whose witness the cache kept are blocked;
-               the rest of the cell, members without one included, is
-               enumerated *)
-            let reused, rest = List.partition (Counting.Known.has_model known) members in
-            let j = List.length reused in
-            (* warm per-domain session: the hash layer and the j
-               members' blocking clauses are pushed as one retractable
-               group and popped after the call, leaving base-formula
-               learnt clauses for the next draw *)
-            let out =
-              Sat.Bsat.Session.enumerate ?deadline ~xors
-                ~known:(List.map (Counting.Known.values known) reused)
-                ~limit:(t.hi_limit - j) session
-            in
-            Sampler.record_solve stats out;
-            (* [members] lists every cached member of the cell, so a
-               model found is new unless it is one of [rest] *)
-            List.iter
-              (fun m ->
-                if not (List.exists (fun r -> Counting.Known.holds known r m) rest) then
-                  Counting.Known.add known m)
-              out.Sat.Bsat.models;
-            if out.Sat.Bsat.timed_out then begin
+          let cell =
+            Counting.Warm.draw_cell ?deadline ~accept ~limit:t.hi_limit worker
+              (Hashing.Hxor.constraints h)
+          in
+          Option.iter (Sampler.record_solve stats) cell.Counting.Warm.solved;
+          match (cell.Counting.Warm.solved, cell.Counting.Warm.witnesses) with
+          | None, _ ->
+              Obs.Metrics.incr c_cells_from_known;
+              stats.Sampler.cells_from_known <- stats.Sampler.cells_from_known + 1;
+              stats.Sampler.cells_oversized <- stats.Sampler.cells_oversized + 1;
+              try_size (i + 1) timeout_retries
+          | Some { Sat.Bsat.timed_out = true; _ }, _ ->
               (* the paper repeats lines 14-16 on a BSAT timeout without
                  incrementing i *)
               let expired =
@@ -207,33 +144,17 @@ let sample_once ?deadline ~rng ~stats t =
               in
               if retries > 0 && not expired then try_size i (retries - 1)
               else Error Sampler.Timed_out
-            end
-            else begin
-              let count = j + List.length out.Sat.Bsat.models in
-              let n = float_of_int count in
-              if out.Sat.Bsat.exhausted && n >= t.lo && n <= t.hi && count > 0 then begin
-                stats.Sampler.cells_accepted <- stats.Sampler.cells_accepted + 1;
-                Obs.Metrics.incr ~by:j c_models_from_known;
-                stats.Sampler.models_from_known <- stats.Sampler.models_from_known + j;
-                let models =
-                  Array.of_list
-                    (List.rev_append
-                       (List.rev_map (Counting.Known.model known) reused)
-                       out.Sat.Bsat.models)
-                in
-                Array.sort Cnf.Model.compare models;
-                audit ~models xors k (count, true);
-                Ok (Rng.choose rng models)
-              end
-              else begin
-                audit xors k (count, out.Sat.Bsat.exhausted);
-                if n > t.hi then
-                  stats.Sampler.cells_oversized <- stats.Sampler.cells_oversized + 1
-                else stats.Sampler.cells_undersized <- stats.Sampler.cells_undersized + 1;
-                try_size (i + 1) timeout_retries
-              end
-            end
-          end
+          | Some _, Some models ->
+              let j = cell.Counting.Warm.reused in
+              stats.Sampler.cells_accepted <- stats.Sampler.cells_accepted + 1;
+              Obs.Metrics.incr ~by:j c_models_from_known;
+              stats.Sampler.models_from_known <- stats.Sampler.models_from_known + j;
+              Ok (Rng.choose rng models)
+          | Some _, None ->
+              if float_of_int cell.Counting.Warm.count > t.hi then
+                stats.Sampler.cells_oversized <- stats.Sampler.cells_oversized + 1
+              else stats.Sampler.cells_undersized <- stats.Sampler.cells_undersized + 1;
+              try_size (i + 1) timeout_retries
         end
       in
       try_size (q - 3) timeout_retries
@@ -288,10 +209,11 @@ let sample_batch ?deadline ?max_attempts ?pool ~seed t n =
 
 (* ------------------------------------------------------------------ *)
 (* Portable view: everything a prepared state carries that cannot be
-   recomputed for free. The solver sessions, draw-cell caches (and
-   the ApproxMC cache they start from) and stats are rebuilt empty on
-   import; kappa/pivot determine hi/lo/hi_limit, so the thresholds are
-   re-derived rather than trusted from the serialized form. Draws
+   recomputed for free. The warm workers (and the ApproxMC cache
+   their caches start from), the stats and the preparation's solver
+   counters are rebuilt empty on import; kappa/pivot determine
+   hi/lo/hi_limit, so the thresholds are re-derived rather than
+   trusted from the serialized form. Draws
    depend only on (phase, hash_density, sampling set, thresholds,
    formula), all of which the round trip preserves
    exactly — witnesses from an imported state are bit-identical to the
@@ -348,10 +270,11 @@ let import ~formula p =
                 models))
     | Portable_hashed { q; count_estimate } -> Hashed { q; count_estimate }
   in
-  make_prepared ~sampling:(Cnf.Formula.sampling_vars formula) ~kappa:p.p_kappa
-    ~pivot:p.p_pivot ~hash_density:p.p_hash_density ~formula phase
+  make_prepared ~kappa:p.p_kappa ~pivot:p.p_pivot ~hash_density:p.p_hash_density
+    ~formula phase
 
 let stats t = t.stats
+let prepare_solver t = t.prepare_solver
 let kappa t = t.kappa
 let pivot t = t.pivot
 let hi_thresh t = t.hi

@@ -43,11 +43,9 @@ val prepare :
     variant of Gomes et al. that voids Theorem 1 — it exists only for
     the ablation bench.
     Every hashed BSAT call — in the ApproxMC count and later in each
-    draw — runs on a persistent solver session with the in-search
-    Gauss engine: one session per domain, reused across draws, with
-    the XOR hash layer swapped in and out as a retractable constraint
-    group. The sessions belong to the prepared state and are freed
-    with it. Only the easy-case check uses a one-shot {!Sat.Bsat.enumerate}.
+    draw — runs on a domain's warm worker ({!Counting.Warm}). The
+    count's workers die with the count; the draws' workers belong to
+    the prepared state and are freed with it.
     [pool] parallelises the ApproxMC counting iterations (each is an
     independent XOR-hashed count on its own stream); the preparation is
     the same with or without it. See {!Counting.Approxmc.count}.
@@ -65,23 +63,14 @@ val prepare :
     probability of Table 1 is [samples_produced / samples_requested]
     whatever [max_attempts] is.
 
-    Each domain that draws keeps a cache of found witnesses
-    ({!Counting.Known}) beside its solver session. It starts as a copy
-    of the witnesses ApproxMC found while preparing the state (RAM
-    only: an {!import}ed state starts empty) and grows with every
-    witness the domain's draws enumerate. A cell holding at least
-    ⌊hiThresh⌋ + 1 cached members is oversized and is skipped without
-    a solver call. Any other cell, with j of its cached members
-    holding a kept witness, is enumerated with those j blocked and
-    limit ⌊hiThresh⌋ + 1 − j, so the session finds only what the cache
-    cannot supply; an accepted cell's witnesses are the j reused and
-    the found ones, in canonical order.
+    Each cell goes through the drawing domain's warm worker,
+    {!Counting.Warm.draw_cell} with limit ⌊hiThresh⌋ + 1, whose cache
+    of found witnesses starts as a copy of those ApproxMC found while
+    preparing the state (RAM only: an {!import}ed state starts empty).
     Cell sizes, exhaustion and (whenever S is an independent support)
     the witness set are those of a plain enumeration, and the hash and
     witness draws are unchanged, so the outcome does not depend on
-    what the cache held. Under audit mode every cell decided with
-    cached members is re-enumerated by a fresh solver (invariant
-    [known-cell]).
+    what the cache held.
 
     Leaf-level sampling is embarrassingly parallel: after {!prepare},
     each sample only re-runs lines 12–22 against an independently drawn
@@ -118,8 +107,8 @@ val sample_batch :
     {!sample_index}, on [pool]'s workers or, without one, on the
     calling domain. Result [i] is sample [i]'s outcome; per-sample
     stats are merged into [stats t] in index order after the batch
-    completes. The sessions and caches a draw leaves on a worker
-    domain belong to [t] and die with it; a pool that has been shut
+    completes. The warm workers a draw leaves on a worker domain
+    belong to [t] and die with it; a pool that has been shut
     down leaves them unused, since domain ids are never reused.
     @raise Invalid_argument when [n < 0]. *)
 
@@ -155,15 +144,22 @@ val import : formula:Cnf.Formula.t -> portable -> prepared
 (** Rebuild a live prepared state around [formula] — which must be the
     same canonical formula the exported state was prepared from (the
     caller verifies this via the registry fingerprint in its store
-    key). Fresh per-domain solver sessions, empty draw-cell caches
-    and zeroed stats: ApproxMC's cache of found witnesses, which a
+    key). Fresh warm workers with empty caches, and zeroed stats and
+    {!prepare_solver} counters: ApproxMC's cache of found witnesses, which a
     freshly prepared state's draw caches start from, is not part of
     the portable view.
     @raise Invalid_argument when an easy-phase model list is malformed
     (negative [num_vars] or a literal out of range). *)
 
 val stats : prepared -> Sampler.run_stats
-(** Accounting across every sample drawn from this preparation. *)
+(** Accounting across every sample drawn from this preparation. Its
+    solver counters are the draws' only; see {!prepare_solver}. *)
+
+val prepare_solver : prepared -> Sat.Solver.stats * int
+(** The solver work of {!prepare}: the counters of the easy-case
+    enumeration plus those of the ApproxMC count, and the count's
+    session reuse hits. They live in RAM only: an {!import}ed state
+    reports zeros. *)
 
 (** Introspection (used by benches, tests and EXPERIMENTS.md). *)
 

@@ -43,21 +43,23 @@ let c_hash_draws = Obs.Metrics.counter "approxmc.hash_draws"
 let c_cells_from_known = Obs.Metrics.counter "approxmc.cells_from_known"
 let h_cell_size = Obs.Metrics.histogram "approxmc.cell_size"
 
-(* One ApproxMCCore run. A single solver session serves every hash
-   size [i] of the try_size loop: only the XOR layer is swapped between
-   sizes, so clauses learnt about the base formula at size i speed up
-   size i+1. Each cell is first measured against [known]: k >= pivot+1
-   cached members decide it as cut with no solver call; otherwise the
-   session enumerates the rest of the cell (the k members blocked, up
-   to pivot+1-k more) and its new models join [known]. The outcome
-   (min(|cell|, pivot+1), exhausted) is the one a plain enumeration
-   with limit pivot+1 gives, so the estimate does not depend on what
-   the cache held. *)
-let core ?deadline ~rng ~pivot ~known f =
+(* One ApproxMCCore run, on the calling domain's warm worker. Its
+   session serves every hash size [i] of the try_size loop, and every
+   core iteration the domain runs: only the XOR layer is swapped
+   between cells, so clauses learnt about the base formula at one cell
+   speed up the next. Each cell is first measured against the
+   worker's cache: k >= pivot+1 cached members decide it as cut with
+   no solver call; otherwise the session enumerates the rest of the
+   cell (all k members blocked, up to pivot+1-k more) and its new
+   models join the cache. The outcome (min(|cell|, pivot+1),
+   exhausted) is the one a plain enumeration with limit pivot+1 gives,
+   so the estimate does not depend on what the cache held or on what
+   the session learnt before. *)
+let core ?deadline ~rng ~pivot (w : Warm.t) f =
   Obs.Trace.span ~cat:"counting" "approxmc.core" @@ fun () ->
   let sampling = Cnf.Formula.sampling_vars f in
   let n = Array.length sampling in
-  let session = Sat.Bsat.Session.create f in
+  let known = w.Warm.known in
   let stats = ref Sat.Solver.stats_zero in
   let reuse = ref 0 in
   let cell i =
@@ -76,7 +78,7 @@ let core ?deadline ~rng ~pivot ~known f =
         let out =
           Sat.Bsat.Session.enumerate ?deadline ~xors
             ~known:(List.map (Known.values known) members)
-            ~limit:(pivot + 1 - k) session
+            ~limit:(pivot + 1 - k) w.Warm.session
         in
         stats := Sat.Solver.stats_add !stats out.Sat.Bsat.stats;
         if out.Sat.Bsat.reused then incr reuse;
@@ -107,28 +109,17 @@ let core ?deadline ~rng ~pivot ~known f =
    counts: iteration [i] runs on the private stream (master, i) and the
    median is taken over the index-ordered successes, so the estimate is
    a pure function of the master seed — the same on the calling domain
-   as on a pool of any size. Each domain keeps its own cache of found
-   projections, taken from a mutex-guarded table keyed by
-   [Domain.self ()]; the lock covers the lookup only. The largest is
-   handed out with the result. An iteration that hits the deadline
-   comes back as [None] rather than raising across domains. *)
-let iterate ?deadline ?pool ~rng ~pivot ~t ~fresh_known f =
+   as on a pool of any size. Each domain runs its iterations on its own
+   warm worker, whose cache starts as a copy of [seed]; the largest
+   cache is handed out with the result, and the sessions die with the
+   call. An iteration that hits the deadline comes back as [None]
+   rather than raising across domains. *)
+let iterate ?deadline ?pool ~rng ~pivot ~t ~seed f =
   let master = Int64.to_int (Rng.bits64 rng) land max_int in
-  let caches = Hashtbl.create 4 in
-  let caches_lock = Mutex.create () in
-  let known () =
-    let id = (Domain.self () :> int) in
-    Mutex.protect caches_lock (fun () ->
-        match Hashtbl.find_opt caches id with
-        | Some k -> k
-        | None ->
-            let k = fresh_known () in
-            Hashtbl.replace caches id k;
-            k)
-  in
+  let workers = Warm.table ~seed f in
   let one index =
     let rng = Rng.of_stream ~seed:master index in
-    try Some (core ?deadline ~rng ~pivot ~known:(known ()) f)
+    try Some (core ?deadline ~rng ~pivot (Warm.mine workers) f)
     with Deadline -> None
   in
   let indices = Array.init t Fun.id in
@@ -138,16 +129,7 @@ let iterate ?deadline ?pool ~rng ~pivot ~t ~fresh_known f =
     | None -> Array.map one indices
   in
   (* every iteration has returned, so no domain adds to a cache now *)
-  let largest =
-    Hashtbl.fold
-      (fun _ k best ->
-        match best with
-        | Some b when Known.size b >= Known.size k -> best
-        | _ -> Some k)
-      caches None
-  in
-  (* t >= 1, so some domain took a cache *)
-  (outs, Option.get largest)
+  (outs, Warm.largest_known workers)
 
 let count ?deadline ?iterations ?pool ~rng ~epsilon ~delta f =
   Obs.Trace.span ~cat:"counting" "approxmc.count" @@ fun () ->
@@ -163,11 +145,8 @@ let count ?deadline ?iterations ?pool ~rng ~epsilon ~delta f =
     else begin
       let n0 = List.length out.Sat.Bsat.models in
       (* every cache starts from the easy check's witnesses *)
-      let fresh_known () =
-        let k = Known.create f in
-        List.iter (Known.add k) out.Sat.Bsat.models;
-        k
-      in
+      let seed = Known.create f in
+      List.iter (Known.add seed) out.Sat.Bsat.models;
       if n0 = 0 then Error Unsat
       else if out.Sat.Bsat.exhausted then
         Ok
@@ -179,14 +158,14 @@ let count ?deadline ?iterations ?pool ~rng ~epsilon ~delta f =
             failed_iterations = 0;
             solver_stats = out.Sat.Bsat.stats;
             reuse_hits = 0;
-            known = fresh_known ();
+            known = seed;
           }
       else begin
         let estimates = ref [] in
         let failures = ref 0 in
         let agg_stats = ref out.Sat.Bsat.stats in
         let reuse_hits = ref 0 in
-        let outs, known = iterate ?deadline ?pool ~rng ~pivot ~t ~fresh_known f in
+        let outs, known = iterate ?deadline ?pool ~rng ~pivot ~t ~seed f in
         Array.iter
           (function
             | None -> raise Deadline

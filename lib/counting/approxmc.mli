@@ -51,24 +51,22 @@ val count :
   delta:float ->
   Cnf.Formula.t ->
   (result, error) Result.t
-(** Each ApproxMCCore iteration runs on one persistent solver
-    session, reused across all hash sizes [i] with only the XOR layer
-    swapped, so base-formula clauses are learnt once per iteration
-    instead of once per hash size.
-
-    The count keeps a cache of the solutions it has found (a bounded
-    {!Known} cache: their projections onto the sampling set as packed
-    bitsets, and the full witnesses of the first ones): one per domain that runs
-    iterations, each seeded with the easy check's pivot + 1
-    witnesses. The largest is handed out as [known] in the result;
-    the others die with the call. A drawn cell is first measured against the cache: with
+(** Each domain that runs ApproxMCCore iterations runs them all on
+    its warm worker ({!Warm}): one solver session, reused across every
+    hash size [i] of every iteration with only the XOR layer swapped,
+    beside a bounded {!Known} cache of the solutions found, which
+    starts as a copy of the easy check's pivot + 1 witnesses. The
+    largest cache is handed out as [known] in the result; the sessions
+    and the other caches die with the call. A drawn cell is first
+    measured against the cache: with
     k >= pivot + 1 cached members it is decided as cut without a
     solver call; otherwise the session enumerates it with those k
     projections blocked and a limit of pivot + 1 - k, and the new
     witnesses join the cache. Either way the cell's outcome
     (min(|cell|, pivot + 1), exhausted) is the one a plain enumeration
     gives, and the hash draws are unchanged, so every estimate is the
-    same with or without the cache. Under audit mode every cell that
+    same whatever the cache held and whatever the session learnt
+    before. Under audit mode every cell that
     used cached projections is re-enumerated by a fresh solver and compared
     (invariant [known-cell]).
 

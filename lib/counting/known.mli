@@ -1,8 +1,9 @@
 (** A cache of the witnesses a caller has found, used to decide hashed
     cells without a solver call and to supply a cell's witnesses
-    without finding them again. ApproxMC keeps one per count and
-    domain and hands its largest out with its result; UniGen gives each domain
-    that draws from a prepared state a {!copy} of it.
+    without finding them again. Each domain's warm worker ({!Warm})
+    keeps one beside its solver session: ApproxMC's workers hand the
+    largest out with the count's result, and each domain that draws
+    from a prepared state starts from a {!copy} of it.
 
     Each member's projection onto the sampling set S is stored
     bit-sliced (one bitset over the members per variable of S), so an

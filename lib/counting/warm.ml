@@ -1,0 +1,93 @@
+type t = { session : Sat.Bsat.Session.t; known : Known.t }
+
+type table = {
+  formula : Cnf.Formula.t;
+  seed : Known.t option;
+  workers : (int, t) Hashtbl.t; (* keyed by [Domain.self ()] *)
+  lock : Mutex.t; (* guards [workers] only *)
+}
+
+let table ?seed formula =
+  { formula; seed; workers = Hashtbl.create 4; lock = Mutex.create () }
+
+let fresh_known tbl =
+  match tbl.seed with Some k -> Known.copy k | None -> Known.create tbl.formula
+
+let mine tbl =
+  let id = (Domain.self () :> int) in
+  match Mutex.protect tbl.lock (fun () -> Hashtbl.find_opt tbl.workers id) with
+  | Some w -> w
+  | None ->
+      (* only this domain adds under its own id, so the worker can be
+         made outside the lock *)
+      let w = { session = Sat.Bsat.Session.create tbl.formula; known = fresh_known tbl } in
+      Mutex.protect tbl.lock (fun () -> Hashtbl.replace tbl.workers id w);
+      w
+
+let largest_known tbl =
+  Mutex.protect tbl.lock (fun () ->
+      Hashtbl.fold
+        (fun _ w best -> if Known.size w.known > Known.size best then w.known else best)
+        tbl.workers (fresh_known tbl))
+
+type cell = {
+  count : int;
+  exhausted : bool;
+  solved : Sat.Bsat.outcome option;
+  reused : int;
+  witnesses : Cnf.Model.t array option;
+}
+
+let draw_cell ?deadline ~accept ~limit w xors =
+  let known = w.known in
+  let members, k = Known.in_cell known ~limit xors in
+  (* under audit, every cell decided with cached members is checked
+     against a fresh enumeration *)
+  let audit ?models decided =
+    if k > 0 && Audit.is_enabled () then
+      Known.audit_cell ?deadline
+        ?models:(Option.map Array.to_list models)
+        ~who:"Warm.draw_cell" ~limit ~known:k (Sat.Bsat.Session.formula w.session) xors
+        decided
+  in
+  if k >= limit then begin
+    audit (k, false);
+    { count = k; exhausted = false; solved = None; reused = 0; witnesses = None }
+  end
+  else begin
+    (* the members whose witness the cache kept are blocked; the rest
+       of the cell, members without one included, is enumerated *)
+    let reused, rest = List.partition (Known.has_model known) members in
+    let j = List.length reused in
+    (* the hash layer and the j members' blocking clauses are pushed as
+       one retractable group and popped after the call, leaving
+       base-formula learnt clauses for the next cell *)
+    let out =
+      Sat.Bsat.Session.enumerate ?deadline ~xors
+        ~known:(List.map (Known.values known) reused)
+        ~limit:(limit - j) w.session
+    in
+    (* [members] lists every cached member of the cell, so a model
+       found is new unless it is one of [rest] *)
+    List.iter
+      (fun m ->
+        if not (List.exists (fun r -> Known.holds known r m) rest) then Known.add known m)
+      out.Sat.Bsat.models;
+    let count = j + List.length out.Sat.Bsat.models in
+    let exhausted = out.Sat.Bsat.exhausted in
+    let cell = { count; exhausted; solved = Some out; reused = j; witnesses = None } in
+    if out.Sat.Bsat.timed_out then cell
+    else if exhausted && accept count then begin
+      let models =
+        Array.of_list
+          (List.rev_append (List.rev_map (Known.model known) reused) out.Sat.Bsat.models)
+      in
+      Array.sort Cnf.Model.compare models;
+      audit ~models (count, true);
+      { cell with witnesses = Some models }
+    end
+    else begin
+      audit (count, exhausted);
+      cell
+    end
+  end

@@ -31,25 +31,12 @@ type spill = {
   sp_decode : key -> string -> (entry, string) result;
 }
 
-type t = {
-  lru : (key, entry) Lru.t;
-  spill : spill option;
-  user_pins : (key, unit) Hashtbl.t;
-      (* keys holding exactly one of the LRU's counted pins on behalf
-         of clients' [pin] requests — so the client-facing operation
-         stays idempotent while execution pins stack underneath *)
-  mutable exec_pins : int;  (* outstanding acquire-release pairs *)
-}
-
-let set_pins_gauge t =
-  Obs.Metrics.set_gauge "service.cache_pins" (float_of_int t.exec_pins)
+type t = { lru : (key, entry) Lru.t; spill : spill option }
 
 let create ?spill ~capacity () =
   {
     lru = Lru.create ~on_evict:(fun _ _ -> Obs.Metrics.incr c_evictions) ~capacity ();
     spill;
-    user_pins = Hashtbl.create 8;
-    exec_pins = 0;
   }
 
 let capacity t = Lru.capacity t.lru
@@ -109,46 +96,18 @@ let put t k e =
          rather than crashing the daemon mid-response. *)
       Store.put sp.sp_store ~key:(key_to_string k) (sp.sp_encode k e)
 
-let pin t k =
-  if Hashtbl.mem t.user_pins k then Lru.is_pinned t.lru k
-  else if Lru.pin t.lru k then begin
-    Hashtbl.replace t.user_pins k ();
-    true
-  end
-  else false
-
-let unpin t k =
-  if Hashtbl.mem t.user_pins k then begin
-    Hashtbl.remove t.user_pins k;
-    Lru.unpin t.lru k
-  end
-  else false
-
-let is_pinned t k = Lru.is_pinned t.lru k
-
-let acquire t k =
-  if Lru.pin t.lru k then begin
-    t.exec_pins <- t.exec_pins + 1;
-    set_pins_gauge t;
-    true
-  end
-  else false
-
-let release t k =
-  let released = Lru.unpin t.lru k in
-  if released then begin
-    t.exec_pins <- t.exec_pins - 1;
-    set_pins_gauge t
-  end;
-  released
-
-let pin_count t k = Lru.pin_count t.lru k
-
 let total_pin_count t =
   List.fold_left (fun acc k -> acc + Lru.pin_count t.lru k) 0 (Lru.keys_mru t.lru)
 
-let remove t k =
-  Hashtbl.remove t.user_pins k;
-  Lru.remove t.lru k
+(* the gauge is read back from the LRU's pins, never kept beside them *)
+let publish_pins t changed =
+  if changed then
+    Obs.Metrics.set_gauge "service.cache_pins" (float_of_int (total_pin_count t));
+  changed
+
+let acquire t k = publish_pins t (Lru.pin t.lru k)
+let release t k = publish_pins t (Lru.unpin t.lru k)
+
+let remove t k = Lru.remove t.lru k
 
 let keys_mru t = Lru.keys_mru t.lru

@@ -15,17 +15,14 @@
     {!Obs.Metrics} under [service.cache_hits] / [service.cache_misses]
     / [service.cache_evictions].
 
-    Two kinds of pins protect an entry from eviction, both backed by
-    the LRU's counted pins:
-    - {b client pins} ({!pin}/{!unpin}): idempotent, requested over the
-      wire ([pin: true]) — at most one count per key no matter how many
-      requests ask.
-    - {b execution pins} ({!acquire}/{!release}): counted, taken by the
-      scheduler for the duration of every in-flight draw against the
-      entry, so a parallel daemon can never evict a preparation that a
-      worker domain is reading. Outstanding execution pins are
-      published as the [service.cache_pins] gauge and must return to
-      zero when the scheduler drains — the chaos tests enforce it. *)
+    The only pins are execution pins ({!acquire}/{!release}), backed
+    by the LRU's counted pins: the scheduler takes one for the
+    duration of every in-flight draw against the entry, so a parallel
+    daemon can never evict a preparation that a worker domain is
+    reading. Clients cannot pin, so once work drains the cache is back
+    within its capacity. Outstanding execution pins are published as
+    the [service.cache_pins] gauge and must return to zero when the
+    scheduler drains — the chaos tests enforce it. *)
 
 type key = {
   fingerprint : string;  (** {!Registry.fingerprint} of the formula *)
@@ -86,28 +83,18 @@ val put : t -> key -> entry -> unit
 (** Insert into the LRU and, when a durable tier is attached, spill
     the encoded entry to disk (crash-safe; see {!Store.put}). *)
 
-val pin : t -> key -> bool
-(** Idempotent client pin; [false] when the key is absent. *)
-
-val unpin : t -> key -> bool
-(** Release the client pin; [false] when none was held. *)
-
-val is_pinned : t -> key -> bool
-
 val acquire : t -> key -> bool
 (** Take one counted execution pin; [false] when the key is absent. *)
 
 val release : t -> key -> bool
 (** Release one execution pin taken by {!acquire}. *)
 
-val pin_count : t -> key -> int
-(** Total pins (client + execution) held on the key. *)
-
 val total_pin_count : t -> int
-(** Sum of {!pin_count} over every resident key — zero once all work
-    has drained and no client pins are held. *)
+(** Execution pins held over every resident key — zero once all work
+    has drained. The [service.cache_pins] gauge reads it after every
+    {!acquire} and {!release}. *)
 
 val remove : t -> key -> bool
-(** Explicit eviction; overrides pins and drops any client-pin mark. *)
+(** Explicit eviction; overrides pins. *)
 
 val keys_mru : t -> key list

@@ -16,11 +16,11 @@
       reach it.
     - {!remove} is explicit eviction and overrides pinning.
 
-    Pins are {e counted}: several independent holders (a client's
-    explicit pin request, each in-flight draw executing against the
-    entry) stack, and the entry becomes evictable again only when
-    every holder has released — the invariant the daemon's chaos tests
-    check (pin counts return to zero once work drains).
+    Pins are {e counted}: several independent holders (each in-flight
+    draw executing against the entry) stack, and the entry becomes
+    evictable again only when every holder has released — the
+    invariant the daemon's chaos tests check (pin counts return to
+    zero once work drains).
 
     Not thread-safe by design: the scheduler owns its cache from a
     single domain (enforced by an {!Audit.Ownership} tag one level

@@ -28,7 +28,6 @@ type request = {
   count_iterations : int option;
   timeout_s : float option;
   max_attempts : int;
-  pin : bool;
   tag : string option;
   trace_id : string option;
 }
@@ -43,7 +42,6 @@ let request_of_wire formula (w : Wire.sample_req) =
     count_iterations = w.Wire.count_iterations;
     timeout_s = w.Wire.timeout_s;
     max_attempts = w.Wire.max_attempts;
-    pin = w.Wire.pin;
     tag = w.Wire.tag;
     trace_id = w.Wire.trace_id;
   }
@@ -99,8 +97,6 @@ type t = {
          the same formula waits rather than racing the first *)
   completed : (int * Wire.response) Queue.t;  (* ready for pickup *)
   mutable next_id : int;
-  mutable queued_count : int;
-  mutable inflight_count : int;
   mutable draining : bool;
   mutable avg_exec_s : float;  (* EWMA of request execution time *)
   mutable executed : int;
@@ -116,9 +112,12 @@ let c_cancelled = Obs.Metrics.counter "service.cancelled"
 let h_queue_wait = Obs.Metrics.histogram "service.queue_wait_seconds"
 let h_request = Obs.Metrics.histogram "service.request_seconds"
 
+let queued t = Hashtbl.length t.by_id
+let in_flight t = Hashtbl.length t.running
+
 let set_depth t =
-  Obs.Metrics.set_gauge "service.queue_depth" (float_of_int t.queued_count);
-  Obs.Metrics.set_gauge "service.in_flight" (float_of_int t.inflight_count)
+  Obs.Metrics.set_gauge "service.queue_depth" (float_of_int (queued t));
+  Obs.Metrics.set_gauge "service.in_flight" (float_of_int (in_flight t))
 
 let create ?(config = default_config) () =
   if config.queue_capacity < 1 then
@@ -154,8 +153,6 @@ let create ?(config = default_config) () =
     busy_fps = Hashtbl.create 8;
     completed = Queue.create ();
     next_id = 1;
-    queued_count = 0;
-    inflight_count = 0;
     draining = false;
     avg_exec_s = 0.05;
     executed = 0;
@@ -178,10 +175,8 @@ let cache t = t.prep_cache
 
 let pending t =
   Audit.Ownership.check t.owner;
-  t.queued_count + t.inflight_count
+  queued t + in_flight t
 
-let queued t = t.queued_count
-let in_flight t = t.inflight_count
 let notify_fd t = Parallel.Executor.notify_fd t.exec
 
 let is_draining t = t.draining
@@ -191,7 +186,7 @@ let set_draining t =
   t.draining <- true
 
 let retry_hint t =
-  let hint = t.avg_exec_s *. float_of_int (t.queued_count + t.inflight_count + 1) in
+  let hint = t.avg_exec_s *. float_of_int (queued t + in_flight t + 1) in
   if Float.is_finite hint && hint >= 0.0 then hint else 0.0
 
 let submit t req =
@@ -204,7 +199,7 @@ let submit t req =
     Obs.Metrics.incr c_rejected;
     Error { reason = Wire.Batch_too_large; retry_after_s = 0.0 }
   end
-  else if t.queued_count + t.inflight_count >= t.cfg.queue_capacity then begin
+  else if queued t + in_flight t >= t.cfg.queue_capacity then begin
     Obs.Metrics.incr c_rejected;
     (* the hint assumes the backlog drains at the observed mean
        request time; clients treat it as advisory *)
@@ -248,7 +243,6 @@ let submit t req =
         Hashtbl.replace t.queues fingerprint q;
         Queue.push fingerprint t.rotation);
     Hashtbl.replace t.by_id id p;
-    t.queued_count <- t.queued_count + 1;
     Obs.Metrics.incr c_requests;
     set_depth t;
     Ok id
@@ -262,7 +256,6 @@ let cancel t id =
          passes through [dequeue], so its queue span closes here *)
       p.cancelled <- true;
       Hashtbl.remove t.by_id id;
-      t.queued_count <- t.queued_count - 1;
       Obs.Trace.span_end ~cat:"service" ~id:p.trace_id "service.queue"
         ~args:[ ("fingerprint", p.fingerprint); ("cancelled", "true") ];
       Obs.Metrics.incr c_cancelled;
@@ -428,8 +421,7 @@ let response_of_exn = function
   | e -> Wire.Error_msg ("internal error: " ^ Printexc.to_string e)
 
 (* Owner-domain bookkeeping once a request's response is known:
-   install a freshly prepared entry, charge the draw accounting, apply
-   the client pin. *)
+   install a freshly prepared entry, charge the draw accounting. *)
 let finalize_cache t p key ~cached ~newly response =
   (match newly with Some entry -> Cache.put t.prep_cache key entry | None -> ());
   (match response with
@@ -440,8 +432,7 @@ let finalize_cache t p key ~cached ~newly response =
       match entry with
       | Some e -> e.Cache.draws_served <- e.Cache.draws_served + p.req.n
       | None -> ())
-  | _ -> ());
-  if p.req.pin then ignore (Cache.pin t.prep_cache key : bool)
+  | _ -> ())
 
 let outcome_of_response = function
   | Wire.Ok_sample _ -> "ok"
@@ -540,7 +531,6 @@ let account t (p : pending_req) ~queue_wait_s ~started_at ~timing response =
 
 let dequeue t p =
   Hashtbl.remove t.by_id p.id;
-  t.queued_count <- t.queued_count - 1;
   let now = Unix.gettimeofday () in
   let queue_wait_s = now -. p.submitted_at in
   Obs.Metrics.observe h_queue_wait queue_wait_s;
@@ -571,7 +561,6 @@ let dispatch_one t p =
   else begin
     Hashtbl.replace t.running p.id p;
     Hashtbl.replace t.busy_fps p.fingerprint ();
-    t.inflight_count <- t.inflight_count + 1;
     set_depth t;
     let key = key_of p in
     let cached = Cache.find t.prep_cache key in
@@ -592,7 +581,6 @@ let dispatch_one t p =
       ~finish:(fun result ->
         Hashtbl.remove t.running p.id;
         Hashtbl.remove t.busy_fps p.fingerprint;
-        t.inflight_count <- t.inflight_count - 1;
         (match cached with
         | Some _ -> ignore (Cache.release t.prep_cache key : bool)
         | None -> ());
@@ -612,7 +600,7 @@ let dispatch t =
   Audit.Ownership.check t.owner;
   let started = ref 0 in
   let continue = ref true in
-  while !continue && t.inflight_count < t.cfg.jobs do
+  while !continue && in_flight t < t.cfg.jobs do
     match next_runnable t with
     | None -> continue := false
     | Some p ->
@@ -637,8 +625,8 @@ let drain t =
   while !continue do
     List.iter (fun c -> acc := c :: !acc) (completions t);
     ignore (dispatch t : int);
-    if t.inflight_count > 0 then Parallel.Executor.wait ~timeout_s:0.1 t.exec
-    else if t.queued_count = 0 && Queue.is_empty t.completed then
+    if in_flight t > 0 then Parallel.Executor.wait ~timeout_s:0.1 t.exec
+    else if queued t = 0 && Queue.is_empty t.completed then
       continue := false
   done;
   List.rev !acc
@@ -685,8 +673,8 @@ let window_report t =
     Wire.window_s = Obs.Window.span_s t.tele.w_latency;
     uptime_s = uptime_s t;
     jobs = t.cfg.jobs;
-    w_in_flight = t.inflight_count;
-    w_queued = t.queued_count;
+    w_in_flight = in_flight t;
+    w_queued = queued t;
     ocaml_version = Sys.ocaml_version;
     w_requests = latency.Obs.Metrics.Hist.count;
     rate_per_s = Obs.Window.rate_per_s t.tele.w_latency ~now;

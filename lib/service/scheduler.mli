@@ -95,7 +95,6 @@ type request = {
   count_iterations : int option;
   timeout_s : float option;  (** relative deadline, measured from admission *)
   max_attempts : int;
-  pin : bool;
   tag : string option;  (** echoed into the response *)
   trace_id : string option;
       (** correlation id for the request's spans and log line; minted

@@ -91,7 +91,6 @@ type sample_req = {
   count_iterations : int option;
   timeout_s : float option;
   max_attempts : int;
-  pin : bool;
   tag : string option;
   trace_id : string option;
 }
@@ -106,7 +105,6 @@ let default_sample_req =
     count_iterations = None;
     timeout_s = None;
     max_attempts = 20;
-    pin = false;
     tag = None;
     trace_id = None;
   }
@@ -212,7 +210,6 @@ let request_to_json = function
            ("prepare_seed", Json.Int r.prepare_seed);
            ("epsilon", Json.Float r.epsilon);
            ("max_attempts", Json.Int r.max_attempts);
-           ("pin", Json.Bool r.pin);
          ]
         @ opt_field "count_iterations"
             (Option.map (fun i -> Json.Int i) r.count_iterations)
@@ -255,7 +252,6 @@ let request_of_json j =
             (match Json.opt_int "max_attempts" j with
             | Some m -> m
             | None -> default_sample_req.max_attempts);
-          pin = Json.get_bool ~default:false "pin" j;
           tag = Json.opt_string "tag" j;
           trace_id = Json.opt_string "trace_id" j;
         }

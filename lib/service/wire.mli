@@ -17,7 +17,7 @@
     {v
     {"op":"sample","formula":"p cnf ...","n":10,"seed":7,
      "prepare_seed":1,"epsilon":6.0,"timeout_ms":30000,
-     "max_attempts":20,"pin":false,"tag":"job-1","trace_id":"abc"}
+     "max_attempts":20,"tag":"job-1","trace_id":"abc"}
     {"op":"cancel","tag":"job-1"}
     {"op":"status"}
     {"op":"metrics"}
@@ -82,7 +82,6 @@ type sample_req = {
   count_iterations : int option;
   timeout_s : float option;  (** request deadline, relative to admission *)
   max_attempts : int;
-  pin : bool;  (** pin the prepared state against cache eviction *)
   tag : string option;  (** client-chosen id, echoed in the response *)
   trace_id : string option;
       (** correlation id threaded through every span and log line the
@@ -185,7 +184,9 @@ type response =
 
 val request_to_json : request -> Json.t
 val request_of_json : Json.t -> request
-(** @raise Json.Decode_error on an unknown op, a missing field or a
+(** Fields a request does not define (such as the [pin] flag older
+    clients send) are ignored.
+    @raise Json.Decode_error on an unknown op, a missing field or a
     [count_iterations] below 1. *)
 
 val response_to_json : response -> Json.t

@@ -158,16 +158,21 @@ rm -rf "$draw_dir"
 echo "== solver report (sample = count)"
 # sample and count print their solver counters from one field list:
 # both metrics files must carry a "solver" section with the same keys,
-# every value an integer, and the counters must have moved.
+# every value an integer, and the counters must have moved. sample's
+# "prepare_solver" section (the preparation's work) has the same keys
+# and integer values, and since sample at -j 1 runs the very count
+# that count -e 0.8 -d 0.8 runs with the same seed, plus its own easy
+# check, it reports at least count's conflicts.
 solver_dir=$(mktemp -d)
 dune exec bin/unigen_cli.exe -- bench-gen case_m1 -o "$solver_dir/m1.cnf" > /dev/null
-dune exec bin/unigen_cli.exe -- sample "$solver_dir/m1.cnf" -n 5 -s 9 \
+dune exec bin/unigen_cli.exe -- sample "$solver_dir/m1.cnf" -n 5 -s 9 -j 1 \
     --metrics-json "$solver_dir/sample.json" > /dev/null
-dune exec bin/unigen_cli.exe -- count "$solver_dir/m1.cnf" -s 5 -d 0.8 \
+dune exec bin/unigen_cli.exe -- count "$solver_dir/m1.cnf" -s 9 -e 0.8 -d 0.8 -j 1 \
     --metrics-json "$solver_dir/count.json" > /dev/null
 python3 - "$solver_dir/sample.json" "$solver_dir/count.json" <<'PYEOF'
 import json, sys
-sections = [json.load(open(p)).get("solver") for p in sys.argv[1:]]
+reports = [json.load(open(p)) for p in sys.argv[1:]]
+sections = [r.get("solver") for r in reports]
 for path, sec in zip(sys.argv[1:], sections):
     if not sec:
         sys.exit("error: %s has no solver section" % path)
@@ -178,6 +183,17 @@ for path, sec in zip(sys.argv[1:], sections):
 if list(sections[0]) != list(sections[1]):
     sys.exit("error: sample and count report different solver keys: %r vs %r"
              % (list(sections[0]), list(sections[1])))
+prep = reports[0].get("prepare_solver")
+if not prep:
+    sys.exit("error: %s has no prepare_solver section" % sys.argv[1])
+if list(prep) != list(sections[0]):
+    sys.exit("error: prepare_solver and solver report different keys: %r vs %r"
+             % (list(prep), list(sections[0])))
+if not all(type(v) is int for v in prep.values()):
+    sys.exit("error: prepare_solver counters must be integers: %r" % prep)
+if prep["conflicts"] < sections[1]["conflicts"]:
+    sys.exit("error: the preparation reports %d conflicts, fewer than the %d of "
+             "the count it ran" % (prep["conflicts"], sections[1]["conflicts"]))
 PYEOF
 rm -rf "$solver_dir"
 

@@ -406,51 +406,28 @@ let independent_formula rng ~width ~extra =
     ~num_vars:(width + extra)
     (List.map Cnf.Clause.of_dimacs (on_s @ defs))
 
-(* What a draw does with a cell whose k < limit cached members do not
-   decide it: the members whose witness the cache kept are blocked,
-   the rest of the cell is enumerated with the limit less those, and a
-   model found that is a member already is not added again. Returns
-   the cell's count, its exhausted flag and, when exhausted, its full
-   models in canonical order, and the cache afterwards grows by the
-   new models only. *)
-let draw_cell k f xors limit =
-  let members, _ = Counting.Known.in_cell k ~limit xors in
-  let reused, rest = List.partition (Counting.Known.has_model k) members in
-  let j = List.length reused in
-  let out =
-    Sat.Bsat.Session.enumerate ~xors
-      ~known:(List.map (Counting.Known.values k) reused)
-      ~limit:(limit - j) (Sat.Bsat.Session.create f)
-  in
-  List.iter
-    (fun m ->
-      if not (List.exists (fun r -> Counting.Known.holds k r m) rest) then
-        Counting.Known.add k m)
-    out.Sat.Bsat.models;
-  let cell =
-    List.sort Cnf.Model.compare
-      (List.map (Counting.Known.model k) reused @ out.Sat.Bsat.models)
-  in
-  (j + List.length out.Sat.Bsat.models, out.Sat.Bsat.exhausted, cell)
-
-(* The draw's cell equals a fresh enumeration's: same count and
-   exhausted flag, and the same full models in canonical order when
-   the cell is exhausted. *)
-let draw_matches_fresh k f xors limit =
+(* The production draw step's cell equals a fresh enumeration's: same
+   count and exhausted flag, and the same full models in canonical
+   order when the cell is exhausted (every exhausted cell is accepted
+   here). A cell cut from the cache makes no solver call, and an
+   exhausted cell adds exactly the members the cache lacked. *)
+let draw_matches_fresh (w : Counting.Warm.t) f xors limit =
+  let k = w.Counting.Warm.known in
   let _, n = Counting.Known.in_cell k ~limit xors in
   let fresh = Sat.Bsat.enumerate ~limit (Cnf.Formula.add_xors f xors) in
-  if n >= limit then
-    (not fresh.Sat.Bsat.exhausted) && List.length fresh.Sat.Bsat.models = limit
-  else begin
-    let size = Counting.Known.size k in
-    let count, exhausted, cell = draw_cell k f xors limit in
-    exhausted = fresh.Sat.Bsat.exhausted
-    && count = List.length fresh.Sat.Bsat.models
-    && ((not exhausted) || List.equal Cnf.Model.equal cell fresh.Sat.Bsat.models)
-    (* an exhausted cell adds exactly the members it lacked *)
-    && ((not exhausted) || Counting.Known.size k - size = count - n
-       || Counting.Known.size k = Counting.Known.capacity k)
-  end
+  let size = Counting.Known.size k in
+  let c = Counting.Warm.draw_cell ~accept:(fun _ -> true) ~limit w xors in
+  c.Counting.Warm.exhausted = fresh.Sat.Bsat.exhausted
+  && c.Counting.Warm.count = List.length fresh.Sat.Bsat.models
+  && (n < limit || Option.is_none c.Counting.Warm.solved)
+  &&
+  match c.Counting.Warm.witnesses with
+  | None -> not c.Counting.Warm.exhausted
+  | Some cell ->
+      c.Counting.Warm.exhausted
+      && List.equal Cnf.Model.equal (Array.to_list cell) fresh.Sat.Bsat.models
+      && (Counting.Known.size k - size = c.Counting.Warm.count - n
+         || Counting.Known.size k = Counting.Known.capacity k)
 
 let prop_known_completes_fresh_cell =
   QCheck2.Test.make ~count:150 ~name:"known members + enumerate ~known = fresh cell"
@@ -465,7 +442,8 @@ let prop_known_completes_fresh_cell =
       List.iter
         (fun w -> if Rng.bool rng then Counting.Known.add k w)
         (Sat.Bsat.enumerate ~limit:max_int f).Sat.Bsat.models;
-      draw_matches_fresh k f (random_rows rng f m) (1 + Rng.int rng 24))
+      let w = Counting.Warm.mine (Counting.Warm.table ~seed:k f) in
+      draw_matches_fresh w f (random_rows rng f m) (1 + Rng.int rng 24))
 
 (* A formula so wide that the cache keeps the witnesses of only its
    first members: S = 1..11 is free and every other variable copies
@@ -494,13 +472,16 @@ let test_known_past_witness_budget () =
   let kept = List.length (List.filter (Counting.Known.has_model k) (List.init n Fun.id)) in
   Alcotest.(check bool) "some members keep no witness" true
     (kept > 0 && kept < n && Counting.Known.size k = n);
+  (* one warm worker serves every cell, as in a draw *)
+  let w = Counting.Warm.mine (Counting.Warm.table ~seed:k f) in
   for c = 0 to 3 do
     Alcotest.(check bool)
       (Printf.sprintf "cell %d = fresh enumeration" c)
       true
-      (draw_matches_fresh k f (random_rows rng f 6) 48)
+      (draw_matches_fresh w f (random_rows rng f 6) 48)
   done;
-  Alcotest.(check int) "every member was known already" n (Counting.Known.size k)
+  Alcotest.(check int) "every member was known already" n
+    (Counting.Known.size w.Counting.Warm.known)
 
 (* [model] returns each member's witness as added, across the
    512-member chunk boundaries and the byte boundaries of |X|; a copy
@@ -578,6 +559,66 @@ let test_known_bound () =
     && List.equal Cnf.Model.equal models
          (List.init 5 (Counting.Known.model k) @ [ Counting.Known.model k (kept - 1) ]))
 
+(* ------------------------------------------------------------------ *)
+(* Warm workers *)
+
+(* Without a pool every core iteration of a count runs on the calling
+   domain's one warm session: every session call after the first is a
+   reuse. Each cell the cache does not decide is one session call (the
+   audit's fresh enumerations are not). *)
+let test_warm_count_one_session () =
+  let f = Cnf.Formula.create ~num_vars:12 [ Cnf.Clause.of_dimacs [ 1; 2; 3 ] ] in
+  Obs.Metrics.enable ();
+  Obs.Metrics.reset ();
+  let r =
+    Fun.protect ~finally:Obs.Metrics.disable (fun () ->
+        match
+          Counting.Approxmc.count ~iterations:9 ~rng:(Rng.create 5) ~epsilon:0.8
+            ~delta:0.8 f
+        with
+        | Ok r -> r
+        | Error _ -> Alcotest.fail "count failed")
+  in
+  let counter name =
+    Option.value ~default:0
+      (List.assoc_opt name (Obs.Metrics.snapshot ()).Obs.Metrics.counters)
+  in
+  let calls = counter "approxmc.hash_draws" - counter "approxmc.cells_from_known" in
+  Alcotest.(check bool) "hashed count" false r.Counting.Approxmc.exact;
+  Alcotest.(check bool) "several session calls" true (calls > 9);
+  Alcotest.(check int) "every session call after the first is a reuse" (calls - 1)
+    r.Counting.Approxmc.reuse_hits
+
+(* [mine] hands a domain the same worker on every call, and each domain
+   of a pool its own. The two items of the pooled batch wait for each
+   other, so they run on two domains at once. *)
+let test_warm_one_worker_per_domain () =
+  let f = Cnf.Formula.create ~num_vars:6 [ Cnf.Clause.of_dimacs [ 1; 2 ] ] in
+  let tbl = Counting.Warm.table f in
+  let here = Counting.Warm.mine tbl in
+  Alcotest.(check bool) "same worker on a second call" true (Counting.Warm.mine tbl == here);
+  let tbl = Counting.Warm.table f in
+  let arrived = Atomic.make 0 in
+  let both =
+    Parallel.Domain_pool.with_pool ~jobs:2 @@ fun pool ->
+    Parallel.Domain_pool.map pool
+      (fun () ->
+        let w = Counting.Warm.mine tbl in
+        Atomic.incr arrived;
+        let give_up = Unix.gettimeofday () +. 30.0 in
+        while Atomic.get arrived < 2 && Unix.gettimeofday () < give_up do
+          Domain.cpu_relax ()
+        done;
+        (w, Counting.Warm.mine tbl))
+      [| (); () |]
+  in
+  Alcotest.(check int) "both items ran at once" 2 (Atomic.get arrived);
+  let (a, a'), (b, b') = (both.(0), both.(1)) in
+  Alcotest.(check bool) "each domain keeps its worker" true (a == a' && b == b');
+  Alcotest.(check bool) "distinct workers on two domains" true
+    (a != b && a.Counting.Warm.session != b.Counting.Warm.session
+    && a.Counting.Warm.known != b.Counting.Warm.known)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -625,6 +666,12 @@ let () =
           Alcotest.test_case "bound" `Quick test_known_bound;
           Alcotest.test_case "past the witnesses' bound" `Quick
             test_known_past_witness_budget;
+        ] );
+      ( "warm",
+        [
+          Alcotest.test_case "count on one session" `Quick test_warm_count_one_session;
+          Alcotest.test_case "one worker per domain" `Quick
+            test_warm_one_worker_per_domain;
         ] );
       ("properties", qcheck_cases);
     ]

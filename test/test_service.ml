@@ -287,7 +287,6 @@ let test_wire_json_roundtrip () =
           count_iterations = Some 9;
           timeout_s = Some 1.5;
           max_attempts = 11;
-          pin = true;
           tag = Some "job-\"1\"\n";
           trace_id = Some "trace-abc";
         };
@@ -378,7 +377,7 @@ let test_wire_json_roundtrip () =
 (* Scheduler helpers *)
 
 let sample_request ?(n = 3) ?(seed = 1) ?(prepare_seed = 1) ?(epsilon = 6.0)
-    ?count_iterations ?timeout_s ?(pin = false) ?tag ?trace_id formula =
+    ?count_iterations ?timeout_s ?tag ?trace_id formula =
   {
     Scheduler.formula;
     n;
@@ -388,7 +387,6 @@ let sample_request ?(n = 3) ?(seed = 1) ?(prepare_seed = 1) ?(epsilon = 6.0)
     count_iterations;
     timeout_s;
     max_attempts = 20;
-    pin;
     tag;
     trace_id;
   }
@@ -484,6 +482,35 @@ let test_scheduler_round_robin () =
      other: dispatch alternates fingerprints *)
   let order = List.map fst (Scheduler.drain sched) in
   Alcotest.(check (list int)) "fair interleaving" [ a1; b1; a2; a3 ] order
+
+(* A ["pin": true] field from an old client is ignored like any other
+   unknown field: five distinct formulas through a cache of three
+   leave it within its capacity, with no pin held. *)
+let test_scheduler_ignores_pin_field () =
+  with_sched ~config:{ Scheduler.default_config with Scheduler.cache_capacity = 3 }
+  @@ fun sched ->
+  let texts =
+    [ formula_a; formula_b; formula_c; "p cnf 4 1\nc ind 1 2 3 0\n1 2 0\n";
+      "p cnf 4 1\nc ind 1 2 3 0\n-2 3 4 0\n" ]
+  in
+  List.iter
+    (fun text ->
+      let payload =
+        Json.to_string
+          (Json.Obj
+             [ ("op", Json.Str "sample"); ("formula", Json.Str text); ("n", Json.Int 2);
+               ("pin", Json.Bool true) ])
+      in
+      match Wire.request_of_json (Json.of_string payload) with
+      | Wire.Sample w ->
+          ignore
+            (submit_ok sched (Scheduler.request_of_wire (formula_of_string text) w) : int);
+          ignore (step_ok sched)
+      | _ -> Alcotest.fail "expected a sample request")
+    texts;
+  let cache = Scheduler.cache sched in
+  Alcotest.(check bool) "within capacity" true (Cache.length cache <= 3);
+  Alcotest.(check int) "no pin held" 0 (Cache.total_pin_count cache)
 
 let test_scheduler_cancellation () =
   with_sched @@ fun sched ->
@@ -1457,6 +1484,8 @@ let () =
           Alcotest.test_case "deadline miss" `Quick test_scheduler_deadline_miss;
           Alcotest.test_case "round robin" `Quick test_scheduler_round_robin;
           Alcotest.test_case "cancellation" `Quick test_scheduler_cancellation;
+          Alcotest.test_case "old pin field ignored" `Quick
+            test_scheduler_ignores_pin_field;
           Alcotest.test_case "draining" `Quick test_scheduler_draining;
           Alcotest.test_case "unsat and bad epsilon" `Quick
             test_scheduler_unsat_and_bad_epsilon;
