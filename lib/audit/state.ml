@@ -59,7 +59,6 @@ type solver_view = {
 }
 
 let var_of_lit l = l lsr 1
-let neg_lit l = l lxor 1
 
 let lit_value view l =
   let a = view.assigns.(var_of_lit l) in

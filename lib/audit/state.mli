@@ -79,7 +79,6 @@ type solver_view = {
 }
 
 val var_of_lit : int -> int
-val neg_lit : int -> int
 
 val lit_value : solver_view -> int -> int
 (** 1 true, -1 false, 0 unassigned under [view.assigns]. *)

@@ -38,8 +38,6 @@ let simulate t inputs =
   let values = eval_all t inputs in
   Array.map (fun o -> values.(o)) t.outputs
 
-let eval_node t inputs i = (eval_all t inputs).(i)
-
 let num_gates t =
   Array.fold_left
     (fun acc n -> match n with Input _ | Const _ -> acc | _ -> acc + 1)

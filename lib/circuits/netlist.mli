@@ -30,9 +30,6 @@ val simulate : t -> bool array -> bool array
 (** Evaluate the outputs for the given input vector.
     @raise Invalid_argument on an input vector of the wrong length. *)
 
-val eval_node : t -> bool array -> int -> bool
-(** Value of an individual node under the given inputs. *)
-
 val num_gates : t -> int
 (** Number of non-input, non-constant nodes. *)
 

@@ -85,10 +85,6 @@ let blast_xors t =
     }
   end
 
-let map_clauses t ~f =
-  let kept = Array.to_list t.clauses |> List.filter_map f in
-  { t with clauses = Array.of_list kept }
-
 let pp fmt t =
   Format.fprintf fmt "@[<v>p cnf %d %d" t.num_vars (Array.length t.clauses);
   Array.iter (fun c -> Format.fprintf fmt "@,%a" Clause.pp c) t.clauses;

@@ -51,7 +51,4 @@ val blast_xors : t -> t
     fresh variables are dependent on the originals. Used by the
     reference solver and for the "no native XOR engine" ablation. *)
 
-val map_clauses : t -> f:(Clause.t -> Clause.t option) -> t
-(** Keep clauses for which [f] returns [Some]; used by simplifiers. *)
-
 val pp : Format.formatter -> t -> unit

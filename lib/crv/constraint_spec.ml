@@ -17,7 +17,6 @@ type pred =
   | Ule of bv * bv
   | Parity of bv
   | Bit of bv * int
-  | Pand of pred * pred
   | Por of pred * pred
   | Pnot of pred
 
@@ -78,9 +77,6 @@ let bit a i =
   Bit (a, i)
 
 let ptrue = Ptrue
-let pand a b = Pand (a, b)
-let por a b = Por (a, b)
-let pnot a = Pnot a
 let implies a b = Por (Pnot a, b)
 
 let constrain spec p =
@@ -137,7 +133,6 @@ let compile spec =
     | Ule (x, y) -> B.not_ b (Circuits.Arith.less_than b (lower_bv y) (lower_bv x))
     | Parity x -> Circuits.Arith.parity b (lower_bv x)
     | Bit (x, i) -> List.nth (lower_bv x) i
-    | Pand (p, q) -> B.and_ b (lower_pred p) (lower_pred q)
     | Por (p, q) -> B.or_ b (lower_pred p) (lower_pred q)
     | Pnot p -> B.not_ b (lower_pred p)
   in
@@ -157,8 +152,6 @@ let compile spec =
 
 let formula c = c.cformula
 let fields c = c.cfields
-let field_name f = f.fname
-let field_width f = f.fwidth
 
 let field_value c m f =
   let base = c.offsets.(f.fid) in

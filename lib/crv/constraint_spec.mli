@@ -48,9 +48,6 @@ val parity_odd : bv -> pred
 val bit : bv -> int -> pred  (** the i-th bit is set *)
 
 val ptrue : pred
-val pand : pred -> pred -> pred
-val por : pred -> pred -> pred
-val pnot : pred -> pred
 val implies : pred -> pred -> pred
 
 val constrain : spec -> pred -> unit
@@ -67,8 +64,6 @@ val compile : spec -> compiled
 
 val formula : compiled -> Cnf.Formula.t
 val fields : compiled -> field list
-val field_name : field -> string
-val field_width : field -> int
 val field_value : compiled -> Cnf.Model.t -> field -> int
 (** Decode a field from a witness of {!formula}. *)
 

@@ -291,10 +291,10 @@ let get_float k v =
   | Some _ -> fail "field %S: expected a number" k
   | None -> fail "missing field %S" k
 
-let get_bool ?(default = false) k v =
+let get_bool k v =
   match member k v with
   | Some (Bool b) -> b
-  | Some Null | None -> default
+  | Some Null | None -> false
   | Some _ -> fail "field %S: expected a boolean" k
 
 let opt_int k v =

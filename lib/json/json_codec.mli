@@ -60,7 +60,9 @@ val get_int : string -> t -> int
 val get_float : string -> t -> float
 (** [get_float] accepts both [Int] and [Float] members. *)
 
-val get_bool : ?default:bool -> string -> t -> bool
+val get_bool : string -> t -> bool
+(** A missing or [null] member reads [false]. *)
+
 val opt_int : string -> t -> int option
 val opt_float : string -> t -> float option
 val opt_string : string -> t -> string option

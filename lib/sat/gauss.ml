@@ -44,7 +44,10 @@ let dummy_row =
 
 type t = {
   xgroup : int;
-  cols : int Vec.t; (* column -> variable *)
+  trail_size : unit -> int; (* hooks, bound once at [create] *)
+  enqueue : t -> int -> int -> unit;
+  mutable col_var : int array; (* column -> variable *)
+  mutable ncols : int;
   mutable col_of_var : int array; (* variable -> column, -1 = absent *)
   rows : row Vec.t; (* never shrinks; rows die with the matrix *)
   undo_mark : int Vec.t; (* detach-undo stack: trail size at detach... *)
@@ -52,21 +55,35 @@ type t = {
   queue : int Vec.t; (* scratch worklist of row ids *)
   mutable dirty : bool;
   mutable rebuilding : bool; (* next repair is a post-pop rebuild *)
+  mutable conflict : int; (* first conflicting row of the call, -1 = none *)
+  (* results of the last [scan] *)
+  mutable s_unassigned : int;
+  mutable s_u1 : int;
+  mutable s_u2 : int;
+  mutable s_parity : bool;
 }
 
 let lit_of_var v positive = (v lsl 1) lor (if positive then 0 else 1)
 
-let create ~group =
+let create ~group ~trail_size ~enqueue =
   Obs.Metrics.incr c_matrix_pushes;
   { xgroup = group;
-    cols = Vec.create ~dummy:0 ();
+    trail_size;
+    enqueue;
+    col_var = Array.make 16 0;
+    ncols = 0;
     col_of_var = Array.make 16 (-1);
     rows = Vec.create ~dummy:dummy_row ();
     undo_mark = Vec.create ~dummy:0 ();
     undo_row = Vec.create ~dummy:0 ();
     queue = Vec.create ~dummy:0 ();
     dirty = false;
-    rebuilding = false }
+    rebuilding = false;
+    conflict = -1;
+    s_unassigned = 0;
+    s_u1 = -1;
+    s_u2 = -1;
+    s_parity = false }
 
 let group m = m.xgroup
 let num_rows m = Vec.size m.rows
@@ -82,8 +99,14 @@ let col_for m v =
   end;
   match m.col_of_var.(v) with
   | -1 ->
-      let c = Vec.size m.cols in
-      Vec.push m.cols v;
+      let c = m.ncols in
+      if c = Array.length m.col_var then begin
+        let a = Array.make (2 * c) 0 in
+        Array.blit m.col_var 0 a 0 c;
+        m.col_var <- a
+      end;
+      m.col_var.(c) <- v;
+      m.ncols <- c + 1;
       m.col_of_var.(v) <- c;
       c
   | c -> c
@@ -117,30 +140,78 @@ let xor_into dst src =
   dst.rhs <- dst.rhs <> src.rhs;
   Obs.Metrics.incr c_row_reductions
 
-let iter_cols r f =
-  Array.iteri
-    (fun w word ->
-      let bits = ref word in
-      let c = ref (w * word_bits) in
-      while !bits <> 0 do
-        if !bits land 1 <> 0 then f !c;
-        incr c;
-        bits := !bits lsr 1
-      done)
-    r.bits
+(* Column loops walk [r.bits] word by word, lowest bit first, so
+   columns come in ascending order; none of them allocates. *)
 
 (* Unassigned count (with the first two unassigned columns) and the
-   parity of the assigned-true variables of [r]. *)
+   parity of the assigned-true variables of [r], left in the [s_*]
+   fields of [m]. *)
 let scan m ~assigns r =
-  let n = ref 0 and u1 = ref (-1) and u2 = ref (-1) and parity = ref false in
-  iter_cols r (fun c ->
-      let a = assigns.(Vec.get m.cols c) in
-      if a = 0 then begin
-        incr n;
-        if !u1 < 0 then u1 := c else if !u2 < 0 then u2 := c
-      end
-      else if a = 1 then parity := not !parity);
-  (!n, !u1, !u2, !parity)
+  let n = ref 0 in
+  let u1 = ref (-1) in
+  let u2 = ref (-1) in
+  let parity = ref false in
+  let bits = r.bits and col_var = m.col_var in
+  for w = 0 to Array.length bits - 1 do
+    let word = ref bits.(w) in
+    let c = ref (w * word_bits) in
+    while !word <> 0 do
+      if !word land 1 <> 0 then begin
+        let a = assigns.(col_var.(!c)) in
+        if a = 0 then begin
+          incr n;
+          if !u1 < 0 then u1 := !c else if !u2 < 0 then u2 := !c
+        end
+        else if a = 1 then parity := not !parity
+      end;
+      incr c;
+      word := !word lsr 1
+    done
+  done;
+  m.s_unassigned <- !n;
+  m.s_u1 <- !u1;
+  m.s_u2 <- !u2;
+  m.s_parity <- !parity
+
+(* Number of variables of [r] other than [skip]. *)
+let count_vars m r ~skip =
+  let n = ref 0 in
+  let bits = r.bits in
+  for w = 0 to Array.length bits - 1 do
+    let word = ref bits.(w) in
+    let c = ref (w * word_bits) in
+    while !word <> 0 do
+      if !word land 1 <> 0 && m.col_var.(!c) <> skip then incr n;
+      incr c;
+      word := !word lsr 1
+    done
+  done;
+  !n
+
+(* The literal of [v] that is FALSE under the current assignment. *)
+let false_lit ~assigns v = lit_of_var v (assigns.(v) <> 1)
+
+(* Fill [a] from its last slot downwards with the false literal of
+   every variable of [r] other than [skip], taken in ascending column
+   order: [a] ends in descending column order. *)
+let fill_false_lits m ~assigns r ~skip a =
+  let k = ref (Array.length a - 1) in
+  let bits = r.bits in
+  for w = 0 to Array.length bits - 1 do
+    let word = ref bits.(w) in
+    let c = ref (w * word_bits) in
+    while !word <> 0 do
+      if !word land 1 <> 0 then begin
+        let v = m.col_var.(!c) in
+        if v <> skip then begin
+          a.(!k) <- false_lit ~assigns v;
+          decr k
+        end
+      end;
+      incr c;
+      word := !word lsr 1
+    done
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Incremental elimination                                             *)
@@ -181,29 +252,31 @@ let basic_owner m ~except c =
 
 (* Classify row [i] against the current assignment and restore its
    share of the matrix invariant. The first conflicting row is
-   recorded in [conflict]; processing continues so the matrix stays
+   recorded in [m.conflict]; processing continues so the matrix stays
    structurally consistent (extra implied units remain sound). *)
-let process_row m ~assigns ~trail_size ~enqueue ~conflict i r =
+let process_row m ~assigns i r =
   if r.active then begin
-    let n, u1, u2, parity = scan m ~assigns r in
+    scan m ~assigns r;
+    let n = m.s_unassigned and u1 = m.s_u1 and u2 = m.s_u2
+    and parity = m.s_parity in
     if n = 0 then begin
-      if parity = r.rhs then detach m i r ~mark:(trail_size ())
+      if parity = r.rhs then detach m i r ~mark:(m.trail_size ())
       else begin
         (* violated: leave active, flag for repair after the backjump *)
-        if !conflict < 0 then conflict := i;
+        if m.conflict < 0 then m.conflict <- i;
         m.dirty <- true
       end
     end
     else if n = 1 then begin
       (* unit: propagate and detach as satisfied (the callback assigns
          the variable, so the row is fully assigned from here on) *)
-      let v = Vec.get m.cols u1 in
-      enqueue (lit_of_var v (r.rhs <> parity)) i;
-      detach m i r ~mark:(trail_size ())
+      let v = m.col_var.(u1) in
+      m.enqueue m (lit_of_var v (r.rhs <> parity)) i;
+      detach m i r ~mark:(m.trail_size ())
     end
     else begin
       let basic_ok =
-        r.basic >= 0 && mem r r.basic && assigns.(Vec.get m.cols r.basic) = 0
+        r.basic >= 0 && mem r r.basic && assigns.(m.col_var.(r.basic)) = 0
       in
       if not basic_ok then begin
         (* pivot change: claim a fresh unassigned basic column *)
@@ -226,17 +299,15 @@ let process_row m ~assigns ~trail_size ~enqueue ~conflict i r =
     end
   end
 
-let drain m ~assigns ~trail_size ~enqueue ~conflict =
+let drain m ~assigns =
   while Vec.size m.queue > 0 do
     let i = Vec.pop m.queue in
     let r = Vec.get m.rows i in
     r.queued <- false;
-    process_row m ~assigns ~trail_size ~enqueue ~conflict i r
+    process_row m ~assigns i r
   done
 
-let result_of conflict = if !conflict >= 0 then Some !conflict else None
-
-let insert m ~assigns ~trail_size ~enqueue ~conflict ~vars ~rhs =
+let insert m ~assigns ~vars ~rhs =
   let r =
     { bits = [||]; rhs; active = true; basic = -1; w1 = -1; w2 = -1;
       queued = false; src_vars = vars; src_rhs = rhs }
@@ -251,40 +322,38 @@ let insert m ~assigns ~trail_size ~enqueue ~conflict ~vars ~rhs =
   let id = Vec.size m.rows in
   Vec.push m.rows r;
   enqueue_row m id r;
-  drain m ~assigns ~trail_size ~enqueue ~conflict
+  drain m ~assigns
 
-let add_row m ~assigns ~trail_size ~enqueue ~vars ~rhs =
-  let conflict = ref (-1) in
-  insert m ~assigns ~trail_size ~enqueue ~conflict ~vars ~rhs;
-  result_of conflict
+let add_row m ~assigns ~vars ~rhs =
+  m.conflict <- -1;
+  insert m ~assigns ~vars ~rhs;
+  m.conflict
 
-let on_assign m ~assigns ~trail_size ~enqueue ~var =
+let on_assign m ~assigns ~var =
   if var < Array.length m.col_of_var && m.col_of_var.(var) >= 0 then begin
     let c = m.col_of_var.(var) in
-    let conflict = ref (-1) in
+    m.conflict <- -1;
     for i = 0 to Vec.size m.rows - 1 do
       let r = Vec.get m.rows i in
       if r.active && (r.w1 = c || r.w2 = c) then enqueue_row m i r
     done;
-    drain m ~assigns ~trail_size ~enqueue ~conflict;
-    result_of conflict
+    drain m ~assigns;
+    m.conflict
   end
-  else None
+  else -1
 
-let repair m ~assigns ~trail_size ~enqueue =
-  if not m.dirty then None
+let repair m ~assigns =
+  if not m.dirty then -1
   else begin
     m.dirty <- false;
-    let conflict = ref (-1) in
+    m.conflict <- -1;
     if m.rebuilding then begin
       m.rebuilding <- false;
       Obs.Trace.span ~cat:"sat" "gauss.matrix_rebuild" (fun () ->
           let rows = Array.init (Vec.size m.rows) (Vec.get m.rows) in
           Vec.clear m.rows;
           Array.iter
-            (fun r ->
-              insert m ~assigns ~trail_size ~enqueue ~conflict ~vars:r.src_vars
-                ~rhs:r.src_rhs)
+            (fun r -> insert m ~assigns ~vars:r.src_vars ~rhs:r.src_rhs)
             rows)
     end
     else begin
@@ -292,11 +361,11 @@ let repair m ~assigns ~trail_size ~enqueue =
         let r = Vec.get m.rows i in
         if r.active then enqueue_row m i r
       done;
-      drain m ~assigns ~trail_size ~enqueue ~conflict
+      drain m ~assigns
     end;
     (* a conflict re-flags the matrix: the backjump that consumes it
        re-runs repair on a consistent footing *)
-    result_of conflict
+    m.conflict
   end
 
 let cancel_to m ~trail_size =
@@ -322,29 +391,38 @@ let reset m =
 (* Lazy reasons and snapshots                                          *)
 
 let row_vars m ~row =
-  let acc = ref [] in
-  iter_cols (Vec.get m.rows row) (fun c -> acc := Vec.get m.cols c :: !acc);
-  let a = Array.of_list !acc in
+  let r = Vec.get m.rows row in
+  let a = Array.make (count_vars m r ~skip:(-1)) 0 in
+  let k = ref 0 in
+  let bits = r.bits in
+  for w = 0 to Array.length bits - 1 do
+    let word = ref bits.(w) in
+    let c = ref (w * word_bits) in
+    while !word <> 0 do
+      if !word land 1 <> 0 then begin
+        a.(!k) <- m.col_var.(!c);
+        incr k
+      end;
+      incr c;
+      word := !word lsr 1
+    done
+  done;
   Array.sort Int.compare a;
   a
 
-(* The literal of [v] that is FALSE under the current assignment. *)
-let false_lit ~assigns v = lit_of_var v (assigns.(v) <> 1)
-
 let reason_lits m ~assigns ~row ~implied =
   Obs.Metrics.incr c_lazy_reasons;
+  let r = Vec.get m.rows row in
   let iv = implied lsr 1 in
-  let acc = ref [] in
-  iter_cols (Vec.get m.rows row) (fun c ->
-      let v = Vec.get m.cols c in
-      if v <> iv then acc := false_lit ~assigns v :: !acc);
-  Array.of_list (implied :: !acc)
+  let a = Array.make (1 + count_vars m r ~skip:iv) implied in
+  fill_false_lits m ~assigns r ~skip:iv a;
+  a
 
 let conflict_lits m ~assigns ~row =
-  let acc = ref [] in
-  iter_cols (Vec.get m.rows row) (fun c ->
-      acc := false_lit ~assigns (Vec.get m.cols c) :: !acc);
-  Array.of_list !acc
+  let r = Vec.get m.rows row in
+  let a = Array.make (count_vars m r ~skip:(-1)) 0 in
+  fill_false_lits m ~assigns r ~skip:(-1) a;
+  a
 
 type row_dump = {
   d_vars : int array;
@@ -356,7 +434,7 @@ type row_dump = {
 }
 
 let dump m =
-  let var_of c = if c < 0 then -1 else Vec.get m.cols c in
+  let var_of c = if c < 0 then -1 else m.col_var.(c) in
   Array.init (Vec.size m.rows) (fun i ->
       let r = Vec.get m.rows i in
       { d_vars = row_vars m ~row:i;
@@ -398,9 +476,8 @@ module Corrupt = struct
 
   let false_detach m ~assigns =
     let has_unassigned r =
-      let u = ref false in
-      iter_cols r (fun c -> if assigns.(Vec.get m.cols c) = 0 then u := true);
-      !u
+      scan m ~assigns r;
+      m.s_unassigned > 0
     in
     match find_row m (fun r -> r.active && has_unassigned r) with
     | None -> false

@@ -29,17 +29,33 @@
     contents change: the solver must not keep a row as the reason of
     a surviving assignment across a pop.
 
-    The engine is value-agnostic: callers pass the solver's [assigns]
-    array (variable -> 1 / -1 / 0), a [trail_size] thunk for detach
-    marks, and an [enqueue] callback [fun lit row -> ...] invoked for
-    each implied literal (the variable is guaranteed unassigned at the
-    moment of the call). Literals use the solver's int encoding
-    (positive literal of [v] is [2v], negative [2v + 1]). *)
+    The engine is value-agnostic and allocation-free on its
+    per-assignment path. Its two hooks are bound once, at {!create}: a
+    [trail_size] thunk for detach marks and an [enqueue m lit row]
+    callback invoked for each implied literal (the variable is
+    guaranteed unassigned at the moment of the call); callers pass the
+    solver's [assigns] array (variable -> 1 / -1 / 0) on every call.
+    {!add_row}, {!on_assign} and {!repair} return the first
+    conflicting row's id, or [-1] for "no conflict". Literals use the
+    solver's int encoding (positive literal of [v] is [2v], negative
+    [2v + 1]).
+
+    Reason contract: {!reason_lits} puts the implied literal first,
+    then the false literal of every other variable of the row in
+    descending column index (columns are numbered in the order their
+    variables first entered the matrix); {!conflict_lits} gives the
+    same order without an implied literal. Conflict analysis visits
+    literals in this order, so it feeds VSIDS and must not change
+    without changing witness streams. *)
 
 type t
 
-val create : group:int -> t
-(** Fresh empty matrix for [group]. Counts a [solver.gauss_matrix_pushes]. *)
+val create :
+  group:int -> trail_size:(unit -> int) -> enqueue:(t -> int -> int -> unit) -> t
+(** Fresh empty matrix for [group], with its hooks: [trail_size ()] is
+    the current trail length (the detach mark), and [enqueue m lit row]
+    assigns [lit] as implied by [row] of [m]. Counts a
+    [solver.gauss_matrix_pushes]. *)
 
 val group : t -> int
 val num_rows : t -> int
@@ -48,39 +64,23 @@ val is_dirty : t -> bool
 (** Pending [repair] work (set by backtracking, [reset], and conflict
     returns). Propagation fixpoint claims only hold when clean. *)
 
-val add_row :
-  t ->
-  assigns:int array ->
-  trail_size:(unit -> int) ->
-  enqueue:(int -> int -> unit) ->
-  vars:int list ->
-  rhs:bool ->
-  int option
+val add_row : t -> assigns:int array -> vars:int list -> rhs:bool -> int
 (** Insert the XOR [vars = rhs] (duplicate variables cancel), reduce
     it against the existing basic columns, give it a basic column of
     its own (eliminating that column from every other row) and
     classify it — attached, unit (propagated through [enqueue] and
     detached as satisfied), satisfied (detached), or conflicting.
-    Returns the conflicting row's id, or [None]. *)
+    Returns the conflicting row's id, or [-1]. *)
 
-val on_assign :
-  t ->
-  assigns:int array ->
-  trail_size:(unit -> int) ->
-  enqueue:(int -> int -> unit) ->
-  var:int ->
-  int option
+val on_assign : t -> assigns:int array -> var:int -> int
 (** [var] was just assigned: process the rows watching its column
     (watch moves, pivot changes with re-elimination, unit
     propagations, satisfied detaches). Returns the first conflicting
-    row's id, or [None]. Cheap no-op when [var] has no column. *)
+    row's id, or [-1]. Cheap no-op when [var] has no column. Allocates
+    nothing once the matrix's internal stacks have reached their
+    working size. *)
 
-val repair :
-  t ->
-  assigns:int array ->
-  trail_size:(unit -> int) ->
-  enqueue:(int -> int -> unit) ->
-  int option
+val repair : t -> assigns:int array -> int
 (** Re-establish the full matrix invariant after backtracking or
     [reset] (no-op when not dirty). After a [reset] the rows are
     replayed through the [add_row] logic in insertion order, from the
@@ -88,7 +88,8 @@ val repair :
     re-watched, still-satisfied rows re-detach, pending units
     propagate, and rows whose basic column was lost or assigned pick a
     new pivot and re-eliminate. Returns the first conflicting row's
-    id, or [None] (the matrix is clean afterwards iff no conflict). *)
+    id, or [-1] (the matrix is clean afterwards iff no conflict). Like
+    {!on_assign}, allocates nothing on the re-scan path. *)
 
 val cancel_to : t -> trail_size:int -> unit
 (** The trail is being shrunk to [trail_size]: re-activate every row
@@ -111,12 +112,13 @@ val row_vars : t -> row:int -> int array
 val reason_lits : t -> assigns:int array -> row:int -> implied:int -> int array
 (** Materialize the lazy parity reason for [implied] (the true literal
     propagated from [row]): [implied] first, then the false literal of
-    every other variable of the row. Counts a
+    every other variable of the row in descending column index. The
+    result is the only allocation. Counts a
     [solver.gauss_lazy_reasons]. *)
 
 val conflict_lits : t -> assigns:int array -> row:int -> int array
 (** The conflict clause of a violated fully-assigned row: the false
-    literal of every variable. *)
+    literal of every variable, in descending column index. *)
 
 (** Plain-data row snapshot for audits and tests. Columns are reported
     as variable ids ([-1] = none). *)

@@ -64,7 +64,7 @@ let insert t v =
 let update t v = if in_heap t v then percolate_up t t.indices.(v)
 
 let pop_max t =
-  if Vec.size t.heap = 0 then None
+  if Vec.size t.heap = 0 then -1
   else begin
     let top = Vec.get t.heap 0 in
     let last = Vec.pop t.heap in
@@ -74,7 +74,7 @@ let pop_max t =
       t.indices.(last) <- 0;
       percolate_down t 0
     end;
-    Some top
+    top
   end
 
 let snapshot t =

@@ -17,8 +17,9 @@ val insert : t -> int -> unit
 val update : t -> int -> unit
 (** Re-establish heap order after the variable's activity increased. *)
 
-val pop_max : t -> int option
-(** Remove and return the variable with the highest activity. *)
+val pop_max : t -> int
+(** Remove and return the variable with the highest activity, or [-1]
+    when the heap is empty. *)
 
 val size : t -> int
 val rebuild : t -> int list -> unit

@@ -559,7 +559,11 @@ let matrix_for t g =
   match List.find_opt (fun m -> Gauss.group m = g) t.matrices with
   | Some m -> m
   | None ->
-      let m = Gauss.create ~group:g in
+      let m =
+        Gauss.create ~group:g
+          ~trail_size:(fun () -> Vec.size t.trail)
+          ~enqueue:(fun m lit row -> gauss_enqueue t m lit row)
+      in
       t.matrices <- m :: t.matrices;
       m
 
@@ -631,43 +635,36 @@ let propagate_clauses t p =
      Vec.shrink ws !j
    with Found_conflict _ as e -> raise e)
 
-let propagate_gauss t p =
-  let v = lit_var p in
-  List.iter
-    (fun m ->
-      match
-        Gauss.on_assign m ~assigns:t.assigns
-          ~trail_size:(fun () -> Vec.size t.trail)
-          ~enqueue:(gauss_enqueue t m) ~var:v
-      with
-      | None -> ()
-      | Some row -> raise (Found_conflict (C_gauss (m, row))))
-    t.matrices
+(* [v] was just assigned: every matrix, in list order, processes the
+   rows watching it. Top-level loops over [t.matrices], so the
+   per-assignment path builds no closure. *)
+let rec propagate_gauss t v = function
+  | [] -> ()
+  | m :: rest ->
+      let row = Gauss.on_assign m ~assigns:t.assigns ~var:v in
+      if row >= 0 then raise (Found_conflict (C_gauss (m, row)));
+      propagate_gauss t v rest
 
 (* Dirty matrices (after a backtrack, a group pop, or a Gauss
    conflict) re-establish their invariant before the queue drains. *)
-let repair_gauss t =
-  List.iter
-    (fun m ->
-      if Gauss.is_dirty m then
-        match
-          Gauss.repair m ~assigns:t.assigns
-            ~trail_size:(fun () -> Vec.size t.trail)
-            ~enqueue:(gauss_enqueue t m)
-        with
-        | None -> ()
-        | Some row -> raise (Found_conflict (C_gauss (m, row))))
-    t.matrices
+let rec repair_gauss t = function
+  | [] -> ()
+  | m :: rest ->
+      if Gauss.is_dirty m then begin
+        let row = Gauss.repair m ~assigns:t.assigns in
+        if row >= 0 then raise (Found_conflict (C_gauss (m, row)))
+      end;
+      repair_gauss t rest
 
 let propagate t =
   try
-    if t.matrices <> [] then repair_gauss t;
+    repair_gauss t t.matrices;
     while t.qhead < Vec.size t.trail do
       let p = Vec.get t.trail t.qhead in
       t.qhead <- t.qhead + 1;
       t.n_propagations <- t.n_propagations + 1;
       propagate_clauses t p;
-      if t.matrices <> [] then propagate_gauss t p
+      propagate_gauss t (lit_var p) t.matrices
     done;
     None
   with Found_conflict c ->
@@ -1018,13 +1015,9 @@ let add_xor_general t ~group (x : Cnf.Xor_clause.t) =
     | [ v ] -> assert_unit_core t ~group (lit_of_var v !rhs)
     | _ ->
         let m = matrix_for t group in
-        (match
-           Gauss.add_row m ~assigns:t.assigns
-             ~trail_size:(fun () -> Vec.size t.trail)
-             ~enqueue:(gauss_enqueue t m) ~vars ~rhs:!rhs
-         with
-        | Some row -> mark_broken t (conflict_group_of t (C_gauss (m, row)))
-        | None -> if t.ok then propagate_or_break t)
+        let row = Gauss.add_row m ~assigns:t.assigns ~vars ~rhs:!rhs in
+        if row >= 0 then mark_broken t (conflict_group_of t (C_gauss (m, row)))
+        else if t.ok then propagate_or_break t
   end
 
 let add_xor t (x : Cnf.Xor_clause.t) =
@@ -1154,13 +1147,10 @@ let pop_group t =
 (* ------------------------------------------------------------------ *)
 (* Search                                                              *)
 
-let pick_branch_var t =
-  let rec go () =
-    match Order_heap.pop_max t.order with
-    | None -> None
-    | Some v -> if t.assigns.(v) = 0 then Some v else go ()
-  in
-  go ()
+(* The unassigned variable of highest activity, or [-1]. *)
+let rec pick_branch_var t =
+  let v = Order_heap.pop_max t.order in
+  if v < 0 || t.assigns.(v) = 0 then v else pick_branch_var t
 
 type search_outcome = S_sat | S_unsat | S_assump_failed | S_restart | S_timeout
 
@@ -1217,12 +1207,13 @@ let search t ~assumps ~budget ~deadline =
                 ignore (enqueue t p No_reason)
           end
           else
-            match pick_branch_var t with
-            | None -> outcome := Some S_sat
-            | Some v ->
-                t.n_decisions <- t.n_decisions + 1;
-                Vec.push t.trail_lim (Vec.size t.trail);
-                ignore (enqueue t (lit_of_var v t.polarity.(v)) No_reason)
+            let v = pick_branch_var t in
+            if v < 0 then outcome := Some S_sat
+            else begin
+              t.n_decisions <- t.n_decisions + 1;
+              Vec.push t.trail_lim (Vec.size t.trail);
+              ignore (enqueue t (lit_of_var v t.polarity.(v)) No_reason)
+            end
         end
   done;
   match !outcome with

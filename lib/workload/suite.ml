@@ -143,6 +143,3 @@ let by_name name =
   else List.find_opt (fun i -> i.name = name) table2
 
 let num_vars i = (Lazy.force i.formula).Cnf.Formula.num_vars
-
-let sampling_set_size i =
-  Array.length (Cnf.Formula.sampling_vars (Lazy.force i.formula))

@@ -35,4 +35,3 @@ val uniformity_case : instance
 val by_name : string -> instance option
 
 val num_vars : instance -> int
-val sampling_set_size : instance -> int

@@ -155,6 +155,28 @@ cmp -s "$draw_dir/v1" "$draw_dir/v2" || {
 json_ok "$draw_dir/metrics1.json" "$draw_dir/metrics2.json"
 rm -rf "$draw_dir"
 
+echo "== allocation budget (sample case_m1 -n 301 -s 9 -j 1)"
+# Minor-heap words of one draw run, as the OCaml runtime reports them
+# at exit (OCAMLRUNPARAM=v=0x400). At -j 1 the count is the same on
+# every run, so the bound is the measured count + 10 %: a solver or
+# XOR-propagation path that starts allocating per assignment again
+# fails here. The binary runs directly so the runtime report is its
+# own, not dune's.
+alloc_budget=49634258
+alloc_dir=$(mktemp -d)
+dune build bin/unigen_cli.exe
+dune exec bin/unigen_cli.exe -- bench-gen case_m1 -o "$alloc_dir/m1.cnf" > /dev/null
+OCAMLRUNPARAM=v=0x400 ./_build/default/bin/unigen_cli.exe sample "$alloc_dir/m1.cnf" \
+    -n 301 -s 9 -j 1 > /dev/null 2> "$alloc_dir/gc.txt"
+alloc_words=$(sed -n 's/^minor_words: *//p' "$alloc_dir/gc.txt")
+if [ -z "$alloc_words" ] || [ "$alloc_words" -gt "$alloc_budget" ]; then
+    echo "error: sample allocated ${alloc_words:-?} minor words (budget $alloc_budget)" >&2
+    cat "$alloc_dir/gc.txt" >&2
+    exit 1
+fi
+echo "minor words: $alloc_words (budget $alloc_budget)"
+rm -rf "$alloc_dir"
+
 echo "== solver report (sample = count)"
 # sample and count print their solver counters from one field list:
 # both metrics files must carry a "solver" section with the same keys,

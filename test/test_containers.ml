@@ -106,12 +106,13 @@ let test_heap_pop_order () =
   Alcotest.(check int) "size" n (Sat.Order_heap.size h);
   let rec drain acc =
     match Sat.Order_heap.pop_max h with
-    | None -> List.rev acc
-    | Some v -> drain (activity.(v) :: acc)
+    | -1 -> List.rev acc
+    | v -> drain (activity.(v) :: acc)
   in
   let scores = drain [] in
   let sorted = List.sort (fun a b -> Float.compare b a) scores in
-  Alcotest.(check (list (float 0.0))) "descending activity" sorted scores
+  Alcotest.(check (list (float 0.0))) "descending activity" sorted scores;
+  Alcotest.(check int) "empty heap pops -1" (-1) (Sat.Order_heap.pop_max h)
 
 let test_heap_insert_idempotent () =
   let activity = Array.make 4 0.0 in
@@ -128,7 +129,7 @@ let test_heap_update_after_bump () =
   List.iter (Sat.Order_heap.insert h) [ 1; 2; 3 ];
   activity.(3) <- 100.0;
   Sat.Order_heap.update h 3;
-  Alcotest.(check (option int)) "bumped var first" (Some 3) (Sat.Order_heap.pop_max h)
+  Alcotest.(check int) "bumped var first" 3 (Sat.Order_heap.pop_max h)
 
 let test_heap_rebuild () =
   let activity = Array.make 6 0.0 in
@@ -137,7 +138,7 @@ let test_heap_rebuild () =
   List.iter (Sat.Order_heap.insert h) [ 1; 2; 3 ];
   Sat.Order_heap.rebuild h [ 4; 5 ];
   Alcotest.(check int) "rebuilt size" 2 (Sat.Order_heap.size h);
-  Alcotest.(check (option int)) "max of new set" (Some 4) (Sat.Order_heap.pop_max h)
+  Alcotest.(check int) "max of new set" 4 (Sat.Order_heap.pop_max h)
 
 let prop_heap_is_priority_queue =
   QCheck2.Test.make ~count:200 ~name:"heap pops in activity order"
@@ -161,8 +162,8 @@ let prop_heap_is_priority_queue =
         end
         else
           match Sat.Order_heap.pop_max h with
-          | None -> ()
-          | Some v ->
+          | -1 -> ()
+          | v ->
               inserted.(v) <- false;
               popped := v :: !popped;
               (* must be >= everything still in the heap *)

@@ -247,6 +247,233 @@ let prop_enumeration_matches_brute =
       else List.length g.Sat.Bsat.models = limit && List.length brute >= limit)
 
 (* ------------------------------------------------------------------ *)
+(* The matrix on its own, outside a solver, with hooks that write
+   into a test-owned assignment and trail. *)
+
+type harness = {
+  assigns : int array;
+  trail : int array;
+  tsize : int ref;
+  implied : (int * int) list ref; (* (literal, row), latest first *)
+}
+
+let harness ~num_vars =
+  { assigns = Array.make (num_vars + 1) 0;
+    trail = Array.make (num_vars + 1) 0;
+    tsize = ref 0;
+    implied = ref [] }
+
+let assign h lit =
+  h.assigns.(lit lsr 1) <- (if lit land 1 = 0 then 1 else -1);
+  h.trail.(!(h.tsize)) <- lit;
+  incr h.tsize
+
+(* A matrix whose [enqueue] hook assigns and records every implied
+   literal. *)
+let recording_matrix h =
+  Sat.Gauss.create ~group:0
+    ~trail_size:(fun () -> !(h.tsize))
+    ~enqueue:(fun _ lit row ->
+      assign h lit;
+      h.implied := (lit, row) :: !(h.implied))
+
+(* Propagate the trail from [qhead] to a fixpoint; the first conflicting
+   row, or -1. *)
+let propagate_from h m qhead =
+  let conflict = ref (-1) in
+  let q = ref qhead in
+  while !conflict < 0 && !q < !(h.tsize) do
+    conflict := Sat.Gauss.on_assign m ~assigns:h.assigns ~var:(h.trail.(!q) lsr 1);
+    incr q
+  done;
+  !conflict
+
+(* The engine's literal encoding: [2v] positive, [2v + 1] negative. *)
+let lit v b = (v lsl 1) lor if b then 0 else 1
+
+(* The per-assignment path allocates nothing: with hooks allocated up
+   front, a loop of watch moves, a unit, a satisfied detach, a
+   conflict, a backtrack and a repair leaves [Gc.minor_words]
+   unchanged. The first round grows the matrix's internal stacks to
+   their working size and is not measured. *)
+let test_zero_allocation () =
+  Obs.Metrics.enable ();
+  let h = harness ~num_vars:8 in
+  let assigns = h.assigns and push = assign h in
+  let units = ref 0 in
+  let m =
+    Sat.Gauss.create ~group:0
+      ~trail_size:(fun () -> !(h.tsize))
+      ~enqueue:(fun _ l _ ->
+        incr units;
+        push l)
+  in
+  let a = Sat.Gauss.add_row m ~assigns ~vars:[ 1; 2; 3; 4 ] ~rhs:true in
+  let b = Sat.Gauss.add_row m ~assigns ~vars:[ 5; 6 ] ~rhs:false in
+  let c = Sat.Gauss.add_row m ~assigns ~vars:[ 7; 8 ] ~rhs:true in
+  Alcotest.(check (list int)) "rows added without conflict" [ -1; -1; -1 ] [ a; b; c ];
+  let bad = ref 0 in
+  let expect (want : int) got = if got <> want then incr bad in
+  let round () =
+    (* x1, x2: the row watching them moves its watches (and pivot) *)
+    push (lit 1 true);
+    expect (-1) (Sat.Gauss.on_assign m ~assigns ~var:1);
+    push (lit 2 false);
+    expect (-1) (Sat.Gauss.on_assign m ~assigns ~var:2);
+    (* x3: one unassigned variable left, so x4 is implied and the row
+       detaches *)
+    push (lit 3 true);
+    expect (-1) (Sat.Gauss.on_assign m ~assigns ~var:3);
+    expect 1 assigns.(4);
+    expect (-1) (Sat.Gauss.on_assign m ~assigns ~var:4);
+    (* x7 x8 satisfy their row: a satisfied detach *)
+    push (lit 7 true);
+    push (lit 8 false);
+    expect (-1) (Sat.Gauss.on_assign m ~assigns ~var:7);
+    (* x5 x6 violate theirs: a conflict on row 1 *)
+    push (lit 5 true);
+    push (lit 6 false);
+    expect 1 (Sat.Gauss.on_assign m ~assigns ~var:5);
+    (* backtrack everything and repair *)
+    Sat.Gauss.cancel_to m ~trail_size:0;
+    for i = 0 to !(h.tsize) - 1 do
+      assigns.(h.trail.(i) lsr 1) <- 0
+    done;
+    h.tsize := 0;
+    expect (-1) (Sat.Gauss.repair m ~assigns)
+  in
+  round ();
+  let rounds = 50 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    round ()
+  done;
+  let after = Gc.minor_words () in
+  Obs.Metrics.disable ();
+  Alcotest.(check int) "every round behaved" 0 !bad;
+  Alcotest.(check int) "one unit per round" (rounds + 1) !units;
+  Alcotest.(check (float 0.0)) "minor words allocated" 0.0 (after -. before)
+
+(* The reason order on a hand-built matrix: columns are numbered in
+   the order variables first enter the matrix (x5 x3 x9 x1 here), and
+   a reason lists the implied literal, then the others by descending
+   column. *)
+let test_reason_order () =
+  let h = harness ~num_vars:9 in
+  let m = recording_matrix h in
+  Alcotest.(check int) "no conflict" (-1)
+    (Sat.Gauss.add_row m ~assigns:h.assigns ~vars:[ 5; 3; 9; 1 ] ~rhs:true);
+  assign h (lit 5 true);
+  assign h (lit 9 false);
+  assign h (lit 1 true);
+  Alcotest.(check int) "no conflict" (-1) (propagate_from h m 0);
+  Alcotest.(check (list (pair int int))) "x3 implied by row 0"
+    [ (lit 3 true, 0) ] !(h.implied);
+  Alcotest.(check (array int)) "implied, then x1 x9 x5"
+    [| lit 3 true; lit 1 false; lit 9 true; lit 5 false |]
+    (Sat.Gauss.reason_lits m ~assigns:h.assigns ~row:0 ~implied:(lit 3 true));
+  let h = harness ~num_vars:7 in
+  let m = recording_matrix h in
+  Alcotest.(check int) "no conflict" (-1)
+    (Sat.Gauss.add_row m ~assigns:h.assigns ~vars:[ 4; 2; 7 ] ~rhs:false);
+  assign h (lit 4 true);
+  assign h (lit 2 false);
+  assign h (lit 7 false);
+  Alcotest.(check int) "row 0 violated" 0 (propagate_from h m 0);
+  Alcotest.(check (array int)) "x7 x2 x4"
+    [| lit 7 true; lit 2 true; lit 4 false |]
+    (Sat.Gauss.conflict_lits m ~assigns:h.assigns ~row:0)
+
+(* The reason contract on random matrices driven by random decisions:
+   every reason puts its implied literal first, holds each variable of
+   the row exactly once, has every other literal false, and lists them
+   by descending column; conflict clauses likewise, all false. *)
+let prop_reason_contract =
+  QCheck2.Test.make ~count:300 ~name:"gauss reasons: implied first, then descending columns"
+    ~print:(fun (seed, nv, nr) -> Printf.sprintf "seed=%d nv=%d nr=%d" seed nv nr)
+    QCheck2.Gen.(tup3 (int_bound 1_000_000) (int_bound 10) (int_bound 6))
+    (fun (seed, nv, nr) ->
+      let num_vars = 2 + nv in
+      let rng = Rng.create seed in
+      let h = harness ~num_vars in
+      let m = recording_matrix h in
+      let rows =
+        List.init (1 + nr) (fun _ ->
+            (List.init (1 + Rng.int rng 5) (fun _ -> 1 + Rng.int rng num_vars),
+             Rng.bool rng))
+      in
+      (* column of each variable: its rank of first appearance *)
+      let col = Array.make (num_vars + 1) (-1) in
+      let ncols = ref 0 in
+      List.iter
+        (fun (vars, _) ->
+          List.iter
+            (fun v ->
+              if col.(v) < 0 then begin
+                col.(v) <- !ncols;
+                incr ncols
+              end)
+            vars)
+        rows;
+      let conflict = ref (-1) in
+      List.iter
+        (fun (vars, rhs) ->
+          if !conflict < 0 then
+            conflict := Sat.Gauss.add_row m ~assigns:h.assigns ~vars ~rhs)
+        rows;
+      let qhead = ref 0 in
+      let propagate () =
+        if !conflict < 0 then begin
+          let from = !qhead in
+          qhead := !(h.tsize);
+          conflict := propagate_from h m from;
+          qhead := !(h.tsize)
+        end
+      in
+      propagate ();
+      while !conflict < 0 && !(h.tsize) < num_vars do
+        let free = List.filter (fun v -> h.assigns.(v) = 0) (List.init num_vars (fun i -> i + 1)) in
+        assign h (lit (List.nth free (Rng.int rng (List.length free))) (Rng.bool rng));
+        propagate ()
+      done;
+      let is_false l = h.assigns.(l lsr 1) = (if l land 1 = 0 then -1 else 1) in
+      let descending lits =
+        let cols = List.map (fun l -> col.(l lsr 1)) lits in
+        List.sort (fun a b -> compare b a) cols = cols
+      in
+      let same_vars lits row =
+        List.sort compare (List.map (fun l -> l lsr 1) lits)
+        = Array.to_list (Sat.Gauss.row_vars m ~row)
+      in
+      List.iter
+        (fun (implied, row) ->
+          match
+            Array.to_list (Sat.Gauss.reason_lits m ~assigns:h.assigns ~row ~implied)
+          with
+          | [] -> QCheck2.Test.fail_report "empty reason"
+          | first :: rest ->
+              if first <> implied then QCheck2.Test.fail_report "implied literal not first";
+              if h.assigns.(implied lsr 1) <> (if implied land 1 = 0 then 1 else -1) then
+                QCheck2.Test.fail_report "implied literal not true";
+              if not (List.for_all is_false rest) then
+                QCheck2.Test.fail_report "reason literal not false";
+              if not (same_vars (first :: rest) row) then
+                QCheck2.Test.fail_report "reason variables differ from the row's";
+              if not (descending rest) then
+                QCheck2.Test.fail_report "reason not in descending column order")
+        !(h.implied);
+      if !conflict >= 0 then begin
+        let lits = Array.to_list (Sat.Gauss.conflict_lits m ~assigns:h.assigns ~row:!conflict) in
+        if not (List.for_all is_false lits) then
+          QCheck2.Test.fail_report "conflict literal not false";
+        if not (same_vars lits !conflict) then
+          QCheck2.Test.fail_report "conflict variables differ from the row's";
+        if not (descending lits) then
+          QCheck2.Test.fail_report "conflict clause not in descending column order"
+      end;
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* Observability: the gauss counters surface through Obs.Metrics when
    the Gauss engine does real work. *)
 
@@ -288,12 +515,20 @@ let qcheck_cases =
       prop_fixpoint_matches_static_rref;
       prop_pushpop_restores_matrix;
       prop_enumeration_matches_brute;
+      prop_reason_contract;
     ]
 
 let () =
   Alcotest.run "gauss"
     [
       ("properties", qcheck_cases);
+      ( "engine",
+        [
+          Alcotest.test_case "no allocation on the assignment path" `Quick
+            test_zero_allocation;
+          Alcotest.test_case "reason and conflict literal order" `Quick
+            test_reason_order;
+        ] );
       ( "observability",
         [
           Alcotest.test_case "gauss counters surface" `Quick

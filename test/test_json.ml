@@ -242,6 +242,16 @@ let test_named_escapes () =
   Alcotest.(check string) "tab and CR are named" {|{"k": "\t\r\n\u0001\"\\"}|}
     (Obs.Report.json_of_fields [ ("k", Obs.Report.String "\t\r\n\001\"\\") ])
 
+let test_get_bool () =
+  let doc = J.of_string {|{"t": true, "f": false, "n": null, "s": "x"}|} in
+  Alcotest.(check (list bool)) "true, false, null, missing"
+    [ true; false; false; false ]
+    (List.map (fun k -> J.get_bool k doc) [ "t"; "f"; "n"; "absent" ]);
+  Alcotest.(check bool) "a string is an error" true
+    (match J.get_bool "s" doc with
+    | (_ : bool) -> false
+    | exception J.Decode_error _ -> true)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -267,6 +277,7 @@ let () =
       ( "codec",
         [
           Alcotest.test_case "named escapes" `Quick test_named_escapes;
+          Alcotest.test_case "get_bool" `Quick test_get_bool;
           QCheck_alcotest.to_alcotest prop_roundtrip;
           QCheck_alcotest.to_alcotest prop_writers_share_escaper;
         ] );
