@@ -4,9 +4,6 @@
 
 type severity = Error | Warn | Info
 
-val severity_to_string : severity -> string
-(** ["error"], ["warn"], ["info"]. *)
-
 type t = {
   rule : string;
   severity : severity;

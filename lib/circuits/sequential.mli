@@ -26,12 +26,6 @@ type t = {
 val create : name:string -> state_width:int -> input_width:int -> Netlist.t -> t
 (** Validates the in/out arity convention. *)
 
-val instantiate :
-  Netlist.Builder.t -> Netlist.t -> int array -> int array
-(** Splice a copy of a netlist into a builder, wiring its inputs to
-    the given signals; returns the signals of its outputs. Exposed
-    because benchmark generators use it to compose circuits. *)
-
 val unroll : ?observe_last_only:bool -> steps:int -> t -> Netlist.t
 (** Combinational unrolling. Outputs are every step's observables (or
     only the final step's when [observe_last_only], default) followed

@@ -13,10 +13,11 @@ type prepared = {
   hash_density : float;
   phase : phase;
   warm : Counting.Warm.table;
-      (* the draws' warm workers, one per domain that has drawn, each
-         cache starting as a copy of ApproxMC's (empty in the easy phase
-         and after [import]: it lives in RAM only); dropping the state
-         frees them, whatever domains touched it *)
+      (* one warm worker per domain that counted or drew: a domain
+         draws on the worker it counted with, and any other starts
+         fresh (as every domain does after [import]: the workers live
+         in RAM only); dropping the state frees them, whatever domains
+         touched it *)
   prepare_solver : Sat.Solver.stats * int;
       (* the preparation's solver counters and session reuse hits: the
          easy enumeration's plus the count's (RAM only: zeros after
@@ -24,8 +25,8 @@ type prepared = {
   stats : Sampler.run_stats;
 }
 
-let make_prepared ?seed ?(prepare_solver = (Sat.Solver.stats_zero, 0)) ~kappa ~pivot
-    ~hash_density ~formula phase =
+let make_prepared ?(prepare_solver = (Sat.Solver.stats_zero, 0)) ~kappa ~pivot
+    ~hash_density ~formula ~warm phase =
   let hi = Kappa_pivot.hi_thresh ~kappa ~pivot in
   {
     sampling = Cnf.Formula.sampling_vars formula;
@@ -36,7 +37,7 @@ let make_prepared ?seed ?(prepare_solver = (Sat.Solver.stats_zero, 0)) ~kappa ~p
     hi_limit = int_of_float (Float.floor hi) + 1;
     hash_density;
     phase;
-    warm = Counting.Warm.table ?seed formula;
+    warm;
     prepare_solver;
     stats = Sampler.fresh_stats ();
   }
@@ -57,11 +58,15 @@ let prepare ?deadline ?count_iterations ?(hash_density = 0.5) ?pool ~rng ~epsilo
   let kappa, pivot = Kappa_pivot.compute epsilon in
   let hi = Kappa_pivot.hi_thresh ~kappa ~pivot in
   let hi_limit = int_of_float (Float.floor hi) + 1 in
-  let make ?seed prepare_solver =
-    make_prepared ?seed ~prepare_solver ~kappa ~pivot ~hash_density ~formula
+  let warm = Counting.Warm.table formula in
+  let make prepare_solver =
+    make_prepared ~prepare_solver ~kappa ~pivot ~hash_density ~formula ~warm
   in
-  (* lines 4-7: the easy case *)
-  let out = Sat.Bsat.enumerate ?deadline ~limit:hi_limit formula in
+  (* lines 4-7: the easy case, enumerated far enough to serve as the
+     count's easy check too (hi_limit falls below its pivot + 1 at
+     very large ε) *)
+  let limit = max hi_limit (Counting.Approxmc.pivot_of_epsilon 0.8 + 1) in
+  let out = Sat.Bsat.enumerate ?deadline ~limit formula in
   if out.Sat.Bsat.timed_out then Error Prepare_timeout
   else begin
     let models = Array.of_list out.Sat.Bsat.models in
@@ -69,10 +74,11 @@ let prepare ?deadline ?count_iterations ?(hash_density = 0.5) ?pool ~rng ~epsilo
     else if out.Sat.Bsat.exhausted && float_of_int (Array.length models) <= hi
     then Ok (make (out.Sat.Bsat.stats, 0) (Easy models))
     else begin
-      (* lines 9-10: approximate count, then q = ⌈log C + log 1.8 − log pivot⌉ *)
+      (* lines 9-10: approximate count on the state's own workers, then
+         q = ⌈log C + log 1.8 − log pivot⌉ *)
       match
-        Counting.Approxmc.count ?deadline ?iterations:count_iterations ?pool
-          ~rng ~epsilon:0.8 ~delta:0.8 formula
+        Counting.Approxmc.count_from ?deadline ?iterations:count_iterations ?pool
+          ~rng ~epsilon:0.8 ~delta:0.8 ~easy:out warm
       with
       | Error Counting.Approxmc.Unsat -> Error Unsat_formula
       | Error Counting.Approxmc.Timed_out -> Error Count_failed
@@ -82,9 +88,8 @@ let prepare ?deadline ?count_iterations ?(hash_density = 0.5) ?pool ~rng ~epsilo
               (Float.ceil (c.Counting.Approxmc.log2_estimate +. log2 1.8 -. log2 (float_of_int pivot)))
           in
           Ok
-            (make ~seed:c.Counting.Approxmc.known
-               ( Sat.Solver.stats_add out.Sat.Bsat.stats c.Counting.Approxmc.solver_stats,
-                 c.Counting.Approxmc.reuse_hits )
+            (make
+               (c.Counting.Approxmc.solver_stats, c.Counting.Approxmc.reuse_hits)
                (Hashed { q; count_estimate = c.Counting.Approxmc.estimate }))
     end
   end
@@ -209,9 +214,8 @@ let sample_batch ?deadline ?max_attempts ?pool ~seed t n =
 
 (* ------------------------------------------------------------------ *)
 (* Portable view: everything a prepared state carries that cannot be
-   recomputed for free. The warm workers (and the ApproxMC cache
-   their caches start from), the stats and the preparation's solver
-   counters are rebuilt empty on import; kappa/pivot determine
+   recomputed for free. The warm workers, the stats and the
+   preparation's solver counters are rebuilt empty on import; kappa/pivot determine
    hi/lo/hi_limit, so the thresholds are re-derived rather than
    trusted from the serialized form. Draws
    depend only on (phase, hash_density, sampling set, thresholds,
@@ -271,7 +275,7 @@ let import ~formula p =
     | Portable_hashed { q; count_estimate } -> Hashed { q; count_estimate }
   in
   make_prepared ~kappa:p.p_kappa ~pivot:p.p_pivot ~hash_density:p.p_hash_density
-    ~formula phase
+    ~formula ~warm:(Counting.Warm.table formula) phase
 
 let stats t = t.stats
 let prepare_solver t = t.prepare_solver

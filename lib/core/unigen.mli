@@ -42,10 +42,14 @@ val prepare :
     probability of the XOR rows; values below 0.5 give the sparse-XOR
     variant of Gomes et al. that voids Theorem 1 — it exists only for
     the ablation bench.
+    The easy case's enumeration (limit ⌊hiThresh⌋ + 1, or ApproxMC's
+    pivot + 1 when that is larger) also serves as the count's easy
+    check, so the formula is enumerated once.
     Every hashed BSAT call — in the ApproxMC count and later in each
     draw — runs on a domain's warm worker ({!Counting.Warm}). The
-    count's workers die with the count; the draws' workers belong to
-    the prepared state and are freed with it.
+    workers belong to the prepared state and are freed with it: a
+    domain draws on the worker it counted with, and a domain that did
+    not count starts a fresh one.
     [pool] parallelises the ApproxMC counting iterations (each is an
     independent XOR-hashed count on its own stream); the preparation is
     the same with or without it. See {!Counting.Approxmc.count}.
@@ -64,10 +68,11 @@ val prepare :
     whatever [max_attempts] is.
 
     Each cell goes through the drawing domain's warm worker,
-    {!Counting.Warm.draw_cell} with limit ⌊hiThresh⌋ + 1, whose cache
-    of found witnesses starts as a copy of those ApproxMC found while
-    preparing the state (RAM only: an {!import}ed state starts empty).
-    Cell sizes, exhaustion and (whenever S is an independent support)
+    {!Counting.Warm.draw_cell} with limit ⌊hiThresh⌋ + 1. On a domain
+    that counted while preparing the state, its session and its cache
+    of found witnesses are the ones the count left; elsewhere they
+    start fresh and empty, as on every domain of an {!import}ed state
+    (the workers live in RAM only). Cell sizes, exhaustion and (whenever S is an independent support)
     the witness set are those of a plain enumeration, and the hash and
     witness draws are unchanged, so the outcome does not depend on
     what the cache held.
@@ -145,9 +150,9 @@ val import : formula:Cnf.Formula.t -> portable -> prepared
     same canonical formula the exported state was prepared from (the
     caller verifies this via the registry fingerprint in its store
     key). Fresh warm workers with empty caches, and zeroed stats and
-    {!prepare_solver} counters: ApproxMC's cache of found witnesses, which a
-    freshly prepared state's draw caches start from, is not part of
-    the portable view.
+    {!prepare_solver} counters: the workers a freshly prepared state
+    draws on, warmed by its count, are not part of the portable
+    view.
     @raise Invalid_argument when an easy-phase model list is malformed
     (negative [num_vars] or a literal out of range). *)
 

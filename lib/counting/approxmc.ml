@@ -6,7 +6,6 @@ type result = {
   failed_iterations : int;
   solver_stats : Sat.Solver.stats;
   reuse_hits : int;
-  known : Known.t;
 }
 
 type error = Unsat | Timed_out
@@ -55,8 +54,9 @@ let h_cell_size = Obs.Metrics.histogram "approxmc.cell_size"
    exhausted) is the one a plain enumeration with limit pivot+1 gives,
    so the estimate does not depend on what the cache held or on what
    the session learnt before. *)
-let core ?deadline ~rng ~pivot (w : Warm.t) f =
+let core ?deadline ~rng ~pivot (w : Warm.t) =
   Obs.Trace.span ~cat:"counting" "approxmc.core" @@ fun () ->
+  let f = Sat.Bsat.Session.formula w.Warm.session in
   let sampling = Cnf.Formula.sampling_vars f in
   let n = Array.length sampling in
   let known = w.Warm.known in
@@ -109,88 +109,77 @@ let core ?deadline ~rng ~pivot (w : Warm.t) f =
    counts: iteration [i] runs on the private stream (master, i) and the
    median is taken over the index-ordered successes, so the estimate is
    a pure function of the master seed — the same on the calling domain
-   as on a pool of any size. Each domain runs its iterations on its own
-   warm worker, whose cache starts as a copy of [seed]; the largest
-   cache is handed out with the result, and the sessions die with the
-   call. An iteration that hits the deadline comes back as [None]
-   rather than raising across domains. *)
-let iterate ?deadline ?pool ~rng ~pivot ~t ~seed f =
+   as on a pool of any size. Each domain runs its iterations on its
+   worker in [workers], which outlives the call. An iteration that hits
+   the deadline comes back as [None] rather than raising across
+   domains. *)
+let iterate ?deadline ?pool ~rng ~pivot ~t workers =
   let master = Int64.to_int (Rng.bits64 rng) land max_int in
-  let workers = Warm.table ~seed f in
   let one index =
     let rng = Rng.of_stream ~seed:master index in
-    try Some (core ?deadline ~rng ~pivot (Warm.mine workers) f)
-    with Deadline -> None
+    try Some (core ?deadline ~rng ~pivot (Warm.mine workers)) with Deadline -> None
   in
   let indices = Array.init t Fun.id in
-  let outs =
-    match pool with
-    | Some p -> Parallel.Domain_pool.map p one indices
-    | None -> Array.map one indices
-  in
-  (* every iteration has returned, so no domain adds to a cache now *)
-  (outs, Warm.largest_known workers)
+  match pool with
+  | Some p -> Parallel.Domain_pool.map p one indices
+  | None -> Array.map one indices
 
-let count ?deadline ?iterations ?pool ~rng ~epsilon ~delta f =
+let count_from ?deadline ?iterations ?pool ~rng ~epsilon ~delta ~easy workers =
   Obs.Trace.span ~cat:"counting" "approxmc.count" @@ fun () ->
   (match iterations with
   | Some t when t < 1 -> invalid_arg "Approxmc.count: iterations must be >= 1"
   | _ -> ());
   let pivot = pivot_of_epsilon epsilon in
   let t = match iterations with Some t -> t | None -> iterations_of_delta delta in
-  try
+  let n0 = List.length easy.Sat.Bsat.models in
+  if easy.Sat.Bsat.timed_out then Error Timed_out
+  else if n0 = 0 then Error Unsat
+  else if easy.Sat.Bsat.exhausted && n0 <= pivot then
     (* Easy case: few enough witnesses to enumerate exactly. *)
-    let out = Sat.Bsat.enumerate ?deadline ~limit:(pivot + 1) f in
-    if out.Sat.Bsat.timed_out then Error Timed_out
-    else begin
-      let n0 = List.length out.Sat.Bsat.models in
-      (* every cache starts from the easy check's witnesses *)
-      let seed = Known.create f in
-      List.iter (Known.add seed) out.Sat.Bsat.models;
-      if n0 = 0 then Error Unsat
-      else if out.Sat.Bsat.exhausted then
-        Ok
-          {
-            estimate = float_of_int n0;
-            log2_estimate = Float.log (float_of_int n0) /. Float.log 2.0;
-            exact = true;
-            core_iterations = 0;
-            failed_iterations = 0;
-            solver_stats = out.Sat.Bsat.stats;
-            reuse_hits = 0;
-            known = seed;
-          }
-      else begin
-        let estimates = ref [] in
-        let failures = ref 0 in
-        let agg_stats = ref out.Sat.Bsat.stats in
-        let reuse_hits = ref 0 in
-        let outs, known = iterate ?deadline ?pool ~rng ~pivot ~t ~seed f in
-        Array.iter
-          (function
-            | None -> raise Deadline
-            | Some co ->
-                agg_stats := Sat.Solver.stats_add !agg_stats co.co_stats;
-                reuse_hits := !reuse_hits + co.co_reuse;
-                (match co.co_res with
-                | Some e -> estimates := e :: !estimates
-                | None -> incr failures))
-          outs;
-        match !estimates with
-        | [] -> Error Timed_out (* all iterations failed: no usable estimate *)
-        | es ->
-            let est = median es in
-            Ok
-              {
-                estimate = est;
-                log2_estimate = Float.log est /. Float.log 2.0;
-                exact = false;
-                core_iterations = List.length es;
-                failed_iterations = !failures;
-                solver_stats = !agg_stats;
-                reuse_hits = !reuse_hits;
-                known;
-              }
-      end
-    end
-  with Deadline -> Error Timed_out
+    Ok
+      {
+        estimate = float_of_int n0;
+        log2_estimate = Float.log (float_of_int n0) /. Float.log 2.0;
+        exact = true;
+        core_iterations = 0;
+        failed_iterations = 0;
+        solver_stats = easy.Sat.Bsat.stats;
+        reuse_hits = 0;
+      }
+  else
+    try
+      (* the easy check's witnesses start the calling domain's cache *)
+      List.iter (Known.add (Warm.mine workers).Warm.known) easy.Sat.Bsat.models;
+      let estimates = ref [] in
+      let failures = ref 0 in
+      let agg_stats = ref easy.Sat.Bsat.stats in
+      let reuse_hits = ref 0 in
+      Array.iter
+        (function
+          | None -> raise Deadline
+          | Some co ->
+              agg_stats := Sat.Solver.stats_add !agg_stats co.co_stats;
+              reuse_hits := !reuse_hits + co.co_reuse;
+              (match co.co_res with
+              | Some e -> estimates := e :: !estimates
+              | None -> incr failures))
+        (iterate ?deadline ?pool ~rng ~pivot ~t workers);
+      match !estimates with
+      | [] -> Error Timed_out (* all iterations failed: no usable estimate *)
+      | es ->
+          let est = median es in
+          Ok
+            {
+              estimate = est;
+              log2_estimate = Float.log est /. Float.log 2.0;
+              exact = false;
+              core_iterations = List.length es;
+              failed_iterations = !failures;
+              solver_stats = !agg_stats;
+              reuse_hits = !reuse_hits;
+            }
+    with Deadline -> Error Timed_out
+
+let count ?deadline ?iterations ?pool ~rng ~epsilon ~delta f =
+  let easy = Sat.Bsat.enumerate ?deadline ~limit:(pivot_of_epsilon epsilon + 1) f in
+  count_from ?deadline ?iterations ?pool ~rng ~epsilon ~delta ~easy (Warm.table f)

@@ -24,13 +24,6 @@ type result = {
       (** BSAT calls served by a warm solver session (0 in the exact
           easy case); cells decided from cached projections make no
           call and are not counted *)
-  known : Known.t;
-      (** the largest of the count's per-domain caches of found
-          witnesses (the easy check's
-          witnesses in the exact case). No domain adds to it once
-          [count] has returned, so callers may {!Known.copy} it from
-          any domain; UniGen starts each draw domain's cache from a
-          copy. *)
 }
 
 type error = Unsat | Timed_out
@@ -51,14 +44,36 @@ val count :
   delta:float ->
   Cnf.Formula.t ->
   (result, error) Result.t
-(** Each domain that runs ApproxMCCore iterations runs them all on
+(** {!count_from} on the one-shot enumeration [Sat.Bsat.enumerate
+    ~limit:(pivot + 1)] of the formula (the easy check) and a fresh
+    {!Warm.table}, which dies with the call.
+    @raise Invalid_argument when [iterations < 1]. *)
+
+val count_from :
+  ?deadline:float ->
+  ?iterations:int ->
+  ?pool:Parallel.Domain_pool.t ->
+  rng:Rng.t ->
+  epsilon:float ->
+  delta:float ->
+  easy:Sat.Bsat.outcome ->
+  Warm.table ->
+  (result, error) Result.t
+(** The count after its easy check. [easy] is a one-shot enumeration
+    of the table's formula with any limit of at least pivot + 1 (a
+    caller with a larger limit, as UniGen's own easy check, passes its
+    outcome instead of enumerating again). No witness means [Unsat];
+    an exhausted [easy] with at most pivot witnesses is the exact
+    count. Otherwise [easy]'s witnesses join the calling domain's
+    cache, so the table must be one no domain has used yet, and the
+    ApproxMCCore iterations run on the table's workers.
+
+    Each domain that runs ApproxMCCore iterations runs them all on
     its warm worker ({!Warm}): one solver session, reused across every
     hash size [i] of every iteration with only the XOR layer swapped,
-    beside a bounded {!Known} cache of the solutions found, which
-    starts as a copy of the easy check's pivot + 1 witnesses. The
-    largest cache is handed out as [known] in the result; the sessions
-    and the other caches die with the call. A drawn cell is first
-    measured against the cache: with
+    beside a bounded {!Known} cache of the solutions found. The
+    workers stay in the table after the call: UniGen draws on them. A
+    drawn cell is first measured against the cache: with
     k >= pivot + 1 cached members it is decided as cut without a
     solver call; otherwise the session enumerates it with those k
     projections blocked and a limit of pivot + 1 - k, and the new
@@ -66,9 +81,10 @@ val count :
     (min(|cell|, pivot + 1), exhausted) is the one a plain enumeration
     gives, and the hash draws are unchanged, so every estimate is the
     same whatever the cache held and whatever the session learnt
-    before. Under audit mode every cell that
-    used cached projections is re-enumerated by a fresh solver and compared
-    (invariant [known-cell]).
+    before, and the same for every limit of [easy]: a cut [easy]
+    contributes only cached witnesses. Under audit mode every cell
+    that used cached projections is re-enumerated by a fresh solver
+    and compared (invariant [known-cell]).
 
     Each core iteration searches the hash size upwards from 1; the
     CP 2013 "leapfrogging" heuristic, which starts near the previous
@@ -84,5 +100,5 @@ val count :
     with [pool] they run across its workers. Because each iteration is
     an independent XOR-hashed count, the estimate is a pure function
     of [rng]'s state — identical with no pool and on a pool of any
-    size.
+    size. [solver_stats] covers [easy] too.
     @raise Invalid_argument when [iterations < 1]. *)

@@ -6,9 +6,8 @@
      variable of the row.
    - the full witnesses of the first [max_models] members,
      [model_bytes] bytes each (see [Cnf.Model.pack]), in chunks of
-     [chunk_members] members. A chunk is a Bigarray: it never moves,
-     the GC does not scan it, and once full it is never written again,
-     so a [copy] shares it.
+     [chunk_members] members. A chunk is a Bigarray: it never moves and
+     the GC does not scan it.
    A cache belongs to one domain. *)
 
 open Bigarray
@@ -96,27 +95,6 @@ let add t m =
     end;
     t.size <- r + 1
   end
-
-let copy t =
-  (* full chunks are never written again; the last one may be, until
-     the witnesses reach their bound *)
-  let full =
-    if t.size >= t.max_models then Array.length t.chunks else t.size / chunk_members
-  in
-  {
-    t with
-    cols = Array.map Array.copy t.cols;
-    chunks =
-      Array.mapi
-        (fun c chunk ->
-          if c < full then chunk
-          else begin
-            let fresh = Array1.create int8_unsigned c_layout (Array1.dim chunk) in
-            Array1.blit chunk fresh;
-            fresh
-          end)
-        t.chunks;
-  }
 
 let bit words r = (words.(r / bits) lsr (r mod bits)) land 1 = 1
 let values t r = Array.map (fun col -> bit col r) t.cols

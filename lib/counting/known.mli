@@ -1,18 +1,16 @@
 (** A cache of the witnesses a caller has found, used to decide hashed
     cells without a solver call and to supply a cell's witnesses
     without finding them again. Each domain's warm worker ({!Warm})
-    keeps one beside its solver session: ApproxMC's workers hand the
-    largest out with the count's result, and each domain that draws
-    from a prepared state starts from a {!copy} of it.
+    keeps one beside its solver session, filled by the ApproxMC cells
+    the worker counted and then by the cells it draws.
 
     Each member's projection onto the sampling set S is stored
     bit-sliced (one bitset over the members per variable of S), so an
     XOR row over S is evaluated on [Sys.int_size] members per word
     operation. The full witnesses of the first members are stored
     too, bit-packed (⌈|X| / 8⌉ bytes each, see {!Cnf.Model.pack}) in
-    fixed chunks of 512 members, Bigarrays that never move, that the
-    GC does not scan and that {!copy} shares once full. A cache
-    belongs to one domain.
+    fixed chunks of 512 members, Bigarrays that never move and that
+    the GC does not scan. A cache belongs to one domain.
 
     The cache is bounded with no knob, by two budgets of 2{^ 18} words
     (2 MiB each on a 64-bit host). The columns' budget fixes
@@ -48,12 +46,6 @@ val add : t -> Cnf.Model.t -> unit
     were blocked in the enumeration that found the model).
     @raise Invalid_argument when the model is not over the formula's
     [num_vars] variables. *)
-
-val copy : t -> t
-(** An independent cache with the same members. It shares the full
-    witness chunks, which are never written again, so a copy costs
-    the columns and at most one chunk. Copying is a read: many
-    domains may copy one cache that no domain adds to. *)
 
 val values : t -> int -> bool array
 (** Member [r] as the values of S's variables, in S's order (the form

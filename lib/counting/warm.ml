@@ -2,16 +2,12 @@ type t = { session : Sat.Bsat.Session.t; known : Known.t }
 
 type table = {
   formula : Cnf.Formula.t;
-  seed : Known.t option;
   workers : (int, t) Hashtbl.t; (* keyed by [Domain.self ()] *)
   lock : Mutex.t; (* guards [workers] only *)
 }
 
-let table ?seed formula =
-  { formula; seed; workers = Hashtbl.create 4; lock = Mutex.create () }
-
-let fresh_known tbl =
-  match tbl.seed with Some k -> Known.copy k | None -> Known.create tbl.formula
+let table formula =
+  { formula; workers = Hashtbl.create 4; lock = Mutex.create () }
 
 let mine tbl =
   let id = (Domain.self () :> int) in
@@ -20,15 +16,11 @@ let mine tbl =
   | None ->
       (* only this domain adds under its own id, so the worker can be
          made outside the lock *)
-      let w = { session = Sat.Bsat.Session.create tbl.formula; known = fresh_known tbl } in
+      let w =
+        { session = Sat.Bsat.Session.create tbl.formula; known = Known.create tbl.formula }
+      in
       Mutex.protect tbl.lock (fun () -> Hashtbl.replace tbl.workers id w);
       w
-
-let largest_known tbl =
-  Mutex.protect tbl.lock (fun () ->
-      Hashtbl.fold
-        (fun _ w best -> if Known.size w.known > Known.size best then w.known else best)
-        tbl.workers (fresh_known tbl))
 
 type cell = {
   count : int;

@@ -5,9 +5,10 @@
     beside one cache of the witnesses found ({!Known}). A {!table}
     holds one worker per domain, created on the domain's first
     {!mine}, so no session or cache is ever shared between domains.
-    ApproxMC keeps a table for the length of a count and hands out the
-    largest cache ({!largest_known}); UniGen keeps one in each prepared
-    state, seeded with that cache, and frees it with the state.
+    UniGen keeps one table in each prepared state: ApproxMC counts on
+    it, and each domain then draws on the worker it counted with, or
+    on a fresh one if it did not count. The workers die with the
+    state.
 
     Cell outcomes do not depend on a worker's history: a cut cell
     reports min(|cell|, limit) and an exhausted cell is a set, so what
@@ -18,19 +19,13 @@ type t = { session : Sat.Bsat.Session.t; known : Known.t }
 
 type table
 
-val table : ?seed:Known.t -> Cnf.Formula.t -> table
+val table : Cnf.Formula.t -> table
 (** An empty table over the formula. Each worker it makes is a fresh
-    session plus a {!Known.copy} of [seed] (an empty cache without
-    one). Nothing adds to [seed]. *)
+    session beside an empty cache. *)
 
 val mine : table -> t
 (** The calling domain's worker, made on its first call. A lock covers
     the table lookup only, never the making of a worker or its use. *)
-
-val largest_known : table -> Known.t
-(** The largest of the workers' caches (a copy of [seed], or an empty
-    cache, when none is larger). Call it once no domain draws from the
-    table any more. *)
 
 (** The outcome of one draw cell. *)
 type cell = {

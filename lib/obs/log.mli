@@ -17,9 +17,6 @@
 
 type level = Debug | Info | Warn | Error
 
-val level_to_string : level -> string
-(** ["debug"], ["info"], ["warn"], ["error"]. *)
-
 val enable_stderr : unit -> unit
 (** Start logging to stderr. @raise Invalid_argument if a sink is
     already open. *)

@@ -8,9 +8,9 @@
     {!metrics_sections}, which converts a {!Metrics.snapshot} into a
     ["metrics"] counter section and a ["phases"] per-span wall-time
     breakdown — the replacement for the hand-rolled [--stats]
-    printers. Every report carries a ["host"] section
-    ({!host_fields}: core count, OCaml version, word size) so numbers
-    stay interpretable across machines. *)
+    printers. Every report carries a ["host"] section (core count,
+    OCaml version, word size) so numbers stay interpretable across
+    machines. *)
 
 type value = Int of int | Float of float | Bool of bool | String of string
 
@@ -26,10 +26,6 @@ val add_section : t -> string -> (string * value) list -> unit
 (** Append a section (empty field lists are dropped). *)
 
 val sections : t -> section list
-
-val host_fields : unit -> (string * value) list
-(** [cores] ([Domain.recommended_domain_count]), [ocaml_version],
-    [word_size]. *)
 
 val phase_fields : Metrics.snapshot -> (string * value) list
 (** One field per span-time histogram: total seconds spent under that
@@ -56,4 +52,4 @@ val write_json : string -> t -> unit
 val json_of_fields : (string * value) list -> string
 (** A bare JSON object for one field list — lets external writers
     (e.g. the bench harness's hand-assembled files) embed report
-    fragments such as {!host_fields}. *)
+    fragments. *)

@@ -65,9 +65,6 @@ val with_trace_id : string option -> (unit -> 'a) -> 'a
     domain-local — a worker executing a request on another domain must
     wrap its own execution. *)
 
-val current_trace_id : unit -> string option
-(** The calling domain's ambient trace id, if any. *)
-
 val now_us : unit -> float
 (** The clock used for event timestamps, in microseconds: wall time
     clamped through a process-wide high-water mark, so consecutive

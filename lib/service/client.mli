@@ -16,10 +16,6 @@ val request : t -> Wire.request -> Wire.response
     responses arrive in daemon scheduling order; when interleaving
     requests on one connection, distinguish them by [tag]. *)
 
-val recv : t -> Wire.response
-(** Block for one more response frame without sending anything (for
-    tagged multi-request pipelines). *)
-
 val with_connection : socket_path:string -> (t -> 'a) -> 'a
 
 val call : socket_path:string -> Wire.request -> Wire.response

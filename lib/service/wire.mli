@@ -112,9 +112,6 @@ val cache_source_to_string : cache_source -> string
     keeps the historical ["hit"] so clients older than the disk tier
     still parse). *)
 
-val cache_source_of_string : string -> cache_source
-(** @raise Json.Decode_error on an unknown value. *)
-
 type sample_ok = {
   fingerprint : string;
   cache : cache_source;

@@ -182,9 +182,10 @@ echo "== solver report (sample = count)"
 # both metrics files must carry a "solver" section with the same keys,
 # every value an integer, and the counters must have moved. sample's
 # "prepare_solver" section (the preparation's work) has the same keys
-# and integer values, and since sample at -j 1 runs the very count
-# that count -e 0.8 -d 0.8 runs with the same seed, plus its own easy
-# check, it reports at least count's conflicts.
+# and integer values. sample runs one easy check, which serves as the
+# count's too (one bsat.enumerate call), and at -j 1 one warm session
+# serves the count and the draws: every session call after the first
+# is a reuse hit of one of the two.
 solver_dir=$(mktemp -d)
 dune exec bin/unigen_cli.exe -- bench-gen case_m1 -o "$solver_dir/m1.cnf" > /dev/null
 dune exec bin/unigen_cli.exe -- sample "$solver_dir/m1.cnf" -n 5 -s 9 -j 1 \
@@ -213,9 +214,15 @@ if list(prep) != list(sections[0]):
              % (list(prep), list(sections[0])))
 if not all(type(v) is int for v in prep.values()):
     sys.exit("error: prepare_solver counters must be integers: %r" % prep)
-if prep["conflicts"] < sections[1]["conflicts"]:
-    sys.exit("error: the preparation reports %d conflicts, fewer than the %d of "
-             "the count it ran" % (prep["conflicts"], sections[1]["conflicts"]))
+calls = reports[0].get("phase_calls", {})
+if calls.get("bsat.enumerate") != 1:
+    sys.exit("error: sample ran %r one-shot enumerations, not one easy check"
+             % calls.get("bsat.enumerate"))
+reuses = prep["reuse_hits"] + sections[0]["reuse_hits"]
+if calls.get("bsat.session.enumerate") != reuses + 1:
+    sys.exit("error: sample made %r session calls, not one plus its %d reuse hits "
+             "(one session for the count and the draws)"
+             % (calls.get("bsat.session.enumerate"), reuses))
 PYEOF
 rm -rf "$solver_dir"
 

@@ -442,7 +442,7 @@ let prop_known_completes_fresh_cell =
       List.iter
         (fun w -> if Rng.bool rng then Counting.Known.add k w)
         (Sat.Bsat.enumerate ~limit:max_int f).Sat.Bsat.models;
-      let w = Counting.Warm.mine (Counting.Warm.table ~seed:k f) in
+      let w = { Counting.Warm.session = Sat.Bsat.Session.create f; known = k } in
       draw_matches_fresh w f (random_rows rng f m) (1 + Rng.int rng 24))
 
 (* A formula so wide that the cache keeps the witnesses of only its
@@ -473,7 +473,7 @@ let test_known_past_witness_budget () =
   Alcotest.(check bool) "some members keep no witness" true
     (kept > 0 && kept < n && Counting.Known.size k = n);
   (* one warm worker serves every cell, as in a draw *)
-  let w = Counting.Warm.mine (Counting.Warm.table ~seed:k f) in
+  let w = { Counting.Warm.session = Sat.Bsat.Session.create f; known = k } in
   for c = 0 to 3 do
     Alcotest.(check bool)
       (Printf.sprintf "cell %d = fresh enumeration" c)
@@ -484,10 +484,9 @@ let test_known_past_witness_budget () =
     (Counting.Known.size w.Counting.Warm.known)
 
 (* [model] returns each member's witness as added, across the
-   512-member chunk boundaries and the byte boundaries of |X|; a copy
-   and its original then grow apart without touching each other. *)
+   512-member chunk boundaries and the byte boundaries of |X|. *)
 let prop_known_model_roundtrip =
-  QCheck2.Test.make ~count:60 ~name:"known model round-trips, copies independent"
+  QCheck2.Test.make ~count:60 ~name:"known model round-trips"
     QCheck2.Gen.(
       tup4 (int_bound 100_000)
         (oneof [ pure 1; int_range 11 70; int_range 120 130 ])
@@ -498,26 +497,15 @@ let prop_known_model_roundtrip =
       let f = sampling_formula rng ~width ~extra in
       let members = distinct_projections rng ~width n in
       let n = Array.length members in
-      let mine = Array.map (model_of rng f) members in
-      let theirs = Array.map (model_of rng f) members in
+      let models = Array.map (model_of rng f) members in
       let k = Counting.Known.create f in
-      let cut = Rng.int rng (n + 1) in
-      for r = 0 to cut - 1 do Counting.Known.add k mine.(r) done;
-      let c = Counting.Known.copy k in
-      for r = cut to n - 1 do
-        Counting.Known.add k mine.(r);
-        Counting.Known.add c theirs.(r)
-      done;
-      let holds t expect =
-        Counting.Known.size t = n
-        && List.for_all
-             (fun r ->
-               Cnf.Model.equal (Counting.Known.model t r) (expect r)
-               && Counting.Known.values t r = members.(r))
-             (List.init n Fun.id)
-      in
-      holds k (fun r -> mine.(r))
-      && holds c (fun r -> if r < cut then mine.(r) else theirs.(r)))
+      Array.iter (Counting.Known.add k) models;
+      Counting.Known.size k = n
+      && List.for_all
+           (fun r ->
+             Cnf.Model.equal (Counting.Known.model k r) models.(r)
+             && Counting.Known.values k r = members.(r))
+           (List.init n Fun.id))
 
 (* A sampling set wide enough that the columns' bound is a few
    thousand members, over a formula wide enough that the witnesses'
@@ -588,6 +576,33 @@ let test_warm_count_one_session () =
   Alcotest.(check bool) "several session calls" true (calls > 9);
   Alcotest.(check int) "every session call after the first is a reuse" (calls - 1)
     r.Counting.Approxmc.reuse_hits
+
+(* Prepared without a pool, a state draws on the worker it counted
+   with: its first draw's session call is already a reuse, and so is
+   every later one, so the draws' reuse hits equal their session calls
+   (one per cell, except the oversized cells the cache decides). *)
+let test_warm_count_then_draw () =
+  let f = Cnf.Formula.create ~num_vars:12 [ Cnf.Clause.of_dimacs [ 1; 2; 3 ] ] in
+  match
+    Sampling.Unigen.prepare ~count_iterations:9 ~rng:(Rng.create 5) ~epsilon:6.0 f
+  with
+  | Error _ -> Alcotest.fail "prepare failed"
+  | Ok p ->
+      Alcotest.(check bool) "hashed phase" false (Sampling.Unigen.is_easy p);
+      let draw i =
+        let _, st = Sampling.Unigen.sample_index ~max_attempts:20 ~seed:3 p i in
+        let open Sampling.Sampler in
+        ( st.reuse_hits,
+          st.cells_oversized + st.cells_undersized + st.cells_accepted - st.cells_from_known )
+      in
+      let first_reused, first_calls = draw 0 in
+      Alcotest.(check bool) "the first draw calls the session" true (first_calls > 0);
+      Alcotest.(check int) "the first draw's session calls are reuses" first_calls
+        first_reused;
+      let later = List.init 20 (fun i -> draw (i + 1)) in
+      Alcotest.(check int) "every draw's session calls are reuses"
+        (List.fold_left (fun n (_, c) -> n + c) 0 later)
+        (List.fold_left (fun n (r, _) -> n + r) 0 later)
 
 (* [mine] hands a domain the same worker on every call, and each domain
    of a pool its own. The two items of the pooled batch wait for each
@@ -670,6 +685,8 @@ let () =
       ( "warm",
         [
           Alcotest.test_case "count on one session" `Quick test_warm_count_one_session;
+          Alcotest.test_case "count and draws on one worker" `Quick
+            test_warm_count_then_draw;
           Alcotest.test_case "one worker per domain" `Quick
             test_warm_one_worker_per_domain;
         ] );

@@ -200,11 +200,11 @@ let test_unigen_witnesses_are_models () =
     [ 5; 23; 77 ];
   Alcotest.(check bool) "some formula was sampled" true (!sampled > 0)
 
-(* Warm = cold: a freshly prepared state, whose draw caches start from
-   ApproxMC's found witnesses, takes accepted cells' witnesses from them
-   within its first 10 draws; after 300 draws its per-domain caches
-   decide many cells. Both times it draws what a copy imported from its
-   portable view draws, with every cache empty. *)
+(* Warm = cold: a freshly prepared state, which draws on the workers
+   ApproxMC counted with, takes accepted cells' witnesses from their
+   caches within its first 10 draws; after 300 draws its per-domain
+   caches decide many cells. Both times it draws what a copy imported
+   from its portable view draws, with every cache empty. *)
 let test_warm_cache_matches_cold () =
   let f =
     Lazy.force (Option.get (Workload.Suite.by_name "case_m1")).Workload.Suite.formula
@@ -240,6 +240,93 @@ let test_warm_cache_matches_cold () =
           (Array.map key (Sampling.Unigen.sample_batch ~pool ~max_attempts:20 ~seed:17 p 50))
       in
       Alcotest.(check (list string)) "jobs 2 batch: warm = cold" (batch (cold ())) (batch warm)
+
+(* [prepare]'s one easy check, with limit max(hi_limit, pivot + 1),
+   decides what the paper's two did: UniGen's with limit hi_limit, then
+   ApproxMC's inside [Approxmc.count]. The oracle runs those two and
+   imports the phase they give; the prepared state must agree on the
+   phase, q and the estimate, count exactly when the oracle's count is
+   exact (no core iteration, so no session reuse), and draw the same
+   witnesses. The formulas
+   have exactly k solutions for k around hiThresh (62.7 at ε = 6, 45.7
+   at ε = 50) and around ApproxMC's pivot + 1 = 47: at ε = 50 hi_limit
+   is 46, below 47, and k = 46 is counted exactly past the easy phase. *)
+let exactly ~k =
+  let w = 7 in
+  Cnf.Formula.create ~num_vars:w
+    (List.init ((1 lsl w) - k) (fun j ->
+         (* the clause that only assignment k + j falsifies *)
+         Cnf.Clause.of_dimacs
+           (List.init w (fun b -> if ((k + j) lsr b) land 1 = 1 then -(b + 1) else b + 1))))
+
+let two_checks_oracle ~epsilon ~seed f =
+  let kappa, pivot = Sampling.Kappa_pivot.compute epsilon in
+  let hi = Sampling.Kappa_pivot.hi_thresh ~kappa ~pivot in
+  let out = Sat.Bsat.enumerate ~limit:(int_of_float (Float.floor hi) + 1) f in
+  let n = List.length out.Sat.Bsat.models in
+  let p_phase, exact =
+    if out.Sat.Bsat.exhausted && float_of_int n <= hi then
+      ( Sampling.Unigen.Portable_easy
+          { num_vars = f.Cnf.Formula.num_vars;
+            models = List.map Cnf.Model.to_dimacs out.Sat.Bsat.models },
+        false )
+    else
+      match
+        Counting.Approxmc.count ~iterations:5 ~rng:(Rng.create seed) ~epsilon:0.8
+          ~delta:0.8 f
+      with
+      | Error _ -> Alcotest.fail "oracle count failed"
+      | Ok c ->
+          let log2 x = Float.log x /. Float.log 2.0 in
+          ( Sampling.Unigen.Portable_hashed
+              { q =
+                  int_of_float
+                    (Float.ceil
+                       (c.Counting.Approxmc.log2_estimate +. log2 1.8
+                      -. log2 (float_of_int pivot)));
+                count_estimate = c.Counting.Approxmc.estimate },
+            c.Counting.Approxmc.exact )
+  in
+  ( Sampling.Unigen.import ~formula:f
+      { Sampling.Unigen.p_kappa = kappa; p_pivot = pivot; p_hash_density = 0.5; p_phase },
+    exact )
+
+let test_one_easy_check_boundary () =
+  let phases = ref [] in
+  List.iter
+    (fun (epsilon, ks) ->
+      List.iter
+        (fun k ->
+          let name = Printf.sprintf "eps %g, %d solutions" epsilon k in
+          let f = exactly ~k in
+          let seed = 17 + k in
+          let oracle, exact = two_checks_oracle ~epsilon ~seed f in
+          match
+            Sampling.Unigen.prepare ~count_iterations:5 ~rng:(Rng.create seed) ~epsilon f
+          with
+          | Error _ -> Alcotest.fail (name ^ ": prepare failed")
+          | Ok p ->
+              let easy = Sampling.Unigen.is_easy p in
+              Alcotest.(check bool) (name ^ ": is_easy") (Sampling.Unigen.is_easy oracle) easy;
+              Alcotest.(check (option (pair int int))) (name ^ ": q_range")
+                (Sampling.Unigen.q_range oracle) (Sampling.Unigen.q_range p);
+              Alcotest.(check (float 0.0)) (name ^ ": count_estimate")
+                (Sampling.Unigen.count_estimate oracle) (Sampling.Unigen.count_estimate p);
+              if not easy then
+                Alcotest.(check bool) (name ^ ": counted exactly") exact
+                  (snd (Sampling.Unigen.prepare_solver p) = 0);
+              let draws t =
+                Array.to_list
+                  (Array.map
+                     (function Ok m -> Cnf.Model.key m | Error _ -> "-")
+                     (Sampling.Unigen.sample_batch ~max_attempts:20 ~seed:5 t 12))
+              in
+              Alcotest.(check (list string)) (name ^ ": first draws") (draws oracle) (draws p);
+              phases := (if easy then `Easy else if exact then `Exact else `Hashed) :: !phases)
+        ks)
+    [ (6.0, [ 45; 46; 47; 48; 61; 62; 63; 64 ]); (50.0, [ 44; 45; 46; 47; 48 ]) ];
+  Alcotest.(check bool) "easy, exactly counted and hashed formulas all met" true
+    (List.for_all (fun ph -> List.mem ph !phases) [ `Easy; `Exact; `Hashed ])
 
 (* ------------------------------------------------------------------ *)
 (* Session lifetime: the warm sessions a prepared state leaves on the
@@ -646,6 +733,8 @@ let () =
             test_unigen_witnesses_are_models;
           Alcotest.test_case "warm draw cache = cold import" `Quick
             test_warm_cache_matches_cold;
+          Alcotest.test_case "one easy check = easy check + count" `Quick
+            test_one_easy_check_boundary;
         ] );
       ( "golden",
         List.mapi
