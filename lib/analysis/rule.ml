@@ -121,14 +121,3 @@ let item_span starts code i =
     end
   done;
   (!lo, !hi)
-
-let first_string_after code i ~limit =
-  let n = Array.length code in
-  let rec go j left =
-    if left = 0 || j >= n then None
-    else
-      match code.(j).Token.kind with
-      | Token.String s -> Some s
-      | _ -> go (j + 1) (left - 1)
-  in
-  go (i + 1) limit

@@ -75,8 +75,3 @@ val item_starts : source -> int array
 val item_span : int array -> Token.t array -> int -> int * int
 (** [(lo, hi)] code-index half-open range of the top-level item
     containing code index [i]. *)
-
-val first_string_after : Token.t array -> int -> limit:int -> string option
-(** First [String] literal among the [limit] code tokens after [i] —
-    the name argument of a registration call, skipping labelled
-    arguments; [None] when the name is computed. *)

@@ -60,5 +60,3 @@ val mask : string -> t array -> string
     numbers survive). Byte-compatible with the old lint's
     [mask_source] on sources without quoted strings, and — unlike it —
     correct on sources with them. *)
-
-val is_ident_char : char -> bool

@@ -13,10 +13,10 @@ let full_adder b x y c =
   let carry = B.or_ b (B.and_ b x y) (B.and_ b xy c) in
   (sum, carry)
 
-let ripple_adder b ?carry_in x y =
+let ripple_adder b x y =
   if List.length x <> List.length y then
     invalid_arg "Arith.ripple_adder: width mismatch";
-  let c0 = match carry_in with Some c -> c | None -> B.const b false in
+  let c0 = B.const b false in
   let rec go acc c = function
     | [], [] -> List.rev (c :: acc)
     | xb :: xs, yb :: ys ->

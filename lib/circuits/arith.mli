@@ -14,7 +14,7 @@ val constant : Netlist.Builder.t -> width:int -> int -> word
 val input_word : Netlist.Builder.t -> width:int -> word
 (** Allocate [width] fresh primary inputs. *)
 
-val ripple_adder : Netlist.Builder.t -> ?carry_in:int -> word -> word -> word
+val ripple_adder : Netlist.Builder.t -> word -> word -> word
 (** Sum of two equal-width words, one bit wider (carry out kept). *)
 
 val multiplier : Netlist.Builder.t -> word -> word -> word

@@ -18,7 +18,10 @@ let delta f values v =
   values.(v - 1) <- not values.(v - 1);
   after - before
 
-let sample ?(steps = 10_000) ?(temperature = 0.4) ?(restarts = 5) ?stats ~rng
+(* T of the Metropolis acceptance e^(-dE/T) *)
+let temperature = 0.4
+
+let sample ?(steps = 10_000) ?(restarts = 5) ?stats ~rng
     (f : Cnf.Formula.t) =
   let stats = match stats with Some s -> s | None -> Sampler.fresh_stats () in
   stats.Sampler.samples_requested <- stats.Sampler.samples_requested + 1;

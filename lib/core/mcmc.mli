@@ -15,12 +15,11 @@
 
 val sample :
   ?steps:int ->
-  ?temperature:float ->
   ?restarts:int ->
   ?stats:Sampler.run_stats ->
   rng:Rng.t ->
   Cnf.Formula.t ->
   Sampler.outcome
-(** [steps] per restart (default 10_000), [temperature] (default 0.4),
-    [restarts] (default 5). Fails with [Cell_failure] when no
+(** [steps] per restart (default 10_000), [restarts] (default 5), at
+    temperature T = 0.4. Fails with [Cell_failure] when no
     satisfying state is reached. *)

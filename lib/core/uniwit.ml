@@ -1,8 +1,9 @@
-let default_pivot = 20
+(* cells of 1..pivot witnesses are accepted *)
+let pivot = 20
 
 let all_vars (f : Cnf.Formula.t) = Array.init f.num_vars (fun i -> i + 1)
 
-let sample ?deadline ?(pivot = default_pivot) ?stats ~rng (f : Cnf.Formula.t) =
+let sample ?deadline ?stats ~rng (f : Cnf.Formula.t) =
   let stats = match stats with Some s -> s | None -> Sampler.fresh_stats () in
   stats.Sampler.samples_requested <- stats.Sampler.samples_requested + 1;
   let start = Unix.gettimeofday () in

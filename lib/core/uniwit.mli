@@ -11,16 +11,14 @@
     - every sample runs the {b whole} sequential search over hash
       sizes m = 1, 2, ... afresh — nothing is amortised across
       samples without giving up the guarantee;
-    - a cell is accepted as soon as its size falls in [1, pivot],
+    - a cell is accepted as soon as its size falls in [1, pivot]
+      (pivot = 20),
       a looser criterion than UniGen's two-sided [loThresh, hiThresh],
       which is why UniWit only achieves near-uniformity (a one-sided
       constant-factor lower bound) and a success probability ≥ 1/8. *)
 
-val default_pivot : int
-
 val sample :
   ?deadline:float ->
-  ?pivot:int ->
   ?stats:Sampler.run_stats ->
   rng:Rng.t ->
   Cnf.Formula.t ->

@@ -1,5 +1,7 @@
-let sample ?deadline ?(cell_cutoff = 4096) ?session ?stats ~rng ~s
-    (f : Cnf.Formula.t) =
+(* cells larger than this count as failures: [s] was too small *)
+let cell_cutoff = 4096
+
+let sample ?deadline ?stats ~rng ~s (f : Cnf.Formula.t) =
   if s < 0 then invalid_arg "Xorsample.sample: s < 0";
   let stats = match stats with Some st -> st | None -> Sampler.fresh_stats () in
   stats.Sampler.samples_requested <- stats.Sampler.samples_requested + 1;
@@ -18,15 +20,8 @@ let sample ?deadline ?(cell_cutoff = 4096) ?session ?stats ~rng ~s
   let vars = Array.init f.num_vars (fun i -> i + 1) in
   let h = Hashing.Hxor.sample rng ~vars ~m:s in
   Sampler.record_hash stats h;
-  let out =
-    match session with
-    | Some sess ->
-        Sat.Bsat.Session.enumerate ?deadline
-          ~xors:(Hashing.Hxor.constraints h) ~limit:cell_cutoff sess
-    | None ->
-        let g = Cnf.Formula.add_xors f (Hashing.Hxor.constraints h) in
-        Sat.Bsat.enumerate ?deadline ~blocking_vars:vars ~limit:cell_cutoff g
-  in
+  let g = Cnf.Formula.add_xors f (Hashing.Hxor.constraints h) in
+  let out = Sat.Bsat.enumerate ?deadline ~blocking_vars:vars ~limit:cell_cutoff g in
   Sampler.record_solve stats out;
   if out.Sat.Bsat.timed_out then finish (Error Sampler.Timed_out)
   else begin
@@ -37,7 +32,3 @@ let sample ?deadline ?(cell_cutoff = 4096) ?session ?stats ~rng ~s
       finish (Error Sampler.Cell_failure)
     else finish (Ok (Rng.choose rng cell))
   end
-
-let session_for (f : Cnf.Formula.t) =
-  let vars = Array.init f.num_vars (fun i -> i + 1) in
-  Sat.Bsat.Session.create ~blocking_vars:vars f

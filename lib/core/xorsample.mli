@@ -9,24 +9,12 @@
 
 val sample :
   ?deadline:float ->
-  ?cell_cutoff:int ->
-  ?session:Sat.Bsat.Session.t ->
   ?stats:Sampler.run_stats ->
   rng:Rng.t ->
   s:int ->
   Cnf.Formula.t ->
   Sampler.outcome
 (** Add [s] random XORs, enumerate the surviving cell exhaustively (up
-    to [cell_cutoff], default 4096 — beyond it the attempt is treated
-    as a failure, mirroring the practical need for [s] to be close to
-    log2 |R_F|), and pick a witness uniformly from the cell.
-
-    [session] reuses a caller-owned solver session across samples (the
-    per-sample XOR layer is swapped as a retractable group); obtain
-    one with {!session_for} so the blocking set matches XORSample′'s
-    full-support convention. The drawn witnesses are identical to the
-    fresh path. *)
-
-val session_for : Cnf.Formula.t -> Sat.Bsat.Session.t
-(** A solver session over [f] blocking on the full variable set,
-    suitable for passing to {!sample} repeatedly. *)
+    to 4096 witnesses — beyond that the attempt is treated as a
+    failure, mirroring the practical need for [s] to be close to
+    log2 |R_F|), and pick a witness uniformly from the cell. *)

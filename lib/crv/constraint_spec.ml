@@ -153,6 +153,7 @@ let compile spec =
 let formula c = c.cformula
 let fields c = c.cfields
 
+(* a field's value in a witness of [formula c] *)
 let field_value c m f =
   let base = c.offsets.(f.fid) in
   Circuits.Arith.to_int

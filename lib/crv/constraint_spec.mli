@@ -64,9 +64,6 @@ val compile : spec -> compiled
 
 val formula : compiled -> Cnf.Formula.t
 val fields : compiled -> field list
-val field_value : compiled -> Cnf.Model.t -> field -> int
-(** Decode a field from a witness of {!formula}. *)
-
 val decode : compiled -> Cnf.Model.t -> (string * int) list
 (** All fields, in declaration order. *)
 

@@ -160,7 +160,11 @@ let resolve c1 c2 v =
   in
   normalize_clause merged
 
-let eliminate_variable clauses v ~max_resolvents =
+(* clause growth allowed when eliminating one variable (the "bounded"
+   of BVE) *)
+let max_resolvents = 16
+
+let eliminate_variable clauses v =
   let pos, rest = List.partition (fun c -> List.mem v c) clauses in
   let neg, rest = List.partition (fun c -> List.mem (-v) c) rest in
   if pos = [] || neg = [] then
@@ -178,7 +182,7 @@ let eliminate_variable clauses v ~max_resolvents =
 
 (* ------------------------------------------------------------------ *)
 
-let run ?(max_resolvents = 16) ?(eliminate = true) (f : Cnf.Formula.t) =
+let run ?(eliminate = true) (f : Cnf.Formula.t) =
   let clauses_before = Cnf.Formula.num_clauses f in
   try
     let raw =
@@ -236,7 +240,7 @@ let run ?(max_resolvents = 16) ?(eliminate = true) (f : Cnf.Formula.t) =
         List.iter
           (fun v ->
             if not (Hashtbl.mem protected v) then
-              match eliminate_variable !clauses v ~max_resolvents with
+              match eliminate_variable !clauses v with
               | None -> ()
               | Some (next, removed) ->
                   clauses := subsumption (List.sort_uniq compare next);

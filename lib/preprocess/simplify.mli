@@ -35,13 +35,11 @@ type result = {
 }
 
 val run :
-  ?max_resolvents:int ->
   ?eliminate:bool ->
   Cnf.Formula.t ->
   (result, [ `Unsat ]) Result.t
-(** [max_resolvents] (default 16) bounds the clause growth allowed
-    when eliminating one variable (the "bounded" of BVE);
-    [eliminate false] turns BVE off, leaving only the
+(** Eliminating one variable may grow the clause count by at most 16
+    (the "bounded" of BVE); [eliminate false] turns BVE off, leaving only the
     equivalence-preserving cleanups. Native XOR clauses are preserved
     untouched (variables occurring in XORs are never eliminated). *)
 

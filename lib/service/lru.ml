@@ -4,7 +4,6 @@
 type ('k, 'v) node = {
   key : 'k;
   mutable value : 'v;
-  mutable pins : int;  (* eviction-exempt while > 0 *)
   mutable prev : ('k, 'v) node option;  (* towards MRU *)
   mutable next : ('k, 'v) node option;  (* towards LRU *)
 }
@@ -29,7 +28,6 @@ let create ?(on_evict = fun _ _ -> ()) ~capacity () =
     length = 0;
   }
 
-let capacity t = t.capacity
 let length t = t.length
 
 let unlink t n =
@@ -51,27 +49,20 @@ let touch t n =
       unlink t n;
       push_front t n
 
-(* Walk from the tail towards the head looking for the oldest
-   evictable entry; [None] when everything resident is pinned (or is
-   the protected just-inserted node). *)
-let rec oldest_unpinned ?protect = function
-  | None -> None
-  | Some n when n.pins > 0 -> oldest_unpinned ?protect n.prev
-  | Some n when (match protect with Some p -> p == n | None -> false) ->
-      oldest_unpinned ?protect n.prev
-  | some -> some
+let drop t n =
+  unlink t n;
+  Hashtbl.remove t.table n.key;
+  t.length <- t.length - 1
 
-let enforce_capacity ?protect t =
-  let continue = ref true in
-  while t.length > t.capacity && !continue do
-    match oldest_unpinned ?protect t.tail with
-    | None -> continue := false
-    | Some victim ->
-        unlink t victim;
-        Hashtbl.remove t.table victim.key;
-        t.length <- t.length - 1;
-        t.on_evict victim.key victim.value
-  done
+(* the entry just put sits at the head, so it is evicted only at
+   capacity 0 *)
+let rec enforce_capacity t =
+  match t.tail with
+  | Some victim when t.length > t.capacity ->
+      drop t victim;
+      t.on_evict victim.key victim.value;
+      enforce_capacity t
+  | _ -> ()
 
 let find t k =
   match Hashtbl.find_opt t.table k with
@@ -80,56 +71,23 @@ let find t k =
       touch t n;
       Some n.value
 
-let mem t k = Hashtbl.mem t.table k
-
-let peek t k =
-  match Hashtbl.find_opt t.table k with Some n -> Some n.value | None -> None
-
 let put t k v =
-  match Hashtbl.find_opt t.table k with
+  (match Hashtbl.find_opt t.table k with
   | Some n ->
       n.value <- v;
-      touch t n;
-      enforce_capacity t
+      touch t n
   | None ->
-      let n = { key = k; value = v; pins = 0; prev = None; next = None } in
+      let n = { key = k; value = v; prev = None; next = None } in
       Hashtbl.replace t.table k n;
       push_front t n;
-      t.length <- t.length + 1;
-      (* the entry being inserted is never its own victim — except at
-         capacity 0, where nothing is ever resident *)
-      if t.capacity = 0 then enforce_capacity t else enforce_capacity ~protect:n t
-
-let pin t k =
-  match Hashtbl.find_opt t.table k with
-  | None -> false
-  | Some n ->
-      n.pins <- n.pins + 1;
-      true
-
-let unpin t k =
-  match Hashtbl.find_opt t.table k with
-  | None -> false
-  | Some n when n.pins = 0 -> false
-  | Some n ->
-      n.pins <- n.pins - 1;
-      (* releasing the last pin may re-enable a deferred eviction *)
-      if n.pins = 0 then enforce_capacity t;
-      true
-
-let is_pinned t k =
-  match Hashtbl.find_opt t.table k with Some n -> n.pins > 0 | None -> false
-
-let pin_count t k =
-  match Hashtbl.find_opt t.table k with Some n -> n.pins | None -> 0
+      t.length <- t.length + 1);
+  enforce_capacity t
 
 let remove t k =
   match Hashtbl.find_opt t.table k with
   | None -> false
   | Some n ->
-      unlink t n;
-      Hashtbl.remove t.table k;
-      t.length <- t.length - 1;
+      drop t n;
       true
 
 let keys_mru t =

@@ -91,10 +91,6 @@ type t = {
   rotation : string Queue.t;  (* fingerprints with pending work, RR order *)
   by_id : (int, pending_req) Hashtbl.t;  (* admitted, not yet dispatched *)
   running : (int, pending_req) Hashtbl.t;  (* dispatched to a worker domain *)
-  busy_fps : (string, unit) Hashtbl.t;
-      (* fingerprints with an in-flight request: prepared-state
-         ownership is sharded by fingerprint, so a second request for
-         the same formula waits rather than racing the first *)
   completed : (int * Wire.response) Queue.t;  (* ready for pickup *)
   mutable next_id : int;
   mutable draining : bool;
@@ -128,29 +124,21 @@ let create ?(config = default_config) () =
   if config.max_batch < 0 then
     invalid_arg "Scheduler.create: max_batch must be >= 0";
   Obs.Metrics.set_gauge "service.jobs" (float_of_int config.jobs);
-  (* the durable tier: a store plus the spill codec, injected as
-     closures (see [Cache.spill]). Created before any worker domain
-     exists, owned — like the cache — by this scheduler's domain. *)
-  let spill =
+  (* the durable tier, created before any worker domain exists and
+     owned — like the cache — by this scheduler's domain *)
+  let store =
     Option.map
-      (fun dir ->
-        {
-          Cache.sp_store =
-            Store.create ~budget_bytes:config.spill_budget_bytes ~dir ();
-          sp_encode = Spill.encode;
-          sp_decode = Spill.decode;
-        })
+      (fun dir -> Store.create ~budget_bytes:config.spill_budget_bytes ~dir ())
       config.spill_dir
   in
   {
     cfg = config;
-    prep_cache = Cache.create ?spill ~capacity:config.cache_capacity ();
+    prep_cache = Cache.create ?store ~capacity:config.cache_capacity ();
     exec = Parallel.Executor.create ~workers:config.jobs;
     queues = Hashtbl.create 16;
     rotation = Queue.create ();
     by_id = Hashtbl.create 64;
     running = Hashtbl.create 8;
-    busy_fps = Hashtbl.create 8;
     completed = Queue.create ();
     next_id = 1;
     draining = false;
@@ -265,8 +253,7 @@ let cancel t id =
       match Hashtbl.find_opt t.running id with
       | Some p when not p.cancelled ->
           (* in flight on a worker: the work itself cannot be recalled,
-             but its response is suppressed at completion and its pins
-             are still released there *)
+             but its response is suppressed at completion *)
           p.cancelled <- true;
           Obs.Metrics.incr c_cancelled;
           true
@@ -277,7 +264,11 @@ let cancel t id =
    re-enqueue the fingerprint at the rotation tail while it still has
    work. Fingerprints with an in-flight request are skipped (kept in
    the rotation) so one formula's stream of requests serialises on its
-   prepared state while other formulas run in parallel. *)
+   prepared state while other formulas run in parallel; [running]
+   holds at most [jobs] requests, so the scan is short. *)
+let busy t fp =
+  Seq.exists (fun p -> String.equal p.fingerprint fp) (Hashtbl.to_seq_values t.running)
+
 let next_runnable t =
   let rec scan tries =
     if tries <= 0 || Queue.is_empty t.rotation then None
@@ -286,7 +277,7 @@ let next_runnable t =
       match Hashtbl.find_opt t.queues fp with
       | None -> scan (tries - 1)  (* stale rotation entry *)
       | Some q ->
-          if Hashtbl.mem t.busy_fps fp then begin
+          if busy t fp then begin
             Queue.push fp t.rotation;
             scan (tries - 1)
           end
@@ -348,9 +339,7 @@ let run_request ~queue_wait_s ~cached (p : pending_req) =
                 ~epsilon:p.req.epsilon p.canonical)
         with
         | Ok prepared ->
-            let entry =
-              { Cache.prepared; formula = p.canonical; draws_served = 0 }
-            in
+            let entry = { Cache.prepared; formula = p.canonical } in
             (Ok entry, Some entry)
         | Error e -> (Error e, None))
   in
@@ -419,20 +408,6 @@ let response_of_exn = function
   | Invalid_argument m -> Wire.Error_msg ("invalid request: " ^ m)
   | Failure m -> Wire.Error_msg m
   | e -> Wire.Error_msg ("internal error: " ^ Printexc.to_string e)
-
-(* Owner-domain bookkeeping once a request's response is known:
-   install a freshly prepared entry, charge the draw accounting. *)
-let finalize_cache t p key ~cached ~newly response =
-  (match newly with Some entry -> Cache.put t.prep_cache key entry | None -> ());
-  (match response with
-  | Wire.Ok_sample _ -> (
-      let entry =
-        match newly with Some e -> Some e | None -> Option.map fst cached
-      in
-      match entry with
-      | Some e -> e.Cache.draws_served <- e.Cache.draws_served + p.req.n
-      | None -> ())
-  | _ -> ())
 
 let outcome_of_response = function
   | Wire.Ok_sample _ -> "ok"
@@ -545,9 +520,11 @@ let deadline_passed p now =
 (* ------------------------------------------------------------------ *)
 (* Dispatch: hand whole requests to worker domains through the
    executor, at most [jobs] in flight and at most one per fingerprint.
-   The owner keeps every cache touch: it resolves hit/miss and takes an
-   execution pin before the worker starts, and installs / releases at
-   completion — the worker only computes. *)
+   The owner keeps every cache touch: it resolves hit/miss before the
+   worker starts and installs a fresh preparation at completion — the
+   worker only computes. The worker's closure holds the cached entry
+   by reference for the whole flight, so a concurrent completion's
+   [put] may evict it from the LRU without taking it from the worker. *)
 
 let dispatch_one t p =
   let now, queue_wait_s = dequeue t p in
@@ -560,15 +537,9 @@ let dispatch_one t p =
   end
   else begin
     Hashtbl.replace t.running p.id p;
-    Hashtbl.replace t.busy_fps p.fingerprint ();
     set_depth t;
     let key = key_of p in
     let cached = Cache.find t.prep_cache key in
-    (* pin for the whole flight: a concurrent completion's [put] may
-       evict, and it must never evict state a worker is reading *)
-    (match cached with
-    | Some _ -> ignore (Cache.acquire t.prep_cache key : bool)
-    | None -> ());
     Parallel.Executor.submit t.exec
       ~work:(fun () ->
         (* worker domain: install the request's trace id as the
@@ -580,14 +551,10 @@ let dispatch_one t p =
           (fun () -> run_request ~queue_wait_s ~cached p))
       ~finish:(fun result ->
         Hashtbl.remove t.running p.id;
-        Hashtbl.remove t.busy_fps p.fingerprint;
-        (match cached with
-        | Some _ -> ignore (Cache.release t.prep_cache key : bool)
-        | None -> ());
         let response, timing =
           match result with
           | Ok (response, newly, tm) ->
-              finalize_cache t p key ~cached ~newly response;
+              Option.iter (Cache.put t.prep_cache key) newly;
               (response, Some tm)
           | Error (e, _bt) -> (response_of_exn e, None)
         in

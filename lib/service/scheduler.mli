@@ -22,8 +22,7 @@
       matter where it is detected.
     - {b cancellation}: {!cancel} removes a queued request by id; a
       request already running on a worker domain is marked cancelled
-      and its response suppressed at completion (its cache pins are
-      still released).
+      and its response suppressed at completion.
     - {b determinism}: execution reuses the {!Cache} when possible and
       prepares on a miss with [Rng.create prepare_seed]; either way
       the drawn witnesses are bit-identical to an offline
@@ -44,9 +43,11 @@
     state (which keeps one solver session per domain, and
     whose statistics merge assumes a single concurrent reader). The
     owning domain keeps every cache and queue touch: it resolves
-    hit/miss and takes an execution pin before handing off, and
-    installs fresh preparations / releases pins in the completion
-    callback — worker domains only compute. Completions surface
+    hit/miss before handing off and installs fresh preparations in
+    the completion callback — worker domains only compute. A request
+    holds its cached entry by reference while it runs, so the LRU may
+    evict that entry meanwhile (the cache never exceeds its capacity)
+    without changing a witness. Completions surface
     through {!completions}; {!notify_fd} exposes the executor's
     self-pipe so a select loop can sleep until a worker finishes.
 
@@ -55,8 +56,7 @@
     violation instead of racing. Metrics: [service.requests],
     [service.rejected], [service.deadline_misses], [service.cancelled],
     cache hit/miss/eviction counts, [service.queue_depth] /
-    [service.in_flight] / [service.jobs] / [service.cache_pins]
-    gauges, and [service.queue_wait_seconds] /
+    [service.in_flight] / [service.jobs] gauges, and [service.queue_wait_seconds] /
     [service.request_seconds] histograms. *)
 
 type config = {
@@ -125,8 +125,7 @@ val submit : t -> request -> (int, reject) result
 
 val cancel : t -> int -> bool
 (** [true] iff the id was queued (removed outright) or in flight
-    (marked: its response is suppressed when the worker finishes, its
-    pins released as usual). [false] for unknown or already-finished
+    (marked: its response is suppressed when the worker finishes). [false] for unknown or already-finished
     ids. *)
 
 val pending : t -> int
@@ -167,7 +166,7 @@ val drain : t -> (int * Wire.response) list
 
 val shutdown : t -> unit
 (** Stop the executor (workers finish their queued jobs, completion
-    callbacks run, pins are released) and join its domains. Idempotent.
+    callbacks run) and join its domains. Idempotent.
     Queued requests are not executed; callers wanting a graceful stop
     call {!set_draining} and {!drain} first. *)
 

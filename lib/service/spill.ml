@@ -1,7 +1,14 @@
+type key = {
+  fingerprint : string;
+  epsilon : float;
+  prepare_seed : int;
+  count_iterations : int option;
+}
+
 let version = "unigen-prepared-v3"
 
-let encode (k : Cache.key) (e : Cache.entry) =
-  let p = Sampling.Unigen.export e.Cache.prepared in
+let encode k prepared formula =
+  let p = Sampling.Unigen.export prepared in
   let phase_fields =
     match p.Sampling.Unigen.p_phase with
     | Sampling.Unigen.Portable_easy { num_vars; models } ->
@@ -25,14 +32,14 @@ let encode (k : Cache.key) (e : Cache.entry) =
     (Json.Obj
        ([
           ("version", Json.Str version);
-          ("fingerprint", Json.Str k.Cache.fingerprint);
-          ("epsilon", Json.Float k.Cache.epsilon);
-          ("prepare_seed", Json.Int k.Cache.prepare_seed);
+          ("fingerprint", Json.Str k.fingerprint);
+          ("epsilon", Json.Float k.epsilon);
+          ("prepare_seed", Json.Int k.prepare_seed);
           ( "count_iterations",
-            match k.Cache.count_iterations with
+            match k.count_iterations with
             | None -> Json.Null
             | Some n -> Json.Int n );
-          ("formula", Json.Str (Cnf.Dimacs.to_string e.Cache.formula));
+          ("formula", Json.Str (Cnf.Dimacs.to_string formula));
           ("kappa", Json.Float p.Sampling.Unigen.p_kappa);
           ("pivot", Json.Int p.Sampling.Unigen.p_pivot);
           ("hash_density", Json.Float p.Sampling.Unigen.p_hash_density);
@@ -47,16 +54,16 @@ let check what ok = if ok then Ok () else Error (what ^ " mismatch")
 
 let ( let* ) = Result.bind
 
-let decode_verified (k : Cache.key) j =
+let decode_verified k j =
   let* () = check "fingerprint"
-      (String.equal (Json.get_string "fingerprint" j) k.Cache.fingerprint)
+      (String.equal (Json.get_string "fingerprint" j) k.fingerprint)
   in
-  let* () = check "epsilon" (Json.get_float "epsilon" j = k.Cache.epsilon) in
+  let* () = check "epsilon" (Json.get_float "epsilon" j = k.epsilon) in
   let* () = check "prepare_seed"
-      (Json.get_int "prepare_seed" j = k.Cache.prepare_seed)
+      (Json.get_int "prepare_seed" j = k.prepare_seed)
   in
   let* () = check "count_iterations"
-      (Json.opt_int "count_iterations" j = k.Cache.count_iterations)
+      (Json.opt_int "count_iterations" j = k.count_iterations)
   in
   let formula = Cnf.Dimacs.parse_string (Json.get_string "formula" j) in
   (* the decisive check: the embedded formula must re-fingerprint to
@@ -64,7 +71,7 @@ let decode_verified (k : Cache.key) j =
      so registry drift invalidates old spills instead of mixing
      incompatible canonical forms *)
   let* () = check "formula fingerprint"
-      (String.equal (Registry.fingerprint formula) k.Cache.fingerprint)
+      (String.equal (Registry.fingerprint formula) k.fingerprint)
   in
   let formula = Registry.canonical formula in
   let* p_phase =
@@ -98,10 +105,9 @@ let decode_verified (k : Cache.key) j =
       p_phase;
     }
   in
-  let prepared = Sampling.Unigen.import ~formula portable in
-  Ok { Cache.prepared; formula; draws_served = 0 }
+  Ok (Sampling.Unigen.import ~formula portable, formula)
 
-let decode (k : Cache.key) payload =
+let decode k payload =
   match Json.of_string payload with
   | exception Json.Decode_error msg -> Error ("json: " ^ msg)
   | j -> (

@@ -230,9 +230,8 @@ echo "== service smoke (default --jobs 1)"
 # End-to-end daemon check over a real socket: start `unigen serve` on a
 # temp socket, issue the same request twice on the same formula, verify
 # the second is served from the prepared-state cache (the daemon's
-# metrics JSON must report exactly one hit and one miss, and no
-# execution pin left held by its one worker domain), then shut down
-# gracefully and confirm the metrics file was flushed on exit.
+# metrics JSON must report exactly one hit and one miss), then shut
+# down gracefully and confirm the metrics file was flushed on exit.
 smoke_dir=$(mktemp -d)
 serve_pid=
 trap 'kill "$serve_pid" 2>/dev/null || true; rm -rf "$smoke_dir"' EXIT
@@ -269,11 +268,6 @@ grep -q '"service.cache_hits": 1' "$metrics" || {
 }
 grep -q '"service.cache_misses": 1' "$metrics" || {
     echo "error: metrics JSON should record exactly one cache miss" >&2
-    exit 1
-}
-grep -q '"service.cache_pins": 0' "$metrics" || {
-    echo "error: metrics JSON should record no execution pin left held" >&2
-    cat "$metrics" >&2
     exit 1
 }
 json_ok "$metrics"

@@ -33,29 +33,6 @@ let test_lru_eviction_order () =
   Alcotest.(check (option int)) "b gone" None (Lru.find c "b");
   Alcotest.(check int) "length" 2 (Lru.length c)
 
-let test_lru_pinning () =
-  let c = Lru.create ~capacity:2 () in
-  Lru.put c "a" 1;
-  Lru.put c "b" 2;
-  Alcotest.(check bool) "pin a" true (Lru.pin c "a");
-  Alcotest.(check bool) "pin missing" false (Lru.pin c "zz");
-  (* [a] is LRU but pinned: inserting [c] evicts [b] instead *)
-  Lru.put c "c" 3;
-  Alcotest.(check bool) "a survives" true (Lru.mem c "a");
-  Alcotest.(check bool) "b evicted" false (Lru.mem c "b");
-  (* pin the rest: the cache may exceed capacity rather than drop pins *)
-  ignore (Lru.pin c "c" : bool);
-  Lru.put c "d" 4;
-  Alcotest.(check int) "over capacity under full pin" 3 (Lru.length c);
-  Alcotest.(check bool) "d resident" true (Lru.mem c "d");
-  (* releasing a pin re-enables the deferred eviction *)
-  Alcotest.(check bool) "unpin a" true (Lru.unpin c "a");
-  Alcotest.(check int) "shrunk back" 2 (Lru.length c);
-  Alcotest.(check bool) "a evicted on unpin" false (Lru.mem c "a");
-  (* explicit removal overrides pinning *)
-  Alcotest.(check bool) "remove pinned c" true (Lru.remove c "c");
-  Alcotest.(check bool) "c gone" false (Lru.mem c "c")
-
 let test_lru_capacity_edge_cases () =
   (* capacity 0: nothing is ever resident *)
   let evicted = ref 0 in
@@ -64,7 +41,6 @@ let test_lru_capacity_edge_cases () =
   Alcotest.(check int) "cap0 empty" 0 (Lru.length c0);
   Alcotest.(check (option int)) "cap0 miss" None (Lru.find c0 "a");
   Alcotest.(check int) "cap0 evicted immediately" 1 !evicted;
-  Alcotest.(check bool) "cap0 pin impossible" false (Lru.pin c0 "a");
   (* capacity 1: every insertion displaces the previous entry *)
   let c1 = Lru.create ~capacity:1 () in
   Lru.put c1 "a" 1;
@@ -79,43 +55,32 @@ let test_lru_capacity_edge_cases () =
     | exception Invalid_argument _ -> true
     | (_ : (string, int) Lru.t) -> false)
 
-let test_lru_pin_cycle_and_reput () =
+let test_lru_reput_and_remove () =
   let c = Lru.create ~capacity:3 () in
   Lru.put c "a" 1;
   Lru.put c "b" 2;
   Lru.put c "c" 3;
-  (* re-put under a pinned key updates the value, keeps the pin, and
-     counts as a touch *)
-  Alcotest.(check bool) "pin a" true (Lru.pin c "a");
+  (* re-put under a resident key updates the value and counts as a
+     touch *)
   Lru.put c "a" 10;
-  Alcotest.(check bool) "pin survives re-put" true (Lru.is_pinned c "a");
   Alcotest.(check (option int)) "value replaced" (Some 10) (Lru.find c "a");
   Alcotest.(check int) "still three entries" 3 (Lru.length c);
   Alcotest.(check (list string)) "re-put is a touch" [ "a"; "c"; "b" ]
     (Lru.keys_mru c);
-  (* pin/unpin are not touches: recency order is unchanged *)
-  ignore (Lru.pin c "b" : bool);
-  ignore (Lru.unpin c "b" : bool);
-  Alcotest.(check (list string)) "pin/unpin cycle leaves order" [ "a"; "c"; "b" ]
-    (Lru.keys_mru c);
-  (* pin the LRU; eviction skips it and takes the next-oldest *)
-  Alcotest.(check bool) "pin b" true (Lru.pin c "b");
+  (* the next insertion evicts the LRU end *)
   Lru.put c "d" 4;
-  Alcotest.(check bool) "pinned LRU spared" true (Lru.mem c "b");
-  Alcotest.(check bool) "next-oldest evicted" false (Lru.mem c "c");
-  Alcotest.(check (list string)) "order after skip-eviction" [ "d"; "a"; "b" ]
+  Alcotest.(check (list string)) "LRU evicted" [ "d"; "a"; "c" ]
     (Lru.keys_mru c);
-  (* removing a pinned entry drops its pin count with it *)
-  Alcotest.(check bool) "remove pinned" true (Lru.remove c "b");
-  Alcotest.(check int) "pin count cleared" 0 (Lru.pin_count c "b");
-  (* re-insertion under the previously-pinned key starts unpinned: no
-     ghost pin protects it from eviction *)
-  Lru.put c "b" 20;
-  Alcotest.(check bool) "fresh insert unpinned" false (Lru.is_pinned c "b");
-  Lru.put c "e" 5;
-  Lru.put c "f" 6;
-  Lru.put c "g" 7;
-  Alcotest.(check bool) "no ghost pin after remove" false (Lru.mem c "b")
+  Alcotest.(check (option int)) "b gone" None (Lru.find c "b");
+  (* explicit removal; a second one finds nothing *)
+  Alcotest.(check bool) "remove c" true (Lru.remove c "c");
+  Alcotest.(check bool) "remove is once" false (Lru.remove c "c");
+  Alcotest.(check (list string)) "c gone" [ "d"; "a" ] (Lru.keys_mru c);
+  (* a removed key re-enters as a fresh MRU entry *)
+  Lru.put c "c" 30;
+  Alcotest.(check (list string)) "re-inserted at MRU" [ "c"; "d"; "a" ]
+    (Lru.keys_mru c);
+  Alcotest.(check (option int)) "new value" (Some 30) (Lru.find c "c")
 
 (* ------------------------------------------------------------------ *)
 (* Registry *)
@@ -421,6 +386,16 @@ let with_sched ?(config = Scheduler.default_config) f =
   let sched = Scheduler.create ~config () in
   Fun.protect ~finally:(fun () -> Scheduler.shutdown sched) (fun () -> f sched)
 
+(* The scheduler has settled: its own gauges read nothing in flight and
+   nothing queued. Metrics must be enabled before the scheduler runs. *)
+let check_settled label =
+  let gauges = (Obs.Metrics.snapshot ()).Obs.Metrics.gauges in
+  List.iter
+    (fun g ->
+      Alcotest.(check (option (float 0.0))) (label ^ ": " ^ g) (Some 0.0)
+        (List.assoc_opt g gauges))
+    [ "service.in_flight"; "service.queue_depth" ]
+
 (* ------------------------------------------------------------------ *)
 (* Scheduler policy *)
 
@@ -485,8 +460,9 @@ let test_scheduler_round_robin () =
 
 (* A ["pin": true] field from an old client is ignored like any other
    unknown field: five distinct formulas through a cache of three
-   leave it within its capacity, with no pin held. *)
+   leave it within its capacity, and the scheduler settles. *)
 let test_scheduler_ignores_pin_field () =
+  Obs.Metrics.enable ();
   with_sched ~config:{ Scheduler.default_config with Scheduler.cache_capacity = 3 }
   @@ fun sched ->
   let texts =
@@ -510,7 +486,7 @@ let test_scheduler_ignores_pin_field () =
     texts;
   let cache = Scheduler.cache sched in
   Alcotest.(check bool) "within capacity" true (Cache.length cache <= 3);
-  Alcotest.(check int) "no pin held" 0 (Cache.total_pin_count cache)
+  check_settled "old pin field"
 
 let test_scheduler_cancellation () =
   with_sched @@ fun sched ->
@@ -554,11 +530,11 @@ let test_scheduler_unsat_and_bad_epsilon () =
 let test_scheduler_cancel_in_flight_one_job () =
   (* at jobs = 1 a dispatched request runs on the executor's one worker
      domain: it is in flight, cancelling it suppresses its response, and
-     its execution pin is still released *)
+     the scheduler still settles *)
   Obs.Metrics.enable ();
   with_sched @@ fun sched ->
   let f = formula_of_string formula_a in
-  (* warm the cache so the cancelled flight takes an execution pin *)
+  (* warm the cache so the cancelled flight runs on the hit path *)
   ignore (submit_ok sched (sample_request f) : int);
   ignore (Scheduler.drain sched : (int * Wire.response) list);
   let id = submit_ok sched (sample_request ~seed:2 f) in
@@ -567,10 +543,7 @@ let test_scheduler_cancel_in_flight_one_job () =
   Alcotest.(check bool) "cancel in-flight" true (Scheduler.cancel sched id);
   Alcotest.(check (list int)) "cancelled response suppressed" []
     (List.map fst (Scheduler.drain sched));
-  Alcotest.(check int) "pins released" 0
-    (Cache.total_pin_count (Scheduler.cache sched));
-  Alcotest.(check (option (float 0.0))) "service.cache_pins gauge" (Some 0.0)
-    (List.assoc_opt "service.cache_pins" (Obs.Metrics.snapshot ()).Obs.Metrics.gauges)
+  check_settled "after the cancelled flight"
 
 let test_scheduler_cancel_closes_queue_span () =
   (* every async service.queue span opened at admission is closed, also
@@ -689,8 +662,8 @@ let prop_cache_hit_equals_cold_miss =
 (* Parallel execution: the concurrency battery. Worker domains execute
    whole requests behind the scheduler; prepared-state ownership is
    sharded by fingerprint. Everything observable — witnesses, response
-   multiplicity, pins, counters — must be indistinguishable from the
-   serial path. *)
+   multiplicity, counters — must be indistinguishable from the serial
+   path. *)
 
 (* Submit one request and run the scheduler to exhaustion; works in
    serial and parallel mode. *)
@@ -705,6 +678,7 @@ let test_parallel_stress_many_clients () =
   (* many clients x many formulas against a 3-domain scheduler: no
      response lost, none duplicated, and every single response
      bit-identical to its own offline run *)
+  Obs.Metrics.enable ();
   with_sched ~config:(parallel_config 3) @@ fun sched ->
   let formulas =
     List.map formula_of_string [ formula_a; formula_b; formula_c ]
@@ -752,8 +726,7 @@ let test_parallel_stress_many_clients () =
       0 completions
   in
   Alcotest.(check int) "one cold miss per fingerprint" 3 misses;
-  Alcotest.(check int) "all pins released" 0
-    (Cache.total_pin_count (Scheduler.cache sched))
+  check_settled "after the stress"
 
 let test_parallel_dispatch_shards_and_interleaves () =
   (* dispatch starts at most one request per fingerprint and rotates
@@ -825,6 +798,7 @@ let test_differential_every_jobs_level () =
     [ 1; 2; 3 ]
 
 let test_chaos_cancellation_under_parallelism () =
+  Obs.Metrics.enable ();
   with_sched ~config:(parallel_config 2) @@ fun sched ->
   let fa = formula_of_string formula_a in
   let fb = formula_of_string formula_b in
@@ -849,20 +823,17 @@ let test_chaos_cancellation_under_parallelism () =
       | Wire.Ok_sample _ -> ()
       | _ -> Alcotest.fail "survivors must complete normally")
     completions;
-  Alcotest.(check int) "no leaked pins after drain" 0
-    (Cache.total_pin_count (Scheduler.cache sched));
-  (* cancel a request in flight on the cache-hit path: its execution
-     pin must be released when the worker finishes, even though the
-     response is discarded *)
+  check_settled "after the drain";
+  (* cancel a request in flight on the cache-hit path: the scheduler
+     settles when the worker finishes, though the response is
+     discarded *)
   let a4 = submit_ok sched (sample_request ~n:2 ~seed:6 fa) in
   ignore (Scheduler.dispatch sched : int);
-  Alcotest.(check int) "execution pin held in flight" 1
-    (Cache.total_pin_count (Scheduler.cache sched));
+  Alcotest.(check int) "hit-path request in flight" 1 (Scheduler.in_flight sched);
   Alcotest.(check bool) "cancel hit-path flight" true (Scheduler.cancel sched a4);
   Alcotest.(check (list int)) "cancelled hit suppressed" []
     (List.map fst (Scheduler.drain sched));
-  Alcotest.(check int) "pin count returns to zero" 0
-    (Cache.total_pin_count (Scheduler.cache sched));
+  check_settled "after the cancelled hit";
   (* the cache survived the chaos: a fresh request still hits *)
   let hit, _ = service_witnesses_drained sched (sample_request ~n:2 ~seed:7 fa) in
   Alcotest.(check bool) "cache intact after cancellations" true hit
@@ -895,6 +866,57 @@ let test_deadline_miss_counted_once_parallel () =
     completions;
   Alcotest.(check int) "each miss counted exactly once" 3
     (metric_counter "service.deadline_misses" - before)
+
+let test_capacity_one_evicts_in_flight_hit () =
+  (* cache capacity 1 and two workers: a long hit on A is still running
+     when a miss on B completes and installs B. The LRU evicts A at
+     once, never holding two entries, and A's request still draws the
+     offline witnesses: its worker holds A's state by reference *)
+  let text =
+    "p cnf 12 3\nc ind 1 2 3 4 5 6 7 8 9 10 0\n1 2 3 0\n-4 5 6 0\n7 -8 0\n"
+  in
+  let fa = formula_of_string text in
+  let fb = formula_of_string formula_b in
+  let n = 1500 and seed = 41 and prepare_seed = 5 and epsilon = 6.0 in
+  let reference =
+    match offline_witnesses ~prepare_seed ~seed ~epsilon ~n fa with
+    | Some w -> w
+    | None -> Alcotest.fail "offline preparation failed"
+  in
+  with_sched ~config:{ (parallel_config 2) with Scheduler.cache_capacity = 1 }
+  @@ fun sched ->
+  let req_a = sample_request ~n ~seed ~prepare_seed ~epsilon fa in
+  ignore (service_witnesses_drained sched { req_a with Scheduler.n = 1 });
+  let a = submit_ok sched req_a in
+  let b = submit_ok sched (sample_request ~n:2 fb) in
+  Alcotest.(check int) "A and B dispatched together" 2 (Scheduler.dispatch sched);
+  let fd = Scheduler.notify_fd sched in
+  (* [batches] lists each poll's completed ids, latest first *)
+  let rec collect batches responses =
+    if Scheduler.in_flight sched = 0 then (batches, responses)
+    else begin
+      ignore (Unix.select [ fd ] [] [] 1.0);
+      match Scheduler.completions sched with
+      | [] -> collect batches responses
+      | done_ ->
+          Alcotest.(check bool) "at most one cached entry" true
+            (Cache.length (Scheduler.cache sched) <= 1);
+          collect (List.map fst done_ :: batches) (done_ @ responses)
+    end
+  in
+  let batches, responses = collect [] [] in
+  Alcotest.(check (list (list int))) "B completed while A was in flight"
+    [ [ a ]; [ b ] ] batches;
+  (match List.assoc_opt a responses with
+  | Some (Wire.Ok_sample r) ->
+      Alcotest.(check bool) "A was a hit" true (r.Wire.cache = Wire.Cache_ram);
+      Alcotest.(check (list (list int))) "A bit-identical to offline" reference
+        r.Wire.witnesses
+  | _ -> Alcotest.fail "expected A's witnesses");
+  Alcotest.(check bool) "B's miss installed" true
+    (match List.assoc_opt b responses with
+    | Some (Wire.Ok_sample r) -> r.Wire.cache = Wire.Cache_miss
+    | _ -> false)
 
 (* retry_after_s must stay finite and non-negative no matter how the
    EWMA was seeded — in particular after instantly-completing requests
@@ -967,8 +989,10 @@ let prepared_entry ?(epsilon = 6.0) ?(prepare_seed = 5) f =
   let f = Registry.canonical f in
   let rng = Rng.create prepare_seed in
   match Sampling.Unigen.prepare ~rng ~epsilon f with
-  | Ok prepared -> { Cache.prepared; formula = f; draws_served = 7 }
+  | Ok prepared -> { Cache.prepared; formula = f }
   | Error _ -> Alcotest.fail "preparation failed"
+
+let encode key e = Spill.encode key e.Cache.prepared e.Cache.formula
 
 let draws ?(n = 6) ?(seed = 42) prepared =
   Sampling.Unigen.sample_batch ~max_attempts:20 ~seed prepared n
@@ -983,22 +1007,19 @@ let test_spill_codec_roundtrip () =
       let f = formula_of_string text in
       let key = cache_key f in
       let entry = prepared_entry f in
-      let payload = Spill.encode key entry in
+      let payload = encode key entry in
       match Spill.decode key payload with
       | Error reason -> Alcotest.failf "%s: decode failed: %s" label reason
-      | Ok e ->
-          Alcotest.(check int)
-            (label ^ ": draws_served starts at zero")
-            0 e.Cache.draws_served;
+      | Ok (prepared, formula) ->
           Alcotest.(check string)
             (label ^ ": formula identity preserved")
             key.Cache.fingerprint
-            (Registry.fingerprint e.Cache.formula);
+            (Registry.fingerprint formula);
           (* the rehydration contract: the imported preparation draws
              the very same witnesses as the original *)
           Alcotest.(check (list (list int)))
             (label ^ ": bit-identical draws")
-            (draws entry.Cache.prepared) (draws e.Cache.prepared))
+            (draws entry.Cache.prepared) (draws prepared))
     [ ("easy phase", easy_text); ("hashed phase", hashed_text) ]
 
 let replace_once ~sub ~by s =
@@ -1019,7 +1040,7 @@ let test_spill_decode_paranoia () =
      cache turns into quarantine + clean re-preparation) *)
   let f = formula_of_string hashed_text in
   let key = cache_key f in
-  let payload = Spill.encode key (prepared_entry f) in
+  let payload = encode key (prepared_entry f) in
   let rejects label key' payload' =
     match Spill.decode key' payload' with
     | Error _ -> ()
@@ -1154,7 +1175,7 @@ let test_scheduler_restart_corrupt_spill () =
      quarantined and re-prepared, never served *)
   Store.put st ~key:(Cache.key_to_string (cache_key f))
     (replace_once ~sub:Spill.version ~by:"unigen-prepared-v2"
-       (Spill.encode (cache_key f) (prepared_entry f)));
+       (encode (cache_key f) (prepared_entry f)));
   let src4, w4 = generation dir req in
   Alcotest.(check bool) "v2 payload is a miss" true (src4 = Wire.Cache_miss);
   Alcotest.(check (list (list int))) "re-prepared past v2" w1 w4;
@@ -1373,7 +1394,7 @@ let test_out_of_range_variable_is_request_error () =
 
 (* Socket-level chaos against a parallel daemon: one client pipelines
    requests and disconnects without reading a byte; its work must be
-   cancelled, its pins released, and a concurrent client's framing
+   cancelled, the daemon must settle, and a concurrent client's framing
    left untouched. *)
 let test_chaos_abrupt_disconnect_socket () =
   with_daemon ~scheduler:(parallel_config 2) @@ fun ~socket_path ->
@@ -1397,7 +1418,7 @@ let test_chaos_abrupt_disconnect_socket () =
     [ formula_a; formula_b; formula_c ];
   Unix.close fd;
   (* connection B keeps working: two requests on one formula (the
-     second exercises the cache-hit execution-pin path), each response
+     second exercises the cache-hit path), each response
      correctly framed and correctly tagged *)
   Service.Client.with_connection ~socket_path @@ fun conn ->
   let ask tag =
@@ -1423,20 +1444,24 @@ let test_chaos_abrupt_disconnect_socket () =
   let w2 = ask "b-warm" in
   Alcotest.(check bool) "deterministic across A's chaos" true (w1 = w2);
   (* give the daemon a beat to finish any in-flight doomed work, then
-     check nothing stayed pinned *)
-  let rec pins_settle tries =
+     check nothing stayed in flight or queued *)
+  let rec settle tries =
     match Service.Client.request conn Wire.Status with
     | Wire.Metrics { values; _ } -> (
-        match List.assoc_opt "service.cache_pins" values with
-        | Some 0.0 -> ()
-        | Some _ when tries > 0 ->
+        let gauge g =
+          match List.assoc_opt g values with
+          | Some v -> v
+          | None -> Alcotest.failf "%s gauge missing" g
+        in
+        match (gauge "service.in_flight", gauge "service.queue_depth") with
+        | 0.0, 0.0 -> ()
+        | _ when tries > 0 ->
             ignore (Unix.select [] [] [] 0.05);
-            pins_settle (tries - 1)
-        | Some v -> Alcotest.failf "leaked execution pins: %g" v
-        | None -> Alcotest.fail "service.cache_pins gauge missing")
+            settle (tries - 1)
+        | f, q -> Alcotest.failf "daemon did not settle: %g in flight, %g queued" f q)
     | _ -> Alcotest.fail "expected a metrics response"
   in
-  pins_settle 40;
+  settle 40;
   (* the daemon's domain is joined on the way out of [with_daemon] *)
   match Service.Client.request conn Wire.Shutdown with
   | Wire.Bye -> ()
@@ -1450,10 +1475,9 @@ let () =
       ( "lru",
         [
           Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;
-          Alcotest.test_case "pinning" `Quick test_lru_pinning;
           Alcotest.test_case "capacity edge cases" `Quick test_lru_capacity_edge_cases;
-          Alcotest.test_case "pin cycle and re-put" `Quick
-            test_lru_pin_cycle_and_reput;
+          Alcotest.test_case "re-put and remove" `Quick
+            test_lru_reput_and_remove;
         ] );
       ( "registry",
         [
@@ -1526,6 +1550,8 @@ let () =
             test_chaos_cancellation_under_parallelism;
           Alcotest.test_case "deadline miss counted once" `Quick
             test_deadline_miss_counted_once_parallel;
+          Alcotest.test_case "capacity 1 evicts an in-flight hit" `Quick
+            test_capacity_one_evicts_in_flight_hit;
         ] );
       ( "determinism",
         [
