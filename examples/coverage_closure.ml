@@ -82,11 +82,8 @@ let () =
       match Sat.Solver.solve solver with
       | Sat.Solver.Sat ->
           let m = Sat.Solver.model solver in
-          let block =
-            Array.to_list inputs
-            |> List.map (fun v -> Cnf.Lit.make v (not (Cnf.Model.value m v)))
-          in
-          Sat.Solver.add_clause solver block;
+          Sat.Solver.add_clause solver
+            (Array.map (fun v -> Cnf.Lit.make v (not (Cnf.Model.value m v))) inputs);
           Some (high_nibble m inputs)
       | _ -> None);
 

@@ -77,7 +77,7 @@ let core ?deadline ~rng ~pivot (w : Warm.t) =
       else begin
         let out =
           Sat.Bsat.Session.enumerate ?deadline ~xors
-            ~known:(List.map (Known.values known) members)
+            ~known:(List.map (Known.blocking_clause known) members)
             ~limit:(pivot + 1 - k) w.Warm.session
         in
         stats := Sat.Solver.stats_add !stats out.Sat.Bsat.stats;

@@ -97,7 +97,8 @@ let add t m =
   end
 
 let bit words r = (words.(r / bits) lsr (r mod bits)) land 1 = 1
-let values t r = Array.map (fun col -> bit col r) t.cols
+let blocking_clause t r =
+  Array.mapi (fun j v -> Cnf.Lit.make v (not (bit t.cols.(j) r))) t.sampling
 
 let holds t r m =
   let rec go j =

@@ -47,8 +47,9 @@ val add : t -> Cnf.Model.t -> unit
     @raise Invalid_argument when the model is not over the formula's
     [num_vars] variables. *)
 
-val values : t -> int -> bool array
-(** Member [r] as the values of S's variables, in S's order (the form
+val blocking_clause : t -> int -> Cnf.Clause.t
+(** The clause excluding member [r]: for each variable of S, in S's
+    order, the literal that [r]'s projection makes false (the form
     [Sat.Bsat.Session.enumerate ~known] takes). *)
 
 val holds : t -> int -> Cnf.Model.t -> bool

@@ -56,7 +56,7 @@ let draw_cell ?deadline ~accept ~limit w xors =
        base-formula learnt clauses for the next cell *)
     let out =
       Sat.Bsat.Session.enumerate ?deadline ~xors
-        ~known:(List.map (Known.values known) reused)
+        ~known:(List.map (Known.blocking_clause known) reused)
         ~limit:(limit - j) w.session
     in
     (* [members] lists every cached member of the cell, so a model

@@ -20,6 +20,7 @@ type outcome = {
 let sort_models ms = List.sort Cnf.Model.compare ms
 
 let c_blocking_clauses = Obs.Metrics.counter "bsat.blocking_clauses"
+let c_known_clauses = Obs.Metrics.counter "bsat.known_clauses"
 let c_enumerations = Obs.Metrics.counter "bsat.enumerations"
 
 (* The blocking-clause enumeration loop, shared by the one-shot and
@@ -63,12 +64,9 @@ let enum_loop ?deadline ~limit ~blocking ~verify ~truncate solver =
             Hashtbl.add seen_keys k ()
           end;
           (* block this witness on the projection *)
-          let block =
-            Array.to_list blocking
-            |> List.map (fun v -> Cnf.Lit.make v (not (Cnf.Model.value m v)))
-          in
           Obs.Metrics.incr c_blocking_clauses;
-          Solver.block solver block;
+          Solver.block solver
+            (Array.map (fun v -> Cnf.Lit.make v (not (Cnf.Model.value m v))) blocking);
           loop (m :: acc) (found + 1)
   in
   loop [] 0
@@ -158,12 +156,11 @@ module Session = struct
             ~args:[ ("rows", string_of_int (List.length xors)) ]
             (fun () -> List.iter (Solver.add_group_xor solver) xors);
           List.iter
-            (fun values ->
-              if Array.length values <> Array.length s.blocking then
+            (fun c ->
+              if Array.length c <> Array.length s.blocking then
                 invalid_arg "Bsat.Session.enumerate: known projection width";
-              Solver.add_group_clause solver
-                (Array.to_list
-                   (Array.mapi (fun j v -> Cnf.Lit.make v (not values.(j))) s.blocking)))
+              Obs.Metrics.incr c_known_clauses;
+              Solver.add_group_clause solver c)
             known;
           enum_loop ?deadline ~limit ~blocking:s.blocking ~verify ~truncate solver)
     in

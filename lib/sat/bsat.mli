@@ -66,21 +66,24 @@ module Session : sig
   val enumerate :
     ?deadline:float ->
     ?xors:Cnf.Xor_clause.t list ->
-    ?known:bool array list ->
+    ?known:Cnf.Clause.t list ->
     limit:int ->
     t ->
     outcome
   (** Enumerate up to [limit] witnesses of [base ∧ xors] whose
-      projections are not among [known]. Each element of [known]
-      assigns the session's {!blocking_vars}, in that order, and is
-      excluded by a blocking clause, so the outcome is what a call
+      projections are not among [known]. Each element of [known] is
+      the blocking clause of one projection: for each of the session's
+      {!blocking_vars}, in that order, the literal that projection
+      makes false — the clause the enumeration itself adds after a
+      witness with that projection. So the outcome is what a call
       without [known] would return with those projections removed
       (exhausted iff the rest of the cell has fewer than [limit]
       witnesses). The XOR layer, the [known] clauses and the blocking
       clauses are pushed as one retractable group and popped before
       returning, so successive calls see the unmodified base formula
-      plus whatever the solver learnt about it.
-      @raise Invalid_argument when a [known] array's length differs
+      plus whatever the solver learnt about it. Each [known] clause
+      counts a [bsat.known_clauses].
+      @raise Invalid_argument when a [known] clause's length differs
       from the number of blocking variables. *)
 
   val calls : t -> int

@@ -191,11 +191,11 @@ let count_vars m r ~skip =
 (* The literal of [v] that is FALSE under the current assignment. *)
 let false_lit ~assigns v = lit_of_var v (assigns.(v) <> 1)
 
-(* Fill [a] from its last slot downwards with the false literal of
+(* Fill [a] from slot [last] downwards with the false literal of
    every variable of [r] other than [skip], taken in ascending column
-   order: [a] ends in descending column order. *)
-let fill_false_lits m ~assigns r ~skip a =
-  let k = ref (Array.length a - 1) in
+   order: the slots end in descending column order. *)
+let fill_false_lits m ~assigns r ~skip a ~last =
+  let k = ref last in
   let bits = r.bits in
   for w = 0 to Array.length bits - 1 do
     let word = ref bits.(w) in
@@ -410,19 +410,20 @@ let row_vars m ~row =
   Array.sort Int.compare a;
   a
 
-let reason_lits m ~assigns ~row ~implied =
+let reason_into m ~assigns ~row ~implied buf =
   Obs.Metrics.incr c_lazy_reasons;
   let r = Vec.get m.rows row in
   let iv = implied lsr 1 in
-  let a = Array.make (1 + count_vars m r ~skip:iv) implied in
-  fill_false_lits m ~assigns r ~skip:iv a;
-  a
+  let n = 1 + count_vars m r ~skip:iv in
+  buf.(0) <- implied;
+  fill_false_lits m ~assigns r ~skip:iv buf ~last:(n - 1);
+  n
 
-let conflict_lits m ~assigns ~row =
+let conflict_into m ~assigns ~row buf =
   let r = Vec.get m.rows row in
-  let a = Array.make (count_vars m r ~skip:(-1)) 0 in
-  fill_false_lits m ~assigns r ~skip:(-1) a;
-  a
+  let n = count_vars m r ~skip:(-1) in
+  fill_false_lits m ~assigns r ~skip:(-1) buf ~last:(n - 1);
+  n
 
 type row_dump = {
   d_vars : int array;

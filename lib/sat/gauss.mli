@@ -40,10 +40,10 @@
     solver's int encoding (positive literal of [v] is [2v], negative
     [2v + 1]).
 
-    Reason contract: {!reason_lits} puts the implied literal first,
+    Reason contract: {!reason_into} puts the implied literal first,
     then the false literal of every other variable of the row in
     descending column index (columns are numbered in the order their
-    variables first entered the matrix); {!conflict_lits} gives the
+    variables first entered the matrix); {!conflict_into} gives the
     same order without an implied literal. Conflict analysis visits
     literals in this order, so it feeds VSIDS and must not change
     without changing witness streams. *)
@@ -109,16 +109,19 @@ val drop : t -> unit
 val row_vars : t -> row:int -> int array
 (** The variables of [row], ascending. *)
 
-val reason_lits : t -> assigns:int array -> row:int -> implied:int -> int array
-(** Materialize the lazy parity reason for [implied] (the true literal
-    propagated from [row]): [implied] first, then the false literal of
-    every other variable of the row in descending column index. The
-    result is the only allocation. Counts a
+val reason_into : t -> assigns:int array -> row:int -> implied:int -> int array -> int
+(** [reason_into m ~assigns ~row ~implied buf] materializes the lazy
+    parity reason for [implied] (the true literal propagated from
+    [row]) into the first slots of [buf] and returns their count:
+    [implied] first, then the false literal of every other variable of
+    the row in descending column index. It allocates nothing; [buf]
+    must hold a slot per variable of the row. Counts a
     [solver.gauss_lazy_reasons]. *)
 
-val conflict_lits : t -> assigns:int array -> row:int -> int array
-(** The conflict clause of a violated fully-assigned row: the false
-    literal of every variable, in descending column index. *)
+val conflict_into : t -> assigns:int array -> row:int -> int array -> int
+(** The conflict clause of a violated fully-assigned row, filled into
+    [buf] the same way: the false literal of every variable, in
+    descending column index. Returns the count. *)
 
 (** Plain-data row snapshot for audits and tests. Columns are reported
     as variable ids ([-1] = none). *)

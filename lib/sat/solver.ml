@@ -80,6 +80,11 @@ type t = {
   mutable polarity : bool array; (* var -> saved phase *)
   mutable activity : float array; (* var -> VSIDS score *)
   mutable seen : bool array; (* scratch for conflict analysis *)
+  lits_buf : int Vec.t;
+      (* scratch for building a clause: normalization, [block] and
+         [analyze] each fill it and copy it out before returning *)
+  mutable reason_buf : int array; (* lazy Gauss reasons, one slot per variable *)
+  mutable reason_len : int; (* literals of the last [reason_lits] / [conflict_lits] *)
   mutable watches : clause Vec.t array; (* lit -> clauses watching it *)
   clauses : clause Vec.t;
   learnts : clause Vec.t;
@@ -127,10 +132,13 @@ let fresh_cid t =
 
 let lit_to_dimacs l = if l land 1 = 0 then l lsr 1 else -(l lsr 1)
 
+(* The proof's literal lists are only built while a proof is on. *)
+let dimacs_of lits = Array.fold_right (fun l acc -> lit_to_dimacs l :: acc) lits []
+
 let log_proof t lits =
   match t.proof with
   | None -> ()
-  | Some steps -> t.proof <- Some (Drat.Add (List.map lit_to_dimacs lits) :: steps)
+  | Some steps -> t.proof <- Some (Drat.Add (dimacs_of lits) :: steps)
 
 (* The empty clause may be derivable before logging was even enabled
    (top-level conflict during clause loading); emit it at most once. *)
@@ -144,7 +152,7 @@ let log_delete t lits =
   match t.proof with
   | None -> ()
   | Some steps ->
-      t.proof <- Some (Drat.Delete (List.map lit_to_dimacs lits) :: steps)
+      t.proof <- Some (Drat.Delete (dimacs_of lits) :: steps)
 
 let var_decay = 1.0 /. 0.95
 let clause_decay = 1.0 /. 0.999
@@ -181,6 +189,9 @@ let create_empty nvars =
       polarity = Array.make (nvars + 1) false;
       activity;
       seen = Array.make (nvars + 1) false;
+      lits_buf = Vec.create ~dummy:0 ();
+      reason_buf = Array.make (nvars + 1) 0;
+      reason_len = 0;
       watches = Array.init ((2 * nvars) + 2) (fun _ -> Vec.create ~dummy:dummy_clause ());
       clauses = Vec.create ~dummy:dummy_clause ();
       learnts = Vec.create ~dummy:dummy_clause ();
@@ -443,6 +454,7 @@ let grow t newcap =
     let seen = Array.make (cap + 1) false in
     Array.blit t.seen 0 seen 0 (old + 1);
     t.seen <- seen;
+    t.reason_buf <- Array.make (cap + 1) 0;
     let activity = Array.make (cap + 1) 0. in
     Array.blit t.activity 0 activity 0 (old + 1);
     t.activity <- activity;
@@ -705,27 +717,41 @@ let propagate_or_break t =
 (* ------------------------------------------------------------------ *)
 (* Reasons as literal arrays (for conflict analysis)                   *)
 
+(* Both return an array whose first [t.reason_len] slots are the
+   literals: a clause's own array, or a Gauss row's literals filled
+   into [t.reason_buf], which the next call overwrites. *)
 let conflict_lits t = function
-  | C_clause c -> c.lits
-  | C_gauss (m, row) -> Gauss.conflict_lits m ~assigns:t.assigns ~row
+  | C_clause c ->
+      t.reason_len <- Array.length c.lits;
+      c.lits
+  | C_gauss (m, row) ->
+      t.reason_len <- Gauss.conflict_into m ~assigns:t.assigns ~row t.reason_buf;
+      t.reason_buf
 
 let reason_lits t v =
   match t.reason.(v) with
   | No_reason -> invalid_arg "Solver.reason_lits: decision variable"
-  | R_clause c -> c.lits (* invariant: c.lits.(0) is the implied literal *)
+  | R_clause c ->
+      (* invariant: c.lits.(0) is the implied literal *)
+      t.reason_len <- Array.length c.lits;
+      c.lits
   | R_gauss (m, row) ->
       let implied = lit_of_var v (t.assigns.(v) = 1) in
-      Gauss.reason_lits m ~assigns:t.assigns ~row ~implied
+      t.reason_len <- Gauss.reason_into m ~assigns:t.assigns ~row ~implied t.reason_buf;
+      t.reason_buf
 
 (* ------------------------------------------------------------------ *)
 (* Conflict analysis (first UIP) with simple clause minimization       *)
 
-(* Returns (asserting lit, other kept lits, backtrack level, group):
-   [group] is the maximum group over every constraint and level-0 fact
-   consumed by the derivation — the group the learnt clause belongs
-   to, so that popping any contributing group purges it. *)
+(* Returns (learnt clause, backtrack level, group). The clause holds
+   the asserting literal first, then the kept literals in the reverse
+   of the order analysis met them. [group] is the maximum group over
+   every constraint and level-0 fact consumed by the derivation — the
+   group the learnt clause belongs to, so that popping any
+   contributing group purges it. *)
 let analyze t confl =
-  let learnt = ref [] in
+  let learnt = t.lits_buf in
+  Vec.clear learnt;
   let counter = ref 0 in
   let p = ref (-1) in
   let index = ref (Vec.size t.trail - 1) in
@@ -741,14 +767,11 @@ let analyze t confl =
     | R_clause c -> dgroup := max !dgroup c.group
     | R_gauss (m, _) -> dgroup := max !dgroup (Gauss.group m)
   in
-  let bump_reason_clause = function
-    | C_clause c when c.learnt -> clause_bump t c
-    | _ -> ()
-  in
-  bump_reason_clause confl;
+  (match confl with
+  | C_clause c when c.learnt -> clause_bump t c
+  | _ -> ());
   let process_lits lits start =
-    let len = Array.length lits in
-    for k = start to len - 1 do
+    for k = start to t.reason_len - 1 do
       let q = lits.(k) in
       let v = lit_var q in
       if t.level.(v) = 0 then
@@ -759,7 +782,7 @@ let analyze t confl =
         t.seen.(v) <- true;
         var_bump t v;
         if t.level.(v) >= current then incr counter
-        else learnt := q :: !learnt
+        else Vec.push learnt q
       end
     done
   in
@@ -790,70 +813,85 @@ let analyze t confl =
   let asserting = lit_neg !p in
   (* simple minimization: a literal is redundant if its reason is fully
      subsumed by the other literals of the learnt clause *)
-  let learnt_list = !learnt in
-  List.iter (fun q -> t.seen.(lit_var q) <- true) learnt_list;
+  let n = Vec.size learnt in
+  for i = 0 to n - 1 do
+    t.seen.(lit_var (Vec.get learnt i)) <- true
+  done;
   let redundant q =
     let v = lit_var q in
     match t.reason.(v) with
     | No_reason -> false
     | r ->
         let lits = reason_lits t v in
+        let len = t.reason_len in
         let ok = ref true in
-        Array.iteri
-          (fun k rl ->
-            if k > 0 then begin
-              let u = lit_var rl in
-              if t.level.(u) > 0 && not t.seen.(u) then ok := false
-            end)
-          lits;
+        for k = 1 to len - 1 do
+          let u = lit_var lits.(k) in
+          if t.level.(u) > 0 && not t.seen.(u) then ok := false
+        done;
         if !ok then begin
           (* the dropped literal's reason joins the derivation *)
           fold_reason_group r;
-          Array.iteri
-            (fun k rl ->
-              if k > 0 then begin
-                let u = lit_var rl in
-                if t.level.(u) = 0 then dgroup := max !dgroup t.assign_group.(u)
-              end)
-            lits
+          for k = 1 to len - 1 do
+            let u = lit_var lits.(k) in
+            if t.level.(u) = 0 then dgroup := max !dgroup t.assign_group.(u)
+          done
         end;
         !ok
   in
-  let kept = List.filter (fun q -> not (redundant q)) learnt_list in
-  List.iter (fun q -> t.seen.(lit_var q) <- false) learnt_list;
+  (* test the literals last met first, and partition in place: kept
+     ones gather at the top in the order met, dropped ones stay below,
+     where their seen flags are still cleared *)
+  let top = ref n in
+  for i = n - 1 downto 0 do
+    let q = Vec.get learnt i in
+    if not (redundant q) then begin
+      decr top;
+      Vec.set learnt i (Vec.get learnt !top);
+      Vec.set learnt !top q
+    end
+  done;
+  let lits = Array.make (1 + n - !top) asserting in
   (* backtrack level = max level among kept literals *)
-  let blevel = List.fold_left (fun acc q -> max acc t.level.(lit_var q)) 0 kept in
-  (asserting, kept, blevel, !dgroup)
+  let blevel = ref 0 in
+  for k = 1 to n - !top do
+    let q = Vec.get learnt (n - k) in
+    lits.(k) <- q;
+    blevel := max !blevel t.level.(lit_var q)
+  done;
+  for i = 0 to n - 1 do
+    t.seen.(lit_var (Vec.get learnt i)) <- false
+  done;
+  (lits, !blevel, !dgroup)
 
 (* ------------------------------------------------------------------ *)
 (* Learnt clause recording                                             *)
 
-let record_learnt t ~group asserting others blevel =
-  log_proof t (asserting :: others);
+let record_learnt t ~group lits blevel =
+  log_proof t lits;
   t.n_learnt_total <- t.n_learnt_total + 1;
   cancel_until t blevel;
-  match others with
-  | [] ->
-      (* unit learnt: asserting at level 0 *)
-      if not (enqueue ~agroup:group t asserting No_reason) then
-        mark_broken t (max group t.assign_group.(lit_var asserting))
-  | _ ->
-      (* place a literal of the backtrack level in watch position 1 *)
-      let arr = Array.of_list (asserting :: others) in
-      let best = ref 1 in
-      for k = 2 to Array.length arr - 1 do
-        if t.level.(lit_var arr.(k)) > t.level.(lit_var arr.(!best)) then best := k
-      done;
-      let tmp = arr.(1) in
-      arr.(1) <- arr.(!best);
-      arr.(!best) <- tmp;
-      let c =
-        { cid = fresh_cid t; lits = arr; learnt = true; group; activity = 0.; deleted = false }
-      in
-      clause_bump t c;
-      attach_clause t c;
-      Vec.push t.learnts c;
-      ignore (enqueue t asserting (R_clause c))
+  let asserting = lits.(0) in
+  if Array.length lits = 1 then begin
+    (* unit learnt: asserting at level 0 *)
+    if not (enqueue ~agroup:group t asserting No_reason) then
+      mark_broken t (max group t.assign_group.(lit_var asserting))
+  end
+  else begin
+    (* place a literal of the backtrack level in watch position 1 *)
+    let best = ref 1 in
+    for k = 2 to Array.length lits - 1 do
+      if t.level.(lit_var lits.(k)) > t.level.(lit_var lits.(!best)) then best := k
+    done;
+    let tmp = lits.(1) in
+    lits.(1) <- lits.(!best);
+    lits.(!best) <- tmp;
+    let c = { cid = fresh_cid t; lits; learnt = true; group; activity = 0.; deleted = false } in
+    clause_bump t c;
+    attach_clause t c;
+    Vec.push t.learnts c;
+    ignore (enqueue t asserting (R_clause c))
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Learnt database reduction                                           *)
@@ -878,7 +916,7 @@ let reduce_db t =
       && not (is_reason t c)
     then begin
       c.deleted <- true;
-      log_delete t (Array.to_list c.lits);
+      log_delete t c.lits;
       incr removed
     end
   done;
@@ -944,61 +982,96 @@ let install_clause t c =
     if t.ok then propagate_or_break t
   end
 
-(* Normalize raw int literals for insertion into [group]: sort, dedup,
-   detect tautologies, substitute level-0 facts of groups <= [group].
-   [None] = the clause is already satisfied (or tautological). *)
-let normalize_for_group t group raw =
-  let sorted = List.sort_uniq Int.compare raw in
-  let rec scan acc = function
-    | [] -> Some (List.rev acc)
-    | l :: rest ->
-        if List.mem (lit_neg l) rest then None
-        else begin
-          match value_lit_upto t group l with
-          | 1 -> None
-          | -1 -> scan acc rest
-          | _ -> scan (l :: acc) rest
-        end
+(* [c]'s literals in ascending order: [c] itself when its variables
+   strictly ascend, as S-projections do, else a sorted copy. Short
+   clauses, the common case, get an insertion sort: [Array.sort]
+   allocates as it sifts. *)
+let ascending (c : Cnf.Clause.t) =
+  let rec strict i =
+    i >= Array.length c || ((c.(i - 1) :> int) lsr 1 < (c.(i) :> int) lsr 1 && strict (i + 1))
   in
-  scan [] sorted
+  if strict 1 then c
+  else begin
+    let s = Array.copy c in
+    if Array.length s > 16 then Array.sort Cnf.Lit.compare s
+    else
+      for i = 1 to Array.length s - 1 do
+        let l = s.(i) in
+        let j = ref (i - 1) in
+        while !j >= 0 && (s.(!j) :> int) > (l :> int) do
+          s.(!j + 1) <- s.(!j);
+          decr j
+        done;
+        s.(!j + 1) <- l
+      done;
+    s
+  end
 
-let raw_lits lits = List.map (fun l -> (Cnf.Lit.to_index l : int)) lits
+(* Normalize [c] for insertion into [group], building its literal
+   array in one pass over the sorted literals: repeats and the
+   literals false under level-0 facts of groups <= [group] are
+   dropped, and the [guard] literal (-1 = none) goes last. [None] =
+   the clause is satisfied by such a fact, or is a tautology ([l] and
+   [l lxor 1] sit side by side once sorted). *)
+let normalize t ~group ~guard (c : Cnf.Clause.t) =
+  let a = ascending c in
+  let buf = t.lits_buf in
+  Vec.clear buf;
+  let rec scan i prev =
+    i >= Array.length a
+    ||
+    let l = (a.(i) :> int) in
+    if l = prev then scan (i + 1) prev
+    else if l = prev lxor 1 then false
+    else
+      match value_lit_upto t group l with
+      | 1 -> false
+      | -1 -> scan (i + 1) l
+      | _ ->
+          Vec.push buf l;
+          scan (i + 1) l
+  in
+  if scan 0 (-2) then begin
+    if guard >= 0 then Vec.push buf guard;
+    Some (Vec.to_array buf)
+  end
+  else None
 
-(* Insert the clause [raw] into [group] at the root. A [guard]
-   (the group's activation variable) is appended after normalization;
-   without one the group is 0. *)
-let insert_clause t ~group ~guard raw =
-  if t.ok then
-    match (normalize_for_group t group raw, guard) with
-    | None, _ -> ()
-    | Some [], None -> mark_broken t 0
-    | Some [], Some a ->
-        (* the clause body is false given groups <= group: with the
-           guard appended, this is the unit fact (a) at that group —
-           solving under the activation assumption ¬a will report
-           Unsat through the assumption-conflict path *)
-        assert_unit_core t ~group (lit_of_var a true)
-    | Some [ l ], None -> assert_unit_core t ~group l
-    | Some ls, _ ->
-        let ls = match guard with None -> ls | Some a -> ls @ [ lit_of_var a true ] in
+(* The innermost group's guard: the positive literal of its
+   activation variable, or -1 without a group. *)
+let guard_lit t = match t.groups with [] -> -1 | a :: _ -> lit_of_var a true
+
+(* Whether a constraint of [group] must be stored: it may be skipped
+   only while a group at or below its own makes the store unsat. When
+   a higher group broke it, popping that group makes it live again. *)
+let stores t group = t.ok || group < t.broken_by
+
+(* Insert the clause [c] into [group] at the root, with the [guard]
+   literal (-1 = none, and then the group is 0) appended after
+   normalization. *)
+let insert_clause t ~group ~guard c =
+  if stores t group then
+    match normalize t ~group ~guard c with
+    | None -> ()
+    | Some [||] -> mark_broken t 0
+    | Some [| l |] ->
+        (* a unit: the one literal left, or the guard when the clause
+           body is false given groups <= group — solving under the
+           activation assumption then reports Unsat through the
+           assumption-conflict path *)
+        assert_unit_core t ~group l
+    | Some lits ->
         install_clause t
-          {
-            cid = fresh_cid t;
-            lits = Array.of_list ls;
-            learnt = false;
-            group;
-            activity = 0.;
-            deleted = false;
-          }
+          { cid = fresh_cid t; lits; learnt = false; group; activity = 0.; deleted = false }
 
-let add_clause t lits =
+let add_clause t c =
   to_root t;
   require_root t "Solver.add_clause";
   Audit.Ownership.check t.owner;
-  insert_clause t ~group:0 ~guard:None (raw_lits lits)
+  insert_clause t ~group:0 ~guard:(-1) c
 
 let add_xor_general t ~group (x : Cnf.Xor_clause.t) =
-  if t.ok then begin
+  if stores t group then begin
     (* substitute level-0 facts of groups <= [group] *)
     let rhs = ref x.rhs in
     let vars =
@@ -1030,7 +1103,7 @@ let add_xor t (x : Cnf.Xor_clause.t) =
 
 let create (f : Cnf.Formula.t) =
   let t = create_empty f.num_vars in
-  Array.iter (fun c -> add_clause t (Array.to_list c)) f.clauses;
+  Array.iter (add_clause t) f.clauses;
   Array.iter (fun x -> add_xor t x) f.xors;
   t
 
@@ -1052,13 +1125,11 @@ let push_group t =
   in
   t.groups <- a :: t.groups
 
-let add_group_clause t lits =
+let add_group_clause t c =
   to_root t;
   require_root t "Solver.add_group_clause";
-  match t.groups with
-  | [] -> invalid_arg "Solver.add_group_clause: no group pushed"
-  | a :: _ ->
-      insert_clause t ~group:(List.length t.groups) ~guard:(Some a) (raw_lits lits)
+  if t.groups = [] then invalid_arg "Solver.add_group_clause: no group pushed";
+  insert_clause t ~group:(List.length t.groups) ~guard:(guard_lit t) c
 
 let add_group_xor t (x : Cnf.Xor_clause.t) =
   to_root t;
@@ -1167,8 +1238,8 @@ let search t ~assumps ~budget ~deadline =
           outcome := Some S_unsat
         end
         else begin
-          let asserting, others, blevel, dgroup = analyze t confl in
-          record_learnt t ~group:dgroup asserting others blevel;
+          let lits, blevel, dgroup = analyze t confl in
+          record_learnt t ~group:dgroup lits blevel;
           if not t.ok then outcome := Some S_unsat
           else begin
             var_decay_all t;
@@ -1297,34 +1368,38 @@ let model t =
    literals and let the deepest one become the clause's implication,
    so the next [solve] resumes there instead of re-descending from the
    root. *)
-let block t lits =
+let block t (c : Cnf.Clause.t) =
   Audit.Ownership.check t.owner;
   if not t.sat_trail then
     Audit.fail ~invariant:"block-after-sat"
       ~detail:"Solver.block is only legal right after solve returned Sat"
       [ ("decision_level", itos (decision_level t));
         ("model_valid", string_of_bool t.model_valid) ];
-  let raw = raw_lits lits in
-  List.iter
-    (fun l ->
-      if value_lit t l <> -1 then
-        Audit.fail ~invariant:"block-literal-false"
-          ~detail:"Solver.block: a literal is not false under the model"
-          [ ("lit", itos l); ("var", itos (lit_var l)) ])
-    raw;
+  for i = 0 to Array.length c - 1 do
+    let l = (c.(i) :> int) in
+    if value_lit t l <> -1 then
+      Audit.fail ~invariant:"block-literal-false"
+        ~detail:"Solver.block: a literal is not false under the model"
+        [ ("lit", itos l); ("var", itos (lit_var l)) ]
+  done;
   t.sat_trail <- false;
   let group = List.length t.groups in
-  let guard = match t.groups with [] -> None | a :: _ -> Some a in
+  let guard = guard_lit t in
   let root_insert () =
     to_root t;
-    insert_clause t ~group ~guard raw
+    insert_clause t ~group ~guard c
   in
   (* the clause [insert_clause] would build: distinct literals, the
      level-0 facts (all of groups <= [group]) dropped, the guard last *)
-  let body = List.filter (fun l -> t.level.(lit_var l) > 0) (List.sort_uniq Int.compare raw) in
-  let lits =
-    Array.of_list (match guard with None -> body | Some a -> body @ [ lit_of_var a true ])
-  in
+  let a = ascending c in
+  let buf = t.lits_buf in
+  Vec.clear buf;
+  for i = 0 to Array.length a - 1 do
+    let l = (a.(i) :> int) in
+    if (i = 0 || l <> (a.(i - 1) :> int)) && t.level.(lit_var l) > 0 then Vec.push buf l
+  done;
+  if guard >= 0 then Vec.push buf guard;
+  let lits = Vec.to_array buf in
   let n = Array.length lits in
   if n < 2 || t.proof <> None then root_insert ()
   else begin

@@ -58,10 +58,19 @@ val okay : t -> bool
 val num_vars : t -> int
 (** Grows when activation variables are allocated by {!push_group}. *)
 
-val add_clause : t -> Cnf.Lit.t list -> unit
+val add_clause : t -> Cnf.Clause.t -> unit
 (** Add a clause to the base formula (group 0). May set
-    [okay t = false]. Tautologies are ignored. Legal while groups are
-    pushed: the clause persists across [pop_group]. *)
+    [okay t = false]. Repeated literals are merged and tautologies
+    ignored. Legal while groups are pushed: the clause persists across
+    [pop_group].
+
+    {b Clause building.} [add_clause], {!add_group_clause} and {!block}
+    share one normalization: the literals in ascending order (a sorted
+    copy, or the array itself when its variables already strictly
+    ascend), repeats and literals false at level 0 (under the groups
+    the clause may rely on) dropped, and the group's activation
+    literal last. The installed array is built once, in that order;
+    the argument is never modified. *)
 
 val add_xor : t -> Cnf.Xor_clause.t -> unit
 
@@ -70,7 +79,7 @@ val solve : ?conflict_limit:int -> ?deadline:float -> t -> result
     keeps its trail (see the kept trail above), and [solve] resumes
     from the trail a [Sat] or {!block} left. *)
 
-val block : t -> Cnf.Lit.t list -> unit
+val block : t -> Cnf.Clause.t -> unit
 (** [block t lits] adds the blocking clause [lits] after a [Sat]: it
     is legal only when the last call on [t] was a [solve] that
     returned [Sat], and every literal must be false under that model.
@@ -106,7 +115,7 @@ val pop_group : t -> unit
     exactly as if the group had never been pushed.
     @raise Invalid_argument if no group is pushed. *)
 
-val add_group_clause : t -> Cnf.Lit.t list -> unit
+val add_group_clause : t -> Cnf.Clause.t -> unit
 (** Add a clause to the innermost group (guarded by its activation
     literal). @raise Invalid_argument if no group is pushed. *)
 

@@ -58,6 +58,7 @@ let fold f init t =
   !acc
 
 let to_list t = List.init t.size (fun i -> t.data.(i))
+let to_array t = Array.sub t.data 0 t.size
 
 let exists p t =
   let rec go i = i < t.size && (p t.data.(i) || go (i + 1)) in

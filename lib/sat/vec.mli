@@ -27,6 +27,10 @@ val shrink : 'a t -> int -> unit
 val iter : ('a -> unit) -> 'a t -> unit
 val fold : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
 val to_list : 'a t -> 'a list
+
+val to_array : 'a t -> 'a array
+(** A fresh array of the [size] elements, in order. *)
+
 val exists : ('a -> bool) -> 'a t -> bool
 val filter_in_place : ('a -> bool) -> 'a t -> unit
 (** Keeps only elements satisfying the predicate, preserving order. *)

@@ -162,7 +162,7 @@ echo "== allocation budget (sample case_m1 -n 301 -s 9 -j 1)"
 # XOR-propagation path that starts allocating per assignment again
 # fails here. The binary runs directly so the runtime report is its
 # own, not dune's.
-alloc_budget=49634258
+alloc_budget=16901924
 alloc_dir=$(mktemp -d)
 dune build bin/unigen_cli.exe
 dune exec bin/unigen_cli.exe -- bench-gen case_m1 -o "$alloc_dir/m1.cnf" > /dev/null

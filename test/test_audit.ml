@@ -48,8 +48,8 @@ let test_detects_gauss_flipped_rhs () =
      which is the state flip_rhs corrupts *)
   let s = Sat.Solver.create_empty 3 in
   Sat.Solver.add_xor s (xor_c [ 1; 2; 3 ] true);
-  Sat.Solver.add_clause s [ Cnf.Lit.pos 1 ];
-  Sat.Solver.add_clause s [ Cnf.Lit.pos 2 ];
+  Sat.Solver.add_clause s [| Cnf.Lit.pos 1 |];
+  Sat.Solver.add_clause s [| Cnf.Lit.pos 2 |];
   expect_applied "gauss_flip_rhs" (Sat.Solver.Corrupt.gauss_flip_rhs s);
   expect_violation "gauss_flip_rhs" [ "gauss-detached"; "reason-consistency" ]
     (fun () -> Sat.Solver.check_invariants s)

@@ -306,6 +306,11 @@ let sampling_formula rng ~width ~extra =
   let s = List.sort compare (Array.to_list (Array.sub vars 0 width)) in
   Cnf.Formula.create ~sampling_set:s ~num_vars:n []
 
+(* The clause excluding the projection [bits] onto S: for each
+   variable of S, the literal [bits] makes false. *)
+let blocking_of f bits =
+  Array.mapi (fun j v -> Cnf.Lit.make v (not bits.(j))) (Cnf.Formula.sampling_vars f)
+
 (* A projection onto S as a model: [bits.(j)] is the value of S's
    [j]-th variable, other variables are random. *)
 let model_of rng f bits =
@@ -378,7 +383,9 @@ let prop_known_in_cell =
       && List.sort compare found = List.filteri (fun i _ -> i < count) inside
       && all_count = List.length inside
       && List.sort compare all = inside
-      && List.for_all (fun r -> Counting.Known.values k r = members.(r)) inside)
+      && List.for_all
+           (fun r -> Counting.Known.blocking_clause k r = blocking_of f members.(r))
+           inside)
 
 (* A random formula whose sampling set S = 1..width is an independent
    support: its clauses range over S, and each extra variable is
@@ -504,7 +511,7 @@ let prop_known_model_roundtrip =
       && List.for_all
            (fun r ->
              Cnf.Model.equal (Counting.Known.model k r) models.(r)
-             && Counting.Known.values k r = members.(r))
+             && Counting.Known.blocking_clause k r = blocking_of f members.(r))
            (List.init n Fun.id))
 
 (* A sampling set wide enough that the columns' bound is a few
@@ -537,13 +544,16 @@ let test_known_bound () =
   let cells = List.init 20 (fun i -> random_rows rng f (i mod 8)) in
   let decide () = List.map (Counting.Known.in_cell k ~limit:63) cells in
   let before = decide () in
-  let values = List.init 5 (Counting.Known.values k) @ [ Counting.Known.values k (cap - 1) ] in
+  let clauses () =
+    List.init 5 (Counting.Known.blocking_clause k) @ [ Counting.Known.blocking_clause k (cap - 1) ]
+  in
+  let blocks = clauses () in
   let models = List.init 5 (Counting.Known.model k) @ [ Counting.Known.model k (kept - 1) ] in
   fill 100;
   Alcotest.(check int) "stops growing at the bound" cap (Counting.Known.size k);
   Alcotest.(check bool) "no decision changes" true (decide () = before);
   Alcotest.(check bool) "members unchanged" true
-    (List.init 5 (Counting.Known.values k) @ [ Counting.Known.values k (cap - 1) ] = values
+    (clauses () = blocks
     && List.equal Cnf.Model.equal models
          (List.init 5 (Counting.Known.model k) @ [ Counting.Known.model k (kept - 1) ]))
 

@@ -139,8 +139,8 @@ let test_solver_proof_trivial_conflict () =
      so build incrementally instead *)
   let s2 = Sat.Solver.create (Cnf.Formula.create ~num_vars:1 []) in
   Sat.Solver.enable_proof_logging s2;
-  Sat.Solver.add_clause s2 [ Cnf.Lit.pos 1 ];
-  Sat.Solver.add_clause s2 [ Cnf.Lit.neg 1 ];
+  Sat.Solver.add_clause s2 [| Cnf.Lit.pos 1 |];
+  Sat.Solver.add_clause s2 [| Cnf.Lit.neg 1 |];
   Alcotest.(check bool) "solver unsat" true (Sat.Solver.solve s2 = Sat.Solver.Unsat);
   Alcotest.(check bool) "proof refutes" true
     (Sat.Drat.refutes f (Sat.Solver.proof s2));

@@ -90,7 +90,7 @@ let prop_fixpoint_matches_static_rref =
              let v = 1 + Rng.int rng num_vars in
              let b = Rng.bool rng in
              units := (v, b) :: !units;
-             Sat.Solver.add_clause s [ Cnf.Lit.make v b ];
+             Sat.Solver.add_clause s [| Cnf.Lit.make v b |];
              let expect_unsat, closure = static_closure rows !units in
              if expect_unsat then begin
                if Sat.Solver.okay s then begin
@@ -354,6 +354,22 @@ let test_zero_allocation () =
   Alcotest.(check int) "one unit per round" (rounds + 1) !units;
   Alcotest.(check (float 0.0)) "minor words allocated" 0.0 (after -. before)
 
+(* A lazy reason or conflict clause, filled into a scratch buffer
+   with room to spare: the filled prefix is the clause, and the slots
+   past it are untouched. *)
+let filled fill =
+  let buf = Array.make 64 (-1) in
+  let n = fill buf in
+  for i = n to Array.length buf - 1 do
+    if buf.(i) <> -1 then Alcotest.failf "slot %d past the %d filled was written" i n
+  done;
+  Array.sub buf 0 n
+
+let reason_lits m ~assigns ~row ~implied =
+  filled (Sat.Gauss.reason_into m ~assigns ~row ~implied)
+
+let conflict_lits m ~assigns ~row = filled (Sat.Gauss.conflict_into m ~assigns ~row)
+
 (* The reason order on a hand-built matrix: columns are numbered in
    the order variables first enter the matrix (x5 x3 x9 x1 here), and
    a reason lists the implied literal, then the others by descending
@@ -371,7 +387,7 @@ let test_reason_order () =
     [ (lit 3 true, 0) ] !(h.implied);
   Alcotest.(check (array int)) "implied, then x1 x9 x5"
     [| lit 3 true; lit 1 false; lit 9 true; lit 5 false |]
-    (Sat.Gauss.reason_lits m ~assigns:h.assigns ~row:0 ~implied:(lit 3 true));
+    (reason_lits m ~assigns:h.assigns ~row:0 ~implied:(lit 3 true));
   let h = harness ~num_vars:7 in
   let m = recording_matrix h in
   Alcotest.(check int) "no conflict" (-1)
@@ -382,7 +398,7 @@ let test_reason_order () =
   Alcotest.(check int) "row 0 violated" 0 (propagate_from h m 0);
   Alcotest.(check (array int)) "x7 x2 x4"
     [| lit 7 true; lit 2 true; lit 4 false |]
-    (Sat.Gauss.conflict_lits m ~assigns:h.assigns ~row:0)
+    (conflict_lits m ~assigns:h.assigns ~row:0)
 
 (* The reason contract on random matrices driven by random decisions:
    every reason puts its implied literal first, holds each variable of
@@ -448,7 +464,7 @@ let prop_reason_contract =
       List.iter
         (fun (implied, row) ->
           match
-            Array.to_list (Sat.Gauss.reason_lits m ~assigns:h.assigns ~row ~implied)
+            Array.to_list (reason_lits m ~assigns:h.assigns ~row ~implied)
           with
           | [] -> QCheck2.Test.fail_report "empty reason"
           | first :: rest ->
@@ -463,7 +479,7 @@ let prop_reason_contract =
                 QCheck2.Test.fail_report "reason not in descending column order")
         !(h.implied);
       if !conflict >= 0 then begin
-        let lits = Array.to_list (Sat.Gauss.conflict_lits m ~assigns:h.assigns ~row:!conflict) in
+        let lits = Array.to_list (conflict_lits m ~assigns:h.assigns ~row:!conflict) in
         if not (List.for_all is_false lits) then
           QCheck2.Test.fail_report "conflict literal not false";
         if not (same_vars lits !conflict) then

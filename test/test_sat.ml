@@ -152,12 +152,12 @@ let test_incremental_blocking () =
         let m = Sat.Solver.model s in
         found := Cnf.Model.key m :: !found;
         let block =
-          [
+          [|
             Cnf.Lit.make 1 (not (Cnf.Model.value m 1));
             Cnf.Lit.make 2 (not (Cnf.Model.value m 2));
-          ]
+          |]
         in
-        blocked := Cnf.Clause.of_list block :: !blocked;
+        blocked := block :: !blocked;
         Sat.Solver.add_clause s block;
         loop ()
     | Sat.Solver.Unsat ->

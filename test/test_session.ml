@@ -6,7 +6,7 @@
    against brute force, and golden witness streams. *)
 
 let random_lits rng ~num_vars =
-  List.init
+  Array.init
     (1 + Rng.int rng 3)
     (fun _ -> Cnf.Lit.make (1 + Rng.int rng num_vars) (Rng.bool rng))
 
@@ -17,8 +17,8 @@ let test_pop_rescinds_group_unsat () =
   let f = Cnf.Formula.create ~num_vars:3 [ Cnf.Clause.of_dimacs [ 1; 2 ] ] in
   let s = Sat.Solver.create f in
   Sat.Solver.push_group s;
-  Sat.Solver.add_group_clause s [ Cnf.Lit.pos 3 ];
-  Sat.Solver.add_group_clause s [ Cnf.Lit.neg 3 ];
+  Sat.Solver.add_group_clause s [| Cnf.Lit.pos 3 |];
+  Sat.Solver.add_group_clause s [| Cnf.Lit.neg 3 |];
   Alcotest.(check bool) "group contradiction" true
     (Sat.Solver.solve s = Sat.Solver.Unsat);
   Sat.Solver.pop_group s;
@@ -31,10 +31,10 @@ let test_base_unit_shadowed_by_group () =
   let f = Cnf.Formula.create ~num_vars:2 [] in
   let s = Sat.Solver.create f in
   Sat.Solver.push_group s;
-  Sat.Solver.add_group_clause s [ Cnf.Lit.neg 1 ];
+  Sat.Solver.add_group_clause s [| Cnf.Lit.neg 1 |];
   Alcotest.(check bool) "group unit sat" true
     (Sat.Solver.solve s = Sat.Solver.Sat);
-  Sat.Solver.add_clause s [ Cnf.Lit.pos 1 ];
+  Sat.Solver.add_clause s [| Cnf.Lit.pos 1 |];
   Alcotest.(check bool) "base vs group contradiction" true
     (Sat.Solver.solve s = Sat.Solver.Unsat);
   Sat.Solver.pop_group s;
@@ -43,6 +43,22 @@ let test_base_unit_shadowed_by_group () =
       Alcotest.(check bool) "base unit survives pop" true
         (Cnf.Model.value (Sat.Solver.model s) 1)
   | _ -> Alcotest.fail "expected Sat after pop")
+
+let test_base_clause_under_broken_group () =
+  (* a base clause added while a pushed group holds a contradiction
+     must still hold once that group pops *)
+  let s = Sat.Solver.create (Cnf.Formula.create ~num_vars:2 []) in
+  Sat.Solver.push_group s;
+  Sat.Solver.add_group_xor s (Cnf.Xor_clause.make [ 1 ] true);
+  Sat.Solver.add_group_xor s (Cnf.Xor_clause.make [ 1 ] false);
+  Sat.Solver.add_clause s [| Cnf.Lit.pos 2 |];
+  Alcotest.(check bool) "group contradiction" true (Sat.Solver.solve s = Sat.Solver.Unsat);
+  Sat.Solver.pop_group s;
+  match Sat.Solver.solve s with
+  | Sat.Solver.Sat ->
+      Alcotest.(check bool) "base clause survives pop" true
+        (Cnf.Model.value (Sat.Solver.model s) 2)
+  | _ -> Alcotest.fail "expected Sat after pop"
 
 (* ------------------------------------------------------------------ *)
 (* Property: after pop_group the solver answers as if the group
@@ -72,7 +88,7 @@ let prop_pop_restores =
         let xor = Test_util.Gen.random_xor rng ~num_vars:nv in
         let g =
           Cnf.Formula.add_xors
-            (Cnf.Formula.add_clauses f (List.map Cnf.Clause.of_list lits))
+            (Cnf.Formula.add_clauses f lits)
             [ xor ]
         in
         Sat.Solver.push_group s;
@@ -384,7 +400,7 @@ let test_block_deepest_unique () =
   let _, level = levels s in
   let at l = List.find (fun v -> level v = l) [ 1; 2; 3; 4; 5; 6 ] in
   let a = at 2 and b = at 5 in
-  Sat.Solver.block s [ false_lit s a; false_lit s b ];
+  Sat.Solver.block s [| false_lit s a; false_lit s b |];
   let view, level = levels s in
   Alcotest.(check int) "backjump to the second-deepest level" 2
     view.Audit.State.decision_level;
@@ -410,7 +426,7 @@ let test_block_tied_levels () =
   let _, level = levels s in
   Alcotest.(check int) "pair shares a level" (level 1) (level 2);
   let top = level 1 in
-  Sat.Solver.block s [ false_lit s 1; false_lit s 2 ];
+  Sat.Solver.block s [| false_lit s 1; false_lit s 2 |];
   let view, _ = levels s in
   Alcotest.(check int) "one level below the tie" (top - 1) view.Audit.State.decision_level;
   Alcotest.(check bool) "both watches unassigned" true
@@ -430,7 +446,7 @@ let test_block_fallbacks () =
   (* a single literal above level 0 is a root unit *)
   let s = Sat.Solver.create (Cnf.Formula.create ~num_vars:3 []) in
   let m = expect_sat "unit" s in
-  Sat.Solver.block s [ false_lit s 2 ];
+  Sat.Solver.block s [| false_lit s 2 |];
   at_root "unit" s;
   let m' = expect_sat "unit resumed" s in
   Alcotest.(check bool) "unit flipped" true (Cnf.Model.value m' 2 <> Cnf.Model.value m 2);
@@ -439,7 +455,7 @@ let test_block_fallbacks () =
   let s = Sat.Solver.create (Cnf.Formula.create ~num_vars:3 []) in
   Sat.Solver.push_group s;
   ignore (expect_sat "group" s);
-  Sat.Solver.block s [ false_lit s 3 ];
+  Sat.Solver.block s [| false_lit s 3 |];
   at_root "group" s;
   ignore (expect_sat "group resumed" s);
   (* proof logging always inserts at the root *)
@@ -449,7 +465,7 @@ let test_block_fallbacks () =
   let _, level = levels s in
   let a = List.find (fun v -> level v = 1) [ 1; 2; 3; 4 ]
   and b = List.find (fun v -> level v = 3) [ 1; 2; 3; 4 ] in
-  Sat.Solver.block s [ false_lit s a; false_lit s b ];
+  Sat.Solver.block s [| false_lit s a; false_lit s b |];
   at_root "proof" s
 
 let test_block_empties_cell () =
@@ -457,9 +473,9 @@ let test_block_empties_cell () =
   let f = Cnf.Formula.create ~num_vars:2 [ Cnf.Clause.of_dimacs [ 1 ] ] in
   let s = Sat.Solver.create f in
   ignore (expect_sat "first" s);
-  Sat.Solver.block s [ false_lit s 1; false_lit s 2 ];
+  Sat.Solver.block s [| false_lit s 1; false_lit s 2 |];
   ignore (expect_sat "second" s);
-  Sat.Solver.block s [ false_lit s 1; false_lit s 2 ];
+  Sat.Solver.block s [| false_lit s 1; false_lit s 2 |];
   Alcotest.(check bool) "one-shot cell empty" true (Sat.Solver.solve s = Sat.Solver.Unsat);
   (* in a group the cell empties through the failed activation
      assumption, and popping the group restores the witnesses *)
@@ -467,7 +483,7 @@ let test_block_empties_cell () =
   Sat.Solver.push_group s;
   for i = 1 to 2 do
     ignore (expect_sat (Printf.sprintf "group %d" i) s);
-    Sat.Solver.block s [ false_lit s 2 ]
+    Sat.Solver.block s [| false_lit s 2 |]
   done;
   Alcotest.(check bool) "group cell empty" true (Sat.Solver.solve s = Sat.Solver.Unsat);
   Alcotest.(check bool) "solver not broken" true (Sat.Solver.okay s);
@@ -484,24 +500,24 @@ let test_block_misuse () =
   in
   let s = Sat.Solver.create f in
   expect "before any solve" "block-after-sat" (fun () ->
-      Sat.Solver.block s [ Cnf.Lit.pos 3 ]);
+      Sat.Solver.block s [| Cnf.Lit.pos 3 |]);
   ignore (expect_sat "sat" s);
   expect "true literal" "block-literal-false" (fun () ->
-      Sat.Solver.block s [ false_lit s 2; true_lit s 3 ]);
+      Sat.Solver.block s [| false_lit s 2; true_lit s 3 |]);
   ignore (expect_sat "sat again" s);
-  Sat.Solver.block s [ false_lit s 3 ];
+  Sat.Solver.block s [| false_lit s 3 |];
   expect "second block" "block-after-sat" (fun () ->
-      Sat.Solver.block s [ false_lit s 3 ]);
+      Sat.Solver.block s [| false_lit s 3 |]);
   ignore (expect_sat "sat after block" s);
-  Sat.Solver.add_clause s [ Cnf.Lit.pos 1; Cnf.Lit.pos 3 ];
+  Sat.Solver.add_clause s [| Cnf.Lit.pos 1; Cnf.Lit.pos 3 |];
   expect "after add_clause" "block-after-sat" (fun () ->
-      Sat.Solver.block s [ false_lit s 3 ]);
+      Sat.Solver.block s [| false_lit s 3 |]);
   let u =
     Sat.Solver.create
       (Cnf.Formula.create ~num_vars:1 (List.map Cnf.Clause.of_dimacs [ [ 1 ]; [ -1 ] ]))
   in
   Alcotest.(check bool) "unsat" true (Sat.Solver.solve u = Sat.Solver.Unsat);
-  expect "after unsat" "block-after-sat" (fun () -> Sat.Solver.block u [ Cnf.Lit.pos 1 ])
+  expect "after unsat" "block-after-sat" (fun () -> Sat.Solver.block u [| Cnf.Lit.pos 1 |])
 
 (* Blocking-clause enumeration through [block] against brute force:
    random CNF + XOR base, a random sampling set, a random XOR layer
@@ -585,7 +601,10 @@ let prop_known_projections =
         Sat.Bsat.Session.enumerate ~xors
           ~known:
             (List.map
-               (fun p -> Array.map (Cnf.Model.value p) (Sat.Bsat.Session.blocking_vars sess))
+               (fun p ->
+                 Array.map
+                   (fun v -> Cnf.Lit.make v (not (Cnf.Model.value p v)))
+                   (Sat.Bsat.Session.blocking_vars sess))
                known)
           ~limit sess
       in
@@ -630,7 +649,7 @@ let prop_kept_trail_entry_points =
       in
       let clause () = random_lits rng ~num_vars:nv in
       let c1 = clause () and c2 = clause () in
-      let with_clause g c = Cnf.Formula.add_clauses g [ Cnf.Clause.of_list c ] in
+      let with_clause g c = Cnf.Formula.add_clauses g [ c ] in
       let f1 = with_clause f c1 in
       agrees f
       && (Sat.Solver.add_clause s c1;
@@ -641,6 +660,120 @@ let prop_kept_trail_entry_points =
       && (Sat.Solver.pop_group s;
           agrees f1)
       && agrees f1)
+
+(* Clause building against brute force. Group clauses carry repeated
+   literals, tautologies and literals fixed at level 0 — by one-variable
+   XORs of the same or a lower group, or, for base clauses added while
+   a group is pushed, of a higher one — in one or two groups. After
+   every step and every pop, the models the solver enumerates with
+   [block] (in a scratch group; each blocking clause shuffled, and
+   sometimes with a repeated literal, so the sorting path runs too)
+   are exactly the brute-force models of the constraints in force. A
+   last enumeration blocks at the root. *)
+let prop_clause_building =
+  QCheck2.Test.make ~count:200 ~name:"group clauses and blocks = brute models"
+    ~print:(fun ((a, b, c, d), e) -> Printf.sprintf "(%d,%d,%d,%d) %d" a b c d e)
+    QCheck2.Gen.(pair Test_util.Gen.formula_spec (int_bound 100_000))
+    (fun (spec, seed) ->
+      let f = Test_util.Gen.build_spec spec in
+      let nv = f.Cnf.Formula.num_vars in
+      let rng = Rng.create seed in
+      let s = Sat.Solver.create f in
+      (* the constraints in force at each open group, innermost first *)
+      let stack = ref [ f ] in
+      let fixed = ref [] in
+      let in_group g = stack := g (List.hd !stack) :: List.tl !stack in
+      let clause () =
+        let lits = Array.to_list (random_lits rng ~num_vars:nv) in
+        let first = List.hd lits in
+        let c =
+          Array.of_list
+            (lits
+            @ (if Rng.bool rng then [ first ] else [])
+            @ (if Rng.int rng 4 = 0 then [ Cnf.Lit.negate first ] else [])
+            @
+            match !fixed with
+            | [] -> []
+            | fs ->
+                let l = List.nth fs (Rng.int rng (List.length fs)) in
+                [ (if Rng.bool rng then l else Cnf.Lit.negate l) ])
+        in
+        Rng.shuffle rng c;
+        c
+      in
+      let add_to_group () =
+        let v = 1 + Rng.int rng nv and b = Rng.bool rng in
+        let x = Cnf.Xor_clause.make [ v ] b in
+        Sat.Solver.add_group_xor s x;
+        in_group (fun g -> Cnf.Formula.add_xors g [ x ]);
+        fixed := Cnf.Lit.make v b :: !fixed;
+        if Rng.int rng 3 = 0 then begin
+          let x = Test_util.Gen.random_xor rng ~num_vars:nv in
+          Sat.Solver.add_group_xor s x;
+          in_group (fun g -> Cnf.Formula.add_xors g [ x ])
+        end;
+        for _ = 1 to 1 + Rng.int rng 4 do
+          let c = clause () in
+          Sat.Solver.add_group_clause s c;
+          in_group (fun g -> Cnf.Formula.add_clauses g [ c ])
+        done
+      in
+      let add_to_base () =
+        let c = clause () in
+        Sat.Solver.add_clause s c;
+        stack := List.map (fun g -> Cnf.Formula.add_clauses g [ c ]) !stack
+      in
+      let expected () =
+        List.sort compare (List.map Cnf.Model.key (Sat.Brute.solutions (List.hd !stack)))
+      in
+      let blocking m =
+        let c =
+          Array.init nv (fun i -> Cnf.Lit.make (i + 1) (not (Cnf.Model.value m (i + 1))))
+        in
+        Rng.shuffle rng c;
+        if Rng.bool rng then Array.append c [| c.(0) |] else c
+      in
+      let rec enumerate acc =
+        match Sat.Solver.solve s with
+        | Sat.Solver.Sat ->
+            let m = Sat.Solver.model s in
+            Sat.Solver.block s (blocking m);
+            enumerate (Cnf.Model.key (Cnf.Model.prefix m nv) :: acc)
+        | Sat.Solver.Unsat -> List.sort compare acc
+        | Sat.Solver.Unknown -> QCheck2.Test.fail_report "unexpected Unknown"
+      in
+      let agrees () =
+        Sat.Solver.push_group s;
+        let got = enumerate [] in
+        Sat.Solver.pop_group s;
+        Sat.Solver.check_invariants s;
+        got = expected ()
+      in
+      let push () =
+        Sat.Solver.push_group s;
+        stack := List.hd !stack :: !stack
+      in
+      let pop () =
+        Sat.Solver.pop_group s;
+        stack := List.tl !stack
+      in
+      agrees ()
+      && (push ();
+          add_to_group ();
+          agrees ())
+      && (add_to_base ();
+          agrees ())
+      && (Rng.bool rng
+         || (push ();
+             add_to_group ();
+             agrees ())
+            && (add_to_base ();
+                agrees ())
+            && (pop ();
+                agrees ()))
+      && (pop ();
+          agrees ())
+      && enumerate [] = expected ())
 
 (* ------------------------------------------------------------------ *)
 (* Golden streams: witness keys of a UniGen batch and ApproxMC's
@@ -704,6 +837,7 @@ let qcheck_cases =
       prop_block_enumeration;
       prop_known_projections;
       prop_kept_trail_entry_points;
+      prop_clause_building;
     ]
 
 let () =
@@ -715,6 +849,8 @@ let () =
             test_pop_rescinds_group_unsat;
           Alcotest.test_case "base unit shadowed by group" `Quick
             test_base_unit_shadowed_by_group;
+          Alcotest.test_case "base clause under a broken group" `Quick
+            test_base_clause_under_broken_group;
         ] );
       ("properties", qcheck_cases);
       ( "block",

@@ -17,7 +17,7 @@ let refutation_failure detail =
 let logged_solver (f : Cnf.Formula.t) =
   let s = Sat.Solver.create_empty f.num_vars in
   Sat.Solver.enable_proof_logging s;
-  Array.iter (fun c -> Sat.Solver.add_clause s (Array.to_list c)) f.clauses;
+  Array.iter (Sat.Solver.add_clause s) f.clauses;
   s
 
 let assert_refutable (f : Cnf.Formula.t) =
