@@ -236,6 +236,21 @@ let check_clause_watches view ctbl =
             ("lits", lits_to_string view c.c_lits) ])
     view.clauses
 
+let check_distinct_literals view =
+  Array.iter
+    (fun c ->
+      let lits = Array.copy c.c_lits in
+      Array.sort Int.compare lits;
+      for i = 1 to Array.length lits - 1 do
+        if lits.(i) = lits.(i - 1) then
+          fail view ~invariant:"clause-distinct"
+            ~detail:"stored clause repeats a literal"
+            [ ("clause", itos c.c_id);
+              ("lit", itos lits.(i));
+              ("lits", lits_to_string view c.c_lits) ]
+      done)
+    view.clauses
+
 let check_two_watch view =
   Array.iter
     (fun c ->
@@ -357,6 +372,44 @@ let check_gauss view =
       end)
     view.matrices
 
+(* The watcher bitsets [on_assign] walks: each column's set is exactly
+   the rows that name the column as [w1] or [w2]. Unlike the shape
+   checks above this holds on dirty matrices too, since every watch
+   change updates the sets. *)
+let check_gauss_watchers view =
+  List.iter
+    (fun g ->
+      let expected = Hashtbl.create 16 in
+      let add v i =
+        if v >= 0 then
+          Hashtbl.replace expected v
+            (i :: Option.value ~default:[] (Hashtbl.find_opt expected v))
+      in
+      Array.iteri
+        (fun i r ->
+          add r.g_w1 i;
+          if r.g_w2 <> r.g_w1 then add r.g_w2 i)
+        g.g_rows;
+      let rows_str rows = String.concat " " (List.map itos rows) in
+      let mctx = [ ("matrix_group", itos g.g_group) ] in
+      Array.iter
+        (fun (v, rows) ->
+          let rows = Array.to_list rows in
+          let want = List.rev (Option.value ~default:[] (Hashtbl.find_opt expected v)) in
+          if rows <> want then
+            fail view ~invariant:"gauss-watchers"
+              ~detail:"column's watcher set differs from the rows watching it"
+              (("var", itos v) :: ("set", rows_str rows) :: ("watching", rows_str want) :: mctx);
+          Hashtbl.remove expected v)
+        g.g_watchers;
+      Hashtbl.iter
+        (fun v want ->
+          fail view ~invariant:"gauss-watchers"
+            ~detail:"watched column has no watcher set"
+            (("var", itos v) :: ("watching", rows_str (List.rev want)) :: mctx))
+        expected)
+    view.matrices
+
 let check_heap view =
   let size = Array.length view.heap in
   Array.iteri
@@ -438,9 +491,11 @@ let check_groups view =
 let check view =
   check_vecs view;
   let ctbl = clause_table view in
+  check_distinct_literals view;
   check_clause_watches view ctbl;
   check_heap view;
   check_gauss view;
+  check_gauss_watchers view;
   if view.ok then begin
     check_trail view;
     check_reasons view ctbl;

@@ -15,6 +15,7 @@
       implied variable, be fully assigned at earlier-or-equal levels,
       and satisfy its parity; reasonless assignments above level 0 sit
       at their level's first trail slot (decisions).
+    - [clause-distinct]: no stored clause repeats a literal.
     - [watch-attached] / [lazy-deletion] / [clause-width]: every live
       clause has >= 2 literals and is watched exactly once from each
       of its first two literals; anything else found in a watch list
@@ -34,6 +35,9 @@
       >= 2 unassigned columns (so no implied unit or conflict is
       pending — the incremental elimination agrees with a from-scratch
       RREF of the current assignment).
+    - [gauss-watchers] (every matrix, clean or dirty): each column's
+      watcher bitset holds exactly the rows whose first or second
+      watch is that column, the rows [on_assign] visits.
     - [heap-index] / [heap-property] / [heap-membership]: the order
       heap and its index map agree, parents dominate children by
       activity, and every unassigned variable is present.

@@ -30,6 +30,7 @@ type gauss_view = {
   g_group : int;
   g_dirty : bool;
   g_rows : gauss_row_view array;
+  g_watchers : (int * int array) array;
 }
 
 type vec_view = { v_name : string; v_size : int; v_capacity : int }

@@ -48,6 +48,10 @@ type gauss_view = {
   g_dirty : bool;
       (** repair pending — watch / basic / detach checks are skipped *)
   g_rows : gauss_row_view array;
+  g_watchers : (int * int array) array;
+      (** per watched column, as a variable id: the rows its watcher
+          bitset holds, ascending; columns with an empty set are left
+          out *)
 }
 
 type vec_view = { v_name : string; v_size : int; v_capacity : int }

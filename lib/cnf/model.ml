@@ -134,6 +134,86 @@ let satisfies (f : Formula.t) t =
     Formula.eval_bytes f t.values
   else Formula.eval f (value t)
 
+(* Occurrence lists in CSR form: the clauses holding variable [v] are
+   [clause_occ.(clause_start.(v)) .. clause_occ.(clause_start.(v + 1) - 1)],
+   and the same for XORs. A variable repeated in a clause is listed
+   once per appearance, which only re-reads that clause. *)
+type occurrences = {
+  formula : Formula.t;
+  clause_start : int array;
+  clause_occ : int array;
+  xor_start : int array;
+  xor_occ : int array;
+}
+
+let csr n items vars_of =
+  let start = Array.make (n + 2) 0 in
+  Array.iter (fun it -> Array.iter (fun v -> start.(v + 1) <- start.(v + 1) + 1) (vars_of it)) items;
+  for v = 1 to n + 1 do
+    start.(v) <- start.(v) + start.(v - 1)
+  done;
+  let occ = Array.make start.(n + 1) 0 in
+  let next = Array.sub start 0 (n + 1) in
+  Array.iteri
+    (fun i it ->
+      Array.iter
+        (fun v ->
+          occ.(next.(v)) <- i;
+          next.(v) <- next.(v) + 1)
+        (vars_of it))
+    items;
+  (start, occ)
+
+let occurrences (f : Formula.t) =
+  let clause_start, clause_occ =
+    csr f.num_vars f.clauses (Array.map Lit.var)
+  in
+  let xor_start, xor_occ =
+    csr f.num_vars f.xors (fun (x : Xor_clause.t) -> x.vars)
+  in
+  { formula = f; clause_start; clause_occ; xor_start; xor_occ }
+
+let indexed o = o.formula
+
+let rec clauses_of_hold o b v k =
+  k = o.clause_start.(v + 1)
+  || (Clause.eval_bytes b o.formula.clauses.(o.clause_occ.(k))
+      && clauses_of_hold o b v (k + 1))
+
+let rec xors_of_hold o b v k =
+  k = o.xor_start.(v + 1)
+  || (Xor_clause.eval_bytes b o.formula.xors.(o.xor_occ.(k))
+      && xors_of_hold o b v (k + 1))
+
+let rec layer_holds b = function
+  | [] -> true
+  | x :: rest -> Xor_clause.eval_bytes b x && layer_holds b rest
+
+(* Variables [v .. hi], where [b] and [p] may differ: the clauses and
+   XORs of each one that does differ still hold. *)
+let rec changed_hold o b p v hi =
+  v > hi
+  || (Bytes.unsafe_get b (v - 1) = Bytes.unsafe_get p (v - 1)
+      || (clauses_of_hold o b v o.clause_start.(v) && xors_of_hold o b v o.xor_start.(v)))
+     && changed_hold o b p (v + 1) hi
+
+(* Eight value bytes at a time; a word that differs is re-read byte by
+   byte. Every clause and XOR not touching a changed variable reads as
+   it did under [prev], which satisfied it. *)
+let rec words_hold o b p i n =
+  i >= n
+  || ((i + 8 <= n && Bytes.get_int64_ne b i = Bytes.get_int64_ne p i)
+      || changed_hold o b p (i + 1) (min n (i + 8)))
+     && words_hold o b p (i + 8) n
+
+let satisfies_after o ~layer ~prev t =
+  let f = o.formula in
+  let n = f.num_vars in
+  if is_contiguous t && is_contiguous prev
+     && Bytes.length t.values >= n && Bytes.length prev.values >= n
+  then words_hold o t.values prev.values 0 n && layer_holds t.values layer
+  else satisfies f t && List.for_all (Xor_clause.eval (value t)) layer
+
 let equal a b = a.vars = b.vars && Bytes.equal a.values b.values
 
 let pp fmt t =

@@ -78,5 +78,32 @@ val satisfies : Formula.t -> t -> bool
     error names the first variable missing ([Model.value: variable 3
     absent]). Both give the same answer on the same model. *)
 
+(** {2 Incremental check}
+
+    Consecutive witnesses of one enumeration differ in a few
+    variables, so a witness known to satisfy a formula vouches for
+    every clause and XOR that no changed variable touches. *)
+
+type occurrences
+(** For each variable of one formula, the clauses and the XORs that
+    contain it. *)
+
+val occurrences : Formula.t -> occurrences
+(** Build the occurrence lists (linear in the formula's size). *)
+
+val indexed : occurrences -> Formula.t
+(** The formula the lists were built from. *)
+
+val satisfies_after :
+  occurrences -> layer:Xor_clause.t list -> prev:t -> t -> bool
+(** [satisfies_after o ~layer ~prev t], where [prev] satisfies
+    [indexed o] and every XOR of [layer], is
+    [satisfies (Formula.add_xors (indexed o) layer) t]:
+    it re-reads only the clauses and XORs of [indexed o] that contain a
+    variable on which [t] and [prev] differ, and every XOR of [layer]
+    whole. Models that are not contiguous, or narrower than the
+    formula, get the full check. Without the precondition on [prev]
+    the answer means nothing. *)
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -23,14 +23,51 @@ let c_blocking_clauses = Obs.Metrics.counter "bsat.blocking_clauses"
 let c_known_clauses = Obs.Metrics.counter "bsat.known_clauses"
 let c_enumerations = Obs.Metrics.counter "bsat.enumerations"
 
+let dimacs_of m = String.concat " " (List.map string_of_int (Cnf.Model.to_dimacs m))
+
+(* The always-on check that each witness of one enumeration satisfies
+   the formula: the first gets the full check, each later one the
+   incremental check against the witness before it, which passed. *)
+module Witness_audit = struct
+  type t = {
+    occ : Cnf.Model.occurrences;
+    layer : Cnf.Xor_clause.t list;
+    verify : Cnf.Formula.t; (* the indexed formula and the layer *)
+    mutable last : Cnf.Model.t option; (* the last witness that passed *)
+  }
+
+  let create occ ~xors =
+    { occ; layer = xors;
+      verify = Cnf.Formula.add_xors (Cnf.Model.indexed occ) xors; last = None }
+
+  let check a ~found m =
+    let ok =
+      match a.last with
+      | None -> Cnf.Model.satisfies a.verify m
+      | Some prev ->
+          let ok = Cnf.Model.satisfies_after a.occ ~layer:a.layer ~prev m in
+          if Audit.is_enabled () && ok <> Cnf.Model.satisfies a.verify m then
+            Audit.fail ~invariant:"model-audit"
+              ~detail:"Bsat.enumerate: the incremental witness check disagrees with the full one"
+              [ ("witness", dimacs_of m); ("previous", dimacs_of prev);
+                ("incremental", string_of_bool ok); ("found_so_far", string_of_int found) ];
+          ok
+    in
+    if not ok then
+      Audit.fail ~invariant:"model-audit"
+        ~detail:"Bsat.enumerate: solver returned a witness falsifying the formula"
+        [ ("witness", dimacs_of m); ("found_so_far", string_of_int found) ];
+    a.last <- Some m
+end
+
 (* The blocking-clause enumeration loop, shared by the one-shot and
-   session paths; [verify] is the formula the witnesses must satisfy.
+   session paths; [audit] checks each witness against the formula.
    Each blocking clause goes in through [Solver.block], in the pushed
    group if there is one, and the next solve resumes from the model's
    trail. The witness set of a cell that runs out is the same whatever
    order the search finds it in, and a cut cell only reports its
    count, so outcomes do not depend on where each search starts. *)
-let enum_loop ?deadline ~limit ~blocking ~verify ~truncate solver =
+let enum_loop ?deadline ~limit ~blocking ~audit:witness_audit ~truncate solver =
   Obs.Metrics.incr c_enumerations;
   let audit = Audit.is_enabled () in
   (* projected keys of the witnesses found so far: with audit mode on,
@@ -46,21 +83,14 @@ let enum_loop ?deadline ~limit ~blocking ~verify ~truncate solver =
       | Solver.Unknown -> (List.rev acc, `Timeout)
       | Solver.Sat ->
           let m = truncate (Solver.model solver) in
-          if not (Cnf.Model.satisfies verify m) then
-            Audit.fail ~invariant:"model-audit"
-              ~detail:"Bsat.enumerate: solver returned a witness falsifying the formula"
-              [ ("witness",
-                 String.concat " " (List.map string_of_int (Cnf.Model.to_dimacs m)));
-                ("found_so_far", string_of_int found) ];
+          Witness_audit.check witness_audit ~found m;
           if audit then begin
             let k = Cnf.Model.key (Cnf.Model.restrict m blocking) in
             if Hashtbl.mem seen_keys k then
               Audit.fail ~invariant:"blocking-set"
                 ~detail:
                   "Bsat.enumerate: witness repeats a projection already excluded by a blocking clause"
-                [ ("witness",
-                   String.concat " " (List.map string_of_int (Cnf.Model.to_dimacs m)));
-                  ("found_so_far", string_of_int found) ];
+                [ ("witness", dimacs_of m); ("found_so_far", string_of_int found) ];
             Hashtbl.add seen_keys k ()
           end;
           (* block this witness on the projection *)
@@ -90,7 +120,8 @@ let enumerate ?deadline ?blocking_vars ~limit (f : Cnf.Formula.t) =
     | None -> Cnf.Formula.sampling_vars f
   in
   let solver = Solver.create f in
-  let res = enum_loop ?deadline ~limit ~blocking ~verify:f ~truncate:Fun.id solver in
+  let audit = Witness_audit.create (Cnf.Model.occurrences f) ~xors:[] in
+  let res = enum_loop ?deadline ~limit ~blocking ~audit ~truncate:Fun.id solver in
   outcome_of ~reused:false ~stats:(Solver.stats solver) res
 
 let count_upto ?deadline ~limit f =
@@ -98,7 +129,7 @@ let count_upto ?deadline ~limit f =
 
 module Session = struct
   type t = {
-    formula : Cnf.Formula.t;
+    occ : Cnf.Model.occurrences; (* of the base formula, for the witness audit *)
     blocking : int array;
     solver : Solver.t;
     base_vars : int; (* formula width, before activation variables *)
@@ -112,12 +143,12 @@ module Session = struct
       | Some vs -> vs
       | None -> Cnf.Formula.sampling_vars f
     in
-    { formula = f; blocking; solver = Solver.create f;
+    { occ = Cnf.Model.occurrences f; blocking; solver = Solver.create f;
       base_vars = f.Cnf.Formula.num_vars; calls = 0;
       owner = Audit.Ownership.create "Bsat.Session" }
 
   let calls s = s.calls
-  let formula s = s.formula
+  let formula s = Cnf.Model.indexed s.occ
   let blocking_vars s = s.blocking
 
   let stats s =
@@ -136,7 +167,7 @@ module Session = struct
     s.calls <- s.calls + 1;
     let solver = s.solver in
     let before = Solver.stats solver in
-    let verify = Cnf.Formula.add_xors s.formula xors in
+    let audit = Witness_audit.create s.occ ~xors in
     let truncate m = Cnf.Model.prefix m s.base_vars in
     (* Everything this call adds — the XOR layer, the clauses blocking
        the [known] projections and the blocking clauses of the witnesses
@@ -162,7 +193,7 @@ module Session = struct
               Obs.Metrics.incr c_known_clauses;
               Solver.add_group_clause solver c)
             known;
-          enum_loop ?deadline ~limit ~blocking:s.blocking ~verify ~truncate solver)
+          enum_loop ?deadline ~limit ~blocking:s.blocking ~audit ~truncate solver)
     in
     outcome_of ~reused
       ~stats:(Solver.stats_diff (Solver.stats solver) before)

@@ -41,9 +41,9 @@ val enumerate :
   outcome
 (** XOR constraints run on the solver's in-search Gauss-Jordan engine.
 
-    Every returned model is verified against the formula; a violation
-    (a solver soundness bug) raises [Audit.Violation] with invariant
-    [model-audit]. With audit mode on, each witness is additionally
+    Every returned model is verified against the formula through
+    {!Witness_audit}; a violation (a solver soundness bug) raises
+    [Audit.Violation] with invariant [model-audit]. With audit mode on, each witness is additionally
     checked against the accumulated blocking-clause set (invariant
     [blocking-set]): a repeated projection is reported instead of
     silently skewing the enumeration. *)
@@ -51,6 +51,27 @@ val enumerate :
 val count_upto : ?deadline:float -> limit:int -> Cnf.Formula.t -> int
 (** [count_upto ~limit f] is [min (number of distinct projected
     witnesses) limit]; convenience wrapper over {!enumerate}. *)
+
+(** The witness check of one enumeration, as both entry points run it
+    on every witness they return. *)
+module Witness_audit : sig
+  type t
+
+  val create : Cnf.Model.occurrences -> xors:Cnf.Xor_clause.t list -> t
+  (** The check of an enumeration of [Cnf.Model.indexed occ ∧ xors].
+      @raise Invalid_argument when an XOR names a variable outside the
+      formula. *)
+
+  val check : t -> found:int -> Cnf.Model.t -> unit
+  (** [check a ~found m] checks the enumeration's next witness, [found]
+      witnesses having passed before it. The first witness gets
+      {!Cnf.Model.satisfies}; each later one gets
+      {!Cnf.Model.satisfies_after} against the last witness that passed,
+      which reaches the same verdict. With audit mode on, later
+      witnesses get both checks, and verdicts that differ raise
+      [Audit.Violation] with invariant [model-audit]. A witness that
+      falsifies the formula raises the same. *)
+end
 
 (** Persistent enumeration sessions: one CDCL solver reused across
     many [BSAT(F ∧ h, N)] calls that share the base formula [F] and

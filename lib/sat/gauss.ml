@@ -50,6 +50,10 @@ type t = {
   mutable ncols : int;
   mutable col_of_var : int array; (* variable -> column, -1 = absent *)
   rows : row Vec.t; (* never shrinks; rows die with the matrix *)
+  mutable watchers : int array;
+      (* per column, a bitset of the rows whose [w1] or [w2] is that
+         column: words [c * wstride .. (c + 1) * wstride - 1] *)
+  mutable wstride : int;
   undo_mark : int Vec.t; (* detach-undo stack: trail size at detach... *)
   undo_row : int Vec.t; (* ...and the detached row id (parallel) *)
   queue : int Vec.t; (* scratch worklist of row ids *)
@@ -74,6 +78,8 @@ let create ~group ~trail_size ~enqueue =
     ncols = 0;
     col_of_var = Array.make 16 (-1);
     rows = Vec.create ~dummy:dummy_row ();
+    watchers = [||];
+    wstride = 1;
     undo_mark = Vec.create ~dummy:0 ();
     undo_row = Vec.create ~dummy:0 ();
     queue = Vec.create ~dummy:0 ();
@@ -114,6 +120,18 @@ let col_for m v =
 (* ------------------------------------------------------------------ *)
 (* Row bit manipulation                                                *)
 
+(* Index of the only set bit of [b] (a word's lowest bit, isolated as
+   [w land (-w)]): a de Bruijn multiply on the low or the high 32-bit
+   half, so every product fits in the 63-bit int. *)
+let debruijn32 =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8; 31; 27; 13;
+     23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let bit_index b =
+  if b land 0xFFFF_FFFF <> 0 then
+    Array.unsafe_get debruijn32 (((b * 0x077C_B531) lsr 27) land 31)
+  else 32 + Array.unsafe_get debruijn32 ((((b lsr 32) * 0x077C_B531) lsr 27) land 31)
+
 let mem r c =
   let w = c / word_bits in
   w < Array.length r.bits && r.bits.(w) land (1 lsl (c mod word_bits)) <> 0
@@ -140,8 +158,9 @@ let xor_into dst src =
   dst.rhs <- dst.rhs <> src.rhs;
   Obs.Metrics.incr c_row_reductions
 
-(* Column loops walk [r.bits] word by word, lowest bit first, so
-   columns come in ascending order; none of them allocates. *)
+(* Column loops walk [r.bits] word by word and visit only the set
+   bits, lowest first, so columns come in ascending order; none of
+   them allocates. *)
 
 (* Unassigned count (with the first two unassigned columns) and the
    parity of the assigned-true variables of [r], left in the [s_*]
@@ -154,18 +173,17 @@ let scan m ~assigns r =
   let bits = r.bits and col_var = m.col_var in
   for w = 0 to Array.length bits - 1 do
     let word = ref bits.(w) in
-    let c = ref (w * word_bits) in
+    let base = w * word_bits in
     while !word <> 0 do
-      if !word land 1 <> 0 then begin
-        let a = assigns.(col_var.(!c)) in
-        if a = 0 then begin
-          incr n;
-          if !u1 < 0 then u1 := !c else if !u2 < 0 then u2 := !c
-        end
-        else if a = 1 then parity := not !parity
-      end;
-      incr c;
-      word := !word lsr 1
+      let low = !word land (- !word) in
+      let c = base + bit_index low in
+      let a = assigns.(col_var.(c)) in
+      if a = 0 then begin
+        incr n;
+        if !u1 < 0 then u1 := c else if !u2 < 0 then u2 := c
+      end
+      else if a = 1 then parity := not !parity;
+      word := !word lxor low
     done
   done;
   m.s_unassigned <- !n;
@@ -179,11 +197,11 @@ let count_vars m r ~skip =
   let bits = r.bits in
   for w = 0 to Array.length bits - 1 do
     let word = ref bits.(w) in
-    let c = ref (w * word_bits) in
+    let base = w * word_bits in
     while !word <> 0 do
-      if !word land 1 <> 0 && m.col_var.(!c) <> skip then incr n;
-      incr c;
-      word := !word lsr 1
+      let low = !word land (- !word) in
+      if m.col_var.(base + bit_index low) <> skip then incr n;
+      word := !word lxor low
     done
   done;
   !n
@@ -199,19 +217,61 @@ let fill_false_lits m ~assigns r ~skip a ~last =
   let bits = r.bits in
   for w = 0 to Array.length bits - 1 do
     let word = ref bits.(w) in
-    let c = ref (w * word_bits) in
+    let base = w * word_bits in
     while !word <> 0 do
-      if !word land 1 <> 0 then begin
-        let v = m.col_var.(!c) in
-        if v <> skip then begin
-          a.(!k) <- false_lit ~assigns v;
-          decr k
-        end
+      let low = !word land (- !word) in
+      let v = m.col_var.(base + bit_index low) in
+      if v <> skip then begin
+        a.(!k) <- false_lit ~assigns v;
+        decr k
       end;
-      incr c;
-      word := !word lsr 1
+      word := !word lxor low
     done
   done
+
+(* ------------------------------------------------------------------ *)
+(* Watcher bitsets                                                     *)
+
+let watch_add m c i =
+  let w = i / word_bits in
+  if w >= m.wstride then begin
+    (* more rows than the stride holds: widen every column's bitset *)
+    let s = m.wstride and s' = max (w + 1) (2 * m.wstride) in
+    let cols = Array.length m.watchers / s in
+    let a = Array.make (cols * s') 0 in
+    for c = 0 to cols - 1 do
+      Array.blit m.watchers (c * s) a (c * s') s
+    done;
+    m.watchers <- a;
+    m.wstride <- s'
+  end;
+  let s = m.wstride in
+  let n = Array.length m.watchers in
+  if (c + 1) * s > n then begin
+    (* room for every column [col_var] has room for *)
+    let a = Array.make (max (Array.length m.col_var * s) (2 * n)) 0 in
+    Array.blit m.watchers 0 a 0 n;
+    m.watchers <- a
+  end;
+  let k = (c * s) + w in
+  m.watchers.(k) <- m.watchers.(k) lor (1 lsl (i mod word_bits))
+
+(* a row is only ever removed from a column it was added to *)
+let watch_remove m c i =
+  let k = (c * m.wstride) + (i / word_bits) in
+  m.watchers.(k) <- m.watchers.(k) land lnot (1 lsl (i mod word_bits))
+
+(* Every change of a row's watches goes through here, so column [c]'s
+   bitset always holds exactly the rows with [w1 = c] or [w2 = c]. *)
+let set_watches m i r ~w1 ~w2 =
+  if r.w1 <> w1 || r.w2 <> w2 then begin
+    if r.w1 >= 0 then watch_remove m r.w1 i;
+    if r.w2 >= 0 then watch_remove m r.w2 i;
+    r.w1 <- w1;
+    r.w2 <- w2;
+    if w1 >= 0 then watch_add m w1 i;
+    if w2 >= 0 then watch_add m w2 i
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Incremental elimination                                             *)
@@ -233,10 +293,12 @@ let detach m i r ~mark =
    they are fully assigned while the pivot column is unassigned. *)
 let eliminate m ~pivot_id pr =
   let b = pr.basic in
+  let w = b / word_bits and mask = 1 lsl (b mod word_bits) in
   for i = 0 to Vec.size m.rows - 1 do
     if i <> pivot_id then begin
       let r = Vec.get m.rows i in
-      if mem r b then begin
+      let bits = r.bits in
+      if w < Array.length bits && bits.(w) land mask <> 0 then begin
         xor_into r pr;
         enqueue_row m i r
       end
@@ -290,8 +352,7 @@ let process_row m ~assigns i r =
             if o.active then enqueue_row m j o);
         r.basic <- u1
       end;
-      r.w1 <- r.basic;
-      r.w2 <- (if u1 <> r.basic then u1 else u2);
+      set_watches m i r ~w1:r.basic ~w2:(if u1 <> r.basic then u1 else u2);
       (* re-eliminate: a no-op scan when exclusivity already holds,
          and the self-healing step when it was lost while the row (or
          a later-added one) sat detached *)
@@ -333,10 +394,22 @@ let on_assign m ~assigns ~var =
   if var < Array.length m.col_of_var && m.col_of_var.(var) >= 0 then begin
     let c = m.col_of_var.(var) in
     m.conflict <- -1;
-    for i = 0 to Vec.size m.rows - 1 do
-      let r = Vec.get m.rows i in
-      if r.active && (r.w1 = c || r.w2 = c) then enqueue_row m i r
-    done;
+    let s = m.wstride in
+    if (c + 1) * s <= Array.length m.watchers then begin
+      (* the rows watching [c], ascending, as a scan of every row
+         would queue them *)
+      for w = 0 to s - 1 do
+        let word = ref m.watchers.((c * s) + w) in
+        let base = w * word_bits in
+        while !word <> 0 do
+          let low = !word land (- !word) in
+          let i = base + bit_index low in
+          let r = Vec.get m.rows i in
+          if r.active then enqueue_row m i r;
+          word := !word lxor low
+        done
+      done
+    end;
     drain m ~assigns;
     m.conflict
   end
@@ -352,6 +425,7 @@ let repair m ~assigns =
       Obs.Trace.span ~cat:"sat" "gauss.matrix_rebuild" (fun () ->
           let rows = Array.init (Vec.size m.rows) (Vec.get m.rows) in
           Vec.clear m.rows;
+          Array.fill m.watchers 0 (Array.length m.watchers) 0;
           Array.iter
             (fun r -> insert m ~assigns ~vars:r.src_vars ~rhs:r.src_rhs)
             rows)
@@ -397,14 +471,12 @@ let row_vars m ~row =
   let bits = r.bits in
   for w = 0 to Array.length bits - 1 do
     let word = ref bits.(w) in
-    let c = ref (w * word_bits) in
+    let base = w * word_bits in
     while !word <> 0 do
-      if !word land 1 <> 0 then begin
-        a.(!k) <- m.col_var.(!c);
-        incr k
-      end;
-      incr c;
-      word := !word lsr 1
+      let low = !word land (- !word) in
+      a.(!k) <- m.col_var.(base + bit_index low);
+      incr k;
+      word := !word lxor low
     done
   done;
   Array.sort Int.compare a;
@@ -445,16 +517,32 @@ let dump m =
         d_w1 = var_of r.w1;
         d_w2 = var_of r.w2 })
 
+let watcher_dump m =
+  let acc = ref [] in
+  let s = m.wstride in
+  for c = (Array.length m.watchers / s) - 1 downto 0 do
+    let rows = ref [] in
+    for i = (s * word_bits) - 1 downto 0 do
+      if m.watchers.((c * s) + (i / word_bits)) land (1 lsl (i mod word_bits)) <> 0 then
+        rows := i :: !rows
+    done;
+    if !rows <> [] then acc := (m.col_var.(c), Array.of_list !rows) :: !acc
+  done;
+  Array.of_list !acc
+
 (* ------------------------------------------------------------------ *)
 (* Test-only fault injection                                           *)
 
 module Corrupt = struct
-  let find_row m p =
+  let find_index m p =
     let found = ref (-1) in
     for i = 0 to Vec.size m.rows - 1 do
       if !found < 0 && p (Vec.get m.rows i) then found := i
     done;
-    if !found < 0 then None else Some (Vec.get m.rows !found)
+    !found
+
+  let find_row m p =
+    match find_index m p with -1 -> None | i -> Some (Vec.get m.rows i)
 
   let flip_rhs m =
     match find_row m (fun r -> not r.active) with
@@ -486,10 +574,20 @@ module Corrupt = struct
         r.active <- false;
         true
 
+  (* the watcher bitsets follow the collapsed watches: only the
+     gauss-watch shape check is broken *)
   let drop_watch m =
-    match find_row m (fun r -> r.active && r.w1 >= 0 && r.w1 <> r.w2) with
-    | None -> false
-    | Some r ->
-        r.w2 <- r.w1;
+    match find_index m (fun r -> r.active && r.w1 >= 0 && r.w1 <> r.w2) with
+    | -1 -> false
+    | i ->
+        let r = Vec.get m.rows i in
+        set_watches m i r ~w1:r.w1 ~w2:r.w1;
+        true
+
+  let clear_watcher m =
+    match find_index m (fun r -> r.w1 >= 0) with
+    | -1 -> false
+    | i ->
+        watch_remove m (Vec.get m.rows i).w1 i;
         true
 end

@@ -136,6 +136,12 @@ type row_dump = {
 
 val dump : t -> row_dump array
 
+val watcher_dump : t -> (int * int array) array
+(** For each column whose watcher bitset is not empty, its variable
+    and the rows the bitset holds, ascending. {!on_assign} visits
+    exactly these rows (the active ones), so the set must be the rows
+    whose [w1] or [w2] is the column. *)
+
 (** Test-only fault injection (mutation tests for the audit
     sanitizer); each plants one corruption and reports whether it
     applied. *)
@@ -151,4 +157,7 @@ module Corrupt : sig
 
   val drop_watch : t -> bool
   (** Collapse an active row's two watches onto one column. *)
+
+  val clear_watcher : t -> bool
+  (** Drop a row from the watcher bitset of its first watch. *)
 end

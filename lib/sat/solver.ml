@@ -301,7 +301,8 @@ let audit_view t : Audit.State.solver_view =
               (fun (r : Gauss.row_dump) ->
                 { S.g_vars = r.d_vars; g_rhs = r.d_rhs; g_active = r.d_active;
                   g_basic = r.d_basic; g_w1 = r.d_w1; g_w2 = r.d_w2 })
-              (Gauss.dump m) })
+              (Gauss.dump m);
+          g_watchers = Gauss.watcher_dump m })
       t.matrices
   in
   let heap, heap_index = Order_heap.snapshot t.order in
@@ -595,6 +596,9 @@ let propagate_clauses t p =
   (* [p] just became true: visit clauses watching ¬p. *)
   let false_lit = lit_neg p in
   let ws = t.watches.(false_lit) in
+  (* [i] reads, [j] writes the kept watches back; until the first
+     watch moves away they coincide, and a kept watch that stays at
+     its own index needs no (write-barriered) store *)
   let i = ref 0 and j = ref 0 in
   let n = Vec.size ws in
   (try
@@ -609,7 +613,7 @@ let propagate_clauses t p =
            lits.(1) <- false_lit
          end;
          if value_lit t lits.(0) = 1 then begin
-           Vec.set ws !j c;
+           if !j < !i - 1 then Vec.set ws !j c;
            incr j
          end
          else begin
@@ -627,15 +631,17 @@ let propagate_clauses t p =
            end
            else begin
              (* unit or conflicting *)
-             Vec.set ws !j c;
+             if !j < !i - 1 then Vec.set ws !j c;
              incr j;
              if value_lit t lits.(0) = -1 then begin
                (* keep the remaining watches before failing *)
-               while !i < n do
-                 Vec.set ws !j (Vec.get ws !i);
-                 incr i;
-                 incr j
-               done;
+               if !j < !i then
+                 while !i < n do
+                   Vec.set ws !j (Vec.get ws !i);
+                   incr i;
+                   incr j
+                 done
+               else j := n;
                Vec.shrink ws !j;
                raise (Found_conflict (C_clause c))
              end
@@ -1493,4 +1499,16 @@ module Corrupt = struct
     List.exists (fun m -> Gauss.Corrupt.false_detach m ~assigns:t.assigns) t.matrices
 
   let gauss_drop_watch t = List.exists Gauss.Corrupt.drop_watch t.matrices
+  let gauss_clear_watcher t = List.exists Gauss.Corrupt.clear_watcher t.matrices
+
+  let duplicate_literal t =
+    let wide (c : clause) = not c.deleted && Array.length c.lits >= 3 in
+    let pick v =
+      Vec.fold (fun acc c -> if Option.is_none acc && wide c then Some c else acc) None v
+    in
+    match (match pick t.clauses with None -> pick t.learnts | c -> c) with
+    | None -> false
+    | Some c ->
+        c.lits.(Array.length c.lits - 1) <- c.lits.(0);
+        true
 end

@@ -198,6 +198,15 @@ module Corrupt : sig
 
   val gauss_drop_watch : t -> bool
   (** Collapse a Gauss row's two watches onto one column. *)
+
+  val gauss_clear_watcher : t -> bool
+  (** Drop a Gauss row from the watcher bitset of its first watched
+      column. *)
+
+  val duplicate_literal : t -> bool
+  (** Overwrite the last literal of a live clause of three or more
+      literals with its first, so the stored clause repeats a
+      literal. *)
 end
 
 val gauss_dump : t -> (int * Gauss.row_dump array) list

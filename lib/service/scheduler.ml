@@ -67,11 +67,78 @@ type timing = { cache : Wire.cache_source; prepare_s : float; draw_s : float }
    Owner-domain only (like every other scheduler field): worker
    completions funnel through owner-executed finish thunks, so the
    windows need no locking. *)
-type fp_tele = {
-  fw_latency : Obs.Window.t;
-  fw_hits : Obs.Window.t;
-  fw_misses : Obs.Window.t;
-}
+module Fp_windows = struct
+  type entry = {
+    latency : Obs.Window.t;
+    hits : Obs.Window.t;
+    misses : Obs.Window.t;
+  }
+
+  (* [prune_at]: the table size at which the next new fingerprint
+     first drops the entries whose windows are all empty. It is twice
+     the size left by the last prune, so pruning costs O(1) per insert
+     amortised and the table holds at most twice the fingerprints seen
+     within one window (plus a floor of 16). *)
+  type t = { table : (string, entry) Hashtbl.t; mutable prune_at : int }
+
+  let min_prune_at = 16
+  let create () = { table = Hashtbl.create 16; prune_at = min_prune_at }
+  let size t = Hashtbl.length t.table
+
+  let is_empty e ~now =
+    Obs.Window.count e.latency ~now = 0
+    && Obs.Window.count e.hits ~now = 0
+    && Obs.Window.count e.misses ~now = 0
+
+  let prune t ~now =
+    Hashtbl.filter_map_inplace
+      (fun _ e -> if is_empty e ~now then None else Some e)
+      t.table;
+    t.prune_at <- max min_prune_at (2 * Hashtbl.length t.table)
+
+  let entry t ~now fp =
+    match Hashtbl.find_opt t.table fp with
+    | Some e -> e
+    | None ->
+        if Hashtbl.length t.table >= t.prune_at then prune t ~now;
+        let e =
+          {
+            latency = Obs.Window.create ();
+            hits = Obs.Window.create ();
+            misses = Obs.Window.create ();
+          }
+        in
+        Hashtbl.replace t.table fp e;
+        e
+
+  let record t ~now fp ~latency_s ~cache =
+    let e = entry t ~now fp in
+    Obs.Window.observe e.latency ~now latency_s;
+    match cache with
+    | Some `Hit -> Obs.Window.add e.hits ~now 1
+    | Some `Miss -> Obs.Window.add e.misses ~now 1
+    | None -> ()
+
+  let report t ~now =
+    let q d p = Obs.Metrics.Hist.quantile d p *. 1000.0 in
+    Hashtbl.fold
+      (fun fp e acc ->
+        let d = Obs.Window.snapshot e.latency ~now in
+        if d.Obs.Metrics.Hist.count = 0 then acc
+        else
+          {
+            Wire.fp;
+            fp_requests = d.Obs.Metrics.Hist.count;
+            fp_hits = Obs.Window.count e.hits ~now;
+            fp_misses = Obs.Window.count e.misses ~now;
+            fp_p50_ms = q d 0.5;
+            fp_p90_ms = q d 0.9;
+            fp_p99_ms = q d 0.99;
+          }
+          :: acc)
+      t.table []
+    |> List.sort (fun a b -> compare b.Wire.fp_requests a.Wire.fp_requests)
+end
 
 type telemetry = {
   started_at : float;
@@ -80,7 +147,7 @@ type telemetry = {
   w_deadline : Obs.Window.t;  (* deadline misses (count-only) *)
   w_hits : Obs.Window.t;  (* prepared-state cache hits (count-only) *)
   w_misses : Obs.Window.t;
-  fp_tele : (string, fp_tele) Hashtbl.t;
+  fp_tele : Fp_windows.t;
 }
 
 type t = {
@@ -153,7 +220,7 @@ let create ?(config = default_config) () =
         w_deadline = Obs.Window.create ();
         w_hits = Obs.Window.create ();
         w_misses = Obs.Window.create ();
-        fp_tele = Hashtbl.create 16;
+        fp_tele = Fp_windows.create ();
       };
     owner = Audit.Ownership.create "service scheduler";
   }
@@ -419,20 +486,6 @@ let outcome_of_response = function
   | Wire.Cancel_result _ | Wire.Metrics _ | Wire.Window_report _ | Wire.Bye ->
       "other"
 
-let fp_tele_of t fp =
-  match Hashtbl.find_opt t.tele.fp_tele fp with
-  | Some ft -> ft
-  | None ->
-      let ft =
-        {
-          fw_latency = Obs.Window.create ();
-          fw_hits = Obs.Window.create ();
-          fw_misses = Obs.Window.create ();
-        }
-      in
-      Hashtbl.replace t.tele.fp_tele fp ft;
-      ft
-
 (* The single funnel every finished request passes through, worker-side
    or missed at dispatch — deadline misses are counted here and nowhere
    else, so a miss detected on a worker domain (a [Prepare_timeout]
@@ -455,19 +508,16 @@ let account t (p : pending_req) ~queue_wait_s ~started_at ~timing response =
   (match response with
   | Wire.Deadline_miss _ -> Obs.Window.add t.tele.w_deadline ~now 1
   | _ -> ());
-  let ft = fp_tele_of t p.fingerprint in
-  Obs.Window.observe ft.fw_latency ~now dt;
-  (match timing with
-  | Some tm ->
-      if tm.cache <> Wire.Cache_miss then begin
-        Obs.Window.add t.tele.w_hits ~now 1;
-        Obs.Window.add ft.fw_hits ~now 1
-      end
-      else begin
-        Obs.Window.add t.tele.w_misses ~now 1;
-        Obs.Window.add ft.fw_misses ~now 1
-      end
+  let cache =
+    Option.map
+      (fun tm -> if tm.cache <> Wire.Cache_miss then `Hit else `Miss)
+      timing
+  in
+  (match cache with
+  | Some `Hit -> Obs.Window.add t.tele.w_hits ~now 1
+  | Some `Miss -> Obs.Window.add t.tele.w_misses ~now 1
   | None -> ());
+  Fp_windows.record t.tele.fp_tele ~now p.fingerprint ~latency_s:dt ~cache;
   (* one structured line per request; slow requests escalate to Warn
      so an operator can tail for them without a jq filter *)
   if Obs.Log.is_enabled () then begin
@@ -617,25 +667,7 @@ let window_report t =
   let q d p = Obs.Metrics.Hist.quantile d p *. 1000.0 in
   let latency = Obs.Window.snapshot t.tele.w_latency ~now in
   let queue = Obs.Window.snapshot t.tele.w_queue ~now in
-  let per_fp =
-    Hashtbl.fold
-      (fun fp ft acc ->
-        let d = Obs.Window.snapshot ft.fw_latency ~now in
-        if d.Obs.Metrics.Hist.count = 0 then acc
-        else
-          {
-            Wire.fp;
-            fp_requests = d.Obs.Metrics.Hist.count;
-            fp_hits = Obs.Window.count ft.fw_hits ~now;
-            fp_misses = Obs.Window.count ft.fw_misses ~now;
-            fp_p50_ms = q d 0.5;
-            fp_p90_ms = q d 0.9;
-            fp_p99_ms = q d 0.99;
-          }
-          :: acc)
-      t.tele.fp_tele []
-    |> List.sort (fun a b -> compare b.Wire.fp_requests a.Wire.fp_requests)
-  in
+  let per_fp = Fp_windows.report t.tele.fp_tele ~now in
   {
     Wire.window_s = Obs.Window.span_s t.tele.w_latency;
     uptime_s = uptime_s t;

@@ -183,6 +183,29 @@ val shutdown : t -> unit
     them — all carry the request's trace id, across owner and worker
     domains. *)
 
+(** The per-fingerprint windows behind {!window_report}'s [per_fp],
+    driven by an explicit clock. A new fingerprint drops the entries
+    whose windows are all empty once the table has doubled since the
+    last such prune, so the table stays within twice the number of
+    fingerprints seen within one window (and at least 16 entries). *)
+module Fp_windows : sig
+  type t
+
+  val create : unit -> t
+
+  val record :
+    t -> now:float -> string -> latency_s:float -> cache:[ `Hit | `Miss ] option -> unit
+  (** One finished request of a fingerprint: its latency and, when it
+      reached a worker, whether the prepared state was a cache hit. *)
+
+  val size : t -> int
+  (** Fingerprints held, live or not yet pruned. *)
+
+  val report : t -> now:float -> Wire.fp_window list
+  (** The fingerprints with requests in the window as of [now], most
+      requests first. *)
+end
+
 val window_report : t -> Wire.window_report
 (** Rates, counts and factor-of-2 latency percentiles over the rolling
     window, plus provenance (jobs, OCaml version, uptime).

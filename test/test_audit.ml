@@ -22,6 +22,19 @@ let expect_violation name expected f =
 
 let expect_applied name applied = Alcotest.(check bool) (name ^ " applied") true applied
 
+(* The suite must behave identically under UNIGEN_AUDIT=1 (the CI
+   audit pass), so tests that toggle the global switch restore
+   whatever state they found. *)
+let with_audit b f =
+  let was_enabled = Audit.is_enabled () in
+  let old_period = Audit.get_period () in
+  (if b then Audit.enable () else Audit.disable ());
+  Fun.protect
+    ~finally:(fun () ->
+      Audit.set_period old_period;
+      if was_enabled then Audit.enable () else Audit.disable ())
+    f
+
 (* ------------------------------------------------------------------ *)
 (* Handcrafted corruptions, one per injector *)
 
@@ -76,6 +89,20 @@ let test_detects_gauss_dropped_watch () =
   expect_violation "gauss_drop_watch" [ "gauss-watch" ] (fun () ->
       Sat.Solver.check_invariants s)
 
+let test_detects_gauss_cleared_watcher () =
+  let s = Sat.Solver.create_empty 3 in
+  Sat.Solver.add_xor s (xor_c [ 1; 2; 3 ] false);
+  expect_applied "gauss_clear_watcher" (Sat.Solver.Corrupt.gauss_clear_watcher s);
+  expect_violation "gauss_clear_watcher" [ "gauss-watchers" ] (fun () ->
+      Sat.Solver.check_invariants s)
+
+let test_detects_duplicate_literal () =
+  let f = Cnf.Formula.create ~num_vars:4 [ clause [ 1; 2; 3 ]; clause [ -1; 4 ] ] in
+  let s = Sat.Solver.create f in
+  expect_applied "duplicate_literal" (Sat.Solver.Corrupt.duplicate_literal s);
+  expect_violation "duplicate_literal" [ "clause-distinct" ] (fun () ->
+      Sat.Solver.check_invariants s)
+
 let test_detects_bumped_trail_level () =
   let f = Cnf.Formula.create ~num_vars:2 [ clause [ 1 ] ] in
   let s = Sat.Solver.create f in
@@ -98,6 +125,39 @@ let test_detects_flipped_model_bit () =
   expect_applied "flip_model_bit" (Sat.Solver.Corrupt.flip_model_bit s);
   expect_violation "flip_model_bit" [ "model-audit" ] (fun () ->
       Sat.Solver.audit_model s)
+
+(* The witness check of an enumeration reads the second witness
+   against the first: a second witness corrupted to falsify the formula
+   must still be caught, with audit mode off (the incremental check
+   alone) and on (both checks). x1 -> x2 -> x3 and x4 free: flipping
+   x3 in a witness with x1 = 1 breaks the second clause. *)
+let test_detects_corrupt_second_witness () =
+  let f =
+    Cnf.Formula.create ~num_vars:4 [ clause [ -1; 2 ]; clause [ -2; 3 ]; clause [ 1; 4 ] ]
+  in
+  let witnesses = (Sat.Bsat.enumerate ~limit:10 f).Sat.Bsat.models in
+  let first = List.hd witnesses in
+  let second =
+    List.find
+      (fun m -> Cnf.Model.value m 1 && not (Cnf.Model.equal m first))
+      (List.tl witnesses)
+  in
+  let corrupt =
+    Cnf.Model.make 4 (fun v -> if v = 3 then not (Cnf.Model.value second 3) else Cnf.Model.value second v)
+  in
+  Alcotest.(check bool) "corrupt witness falsifies" false (Cnf.Model.satisfies f corrupt);
+  let run () =
+    let a = Sat.Bsat.Witness_audit.create (Cnf.Model.occurrences f) ~xors:[] in
+    Sat.Bsat.Witness_audit.check a ~found:0 first;
+    Sat.Bsat.Witness_audit.check a ~found:1 corrupt
+  in
+  List.iter
+    (fun on ->
+      with_audit on (fun () ->
+          expect_violation
+            (Printf.sprintf "corrupt second witness (audit %b)" on)
+            [ "model-audit" ] run))
+    [ false; true ]
 
 (* ------------------------------------------------------------------ *)
 (* Clean states never trip the sanitizer *)
@@ -127,6 +187,10 @@ let injectors =
     ("gauss_steal_basic", Sat.Solver.Corrupt.gauss_steal_basic, `Gauss);
     ("gauss_false_detach", Sat.Solver.Corrupt.gauss_false_detach, `Gauss);
     ("gauss_drop_watch", Sat.Solver.Corrupt.gauss_drop_watch, `Gauss);
+    (* the watcher sets and clause literals are checked on dirty
+       matrices and broken solvers too *)
+    ("gauss_clear_watcher", Sat.Solver.Corrupt.gauss_clear_watcher, `Invariants);
+    ("duplicate_literal", Sat.Solver.Corrupt.duplicate_literal, `Invariants);
   ]
 
 let prop_corruptions_detected =
@@ -173,19 +237,6 @@ let prop_corruptions_detected =
 
 (* ------------------------------------------------------------------ *)
 (* Config and ownership behaviour *)
-
-(* The suite must behave identically under UNIGEN_AUDIT=1 (the CI
-   audit pass), so tests that toggle the global switch restore
-   whatever state they found. *)
-let with_audit b f =
-  let was_enabled = Audit.is_enabled () in
-  let old_period = Audit.get_period () in
-  (if b then Audit.enable () else Audit.disable ());
-  Fun.protect
-    ~finally:(fun () ->
-      Audit.set_period old_period;
-      if was_enabled then Audit.enable () else Audit.disable ())
-    f
 
 let test_tick_respects_enable () =
   with_audit false (fun () ->
@@ -237,6 +288,9 @@ let () =
           Alcotest.test_case "gauss stolen basic" `Quick test_detects_gauss_stolen_basic;
           Alcotest.test_case "gauss false detach" `Quick test_detects_gauss_false_detach;
           Alcotest.test_case "gauss dropped watch" `Quick test_detects_gauss_dropped_watch;
+          Alcotest.test_case "gauss cleared watcher" `Quick test_detects_gauss_cleared_watcher;
+          Alcotest.test_case "duplicated literal" `Quick test_detects_duplicate_literal;
+          Alcotest.test_case "corrupt second witness" `Quick test_detects_corrupt_second_witness;
           Alcotest.test_case "bumped trail level" `Quick test_detects_bumped_trail_level;
           Alcotest.test_case "scrambled heap" `Quick test_detects_scrambled_heap;
           Alcotest.test_case "flipped model bit" `Quick test_detects_flipped_model_bit;

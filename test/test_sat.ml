@@ -358,9 +358,51 @@ let prop_bsat_models_distinct_on_projection =
       in
       List.length keys = List.length (List.sort_uniq String.compare keys))
 
+(* The incremental witness check against the full one: random
+   formulas with XORs plus a random XOR layer, walked through a model
+   sequence mixing satisfying models, satisfying models one bit away,
+   random models and wider models. The reference is always the last
+   model that passed, as in an enumeration. *)
+let prop_incremental_check_matches_full =
+  QCheck2.Test.make ~count:300 ~name:"incremental witness check = full check"
+    QCheck2.Gen.(pair Test_util.Gen.formula_spec (int_bound 1_000_000))
+    (fun (spec, seed) ->
+      let f = Test_util.Gen.build_spec spec in
+      let rng = Rng.create seed in
+      let n = f.Cnf.Formula.num_vars in
+      let layer = List.init (Rng.int rng 3) (fun _ -> Test_util.Gen.random_xor rng ~num_vars:n) in
+      let full = Cnf.Formula.add_xors f layer in
+      let model_of bits width = Cnf.Model.make width (fun v -> v <= n && bits land (1 lsl (v - 1)) <> 0) in
+      let sat =
+        List.filter
+          (fun bits -> Cnf.Model.satisfies full (model_of bits n))
+          (List.init (1 lsl n) Fun.id)
+        |> Array.of_list
+      in
+      if Array.length sat = 0 then true
+      else begin
+        let occ = Cnf.Model.occurrences f in
+        let last = ref (model_of sat.(0) n) in
+        let ok = ref true in
+        for _ = 1 to 30 do
+          let bits =
+            match Rng.int rng 3 with
+            | 0 -> sat.(Rng.int rng (Array.length sat))
+            | 1 -> sat.(Rng.int rng (Array.length sat)) lxor (1 lsl Rng.int rng n)
+            | _ -> Rng.int rng (1 lsl n)
+          in
+          let m = model_of bits (if Rng.int rng 8 = 0 then n + 2 else n) in
+          let expected = Cnf.Model.satisfies full m in
+          if Cnf.Model.satisfies_after occ ~layer ~prev:!last m <> expected then ok := false;
+          if expected then last := m
+        done;
+        !ok
+      end)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_incremental_check_matches_full;
       prop_solver_agrees_with_brute;
       prop_bsat_counts_match_brute;
       prop_bsat_projected_counts_match_brute;

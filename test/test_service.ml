@@ -488,6 +488,64 @@ let test_scheduler_ignores_pin_field () =
   Alcotest.(check bool) "within capacity" true (Cache.length cache <= 3);
   check_settled "old pin field"
 
+(* The per-fingerprint windows under a client that cycles through
+   distinct formulas: with an explicit clock a second apart, entries
+   whose windows have emptied are dropped, the table stays within
+   twice the fingerprints of one window, and the report for live
+   fingerprints equals that of a table that only ever saw them. *)
+let test_fp_windows_stay_bounded () =
+  let module F = Scheduler.Fp_windows in
+  let t = F.create () in
+  let events = ref [] in
+  let record now fp cache =
+    events := (now, fp, cache) :: !events;
+    F.record t ~now fp ~latency_s:(0.001 *. float_of_int (String.length fp)) ~cache
+  in
+  let max_size = ref 0 in
+  for k = 0 to 1999 do
+    let now = 1000.0 +. float_of_int k in
+    record now (Printf.sprintf "cold-%d" k) (Some `Miss);
+    if k mod 5 = 0 then record now "hot" (Some `Hit);
+    max_size := max !max_size (F.size t)
+  done;
+  (* a window spans 120 s, so at most ~130 fingerprints are live *)
+  Alcotest.(check bool)
+    (Printf.sprintf "table bounded (max %d)" !max_size)
+    true (!max_size <= 2 * 131 + 16);
+  let now = 1000.0 +. 1999.0 in
+  let reference = F.create () in
+  List.iter
+    (fun (at, fp, cache) ->
+      if at > now -. 300.0 then
+        F.record reference ~now:at fp ~latency_s:(0.001 *. float_of_int (String.length fp)) ~cache)
+    (List.rev !events);
+  let report = F.report t ~now in
+  Alcotest.(check bool) "hot fingerprint live" true
+    (List.exists (fun w -> w.Wire.fp = "hot") report);
+  Alcotest.(check bool) "report = live-only report" true (report = F.report reference ~now)
+
+(* Through the in-process scheduler: more distinct formulas than the
+   table's first prune point, each reported once in the window. *)
+let test_scheduler_reports_each_fingerprint () =
+  with_sched @@ fun sched ->
+  let pairs =
+    List.concat_map (fun a -> List.init (8 - a) (fun i -> (a, a + 1 + i))) [ 1; 2; 3; 4 ]
+  in
+  let pairs = List.filteri (fun i _ -> i < 20) pairs in
+  List.iter
+    (fun (a, b) ->
+      let f = formula_of_string (Printf.sprintf "p cnf 8 1\nc ind 1 2 3 0\n%d %d 0\n" a b) in
+      ignore (submit_ok sched (sample_request ~n:1 f) : int);
+      ignore (step_ok sched))
+    pairs;
+  let per_fp = (Scheduler.window_report sched).Wire.per_fp in
+  Alcotest.(check int) "every fingerprint reported" (List.length pairs) (List.length per_fp);
+  List.iter
+    (fun w ->
+      Alcotest.(check int) "one request" 1 w.Wire.fp_requests;
+      Alcotest.(check int) "one cache lookup" 1 (w.Wire.fp_hits + w.Wire.fp_misses))
+    per_fp
+
 let test_scheduler_cancellation () =
   with_sched @@ fun sched ->
   let f = formula_of_string formula_a in
@@ -1511,6 +1569,10 @@ let () =
           Alcotest.test_case "old pin field ignored" `Quick
             test_scheduler_ignores_pin_field;
           Alcotest.test_case "draining" `Quick test_scheduler_draining;
+          Alcotest.test_case "fingerprint windows bounded" `Quick
+            test_fp_windows_stay_bounded;
+          Alcotest.test_case "each fingerprint reported" `Quick
+            test_scheduler_reports_each_fingerprint;
           Alcotest.test_case "unsat and bad epsilon" `Quick
             test_scheduler_unsat_and_bad_epsilon;
           Alcotest.test_case "cancel in flight at jobs 1" `Quick

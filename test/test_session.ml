@@ -781,6 +781,18 @@ let prop_clause_building =
    change to the solver's search may reorder how witnesses are found,
    but not which ones a seed draws *)
 
+(* Solver counters (conflicts, decisions, propagations,
+   xor_propagations) of the preparation and of the 12 draws, pinned for
+   the formulas that prepare and draw on the calling domain. A change
+   that claims to keep every search step must keep them. *)
+type counters = { prepare : int * int * int * int; draws : int * int * int * int }
+
+let golden_counters =
+  [ ("case(14,50)",
+     { prepare = (1995, 2284, 11375, 3101); draws = (312, 312, 1712, 533) });
+    ("case(16,70)",
+     { prepare = (5845, 10156, 114563, 39489); draws = (638, 898, 10224, 3775) }) ]
+
 let golden_formulas =
   [ ("case(14,50)", (fun rng -> Circuits.Generators.case_formula ~rng ~num_inputs:14 ~num_gates:50),
      "0x1p+3", "053109a85cce22ab7fec1c455c629e5b");
@@ -825,7 +837,19 @@ let test_golden i () =
         |> List.map (function Ok m -> Cnf.Model.key m | Error _ -> "-")
       in
       Alcotest.(check string) (name ^ " witness stream") md5
-        (Digest.to_hex (Digest.string (String.concat "\n" keys)))
+        (Digest.to_hex (Digest.string (String.concat "\n" keys)));
+      match List.assoc_opt name golden_counters with
+      | None -> ()
+      | Some pinned ->
+          let quad (st : Sat.Solver.stats) =
+            (st.conflicts, st.decisions, st.propagations, st.xor_propagations)
+          in
+          let q4 = Alcotest.(pair (pair int int) (pair int int)) in
+          let split (a, b, c, d) = ((a, b), (c, d)) in
+          Alcotest.check q4 (name ^ " prepare counters") (split pinned.prepare)
+            (split (quad (fst (Sampling.Unigen.prepare_solver p))));
+          Alcotest.check q4 (name ^ " draw counters") (split pinned.draws)
+            (split (quad (Sampling.Sampler.solver_stats (Sampling.Unigen.stats p))))
 
 (* ------------------------------------------------------------------ *)
 
