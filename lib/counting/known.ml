@@ -35,6 +35,9 @@ type t = {
   mutable cols : int array array;
   mutable chunks : chunk array; (* chunk [c] holds members [c * chunk_members ..] *)
   mutable size : int;
+  mutable row_cols : int array array;
+      (* [in_cell]'s scratch, refilled by every call: the column of
+         each variable of its XOR rows, row after row *)
 }
 
 let create f =
@@ -55,6 +58,7 @@ let create f =
     cols = Array.map (fun _ -> Array.make (min 4 max_col_words) 0) sampling;
     chunks = [||];
     size = 0;
+    row_cols = [||];
   }
 
 let size t = t.size
@@ -113,40 +117,52 @@ let model t r =
   let base = r mod chunk_members * t.model_bytes in
   Cnf.Model.unpack t.num_vars (fun i -> Array1.unsafe_get chunk (base + i))
 
+(* Writes the column of each variable of [xors]' rows into [row_cols],
+   row after row from [base] on. *)
+let rec fill_row_cols cols index row_cols base = function
+  | [] -> ()
+  | (x : Cnf.Xor_clause.t) :: rest ->
+      let vars = x.vars in
+      for c = 0 to Array.length vars - 1 do
+        row_cols.(base + c) <- cols.(index.(vars.(c)))
+      done;
+      fill_row_cols cols index row_cols (base + Array.length vars) rest
+
+(* [cell], a bitset over the members of word [w] of the columns, with
+   every member cleared whose projection's parity over a row of [xors]
+   differs from the row's rhs; the rows' columns start at [base] in
+   [row_cols]. *)
+let rec filter_word row_cols w cell base = function
+  | [] -> cell
+  | (x : Cnf.Xor_clause.t) :: rest ->
+      if cell = 0 then 0
+      else begin
+        let stop = base + Array.length x.vars in
+        let miss = ref (if x.rhs then -1 else 0) in
+        for c = base to stop - 1 do
+          miss := !miss lxor row_cols.(c).(w)
+        done;
+        filter_word row_cols w (cell land lnot !miss) stop rest
+      end
+
 let in_cell t ~limit (xors : Cnf.Xor_clause.t list) =
-  let rows =
-    Array.of_list
-      (List.map
-         (fun (x : Cnf.Xor_clause.t) ->
-           (Array.map (fun v -> t.cols.(t.index.(v))) x.vars, x.rhs))
-         xors)
-  in
-  let m = Array.length rows in
+  let n = List.fold_left (fun n (x : Cnf.Xor_clause.t) -> n + Array.length x.vars) 0 xors in
+  if Array.length t.row_cols < n then t.row_cols <- Array.make (2 * n) [||];
+  let row_cols = t.row_cols in
+  fill_row_cols t.cols t.index row_cols 0 xors;
   let words = (t.size + bits - 1) / bits in
   let rec scan w acc k =
     if k >= limit || w >= words then (acc, k)
     else begin
       let tail = t.size - (w * bits) in
-      let cell = ref (if tail >= bits then -1 else (1 lsl tail) - 1) in
-      let i = ref 0 in
-      while !cell <> 0 && !i < m do
-        let cols, rhs = rows.(!i) in
-        (* bit set where the member's parity differs from [rhs] *)
-        let miss = ref (if rhs then -1 else 0) in
-        for c = 0 to Array.length cols - 1 do
-          miss := !miss lxor cols.(c).(w)
-        done;
-        cell := !cell land lnot !miss;
-        incr i
-      done;
-      let rec collect b acc k =
-        if k >= limit || !cell lsr b = 0 then (acc, k)
-        else if (!cell lsr b) land 1 = 1 then collect (b + 1) (((w * bits) + b) :: acc) (k + 1)
-        else collect (b + 1) acc k
-      in
-      let acc, k = collect 0 acc k in
-      scan (w + 1) acc k
+      let all = if tail >= bits then -1 else (1 lsl tail) - 1 in
+      collect w (filter_word row_cols w all 0 xors) 0 acc k
     end
+  and collect w cell b acc k =
+    if k >= limit || cell lsr b = 0 then scan (w + 1) acc k
+    else if (cell lsr b) land 1 = 1 then
+      collect w cell (b + 1) (((w * bits) + b) :: acc) (k + 1)
+    else collect w cell (b + 1) acc k
   in
   scan 0 [] 0
 

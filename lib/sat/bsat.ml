@@ -66,8 +66,12 @@ end
    group if there is one, and the next solve resumes from the model's
    trail. The witness set of a cell that runs out is the same whatever
    order the search finds it in, and a cut cell only reports its
-   count, so outcomes do not depend on where each search starts. *)
+   count, so outcomes do not depend on where each search starts.
+   The whole loop is one [solver.solve] span: a span per call would
+   cost a trace event pair per witness, and [solver.solve_calls]
+   counts the calls. *)
 let enum_loop ?deadline ~limit ~blocking ~audit:witness_audit ~truncate solver =
+  Obs.Trace.span ~cat:"sat" "solver.solve" @@ fun () ->
   Obs.Metrics.incr c_enumerations;
   let audit = Audit.is_enabled () in
   (* projected keys of the witnesses found so far: with audit mode on,

@@ -63,7 +63,10 @@ let self_composition (f : Cnf.Formula.t) s =
 let check ?(conflict_limit = 500_000) ?deadline f s =
   let query = self_composition f s in
   let solver = Solver.create query in
-  match Solver.solve ~conflict_limit ?deadline solver with
+  match
+    Obs.Trace.span ~cat:"sat" "solver.solve" (fun () ->
+        Solver.solve ~conflict_limit ?deadline solver)
+  with
   | Solver.Unsat -> Independent
   | Solver.Sat -> Dependent
   | Solver.Unknown -> Unknown

@@ -98,6 +98,10 @@ type t = {
       (* when [not ok]: smallest group whose removal could restore
          satisfiability of the store; 0 = base formula is unsat. *)
   mutable groups : int list; (* activation variables, innermost first *)
+  mutable assumps : int array;
+      (* the negated activation variables of [groups], outermost
+         first: [solve]'s assumptions, kept by [push_group] and
+         [pop_group] *)
   mutable free_act_vars : int list; (* recycled activation variables *)
   mutable lost_units : (int * int) list;
       (* (group, lit) unit facts currently shadowed by a conflicting
@@ -203,6 +207,7 @@ let create_empty nvars =
       ok = true;
       broken_by = 0;
       groups = [];
+      assumps = [||];
       free_act_vars = [];
       lost_units = [];
       sat_trail = false;
@@ -1129,7 +1134,8 @@ let push_group t =
         v
     | [] -> alloc_var t
   in
-  t.groups <- a :: t.groups
+  t.groups <- a :: t.groups;
+  t.assumps <- Array.append t.assumps [| lit_of_var a false |]
 
 let add_group_clause t c =
   to_root t;
@@ -1153,6 +1159,7 @@ let pop_group t =
   | a :: rest ->
       let g = List.length t.groups in
       t.groups <- rest;
+      t.assumps <- Array.sub t.assumps 0 (g - 1);
       (* detach the group's constraints and every learnt clause whose
          derivation used them (group tags are monotone through
          resolution, so a single comparison suffices) *)
@@ -1302,13 +1309,18 @@ let search t ~assumps ~budget ~deadline =
           ("trail", itos (Vec.size t.trail));
           ("conflicts", itos t.n_conflicts) ]
 
+let c_solve_calls = Obs.Metrics.counter "solver.solve_calls"
+
 (* [solve] resumes from the trail a [Sat] or a [block] left: the
    levels below it are a propagated prefix of the last model under the
    same activation assumptions (every group change returns to the root
    first), so the search continues from there. A conflict at a resumed
-   level is an ordinary search conflict. *)
+   level is an ordinary search conflict.
+   [solve] opens no span: it runs once per witness, so its callers
+   trace a whole run of calls (one enumeration) as one [solver.solve]
+   span, and the counter keeps the number of calls. *)
 let solve ?(conflict_limit = max_int) ?deadline t =
-  Obs.Trace.span ~cat:"sat" "solver.solve" @@ fun () ->
+  Obs.Metrics.incr c_solve_calls;
   t.sat_trail <- false;
   Audit.Ownership.check t.owner;
   maybe_audit t;
@@ -1318,9 +1330,7 @@ let solve ?(conflict_limit = max_int) ?deadline t =
     Unsat
   end
   else begin
-    let assumps =
-      Array.of_list (List.rev_map (fun a -> lit_of_var a false) t.groups)
-    in
+    let assumps = t.assumps in
     t.assump_levels <- Array.length assumps;
     match if decision_level t = 0 then propagate t else None with
     | Some confl ->

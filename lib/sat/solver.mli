@@ -77,7 +77,9 @@ val add_xor : t -> Cnf.Xor_clause.t -> unit
 val solve : ?conflict_limit:int -> ?deadline:float -> t -> result
 (** [deadline] is an absolute [Unix.gettimeofday] instant. A [Sat]
     keeps its trail (see the kept trail above), and [solve] resumes
-    from the trail a [Sat] or {!block} left. *)
+    from the trail a [Sat] or {!block} left. Each call counts in the
+    [solver.solve_calls] metric but opens no trace span: callers wrap
+    a run of calls (an enumeration) in one [solver.solve] span. *)
 
 val block : t -> Cnf.Clause.t -> unit
 (** [block t lits] adds the blocking clause [lits] after a [Sat]: it

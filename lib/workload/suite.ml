@@ -17,7 +17,10 @@ let ensure_sat ~name build =
       failwith (Printf.sprintf "Suite.%s: no satisfiable seed found" name);
     let f = build (Rng.create seed) in
     let solver = Sat.Solver.create f in
-    match Sat.Solver.solve ~conflict_limit:200_000 solver with
+    match
+      Obs.Trace.span ~cat:"sat" "solver.solve" (fun () ->
+          Sat.Solver.solve ~conflict_limit:200_000 solver)
+    with
     | Sat.Solver.Sat -> f
     | Sat.Solver.Unsat | Sat.Solver.Unknown -> go (seed + 1) (attempts + 1)
   in

@@ -41,6 +41,24 @@ json_lines_ok() { json_check lines "$@"; }
 echo "== dune build @check"
 dune build @check
 
+echo "== release codegen (no -opaque)"
+# The checkout builds in dune's release profile (dune-workspace), so
+# ocamlopt inlines across modules; the dev profile's -opaque stops
+# every call from the solver into Vec, Order_heap, Gauss and Cnf from
+# inlining. Fail when the solver's native compile falls back to it, or
+# drops bounds checks or assertions.
+solver_rule=$(dune rules _build/default/lib/sat/.sat.objs/native/sat__Solver.cmx)
+echo "$solver_rule" | grep -q 'ocamlopt' || {
+    echo "error: dune rules printed no ocamlopt rule for sat__Solver.cmx" >&2
+    exit 1
+}
+for flag in -opaque -unsafe -noassert; do
+    if echo "$solver_rule" | grep -q -- "$flag\b"; then
+        echo "error: sat__Solver.cmx is compiled with $flag (dev codegen or unchecked code)" >&2
+        exit 1
+    fi
+done
+
 echo "== lint"
 # Repo-specific rules (determinism, concurrency discipline, hot-path
 # hygiene, .mli coverage, observability-name registry) from
@@ -162,7 +180,7 @@ echo "== allocation budget (sample case_m1 -n 301 -s 9 -j 1)"
 # XOR-propagation path that starts allocating per assignment again
 # fails here. The binary runs directly so the runtime report is its
 # own, not dune's.
-alloc_budget=16901924
+alloc_budget=14036717
 alloc_dir=$(mktemp -d)
 dune build bin/unigen_cli.exe
 dune exec bin/unigen_cli.exe -- bench-gen case_m1 -o "$alloc_dir/m1.cnf" > /dev/null

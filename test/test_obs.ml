@@ -292,6 +292,63 @@ let test_trace_file_well_formed () =
   Alcotest.(check int) "all B events closed" 0 (List.length !stack)
 
 (* ------------------------------------------------------------------ *)
+(* One solver.solve span per enumeration, and a counter for the calls *)
+
+(* The [ph] of every event named [name] in the trace file at [path]. *)
+let phases_named path name =
+  let ic = open_in path in
+  let raw = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  match J.of_string raw with
+  | J.List evs ->
+      List.filter_map
+        (function
+          | J.Obj fs when List.assoc_opt "name" fs = Some (J.Str name) -> (
+              match List.assoc_opt "ph" fs with Some (J.Str ph) -> Some ph | _ -> None)
+          | _ -> None)
+        evs
+  | _ -> Alcotest.fail "trace file is not a JSON array"
+
+(* Every enumeration is one [solver.solve] B/E pair however many
+   witnesses it finds, so a traced run's event count does not grow with
+   the witnesses; [solver.solve_calls] still counts each call: one per
+   witness, plus the Unsat call that exhausts the cell. *)
+let test_one_solve_span_per_enumeration () =
+  (* x1 v x2 v x3 v x4, sampled on all four variables: 15 witnesses; a
+     one-row hash layer x1 + x2 = 1 leaves 8 of them in the cell *)
+  let f = Cnf.Formula.create ~num_vars:4 [ Cnf.Clause.of_dimacs [ 1; 2; 3; 4 ] ] in
+  let xors = [ Cnf.Xor_clause.make [ 1; 2 ] true ] in
+  let calls () =
+    Option.value ~default:0
+      (List.assoc_opt "solver.solve_calls" (Obs.Metrics.snapshot ()).Obs.Metrics.counters)
+  in
+  let traced enumerate =
+    let path = Filename.temp_file "obs_solve" ".json" in
+    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+    Obs.Metrics.reset ();
+    Obs.Metrics.enable ();
+    Obs.Trace.enable_file path;
+    let o =
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.Trace.close ();
+          Obs.Metrics.disable ())
+        enumerate
+    in
+    Alcotest.(check bool) "cell exhausted" true o.Sat.Bsat.exhausted;
+    (List.length o.Sat.Bsat.models, phases_named path "solver.solve", calls ())
+  in
+  let check who (found, phases, n) ~expect =
+    Alcotest.(check int) (who ^ ": witnesses") expect found;
+    Alcotest.(check (list string)) (who ^ ": one B/E pair") [ "B"; "E" ] phases;
+    Alcotest.(check int) (who ^ ": solve calls") (expect + 1) n
+  in
+  check "one-shot" ~expect:15 (traced (fun () -> Sat.Bsat.enumerate ~limit:100 f));
+  let s = Sat.Bsat.Session.create f in
+  check "session" ~expect:8
+    (traced (fun () -> Sat.Bsat.Session.enumerate ~xors ~limit:100 s))
+
+(* ------------------------------------------------------------------ *)
 (* Golden: one request's spans share a trace id across domain lanes *)
 
 let test_trace_id_across_lanes () =
@@ -453,6 +510,8 @@ let () =
             test_trace_file_well_formed;
           Alcotest.test_case "trace id across domain lanes" `Quick
             test_trace_id_across_lanes;
+          Alcotest.test_case "one solver.solve span per enumeration" `Quick
+            test_one_solve_span_per_enumeration;
         ] );
       ( "log",
         [ Alcotest.test_case "json lines and levels" `Quick test_log_json_lines ]
