@@ -253,49 +253,6 @@ let run_ablation_support ~budget () =
     variants
 
 (* ------------------------------------------------------------------ *)
-(* Ablation X3: sparse XOR rows *)
-
-let run_ablation_sparse ~budget () =
-  section "Ablation: sparse XOR rows (density < 0.5 voids the 3-wise independence)";
-  let f = Lazy.force Workload.Suite.uniformity_case.Workload.Suite.formula in
-  let us = Sampling.Us.create f in
-  let rf = Sampling.Us.size us in
-  let sampling = Cnf.Formula.sampling_vars f in
-  Printf.printf "%10s %12s %12s %10s %12s\n" "density" "s/sample" "avg xor len"
-    "TV dist" "succ prob";
-  List.iter
-    (fun density ->
-      let rng = Rng.create 33 in
-      match
-        Sampling.Unigen.prepare ?count_iterations:budget.count_iterations
-          ~hash_density:density ~rng ~epsilon:6.0 f
-      with
-      | Error _ -> Printf.printf "%10.2f preparation failed\n" density
-      | Ok p ->
-          let samples = 4000 in
-          let keys = ref [] and drawn = ref 0 and attempts = ref 0 in
-          while !drawn < samples && !attempts < samples * 20 do
-            incr attempts;
-            match draw_once ~seed:33 p !attempts with
-            | Ok m ->
-                incr drawn;
-                keys := Cnf.Model.key (Cnf.Model.restrict m sampling) :: !keys
-            | Error _ -> ()
-          done;
-          let h = Sampling.Stats.histogram_of_keys !keys in
-          let tv =
-            Sampling.Stats.total_variation_from_uniform ~num_outcomes:rf
-              ~num_samples:!drawn h
-          in
-          let st = Sampling.Unigen.stats p in
-          Printf.printf "%10.2f %12.5f %12.1f %10.4f %12.2f\n%!" density
-            (Sampling.Sampler.average_seconds_per_sample st)
-            (Sampling.Sampler.average_xor_length st)
-            tv
-            (Sampling.Sampler.success_probability st))
-    [ 0.5; 0.25; 0.1 ]
-
-(* ------------------------------------------------------------------ *)
 (* Ablation X4: blocking clauses over S vs over X *)
 
 let run_ablation_blocking () =
@@ -364,49 +321,6 @@ let run_ablation_amortise ~budget () =
     (Unix.gettimeofday () -. t0);
   print_endline
     "(unlike UniWit's leapfrogging, UniGen's amortisation keeps Theorem 1 intact)"
-
-(* ------------------------------------------------------------------ *)
-(* Ablation: sampling-safe preprocessing in front of UniGen *)
-
-let run_ablation_preprocess ~budget () =
-  section "Ablation: sampling-safe preprocessing (Simplify) in front of UniGen";
-  Printf.printf "%14s %10s %10s %12s %12s\n" "instance" "clauses" "simplified"
-    "raw s/samp" "simp s/samp";
-  List.iter
-    (fun name ->
-      match Workload.Suite.by_name name with
-      | None -> ()
-      | Some instance ->
-          let f = Lazy.force instance.Workload.Suite.formula in
-          (match Preprocess.Simplify.run f with
-          | Error `Unsat -> Printf.printf "%14s unsat?!\n" name
-          | Ok r ->
-              let time_sampling g seed =
-                let rng = Rng.create seed in
-                match
-                  Sampling.Unigen.prepare
-                    ?count_iterations:budget.count_iterations ~rng ~epsilon:6.0 g
-                with
-                | Error _ -> Float.nan
-                | Ok p ->
-                    for i = 1 to 20 do
-                      let deadline =
-                        Unix.gettimeofday () +. budget.per_call_timeout
-                      in
-                      ignore (draw_once ~deadline ~seed p i)
-                    done;
-                    Sampling.Sampler.average_seconds_per_sample
-                      (Sampling.Unigen.stats p)
-              in
-              let raw_time = time_sampling f 41 in
-              let simp_time = time_sampling r.Preprocess.Simplify.simplified 41 in
-              Printf.printf "%14s %10d %10d %12.5f %12.5f\n%!" name
-                r.Preprocess.Simplify.clauses_before
-                r.Preprocess.Simplify.clauses_after raw_time simp_time))
-    [ "case_m1"; "s_fsm12_3"; "sk_login"; "ll_reverse" ];
-  print_endline
-    "(BVE only touches variables outside the sampling set, so the\n\
-     projected witness distribution UniGen samples from is unchanged)"
 
 (* ------------------------------------------------------------------ *)
 (* Related-work shoot-out: uniformity and cost of every sampler *)
@@ -1169,14 +1083,12 @@ let () =
   let targets = List.filter (fun a -> a <> "full") args in
   let all =
     [ "table1"; "table2"; "figure1"; "epsilon"; "baselines"; "parallel";
-      "ablation-support"; "ablation-sparse"; "ablation-blocking";
-      "ablation-amortise"; "ablation-preprocess"; "obs";
+      "ablation-support"; "ablation-blocking"; "ablation-amortise"; "obs";
       "service"; "micro" ]
   in
   let default = [ "table1"; "figure1"; "epsilon"; "baselines"; "parallel";
-                  "obs"; "service"; "ablation-support";
-                  "ablation-sparse"; "ablation-blocking";
-                  "ablation-amortise"; "ablation-preprocess"; "micro" ]
+                  "obs"; "service"; "ablation-support"; "ablation-blocking";
+                  "ablation-amortise"; "micro" ]
   in
   let targets = if targets = [] then default else targets in
   List.iter
@@ -1204,10 +1116,8 @@ let () =
       | "obs" -> run_obs ~budget ()
       | "service" -> run_service ~budget ()
       | "ablation-support" -> run_ablation_support ~budget ()
-      | "ablation-sparse" -> run_ablation_sparse ~budget ()
       | "ablation-blocking" -> run_ablation_blocking ()
       | "ablation-amortise" -> run_ablation_amortise ~budget ()
-      | "ablation-preprocess" -> run_ablation_preprocess ~budget ()
       | "micro" -> run_micro ()
       | _ -> ())
     targets;

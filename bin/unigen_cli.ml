@@ -394,48 +394,6 @@ let bench_gen_cmd =
     Term.(const run $ inst_name $ out $ list_only)
 
 (* ------------------------------------------------------------------ *)
-(* unigen simplify *)
-
-let simplify_cmd =
-  let run file out no_bve =
-    match read_formula file with
-    | Error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        1
-    | Ok f -> begin
-        match Preprocess.Simplify.run ~eliminate:(not no_bve) f with
-        | Error `Unsat ->
-            print_endline "s UNSATISFIABLE";
-            2
-        | Ok r ->
-            let path =
-              match out with
-              | Some p -> p
-              | None -> Filename.remove_extension file ^ ".simplified.cnf"
-            in
-            Cnf.Dimacs.write_file path r.Preprocess.Simplify.simplified;
-            Printf.printf
-              "wrote %s: %d -> %d clauses, %d forced, %d variables eliminated\n"
-              path r.Preprocess.Simplify.clauses_before
-              r.Preprocess.Simplify.clauses_after
-              (List.length r.Preprocess.Simplify.forced)
-              (List.length r.Preprocess.Simplify.eliminated);
-            0
-      end
-  in
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
-  let out =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc:"Output path.")
-  in
-  let no_bve =
-    Arg.(value & flag & info [ "no-bve" ] ~doc:"Disable bounded variable elimination.")
-  in
-  Cmd.v
-    (Cmd.info "simplify"
-       ~doc:"Sampling-safe preprocessing (projection on the sampling set preserved)")
-    Term.(const run $ file $ out $ no_bve)
-
-(* ------------------------------------------------------------------ *)
 (* unigen convert: BLIF / AIGER -> CNF with sampling set *)
 
 let convert_cmd =
@@ -934,5 +892,5 @@ let () =
   exit
     (Cmd.eval'
        (Cmd.group ~default info
-          [ sample_cmd; count_cmd; support_cmd; bench_gen_cmd; simplify_cmd;
-            convert_cmd; serve_cmd; client_cmd; monitor_cmd ]))
+          [ sample_cmd; count_cmd; support_cmd; bench_gen_cmd; convert_cmd;
+            serve_cmd; client_cmd; monitor_cmd ]))

@@ -1,7 +1,7 @@
 (* End-to-end EDA flow: take a circuit in a standard interchange
    format (BLIF), construct an ISCAS-style verification instance with
-   parity conditions, preprocess it, and generate constrained-random
-   stimuli — the full pipeline a verification team would run.
+   parity conditions, and generate constrained-random stimuli — the
+   full pipeline a verification team would run.
 
    Run with:  dune exec examples/eda_pipeline.exe *)
 
@@ -61,41 +61,29 @@ let () =
     f.Cnf.Formula.num_vars (Cnf.Formula.num_clauses f)
     (Array.length (Cnf.Formula.sampling_vars f));
 
-  print_endline "4. sampling-safe preprocessing";
-  (match Preprocess.Simplify.run f with
-  | Error `Unsat -> print_endline "   instance is UNSAT (unlucky parity seed)"
-  | Ok r ->
-      Printf.printf "   %d -> %d clauses, %d vars eliminated\n"
-        r.Preprocess.Simplify.clauses_before r.Preprocess.Simplify.clauses_after
-        (List.length r.Preprocess.Simplify.eliminated);
-      let g = r.Preprocess.Simplify.simplified in
+  print_endline "4. sample constrained-random stimuli with UniGen";
+  (match Sampling.Unigen.prepare ~rng ~epsilon:6.0 f with
+  | Error _ -> print_endline "   preparation failed (UNSAT for this parity seed?)"
+  | Ok prepared ->
+      Printf.printf "   legal input space: ~%.0f assignments\n"
+        (Sampling.Unigen.count_estimate prepared);
+      let inputs = enc.Circuits.Tseitin.input_vars in
+      Array.iter
+        (function
+          | Ok m ->
+              (* re-verify against the formula and by simulating the
+                 circuit on the sampled inputs *)
+              assert (Cnf.Model.satisfies f m);
+              let stimulus = Array.map (fun v -> Cnf.Model.value m v) inputs in
+              let outs = Circuits.Netlist.simulate nl stimulus in
+              Printf.printf "   stimulus %s -> outputs %s\n"
+                (String.concat ""
+                   (List.map (fun b -> if b then "1" else "0")
+                      (Array.to_list stimulus)))
+                (String.concat ""
+                   (List.map (fun b -> if b then "1" else "0")
+                      (Array.to_list outs)))
+          | Error _ -> print_endline "   (sample failed)")
+        (Sampling.Unigen.sample_batch ~seed:2014 prepared 8));
 
-      print_endline "5. sample constrained-random stimuli with UniGen";
-      (match Sampling.Unigen.prepare ~rng ~epsilon:6.0 g with
-      | Error _ -> print_endline "   UNSAT after preprocessing?!"
-      | Ok prepared ->
-          Printf.printf "   legal input space: ~%.0f assignments\n"
-            (Sampling.Unigen.count_estimate prepared);
-          let inputs = enc.Circuits.Tseitin.input_vars in
-          Array.iter
-            (function
-              | Ok m ->
-                  (* lift back to the original formula and re-verify by
-                     simulating the circuit on the sampled inputs *)
-                  let m = Preprocess.Simplify.extend r m in
-                  assert (Cnf.Model.satisfies f m);
-                  let stimulus =
-                    Array.map (fun v -> Cnf.Model.value m v) inputs
-                  in
-                  let outs = Circuits.Netlist.simulate nl stimulus in
-                  Printf.printf "   stimulus %s -> outputs %s\n"
-                    (String.concat ""
-                       (List.map (fun b -> if b then "1" else "0")
-                          (Array.to_list stimulus)))
-                    (String.concat ""
-                       (List.map (fun b -> if b then "1" else "0")
-                          (Array.to_list outs)))
-              | Error _ -> print_endline "   (sample failed)")
-            (Sampling.Unigen.sample_batch ~seed:2014 prepared 8)));
-
-  print_endline "6. done: same flow as bin/unigen_cli.exe convert + simplify + sample"
+  print_endline "5. done: same flow as bin/unigen_cli.exe convert + sample"

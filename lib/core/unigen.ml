@@ -10,7 +10,6 @@ type prepared = {
   hi : float; (* hiThresh *)
   lo : float; (* loThresh *)
   hi_limit : int; (* BSAT enumeration limit: floor(hi) + 1 *)
-  hash_density : float;
   phase : phase;
   warm : Counting.Warm.table;
       (* one warm worker per domain that counted or drew: a domain
@@ -26,7 +25,7 @@ type prepared = {
 }
 
 let make_prepared ?(prepare_solver = (Sat.Solver.stats_zero, 0)) ~kappa ~pivot
-    ~hash_density ~formula ~warm phase =
+    ~formula ~warm phase =
   let hi = Kappa_pivot.hi_thresh ~kappa ~pivot in
   {
     sampling = Cnf.Formula.sampling_vars formula;
@@ -35,7 +34,6 @@ let make_prepared ?(prepare_solver = (Sat.Solver.stats_zero, 0)) ~kappa ~pivot
     hi;
     lo = Kappa_pivot.lo_thresh ~kappa ~pivot;
     hi_limit = int_of_float (Float.floor hi) + 1;
-    hash_density;
     phase;
     warm;
     prepare_solver;
@@ -46,8 +44,7 @@ type prepare_error = Unsat_formula | Prepare_timeout | Count_failed
 
 let log2 x = Float.log x /. Float.log 2.0
 
-let prepare ?deadline ?count_iterations ?(hash_density = 0.5) ?pool ~rng ~epsilon
-    formula =
+let prepare ?deadline ?count_iterations ?pool ~rng ~epsilon formula =
   Obs.Trace.span ~cat:"sampling" "unigen.prepare"
     ~args:
       [
@@ -60,7 +57,7 @@ let prepare ?deadline ?count_iterations ?(hash_density = 0.5) ?pool ~rng ~epsilo
   let hi_limit = int_of_float (Float.floor hi) + 1 in
   let warm = Counting.Warm.table formula in
   let make prepare_solver =
-    make_prepared ~prepare_solver ~kappa ~pivot ~hash_density ~formula ~warm
+    make_prepared ~prepare_solver ~kappa ~pivot ~formula ~warm
   in
   (* lines 4-7: the easy case, enumerated far enough to serve as the
      count's easy check too (hi_limit falls below its pivot + 1 at
@@ -124,9 +121,7 @@ let sample_once ?deadline ~rng ~stats t =
           (* m ≤ 0 would leave the whole solution space as one cell,
              necessarily oversized: an automatic failure of this size *)
         else begin
-          let h =
-            Hashing.Hxor.sample ~density:t.hash_density rng ~vars:t.sampling ~m:i
-          in
+          let h = Hashing.Hxor.sample rng ~vars:t.sampling ~m:i in
           Sampler.record_hash stats h;
           let cell =
             Counting.Warm.draw_cell ?deadline ~accept ~limit:t.hi_limit worker
@@ -215,13 +210,13 @@ let sample_batch ?deadline ?max_attempts ?pool ~seed t n =
 (* ------------------------------------------------------------------ *)
 (* Portable view: everything a prepared state carries that cannot be
    recomputed for free. The warm workers, the stats and the
-   preparation's solver counters are rebuilt empty on import; kappa/pivot determine
-   hi/lo/hi_limit, so the thresholds are re-derived rather than
-   trusted from the serialized form. Draws
-   depend only on (phase, hash_density, sampling set, thresholds,
-   formula), all of which the round trip preserves
-   exactly — witnesses from an imported state are bit-identical to the
-   original's (the durable-store differential tests enforce this). *)
+   preparation's solver counters are rebuilt empty on import;
+   kappa/pivot determine hi/lo/hi_limit, so the thresholds are
+   re-derived rather than trusted from the serialized form. Draws
+   depend only on (phase, sampling set, thresholds, formula), all of
+   which the round trip preserves exactly — witnesses from an imported
+   state are bit-identical to the original's (the durable-store
+   differential tests enforce this). *)
 
 type portable_phase =
   | Portable_easy of { num_vars : int; models : int list list }
@@ -232,7 +227,6 @@ type portable_phase =
 type portable = {
   p_kappa : float;
   p_pivot : int;
-  p_hash_density : float;
   p_phase : portable_phase;
 }
 
@@ -240,7 +234,6 @@ let export t =
   {
     p_kappa = t.kappa;
     p_pivot = t.pivot;
-    p_hash_density = t.hash_density;
     p_phase =
       (match t.phase with
       | Easy models ->
@@ -274,8 +267,8 @@ let import ~formula p =
                 models))
     | Portable_hashed { q; count_estimate } -> Hashed { q; count_estimate }
   in
-  make_prepared ~kappa:p.p_kappa ~pivot:p.p_pivot ~hash_density:p.p_hash_density
-    ~formula ~warm:(Counting.Warm.table formula) phase
+  make_prepared ~kappa:p.p_kappa ~pivot:p.p_pivot ~formula
+    ~warm:(Counting.Warm.table formula) phase
 
 let stats t = t.stats
 let prepare_solver t = t.prepare_solver

@@ -26,7 +26,6 @@ type prepare_error =
 val prepare :
   ?deadline:float ->
   ?count_iterations:int ->
-  ?hash_density:float ->
   ?pool:Parallel.Domain_pool.t ->
   rng:Rng.t ->
   epsilon:float ->
@@ -38,10 +37,6 @@ val prepare :
     {!Sat.Indsupport} for a checker).
     [count_iterations] overrides the ApproxMC median-iteration count
     (tolerance 0.8 and confidence 0.8 are fixed by the algorithm).
-    [hash_density] (default 0.5) sets the per-variable inclusion
-    probability of the XOR rows; values below 0.5 give the sparse-XOR
-    variant of Gomes et al. that voids Theorem 1 — it exists only for
-    the ablation bench.
     The easy case's enumeration (limit ⌊hiThresh⌋ + 1, or ApproxMC's
     pivot + 1 when that is larger) also serves as the count's easy
     check, so the formula is enumerated once.
@@ -138,7 +133,6 @@ type portable_phase =
 type portable = {
   p_kappa : float;
   p_pivot : int;
-  p_hash_density : float;
   p_phase : portable_phase;
 }
 

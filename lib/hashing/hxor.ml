@@ -4,9 +4,8 @@ type t = {
   alpha : bool array; (* target cell *)
 }
 
-let sample ?(density = 0.5) rng ~vars ~m =
+let sample rng ~vars ~m =
   if m < 0 then invalid_arg "Hxor.sample: m < 0";
-  if density <= 0.0 || density > 1.0 then invalid_arg "Hxor.sample: bad density";
   if m > 0 && Array.length vars = 0 then
     invalid_arg "Hxor.sample: empty variable set";
   (* one draw per variable, in order; the chosen ones go to [picked] *)
@@ -15,7 +14,7 @@ let sample ?(density = 0.5) rng ~vars ~m =
     let k = ref 0 in
     Array.iter
       (fun v ->
-        if if density = 0.5 then Rng.bool rng else Rng.bernoulli rng density then begin
+        if Rng.bool rng then begin
           picked.(!k) <- v;
           incr k
         end)

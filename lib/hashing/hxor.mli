@@ -13,21 +13,19 @@
     than the full support [X], so that each XOR row mentions ~|S|/2
     variables instead of ~|X|/2.
 
-    The [density] parameter generalizes the family to sparse XORs
-    (each variable included with probability q < 1/2, after Gomes et
-    al. 2007 "Short XORs"): faster to solve, but 3-wise independence —
-    and with it UniGen's guarantees — is lost. It exists for the
-    ablation study only. *)
+    Every variable enters a row with probability exactly 1/2: sparser
+    rows (Gomes et al. 2007 "Short XORs") are faster to solve but lose
+    3-wise independence, and with it UniGen's guarantees. *)
 
 type t
 (** A sampled hash function together with a target value α, i.e. the
     constraint [h(y) = α]. *)
 
-val sample : ?density:float -> Rng.t -> vars:int array -> m:int -> t
+val sample : Rng.t -> vars:int array -> m:int -> t
 (** Draw [h] uniformly from the family over the given variables, with
     [m] output bits, and draw α uniformly from {0,1}^m.
-    @raise Invalid_argument if [m < 0], [vars] is empty while [m > 0],
-    or [density] is outside (0, 1]. *)
+    @raise Invalid_argument if [m < 0] or [vars] is empty while
+    [m > 0]. *)
 
 val m : t -> int
 (** Number of output bits / XOR rows. *)

@@ -111,8 +111,6 @@ let choose_list t l =
   | [] -> invalid_arg "Rng.choose_list: empty list"
   | _ -> List.nth l (int t (List.length l))
 
-let bernoulli t p = float t 1.0 < p
-
 let self_test () =
   (* Reference behaviour: xoshiro256** seeded via splitmix64(0) must be
      deterministic and must not repeat within a short window. *)

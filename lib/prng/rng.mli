@@ -60,8 +60,5 @@ val choose : t -> 'a array -> 'a
 val choose_list : t -> 'a list -> 'a
 (** Uniformly random element of a non-empty list. *)
 
-val bernoulli : t -> float -> bool
-(** [bernoulli t p] is true with probability [p]. *)
-
 val self_test : unit -> bool
 (** Checks the generator against the reference xoshiro256** vectors. *)

@@ -5,7 +5,7 @@ type key = {
   count_iterations : int option;
 }
 
-let version = "unigen-prepared-v3"
+let version = "unigen-prepared-v4"
 
 let encode k prepared formula =
   let p = Sampling.Unigen.export prepared in
@@ -42,7 +42,6 @@ let encode k prepared formula =
           ("formula", Json.Str (Cnf.Dimacs.to_string formula));
           ("kappa", Json.Float p.Sampling.Unigen.p_kappa);
           ("pivot", Json.Int p.Sampling.Unigen.p_pivot);
-          ("hash_density", Json.Float p.Sampling.Unigen.p_hash_density);
           ("created_at", Json.Float (Unix.time ()));
           ("ocaml_version", Json.Str Sys.ocaml_version);
         ]
@@ -101,7 +100,6 @@ let decode_verified k j =
     {
       Sampling.Unigen.p_kappa = Json.get_float "kappa" j;
       p_pivot = Json.get_int "pivot" j;
-      p_hash_density = Json.get_float "hash_density" j;
       p_phase;
     }
   in

@@ -6,7 +6,7 @@
     versioned JSON object carrying the canonical formula (DIMACS text,
     [c ind] and [x] lines included), the preparation parameters the
     cache key fixes, the portable essence of the preparation
-    ({!Sampling.Unigen.portable}: κ, pivot, hash density, phase — the
+    ({!Sampling.Unigen.portable}: κ, pivot, phase — the
     ApproxMC-derived hash-size anchor or the enumerated easy-case
     witnesses) and creation metadata (wall-clock time, compiler
     version) for forensics.
@@ -35,10 +35,12 @@ type key = {
     prepared-state cache's key, and the fields a payload must match. *)
 
 val version : string
-(** ["unigen-prepared-v3"] — bumped whenever the payload schema or the
+(** ["unigen-prepared-v4"] — bumped whenever the payload schema or the
     semantics of any field change. v3: preparations run the one
     stream-per-iteration ApproxMC loop, so a v2 payload made by the
-    former serial loop may hold a different [q] for the same key. *)
+    former serial loop may hold a different [q] for the same key. v4:
+    the hash-density field is gone (every XOR row has density 1/2),
+    so a v3 payload fails to decode like any other stale version. *)
 
 val encode : key -> Sampling.Unigen.prepared -> Cnf.Formula.t -> string
 (** [encode k prepared formula] serializes a preparation of the

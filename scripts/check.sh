@@ -110,6 +110,18 @@ echo "== xor engine (Gauss engine vs brute force, audit mode)"
 # gauss-* invariants).
 UNIGEN_AUDIT=1 UNIGEN_AUDIT_PERIOD=16 dune exec test/test_gauss.exe
 
+echo "== examples"
+# Every program under examples/ is a runnable end-to-end demo (several
+# assert on their own witnesses); each must exit 0.
+for src in examples/*.ml; do
+    exe="examples/$(basename "$src" .ml).exe"
+    dune build "./$exe"
+    "./_build/default/$exe" > /dev/null || {
+        echo "error: $exe exited with status $?" >&2
+        exit 1
+    }
+done
+
 echo "== counting smoke (known-projection cache, audit mode)"
 # ApproxMC decides most hashed cells from its cache of found
 # projections. With the audit live, every such cell is re-enumerated

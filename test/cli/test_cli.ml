@@ -42,7 +42,7 @@ let test_help () =
   Alcotest.(check int) "exit 0" 0 code;
   List.iter
     (fun cmd -> Alcotest.(check bool) cmd true (contains cmd text))
-    [ "sample"; "count"; "support"; "bench-gen"; "simplify"; "convert" ];
+    [ "sample"; "count"; "support"; "bench-gen"; "convert" ];
   (* every subcommand's help renders without a cmdliner markup error *)
   List.iter
     (fun cmd ->
@@ -52,7 +52,7 @@ let test_help () =
         (contains "cmdliner error" text))
     [
       "bench-gen"; "client"; "convert"; "count"; "monitor"; "sample"; "serve";
-      "simplify"; "support";
+      "support";
     ]
 
 let test_bench_gen_list () =
@@ -215,19 +215,6 @@ let test_support_verifies_and_minimizes () =
   Alcotest.(check bool) "minimized to 2" true (contains "(2 variables" text);
   Alcotest.(check bool) "emits c ind" true (contains "c ind" text)
 
-let test_simplify_roundtrip () =
-  let path = temp_cnf "p cnf 3 3\nc ind 1 2 0\n1 0\n-1 2 3 0\n2 3 0\n" in
-  let out = Filename.temp_file "unigen_cli" ".simp.cnf" in
-  let code, text = run (Printf.sprintf "simplify %s -o %s" path out) in
-  Sys.remove path;
-  Alcotest.(check int) "exit 0" 0 code;
-  Alcotest.(check bool) "reports reduction" true (contains "clauses" text);
-  (* the output must be a parseable DIMACS file *)
-  let code2, text2 = run (Printf.sprintf "count %s" out) in
-  Sys.remove out;
-  Alcotest.(check int) "count on simplified" 0 code2;
-  Alcotest.(check bool) "has a count" true (contains "s mc" text2)
-
 let test_convert_blif () =
   let blif = Filename.temp_file "unigen_cli" ".blif" in
   let oc = open_out blif in
@@ -279,7 +266,6 @@ let () =
             test_sample_rejects_bad_jobs;
           Alcotest.test_case "count" `Quick test_count_matches_truth;
           Alcotest.test_case "support" `Quick test_support_verifies_and_minimizes;
-          Alcotest.test_case "simplify" `Quick test_simplify_roundtrip;
           Alcotest.test_case "convert" `Quick test_convert_blif;
           Alcotest.test_case "missing file" `Quick test_missing_file_error;
           Alcotest.test_case "malformed dimacs" `Quick test_malformed_dimacs_error;

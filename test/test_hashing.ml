@@ -27,11 +27,6 @@ let test_invalid_args () =
     (try
        ignore (Hashing.Hxor.sample rng ~vars:[||] ~m:1);
        false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "bad density" true
-    (try
-       ignore (Hashing.Hxor.sample ~density:0.0 rng ~vars:(vars 3) ~m:1);
-       false
      with Invalid_argument _ -> true)
 
 (* The constraint encoding h(y) = α must agree with direct application. *)
@@ -131,20 +126,6 @@ let test_average_length_dense () =
     true
     (Float.abs (avg -. float_of_int (n / 2)) < 2.0)
 
-let test_average_length_sparse () =
-  let rng = Rng.create 9 in
-  let n = 40 in
-  let lens =
-    List.init 100 (fun _ ->
-        Hashing.Hxor.average_xor_length
-          (Hashing.Hxor.sample ~density:0.1 rng ~vars:(vars n) ~m:6))
-  in
-  let avg = List.fold_left ( +. ) 0.0 lens /. 100.0 in
-  Alcotest.(check bool)
-    (Printf.sprintf "sparse avg %.1f near %.1f" avg (0.1 *. float_of_int n))
-    true
-    (Float.abs (avg -. 4.0) < 1.0)
-
 let test_total_length_consistent () =
   let rng = Rng.create 10 in
   let h = Hashing.Hxor.sample rng ~vars:(vars 12) ~m:5 in
@@ -181,12 +162,9 @@ let test_partitioning_shrinks_solution_set () =
    the generator in the same state. *)
 type drawn = { rows : int array array; offsets : bool array; alpha : bool array }
 
-let sample_by_lists ~density rng ~vars ~m =
+let sample_by_lists rng ~vars ~m =
   let row () =
-    Array.to_list vars
-    |> List.filter (fun _ ->
-           if density = 0.5 then Rng.bool rng else Rng.bernoulli rng density)
-    |> Array.of_list
+    Array.to_list vars |> List.filter (fun _ -> Rng.bool rng) |> Array.of_list
   in
   (* a record literal, as the builder was written: the streams depend
      on the order ocamlopt evaluates its fields in *)
@@ -198,14 +176,12 @@ let sample_by_lists ~density rng ~vars ~m =
 
 let prop_sample_matches_list_builder =
   QCheck2.Test.make ~count:300 ~name:"sample = list-based builder"
-    QCheck2.Gen.(
-      tup4 (int_bound 1_000_000) (int_range 1 140) (int_range 0 12)
-        (oneofl [ 0.5; 0.5; 0.1; 0.3; 1.0 ]))
-    (fun (seed, n, m, density) ->
+    QCheck2.Gen.(tup3 (int_bound 1_000_000) (int_range 1 140) (int_range 0 12))
+    (fun (seed, n, m) ->
       let vars = Array.init n (fun i -> 2 * i + 1) in
       let a = Rng.create seed and b = Rng.create seed in
-      let h = Hashing.Hxor.sample ~density a ~vars ~m in
-      let { rows; offsets; alpha } = sample_by_lists ~density b ~vars ~m in
+      let h = Hashing.Hxor.sample a ~vars ~m in
+      let { rows; offsets; alpha } = sample_by_lists b ~vars ~m in
       Hashing.Hxor.constraints h
       = List.init m (fun i ->
             Cnf.Xor_clause.make (Array.to_list rows.(i)) (alpha.(i) <> offsets.(i)))
@@ -225,7 +201,6 @@ let () =
           Alcotest.test_case "pairwise collisions" `Quick test_pairwise_collision_rate;
           Alcotest.test_case "3-wise balance" `Quick test_three_wise_balance;
           Alcotest.test_case "average length dense" `Quick test_average_length_dense;
-          Alcotest.test_case "average length sparse" `Quick test_average_length_sparse;
           Alcotest.test_case "total length" `Quick test_total_length_consistent;
           Alcotest.test_case "partitioning" `Quick test_partitioning_shrinks_solution_set;
         ] );

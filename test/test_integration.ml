@@ -3,7 +3,7 @@
 
 let clause = Cnf.Clause.of_dimacs
 
-(* circuit -> Tseitin -> preprocess -> UniGen -> extend -> simulate *)
+(* circuit -> Tseitin -> UniGen -> simulate *)
 let test_circuit_to_sample_pipeline () =
   let module B = Circuits.Netlist.Builder in
   let b = B.create "pipeline" in
@@ -16,34 +16,28 @@ let test_circuit_to_sample_pipeline () =
   let nl = B.finish b in
   let enc = Circuits.Tseitin.encode nl in
   let f = enc.Circuits.Tseitin.formula in
-  match Preprocess.Simplify.run f with
-  | Error `Unsat -> Alcotest.fail "satisfiable by construction"
-  | Ok r -> begin
-      let g = r.Preprocess.Simplify.simplified in
-      let rng = Rng.create 17 in
-      match Sampling.Unigen.prepare ~count_iterations:5 ~rng ~epsilon:6.0 g with
-      | Error _ -> Alcotest.fail "prepare failed"
-      | Ok p ->
-          for i = 1 to 25 do
-            match fst (Sampling.Unigen.sample_index ~seed:17 p i) with
-            | Error _ -> Alcotest.fail "sampling failed"
-            | Ok m ->
-                let m = Preprocess.Simplify.extend r m in
-                Alcotest.(check bool) "witness of original" true
-                  (Cnf.Model.satisfies f m);
-                (* decode the stimulus and check by SIMULATION *)
-                let x =
-                  Circuits.Arith.to_int
-                    (Array.map
-                       (fun v -> Cnf.Model.value m v)
-                       enc.Circuits.Tseitin.input_vars)
-                in
-                Alcotest.(check bool)
-                  (Printf.sprintf "x=%d satisfies the spec" x)
-                  true
-                  ((x + 7) land 4 <> 0)
-          done
-    end
+  let rng = Rng.create 17 in
+  match Sampling.Unigen.prepare ~count_iterations:5 ~rng ~epsilon:6.0 f with
+  | Error _ -> Alcotest.fail "prepare failed"
+  | Ok p ->
+      for i = 1 to 25 do
+        match fst (Sampling.Unigen.sample_index ~seed:17 p i) with
+        | Error _ -> Alcotest.fail "sampling failed"
+        | Ok m ->
+            Alcotest.(check bool) "witness of the formula" true
+              (Cnf.Model.satisfies f m);
+            (* decode the stimulus and check by SIMULATION *)
+            let x =
+              Circuits.Arith.to_int
+                (Array.map
+                   (fun v -> Cnf.Model.value m v)
+                   enc.Circuits.Tseitin.input_vars)
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "x=%d satisfies the spec" x)
+              true
+              ((x + 7) land 4 <> 0)
+      done
 
 (* DIMACS file -> support discovery -> declared set -> ApproxMC vs
    exact count consistency *)
@@ -153,7 +147,7 @@ let () =
     [
       ( "pipelines",
         [
-          Alcotest.test_case "circuit->preprocess->sample" `Slow
+          Alcotest.test_case "circuit->sample" `Slow
             test_circuit_to_sample_pipeline;
           Alcotest.test_case "dimacs->support->count" `Slow
             test_dimacs_support_count_pipeline;

@@ -219,25 +219,6 @@ let test_choose_list () =
     Alcotest.(check bool) "member" true (List.mem (Rng.choose_list rng l) l)
   done
 
-let test_bernoulli_extremes () =
-  let rng = Rng.create 53 in
-  for _ = 1 to 100 do
-    Alcotest.(check bool) "p=0 never" false (Rng.bernoulli rng 0.0)
-  done;
-  for _ = 1 to 100 do
-    Alcotest.(check bool) "p=1 always" true (Rng.bernoulli rng 1.0)
-  done
-
-let test_bernoulli_rate () =
-  let rng = Rng.create 59 in
-  let hits = ref 0 in
-  let trials = 50_000 in
-  for _ = 1 to trials do
-    if Rng.bernoulli rng 0.3 then incr hits
-  done;
-  let rate = float_of_int !hits /. float_of_int trials in
-  Alcotest.(check bool) "rate near 0.3" true (rate > 0.28 && rate < 0.32)
-
 (* The generator as it was written with a record of four boxed int64
    fields, kept as the oracle for the unboxed state: seeded the same
    way, it must produce the same stream. *)
@@ -321,8 +302,6 @@ let () =
           Alcotest.test_case "choose" `Quick test_choose;
           Alcotest.test_case "choose empty" `Quick test_choose_empty;
           Alcotest.test_case "choose list" `Quick test_choose_list;
-          Alcotest.test_case "bernoulli extremes" `Quick test_bernoulli_extremes;
-          Alcotest.test_case "bernoulli rate" `Quick test_bernoulli_rate;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_unboxed_matches_boxed ]);
     ]

@@ -1091,6 +1091,13 @@ let replace_once ~sub ~by s =
   in
   go 0
 
+(* a payload as the v3 codec wrote it: its version tag and the
+   hash-density field v4 dropped *)
+let as_v3_payload payload =
+  replace_once ~sub:Spill.version ~by:"unigen-prepared-v3" payload
+  |> replace_once ~sub:"\"created_at\":"
+       ~by:"\"hash_density\":0.5,\"created_at\":"
+
 let test_spill_decode_paranoia () =
   (* decode re-verifies every key-determining field, so a spill entry
      can never be served under preparation parameters it was not made
@@ -1129,6 +1136,8 @@ let test_spill_decode_paranoia () =
      differ from the one a fresh miss now derives for the same key *)
   rejects "v2 payload" key
     (replace_once ~sub:Spill.version ~by:"unigen-prepared-v2" payload);
+  (* a spill written before the hash-density knob was removed *)
+  rejects "v3 payload" key (as_v3_payload payload);
   (* the unmutated payload still decodes: the probes above failed for
      their own reasons, not because the fixture was broken *)
   match Spill.decode key payload with
@@ -1229,14 +1238,14 @@ let test_scheduler_restart_corrupt_spill () =
   Alcotest.(check bool) "undecodable payload is a miss" true
     (src3 = Wire.Cache_miss);
   Alcotest.(check (list (list int))) "witnesses still identical" w1 w3;
-  (* a payload of the previous format version (v2) under the same key:
-     quarantined and re-prepared, never served *)
+  (* a payload of the previous format version (v3, with its
+     hash-density field) under the same key: quarantined and
+     re-prepared, never served *)
   Store.put st ~key:(Cache.key_to_string (cache_key f))
-    (replace_once ~sub:Spill.version ~by:"unigen-prepared-v2"
-       (encode (cache_key f) (prepared_entry f)));
+    (as_v3_payload (encode (cache_key f) (prepared_entry f)));
   let src4, w4 = generation dir req in
-  Alcotest.(check bool) "v2 payload is a miss" true (src4 = Wire.Cache_miss);
-  Alcotest.(check (list (list int))) "re-prepared past v2" w1 w4;
+  Alcotest.(check bool) "v3 payload is a miss" true (src4 = Wire.Cache_miss);
+  Alcotest.(check (list (list int))) "re-prepared past v3" w1 w4;
   (* every corruption counted; the quarantine file itself is reused
      because the entries share the key's basename *)
   Alcotest.(check int) "all corruptions counted" 3

@@ -304,7 +304,7 @@ let two_checks_oracle ~epsilon ~seed f =
             c.Counting.Approxmc.exact )
   in
   ( Sampling.Unigen.import ~formula:f
-      { Sampling.Unigen.p_kappa = kappa; p_pivot = pivot; p_hash_density = 0.5; p_phase },
+      { Sampling.Unigen.p_kappa = kappa; p_pivot = pivot; p_phase },
     exact )
 
 let test_one_easy_check_boundary () =
