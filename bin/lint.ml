@@ -5,7 +5,7 @@
    The rules encode correctness conventions the type checker cannot
    see but that the sampler's determinism and parallel safety depend
    on — all randomness through Rng, no shared tables escaping into
-   Domain_pool/Executor closures, no blocking calls on the owner loop,
+   Domain_pool closures, no blocking calls on the owner loop,
    paired spans and registered metric names. The full catalogue
    (name, severity, rationale) lives in DESIGN.md's "Static analysis"
    section and in each rule's [doc] field, which SARIF surfaces as

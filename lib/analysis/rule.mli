@@ -57,8 +57,8 @@ val matches_qualified : Token.t array -> int -> string list -> bool
 
 val ends_qualified : Token.t array -> int -> string list -> int option
 (** Like {!matches_qualified} but the path may carry extra leading
-    qualifiers ([Parallel.Executor.submit] ends with
-    [["Executor"; "submit"]]). Returns the index past the path's last
+    qualifiers ([Parallel.Domain_pool.submit] ends with
+    [["Domain_pool"; "submit"]]). Returns the index past the path's last
     token on a match. *)
 
 val dotted_path_at : Token.t array -> int -> (string * int) option

@@ -52,8 +52,8 @@ let top_mutables (src : Rule.source) starts =
   !names
 
 let spawn_paths =
-  [ [ "Executor"; "submit" ]; [ "Domain_pool"; "submit" ];
-    [ "Domain_pool"; "map" ]; [ "Domain_pool"; "iteri" ] ]
+  [ [ "Domain_pool"; "submit" ]; [ "Domain_pool"; "map" ];
+    [ "Domain_pool"; "iteri" ] ]
 
 let domain_escape : Rule.t =
   {
@@ -61,11 +61,11 @@ let domain_escape : Rule.t =
     severity = Findings.Error;
     doc =
       "Top-level mutable state (ref/Hashtbl/Queue/Buffer) used inside \
-       work submitted to Executor/Domain_pool without Atomic/Mutex/DLS \
-       mediation: worker domains race the owner on it. Lexical \
-       approximation: flagged when the name occurs after the submit \
-       call within the same top-level item and no Mutex.lock or \
-       Domain.DLS use precedes the occurrence.";
+       work handed to Domain_pool.submit/map/iteri without \
+       Atomic/Mutex/DLS mediation: worker domains race the owner on \
+       it. Lexical approximation: flagged when the name occurs after \
+       the submit call within the same top-level item and no \
+       Mutex.lock or Domain.DLS use precedes the occurrence.";
     phase =
       Rule.File
         (fun src ->

@@ -6,7 +6,7 @@
 
 val domain_escape : Rule.t
 (** Top-level [ref]/[Hashtbl]/[Queue]/[Buffer] state used inside the
-    lexical extent of a closure handed to [Executor.submit] /
+    lexical extent of a closure handed to
     [Domain_pool.submit]/[map]/[iteri] without [Atomic]/[Mutex]/DLS
     mediation: the worker domains race the owner on it. *)
 

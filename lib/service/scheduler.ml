@@ -153,7 +153,7 @@ type telemetry = {
 type t = {
   cfg : config;
   prep_cache : Cache.t;
-  exec : Parallel.Executor.t;  (* [jobs] worker domains run every request *)
+  exec : Parallel.Domain_pool.t;  (* [jobs] worker domains run every request *)
   queues : (string, pending_req Queue.t) Hashtbl.t;
   rotation : string Queue.t;  (* fingerprints with pending work, RR order *)
   by_id : (int, pending_req) Hashtbl.t;  (* admitted, not yet dispatched *)
@@ -201,7 +201,10 @@ let create ?(config = default_config) () =
   {
     cfg = config;
     prep_cache = Cache.create ?store ~capacity:config.cache_capacity ();
-    exec = Parallel.Executor.create ~workers:config.jobs;
+    (* the owner never runs a request: [jobs + 1] spawns [jobs] domains *)
+    exec =
+      Parallel.Domain_pool.create ~worker_span:"executor.worker"
+        ~jobs:(config.jobs + 1) ();
     queues = Hashtbl.create 16;
     rotation = Queue.create ();
     by_id = Hashtbl.create 64;
@@ -232,7 +235,7 @@ let pending t =
   Audit.Ownership.check t.owner;
   queued t + in_flight t
 
-let notify_fd t = Parallel.Executor.notify_fd t.exec
+let notify_fd t = Parallel.Domain_pool.notify_fd t.exec
 
 let is_draining t = t.draining
 
@@ -492,9 +495,9 @@ let outcome_of_response = function
    surfacing as [Deadline_miss]) is counted exactly once. The same
    funnel feeds the rolling windows and emits the request's structured
    log line; it always runs on the owner domain (in [dispatch] or in
-   the executor finish thunk), so the windows need no locking. [timing]
+   a job's finish thunk), so the windows need no locking. [timing]
    is [None] when the request never reached a worker (an
-   already-expired deadline or an executor-level exception). *)
+   already-expired deadline or an exception outside the request). *)
 let account t (p : pending_req) ~queue_wait_s ~started_at ~timing response =
   (match response with
   | Wire.Deadline_miss _ -> Obs.Metrics.incr c_deadline_misses
@@ -569,7 +572,7 @@ let deadline_passed p now =
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch: hand whole requests to worker domains through the
-   executor, at most [jobs] in flight and at most one per fingerprint.
+   worker pool, at most [jobs] in flight and at most one per fingerprint.
    The owner keeps every cache touch: it resolves hit/miss before the
    worker starts and installs a fresh preparation at completion — the
    worker only computes. The worker's closure holds the cached entry
@@ -590,7 +593,7 @@ let dispatch_one t p =
     set_depth t;
     let key = key_of p in
     let cached = Cache.find t.prep_cache key in
-    Parallel.Executor.submit t.exec
+    Parallel.Domain_pool.submit t.exec
       ~work:(fun () ->
         (* worker domain: install the request's trace id as the
            ambient id for every span produced on this domain until the
@@ -628,7 +631,7 @@ let dispatch t =
 
 let completions t =
   Audit.Ownership.check t.owner;
-  if not t.exec_down then ignore (Parallel.Executor.poll t.exec : int);
+  if not t.exec_down then ignore (Parallel.Domain_pool.poll t.exec : int);
   let rec go acc =
     if Queue.is_empty t.completed then List.rev acc
     else go (Queue.pop t.completed :: acc)
@@ -642,7 +645,7 @@ let drain t =
   while !continue do
     List.iter (fun c -> acc := c :: !acc) (completions t);
     ignore (dispatch t : int);
-    if in_flight t > 0 then Parallel.Executor.wait ~timeout_s:0.1 t.exec
+    if in_flight t > 0 then Parallel.Domain_pool.wait ~timeout_s:0.1 t.exec
     else if queued t = 0 && Queue.is_empty t.completed then
       continue := false
   done;
@@ -652,7 +655,7 @@ let shutdown t =
   Audit.Ownership.check t.owner;
   if not t.exec_down then begin
     t.exec_down <- true;
-    Parallel.Executor.shutdown t.exec
+    Parallel.Domain_pool.shutdown t.exec
   end
 
 (* ------------------------------------------------------------------ *)

@@ -34,9 +34,10 @@
       has one median loop, pooled or not, so with [prepare_seed =
       seed] the answer is also what [unigen sample -s seed] prints.
 
-    {b Execution}: whole requests are dispatched to a private
-    {!Parallel.Executor} with [jobs] worker domains ([jobs = 1] is one
-    worker, never the caller's domain); at most [jobs] run concurrently
+    {b Execution}: whole requests are submitted as jobs to a private
+    {!Parallel.Domain_pool} that spawns [jobs] worker domains
+    ([jobs = 1] is one worker; the owner is the pool's remaining
+    member but never runs a request); at most [jobs] run concurrently
     and at most one per formula fingerprint, sharding prepared-state
     ownership so concurrent clients on different formulas never
     contend while one formula's requests serialise on its prepared
@@ -48,7 +49,7 @@
     holds its cached entry by reference while it runs, so the LRU may
     evict that entry meanwhile (the cache never exceeds its capacity)
     without changing a witness. Completions surface
-    through {!completions}; {!notify_fd} exposes the executor's
+    through {!completions}; {!notify_fd} exposes the pool's
     self-pipe so a select loop can sleep until a worker finishes.
 
     Single-owner: every entry point checks an {!Audit.Ownership} tag,
@@ -109,7 +110,7 @@ type reject = { reason : Wire.reject_reason; retry_after_s : float }
 type t
 
 val create : ?config:config -> unit -> t
-(** Builds the cache and a private {!Parallel.Executor}
+(** Builds the cache and a private {!Parallel.Domain_pool}
     with [jobs] worker domains.
     @raise Invalid_argument on non-positive capacities where required
     ([queue_capacity >= 1], [jobs >= 1], [cache_capacity >= 0],
@@ -138,7 +139,7 @@ val in_flight : t -> int
 (** Dispatched to a worker domain, not yet completed. *)
 
 val notify_fd : t -> Unix.file_descr
-(** The executor's completion-notification pipe (readable when a
+(** The pool's completion-notification pipe (readable when a
     worker finished since the last {!completions}). Select on it;
     never read it directly. *)
 
@@ -156,7 +157,7 @@ val dispatch : t -> int
     without occupying a worker. Never blocks. *)
 
 val completions : t -> (int * Wire.response) list
-(** Poll the executor and return every finished request since the last
+(** Poll the pool and return every finished request since the last
     call, in completion order. Cancelled requests are omitted. Also
     drains {!notify_fd}. *)
 
@@ -165,7 +166,7 @@ val drain : t -> (int * Wire.response) list
     queued or in flight — and return completions in order. *)
 
 val shutdown : t -> unit
-(** Stop the executor (workers finish their queued jobs, completion
+(** Stop the pool (workers finish their queued jobs, completion
     callbacks run) and join its domains. Idempotent.
     Queued requests are not executed; callers wanting a graceful stop
     call {!set_draining} and {!drain} first. *)

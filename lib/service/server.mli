@@ -10,7 +10,7 @@
     The loop never runs a request itself: it dispatches runnable
     requests to the scheduler's [jobs] worker domains ([jobs = 1] is
     one worker) and always keeps serving I/O, so a [status] is answered
-    while a cold preparation runs. The executor's completion self-pipe
+    while a cold preparation runs. The worker pool's completion self-pipe
     joins the [select] set, so the loop sleeps until a client writes
     {e or} a worker finishes, then delivers completed responses.
     Requests on distinct formulas run concurrently (prepared-state

@@ -123,17 +123,21 @@ def report(workload, runs, dirs):
             100 * s["delta"], s["wins"], s["pairs"], "yes" if s["beyond_parent_iqr"] else "no"))
 
 
-def main():
+def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
-    ap.add_argument("--workload", action="append", choices=WORKLOADS)
+    ap.add_argument("--workload", action="extend", nargs="+", choices=WORKLOADS)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--ratio", action="append", default=[])
-    args = ap.parse_args()
+    return ap.parse_args(argv)
+
+
+def main():
+    args = parse_args()
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     dirs = directions(checkouts["change"], args.ratio)
     digest_mismatch = failed_run = False

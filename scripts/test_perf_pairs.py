@@ -43,6 +43,14 @@ class Pairs(unittest.TestCase):
         self.assertNotIn("a/z", m)
         self.assertNotIn("a/c", m)
 
+    def test_workloads_in_one_flag_or_many(self):
+        base = ["--parent", "p", "--change", "c"]
+        args = perf_pairs.parse_args(base + ["--workload", "offline_sample", "daemon_mix"])
+        self.assertEqual(args.workload, ["offline_sample", "daemon_mix"])
+        args = perf_pairs.parse_args(base + ["--workload", "warm_draws", "--workload", "daemon_mix"])
+        self.assertEqual(args.workload, ["warm_draws", "daemon_mix"])
+        self.assertIsNone(perf_pairs.parse_args(base).workload)
+
 
 class ParseRun(unittest.TestCase):
     def test_metrics_digest_failed(self):

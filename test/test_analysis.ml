@@ -195,7 +195,7 @@ let test_rule_domain_escape () =
     src "lib/s/esc.ml"
       "let table = Hashtbl.create 16\n\
        let run ex =\n\
-      \  Parallel.Executor.submit ex\n\
+      \  Parallel.Domain_pool.submit ex\n\
       \    ~work:(fun () -> Hashtbl.add table 1 2)\n\
       \    ~finish:(fun _ -> ())\n"
   in
@@ -205,14 +205,14 @@ let test_rule_domain_escape () =
       "let table = Hashtbl.create 16\n\
        let run ex =\n\
       \  Hashtbl.add table 1 2;\n\
-      \  Parallel.Executor.submit ex ~work:(fun () -> 3) ~finish:(fun _ -> ())\n"
+      \  Parallel.Domain_pool.submit ex ~work:(fun () -> 3) ~finish:(fun _ -> ())\n"
   in
   (* clean: access mediated by a lock *)
   let clean_mutex =
     src "lib/s/med.ml"
       "let table = Hashtbl.create 16\n\
        let run ex =\n\
-      \  Parallel.Executor.submit ex\n\
+      \  Parallel.Domain_pool.submit ex\n\
       \    ~work:(fun () -> Mutex.lock guard; Hashtbl.add table 1 2; Mutex.unlock guard)\n\
       \    ~finish:(fun _ -> ())\n"
   in
@@ -268,13 +268,13 @@ let test_rule_blocking_owner () =
   let seeded_finish =
     src "lib/service/scheduler.ml"
       "let go ex fd buf =\n\
-      \  Parallel.Executor.submit ex ~work:(fun () -> 1)\n\
+      \  Parallel.Domain_pool.submit ex ~work:(fun () -> 1)\n\
       \    ~finish:(fun _ -> ignore (Unix.read fd buf 0 1))\n"
   in
   let clean_worker =
     src "lib/service/scheduler.ml"
       "let go ex fd buf =\n\
-      \  Parallel.Executor.submit ex\n\
+      \  Parallel.Domain_pool.submit ex\n\
       \    ~work:(fun () -> ignore (Unix.read fd buf 0 1))\n\
       \    ~finish:(fun _ -> ())\n"
   in

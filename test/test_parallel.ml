@@ -32,7 +32,6 @@ let test_pool_reuse_across_batches () =
 
 let test_pool_jobs1_inline () =
   Parallel.Domain_pool.with_pool ~jobs:1 (fun pool ->
-      Alcotest.(check int) "size" 1 (Parallel.Domain_pool.size pool);
       let out = Parallel.Domain_pool.map pool succ [| 1; 2; 3 |] in
       Alcotest.(check (array int)) "inline execution" [| 2; 3; 4 |] out)
 
@@ -44,7 +43,7 @@ let test_pool_empty_batch () =
 let test_pool_rejects_bad_jobs () =
   Alcotest.(check bool) "jobs 0 rejected" true
     (try
-       ignore (Parallel.Domain_pool.create ~jobs:0);
+       ignore (Parallel.Domain_pool.create ~jobs:0 ());
        false
      with Invalid_argument _ -> true)
 
@@ -74,7 +73,7 @@ let test_pool_exception_graceful_shutdown () =
       Alcotest.(check (array int)) "pool alive after exception" [| 2; 3; 4 |] out)
 
 let test_pool_shutdown_idempotent () =
-  let pool = Parallel.Domain_pool.create ~jobs:2 in
+  let pool = Parallel.Domain_pool.create ~jobs:2 () in
   ignore (Parallel.Domain_pool.map pool succ [| 1 |]);
   Parallel.Domain_pool.shutdown pool;
   Parallel.Domain_pool.shutdown pool;
@@ -85,19 +84,29 @@ let test_pool_shutdown_idempotent () =
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Executor: the async counterpart of the pool, driving the daemon's
-   parallel path. Completions must surface through the self-pipe and
-   run their finish thunks on the owning domain, exceptions included. *)
+(* Domain_pool jobs: the asynchronous entry point that drives the
+   daemon. Completions must surface through the self-pipe and run their
+   finish thunks on the owning domain, exceptions included. *)
 
-let test_executor_basic_completion () =
-  let ex = Parallel.Executor.create ~workers:2 in
-  Fun.protect ~finally:(fun () -> Parallel.Executor.shutdown ex) @@ fun () ->
-  Alcotest.(check int) "workers" 2 (Parallel.Executor.workers ex);
+(* a pool with [workers] spawned domains, none of which is the owner *)
+let with_workers workers f =
+  let pool = Parallel.Domain_pool.create ~jobs:(workers + 1) () in
+  Fun.protect ~finally:(fun () -> Parallel.Domain_pool.shutdown pool) (fun () -> f pool)
+
+let poll_until pool pending =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while pending () && Unix.gettimeofday () < deadline do
+    Parallel.Domain_pool.wait ~timeout_s:0.2 pool;
+    ignore (Parallel.Domain_pool.poll pool : int)
+  done
+
+let test_submit_basic_completion () =
+  with_workers 2 @@ fun pool ->
   let n = 20 in
   let results = Array.make n (-1) in
   let done_count = ref 0 in
   for i = 0 to n - 1 do
-    Parallel.Executor.submit ex
+    Parallel.Domain_pool.submit pool
       ~work:(fun () -> i * i)
       ~finish:(fun r ->
         (match r with
@@ -110,31 +119,26 @@ let test_executor_basic_completion () =
   let deadline = Unix.gettimeofday () +. 10.0 in
   while !done_count < n && Unix.gettimeofday () < deadline do
     (match
-       Unix.select [ Parallel.Executor.notify_fd ex ] [] [] 0.2
+       Unix.select [ Parallel.Domain_pool.notify_fd pool ] [] [] 0.2
      with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | _ -> ());
-    ignore (Parallel.Executor.poll ex : int)
+    ignore (Parallel.Domain_pool.poll pool : int)
   done;
   Alcotest.(check int) "all jobs completed" n !done_count;
   Array.iteri
     (fun i v -> Alcotest.(check int) (Printf.sprintf "job %d" i) (i * i) v)
     results
 
-let test_executor_captures_exceptions () =
-  let ex = Parallel.Executor.create ~workers:2 in
-  Fun.protect ~finally:(fun () -> Parallel.Executor.shutdown ex) @@ fun () ->
+let test_submit_captures_exceptions () =
+  with_workers 2 @@ fun pool ->
   let outcomes = ref [] in
   for i = 0 to 7 do
-    Parallel.Executor.submit ex
+    Parallel.Domain_pool.submit pool
       ~work:(fun () -> if i mod 2 = 0 then raise (Boom i) else i)
       ~finish:(fun r -> outcomes := (i, r) :: !outcomes)
   done;
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  while List.length !outcomes < 8 && Unix.gettimeofday () < deadline do
-    Parallel.Executor.wait ~timeout_s:0.2 ex;
-    ignore (Parallel.Executor.poll ex : int)
-  done;
+  poll_until pool (fun () -> List.length !outcomes < 8);
   Alcotest.(check int) "all finished" 8 (List.length !outcomes);
   List.iter
     (fun (i, r) ->
@@ -148,25 +152,92 @@ let test_executor_captures_exceptions () =
       | Error _ -> Alcotest.fail "wrong exception captured")
     !outcomes
 
-let test_executor_shutdown_flushes () =
+let test_submit_shutdown_flushes () =
   (* shutdown must finish queued jobs and run their thunks — nothing
      is lost or duplicated *)
-  let ex = Parallel.Executor.create ~workers:1 in
+  let pool = Parallel.Domain_pool.create ~jobs:2 () in
   let seen = ref 0 in
   for _ = 1 to 10 do
-    Parallel.Executor.submit ex
+    Parallel.Domain_pool.submit pool
       ~work:(fun () -> Unix.sleepf 0.002)
       ~finish:(fun _ -> incr seen)
   done;
-  Parallel.Executor.shutdown ex;
+  Parallel.Domain_pool.shutdown pool;
   Alcotest.(check int) "every finish thunk ran" 10 !seen;
-  Parallel.Executor.shutdown ex;
+  Parallel.Domain_pool.shutdown pool;
   Alcotest.(check int) "shutdown idempotent" 10 !seen;
   Alcotest.(check bool) "submit after shutdown rejected" true
     (try
-       Parallel.Executor.submit ex ~work:(fun () -> ()) ~finish:ignore;
+       Parallel.Domain_pool.submit pool ~work:(fun () -> ()) ~finish:ignore;
        false
      with Invalid_argument _ -> true)
+
+let test_map_while_jobs_hold_workers () =
+  (* both workers are parked in jobs until the batch is done, so the
+     owner must drain the whole batch itself *)
+  with_workers 2 @@ fun pool ->
+  let started = Atomic.make 0 and release = Atomic.make false in
+  let finished = ref 0 in
+  for _ = 1 to 2 do
+    Parallel.Domain_pool.submit pool
+      ~work:(fun () ->
+        Atomic.incr started;
+        let deadline = Unix.gettimeofday () +. 10.0 in
+        while (not (Atomic.get release)) && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.001
+        done)
+      ~finish:(fun _ -> incr finished)
+  done;
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  Alcotest.(check int) "jobs hold both workers" 2 (Atomic.get started);
+  let owner = Domain.self () in
+  let out =
+    Parallel.Domain_pool.map pool
+      (fun x -> (x * 3, Domain.self () = owner))
+      (Array.init 50 Fun.id)
+  in
+  let released = not (Atomic.exchange release true) in
+  Alcotest.(check bool) "batch done before the jobs were released" true released;
+  Alcotest.(check (array int)) "results in item order"
+    (Array.init 50 (fun x -> x * 3)) (Array.map fst out);
+  Alcotest.(check bool) "every item ran on the owner" true
+    (Array.for_all snd out);
+  poll_until pool (fun () -> !finished < 2);
+  Alcotest.(check int) "jobs finished after the release" 2 !finished
+
+let test_submit_without_workers_rejected () =
+  Parallel.Domain_pool.with_pool ~jobs:1 @@ fun pool ->
+  Alcotest.(check bool) "submit rejected" true
+    (try
+       Parallel.Domain_pool.submit pool ~work:(fun () -> ()) ~finish:ignore;
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check (array int)) "map still inline" [| 2 |]
+    (Parallel.Domain_pool.map pool succ [| 1 |])
+
+let test_shutdown_closes_pipe () =
+  (* POSIX hands out the lowest free descriptors: a pipe opened after
+     the pool's shutdown gets the numbers one opened before it got
+     only if the pool closed both of its ends *)
+  let lowest_pair () =
+    let r, w = Unix.pipe () in
+    Unix.close r;
+    Unix.close w;
+    (r, w)
+  in
+  let before = lowest_pair () in
+  let pool = Parallel.Domain_pool.create ~jobs:2 () in
+  Parallel.Domain_pool.submit pool ~work:Fun.id ~finish:ignore;
+  let fd = Parallel.Domain_pool.notify_fd pool in
+  Parallel.Domain_pool.shutdown pool;
+  Alcotest.(check bool) "read end closed" true
+    (match Unix.fstat fd with
+    | _ -> false
+    | exception Unix.Unix_error (Unix.EBADF, _, _) -> true);
+  Alcotest.(check bool) "no descriptor left open" true (lowest_pair () = before)
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic seeding: jobs-count invariance *)
@@ -360,13 +431,15 @@ let () =
           Alcotest.test_case "exception graceful shutdown" `Quick
             test_pool_exception_graceful_shutdown;
           Alcotest.test_case "shutdown idempotent" `Quick test_pool_shutdown_idempotent;
-        ] );
-      ( "executor",
-        [
-          Alcotest.test_case "basic completion" `Quick test_executor_basic_completion;
-          Alcotest.test_case "captures exceptions" `Quick
-            test_executor_captures_exceptions;
-          Alcotest.test_case "shutdown flushes" `Quick test_executor_shutdown_flushes;
+          Alcotest.test_case "submit basic completion" `Quick test_submit_basic_completion;
+          Alcotest.test_case "submit captures exceptions" `Quick
+            test_submit_captures_exceptions;
+          Alcotest.test_case "submit shutdown flushes" `Quick test_submit_shutdown_flushes;
+          Alcotest.test_case "map while jobs hold every worker" `Quick
+            test_map_while_jobs_hold_workers;
+          Alcotest.test_case "submit without worker domain rejected" `Quick
+            test_submit_without_workers_rejected;
+          Alcotest.test_case "shutdown closes the pipe" `Quick test_shutdown_closes_pipe;
         ] );
       ( "determinism",
         [
