@@ -10,18 +10,28 @@
     operation. The full witnesses of the first members are stored
     too, bit-packed (⌈|X| / 8⌉ bytes each, see {!Cnf.Model.pack}) in
     fixed chunks of 512 members, Bigarrays that never move and that
-    the GC does not scan. A cache belongs to one domain.
+    the GC does not scan. A cache of 504 to 98 304 members (on a
+    64-bit host, for |S| <= 20) can also index the projections: a
+    bitmap over {0,1}{^ S} and an open-addressing map from a
+    projection to its member, both Bigarrays. {!in_cell} either scans
+    the columns or walks the cell's points through the index,
+    whichever it prices cheaper; the index is built and kept up to
+    date by the lookups that walk, never by {!add}. A cache belongs to
+    one domain.
 
-    The cache is bounded with no knob, by two budgets of 2{^ 18} words
-    (2 MiB each on a 64-bit host). The columns' budget fixes
+    The cache is bounded with no knob, by three budgets of 2{^ 18}
+    words (2 MiB each on a 64-bit host). The columns' budget fixes
     {!capacity}: |S| x members ≤ 2{^ 24} bits, about 917 k members at
     |S| = 18 and 826 k at |S| = 20. The witnesses' budget fixes how
     many of them keep their witness: members x ⌈|X| / 8⌉ ≤ 2 MiB, so
     every member up to about 131 k at |X| = 128, but only the first
-    5.5 k at |X| = 3020. Once full the cache ignores {!add}, and past
-    the witnesses' budget it keeps projections only; every decision
-    made from it stays exact, it only holds fewer members (or
-    witnesses) than it could. *)
+    5.5 k at |X| = 3020. The index's budget fixes how many of them are
+    indexed: 8 bytes per slot with slots at most 3/4 full, plus the
+    bitmap (32 KiB at |S| = 18), so 98 304 members. Once full the
+    cache ignores {!add}, past the witnesses' budget it keeps
+    projections only, and past the index's it only scans; every
+    decision made from it stays exact, it only holds fewer members
+    (or witnesses) than it could. *)
 
 type t
 
@@ -60,10 +70,17 @@ val model : t -> int -> Cnf.Model.t
     @raise Invalid_argument unless [has_model t r]. *)
 
 val in_cell : t -> limit:int -> Cnf.Xor_clause.t list -> int list * int
-(** [in_cell t ~limit xors] is [(members, k)]: the members whose
-    projection satisfies every XOR row of [xors] (rows over S only),
-    counting up to [limit] of them, and [k = List.length members]. When
-    [k < limit] the list holds every member in the cell. *)
+(** [in_cell t ~limit xors] is [(members, k)]: the [limit]
+    lowest-numbered members whose projection satisfies every XOR row
+    of [xors] (rows over S only), highest first, and
+    [k = List.length members] = min([limit], members in the cell). When
+    [k < limit] the list holds every member in the cell. The result
+    does not depend on how it was found: a scan of the columns, or a
+    walk of the cell's 2{^ (|S| - rank)} points through the index, taken
+    when its estimated cost is lower than the words the scan would
+    read before finding [limit] members. Under audit mode a walked
+    result is compared with a scan (invariant [known-index]).
+    @raise Invalid_argument when a row has a variable outside S. *)
 
 val audit_cell :
   ?deadline:float ->

@@ -9,6 +9,51 @@ type table = {
 let table formula =
   { formula; workers = Hashtbl.create 4; lock = Mutex.create () }
 
+(* The tables a domain has a worker in, held weakly so that a table
+   dies with its state. When the domain exits, one hook takes its
+   workers out of the tables still alive: domain ids are never reused,
+   so no later call could reach them. The weak arrays are only ever
+   tested and set before that, never read: reading a dead table that
+   the GC has not cleared yet would keep it alive for another cycle. *)
+type served = { mutable tables : table Weak.t list }
+
+let served_key =
+  Domain.DLS.new_key (fun () ->
+      let served = { tables = [] } in
+      let id = (Domain.self () :> int) in
+      Domain.at_exit (fun () ->
+          List.iter
+            (fun tables ->
+              for i = 0 to Weak.length tables - 1 do
+                match Weak.get tables i with
+                | Some tbl -> Mutex.protect tbl.lock (fun () -> Hashtbl.remove tbl.workers id)
+                | None -> ()
+              done)
+            served.tables);
+      served)
+
+(* Adds [tbl] to the calling domain's tables, in the slot of a dead one
+   if there is one, else in a new array as large as all the others. *)
+let serve tbl =
+  let served = Domain.DLS.get served_key in
+  let rec free = function
+    | [] -> None
+    | tables :: rest ->
+        let rec slot i =
+          if i = Weak.length tables then free rest
+          else if Weak.check tables i then slot (i + 1)
+          else Some (tables, i)
+        in
+        slot 0
+  in
+  match free served.tables with
+  | Some (tables, i) -> Weak.set tables i (Some tbl)
+  | None ->
+      let size = List.fold_left (fun n tables -> n + Weak.length tables) 8 served.tables in
+      let tables = Weak.create size in
+      Weak.set tables 0 (Some tbl);
+      served.tables <- tables :: served.tables
+
 let mine tbl =
   let id = (Domain.self () :> int) in
   match Mutex.protect tbl.lock (fun () -> Hashtbl.find_opt tbl.workers id) with
@@ -20,6 +65,7 @@ let mine tbl =
         { session = Sat.Bsat.Session.create tbl.formula; known = Known.create tbl.formula }
       in
       Mutex.protect tbl.lock (fun () -> Hashtbl.replace tbl.workers id w);
+      serve tbl;
       w
 
 type cell = {

@@ -8,7 +8,9 @@
     UniGen keeps one table in each prepared state: ApproxMC counts on
     it, and each domain then draws on the worker it counted with, or
     on a fresh one if it did not count. The workers die with the
-    state.
+    state, or with their domain: a domain that exits (a shut-down
+    pool's) takes its workers out of every table still alive, since
+    domain ids are never reused.
 
     Cell outcomes do not depend on a worker's history: a cut cell
     reports min(|cell|, limit) and an exhausted cell is a set, so what

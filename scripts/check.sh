@@ -156,9 +156,12 @@ echo "== draw smoke (known-witness cache, audit mode)"
 # UniGen draws decide oversized cells from each domain's cache of found
 # witnesses, which starts from ApproxMC's, and take accepted cells'
 # cached witnesses from it. With the audit live, every cell that used
-# the cache is re-enumerated by a fresh solver (invariant known-cell);
-# the witnesses must not depend on the worker count, and the cache must
-# have decided some cells and supplied some witnesses.
+# the cache is re-enumerated by a fresh solver (invariant known-cell),
+# and every lookup that walked a cell through the projection index is
+# compared with a scan (invariant known-index); the witnesses must not
+# depend on the worker count, the cache must have decided some cells
+# and supplied some witnesses, and some lookups must have walked the
+# points of their cells, so that the known-index audit covered walks.
 draw_dir=$(mktemp -d)
 dune exec bin/unigen_cli.exe -- bench-gen case_m1 -o "$draw_dir/m1.cnf" > /dev/null
 for j in 1 2; do
@@ -176,6 +179,8 @@ if m.get("unigen.cells_from_known", 0) <= 0:
     sys.exit("error: %s: unigen.cells_from_known should be > 0" % sys.argv[1])
 if m.get("unigen.models_from_known", 0) <= 0:
     sys.exit("error: %s: unigen.models_from_known should be > 0" % sys.argv[1])
+if m.get("known.walk_points", 0) <= 0:
+    sys.exit("error: %s: known.walk_points should be > 0" % sys.argv[1])
 PYEOF
 done
 cmp -s "$draw_dir/v1" "$draw_dir/v2" || {
@@ -192,7 +197,7 @@ echo "== allocation budget (sample case_m1 -n 301 -s 9 -j 1)"
 # XOR-propagation path that starts allocating per assignment again
 # fails here. The binary runs directly so the runtime report is its
 # own, not dune's.
-alloc_budget=14036717
+alloc_budget=14012985
 alloc_dir=$(mktemp -d)
 dune build bin/unigen_cli.exe
 dune exec bin/unigen_cli.exe -- bench-gen case_m1 -o "$alloc_dir/m1.cnf" > /dev/null

@@ -353,39 +353,193 @@ let distinct_projections rng ~width n =
   in
   go [] 0
 
-(* member counts around the word boundaries, and |S| = 1 *)
+(* [m] rows over S: random ones, rows that are the sum of two earlier
+   rows (dependent, or contradictory when their rhs differs from the
+   sum's), and copies of an earlier row with its rhs flipped. *)
+let mixed_rows rng f m =
+  let rows = Array.make m (Cnf.Xor_clause.make [] false) in
+  for i = 0 to m - 1 do
+    rows.(i) <-
+      (match if i = 0 then 0 else Rng.int rng 4 with
+      | 1 ->
+          let a = rows.(Rng.int rng i) and b = rows.(Rng.int rng i) in
+          Cnf.Xor_clause.make
+            (Array.to_list a.Cnf.Xor_clause.vars @ Array.to_list b.Cnf.Xor_clause.vars)
+            (if Rng.int rng 4 = 0 then Rng.bool rng
+             else a.Cnf.Xor_clause.rhs <> b.Cnf.Xor_clause.rhs)
+      | 2 when Rng.int rng 4 = 0 ->
+          let a = rows.(Rng.int rng i) in
+          Cnf.Xor_clause.make (Array.to_list a.Cnf.Xor_clause.vars) (not a.Cnf.Xor_clause.rhs)
+      | _ -> List.hd (random_rows rng f 1))
+  done;
+  Array.to_list rows
+
+(* Sparse caches: member counts around the word boundaries, |S| = 1
+   and S wider than a projection's int. Dense ones: |S| 2-12 with up
+   to every point of {0,1}^S a member, and up to |S| + 2 rows. *)
 let known_gen =
   QCheck2.Gen.(
-    tup4 (int_bound 100_000)
-      (oneof [ pure 1; int_range 2 8; int_range 10 70; int_range 120 130 ])
-      (oneof [ oneofl [ 0; 1; 62; 63; 64; 126; 127; 128 ]; int_range 0 300 ])
-      (int_range 0 6))
+    int_bound 100_000 >>= fun seed ->
+    oneof
+      [
+        tup3 (oneof [ pure 1; int_range 2 8; int_range 10 70; int_range 120 130 ])
+          (oneof [ oneofl [ 0; 1; 62; 63; 64; 126; 127; 128 ]; int_range 0 300 ])
+          (int_range 0 6);
+        ( int_range 2 12 >>= fun width ->
+          let all = 1 lsl width in
+          tup3 (pure width)
+            (oneof [ int_range 0 all; int_range (all * 3 / 4) all; pure all ])
+            (int_range 0 (width + 2)) );
+      ]
+    >|= fun (width, n, m) -> (seed, width, n, m))
+
+(* The members in the cell of [xors], lowest first, by brute force:
+   as ints (bit j the value of S's [j]-th variable) where S
+   fits one, else row by row. *)
+let brute_cell f members xors =
+  let sampling = Cnf.Formula.sampling_vars f in
+  let n = Array.length members in
+  if Array.length sampling >= Sys.int_size then
+    List.filter (fun r -> in_rows f xors members.(r)) (List.init n Fun.id)
+  else begin
+    let pos = Hashtbl.create 16 in
+    Array.iteri (fun j v -> Hashtbl.replace pos v j) sampling;
+    let key b = Array.fold_right (fun x k -> (k lsl 1) lor Bool.to_int x) b 0 in
+    let rows =
+      List.map
+        (fun (x : Cnf.Xor_clause.t) ->
+          (Array.fold_left (fun a v -> a lxor (1 lsl Hashtbl.find pos v)) 0 x.vars, x.rhs))
+        xors
+    in
+    let parity x =
+      let rec go x p = if x = 0 then p else go (x land (x - 1)) (not p) in
+      go x false
+    in
+    List.filter
+      (fun r ->
+        let k = key members.(r) in
+        List.for_all (fun (mask, rhs) -> parity (k land mask) = rhs) rows)
+      (List.init n Fun.id)
+  end
+
+(* [in_cell] of [xors] at [limit] and at [max_int] against the brute
+   force: the [limit] lowest members of the cell, highest first. *)
+let cell_matches k f members xors limit =
+  let inside = brute_cell f members xors in
+  let found, count = Counting.Known.in_cell k ~limit xors in
+  let all, all_count = Counting.Known.in_cell k ~limit:max_int xors in
+  count = min limit (List.length inside)
+  && found = List.rev (List.filteri (fun i _ -> i < count) inside)
+  && all_count = List.length inside
+  && all = List.rev inside
+
+(* One case of the property: the case's cell, then, on a cache of at
+   least 504 members, a lookup at every hash size 0..|S| + 2 and 48
+   more at |S| - 3..|S| + 2: an index is built only once lookups that
+   would have walked have forgone what building it costs, a few dozen
+   lookups of small cells. Limits are random, often past the count. *)
+let known_in_cell_case (seed, width, n, m) =
+  let rng = Rng.create seed in
+  let f = sampling_formula rng ~width ~extra:(Rng.int rng 4) in
+  let members = distinct_projections rng ~width n in
+  let n = Array.length members in
+  let k = Counting.Known.create f in
+  Array.iter (fun b -> Counting.Known.add k (model_of rng f b)) members;
+  let check m = cell_matches k f members (mixed_rows rng f m) (1 + Rng.int rng (n + 2)) in
+  Counting.Known.size k = n
+  && check m
+  && (n < 504
+     || List.for_all check (List.init (width + 3) Fun.id)
+        && List.for_all check (List.init 48 (fun i -> max 0 (width - 3) + (i mod 6))))
+  && List.for_all
+       (fun r -> Counting.Known.blocking_clause k r = blocking_of f members.(r))
+       (List.init n Fun.id)
 
 let prop_known_in_cell =
   QCheck2.Test.make ~count:300 ~name:"known in_cell = brute filter of its members"
-    known_gen (fun (seed, width, n, m) ->
-      let rng = Rng.create seed in
-      let f = sampling_formula rng ~width ~extra:(Rng.int rng 4) in
-      let members = distinct_projections rng ~width n in
-      let n = Array.length members in
-      let k = Counting.Known.create f in
-      Array.iter (fun b -> Counting.Known.add k (model_of rng f b)) members;
-      let xors = random_rows rng f m in
-      let inside =
-        List.filter (fun r -> in_rows f xors members.(r)) (List.init n Fun.id)
+    known_gen known_in_cell_case
+
+(* Runs [f] with metrics on; the lookups that scanned, and the points
+   that walks visited. *)
+let lookups f =
+  Obs.Metrics.enable ();
+  Obs.Metrics.reset ();
+  Fun.protect ~finally:Obs.Metrics.disable (fun () ->
+      f ();
+      let counter name =
+        Option.value ~default:0
+          (List.assoc_opt name (Obs.Metrics.snapshot ()).Obs.Metrics.counters)
       in
-      let limit = 1 + Rng.int rng (n + 2) in
-      let found, count = Counting.Known.in_cell k ~limit xors in
-      let all, all_count = Counting.Known.in_cell k ~limit:max_int xors in
-      Counting.Known.size k = n
-      && count = min limit (List.length inside)
-      && List.length found = count
-      && List.sort compare found = List.filteri (fun i _ -> i < count) inside
-      && all_count = List.length inside
-      && List.sort compare all = inside
-      && List.for_all
-           (fun r -> Counting.Known.blocking_clause k r = blocking_of f members.(r))
-           inside)
+      (counter "known.scan_lookups", counter "known.walk_points"))
+
+(* The property's generator makes caches that scan and caches that
+   walk through their index. *)
+let test_known_both_paths () =
+  let rand = Random.State.make [| 36 |] in
+  let scans, points =
+    lookups (fun () ->
+        List.iter
+          (fun case ->
+            if not (known_in_cell_case case) then Alcotest.fail "in_cell differs from brute force")
+          (QCheck2.Gen.generate ~rand ~n:300 known_gen))
+  in
+  Alcotest.(check bool) "some lookups scanned" true (scans > 0);
+  Alcotest.(check bool) "some lookups walked" true (points > 0)
+
+(* [count] lookups in a cache over [f] that holds [members], at hash
+   sizes [lo]..|S| + 2, each equal to the brute force with no limit
+   and at limit 1; the lookups by path. *)
+let check_lookups rng f k members ~lo ~count =
+  let width = Array.length (Cnf.Formula.sampling_vars f) in
+  lookups (fun () ->
+      for i = 0 to count - 1 do
+        let m = lo + (i mod (width + 3 - lo)) in
+        let xors = random_rows rng f m in
+        let inside = brute_cell f members xors in
+        let found, count = Counting.Known.in_cell k ~limit:max_int xors in
+        Alcotest.(check int) (Printf.sprintf "count at m = %d" m) (List.length inside) count;
+        Alcotest.(check (list int)) (Printf.sprintf "members at m = %d" m) (List.rev inside) found;
+        let lowest, c = Counting.Known.in_cell k ~limit:1 xors in
+        Alcotest.(check (list int)) (Printf.sprintf "lowest at m = %d" m)
+          (List.filteri (fun i _ -> i < c) inside) lowest
+      done)
+
+(* The index's budget holds 98 304 members at |S| = 17: a cache of
+   that many walks, and one more member past it makes it scan. *)
+let test_known_past_index_budget () =
+  let width = 17 and n = 110_000 and indexed = 98_304 in
+  let rng = Rng.create 17 in
+  let points = Array.init (1 lsl width) Fun.id in
+  Rng.shuffle rng points;
+  let f = sampling_formula rng ~width ~extra:0 in
+  let members =
+    Array.init n (fun i -> Array.init width (fun j -> (points.(i) lsr j) land 1 = 1))
+  in
+  let k = Counting.Known.create f in
+  let add = Array.iter (fun b -> Counting.Known.add k (model_of rng f b)) in
+  add (Array.sub members 0 indexed);
+  let _, walked = check_lookups rng f k (Array.sub members 0 indexed) ~lo:12 ~count:40 in
+  Alcotest.(check bool) "some lookups walked" true (walked > 0);
+  add (Array.sub members indexed (n - indexed));
+  let _, walked = check_lookups rng f k members ~lo:12 ~count:40 in
+  Alcotest.(check int) "no lookup walked" 0 walked
+
+(* The index ends at the bitmap's width, |S| = 20 on a 64-bit host:
+   past it, and past an int, the scan serves every lookup. *)
+let test_known_no_index () =
+  let points width =
+    let rng = Rng.create width in
+    let f = sampling_formula rng ~width ~extra:3 in
+    let members = distinct_projections rng ~width 3000 in
+    let k = Counting.Known.create f in
+    Array.iter (fun b -> Counting.Known.add k (model_of rng f b)) members;
+    snd (check_lookups rng f k members ~lo:(width - 6) ~count:60)
+  in
+  Alcotest.(check bool) "some lookups walked at |S| = 20" true (points 20 > 0);
+  List.iter
+    (fun width ->
+      Alcotest.(check int) (Printf.sprintf "points walked at |S| = %d" width) 0 (points width))
+    [ 21; 30; Sys.int_size + 1 ]
 
 (* A random formula whose sampling set S = 1..width is an independent
    support: its clauses range over S, and each extra variable is
@@ -644,6 +798,42 @@ let test_warm_one_worker_per_domain () =
     (a != b && a.Counting.Warm.session != b.Counting.Warm.session
     && a.Counting.Warm.known != b.Counting.Warm.known)
 
+(* Draws one worker on each domain of a pool of 2 (the two items wait
+   for each other, so one runs on the caller and one on the pool's
+   domain) and shuts the pool down; the workers, held weakly. *)
+let pool_workers tbl =
+  let arrived = Atomic.make 0 in
+  let workers =
+    Parallel.Domain_pool.with_pool ~jobs:2 @@ fun pool ->
+    Parallel.Domain_pool.map pool
+      (fun () ->
+        let w = Counting.Warm.mine tbl in
+        Atomic.incr arrived;
+        let give_up = Unix.gettimeofday () +. 30.0 in
+        while Atomic.get arrived < 2 && Unix.gettimeofday () < give_up do
+          Domain.cpu_relax ()
+        done;
+        w)
+      [| (); () |]
+  in
+  let weak = Weak.create 2 in
+  Array.iteri (fun i w -> Weak.set weak i (Some w)) workers;
+  weak
+
+(* A pool domain's exit takes its worker out of every live table, so
+   nothing holds it once the pool has shut down; the caller's worker
+   stays. *)
+let test_warm_pool_workers_freed () =
+  let f = Cnf.Formula.create ~num_vars:6 [ Cnf.Clause.of_dimacs [ 1; 2 ] ] in
+  let tbl = Counting.Warm.table f in
+  let here = Counting.Warm.mine tbl in
+  let weak = pool_workers tbl in
+  Gc.full_major ();
+  let kept = List.filter_map (Weak.get weak) [ 0; 1 ] in
+  Alcotest.(check int) "the pool domain's worker is freed" 1 (List.length kept);
+  Alcotest.(check bool) "the caller's worker stays" true
+    (List.for_all (fun w -> w == here) kept && Counting.Warm.mine tbl == here)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -689,6 +879,10 @@ let () =
       ( "known",
         [
           Alcotest.test_case "bound" `Quick test_known_bound;
+          Alcotest.test_case "lookups scan and walk" `Quick test_known_both_paths;
+          Alcotest.test_case "no index past the bitmap" `Quick test_known_no_index;
+          Alcotest.test_case "members past the index's budget" `Quick
+            test_known_past_index_budget;
           Alcotest.test_case "past the witnesses' bound" `Quick
             test_known_past_witness_budget;
         ] );
@@ -699,6 +893,8 @@ let () =
             test_warm_count_then_draw;
           Alcotest.test_case "one worker per domain" `Quick
             test_warm_one_worker_per_domain;
+          Alcotest.test_case "a shut-down pool's workers are freed" `Quick
+            test_warm_pool_workers_freed;
         ] );
       ("properties", qcheck_cases);
     ]
